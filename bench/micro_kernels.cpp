@@ -208,7 +208,6 @@ void decide_kernel_bench(benchmark::State& state, bool incremental) {
   util::Rng topo_rng(3);
   const graph::Graph graph = graph::make_random_connected_grid(n, topo_rng);
   sim::TickConcurrency tick;
-  tick.mode = sim::TickMode::kSharded;
   tick.threads = 1;
   tick.incremental_decide = incremental;
   sim::NetworkState net(graph, 1, tick);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -42,11 +41,8 @@ class Driver {
         ledger_(n_),
         waiting_(n_),
         blocked_(n_, 0),
-        pool_(config.tick.mode == sim::TickMode::kSharded
-                  ? std::make_unique<sim::ParallelTickEngine>(config.tick.threads)
-                  : nullptr),
-        vp_(n_, pool_.get(),
-            pool_ ? pool_->resolve_shards(config.tick.shards, n_) : 1) {
+        pool_(config.tick.threads),
+        vp_(n_, &pool_, pool_.resolve_shards(config.tick.shards, n_)) {
     timeout_epochs_ = std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(std::ceil(config.timeout / config.dt)));
     if (config.faults.enabled()) {
@@ -297,7 +293,7 @@ class Driver {
   std::size_t next_request_ = 0;
   std::uint64_t timeout_epochs_ = 1;
 
-  std::unique_ptr<sim::ParallelTickEngine> pool_;
+  sim::ParallelTickEngine pool_;
   Program vp_;
 
   std::uint64_t epoch_ = 0;

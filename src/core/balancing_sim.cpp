@@ -36,8 +36,6 @@ BalancingSimulation::BalancingSimulation(const graph::Graph& generation_graph,
       // O(nodes + edges).
       balancer_(DistillationMatrix(config.distillation), config.policy,
                 config.policy.detour_slack ? &oracle_.dense() : nullptr),
-      generation_rng_(util::Rng(config.seed).fork(1)),
-      swap_rng_(util::Rng(config.seed).fork(2)),
       consume_rng_(util::Rng(config.seed).fork(3)) {
   require(config.distillation >= 0.0, "BalancingConfig: D must be >= 0");
   require(config.generation_per_edge_per_round >= 0.0,
@@ -101,31 +99,12 @@ void BalancingSimulation::fault_phase() {
 }
 
 void BalancingSimulation::generation_phase() {
-  // Sequential mode consumes generation_rng_ edge by edge (the legacy
-  // single-stream loop); sharded mode ignores it in favor of per-(round,
-  // edge) keyed streams. Both live in the generation kernel.
+  // Per-(round, edge) keyed streams live in the generation kernel.
   result_.pairs_generated += state_.generate(
-      result_.rounds, config_.generation_per_edge_per_round, &generation_rng_);
+      result_.rounds, config_.generation_per_edge_per_round);
 }
 
 void BalancingSimulation::swap_phase() {
-  if (config_.tick.mode == sim::TickMode::kSharded) {
-    sharded_swap_phase();
-    return;
-  }
-  const auto first =
-      static_cast<NodeId>(result_.rounds % generation_graph_.node_count());
-  // The sequential sweep fuses decide and commit per node; attribute the
-  // whole sweep to the decide timer (the best-swap scans dominate it).
-  const sim::PhaseStopwatch stopwatch(state_.timers().decide_ns);
-  const SweepStats stats = run_swap_sweep(
-      balancer_, ledger(), first, config_.swaps_per_node_per_round, swap_rng_);
-  result_.swaps_performed += stats.swaps;
-  result_.pairs_spent_on_swaps += stats.pairs_consumed;
-  result_.pairs_produced_by_swaps += stats.pairs_produced;
-}
-
-void BalancingSimulation::sharded_swap_phase() {
   // Synchronous-round semantics: every node picks its best preferable swap
   // against the frozen post-generation ledger (the expensive O(P^2) scan,
   // fanned across node shards), then the choices go through the two-level

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <tuple>
 #include <unordered_map>
@@ -197,11 +196,8 @@ class Driver {
         candidates_(n_),
         scanned_(n_, 0),
         serial_dirty_(n_, kNeverDirty),
-        pool_(config.tick.mode == sim::TickMode::kSharded
-                  ? std::make_unique<sim::ParallelTickEngine>(config.tick.threads)
-                  : nullptr),
-        vp_(n_, pool_.get(),
-            pool_ ? pool_->resolve_shards(config.tick.shards, n_) : 1),
+        pool_(config.tick.threads),
+        vp_(n_, &pool_, pool_.resolve_shards(config.tick.shards, n_)),
         shard_stats_(vp_.shard_count()),
         deferred_consume_(vp_.shard_count()) {
     if (config.faults.enabled()) {
@@ -669,7 +665,7 @@ class Driver {
   /// Last epoch whose serial phases mutated the node after decide.
   std::vector<std::uint64_t> serial_dirty_;
 
-  std::unique_ptr<sim::ParallelTickEngine> pool_;
+  sim::ParallelTickEngine pool_;
   Program vp_;
   std::vector<ShardStats> shard_stats_;
   std::vector<std::vector<net::Message>> deferred_consume_;

@@ -18,7 +18,7 @@
 // change) instead of dense n-squared view matrices rebroadcast to all,
 // and the per-epoch apply/report/decide kernels shard across the
 // ParallelTickEngine pool under the canonical message-merge order, so
-// engine/threads/shards/decide are real — and result-invariant — knobs.
+// threads/shards/decide are real — and result-invariant — knobs.
 //
 // Distillation is out of scope here (D = 1): the consistency questions
 // are orthogonal to the distillation cascade, which the round-based
@@ -54,9 +54,9 @@ struct DistributedConfig {
   /// (sub-epoch latency resolves within the sending epoch's serial phase).
   double dt = 0.25;
   std::uint64_t seed = 1;
-  /// Intra-run engine knobs. kSharded fans the apply and report/decide
-  /// kernels across a worker pool; results are bit-identical for every
-  /// mode/threads/shards/decide setting (vertex-program canonical merge).
+  /// Intra-run engine knobs: the apply and report/decide kernels fan
+  /// across a worker pool; results are bit-identical for every
+  /// threads/shards/decide setting (vertex-program canonical merge).
   sim::TickConcurrency tick;
 
   /// Fault-injection plan (one fault round per epoch). A crash measures

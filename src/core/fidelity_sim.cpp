@@ -9,7 +9,6 @@
 #include "core/maxmin_balancer.hpp"
 #include "quantum/distillation.hpp"
 #include "quantum/werner.hpp"
-#include "sim/engine.hpp"
 #include "sim/network_state.hpp"
 #include "util/cancel.hpp"
 #include "util/error.hpp"
@@ -32,9 +31,8 @@ sim::DecayModel decay_model(const FidelitySimConfig& config) {
   return sim::DecayModel{config.memory_time_constant, config.usable_fidelity};
 }
 
-/// Head-of-line consumption against the tracked-pair state; shared by
-/// both engines (the sequential engine calls it on a timer, the sharded
-/// engine at every slice boundary).
+/// Head-of-line consumption against the tracked-pair state, run at every
+/// slice boundary.
 struct Consumer {
   const Workload& workload;
   const FidelitySimConfig& config;
@@ -42,7 +40,7 @@ struct Consumer {
   FidelitySimResult& result;
   std::size_t head = 0;
   double head_since = 0.0;
-  // Fault-episode tracking (both engines feed note_fault_round).
+  // Fault-episode tracking (fed once per slice by note_fault_round).
   bool degraded_now = false;
   bool in_degraded_episode = false;
   bool awaiting_recovery = false;
@@ -102,150 +100,25 @@ NodeId pick_distill_peer(const sim::NetworkState& state,
   return best_peer;
 }
 
-FidelitySimResult run_fidelity_sequential(const graph::Graph& generation_graph,
-                                          const Workload& workload,
-                                          const FidelitySimConfig& config) {
-  const std::size_t n = generation_graph.node_count();
-  sim::Engine engine(config.seed);
-  sim::NetworkState state(generation_graph, config.seed, config.tick,
-                          decay_model(config));
-  FidelitySimResult result;
-  util::Rng decision_rng = engine.rng().fork(0xF1DE);
+}  // namespace
 
-  // The swap decision rule is the §4 preferability predicate with D = 1:
-  // distillation is explicit here, not folded into the counts.
-  const MaxMinBalancer balancer{DistillationMatrix(1.0)};
-
-  Consumer consumer{workload, config, state, result};
-
-  // Fault plan: advanced on a timer of the slice width (one fault round
-  // per 0.25/scan_rate of simulated time, matching the sharded engine's
-  // slice cadence). Rate degradation thins accepted generation arrivals
-  // from a dedicated fork so the base processes' draws are untouched.
-  std::optional<sim::FaultPlan> fault_plan;
-  if (config.faults.enabled()) {
-    fault_plan.emplace(generation_graph, config.faults, config.seed);
-  }
-  util::Rng fault_thin_rng = engine.rng().fork(0xFA17);
-
-  const auto purge_node = [&](NodeId x) {
-    const double now = engine.now();
-    // Copy: purge mutates the partner list.
-    const auto partner_list = state.ledger().partners(x);
-    const std::vector<NodeId> partner_copy(partner_list.begin(), partner_list.end());
-    for (NodeId y : partner_copy) {
-      result.pairs_decayed += state.purge_pair_type(x, y, now);
-    }
-  };
-
-  // Poisson generation per edge. Under faults an arrival on a downed edge
-  // is dropped, and rate degradation thins the survivors (accept with
-  // probability rate_factor — an exact Poisson rate scaling).
-  const auto& graph_edges = generation_graph.edges();
-  for (std::size_t e = 0; e < graph_edges.size(); ++e) {
-    const graph::Edge edge = graph_edges[e];
-    engine.poisson_process(config.generation_rate, [&, edge, e] {
-      if (fault_plan) {
-        if (!fault_plan->edge_up(e)) return true;
-        const double factor = fault_plan->rate_factor();
-        if (factor < 1.0 && !fault_thin_rng.bernoulli(factor)) return true;
-      }
-      state.add_pair(edge.a(), edge.b(), engine.now(), config.raw_fidelity);
-      ++result.pairs_generated;
-      return true;
-    });
-  }
-
-  // Per-node swap/distill scans.
-  const bool freshest = config.policy == PairingPolicy::kFreshest;
-  for (NodeId x = 0; x < n; ++x) {
-    engine.poisson_process(config.scan_rate, [&, x] {
-      if (fault_plan && !fault_plan->node_up(x)) return true;  // crashed
-      const double now = engine.now();
-      purge_node(x);
-      const auto candidate = balancer.best_swap(state.ledger(), x);
-      if (candidate) {
-        const sim::TrackedPair left =
-            state.take_pair(x, candidate->left, now, freshest);
-        const sim::TrackedPair right =
-            state.take_pair(x, candidate->right, now, freshest);
-        const double fused = quantum::swap_fidelity(state.fidelity_now(left, now),
-                                                    state.fidelity_now(right, now));
-        ++result.swaps;
-        if (fused >= config.usable_fidelity) {
-          state.add_pair(candidate->left, candidate->right, now, fused);
-        } else {
-          ++result.swap_outputs_discarded;
-        }
-        return true;
-      }
-      if (!config.distillation_enabled) return true;
-      // No preferable swap: boost a weak pair type instead.
-      const NodeId best_peer = pick_distill_peer(state, config, x, now);
-      if (best_peer == x) return true;
-      const sim::TrackedPair a = state.take_pair(x, best_peer, now, freshest);
-      const sim::TrackedPair b = state.take_pair(x, best_peer, now, freshest);
-      const quantum::DistillationStep step = quantum::bbpssw(
-          state.fidelity_now(a, now), state.fidelity_now(b, now));
-      if (decision_rng.bernoulli(step.success_probability) &&
-          step.output_fidelity >= config.usable_fidelity) {
-        state.add_pair(x, best_peer, now, step.output_fidelity);
-        ++result.distillations;
-      } else {
-        ++result.distillation_failures;
-      }
-      return true;
-    });
-  }
-
-  // Head-of-line consumption check, frequent relative to the scan rate.
-  engine.every(0.25 / config.scan_rate, [&] {
-    consumer.try_consume(engine.now());
-    return true;
-  });
-
-  // Fault rounds on the same cadence: advance the plan, purge crashed
-  // nodes' stored pairs, note episode boundaries for the consumer.
-  if (fault_plan) {
-    std::uint64_t fault_round = 0;
-    fault_plan->advance(fault_round);
-    consumer.note_fault_round(fault_plan->degraded(), 0.0);
-    engine.every(0.25 / config.scan_rate, [&] {
-      ++fault_round;
-      const std::vector<NodeId>& crashed = fault_plan->advance(fault_round);
-      for (const NodeId x : crashed) {
-        result.pairs_purged_by_faults += state.purge_node(x);
-      }
-      consumer.note_fault_round(fault_plan->degraded(), engine.now());
-      return true;
-    });
-  }
-
-  engine.run(config.duration);
-  result.pairs_in_storage_at_end = state.ledger().total_pairs();
-  if (fault_plan) {
-    const sim::FaultStats& fault_stats = fault_plan->stats();
-    result.availability = fault_stats.availability();
-    result.fault_rounds_degraded = fault_stats.degraded_rounds;
-    result.node_crashes = fault_stats.node_crashes;
-    result.link_downs = fault_stats.link_downs;
-  }
-  return result;
-}
-
-/// Sharded fidelity: the same physics as fixed time slices of phase
-/// kernels. Per slice: decohere (sharded per-bucket purge) -> generate
-/// (per-edge Poisson arrivals from keyed streams, merged in canonical
-/// edge order) -> decide (per-node scan events drawn from keyed streams,
-/// decisions computed against the slice snapshot across node shards) ->
-/// commit (all scan events executed serially in canonical (timestamp,
-/// node id) order, each re-validated against the live state) -> consume
-/// (head-of-line at the slice boundary). Every draw is keyed per (slice,
-/// entity[, event]) so results are bit-identical for every threads/shards
-/// setting.
-FidelitySimResult run_fidelity_sharded(const graph::Graph& generation_graph,
-                                       const Workload& workload,
-                                       const FidelitySimConfig& config) {
+/// The fidelity physics as fixed time slices of phase kernels. Per slice:
+/// decohere (sharded per-bucket purge) -> generate (per-edge Poisson
+/// arrivals from keyed streams, merged in canonical edge order) -> decide
+/// (per-node scan events drawn from keyed streams, decisions computed
+/// against the slice snapshot across node shards) -> commit (all scan
+/// events executed serially in canonical (timestamp, node id) order, each
+/// re-validated against the live state) -> consume (head-of-line at the
+/// slice boundary). Every draw is keyed per (slice, entity[, event]) so
+/// results are bit-identical for every threads/shards setting.
+FidelitySimResult run_fidelity_sim(const graph::Graph& generation_graph,
+                                   const Workload& workload,
+                                   const FidelitySimConfig& config) {
+  require(config.raw_fidelity > config.usable_fidelity,
+          "fidelity_sim: raw pairs must be usable when fresh");
+  require(config.duration > 0.0, "fidelity_sim: duration must be positive");
+  require(config.scan_rate > 0.0, "fidelity_sim: scan rate must be positive");
+  require(generation_graph.node_count() >= 3, "fidelity_sim: need at least 3 nodes");
   const std::size_t n = generation_graph.node_count();
   sim::NetworkState state(generation_graph, config.seed, config.tick,
                           decay_model(config));
@@ -264,8 +137,8 @@ FidelitySimResult run_fidelity_sharded(const graph::Graph& generation_graph,
     fault_plan.emplace(generation_graph, config.faults, config.seed);
   }
 
-  // Slice width mirrors the sequential consumption-check cadence; it is a
-  // semantic constant of the sharded discipline, not a tuning knob.
+  // Slice width is a quarter of the mean scan interval; it is a semantic
+  // constant of the slice discipline, not a tuning knob.
   const double dt = 0.25 / config.scan_rate;
   const auto slices =
       static_cast<std::uint64_t>(std::ceil(config.duration / dt));
@@ -429,8 +302,7 @@ FidelitySimResult run_fidelity_sharded(const graph::Graph& generation_graph,
       for (const ScanEvent& event : events) {
         const NodeId x = event.node;
         const double now = event.time;
-        // Lazy purge of x's buckets at the event time (mirrors the
-        // sequential scan handler).
+        // Lazy purge of x's buckets at the event time.
         const auto partner_list = state.ledger().partners(x);
         const std::vector<NodeId> partner_copy(partner_list.begin(),
                                                partner_list.end());
@@ -496,22 +368,6 @@ FidelitySimResult run_fidelity_sharded(const graph::Graph& generation_graph,
     result.link_downs = fault_stats.link_downs;
   }
   return result;
-}
-
-}  // namespace
-
-FidelitySimResult run_fidelity_sim(const graph::Graph& generation_graph,
-                                   const Workload& workload,
-                                   const FidelitySimConfig& config) {
-  require(config.raw_fidelity > config.usable_fidelity,
-          "fidelity_sim: raw pairs must be usable when fresh");
-  require(config.duration > 0.0, "fidelity_sim: duration must be positive");
-  require(config.scan_rate > 0.0, "fidelity_sim: scan rate must be positive");
-  require(generation_graph.node_count() >= 3, "fidelity_sim: need at least 3 nodes");
-  if (config.tick.mode == sim::TickMode::kSharded) {
-    return run_fidelity_sharded(generation_graph, workload, config);
-  }
-  return run_fidelity_sequential(generation_graph, workload, config);
 }
 
 }  // namespace poq::core

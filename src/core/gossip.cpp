@@ -4,7 +4,7 @@
 #include <memory>
 #include <vector>
 
-#include "net/fabric.hpp"
+#include "net/message.hpp"
 #include "sim/network_state.hpp"
 #include "util/cancel.hpp"
 #include "util/error.hpp"
@@ -53,9 +53,7 @@ class KnowledgeBase {
 };
 
 /// Rotating-window gossip targets of node x at `round` (+ one optimistic
-/// peer drawn from `rng`). Shared by both engines; only the rng stream
-/// discipline differs (sequential: one shared stream consumed in node
-/// order; sharded: a per-(round, node) keyed stream).
+/// peer drawn from `rng`, the per-(round, node) keyed stream).
 std::vector<NodeId> gossip_targets(NodeId x, std::uint32_t round, NodeId node_count,
                                    const GossipConfig& config, util::Rng& rng) {
   std::vector<NodeId> targets;
@@ -74,7 +72,7 @@ std::vector<NodeId> gossip_targets(NodeId x, std::uint32_t round, NodeId node_co
   return targets;
 }
 
-/// Node x's true count row as the wire message both engines send.
+/// Node x's true count row as the wire message it sends.
 net::CountUpdate count_update_of(const PairLedger& ledger, NodeId x,
                                  NodeId node_count, std::uint32_t round) {
   net::CountUpdate update;
@@ -89,20 +87,20 @@ net::CountUpdate count_update_of(const PairLedger& ledger, NodeId x,
   return update;
 }
 
-/// Sharded gossip: the same §6 protocol expressed as phase kernels over
-/// the shared NetworkState. Per round: generation kernel (keyed per-edge
-/// streams) -> send kernel (canonical node order; the optimistic peer
-/// draws from a per-(round, node) keyed stream) -> message-merge kernel
+}  // namespace
+
+/// The §6 protocol expressed as phase kernels over the shared
+/// NetworkState. Per round: generation kernel (keyed per-edge streams)
+/// -> send kernel (canonical node order; the optimistic peer draws from
+/// a per-(round, node) keyed stream) -> message-merge kernel
 /// (deliveries applied in canonical (send round, sender, target) order)
 /// -> decide kernel (best preferable swap under stale views, fanned over
 /// node shards against the frozen ledger) -> two-level commit (re-checked
 /// against live own counts and the frozen view). Results are
-/// bit-identical for every threads/shards setting; they differ from the
-/// sequential path, whose in-sweep visibility and shared swap stream are
-/// inherently serial.
-GossipResult run_gossip_sharded(const graph::Graph& generation_graph,
-                                const Workload& workload,
-                                const GossipConfig& config) {
+/// bit-identical for every threads/shards setting.
+GossipResult run_gossip(const graph::Graph& generation_graph, const Workload& workload,
+                        const GossipConfig& config) {
+  require(config.fanout >= 1, "GossipConfig: fanout must be >= 1");
   BalancingSimulation sim(generation_graph, workload, config.base);
   sim::NetworkState& state = sim.state();
   const auto node_count = static_cast<NodeId>(generation_graph.node_count());
@@ -214,92 +212,6 @@ GossipResult run_gossip_sharded(const graph::Graph& generation_graph,
   }
 
   result.base = sim.result();
-  result.mean_view_age =
-      view_age_samples > 0 ? view_age_total / static_cast<double>(view_age_samples)
-                           : 0.0;
-  return result;
-}
-
-}  // namespace
-
-GossipResult run_gossip(const graph::Graph& generation_graph, const Workload& workload,
-                        const GossipConfig& config) {
-  require(config.fanout >= 1, "GossipConfig: fanout must be >= 1");
-  if (config.base.tick.mode == sim::TickMode::kSharded) {
-    return run_gossip_sharded(generation_graph, workload, config);
-  }
-  BalancingSimulation sim(generation_graph, workload, config.base);
-  const auto node_count = static_cast<NodeId>(generation_graph.node_count());
-
-  KnowledgeBase knowledge(node_count);
-  util::Rng gossip_rng = util::Rng(config.base.seed).fork(7);
-  util::Rng swap_rng = util::Rng(config.base.seed).fork(8);
-
-  const auto& distances = sim.distances();
-  net::ClassicalFabric fabric([&](net::NodeId src, net::NodeId dst) {
-    return config.latency_per_hop * static_cast<double>(distances[src][dst]);
-  });
-
-  GossipResult result;
-  double view_age_total = 0.0;
-  std::uint64_t view_age_samples = 0;
-
-  while (!sim.finished()) {
-    util::this_thread_check_cancelled();
-    sim.begin_round();
-    sim.fault_phase();
-    const auto round = static_cast<std::uint32_t>(sim.round());
-    const double now = static_cast<double>(round);
-
-    sim.generation_phase();
-
-    // 1. Send count rows to the rotating window (+ optimistic peer).
-    for (NodeId x = 0; x < node_count; ++x) {
-      const std::vector<NodeId> targets =
-          gossip_targets(x, round, node_count, config, gossip_rng);
-      const net::CountUpdate update =
-          count_update_of(sim.ledger(), x, node_count, round);
-      for (NodeId target : targets) {
-        fabric.send(x, target, now, update);
-      }
-    }
-
-    // 2. Deliver everything due by this round.
-    while (auto envelope = fabric.poll(now)) {
-      const auto& update = std::get<net::CountUpdate>(envelope->message);
-      std::vector<std::uint32_t> row(node_count, 0);
-      for (const auto& entry : update.entries) row[entry.peer] = entry.count;
-      knowledge.install(envelope->dst, update.reporter, row,
-                        static_cast<std::uint32_t>(update.version));
-    }
-
-    // 3. Swap sweep with stale beneficiary views.
-    const NodeId first = static_cast<NodeId>(round % node_count);
-    for (NodeId offset = 0; offset < node_count; ++offset) {
-      const NodeId x = static_cast<NodeId>((first + offset) % node_count);
-      for (std::uint32_t attempt = 0;
-           attempt < config.base.swaps_per_node_per_round; ++attempt) {
-        const auto candidate = sim.balancer().best_swap_with_view(
-            sim.ledger(), x, [&](NodeId a, NodeId b) {
-              return knowledge.view(x, a, b);
-            });
-        if (!candidate) break;
-        view_age_total += round - std::max(knowledge.report_round(x, candidate->left),
-                                           knowledge.report_round(x, candidate->right));
-        ++view_age_samples;
-        sim.balancer().execute_swap(sim.ledger(), x, candidate->left,
-                                    candidate->right, swap_rng);
-        sim.record_extra_swaps(1);
-      }
-    }
-
-    sim.consumption_phase();
-  }
-
-  const net::TrafficStats traffic = fabric.stats(net::MessageType::kCountUpdate);
-  result.base = sim.result();
-  result.control_messages = traffic.messages;
-  result.control_bytes = traffic.bytes;
   result.mean_view_age =
       view_age_samples > 0 ? view_age_total / static_cast<double>(view_age_samples)
                            : 0.0;

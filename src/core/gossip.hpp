@@ -5,17 +5,16 @@
 // rotating but small number of neighbors, would intuitively scale well."
 // GossipSimulation implements that: each round every node sends its true
 // count row to a rotating window of peers (plus one random optimistic
-// peer), messages travel over the classical fabric with hop-distance
-// latency, and swap decisions read *stale views* for beneficiary counts
-// (a node's own counts are always ground truth — it owns those qubits).
-// Classical overhead is accounted in encoded bytes per message.
+// peer), messages arrive after a hop-distance latency, and swap decisions
+// read *stale views* for beneficiary counts (a node's own counts are
+// always ground truth — it owns those qubits). Classical overhead is
+// accounted in encoded bytes per message.
 //
-// Two tick engines drive the round (config.base.tick.mode): the legacy
-// sequential loop, and the sharded phase-kernel path — deterministic
+// The round runs as phase kernels on the tick engine: a deterministic
 // per-round message merge in canonical sender order, swap decisions
 // fanned over node shards against the frozen ledger, and the two-level
-// commit — whose results are bit-identical for every threads/shards
-// setting (see docs/ARCHITECTURE.md).
+// commit — so results are bit-identical for every threads/shards setting
+// (see docs/ARCHITECTURE.md).
 #pragma once
 
 #include <cstdint>

@@ -10,9 +10,8 @@
 // consuming existing counts, not generation edges. This mitigates the
 // starvation the paper observed on long paths.
 //
-// The balancing rounds inherit config.base.tick, so the hybrid driver
-// runs on the sharded deterministic engine whenever its base does; the
-// assist step itself is sequential (it routes over the live ledger
+// The balancing rounds run on the tick engine with config.base.tick; the
+// assist step itself is a serial phase (it routes over the live ledger
 // between the swap and consumption phases).
 #pragma once
 

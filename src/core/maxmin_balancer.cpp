@@ -79,24 +79,4 @@ MaxMinBalancer::Execution MaxMinBalancer::execute_swap(PairLedger& ledger, NodeI
   return execution;
 }
 
-SweepStats run_swap_sweep(const MaxMinBalancer& balancer, PairLedger& ledger,
-                          NodeId first_node, std::uint32_t swaps_per_node,
-                          util::Rng& rng) {
-  const auto node_count = static_cast<NodeId>(ledger.node_count());
-  SweepStats stats;
-  for (NodeId offset = 0; offset < node_count; ++offset) {
-    const NodeId x = static_cast<NodeId>((first_node + offset) % node_count);
-    for (std::uint32_t attempt = 0; attempt < swaps_per_node; ++attempt) {
-      const auto candidate = balancer.best_swap(ledger, x);
-      if (!candidate) break;
-      const auto execution =
-          balancer.execute_swap(ledger, x, candidate->left, candidate->right, rng);
-      ++stats.swaps;
-      stats.pairs_consumed += execution.consumed_left + execution.consumed_right;
-      ++stats.pairs_produced;
-    }
-  }
-  return stats;
-}
-
 }  // namespace poq::core

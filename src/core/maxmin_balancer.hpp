@@ -101,14 +101,7 @@ class MaxMinBalancer {
 
   /// Best preferable swap where the *beneficiary* count C_y(y') is read
   /// through `view(y, y')` (possibly stale); x's own counts are always
-  /// ground truth (x owns them).
-  template <typename View>
-  [[nodiscard]] std::optional<SwapCandidate> best_swap_with_view(
-      const PairLedger& ledger, NodeId x, View&& view) const {
-    return best_swap_with_view(ledger, x, std::forward<View>(view), scratch_);
-  }
-
-  /// Thread-safe variant of best_swap_with_view with caller-owned scratch.
+  /// ground truth (x owns them). Thread-safe: caller-owned scratch.
   template <typename View>
   [[nodiscard]] std::optional<SwapCandidate> best_swap_with_view(
       const PairLedger& ledger, NodeId x, View&& view, Scratch& scratch) const {
@@ -159,19 +152,5 @@ class MaxMinBalancer {
   const std::vector<std::vector<std::uint32_t>>* generation_distances_;
   mutable Scratch scratch_;  // single-threaded convenience path only
 };
-
-/// Outcome of one network-wide swap sweep.
-struct SweepStats {
-  std::uint64_t swaps = 0;
-  std::uint64_t pairs_consumed = 0;  // donor pairs destroyed (distillation included)
-  std::uint64_t pairs_produced = 0;  // one per swap
-};
-
-/// Round-robin sweep: give every node (starting at `first_node`) up to
-/// `swaps_per_node` best-swap executions. This is the paper's "all nodes
-/// perform the swapping process at an identical rate" step.
-SweepStats run_swap_sweep(const MaxMinBalancer& balancer, PairLedger& ledger,
-                          NodeId first_node, std::uint32_t swaps_per_node,
-                          util::Rng& rng);
 
 }  // namespace poq::core

@@ -54,10 +54,10 @@ struct PlannedPathConfig {
   std::uint32_t max_rounds = 200000;
   std::uint64_t seed = 1;
   PlannedPathMode mode = PlannedPathMode::kConnectionOriented;
-  /// Intra-run engine: the per-round generation fill shards across a
-  /// worker pool under kSharded (per-(round, edge) RNG streams, so results
-  /// are bit-identical for any threads/shards). Admission/allocation stay
-  /// sequential — they are head-of-line by definition.
+  /// Intra-run engine knobs: the per-round generation fill shards across
+  /// a worker pool (per-(round, edge) RNG streams, so results are
+  /// bit-identical for any threads/shards). Admission/allocation stay
+  /// serial — they are head-of-line by definition.
   sim::TickConcurrency tick;
 
   /// Fault-injection plan. A crash destroys the raw pairs buffered at the

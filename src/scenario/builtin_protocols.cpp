@@ -32,21 +32,14 @@ namespace poq::scenario {
 
 namespace {
 
-/// Intra-run concurrency knobs shared by every protocol ported onto the
+/// Intra-run concurrency knobs shared by every protocol on the
 /// phase-kernel engine (balancing, planned, hybrid, gossip, fidelity) or
-/// the vertex-program substrate (distributed, async_routing). The engine
-/// default is sharded: its results are bit-identical for every
-/// threads/shards setting, so parallelism is purely a performance
-/// decision; `sequential` selects the single-threaded loop (for the
-/// phase-kernel protocols that is the legacy stream discipline with
-/// different numbers; for the vertex-program ones it is the same code
-/// inline and bit-identical). Protocols with no engine at all (lp) do not
-/// declare these knobs and the registry rejects them outright.
+/// the vertex-program substrate (distributed, async_routing). Results are
+/// bit-identical for every threads/shards/decide setting, so parallelism
+/// is purely a performance decision. Protocols with no engine at all (lp)
+/// do not declare these knobs and the registry rejects them outright.
 std::vector<KnobSpec> tick_knobs() {
   return {
-      {"engine", KnobType::kString, std::string("sharded"),
-       "tick engine: sharded (deterministic intra-run parallelism) or "
-       "sequential (single-threaded loop)"},
       {"threads", KnobType::kInt, std::int64_t{1},
        "intra-run worker threads (0 = hardware; never changes results)"},
       {"shards", KnobType::kInt, std::int64_t{0},
@@ -60,16 +53,6 @@ std::vector<KnobSpec> tick_knobs() {
 sim::TickConcurrency tick_from_spec(const std::string& protocol,
                                     const ScenarioSpec& spec) {
   sim::TickConcurrency tick;
-  const std::string engine = spec.knob_string("engine", "sharded");
-  if (engine == "sharded") {
-    tick.mode = sim::TickMode::kSharded;
-  } else if (engine == "sequential") {
-    tick.mode = sim::TickMode::kSequential;
-  } else {
-    throw PreconditionError(util::str_cat(
-        protocol, ": knob 'engine' must be sharded or sequential, got '",
-        engine, "'"));
-  }
   const std::int64_t threads = spec.knob_int("threads", 1);
   require(threads >= 0 && threads <= 4096,
           "knob 'threads' must be in [0, 4096]");
@@ -280,8 +263,8 @@ class BalancingProtocol final : public Protocol {
     add_balancing_metrics(metrics, result);
     add_balancing_fault_metrics(metrics, config.faults, result);
     // Streaming (megascale) runs report the deterministic logical memory
-    // footprint; at a fixed engine knob the scalar is identical for every
-    // threads/shards setting, so the BENCH_megascale gate holds it to
+    // footprint; the scalar is identical for every threads/shards
+    // setting, so the BENCH_megascale gate holds it to
     // 1e-9. Fixed-sequence runs keep their historical metric set.
     if (simulation.streaming()) {
       metrics.set_scalar("memory_bytes_per_node",
@@ -620,7 +603,7 @@ class LpProtocol final : public Protocol {
          "max-min-consumption|max-scale"},
     };
     // No tick knobs: the steady-state solve has no engine to select, and
-    // accepting-then-ignoring engine/threads/shards would misrepresent the
+    // accepting-then-ignoring threads/shards/decide would misrepresent the
     // run. The registry's knob validation rejects them with a clear error.
     for (KnobSpec& knob : fault_knobs()) knobs.push_back(std::move(knob));
     return knobs;

@@ -54,6 +54,12 @@ ParallelTickEngine::ParallelTickEngine(unsigned threads)
   chunk_body_ = [this](std::size_t chunk, unsigned worker) {
     run_one_chunk(chunk, worker);
   };
+  if (threads_ > 1) {
+    spares_.reserve(threads_);
+    for (unsigned i = 0; i < threads_; ++i) {
+      spares_.push_back(std::make_shared<Job>());
+    }
+  }
   workers_.reserve(threads_ - 1);
   for (unsigned i = 1; i < threads_; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
@@ -112,16 +118,18 @@ void ParallelTickEngine::worker_loop(unsigned worker) {
 
 void ParallelTickEngine::dispatch(
     std::size_t count, const std::function<void(std::size_t, unsigned)>& body) {
+  // Reuse a Job no late-waking worker still holds. Each worker holds at
+  // most one Job at a time, so one of the threads_ spares is always free
+  // and a dispatch never allocates.
   std::shared_ptr<Job> job;
-  if (spare_ && spare_.use_count() == 1) {
-    // No late-waking worker still holds the previous phase's Job, so its
-    // allocation can be reused — the steady state allocates nothing.
-    job = spare_;
-    job->error = nullptr;
-  } else {
-    job = std::make_shared<Job>();
-    spare_ = job;
+  for (const std::shared_ptr<Job>& spare : spares_) {
+    if (spare.use_count() == 1) {
+      job = spare;
+      break;
+    }
   }
+  ensure(job != nullptr, "ParallelTickEngine: every Job still held");
+  job->error = nullptr;
   job->fn = &body;
   job->shards = count;
   job->next.store(0, std::memory_order_relaxed);

@@ -5,7 +5,9 @@
 // over nodes). ParallelTickEngine is the worker pool that executes such a
 // phase: the caller partitions the entity range into `shard_count` shards
 // and the pool runs one callback per shard across its threads, blocking
-// until every shard has finished.
+// until every shard has finished. It is the only tick engine: every
+// simulating protocol runs its phases through it, so one thread is just
+// the smallest pool, not a separate code path.
 //
 // Determinism contract (leaned on by the parallel_determinism test suite
 // and the BENCH_parallel_scaling gate): the engine itself never introduces
@@ -35,23 +37,7 @@
 
 namespace poq::sim {
 
-/// Which tick discipline drives a round-based simulator.
-enum class TickMode {
-  /// Legacy single-stream loop: one thread, one RNG stream per subsystem,
-  /// the swap sweep strictly sequential (each node observes every earlier
-  /// swap of the same round).
-  kSequential,
-  /// Sharded deterministic engine: generation draws from counter-based
-  /// per-(round, edge) streams, swap decisions are computed against the
-  /// post-generation snapshot (in parallel across node shards) and
-  /// committed in canonical node order with per-(round, node) streams.
-  /// Results are bit-identical for every threads/shards setting; they
-  /// differ from kSequential, whose stream discipline and in-sweep
-  /// visibility are inherently serial.
-  kSharded,
-};
-
-/// Stream tags for the counter-based RNG keying used by sharded phases:
+/// Stream tags for the counter-based RNG keying used by the phase kernels:
 /// util::Rng::keyed(seed, tag, round, entity). Distinct tags keep phase
 /// streams decorrelated however rounds and entity ids collide.
 namespace stream_tag {
@@ -82,10 +68,9 @@ inline constexpr std::uint64_t kFaultLink = 0x666C746CULL;  // "fltl"
 inline constexpr std::uint64_t kFaultRate = 0x666C7472ULL;  // "fltr"
 }  // namespace stream_tag
 
-/// The intra-run concurrency knobs every ported simulator carries.
+/// The intra-run concurrency knobs every simulating protocol carries.
 struct TickConcurrency {
-  TickMode mode = TickMode::kSequential;
-  /// Worker threads for the sharded engine (0 = hardware). Never affects
+  /// Worker threads for the tick engine (0 = hardware). Never affects
   /// results.
   std::uint32_t threads = 1;
   /// Work shards per phase (0 = auto). Never affects results.
@@ -133,7 +118,7 @@ struct PhaseTimers {
 /// RAII accumulator for one PhaseTimers field: adds the scope's elapsed
 /// wall-clock on destruction. The single timing implementation for every
 /// phase accounting site (NetworkState kernels, the fidelity slice
-/// kernels, the sequential sweep).
+/// kernels).
 class PhaseStopwatch {
  public:
   explicit PhaseStopwatch(std::uint64_t& sink)
@@ -253,10 +238,12 @@ class ParallelTickEngine {
   bool shutdown_ = false;
   std::uint64_t job_id_ = 0;     // bumps once per run_shards call
   std::shared_ptr<Job> job_;     // current phase, guarded by mutex_
-  /// Recycled Job allocation: reused when no late-waking worker still
-  /// holds a reference (use_count == 1), so steady-state phases allocate
-  /// nothing. Only touched by the run_shards caller.
-  std::shared_ptr<Job> spare_;
+  /// Recycled Job allocations, one per pool thread (empty at one
+  /// thread): a dispatch takes one no late-waking worker still holds
+  /// (use_count == 1). A worker holds at most one Job, so one is always
+  /// free and phases never allocate. Only touched by the dispatching
+  /// caller.
+  std::vector<std::shared_ptr<Job>> spares_;
 
   std::vector<std::thread> workers_;
 };

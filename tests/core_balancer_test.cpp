@@ -7,6 +7,7 @@
 #include "core/ledger.hpp"
 #include "graph/shortest_path.hpp"
 #include "graph/topology.hpp"
+#include "sim/network_state.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -167,25 +168,78 @@ TEST(MaxMinProperty, GlobalMinimumNeverDecreases) {
   }
 }
 
-// With generation and consumption frozen, sweeps reach a fixed point where
+/// The outcome of settle(): whether the last round committed nothing,
+/// and the summed commit stats.
+struct Settled {
+  bool quiescent = false;
+  sim::NetworkState::CommitStats totals;
+};
+
+/// §4 balancing with generation and consumption frozen, driven through
+/// the tick engine the simulators run: per round every node decides its
+/// best swap against the frozen ledger, then the two-level commit
+/// executes the choices from a rotating first node. Up to `attempts`
+/// decide + commit passes per round. Stops after the first round that
+/// commits nothing. Every commit must conserve the ledger total
+/// (destroyed donors out, one produced pair per swap in).
+Settled settle(sim::NetworkState& state, const MaxMinBalancer& balancer,
+               std::uint32_t max_rounds, std::uint32_t attempts = 1) {
+  Settled settled;
+  const auto node_count = static_cast<NodeId>(state.node_count());
+  for (std::uint32_t round = 0; round < max_rounds; ++round) {
+    std::uint64_t round_swaps = 0;
+    for (std::uint32_t attempt = 0; attempt < attempts; ++attempt) {
+      state.decide_swaps([&](NodeId x, MaxMinBalancer::Scratch& scratch) {
+        return balancer.best_swap(state.ledger(), x, scratch);
+      });
+      const std::uint64_t before = state.ledger().total_pairs();
+      const sim::NetworkState::CommitStats stats = state.commit_swaps(
+          balancer, round % node_count, round, attempt,
+          [&](NodeId x, const SwapCandidate& candidate) {
+            return balancer.is_preferable(state.ledger(), x, candidate.left,
+                                          candidate.right);
+          });
+      EXPECT_EQ(state.ledger().total_pairs(),
+                before - stats.pairs_consumed + stats.pairs_produced);
+      EXPECT_EQ(stats.pairs_produced, stats.swaps);
+      settled.totals.swaps += stats.swaps;
+      settled.totals.pairs_consumed += stats.pairs_consumed;
+      settled.totals.pairs_produced += stats.pairs_produced;
+      round_swaps += stats.swaps;
+      if (stats.swaps == 0) break;
+    }
+    if (round_swaps == 0) {
+      settled.quiescent = true;
+      break;
+    }
+  }
+  return settled;
+}
+
+/// Seed every unordered pair of `ledger` with a uniform count in
+/// [0, max_count).
+void fill_random(PairLedger& ledger, std::size_t max_count, util::Rng& rng) {
+  const auto n = static_cast<NodeId>(ledger.node_count());
+  for (NodeId x = 0; x < n; ++x) {
+    for (NodeId y = x + 1; y < n; ++y) {
+      ledger.add(x, y, static_cast<std::uint32_t>(rng.uniform_index(max_count)));
+    }
+  }
+}
+
+// With generation and consumption frozen, rounds reach a fixed point where
 // no node has a preferable swap (the max-min allocation of §4).
 TEST(MaxMinProperty, FrozenSystemReachesFixedPoint) {
   util::Rng rng(23);
-  PairLedger ledger(8);
+  const graph::Graph graph = graph::make_cycle(8);
+  sim::NetworkState state(graph, 23, sim::TickConcurrency{});
   const MaxMinBalancer balancer = unit_balancer();
+  fill_random(state.ledger(), 10, rng);
+  const Settled settled = settle(state, balancer, 10000);
+  ASSERT_TRUE(settled.quiescent) << "balancing did not reach a fixed point";
+  EXPECT_GT(settled.totals.swaps, 0u);
   for (NodeId x = 0; x < 8; ++x) {
-    for (NodeId y = x + 1; y < 8; ++y) {
-      ledger.add(x, y, static_cast<std::uint32_t>(rng.uniform_index(10)));
-    }
-  }
-  bool converged = false;
-  for (int sweep = 0; sweep < 10000 && !converged; ++sweep) {
-    const SweepStats stats = run_swap_sweep(balancer, ledger, 0, 1, rng);
-    converged = stats.swaps == 0;
-  }
-  ASSERT_TRUE(converged) << "balancing did not reach a fixed point";
-  for (NodeId x = 0; x < 8; ++x) {
-    EXPECT_FALSE(balancer.best_swap(ledger, x).has_value());
+    EXPECT_FALSE(balancer.best_swap(state.ledger(), x).has_value());
   }
 }
 
@@ -194,16 +248,14 @@ class FrozenConvergenceSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(FrozenConvergenceSweep, TerminatesForAllDistillation) {
   util::Rng rng(29);
-  PairLedger ledger(6);
+  const graph::Graph graph = graph::make_cycle(6);
+  sim::NetworkState state(graph, 29, sim::TickConcurrency{});
   const MaxMinBalancer balancer = unit_balancer(GetParam());
+  fill_random(state.ledger(), 12, rng);
+  const Settled settled = settle(state, balancer, 20000);
+  ASSERT_TRUE(settled.quiescent) << "no fixed point at D=" << GetParam();
   for (NodeId x = 0; x < 6; ++x) {
-    for (NodeId y = x + 1; y < 6; ++y) {
-      ledger.add(x, y, static_cast<std::uint32_t>(rng.uniform_index(12)));
-    }
-  }
-  int sweeps = 0;
-  while (run_swap_sweep(balancer, ledger, 0, 1, rng).swaps > 0) {
-    ASSERT_LT(++sweeps, 20000);
+    EXPECT_FALSE(balancer.best_swap(state.ledger(), x).has_value());
   }
 }
 
@@ -244,18 +296,21 @@ TEST(DetourPolicy, RequiresDistances) {
                PreconditionError);
 }
 
-TEST(SweepStats, AccountsConservation) {
-  util::Rng rng(31);
-  PairLedger ledger(5);
+TEST(CommitStats, AccountsConservation) {
+  const graph::Graph graph = graph::make_cycle(5);
+  sim::NetworkState state(graph, 31, sim::TickConcurrency{});
   const MaxMinBalancer balancer = unit_balancer(2.0);
-  for (NodeId x = 0; x < 5; ++x) {
-    for (NodeId y = x + 1; y < 5; ++y) ledger.add(x, y, 8);
-  }
-  const std::uint64_t before = ledger.total_pairs();
-  const SweepStats stats = run_swap_sweep(balancer, ledger, 0, 3, rng);
-  EXPECT_EQ(ledger.total_pairs(),
-            before - stats.pairs_consumed + stats.pairs_produced);
-  EXPECT_EQ(stats.pairs_produced, stats.swaps);
+  // A star of rich pairs at node 0: its leaves have nothing between them,
+  // so node 0 has preferable swaps to spend its D = 2 donors on.
+  for (NodeId y = 1; y < 5; ++y) state.ledger().add(0, y, 8);
+  const std::uint64_t before = state.ledger().total_pairs();
+  // One round of up to three decide + commit passes.
+  const Settled settled = settle(state, balancer, 1, 3);
+  EXPECT_GT(settled.totals.swaps, 0u);
+  EXPECT_EQ(state.ledger().total_pairs(), before -
+                                              settled.totals.pairs_consumed +
+                                              settled.totals.pairs_produced);
+  EXPECT_EQ(settled.totals.pairs_produced, settled.totals.swaps);
 }
 
 }  // namespace

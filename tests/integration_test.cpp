@@ -9,7 +9,6 @@
 #include "core/lp_formulation.hpp"
 #include "core/workload.hpp"
 #include "graph/topology.hpp"
-#include "sim/event_queue.hpp"
 #include "util/rng.hpp"
 
 namespace poq {
@@ -93,61 +92,6 @@ TEST(Integration, SimulatedGenerationPerRequestAboveLpMinimum) {
   // The balancer can only be less efficient than the LP optimum. (It
   // banks unconsumed inventory, so the measured ratio overshoots.)
   EXPECT_GE(generation_per_request, optimum.total_generation - 1e-6);
-}
-
-// ---------------------------------------------------------------------------
-// EventQueue fuzz against a naive reference model.
-TEST(Integration, EventQueueMatchesReferenceModel) {
-  util::Rng rng(123);
-  for (int trial = 0; trial < 20; ++trial) {
-    sim::EventQueue queue;
-    struct Ref {
-      double time;
-      sim::EventId id;
-      bool cancelled = false;
-    };
-    std::vector<Ref> model;
-    std::vector<sim::EventId> fired;
-
-    for (int op = 0; op < 200; ++op) {
-      const double roll = rng.uniform_double();
-      if (roll < 0.6 || model.empty()) {
-        const double time = rng.uniform_double(0.0, 100.0);
-        const sim::EventId id = queue.schedule(time, [] {});
-        model.push_back(Ref{time, id});
-      } else if (roll < 0.8) {
-        Ref& target = model[rng.uniform_index(model.size())];
-        const bool accepted = queue.cancel(target.id);
-        EXPECT_EQ(accepted, !target.cancelled);
-        target.cancelled = true;
-      } else {
-        const auto event = queue.pop();
-        // Reference: earliest (time, id) among non-cancelled entries.
-        auto best = model.end();
-        for (auto it = model.begin(); it != model.end(); ++it) {
-          if (it->cancelled) continue;
-          if (best == model.end() || it->time < best->time ||
-              (it->time == best->time && it->id < best->id)) {
-            best = it;
-          }
-        }
-        if (best == model.end()) {
-          EXPECT_FALSE(event.has_value());
-        } else {
-          ASSERT_TRUE(event.has_value());
-          EXPECT_EQ(event->id, best->id);
-          EXPECT_DOUBLE_EQ(event->time, best->time);
-          best->cancelled = true;  // consumed
-        }
-      }
-    }
-    // Drain and verify global ordering of the remainder.
-    double last_time = -1.0;
-    while (auto event = queue.pop()) {
-      EXPECT_GE(event->time, last_time);
-      last_time = event->time;
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "core/balancing_sim.hpp"
 #include "scenario/protocol.hpp"
 #include "sim/fault_plan.hpp"
 #include "scenario/sweep.hpp"
@@ -358,49 +357,24 @@ TEST(ParallelDeterminism, SeedReplicatedSweepCellIsThreadInvariant) {
   EXPECT_EQ(aggregate_dump(2, 2), reference);
 }
 
-TEST(ParallelDeterminism, SequentialEngineStaysLegacy) {
-  // engine=sequential must keep reproducing the pre-port sequential
-  // simulator bit for bit (the core unit suites pin that path too).
-  ScenarioSpec spec = base_spec("balancing");
-  spec.knobs["engine"] = std::string("sequential");
-  const RunMetrics metrics = registry().run("balancing", spec);
-
-  const ScenarioInstance instance = instantiate(spec);
-  core::BalancingConfig config;
-  config.max_rounds = 5000;
-  config.seed = spec.seed;
-  ASSERT_EQ(config.tick.mode, sim::TickMode::kSequential);  // the default
-  const core::BalancingResult direct =
-      core::run_balancing(instance.graph, instance.workload, config);
-  EXPECT_EQ(metrics.scalar("rounds"), static_cast<double>(direct.rounds));
-  EXPECT_EQ(metrics.scalar("swaps"),
-            static_cast<double>(direct.swaps_performed));
-  EXPECT_EQ(metrics.scalar("satisfied"),
-            static_cast<double>(direct.requests_satisfied));
-}
-
-TEST(ParallelDeterminism, EveryProtocolAcceptsBothEngines) {
-  for (const std::string& protocol : kPortedProtocols) {
-    ScenarioSpec spec = base_spec(protocol, 16);
-    spec.consumer_pairs = 10;
-    spec.requests = 15;
-    if (protocol == "fidelity" || protocol == "distributed" ||
-        protocol == "async_routing") {
-      spec.knobs["duration"] = 30.0;
-    }
-    for (const char* engine : {"sharded", "sequential"}) {
-      spec.knobs["engine"] = std::string(engine);
-      EXPECT_NO_THROW((void)registry().run(protocol, spec))
-          << protocol << " rejected engine=" << engine;
-    }
-  }
-}
-
 TEST(ParallelDeterminism, EngineKnobRejectsUnknownValues) {
+  // There is one tick engine, so no protocol declares an `engine` knob:
+  // any value, the retired "sequential" and "sharded" included, is an
+  // unknown knob for the registry.
   for (const std::string& protocol : kPortedProtocols) {
-    ScenarioSpec spec = base_spec(protocol);
-    spec.knobs["engine"] = std::string("warp-drive");
-    EXPECT_THROW((void)registry().run(protocol, spec), PreconditionError);
+    for (const char* engine : {"warp-drive", "sequential", "sharded"}) {
+      ScenarioSpec spec = base_spec(protocol);
+      spec.knobs["engine"] = std::string(engine);
+      try {
+        (void)registry().run(protocol, spec);
+        FAIL() << protocol << " accepted engine=" << engine;
+      } catch (const PreconditionError& error) {
+        EXPECT_NE(std::string(error.what()).find("has no knob 'engine'"),
+                  std::string::npos)
+            << protocol << ": unhelpful error for engine=" << engine << ": "
+            << error.what();
+      }
+    }
   }
 }
 

@@ -68,8 +68,6 @@ TEST(Registry, BalancingAdapterMatchesDirectSimulatorCall) {
   config.distillation = 2.0;
   config.max_rounds = 4000;
   config.seed = spec.seed;
-  // The adapter's default engine is the sharded deterministic one.
-  config.tick.mode = sim::TickMode::kSharded;
   const core::BalancingResult direct = core::run_balancing(graph, workload, config);
 
   EXPECT_EQ(metrics.label("completed"), direct.completed ? "yes" : "no");

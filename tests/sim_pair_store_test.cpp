@@ -163,7 +163,6 @@ TEST(PairStoreChurn, TrackedPairFuzzMatchesDenseReference) {
   util::Rng topology_rng(3);
   const graph::Graph graph = graph::make_random_connected_grid(kNodes, topology_rng);
   sim::TickConcurrency tick;
-  tick.mode = sim::TickMode::kSharded;
   tick.threads = 2;
   tick.shards = 5;  // deliberately uneven node ranges
   sim::DecayModel decay;
@@ -352,7 +351,6 @@ TEST(MegascaleMemory, SparseTopologyStaysLinearAtHundredThousandNodes) {
       core::make_uniform_workload(kNodes, 4, 1, workload_rng);
   core::BalancingConfig config;
   config.seed = 41;
-  config.tick.mode = sim::TickMode::kSharded;
   config.arrival_rate = 8.0;
   config.consumer_pool = 2000000;
   config.max_rounds = 4;

@@ -16,12 +16,14 @@
 //   --out-dir   where to write BENCH_*.json (default: current directory)
 //   --suite     run one suite (unique substring of its name; default all)
 //   --threads   sweep worker threads (default 0 = hardware concurrency)
-//   --intra-threads  intra-run threads for the ported protocols
-//               (balancing/planned/hybrid); auto-sized pools divide by
+//   --intra-threads  intra-run threads for every simulating protocol
+//               (everything but lp); auto-sized pools divide by
 //               this so pool x intra-run stays within the hardware budget
 //   --check     after running, diff the matching suite's cells against a
 //               committed baseline JSON with a relative tolerance; exits
-//               nonzero on regression (the CI perf/correctness gate)
+//               nonzero on regression (the CI perf/correctness gate).
+//               Cell specs match with their threads/shards knobs ignored,
+//               so any --intra-threads run checks against the baseline
 //   --rel-tol   relative tolerance for --check (default 0.2)
 //   --poqsim    path to the poqsim binary, used by the serve suite's cold
 //               per-process comparison (default ./poqsim; the cold timing
@@ -79,7 +81,7 @@ struct Options {
   std::string out_dir = ".";
   std::string suite_filter;  // empty = all
   unsigned threads = 0;
-  /// Intra-run threads for ported protocols (balancing/planned/hybrid);
+  /// Intra-run threads for every simulating protocol (all but lp);
   /// the sweep pool's auto size divides by this so the two parallelism
   /// levels compose without oversubscription. Never changes the numbers.
   unsigned intra_threads = 1;
@@ -117,9 +119,9 @@ util::json::Value suite_to_json(const SuiteRun& run, const Options& options) {
   Value config = Value::object();
   config.set("quick", options.quick);
   config.set("seeds", static_cast<double>(run.seeds));
-  // Engine provenance for committed baselines: cells whose spec does not
-  // pin `engine` ran the sharded default at this intra-run thread count
-  // (the suite's own value — some suites pin it regardless of the flag).
+  // Engine provenance for committed baselines: every cell ran the sharded
+  // tick engine at this intra-run thread count (the suite's own value —
+  // some suites pin it regardless of the flag).
   config.set("default_engine", "sharded");
   config.set("intra_threads", static_cast<double>(run.intra_threads));
   out.set("config", std::move(config));
@@ -274,7 +276,7 @@ SuiteRun suite_fidelity_decay(const Options& options) {
 
 SuiteRun suite_parallel_scaling(const Options& options) {
   // Intra-run scaling on the largest Fig. 5 cell: the physics is fixed
-  // and only the ported engine's `threads` knob sweeps, so per-cell
+  // and only the tick engine's `threads` knob sweeps, so per-cell
   // wall_ms isolates the intra-run speedup while the metrics double as a
   // cross-thread determinism gate (they must not move at all). The sweep
   // pool is pinned to one task at a time for honest wall-clock numbers.
@@ -768,9 +770,29 @@ const std::vector<std::pair<std::string, SuiteFn>> kSuites = {
 // Regression check (--check)
 // ---------------------------------------------------------------------------
 
+/// A cell spec without its execution knobs (`threads`, `shards`). Those
+/// never change results (the determinism contract), so a run at
+/// --intra-threads K is checked against a baseline recorded at 1.
+util::json::Value without_execution_knobs(const util::json::Value& spec) {
+  util::json::Value out = util::json::Value::object();
+  for (const auto& [name, value] : spec.members()) {
+    if (name != "knobs") {
+      out.set(name, value);
+      continue;
+    }
+    util::json::Value knobs = util::json::Value::object();
+    for (const auto& [knob, knob_value] : value.members()) {
+      if (knob != "threads" && knob != "shards") knobs.set(knob, knob_value);
+    }
+    out.set(name, std::move(knobs));
+  }
+  return out;
+}
+
 /// Compare one suite's cells against a committed baseline. Cells must
-/// match pairwise by spec; every baseline metric mean must agree within
-/// the relative tolerance. Returns the number of violations (0 = pass).
+/// match pairwise by spec, execution knobs aside; every baseline metric
+/// mean must agree within the relative tolerance. Returns the number of
+/// violations (0 = pass).
 int check_against_baseline(const SuiteRun& run, const util::json::Value& baseline,
                            double rel_tol) {
   int violations = 0;
@@ -787,7 +809,8 @@ int check_against_baseline(const SuiteRun& run, const util::json::Value& baselin
   for (std::size_t i = 0; i < run.cells.size(); ++i) {
     const util::json::Value& base_cell = cells.at(i);
     const util::json::Value current_spec = run.cells[i].spec.to_json();
-    if (!(base_cell.at("spec") == current_spec)) {
+    if (!(without_execution_knobs(base_cell.at("spec")) ==
+          without_execution_knobs(current_spec))) {
       complain(util::str_cat("cell ", i, " spec mismatch (baseline ",
                              base_cell.at("spec").dump(), " vs ",
                              current_spec.dump(), ")"));
