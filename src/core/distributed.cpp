@@ -527,7 +527,7 @@ class Driver {
     }
     last_reported_[x] = current;
     if (current.empty()) return;  // nobody reads this row any more
-    const std::uint64_t bytes = net::encoded_size(net::Message(update));
+    const std::uint64_t bytes = net::encoded_size(update);
     for (const NodeId target : current) {
       ++stats.messages;
       stats.bytes += bytes;

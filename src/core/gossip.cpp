@@ -72,19 +72,27 @@ std::vector<NodeId> gossip_targets(NodeId x, std::uint32_t round, NodeId node_co
   return targets;
 }
 
-/// Node x's true count row as the wire message it sends.
-net::CountUpdate count_update_of(const PairLedger& ledger, NodeId x,
-                                 NodeId node_count, std::uint32_t round) {
-  net::CountUpdate update;
+/// Node x's true count row, dense over all nodes, filled from x's sparse
+/// ledger row.
+std::vector<std::uint32_t> dense_row_of(const PairLedger& ledger, NodeId x,
+                                        NodeId node_count) {
+  std::vector<std::uint32_t> row(node_count, 0);
+  const auto partners = ledger.partners(x);
+  const auto counts = ledger.pair_counts(x);
+  for (std::size_t k = 0; k < partners.size(); ++k) row[partners[k]] = counts[k];
+  return row;
+}
+
+/// Refill `update` (reused across senders) with x's dense row as the wire
+/// message it sends: one entry per other node.
+void fill_count_update(net::CountUpdate& update, NodeId x, std::uint32_t round,
+                       const std::vector<std::uint32_t>& row) {
   update.reporter = x;
   update.version = round;
-  update.entries.reserve(node_count - 1);
-  for (NodeId peer = 0; peer < node_count; ++peer) {
-    if (peer == x) continue;
-    update.entries.push_back(
-        net::CountUpdate::Entry{peer, ledger.count(x, peer)});
+  update.entries.clear();
+  for (NodeId peer = 0; peer < row.size(); ++peer) {
+    if (peer != x) update.entries.push_back(net::CountUpdate::Entry{peer, row[peer]});
   }
-  return update;
 }
 
 }  // namespace
@@ -121,6 +129,8 @@ GossipResult run_gossip(const graph::Graph& generation_graph, const Workload& wo
   std::vector<PendingUpdate> pending;
 
   GossipResult result;
+  net::CountUpdate update;  // send-kernel scratch, sized only
+  update.entries.reserve(node_count - 1);
   double view_age_total = 0.0;
   std::uint64_t view_age_samples = 0;
 
@@ -140,12 +150,9 @@ GossipResult run_gossip(const graph::Graph& generation_graph, const Workload& wo
                                             sim::stream_tag::kGossip, round, x);
       const std::vector<NodeId> targets =
           gossip_targets(x, round, node_count, config, peer_rng);
-      const net::CountUpdate update =
-          count_update_of(sim.ledger(), x, node_count, round);
-      std::vector<std::uint32_t> row_values(node_count, 0);
-      for (const auto& entry : update.entries) row_values[entry.peer] = entry.count;
       const auto row = std::make_shared<const std::vector<std::uint32_t>>(
-          std::move(row_values));
+          dense_row_of(sim.ledger(), x, node_count));
+      fill_count_update(update, x, round, *row);
       const std::size_t bytes = net::encoded_size(update);
       for (NodeId target : targets) {
         ++result.control_messages;

@@ -267,6 +267,11 @@ std::span<const NodeId> PairLedger::partners(NodeId x) const {
   return {rows_[x].partners.data(), rows_[x].partners.size()};
 }
 
+std::span<const std::uint32_t> PairLedger::pair_counts(NodeId x) const {
+  require(x < node_count_, "PairLedger::pair_counts: node out of range");
+  return {rows_[x].counts.data(), rows_[x].counts.size()};
+}
+
 std::uint32_t PairLedger::minimum_pair_count() const {
   std::uint32_t bucket = min_hint_.load(std::memory_order_relaxed);
   while (bucket < kMinHistogramCap &&

@@ -9,7 +9,10 @@
 //
 // Hot-path layout: the counts live in per-node sparse rows — two parallel
 // sorted arrays (partner ids + counts) per node, so memory is
-// O(nodes + live pair types), never O(n^2). Below kFullReserveNodeLimit
+// O(nodes + live pair types), never O(n^2). partners(x)/pair_counts(x)
+// expose a row read-only; bulk readers (the §4 merge decide, gossip's
+// count reports) walk it directly, bounds-checked once per row, while
+// count() stays the checked single-pair probe. Below kFullReserveNodeLimit
 // nodes every row pre-reserves the dense worst case, so steady-state
 // add/remove never allocates (the zero-allocation hot-path contract);
 // above it rows grow amortized — the megascale regime, where a dense
@@ -84,6 +87,12 @@ class PairLedger {
 
   /// Nodes y with count(x, y) > 0, ascending.
   [[nodiscard]] std::span<const NodeId> partners(NodeId x) const;
+
+  /// The counts of x's row, aligned with partners(x):
+  /// pair_counts(x)[k] == count(x, partners(x)[k]). Together the two spans
+  /// are x's sorted row, so a scan over many of x's pairs can walk it once
+  /// instead of probing count() per pair (the §4 merge decide does).
+  [[nodiscard]] std::span<const std::uint32_t> pair_counts(NodeId x) const;
 
   /// Number of partners of x (the length of partners(x)).
   [[nodiscard]] std::uint32_t degree(NodeId x) const;

@@ -52,12 +52,39 @@ std::optional<SwapCandidate> MaxMinBalancer::best_swap(const PairLedger& ledger,
   return best_swap(ledger, x, scratch_);
 }
 
+std::span<const MaxMinBalancer::Eligible> MaxMinBalancer::collect_eligible(
+    const PairLedger& ledger, NodeId x, Scratch& scratch) const {
+  const auto partners = ledger.partners(x);
+  const auto counts = ledger.pair_counts(x);
+  std::vector<Eligible>& eligible = scratch.eligible;
+  eligible.clear();
+  for (std::size_t k = 0; k < partners.size(); ++k) {
+    const double cap =
+        static_cast<double>(counts[k]) - distillation_.at(x, partners[k]);
+    if (cap >= 1.0) eligible.push_back(Eligible{partners[k], cap});
+  }
+  return eligible;
+}
+
 std::optional<SwapCandidate> MaxMinBalancer::best_swap(const PairLedger& ledger,
                                                        NodeId x,
                                                        Scratch& scratch) const {
-  return best_swap_with_view(
-      ledger, x, [&ledger](NodeId a, NodeId b) { return ledger.count(a, b); },
-      scratch);
+  return scan_pairs(x, collect_eligible(ledger, x, scratch), [&ledger](NodeId a) {
+    // Cursor over row(a), started past a itself: every b it is asked
+    // about is a later eligible partner, so b > a and b only grows.
+    const auto partners = ledger.partners(a);
+    const auto counts = ledger.pair_counts(a);
+    const NodeId* const end = partners.data() + partners.size();
+    const NodeId* partner = std::lower_bound(partners.data(), end, a);
+    const std::uint32_t* count = counts.data() + (partner - partners.data());
+    return [partner, end, count](NodeId b) mutable -> std::uint32_t {
+      while (partner != end && *partner < b) {
+        ++partner;
+        ++count;
+      }
+      return partner != end && *partner == b ? *count : 0;
+    };
+  });
 }
 
 MaxMinBalancer::Execution MaxMinBalancer::execute_swap(PairLedger& ledger, NodeId x,

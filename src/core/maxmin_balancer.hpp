@@ -18,10 +18,19 @@
 //     from both x and y ... implements a swap between x and y").
 //   * beneficiary counts can be read through a stale view (gossip.hpp)
 //     instead of ground truth.
+//
+// Every decide runs the same candidate scan (scan_pairs): the eligible
+// partners come from one walk of x's ledger row, and the pairs are
+// visited in lexicographic (i, j) order keeping the first strict minimum.
+// Under true knowledge the beneficiary counts are read by merging each
+// donor's sorted row against the eligible list; a stale view is probed
+// per pair instead.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -95,6 +104,11 @@ class MaxMinBalancer {
                                                        NodeId x) const;
 
   /// Thread-safe variant: identical decision, caller-owned scratch.
+  /// The merge decide: both the eligible list E and every ledger row are
+  /// ascending, so for each donor a = E[i] one forward walk of row(a)
+  /// alongside E[i+1..] yields every C_a(b) (the cursor entry, or 0 when
+  /// b is absent) — O(|row(a)| + |E|) per donor rather than a count()
+  /// binary search per candidate pair.
   [[nodiscard]] std::optional<SwapCandidate> best_swap(const PairLedger& ledger,
                                                        NodeId x,
                                                        Scratch& scratch) const;
@@ -105,30 +119,9 @@ class MaxMinBalancer {
   template <typename View>
   [[nodiscard]] std::optional<SwapCandidate> best_swap_with_view(
       const PairLedger& ledger, NodeId x, View&& view, Scratch& scratch) const {
-    const auto partner_list = ledger.partners(x);
-    std::vector<Eligible>& eligible = scratch.eligible;
-    eligible.clear();
-    for (NodeId y : partner_list) {
-      const double cap =
-          static_cast<double>(ledger.count(x, y)) - distillation_.at(x, y);
-      if (cap >= 1.0) eligible.push_back(Eligible{y, cap});
-    }
-    std::optional<SwapCandidate> best;
-    for (std::size_t i = 0; i < eligible.size(); ++i) {
-      for (std::size_t j = i + 1; j < eligible.size(); ++j) {
-        const NodeId a = eligible[i].node;
-        const NodeId b = eligible[j].node;
-        const double cap = std::min(eligible[i].capacity, eligible[j].capacity);
-        const std::uint32_t beneficiary = view(a, b);
-        if (static_cast<double>(beneficiary) + 1.0 > cap) continue;
-        if (!detour_allowed(x, a, b)) continue;
-        if (!best || beneficiary < best->beneficiary_count) {
-          best = SwapCandidate{a, b, beneficiary};
-          if (beneficiary == 0) return best;  // cannot improve further
-        }
-      }
-    }
-    return best;
+    return scan_pairs(x, collect_eligible(ledger, x, scratch), [&view](NodeId a) {
+      return [&view, a](NodeId b) { return view(a, b); };
+    });
   }
 
   /// Execute left <- x -> right on the ledger: consumes D_{x,right} pairs
@@ -146,6 +139,39 @@ class MaxMinBalancer {
 
  private:
   [[nodiscard]] bool detour_allowed(NodeId x, NodeId a, NodeId b) const;
+
+  /// x's eligible partners (capacity C_x(y) - D_{x,y} >= 1), ascending,
+  /// read in one walk of x's row into scratch.eligible.
+  [[nodiscard]] std::span<const Eligible> collect_eligible(const PairLedger& ledger,
+                                                           NodeId x,
+                                                           Scratch& scratch) const;
+
+  /// The §4 candidate scan every decide shares. Visits the eligible pairs
+  /// (i, j), i < j, in lexicographic order and keeps the first strict
+  /// minimum of the beneficiary count, stopping at the first preferable
+  /// zero (nothing can beat it). `donor_row(a)` returns a reader of
+  /// C_a(b) that is called once per j, at strictly ascending b.
+  template <typename DonorRow>
+  [[nodiscard]] std::optional<SwapCandidate> scan_pairs(
+      NodeId x, std::span<const Eligible> eligible, DonorRow&& donor_row) const {
+    std::optional<SwapCandidate> best;
+    for (std::size_t i = 0; i + 1 < eligible.size(); ++i) {
+      const NodeId a = eligible[i].node;
+      auto beneficiary_of = donor_row(a);
+      for (std::size_t j = i + 1; j < eligible.size(); ++j) {
+        const NodeId b = eligible[j].node;
+        const std::uint32_t beneficiary = beneficiary_of(b);
+        const double cap = std::min(eligible[i].capacity, eligible[j].capacity);
+        if (static_cast<double>(beneficiary) + 1.0 > cap) continue;
+        if (!detour_allowed(x, a, b)) continue;
+        if (!best || beneficiary < best->beneficiary_count) {
+          best = SwapCandidate{a, b, beneficiary};
+          if (beneficiary == 0) return best;  // cannot improve further
+        }
+      }
+    }
+    return best;
+  }
 
   DistillationMatrix distillation_;
   BalancerPolicy policy_;

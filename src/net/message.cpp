@@ -26,7 +26,22 @@ MessageType message_type(const Message& message) {
 
 namespace {
 
-void encode_body(ByteWriter& out, const SwapNotify& m) {
+/// Counts the bytes the ByteWriter calls in encode_body would append, so
+/// a message can be sized without building its buffer.
+struct SizeCounter {
+  std::size_t size = 0;
+
+  void write_u8(std::uint8_t) { ++size; }
+  void write_varint(std::uint64_t value) {
+    do {
+      ++size;
+      value >>= 7;
+    } while (value != 0);
+  }
+};
+
+template <typename Out>
+void encode_body(Out& out, const SwapNotify& m) {
   out.write_varint(m.repeater);
   out.write_varint(m.left);
   out.write_varint(m.right);
@@ -35,7 +50,8 @@ void encode_body(ByteWriter& out, const SwapNotify& m) {
   out.write_u8(static_cast<std::uint8_t>((m.z_bit ? 1 : 0) | (m.x_bit ? 2 : 0)));
 }
 
-void encode_body(ByteWriter& out, const CountUpdate& m) {
+template <typename Out>
+void encode_body(Out& out, const CountUpdate& m) {
   out.write_varint(m.reporter);
   out.write_varint(m.version);
   out.write_varint(m.entries.size());
@@ -45,24 +61,28 @@ void encode_body(ByteWriter& out, const CountUpdate& m) {
   }
 }
 
-void encode_body(ByteWriter& out, const PathReserve& m) {
+template <typename Out>
+void encode_body(Out& out, const PathReserve& m) {
   out.write_varint(m.request_id);
   out.write_varint(m.path.size());
   for (NodeId node : m.path) out.write_varint(node);
 }
 
-void encode_body(ByteWriter& out, const PathRelease& m) {
+template <typename Out>
+void encode_body(Out& out, const PathRelease& m) {
   out.write_varint(m.request_id);
   out.write_u8(m.completed ? 1 : 0);
 }
 
-void encode_body(ByteWriter& out, const GossipControl& m) {
+template <typename Out>
+void encode_body(Out& out, const GossipControl& m) {
   out.write_varint(m.from);
   out.write_varint(m.to);
   out.write_u8(m.unchoke ? 1 : 0);
 }
 
-void encode_body(ByteWriter& out, const PairUpdate& m) {
+template <typename Out>
+void encode_body(Out& out, const PairUpdate& m) {
   out.write_varint(m.to);
   out.write_varint(m.new_partner);
   out.write_varint(m.qubit);
@@ -70,7 +90,8 @@ void encode_body(ByteWriter& out, const PairUpdate& m) {
   out.write_u8(static_cast<std::uint8_t>((m.z_bit ? 1 : 0) | (m.x_bit ? 2 : 0)));
 }
 
-void encode_body(ByteWriter& out, const ConsumeOffer& m) {
+template <typename Out>
+void encode_body(Out& out, const ConsumeOffer& m) {
   out.write_varint(m.from);
   out.write_varint(m.to);
   out.write_varint(m.request_id);
@@ -78,7 +99,8 @@ void encode_body(ByteWriter& out, const ConsumeOffer& m) {
   out.write_varint(m.responder_qubit);
 }
 
-void encode_body(ByteWriter& out, const ConsumeReply& m) {
+template <typename Out>
+void encode_body(Out& out, const ConsumeReply& m) {
   out.write_varint(m.from);
   out.write_varint(m.to);
   out.write_varint(m.request_id);
@@ -177,6 +199,18 @@ Message decode(std::span<const std::uint8_t> bytes) {
   throw PreconditionError("decode: unknown message type tag");
 }
 
-std::size_t encoded_size(const Message& message) { return encode(message).size(); }
+std::size_t encoded_size(const Message& message) {
+  SizeCounter out;
+  out.write_u8(static_cast<std::uint8_t>(message_type(message)));
+  std::visit([&out](const auto& body) { encode_body(out, body); }, message);
+  return out.size;
+}
+
+std::size_t encoded_size(const CountUpdate& update) {
+  SizeCounter out;
+  out.write_u8(static_cast<std::uint8_t>(MessageType::kCountUpdate));
+  encode_body(out, update);
+  return out.size;
+}
 
 }  // namespace poq::net

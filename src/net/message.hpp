@@ -113,7 +113,11 @@ enum class MessageType : std::uint8_t {
 /// Parse a message; throws PreconditionError on malformed input.
 [[nodiscard]] Message decode(std::span<const std::uint8_t> bytes);
 
-/// Encoded size in bytes without materializing the buffer twice.
+/// encode(message).size(), computed by a size-only pass over the same
+/// fields (summed varint lengths); allocates nothing.
 [[nodiscard]] std::size_t encoded_size(const Message& message);
+
+/// The same for a count report, without wrapping (copying) it in a Message.
+[[nodiscard]] std::size_t encoded_size(const CountUpdate& update);
 
 }  // namespace poq::net

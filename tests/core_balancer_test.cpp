@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "core/ledger.hpp"
 #include "graph/shortest_path.hpp"
@@ -311,6 +314,146 @@ TEST(CommitStats, AccountsConservation) {
                                               settled.totals.pairs_consumed +
                                               settled.totals.pairs_produced);
   EXPECT_EQ(settled.totals.pairs_produced, settled.totals.swaps);
+}
+
+/// Shapes of one node's scan, so the randomized test can assert it
+/// exercised every case it claims to.
+struct ScanShape {
+  bool empty_row = false;
+  bool ineligible_partner = false;    // a row entry outside the eligible list
+  bool forbidden_zero_first = false;  // first zero-count pair is detour-forbidden
+  bool tie_at_minimum = false;        // >1 preferable pair at the chosen count
+};
+
+/// The §4 decide as a literal pairwise loop: every candidate pair (i, j)
+/// of the eligible list probes its beneficiary count with count(a, b),
+/// keeping the first strict minimum. Reference oracle for the merge
+/// kernel in best_swap. It scans every pair (no early exit at 0, which
+/// cannot change a first strict minimum) so it can also report the
+/// scan's shape.
+std::optional<SwapCandidate> pairwise_best_swap(
+    const PairLedger& ledger, const DistillationMatrix& distillation,
+    const std::vector<std::vector<std::uint32_t>>& distances,
+    std::optional<std::uint32_t> detour_slack, NodeId x, ScanShape& shape) {
+  shape.empty_row = ledger.partners(x).empty();
+  std::vector<std::pair<NodeId, double>> eligible;
+  for (const NodeId y : ledger.partners(x)) {
+    const double cap = static_cast<double>(ledger.count(x, y)) - distillation.at(x, y);
+    if (cap >= 1.0) {
+      eligible.emplace_back(y, cap);
+    } else {
+      shape.ineligible_partner = true;
+    }
+  }
+  std::optional<SwapCandidate> best;
+  std::size_t at_best = 0;
+  bool seen_zero = false;
+  for (std::size_t i = 0; i < eligible.size(); ++i) {
+    for (std::size_t j = i + 1; j < eligible.size(); ++j) {
+      const auto [a, cap_a] = eligible[i];
+      const auto [b, cap_b] = eligible[j];
+      const std::uint32_t beneficiary = ledger.count(a, b);
+      const bool forbidden =
+          detour_slack.has_value() &&
+          static_cast<std::uint64_t>(distances[a][x]) + distances[x][b] >
+              static_cast<std::uint64_t>(distances[a][b]) + *detour_slack;
+      if (beneficiary == 0 && !seen_zero) {
+        seen_zero = true;
+        shape.forbidden_zero_first = forbidden;
+      }
+      if (static_cast<double>(beneficiary) + 1.0 > std::min(cap_a, cap_b) || forbidden) {
+        continue;
+      }
+      if (!best || beneficiary < best->beneficiary_count) {
+        best = SwapCandidate{a, b, beneficiary};
+        at_best = 1;
+      } else if (beneficiary == best->beneficiary_count) {
+        ++at_best;
+      }
+    }
+  }
+  shape.tie_at_minimum = at_best > 1;
+  return best;
+}
+
+// The merge decide (one sorted-row walk per donor) picks exactly the swap
+// the pairwise count(a, b) loop picks — same pair, same count, same
+// lexicographic first minimum — across sparse and dense ledgers, empty
+// rows, per-pair fractional distillation and detour policies.
+TEST(BestSwapKernel, MergeMatchesPairwiseOracle) {
+  util::Rng rng(0x5EED);
+  ScanShape covered;
+  std::uint64_t decisions = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t n = 4 + rng.uniform_index(37);
+    PairLedger ledger(n);
+    // Density from near-empty (many empty rows, gaps everywhere) to
+    // complete (no zero beneficiaries, so ties among small counts).
+    const double density = 0.05 + 0.95 * static_cast<double>(rng.uniform_index(101)) / 100.0;
+    const std::size_t max_count = 1 + rng.uniform_index(8);
+    for (NodeId a = 0; a < n; ++a) {
+      for (NodeId b = a + 1; b < n; ++b) {
+        if (rng.bernoulli(density)) {
+          ledger.add(a, b, 1 + static_cast<std::uint32_t>(rng.uniform_index(max_count)));
+        }
+      }
+    }
+
+    DistillationMatrix distillation(1.0);
+    switch (rng.uniform_index(3)) {
+      case 0:
+        break;
+      case 1:
+        distillation = DistillationMatrix(1.0 + 0.5 * static_cast<double>(rng.uniform_index(4)));
+        break;
+      default: {
+        // Per-pair fractional overheads: eligibility differs per partner.
+        DistillationMatrix per_pair(n, 1.0);
+        for (NodeId a = 0; a < n; ++a) {
+          for (NodeId b = a + 1; b < n; ++b) {
+            per_pair.set(a, b, 0.25 * static_cast<double>(rng.uniform_index(13)));
+          }
+        }
+        distillation = per_pair;
+        break;
+      }
+    }
+
+    const graph::Graph graph = rng.bernoulli(0.5) ? graph::make_cycle(n)
+                                                  : graph::make_star(n);
+    const auto distances = graph::all_pairs_distances(graph);
+    std::optional<std::uint32_t> detour_slack;
+    if (rng.bernoulli(0.5)) detour_slack = static_cast<std::uint32_t>(rng.uniform_index(3));
+    BalancerPolicy policy;
+    policy.detour_slack = detour_slack;
+    const MaxMinBalancer balancer(distillation, policy, &distances);
+
+    MaxMinBalancer::Scratch scratch;
+    for (NodeId x = 0; x < n; ++x) {
+      ScanShape shape;
+      const auto expected =
+          pairwise_best_swap(ledger, distillation, distances, detour_slack, x, shape);
+      const auto actual = balancer.best_swap(ledger, x, scratch);
+      ASSERT_EQ(actual.has_value(), expected.has_value())
+          << "trial " << trial << " node " << x;
+      if (expected) {
+        ++decisions;
+        EXPECT_EQ(actual->left, expected->left) << "trial " << trial << " node " << x;
+        EXPECT_EQ(actual->right, expected->right) << "trial " << trial << " node " << x;
+        EXPECT_EQ(actual->beneficiary_count, expected->beneficiary_count)
+            << "trial " << trial << " node " << x;
+      }
+      covered.empty_row |= shape.empty_row;
+      covered.ineligible_partner |= shape.ineligible_partner;
+      covered.forbidden_zero_first |= shape.forbidden_zero_first;
+      covered.tie_at_minimum |= shape.tie_at_minimum;
+    }
+  }
+  EXPECT_GT(decisions, 0u);
+  EXPECT_TRUE(covered.empty_row);
+  EXPECT_TRUE(covered.ineligible_partner);
+  EXPECT_TRUE(covered.forbidden_zero_first);
+  EXPECT_TRUE(covered.tie_at_minimum);
 }
 
 }  // namespace

@@ -148,6 +148,49 @@ TEST(PairLedger, MinimumPairCountMatchesScanUnderRandomChurn) {
   }
 }
 
+// pair_counts(x) is x's row read in place: after any mix of add, remove
+// and batched add_edges it stays aligned with partners(x) and agrees with
+// count() entry for entry.
+TEST(PairLedger, PairCountsAlignWithPartnersUnderChurn) {
+  constexpr std::size_t kNodes = 12;
+  PairLedger ledger(kNodes);
+  util::Rng rng(0xA11C);
+  const auto check_rows = [&](int step) {
+    for (NodeId x = 0; x < kNodes; ++x) {
+      const auto partners = ledger.partners(x);
+      const auto counts = ledger.pair_counts(x);
+      ASSERT_EQ(counts.size(), partners.size()) << "node " << x << " step " << step;
+      for (std::size_t k = 0; k < partners.size(); ++k) {
+        EXPECT_GT(counts[k], 0u);
+        EXPECT_EQ(counts[k], ledger.count(x, partners[k]))
+            << "node " << x << " slot " << k << " step " << step;
+      }
+    }
+  };
+  for (int step = 0; step < 2000; ++step) {
+    const auto x = static_cast<NodeId>(rng.uniform_index(kNodes));
+    auto y = static_cast<NodeId>(rng.uniform_index(kNodes));
+    if (y == x) y = static_cast<NodeId>((y + 1) % kNodes);
+    const auto amount = static_cast<std::uint32_t>(1 + rng.uniform_index(3));
+    if (step % 50 == 0) {
+      std::vector<graph::Edge> edges;
+      for (int e = 0; e < 8; ++e) {
+        const auto a = static_cast<NodeId>(rng.uniform_index(kNodes));
+        const auto b = static_cast<NodeId>((a + 1 + rng.uniform_index(kNodes - 1)) % kNodes);
+        edges.push_back({a, b});
+      }
+      ledger.add_edges(edges, amount);
+    } else if (rng.bernoulli(0.5) || ledger.count(x, y) < amount) {
+      ledger.add(x, y, amount);
+    } else {
+      // Removing the whole count erases the entry from both rows.
+      ledger.remove(x, y, rng.bernoulli(0.3) ? ledger.count(x, y) : amount);
+    }
+    check_rows(step);
+  }
+  EXPECT_THROW((void)ledger.pair_counts(static_cast<NodeId>(kNodes)), PreconditionError);
+}
+
 TEST(PairLedger, MinimumPairCountFallsBackAboveHistogramCap) {
   // Saturate every unordered pair past the histogram range: the exact
   // minimum must still come out (via the dense-scan fallback).

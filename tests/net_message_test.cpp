@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -182,6 +186,44 @@ TEST(Message, EncodedSizeMatchesEncodeLength) {
                            static_cast<std::uint32_t>(rng.uniform_index(100000))});
     }
     EXPECT_EQ(encoded_size(m), encode(m).size());
+  }
+}
+
+// The size-only pass must agree with the encoder exactly where a varint
+// grows a byte (127/128, 16383/16384, ...), for every field of a count
+// report and for every message type through the Message overload.
+TEST(Message, EncodedSizeMatchesEncodeAtVarintBoundaries) {
+  const std::vector<std::uint64_t> edges = {0,     1,     127,   128,        16383,
+                                            16384, 2097151, 2097152, 0xFFFFFFFFu};
+  for (const std::uint64_t a : edges) {
+    for (const std::uint64_t b : edges) {
+      CountUpdate m;
+      m.reporter = static_cast<NodeId>(a);
+      m.version = b;
+      m.entries.push_back({static_cast<NodeId>(b), static_cast<std::uint32_t>(a)});
+      m.entries.push_back({static_cast<NodeId>(a), static_cast<std::uint32_t>(b)});
+      EXPECT_EQ(encoded_size(m), encode(m).size()) << a << " " << b;
+      EXPECT_EQ(encoded_size(Message(m)), encode(m).size()) << a << " " << b;
+    }
+    // 127/128 and 16383/16384 entries move the entry-count varint too.
+    CountUpdate wide;
+    wide.entries.resize(static_cast<std::size_t>(std::min<std::uint64_t>(a, 16384)));
+    EXPECT_EQ(encoded_size(wide), encode(wide).size()) << a;
+
+    const auto id = static_cast<NodeId>(a);
+    const std::vector<Message> bodies = {
+        SwapNotify{id, id, id, true, false},
+        PathReserve{a, {id, id, id}},
+        PathRelease{a, true},
+        GossipControl{id, id, true},
+        PairUpdate{id, id, a, a, false, true},
+        ConsumeOffer{id, id, a, a, a},
+        ConsumeReply{id, id, a, false},
+    };
+    for (const Message& body : bodies) {
+      EXPECT_EQ(encoded_size(body), encode(body).size())
+          << a << " type " << static_cast<int>(message_type(body));
+    }
   }
 }
 
