@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -46,7 +46,8 @@ class Driver {
     timeout_epochs_ = std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(std::ceil(config.timeout / config.dt)));
     if (config.faults.enabled()) {
-      fault_plan_.emplace(graph, config.faults, config.seed);
+      fault_plan_ =
+          std::make_unique<sim::FaultPlan>(graph, config.faults, config.seed);
     }
   }
 
@@ -300,8 +301,8 @@ class Driver {
   double now_ = 0.0;
   /// Per-edge generation draws (resized once, reused every epoch).
   std::vector<std::uint64_t> born_scratch_;
-  // Fault phase state (engaged only when config.faults.enabled()).
-  std::optional<sim::FaultPlan> fault_plan_;
+  // Fault phase state (non-null only when config.faults.enabled()).
+  std::unique_ptr<sim::FaultPlan> fault_plan_;
   std::vector<NodeId> purge_partners_;
   bool round_degraded_ = false;
   bool in_degraded_episode_ = false;

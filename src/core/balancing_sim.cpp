@@ -107,10 +107,9 @@ void BalancingSimulation::generation_phase() {
 void BalancingSimulation::swap_phase() {
   // Synchronous-round semantics: every node picks its best preferable swap
   // against the frozen post-generation ledger (the expensive O(P^2) scan,
-  // fanned across node shards), then the choices go through the two-level
-  // commit — disjoint node triples commit in parallel, conflicting swaps
-  // serialize in canonical rotating order with preferability re-checks —
-  // so the merge order, not the worker schedule, decides every conflict.
+  // fanned across node shards), then the choices commit serially in
+  // canonical rotating order with preferability re-checks — so the
+  // commit order, not the worker schedule, decides every conflict.
   // Fractional-D rounding draws come from per-(round, node, attempt)
   // streams, consumed only on commit.
   const auto node_count = static_cast<NodeId>(state_.node_count());
@@ -123,8 +122,8 @@ void BalancingSimulation::swap_phase() {
     const sim::NetworkState::CommitStats stats = state_.commit_swaps(
         balancer_, first, result_.rounds, attempt,
         [&](NodeId x, const SwapCandidate& candidate) {
-          // An earlier commit of the same component may have consumed the
-          // pairs this choice needed.
+          // An earlier commit of this pass may have consumed the pairs
+          // this choice needed.
           return balancer_.is_preferable(ledger(), x, candidate.left,
                                          candidate.right);
         });

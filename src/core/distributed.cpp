@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <tuple>
 #include <unordered_map>
@@ -201,7 +202,8 @@ class Driver {
         shard_stats_(vp_.shard_count()),
         deferred_consume_(vp_.shard_count()) {
     if (config.faults.enabled()) {
-      fault_plan_.emplace(graph, config.faults, config.seed);
+      fault_plan_ =
+          std::make_unique<sim::FaultPlan>(graph, config.faults, config.seed);
     }
   }
 
@@ -680,8 +682,8 @@ class Driver {
   double now_ = 0.0;
   /// Per-edge generation draws (resized once, reused every epoch).
   std::vector<std::uint64_t> born_scratch_;
-  // Fault phase state (engaged only when config.faults.enabled()).
-  std::optional<sim::FaultPlan> fault_plan_;
+  // Fault phase state (non-null only when config.faults.enabled()).
+  std::unique_ptr<sim::FaultPlan> fault_plan_;
   bool round_degraded_ = false;
   bool in_degraded_episode_ = false;
   bool awaiting_recovery_ = false;

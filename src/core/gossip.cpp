@@ -103,7 +103,7 @@ void fill_count_update(net::CountUpdate& update, NodeId x, std::uint32_t round,
 /// a per-(round, node) keyed stream) -> message-merge kernel
 /// (deliveries applied in canonical (send round, sender, target) order)
 /// -> decide kernel (best preferable swap under stale views, fanned over
-/// node shards against the frozen ledger) -> two-level commit (re-checked
+/// node shards against the frozen ledger) -> serial commit (re-checked
 /// against live own counts and the frozen view). Results are
 /// bit-identical for every threads/shards setting.
 GossipResult run_gossip(const graph::Graph& generation_graph, const Workload& workload,
@@ -186,7 +186,7 @@ GossipResult run_gossip(const graph::Graph& generation_graph, const Workload& wo
     }
     pending.resize(kept);
 
-    // 3. Decide + two-level commit under stale beneficiary views. The
+    // 3. Decide + serial commit under stale beneficiary views. The
     // decide scan reads the frozen post-generation ledger; the commit
     // re-check reads live own counts but keeps the decision's view count
     // (views do not move during a sweep).

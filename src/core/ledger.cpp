@@ -8,13 +8,6 @@ namespace poq::core {
 
 namespace {
 
-/// Relaxed atomic view of a plain byte/word the two-level commit may touch
-/// from concurrent workers. Phase barriers order everything else.
-template <typename T>
-std::atomic_ref<T> relaxed(T& value) {
-  return std::atomic_ref<T>(value);
-}
-
 /// Index of y in the sorted partner list, or npos when absent.
 std::size_t partner_slot(const std::vector<NodeId>& partners, NodeId y) {
   const auto it = std::lower_bound(partners.begin(), partners.end(), y);
@@ -39,9 +32,8 @@ PairLedger::PairLedger(std::size_t node_count)
     }
   }
   // Every unordered pair starts at count 0.
-  min_histogram_[0].store(
-      static_cast<std::uint64_t>(node_count) * (node_count - 1) / 2,
-      std::memory_order_relaxed);
+  min_histogram_[0] =
+      static_cast<std::uint64_t>(node_count) * (node_count - 1) / 2;
 }
 
 void PairLedger::check(NodeId x, NodeId y) const {
@@ -57,9 +49,6 @@ std::uint32_t PairLedger::row_count(NodeId x, NodeId y) const {
 
 std::uint32_t PairLedger::count(NodeId x, NodeId y) const {
   check(x, y);
-  // Search the smaller row; both rows belong to the pair's endpoints, so
-  // under the two-level commit this never reads a row a concurrent
-  // component may be mutating.
   return rows_[x].partners.size() <= rows_[y].partners.size()
              ? row_count(x, y)
              : row_count(y, x);
@@ -74,20 +63,16 @@ void PairLedger::histogram_move(std::uint32_t from, std::uint32_t to) {
   const std::uint32_t from_bucket = std::min(from, kMinHistogramCap);
   const std::uint32_t to_bucket = std::min(to, kMinHistogramCap);
   if (from_bucket == to_bucket) return;
-  min_histogram_[from_bucket].fetch_sub(1, std::memory_order_relaxed);
-  min_histogram_[to_bucket].fetch_add(1, std::memory_order_relaxed);
+  --min_histogram_[from_bucket];
+  ++min_histogram_[to_bucket];
   // Keep the hint a lower bound on the true minimum: a pair landing below
-  // it drags it down; it is only ever raised by a quiescent query.
-  std::uint32_t hint = min_hint_.load(std::memory_order_relaxed);
-  while (to_bucket < hint &&
-         !min_hint_.compare_exchange_weak(hint, to_bucket,
-                                          std::memory_order_relaxed)) {
-  }
+  // it drags it down; it is only ever raised by a query.
+  min_hint_ = std::min(min_hint_, to_bucket);
 }
 
 void PairLedger::mark_pair_readers(NodeId x, NodeId y, std::uint32_t before,
                                    std::uint32_t after) {
-  if (mark_overflow_.load(std::memory_order_relaxed) != 0) return;
+  if (mark_overflow_) return;
   // The endpoints read C_x(y) (eligibility + donor capacity) only once it
   // can reach the eligibility threshold; below it, the scan consults the
   // count solely through the threshold predicate, which this move left
@@ -100,9 +85,7 @@ void PairLedger::mark_pair_readers(NodeId x, NodeId y, std::uint32_t before,
   // The other readers of C_x(y) are the nodes holding *eligible* pairs
   // toward both x and y (they see its exact value as a beneficiary
   // count, at any magnitude). Scan the smaller row; membership and
-  // eligibility in the other row are O(log deg) probes. Under the
-  // two-level commit only the component owning {x, y} mutates these rows,
-  // so the scan never races a concurrent writer.
+  // eligibility in the other row are O(log deg) probes.
   NodeId small = x;
   NodeId big = y;
   if (rows_[big].partners.size() < rows_[small].partners.size()) {
@@ -113,10 +96,9 @@ void PairLedger::mark_pair_readers(NodeId x, NodeId y, std::uint32_t before,
   // Precision has a per-epoch budget; once the scans have cost more than
   // O(n) this epoch, latch everything-dirty and stop paying (dense
   // regimes re-decide everything anyway).
-  if (mark_budget_.fetch_sub(deg, std::memory_order_relaxed) -
-          static_cast<std::int64_t>(deg) <=
-      0) {
-    mark_overflow_.store(1, std::memory_order_relaxed);
+  mark_budget_ -= deg;
+  if (mark_budget_ <= 0) {
+    mark_overflow_ = true;
     return;
   }
   for (std::uint32_t i = 0; i < deg; ++i) {
@@ -159,7 +141,7 @@ void PairLedger::add(NodeId x, NodeId y, std::uint32_t amount) {
   check(x, y);
   if (amount == 0) return;
   const std::uint32_t before = bump_pair(x, y, amount);
-  total_.fetch_add(amount, std::memory_order_relaxed);
+  total_ += amount;
   histogram_move(before, before + amount);
   if (!dirty_.empty()) mark_pair_readers(x, y, before, before + amount);
 }
@@ -194,22 +176,17 @@ std::uint64_t PairLedger::add_edges_impl(std::span<const graph::Edge> edges,
     if (!dirty_.empty()) mark_pair_readers(x, y, before, after);
   }
   if (added == 0) return 0;
-  total_.fetch_add(added, std::memory_order_relaxed);
+  total_ += added;
   for (std::uint32_t bucket = 0; bucket <= kMinHistogramCap; ++bucket) {
     const std::int64_t delta = histogram_delta_[bucket];
     if (delta != 0) {
-      min_histogram_[bucket].fetch_add(static_cast<std::uint64_t>(delta),
-                                       std::memory_order_relaxed);
+      min_histogram_[bucket] += static_cast<std::uint64_t>(delta);
       histogram_delta_[bucket] = 0;
     }
   }
   // Sequential histogram_moves end the hint at min(hint, all to-buckets);
-  // one CAS-lower to the batch minimum lands on the same value.
-  std::uint32_t hint = min_hint_.load(std::memory_order_relaxed);
-  while (lowest_to < hint &&
-         !min_hint_.compare_exchange_weak(hint, lowest_to,
-                                          std::memory_order_relaxed)) {
-  }
+  // one lower to the batch minimum lands on the same value.
+  min_hint_ = std::min(min_hint_, lowest_to);
   return added;
 }
 
@@ -251,7 +228,7 @@ void PairLedger::remove(NodeId x, NodeId y, std::uint32_t amount) {
   row_x.counts[slot_x] = after;
   const std::size_t slot_y = partner_slot(row_y.partners, x);
   row_y.counts[slot_y] = after;
-  total_.fetch_sub(amount, std::memory_order_relaxed);
+  total_ -= amount;
   histogram_move(before, after);
   if (!dirty_.empty()) mark_pair_readers(x, y, before, after);
   if (after == 0) {
@@ -273,12 +250,9 @@ std::span<const std::uint32_t> PairLedger::pair_counts(NodeId x) const {
 }
 
 std::uint32_t PairLedger::minimum_pair_count() const {
-  std::uint32_t bucket = min_hint_.load(std::memory_order_relaxed);
-  while (bucket < kMinHistogramCap &&
-         min_histogram_[bucket].load(std::memory_order_relaxed) == 0) {
-    ++bucket;
-  }
-  min_hint_.store(bucket, std::memory_order_relaxed);
+  std::uint32_t bucket = min_hint_;
+  while (bucket < kMinHistogramCap && min_histogram_[bucket] == 0) ++bucket;
+  min_hint_ = bucket;
   if (bucket < kMinHistogramCap) return bucket;
   // Every pair count is >= the histogram cap, so every unordered pair is
   // live in some row: the exact minimum comes from the row scan (rare —
@@ -322,9 +296,7 @@ std::uint64_t PairLedger::memory_bytes() const {
 void PairLedger::enable_dirty_tracking() {
   if (!dirty_.empty()) return;
   dirty_.assign(node_count_, 0);
-  mark_budget_.store(
-      kMarkingBudgetPerNode * static_cast<std::int64_t>(node_count_),
-      std::memory_order_relaxed);
+  mark_budget_ = kMarkingBudgetPerNode * static_cast<std::int64_t>(node_count_);
   mark_all_dirty();
 }
 
@@ -332,13 +304,11 @@ void PairLedger::reset_marking_budget() {
   if (dirty_.empty()) return;
   // Marks were skipped while the overflow latch was up, so converting the
   // latch back to bits must be conservative: everything dirty.
-  if (mark_overflow_.load(std::memory_order_relaxed) != 0) {
+  if (mark_overflow_) {
     mark_all_dirty();
-    mark_overflow_.store(0, std::memory_order_relaxed);
+    mark_overflow_ = false;
   }
-  mark_budget_.store(
-      kMarkingBudgetPerNode * static_cast<std::int64_t>(node_count_),
-      std::memory_order_relaxed);
+  mark_budget_ = kMarkingBudgetPerNode * static_cast<std::int64_t>(node_count_);
 }
 
 void PairLedger::set_reader_threshold(std::uint32_t minimum_eligible_count) {
@@ -348,17 +318,9 @@ void PairLedger::set_reader_threshold(std::uint32_t minimum_eligible_count) {
 }
 
 void PairLedger::mark_dirty(NodeId x) {
-  if (dirty_.empty()) return;
-  // Dirty bits are monotone within a marking epoch (only serial phase
-  // boundaries clear them), so an already-set bit needs no RMW — the
-  // common re-mark in a hot merge is a plain load. Two concurrent callers
-  // passing the load still race benignly on the exchange: exactly one
-  // sees 0 and bumps the count.
-  auto bit = relaxed(dirty_[x]);
-  if (bit.load(std::memory_order_relaxed) != 0) return;
-  if (bit.exchange(1, std::memory_order_relaxed) == 0) {
-    dirty_count_.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (dirty_.empty() || dirty_[x] != 0) return;
+  dirty_[x] = 1;
+  dirty_count_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void PairLedger::mark_all_dirty() {
@@ -368,21 +330,18 @@ void PairLedger::mark_all_dirty() {
 }
 
 void PairLedger::clear_dirty(NodeId x) {
-  if (dirty_.empty()) return;
-  if (relaxed(dirty_[x]).exchange(0, std::memory_order_relaxed) == 1) {
-    dirty_count_.fetch_sub(1, std::memory_order_relaxed);
-  }
+  if (dirty_.empty() || dirty_[x] == 0) return;
+  dirty_[x] = 0;
+  dirty_count_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 std::size_t PairLedger::drain_dirty(std::vector<NodeId>& out) {
   if (dirty_.empty()) return 0;
-  mark_budget_.store(
-      kMarkingBudgetPerNode * static_cast<std::int64_t>(node_count_),
-      std::memory_order_relaxed);
-  if (mark_overflow_.load(std::memory_order_relaxed) != 0) {
+  mark_budget_ = kMarkingBudgetPerNode * static_cast<std::int64_t>(node_count_);
+  if (mark_overflow_) {
     // The epoch overflowed: marks were latched, not recorded — the whole
     // network is the frontier.
-    mark_overflow_.store(0, std::memory_order_relaxed);
+    mark_overflow_ = false;
     std::fill(dirty_.begin(), dirty_.end(), 0);
     dirty_count_.store(0, std::memory_order_relaxed);
     for (NodeId x = 0; x < node_count_; ++x) out.push_back(x);

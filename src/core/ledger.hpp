@@ -81,9 +81,7 @@ class PairLedger {
   void remove(NodeId x, NodeId y, std::uint32_t amount = 1);
 
   /// Total pairs currently stored (each pair counted once).
-  [[nodiscard]] std::uint64_t total_pairs() const {
-    return total_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t total_pairs() const { return total_; }
 
   /// Nodes y with count(x, y) > 0, ascending.
   [[nodiscard]] std::span<const NodeId> partners(NodeId x) const;
@@ -100,7 +98,6 @@ class PairLedger {
   /// Smallest count over all (unordered) node pairs, including zeroes.
   /// Served from the incremental count histogram; falls back to the dense
   /// matrix scan only when every pair count is >= kMinHistogramCap.
-  /// Like count(), exact when no commit phase is in flight.
   [[nodiscard]] std::uint32_t minimum_pair_count() const;
 
   /// Snapshot of pairs with count >= threshold as an undirected graph
@@ -109,9 +106,9 @@ class PairLedger {
 
   // --- incremental-decide dirty set ------------------------------------
   // Disabled (and free) by default; sim::NetworkState enables it for the
-  // sharded phase-kernel engine. Marking may run concurrently from the
-  // two-level commit's disjoint components (marks are relaxed atomic
-  // set-bits); draining/clearing is a serial phase operation.
+  // phase-kernel engine. Marking happens inside ledger mutations, which
+  // run only in serial phases; clear_dirty is the one call that may run
+  // concurrently (on distinct nodes).
 
   /// Turn on dirty tracking; every node starts dirty.
   void enable_dirty_tracking();
@@ -133,17 +130,13 @@ class PairLedger {
     return reader_threshold_;
   }
   [[nodiscard]] bool dirty(NodeId x) const {
-    return !dirty_.empty() &&
-           (mark_overflow_.load(std::memory_order_relaxed) != 0 ||
-            dirty_[x] != 0);
+    return !dirty_.empty() && (mark_overflow_ || dirty_[x] != 0);
   }
   /// Currently dirty nodes (0 when tracking is off; node_count when the
   /// marking epoch overflowed and everything counts as dirty).
   [[nodiscard]] std::size_t dirty_count() const {
     if (dirty_.empty()) return 0;
-    if (mark_overflow_.load(std::memory_order_relaxed) != 0) {
-      return node_count_;
-    }
+    if (mark_overflow_) return node_count_;
     return dirty_count_.load(std::memory_order_relaxed);
   }
   /// Mark one node dirty (e.g. a gossip view install changed what the
@@ -151,6 +144,8 @@ class PairLedger {
   void mark_dirty(NodeId x);
   void mark_all_dirty();
   /// Clear one node's bit: the caller has just recomputed its decision.
+  /// Safe to call concurrently for distinct nodes (the fidelity slice
+  /// kernel's sharded decide does).
   void clear_dirty(NodeId x);
   /// Append the dirty nodes (ascending) to `out`, clearing their bits.
   /// Returns how many were appended. Serial contexts only. Starts a new
@@ -210,7 +205,7 @@ class PairLedger {
   std::uint64_t add_edges_impl(std::span<const graph::Edge> edges,
                                AmountOf amount_of);
   /// Move one unordered pair between histogram buckets + maintain the
-  /// lower-bound hint. Relaxed atomics: safe under the two-level commit.
+  /// lower-bound hint.
   void histogram_move(std::uint32_t from, std::uint32_t to);
   /// Mark everything that reads C_x(y) as it moves before -> after: the
   /// endpoints (unless the count stays strictly under the reader
@@ -220,26 +215,24 @@ class PairLedger {
 
   std::size_t node_count_;
   std::vector<Row> rows_;                       // sparse symmetric counts
-  /// Atomic so the two-level swap commit may mutate node-disjoint entries
-  /// from concurrent workers (the rows they touch are disjoint then; the
-  /// running total is the one shared word). Relaxed is enough: the
-  /// commit's phase barrier orders everything else.
-  std::atomic<std::uint64_t> total_{0};
+  std::uint64_t total_ = 0;
 
   /// count value -> number of unordered pairs holding it (counts >=
-  /// kMinHistogramCap collapse into the last bucket). Relaxed atomics for
-  /// the same reason as total_.
-  std::vector<std::atomic<std::uint64_t>> min_histogram_;
-  /// Lower bound on the true minimum; raised only at quiescent queries.
-  mutable std::atomic<std::uint32_t> min_hint_{0};
+  /// kMinHistogramCap collapse into the last bucket).
+  std::vector<std::uint64_t> min_histogram_;
+  /// Lower bound on the true minimum; raised only by minimum_pair_count.
+  mutable std::uint32_t min_hint_ = 0;
 
   // Dirty set (empty vector = tracking off).
-  std::vector<std::uint8_t> dirty_;             // relaxed atomic_ref marks
+  std::vector<std::uint8_t> dirty_;
+  /// The ledger's only atomic: the fidelity slice kernel's sharded decide
+  /// calls clear_dirty for its shard's nodes concurrently, and each clear
+  /// decrements this shared count.
   std::atomic<std::size_t> dirty_count_{0};
   std::uint32_t reader_threshold_ = 1;
   /// Probes left in this marking epoch; overflow latches all-dirty.
-  std::atomic<std::int64_t> mark_budget_{0};
-  std::atomic<std::uint8_t> mark_overflow_{0};
+  std::int64_t mark_budget_ = 0;
+  bool mark_overflow_ = false;
 
   /// add_edges scratch: per-bucket histogram deltas accumulated over a
   /// batch and flushed once (pre-sized to kMinHistogramCap + 1, zeroed

@@ -56,15 +56,6 @@ NetworkState::NetworkState(const graph::Graph& generation_graph,
   decohere_grain_ =
       ParallelTickEngine::resolve_grain(tick_.shards, n, kDecohereGrain);
   candidates_.assign(n, std::nullopt);
-  committed_.assign(n, 0);
-  executions_.resize(n);
-  uf_parent_.resize(n);
-  uf_version_.assign(n, 0);
-  group_of_root_.assign(n, -1);
-  touched_roots_.reserve(n);
-  group_start_.assign(n + 1, 0);
-  group_fill_.assign(n, 0);
-  group_members_.assign(n, 0);
   dirty_nodes_.reserve(n);
   candidate_nodes_.reserve(n);
   candidate_scratch_.reserve(n);
@@ -219,139 +210,37 @@ void NetworkState::decide_swaps(const DecideFn& decide) {
   candidate_nodes_.swap(candidate_scratch_);
 }
 
-void NetworkState::commit_group(std::size_t group) {
-  for (std::uint32_t slot = group_start_[group];
-       slot < group_start_[group + 1]; ++slot) {
-    const core::NodeId x = group_members_[slot];
-    const core::SwapCandidate& candidate = *candidates_[x];
-    if (!(*commit_recheck_)(x, candidate)) continue;
-    // Key packs (attempt, round) without collision: rounds is 32-bit.
-    util::Rng commit_rng = util::Rng::keyed(
-        seed_, stream_tag::kSwap,
-        (static_cast<std::uint64_t>(commit_attempt_) << 32) | commit_round_, x);
-    executions_[x] = commit_balancer_->execute_swap(
-        ledger_, x, candidate.left, candidate.right, commit_rng);
-    committed_[x] = 1;
-  }
-}
-
 NetworkState::CommitStats NetworkState::commit_swaps(
     const core::MaxMinBalancer& balancer, core::NodeId first,
     std::uint32_t round, std::uint32_t attempt, const RecheckFn& recheck,
     const ObserveFn& observe) {
   const PhaseStopwatch stopwatch(timers_.commit_ns);
   last_commit_probes_ = 0;
-  // Quiescent fast path: nothing decided anywhere, nothing to group.
-  if (candidate_nodes_.empty()) return CommitStats{};
-
-  // Every walk below enumerates the sorted candidate-node list rotated at
-  // `first` — the same visit order as filtering a (first + offset) % n
-  // scan, at O(#candidates) instead of O(n).
+  CommitStats stats;
+  // The sorted candidate-node list rotated at `first` — the same visit
+  // order as filtering a (first + offset) % n scan, at O(#candidates)
+  // instead of O(n).
   const auto split = static_cast<std::size_t>(
       std::lower_bound(candidate_nodes_.begin(), candidate_nodes_.end(),
                        first) -
       candidate_nodes_.begin());
   const std::size_t list_size = candidate_nodes_.size();
-  const auto rotated = [&](std::size_t i) {
+  // Key packs (attempt, round) without collision: rounds is 32-bit.
+  const std::uint64_t key = (static_cast<std::uint64_t>(attempt) << 32) | round;
+  for (std::size_t i = 0; i < list_size; ++i) {
+    ++last_commit_probes_;
     const std::size_t at = split + i;
-    return candidate_nodes_[at < list_size ? at : at - list_size];
-  };
-
-  // Level-1 grouping: union the node triple of every candidate; swaps in
-  // different components touch disjoint ledger entries (a pair entry
-  // (a, b) is touched only when both endpoints are in the triple), so
-  // components are fully independent and their commits commute. The
-  // union-find is version-stamped: a slot last written under an older
-  // epoch reads as the singleton {x}, so no O(n) reset is ever paid.
-  if (++uf_epoch_ == 0) {  // stamp wrap: invalidate everything once
-    std::fill(uf_version_.begin(), uf_version_.end(), 0);
-    uf_epoch_ = 1;
-  }
-  const auto find = [&](core::NodeId x) {
-    if (uf_version_[x] != uf_epoch_) {
-      uf_version_[x] = uf_epoch_;
-      uf_parent_[x] = x;
-      return x;
-    }
-    // Parent chains only ever link nodes united this epoch, so the walk
-    // below never reads a stale slot.
-    while (uf_parent_[x] != x) {
-      uf_parent_[x] = uf_parent_[uf_parent_[x]];  // path halving
-      x = uf_parent_[x];
-    }
-    return x;
-  };
-  const auto unite = [&](core::NodeId a, core::NodeId b) {
-    a = find(a);
-    b = find(b);
-    if (a != b) uf_parent_[b] = a;
-  };
-  for (const core::NodeId x : candidate_nodes_) {
-    ++last_commit_probes_;
-    committed_[x] = 0;
-    unite(x, candidates_[x]->left);
-    unite(x, candidates_[x]->right);
-  }
-  CommitStats stats;
-
-  // Enumerate components in canonical rotating order of their first
-  // member, members in rotating order too — grouping depends only on the
-  // candidate table, never on the worker schedule. Two passes over the
-  // pre-sized flat arrays (assign group ids + sizes, then fill members)
-  // keep the commit allocation-free.
-  group_count_ = 0;
-  touched_roots_.clear();
-  for (std::size_t i = 0; i < list_size; ++i) {
-    ++last_commit_probes_;
-    const core::NodeId x = rotated(i);
-    const core::NodeId root = find(x);
-    std::int32_t group = group_of_root_[root];
-    if (group < 0) {
-      group = static_cast<std::int32_t>(group_count_++);
-      group_of_root_[root] = group;
-      touched_roots_.push_back(root);
-      group_start_[static_cast<std::size_t>(group) + 1] = 0;
-    }
-    ++group_start_[static_cast<std::size_t>(group) + 1];
-  }
-  group_start_[0] = 0;
-  for (std::size_t g = 0; g < group_count_; ++g) {
-    group_start_[g + 1] += group_start_[g];
-    group_fill_[g] = group_start_[g];
-  }
-  for (std::size_t i = 0; i < list_size; ++i) {
-    ++last_commit_probes_;
-    const core::NodeId x = rotated(i);
-    const auto group = static_cast<std::size_t>(group_of_root_[find(x)]);
-    group_members_[group_fill_[group]++] = x;
-  }
-  for (const core::NodeId root : touched_roots_) group_of_root_[root] = -1;
-
-  // Level 2: each component commits serially in its canonical member
-  // order; disjoint components fan across the pool. Re-checks read only
-  // entries within the member's triple, so concurrent components never
-  // interfere, and the outcome equals the fully serial canonical commit.
-  commit_balancer_ = &balancer;
-  commit_recheck_ = &recheck;
-  commit_round_ = round;
-  commit_attempt_ = attempt;
-  pool_->run_shards(group_count_,
-                    [this](std::size_t group) { commit_group(group); });
-  commit_balancer_ = nullptr;
-  commit_recheck_ = nullptr;
-
-  // Serial canonical walk: accumulate stats and report executed swaps in
-  // exactly the order a serial commit would have produced them, so even
-  // floating-point accumulation in `observe` is schedule-independent.
-  for (std::size_t i = 0; i < list_size; ++i) {
-    ++last_commit_probes_;
-    const core::NodeId x = rotated(i);
-    if (!committed_[x]) continue;
+    const core::NodeId x =
+        candidate_nodes_[at < list_size ? at : at - list_size];
+    const core::SwapCandidate& candidate = *candidates_[x];
+    if (!recheck(x, candidate)) continue;
+    util::Rng commit_rng = util::Rng::keyed(seed_, stream_tag::kSwap, key, x);
+    const core::MaxMinBalancer::Execution execution = balancer.execute_swap(
+        ledger_, x, candidate.left, candidate.right, commit_rng);
     ++stats.swaps;
-    stats.pairs_consumed +=
-        executions_[x].consumed_left + executions_[x].consumed_right;
+    stats.pairs_consumed += execution.consumed_left + execution.consumed_right;
     ++stats.pairs_produced;
-    if (observe) observe(CommittedSwap{x, *candidates_[x], executions_[x]});
+    if (observe) observe(CommittedSwap{x, candidate, execution});
   }
   return stats;
 }
@@ -479,10 +368,10 @@ std::uint64_t NetworkState::decohere_all(double now) {
 
 std::uint64_t NetworkState::memory_bytes() const {
   std::uint64_t bytes = ledger_.memory_bytes();
-  // Per-node kernel scratch (candidate table, commit outcome slots,
-  // union-find, group arenas, frontier/candidate lists): fixed logical
-  // bytes per node, plus one generation slot per edge.
-  constexpr std::uint64_t kKernelPerNodeBytes = 72;
+  // Per-node kernel scratch (the optional<SwapCandidate> table slot plus
+  // the dirty-frontier, candidate-node and merge-scratch lists): fixed
+  // logical bytes per node, plus one generation slot per edge.
+  constexpr std::uint64_t kKernelPerNodeBytes = 28;
   bytes += kKernelPerNodeBytes * graph_.node_count();
   bytes += sizeof(std::uint32_t) *
            static_cast<std::uint64_t>(graph_.edge_count());

@@ -19,10 +19,9 @@
 // randomness from streams keyed per (phase-tag, round, entity), shard
 // work over contiguous index ranges, and merge all effects in canonical
 // entity order — so results are bit-identical for every threads/shards
-// setting. The two-level swap commit extends the contract: swaps whose
-// node triples are disjoint commit in parallel (they touch disjoint
-// ledger entries), conflicting swaps serialize in canonical rotating
-// order, and the outcome equals the fully serial canonical commit.
+// setting. The swap commit is serial: it executes decided swaps one at
+// a time in canonical rotating order, each re-checked against the live
+// ledger, so it needs no merge at all.
 //
 // Incremental decide (tick.incremental_decide, default on): the decide
 // kernel caches each node's last SwapCandidate in the candidate table and
@@ -137,20 +136,17 @@ class NetworkState {
   [[nodiscard]] const std::vector<core::NodeId>& candidate_nodes() const {
     return candidate_nodes_;
   }
-  /// Candidate-list entries visited by the last commit_swaps call, summed
-  /// over its walks (grouping, member fill, stats). Test hook for the
-  /// O(#candidates) contract: with a fixed candidate set this must not
-  /// grow with the node count.
+  /// Candidate-list entries visited by the last commit_swaps call (one
+  /// per candidate). Test hook for the O(#candidates) contract: with a
+  /// fixed candidate set this must not grow with the node count.
   [[nodiscard]] std::uint64_t last_commit_probes() const {
     return last_commit_probes_;
   }
 
-  // --- two-level swap commit kernel -----------------------------------
-  /// Re-validation of a decided swap against the live ledger, invoked
-  /// immediately before execution. May run concurrently with re-checks
-  /// and executions of swaps whose node triples are disjoint, so it must
-  /// only read ledger entries among {node, left, right} (every §4-style
-  /// predicate does) plus immutable protocol state.
+  // --- swap commit kernel ---------------------------------------------
+  /// Re-validation of a decided swap against the live ledger, invoked on
+  /// the calling thread immediately before execution (earlier swaps of
+  /// the same commit may have consumed the pairs it needs).
   using RecheckFn =
       std::function<bool(core::NodeId, const core::SwapCandidate&)>;
   /// One executed swap, reported to `observe` in canonical rotating order.
@@ -165,20 +161,15 @@ class NetworkState {
     std::uint64_t pairs_consumed = 0;  // donor pairs destroyed
     std::uint64_t pairs_produced = 0;  // one per swap
   };
-  /// Commit the decided candidates. Level 1: candidates are grouped into
-  /// conflict components (union-find over their node triples) and
-  /// disjoint components commit in parallel across the pool. Level 2:
-  /// within a component, members commit serially in canonical rotating
-  /// order from `first`, each re-checked via `recheck` against the live
-  /// ledger. Fractional-D rounding draws come from streams keyed
-  /// (seed, swap-tag, attempt|round, node), so the outcome — including
-  /// the stats and the `observe` callback sequence, both produced by a
-  /// serial canonical walk afterwards — is bit-identical for every
-  /// threads/shards setting and equal to a fully serial canonical commit.
-  /// Cost is O(#candidates), not O(n): every walk enumerates the sorted
-  /// candidate-node list rotated at `first` (identical visit order to the
-  /// old filtered 0..n scan), and the union-find resets by version stamp
-  /// instead of re-initializing all n slots.
+  /// Commit the decided candidates serially in canonical rotating order
+  /// from `first`: each is re-checked via `recheck` against the live
+  /// ledger, executed, added to the stats and reported to `observe`.
+  /// Fractional-D rounding draws come from streams keyed
+  /// (seed, swap-tag, attempt|round, node), so the outcome is
+  /// bit-identical for every threads/shards setting. Cost is
+  /// O(#candidates), not O(n): the walk enumerates the sorted
+  /// candidate-node list rotated at `first` (identical visit order to a
+  /// filtered (first + offset) % n scan).
   CommitStats commit_swaps(const core::MaxMinBalancer& balancer,
                            core::NodeId first, std::uint32_t round,
                            std::uint32_t attempt, const RecheckFn& recheck,
@@ -215,21 +206,19 @@ class NetworkState {
   std::uint64_t decohere_all(double now);
 
   /// Deterministic logical bytes held by the simulation state (ledger
-  /// rows, candidate/commit scratch, decay store). Element counts times
+  /// rows, candidate table and lists, decay store). Element counts times
   /// fixed constants — bit-identical across compilers, so bench gates can
   /// compare memory-per-node at 1e-9 tolerance.
   [[nodiscard]] std::uint64_t memory_bytes() const;
 
  private:
-  /// Chunk/shard bodies for the kernels. Their contexts live in members
-  /// (not lambda captures) so the std::function handed to the pool stays
-  /// within the small-object buffer — the hot path never allocates. The
-  /// chunked kernels (generate, decide, decohere) go through the engine's
-  /// dynamic chunk scheduler; commit keeps the one-shard-per-conflict-
-  /// group mapping (groups are the unit of serial order).
+  /// Chunk bodies for the parallel kernels (generate, decide, decohere),
+  /// run through the engine's dynamic chunk scheduler. Their contexts
+  /// live in members (not lambda captures) so the std::function handed to
+  /// the pool stays within the small-object buffer — the hot path never
+  /// allocates.
   void generate_chunk(std::size_t begin, std::size_t end);
   void decide_chunk(std::size_t begin, std::size_t end, unsigned worker);
-  void commit_group(std::size_t group);
   void decohere_chunk(std::size_t begin, std::size_t end);
 
   const graph::Graph& graph_;
@@ -256,26 +245,6 @@ class NetworkState {
   // removes).
   std::vector<core::NodeId> purge_partners_;
   std::vector<std::optional<core::SwapCandidate>> candidates_;  // per node
-  // Per-node commit outcome slots (filled by concurrent groups, read by
-  // the canonical walk; a node belongs to exactly one conflict group).
-  std::vector<std::uint8_t> committed_;
-  std::vector<core::MaxMinBalancer::Execution> executions_;
-  // commit_swaps scratch: union-find + flat group membership (CSR-style:
-  // members of group g live in group_members_[group_start_[g] ..
-  // group_start_[g+1]), in canonical rotating order). All pre-sized at
-  // construction; a commit allocates nothing. The union-find is
-  // version-stamped: a slot whose stamp differs from the current commit
-  // epoch reads as the singleton {x}, so a commit never pays an O(n)
-  // reset — it touches only the nodes its candidates name.
-  std::vector<core::NodeId> uf_parent_;
-  std::vector<std::uint64_t> uf_version_;  // stamp of uf_parent_ validity
-  std::uint64_t uf_epoch_ = 0;
-  std::vector<std::int32_t> group_of_root_;
-  std::vector<core::NodeId> touched_roots_;
-  std::vector<std::uint32_t> group_start_;   // node_count + 1 slots
-  std::vector<std::uint32_t> group_fill_;    // per-group fill cursor
-  std::vector<core::NodeId> group_members_;  // flat member arena
-  std::size_t group_count_ = 0;
   // Dirty frontier of the current decide call (pre-sized to node_count).
   std::vector<core::NodeId> dirty_nodes_;
   // Sorted list of nodes with a non-null cached candidate, plus the merge
@@ -294,10 +263,6 @@ class NetworkState {
   std::uint32_t gen_round_ = 0;
   double gen_frac_ = 0.0;
   const DecideFn* decide_fn_ = nullptr;
-  const core::MaxMinBalancer* commit_balancer_ = nullptr;
-  const RecheckFn* commit_recheck_ = nullptr;
-  std::uint32_t commit_round_ = 0;
-  std::uint32_t commit_attempt_ = 0;
   double decohere_now_ = 0.0;
 
   // Decay state (tracks_pairs() only): sparse metadata buckets keyed by

@@ -180,7 +180,7 @@ struct Settled {
 
 /// §4 balancing with generation and consumption frozen, driven through
 /// the tick engine the simulators run: per round every node decides its
-/// best swap against the frozen ledger, then the two-level commit
+/// best swap against the frozen ledger, then the serial commit
 /// executes the choices from a rotating first node. Up to `attempts`
 /// decide + commit passes per round. Stops after the first round that
 /// commits nothing. Every commit must conserve the ledger total

@@ -154,7 +154,7 @@ TEST(ParallelDeterminism, FractionalRatesStayDeterministic) {
 TEST(ParallelDeterminism, GossipStaleViewRoundsStayDeterministic) {
   // Slow gossip (fanout 1, two-round latency) keeps beneficiary views
   // genuinely stale across rounds, exercising the canonical message-merge
-  // and the view-based two-level commit re-check.
+  // and the view-based commit re-check.
   ScenarioSpec spec = base_spec("gossip");
   spec.knobs["fanout"] = std::int64_t{1};
   spec.knobs["latency"] = 2.0;

@@ -219,7 +219,7 @@ TEST(IncrementalDecide, RoundTrajectoriesMatchFullRescan) {
 TEST(HotPathAllocations, SteadyStateRoundAllocatesNothing) {
   // After warm-up, a balancing round on the sharded engine — generation
   // (fractional rate: batched keyed streams exercised), dirty-set decide,
-  // two-level commit, consumption — must not touch the heap: all
+  // serial commit, consumption — must not touch the heap: all
   // per-round scratch is pre-sized, the CSR partner arena mutates in
   // place, and the pool recycles its job allocation. shards=8 forces the
   // chunk grain small enough that every phase goes through the dynamic
@@ -284,18 +284,17 @@ std::uint64_t commit_probes(std::size_t nodes) {
 
 TEST(HotPathAllocations, CommitCostTracksCandidatesNotNodes) {
   // The same 16 decided candidates on a 64-node and a 4096-node network:
-  // the commit's probe count (candidate-list entries visited across its
-  // grouping/fill/stats walks) must not move with the node count — the
-  // old implementation walked all n nodes three times per attempt.
+  // the commit's probe count (candidate-list entries visited by its one
+  // walk) must not move with the node count — a filtered 0..n scan would
+  // visit all n nodes per attempt.
   const std::uint64_t small = commit_probes(64);
   const std::uint64_t large = commit_probes(4096);
   EXPECT_EQ(small, large)
       << "commit probes scaled with node count: " << small << " at n=64 vs "
       << large << " at n=4096";
-  // And the absolute count is a small multiple of #candidates (16): the
-  // four walks visit each candidate once.
-  EXPECT_LE(large, 16u * 4u);
-  EXPECT_GE(large, 16u);
+  // And the absolute count is exactly #candidates (16): the single walk
+  // visits each candidate once.
+  EXPECT_EQ(large, 16u);
 }
 
 TEST(HotPathAllocations, QuiescentCommitIsFree) {

@@ -1,9 +1,8 @@
 // sim::NetworkState phase kernels: the generation kernel's keyed streams,
-// the decay/decohere kernels, and above all the two-level swap commit —
-// disjoint node-triple components commit in parallel, conflicting swaps
-// serialize in canonical rotating order, and the outcome must equal a
-// fully serial canonical commit, for every threads/shards setting, even
-// on a dense round where every node has a candidate.
+// the decay/decohere kernels, and above all the swap commit — its one walk
+// over the sorted candidate list rotated at `first` must equal the
+// hand-written rotated, filtered 0..n scan below, for every threads/shards
+// setting, even on a dense round where every node has a candidate.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -57,7 +56,7 @@ void fill_dense(PairLedger& ledger, std::uint32_t pairs_per_link) {
 
 /// Reference implementation: the fully serial canonical commit (walk
 /// nodes in rotating order, re-check, execute with the same keyed
-/// streams). The two-level commit must reproduce it exactly.
+/// streams). commit_swaps must reproduce it exactly.
 struct SerialOutcome {
   std::uint64_t swaps = 0;
   std::uint64_t consumed = 0;
