@@ -20,6 +20,8 @@ std::size_t partner_slot(const std::vector<NodeId>& partners, NodeId y) {
 PairLedger::PairLedger(std::size_t node_count)
     : node_count_(node_count),
       rows_(node_count),
+      dense_(node_count <= kFullReserveNodeLimit ? node_count * node_count
+                                                 : 0),
       min_histogram_(kMinHistogramCap + 1),
       histogram_delta_(kMinHistogramCap + 1, 0) {
   require(node_count >= 2, "PairLedger: need at least 2 nodes");
@@ -42,6 +44,7 @@ void PairLedger::check(NodeId x, NodeId y) const {
 }
 
 std::uint32_t PairLedger::row_count(NodeId x, NodeId y) const {
+  if (!dense_.empty()) return dense_[x * node_count_ + y];
   const Row& row = rows_[x];
   const std::size_t slot = partner_slot(row.partners, y);
   return slot == static_cast<std::size_t>(-1) ? 0 : row.counts[slot];
@@ -49,9 +52,11 @@ std::uint32_t PairLedger::row_count(NodeId x, NodeId y) const {
 
 std::uint32_t PairLedger::count(NodeId x, NodeId y) const {
   check(x, y);
-  return rows_[x].partners.size() <= rows_[y].partners.size()
-             ? row_count(x, y)
-             : row_count(y, x);
+  // Sparse ledgers probe the shorter row; the mirror is O(1) either way.
+  return dense_.empty() &&
+                 rows_[y].partners.size() < rows_[x].partners.size()
+             ? row_count(y, x)
+             : row_count(x, y);
 }
 
 std::uint32_t PairLedger::degree(NodeId x) const {
@@ -133,6 +138,10 @@ std::uint32_t PairLedger::bump_pair(NodeId x, NodeId y, std::uint32_t amount) {
     row_x.counts[slot_x] = before + amount;
     const std::size_t slot_y = partner_slot(row_y.partners, x);
     row_y.counts[slot_y] = before + amount;
+  }
+  if (!dense_.empty()) {
+    dense_[x * node_count_ + y] += amount;
+    dense_[y * node_count_ + x] += amount;
   }
   return before;
 }
@@ -228,6 +237,10 @@ void PairLedger::remove(NodeId x, NodeId y, std::uint32_t amount) {
   row_x.counts[slot_x] = after;
   const std::size_t slot_y = partner_slot(row_y.partners, x);
   row_y.counts[slot_y] = after;
+  if (!dense_.empty()) {
+    dense_[x * node_count_ + y] = after;
+    dense_[y * node_count_ + x] = after;
+  }
   total_ -= amount;
   histogram_move(before, after);
   if (!dirty_.empty()) mark_pair_readers(x, y, before, after);
@@ -283,13 +296,15 @@ graph::Graph PairLedger::entanglement_graph(std::uint32_t threshold) const {
 std::uint64_t PairLedger::memory_bytes() const {
   // Logical accounting with fixed constants: per-node row headers (two
   // vector headers + the dirty slot) plus live entries (partner id +
-  // count, both symmetric copies counted) plus the histogram.
+  // count, both symmetric copies counted) plus the histogram, plus the
+  // dense count mirror below kFullReserveNodeLimit (4 n^2 bytes).
   constexpr std::uint64_t kPerNodeBytes = 56;
   constexpr std::uint64_t kPerEntryBytes =
       sizeof(NodeId) + sizeof(std::uint32_t);
   std::uint64_t bytes = kPerNodeBytes * node_count_;
   for (const Row& row : rows_) bytes += kPerEntryBytes * row.partners.size();
   bytes += (kMinHistogramCap + 1) * sizeof(std::uint64_t);
+  bytes += sizeof(std::uint32_t) * dense_.size();
   return bytes;
 }
 

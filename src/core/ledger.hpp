@@ -17,6 +17,16 @@
 // add/remove never allocates (the zero-allocation hot-path contract);
 // above it rows grow amortized — the megascale regime, where a dense
 // reserve would itself be the n^2 allocation this layout exists to avoid.
+//
+// Dense count mirror: below the same limit the ledger also keeps an n x n
+// uint32 copy of the counts (4 n^2 bytes beside the rows' 8 n^2 reserve;
+// 40 KB at n = 100), written by every row mutation (bump_pair, remove)
+// and read through dense_row(x). The choice is made once, from the node
+// count, and is the only selection rule: small ledgers answer count(),
+// the commit's preferability recheck, reader marking's common-partner
+// probe and the §4 decide's beneficiary reads with one indexed load;
+// above the limit dense_row is null, and those readers fall back to the
+// sorted rows (binary search, or the decide's merge cursor).
 // The ledger also maintains two incremental structures:
 //
 //   * a count-of-counts histogram (bucketed at kMinHistogramCap) backing
@@ -40,6 +50,7 @@
 
 #include "core/types.hpp"
 #include "graph/graph.hpp"
+#include "util/error.hpp"
 
 namespace poq::core {
 
@@ -91,6 +102,14 @@ class PairLedger {
   /// are x's sorted row, so a scan over many of x's pairs can walk it once
   /// instead of probing count() per pair (the §4 merge decide does).
   [[nodiscard]] std::span<const std::uint32_t> pair_counts(NodeId x) const;
+
+  /// x's row of the dense count mirror: dense_row(x)[y] == count(x, y)
+  /// for every y != x, absent pairs included (0). Null above
+  /// kFullReserveNodeLimit nodes, where only the sparse rows exist.
+  [[nodiscard]] const std::uint32_t* dense_row(NodeId x) const {
+    require(x < node_count_, "PairLedger::dense_row: node out of range");
+    return dense_.empty() ? nullptr : dense_.data() + x * node_count_;
+  }
 
   /// Number of partners of x (the length of partners(x)).
   [[nodiscard]] std::uint32_t degree(NodeId x) const;
@@ -175,8 +194,8 @@ class PairLedger {
 
   /// Below this node count every row pre-reserves node_count-1 slots
   /// (dense worst case, <= ~8 MB total) so steady-state mutation never
-  /// allocates; above it rows grow amortized and memory stays
-  /// O(nodes + live pair types).
+  /// allocates, and the dense count mirror (<= 4 MB) is kept; above it
+  /// rows grow amortized and memory stays O(nodes + live pair types).
   static constexpr std::size_t kFullReserveNodeLimit = 1024;
 
   /// Deterministic logical memory accounting: element counts times fixed
@@ -194,7 +213,8 @@ class PairLedger {
   };
 
   void check(NodeId x, NodeId y) const;
-  /// Count of (x, y) read from x's row (0 when absent).
+  /// Count of (x, y) read from the mirror, or from x's row above the
+  /// limit (0 when absent).
   [[nodiscard]] std::uint32_t row_count(NodeId x, NodeId y) const;
   /// The row mutation shared by add and add_edges: insert-or-increment
   /// both symmetric entries by `amount` (> 0); returns the count before.
@@ -215,6 +235,9 @@ class PairLedger {
 
   std::size_t node_count_;
   std::vector<Row> rows_;                       // sparse symmetric counts
+  /// Row-major n x n mirror of the counts, sized once at construction
+  /// below kFullReserveNodeLimit, empty above it.
+  std::vector<std::uint32_t> dense_;
   std::uint64_t total_ = 0;
 
   /// count value -> number of unordered pairs holding it (counts >=

@@ -69,7 +69,15 @@ std::span<const MaxMinBalancer::Eligible> MaxMinBalancer::collect_eligible(
 std::optional<SwapCandidate> MaxMinBalancer::best_swap(const PairLedger& ledger,
                                                        NodeId x,
                                                        Scratch& scratch) const {
-  return scan_pairs(x, collect_eligible(ledger, x, scratch), [&ledger](NodeId a) {
+  const std::span<const Eligible> eligible = collect_eligible(ledger, x, scratch);
+  if (ledger.dense_row(x) != nullptr) {
+    // Below the full-reserve limit every C_a(b) is one mirror load.
+    return scan_pairs(x, eligible, [&ledger](NodeId a) {
+      const std::uint32_t* row = ledger.dense_row(a);
+      return [row](NodeId b) { return row[b]; };
+    });
+  }
+  return scan_pairs(x, eligible, [&ledger](NodeId a) {
     // Cursor over row(a), started past a itself: every b it is asked
     // about is a later eligible partner, so b > a and b only grows.
     const auto partners = ledger.partners(a);

@@ -22,9 +22,10 @@
 // Every decide runs the same candidate scan (scan_pairs): the eligible
 // partners come from one walk of x's ledger row, and the pairs are
 // visited in lexicographic (i, j) order keeping the first strict minimum.
-// Under true knowledge the beneficiary counts are read by merging each
-// donor's sorted row against the eligible list; a stale view is probed
-// per pair instead.
+// Under true knowledge the beneficiary counts are read from the ledger's
+// dense count mirror below PairLedger::kFullReserveNodeLimit (one load
+// per pair), and above it by merging each donor's sorted row against the
+// eligible list; a stale view is probed per pair instead.
 #pragma once
 
 #include <algorithm>
@@ -104,11 +105,13 @@ class MaxMinBalancer {
                                                        NodeId x) const;
 
   /// Thread-safe variant: identical decision, caller-owned scratch.
-  /// The merge decide: both the eligible list E and every ledger row are
-  /// ascending, so for each donor a = E[i] one forward walk of row(a)
-  /// alongside E[i+1..] yields every C_a(b) (the cursor entry, or 0 when
-  /// b is absent) — O(|row(a)| + |E|) per donor rather than a count()
-  /// binary search per candidate pair.
+  /// Ledgers with a dense count mirror (PairLedger::dense_row) read each
+  /// C_a(b) as dense_row(a)[b]. Larger ledgers run the merge decide: both
+  /// the eligible list E and every ledger row are ascending, so for each
+  /// donor a = E[i] one forward walk of row(a) alongside E[i+1..] yields
+  /// every C_a(b) (the cursor entry, or 0 when b is absent) —
+  /// O(|row(a)| + |E|) per donor rather than a count() binary search per
+  /// candidate pair.
   [[nodiscard]] std::optional<SwapCandidate> best_swap(const PairLedger& ledger,
                                                        NodeId x,
                                                        Scratch& scratch) const;

@@ -254,11 +254,12 @@ class NetworkState {
   std::vector<core::NodeId> candidate_scratch_;
   std::uint64_t last_commit_probes_ = 0;
   // Per-kernel contexts (see the chunk bodies above), plus the fixed
-  // chunk grains each kernel resolved at construction (grain is a pure
-  // performance knob; an explicit shards setting keeps its partitioning
-  // meaning through ParallelTickEngine::resolve_grain).
+  // chunk grains the generate and decohere kernels resolved at
+  // construction (the decide grain resolves per call against the live
+  // frontier; grain is a pure performance knob, and an explicit shards
+  // setting keeps its partitioning meaning through
+  // ParallelTickEngine::resolve_grain).
   std::size_t generate_grain_ = 1;
-  std::size_t decide_grain_ = 1;
   std::size_t decohere_grain_ = 1;
   std::uint32_t gen_round_ = 0;
   double gen_frac_ = 0.0;

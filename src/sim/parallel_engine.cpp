@@ -178,13 +178,14 @@ void ParallelTickEngine::run_one_chunk(std::size_t chunk, unsigned worker) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
-  // Concurrent workers accumulate into the same load record; relaxed
-  // atomics suffice (the phase barrier orders the final read).
+  // Concurrent workers accumulate into the same load record and the
+  // dispatch's running max; relaxed atomics suffice (the phase barrier
+  // orders the final read).
   std::atomic_ref<std::uint64_t>(chunk_load_->total_ns)
       .fetch_add(elapsed, std::memory_order_relaxed);
   std::atomic_ref<std::uint64_t>(chunk_load_->chunks)
       .fetch_add(1, std::memory_order_relaxed);
-  std::atomic_ref<std::uint64_t> max_ref(chunk_load_->max_ns);
+  std::atomic_ref<std::uint64_t> max_ref(dispatch_max_ns_);
   std::uint64_t seen = max_ref.load(std::memory_order_relaxed);
   while (elapsed > seen &&
          !max_ref.compare_exchange_weak(seen, elapsed,
@@ -201,6 +202,7 @@ void ParallelTickEngine::run_chunks(std::size_t items, std::size_t grain,
   chunk_items_ = items;
   chunk_grain_ = grain;
   chunk_load_ = load;
+  dispatch_max_ns_ = 0;
   if (threads_ == 1 || chunk_count == 1) {
     // Inline fast path: same canonical chunk walk, no handshake. The
     // load accounting still runs so shard_imbalance is observable at
@@ -211,6 +213,7 @@ void ParallelTickEngine::run_chunks(std::size_t items, std::size_t grain,
   } else {
     dispatch(chunk_count, chunk_body_);
   }
+  if (load != nullptr) load->weighted_max_ns += dispatch_max_ns_ * chunk_count;
   chunk_fn_ = nullptr;
   chunk_load_ = nullptr;
 }

@@ -84,19 +84,24 @@ struct TickConcurrency {
   bool incremental_decide = true;
 };
 
-/// Per-phase chunk-load accounting from the dynamic chunk scheduler:
-/// max/total wall-clock across the chunks a phase dispatched, cumulative
-/// over a run. max/(total/chunks) is the scheduler's load-imbalance
-/// signal (1.0 = perfectly even chunks), surfaced as the shard_imbalance
-/// timings. Observability only — never part of the determinism contract.
+/// Per-phase chunk-load accounting from the dynamic chunk scheduler,
+/// cumulative over a run but measured per dispatch: each run_chunks call
+/// d adds its slowest chunk times its chunk count (max_d * chunks_d) to
+/// weighted_max_ns and its chunk wall-clock to total_ns. The ratio
+/// sum_d(max_d * chunks_d) / sum_d(total_d) is the scheduler's
+/// load-imbalance signal (1.0 = every dispatch's chunks were even; a
+/// slow dispatch next to a fast one is not imbalance), surfaced as the
+/// shard_imbalance timings. Observability only — never part of the
+/// determinism contract.
 struct ChunkLoad {
-  std::uint64_t max_ns = 0;
+  std::uint64_t weighted_max_ns = 0;
   std::uint64_t total_ns = 0;
   std::uint64_t chunks = 0;
-  /// Max-over-mean chunk time (0 when the phase never dispatched chunks).
+  /// Max-over-mean chunk time, weighted over dispatches by their chunk
+  /// time (0 when the phase never dispatched chunks).
   [[nodiscard]] double imbalance() const {
     if (chunks == 0 || total_ns == 0) return 0.0;
-    return static_cast<double>(max_ns) * static_cast<double>(chunks) /
+    return static_cast<double>(weighted_max_ns) /
            static_cast<double>(total_ns);
   }
 };
@@ -229,6 +234,7 @@ class ParallelTickEngine {
   std::size_t chunk_items_ = 0;
   std::size_t chunk_grain_ = 1;
   ChunkLoad* chunk_load_ = nullptr;
+  std::uint64_t dispatch_max_ns_ = 0;  // slowest chunk of this run_chunks
   std::function<void(std::size_t, unsigned)> shard_body_;
   std::function<void(std::size_t, unsigned)> chunk_body_;
 

@@ -327,8 +327,8 @@ struct ScanShape {
 
 /// The §4 decide as a literal pairwise loop: every candidate pair (i, j)
 /// of the eligible list probes its beneficiary count with count(a, b),
-/// keeping the first strict minimum. Reference oracle for the merge
-/// kernel in best_swap. It scans every pair (no early exit at 0, which
+/// keeping the first strict minimum. Reference oracle for both beneficiary
+/// readers of best_swap. It scans every pair (no early exit at 0, which
 /// cannot change a first strict minimum) so it can also report the
 /// scan's shape.
 std::optional<SwapCandidate> pairwise_best_swap(
@@ -376,10 +376,15 @@ std::optional<SwapCandidate> pairwise_best_swap(
   return best;
 }
 
-// The merge decide (one sorted-row walk per donor) picks exactly the swap
-// the pairwise count(a, b) loop picks — same pair, same count, same
-// lexicographic first minimum — across sparse and dense ledgers, empty
-// rows, per-pair fractional distillation and detour policies.
+// Both beneficiary readers of best_swap — the dense count mirror (ledgers
+// up to kFullReserveNodeLimit nodes) and the sorted-row merge cursor
+// (larger ledgers) — pick exactly the swap the pairwise count(a, b) loop
+// picks: same pair, same count, same lexicographic first minimum, across
+// sparse and dense pair sets, empty rows, per-pair fractional
+// distillation and detour policies. Every trial runs twice: on an n-node
+// ledger, and with the same pairs embedded in a ledger just above the
+// limit, which has no mirror. The oracle reads the embedded ledger, whose
+// count() is a binary search over the sorted rows.
 TEST(BestSwapKernel, MergeMatchesPairwiseOracle) {
   util::Rng rng(0x5EED);
   ScanShape covered;
@@ -419,6 +424,17 @@ TEST(BestSwapKernel, MergeMatchesPairwiseOracle) {
       }
     }
 
+    PairLedger embedded(PairLedger::kFullReserveNodeLimit + 1);
+    for (NodeId a = 0; a < n; ++a) {
+      const auto partners = ledger.partners(a);
+      const auto counts = ledger.pair_counts(a);
+      for (std::size_t k = 0; k < partners.size(); ++k) {
+        if (partners[k] > a) embedded.add(a, partners[k], counts[k]);
+      }
+    }
+    ASSERT_NE(ledger.dense_row(0), nullptr);
+    ASSERT_EQ(embedded.dense_row(0), nullptr);
+
     const graph::Graph graph = rng.bernoulli(0.5) ? graph::make_cycle(n)
                                                   : graph::make_star(n);
     const auto distances = graph::all_pairs_distances(graph);
@@ -432,16 +448,18 @@ TEST(BestSwapKernel, MergeMatchesPairwiseOracle) {
     for (NodeId x = 0; x < n; ++x) {
       ScanShape shape;
       const auto expected =
-          pairwise_best_swap(ledger, distillation, distances, detour_slack, x, shape);
-      const auto actual = balancer.best_swap(ledger, x, scratch);
-      ASSERT_EQ(actual.has_value(), expected.has_value())
-          << "trial " << trial << " node " << x;
-      if (expected) {
-        ++decisions;
-        EXPECT_EQ(actual->left, expected->left) << "trial " << trial << " node " << x;
-        EXPECT_EQ(actual->right, expected->right) << "trial " << trial << " node " << x;
+          pairwise_best_swap(embedded, distillation, distances, detour_slack, x, shape);
+      if (expected) ++decisions;
+      for (const PairLedger* reader : {&ledger, &embedded}) {
+        const char* kind = reader == &ledger ? "dense" : "sparse";
+        const auto actual = balancer.best_swap(*reader, x, scratch);
+        ASSERT_EQ(actual.has_value(), expected.has_value())
+            << kind << " trial " << trial << " node " << x;
+        if (!expected) continue;
+        EXPECT_EQ(actual->left, expected->left) << kind << " trial " << trial << " node " << x;
+        EXPECT_EQ(actual->right, expected->right) << kind << " trial " << trial << " node " << x;
         EXPECT_EQ(actual->beneficiary_count, expected->beneficiary_count)
-            << "trial " << trial << " node " << x;
+            << kind << " trial " << trial << " node " << x;
       }
       covered.empty_row |= shape.empty_row;
       covered.ineligible_partner |= shape.ineligible_partner;

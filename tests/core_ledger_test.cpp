@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "graph/topology.hpp"
+#include "sim/network_state.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -148,13 +150,31 @@ TEST(PairLedger, MinimumPairCountMatchesScanUnderRandomChurn) {
   }
 }
 
-// pair_counts(x) is x's row read in place: after any mix of add, remove
-// and batched add_edges it stays aligned with partners(x) and agrees with
-// count() entry for entry.
+// pair_counts(x) is x's row read in place, and dense_row(x) is x's row of
+// the count mirror: after any mix of add, remove (to zero included), the
+// three batched add_edges overloads and NetworkState::purge_node, both
+// agree with a reference matrix and with count() entry for entry, absent
+// pairs included.
 TEST(PairLedger, PairCountsAlignWithPartnersUnderChurn) {
   constexpr std::size_t kNodes = 12;
-  PairLedger ledger(kNodes);
+  sim::NetworkState state(graph::make_cycle(kNodes), 7, sim::TickConcurrency{});
+  PairLedger& ledger = state.ledger();
+  std::vector<std::vector<std::uint32_t>> expected(
+      kNodes, std::vector<std::uint32_t>(kNodes, 0));
   util::Rng rng(0xA11C);
+  const auto random_edges = [&] {
+    std::vector<graph::Edge> edges;
+    for (int e = 0; e < 8; ++e) {
+      const auto a = static_cast<NodeId>(rng.uniform_index(kNodes));
+      const auto b = static_cast<NodeId>((a + 1 + rng.uniform_index(kNodes - 1)) % kNodes);
+      edges.push_back({a, b});
+    }
+    return edges;
+  };
+  const auto expect_add = [&](NodeId a, NodeId b, std::uint32_t amount) {
+    expected[a][b] += amount;
+    expected[b][a] += amount;
+  };
   const auto check_rows = [&](int step) {
     for (NodeId x = 0; x < kNodes; ++x) {
       const auto partners = ledger.partners(x);
@@ -162,9 +182,20 @@ TEST(PairLedger, PairCountsAlignWithPartnersUnderChurn) {
       ASSERT_EQ(counts.size(), partners.size()) << "node " << x << " step " << step;
       for (std::size_t k = 0; k < partners.size(); ++k) {
         EXPECT_GT(counts[k], 0u);
-        EXPECT_EQ(counts[k], ledger.count(x, partners[k]))
+        EXPECT_EQ(counts[k], expected[x][partners[k]])
             << "node " << x << " slot " << k << " step " << step;
       }
+      const std::uint32_t* dense = ledger.dense_row(x);
+      ASSERT_NE(dense, nullptr);
+      for (NodeId y = 0; y < kNodes; ++y) {
+        if (y == x) continue;
+        EXPECT_EQ(dense[y], expected[x][y]) << "pair " << x << "," << y << " step " << step;
+        EXPECT_EQ(ledger.count(x, y), expected[x][y])
+            << "pair " << x << "," << y << " step " << step;
+      }
+      const auto live = static_cast<std::size_t>(std::count_if(
+          expected[x].begin(), expected[x].end(), [](std::uint32_t c) { return c > 0; }));
+      EXPECT_EQ(partners.size(), live) << "node " << x << " step " << step;
     }
   };
   for (int step = 0; step < 2000; ++step) {
@@ -173,22 +204,58 @@ TEST(PairLedger, PairCountsAlignWithPartnersUnderChurn) {
     if (y == x) y = static_cast<NodeId>((y + 1) % kNodes);
     const auto amount = static_cast<std::uint32_t>(1 + rng.uniform_index(3));
     if (step % 50 == 0) {
-      std::vector<graph::Edge> edges;
-      for (int e = 0; e < 8; ++e) {
-        const auto a = static_cast<NodeId>(rng.uniform_index(kNodes));
-        const auto b = static_cast<NodeId>((a + 1 + rng.uniform_index(kNodes - 1)) % kNodes);
-        edges.push_back({a, b});
-      }
+      const auto edges = random_edges();
       ledger.add_edges(edges, amount);
-    } else if (rng.bernoulli(0.5) || ledger.count(x, y) < amount) {
+      for (const graph::Edge& e : edges) expect_add(e.a(), e.b(), amount);
+    } else if (step % 50 == 10) {
+      const auto edges = random_edges();
+      std::vector<std::uint32_t> amounts;
+      for (std::size_t e = 0; e < edges.size(); ++e) {
+        amounts.push_back(static_cast<std::uint32_t>(rng.uniform_index(3)));
+      }
+      ledger.add_edges(edges, amounts);
+      for (std::size_t e = 0; e < edges.size(); ++e) {
+        expect_add(edges[e].a(), edges[e].b(), amounts[e]);
+      }
+    } else if (step % 50 == 20) {
+      const auto edges = random_edges();
+      std::vector<std::uint8_t> extra;
+      for (std::size_t e = 0; e < edges.size(); ++e) {
+        extra.push_back(rng.bernoulli(0.5) ? 1 : 0);
+      }
+      ledger.add_edges(edges, amount - 1, extra);
+      for (std::size_t e = 0; e < edges.size(); ++e) {
+        expect_add(edges[e].a(), edges[e].b(), amount - 1 + extra[e]);
+      }
+    } else if (step % 50 == 30) {
+      (void)state.purge_node(x);
+      for (NodeId z = 0; z < kNodes; ++z) expected[x][z] = expected[z][x] = 0;
+    } else if (rng.bernoulli(0.5) || expected[x][y] < amount) {
       ledger.add(x, y, amount);
+      expect_add(x, y, amount);
     } else {
       // Removing the whole count erases the entry from both rows.
-      ledger.remove(x, y, rng.bernoulli(0.3) ? ledger.count(x, y) : amount);
+      const std::uint32_t removed = rng.bernoulli(0.3) ? expected[x][y] : amount;
+      ledger.remove(x, y, removed);
+      expected[x][y] -= removed;
+      expected[y][x] -= removed;
     }
     check_rows(step);
   }
   EXPECT_THROW((void)ledger.pair_counts(static_cast<NodeId>(kNodes)), PreconditionError);
+  EXPECT_THROW((void)ledger.dense_row(static_cast<NodeId>(kNodes)), PreconditionError);
+}
+
+// The mirror exists exactly up to kFullReserveNodeLimit nodes, and the
+// logical memory accounting charges its 4 n^2 bytes.
+TEST(PairLedger, DenseRowOnlyUpToFullReserveLimit) {
+  const PairLedger at_limit(PairLedger::kFullReserveNodeLimit);
+  const PairLedger above(PairLedger::kFullReserveNodeLimit + 1);
+  EXPECT_NE(at_limit.dense_row(0), nullptr);
+  EXPECT_EQ(above.dense_row(0), nullptr);
+  EXPECT_EQ(above.dense_row(PairLedger::kFullReserveNodeLimit), nullptr);
+  const PairLedger small(3);
+  EXPECT_EQ(small.memory_bytes(), 56u * 3 + (PairLedger::kMinHistogramCap + 1) * 8u + 4u * 9);
 }
 
 TEST(PairLedger, MinimumPairCountFallsBackAboveHistogramCap) {

@@ -180,9 +180,27 @@ TEST(ParallelTickEngine, RunChunksAccumulatesChunkLoad) {
                       }
                     });
   EXPECT_EQ(load.chunks, 7u);  // ceil(100 / 16)
-  EXPECT_GE(load.total_ns, load.max_ns);
-  EXPECT_GT(load.max_ns, 0u);
+  // One dispatch: its slowest chunk times its 7 chunks bounds the total.
+  EXPECT_GE(load.weighted_max_ns, load.total_ns);
+  EXPECT_GT(load.total_ns, 0u);
   EXPECT_GE(load.imbalance(), 1.0);
+}
+
+// Imbalance is measured within each dispatch: single-chunk dispatches are
+// perfectly even however much their work differs from one another.
+TEST(ChunkLoad, SingleChunkDispatchesReportNoImbalance) {
+  ParallelTickEngine engine(1);
+  ChunkLoad load;
+  const auto spin = [](std::size_t iterations) {
+    return [iterations](std::size_t, std::size_t, unsigned) {
+      volatile std::uint64_t sink = 0;
+      for (std::size_t i = 0; i < iterations; ++i) sink = sink + i;
+    };
+  };
+  engine.run_chunks(1, 1, &load, spin(100));
+  engine.run_chunks(1, 1, &load, spin(1000000));
+  EXPECT_EQ(load.chunks, 2u);
+  EXPECT_EQ(load.imbalance(), 1.0);
 }
 
 TEST(ChunkLoad, EmptyLoadReportsZeroImbalance) {
