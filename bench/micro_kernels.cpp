@@ -1,8 +1,7 @@
 // Microbenchmarks for poqnet's hot kernels (google-benchmark).
 //
 // These guard the costs that dominate the figure harnesses: the §4
-// best-swap scan, ledger updates, shortest paths, the simplex solver and
-// the statevector kernels.
+// best-swap scan, ledger updates, shortest paths and the simplex solver.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -18,8 +17,6 @@
 #include "core/workload.hpp"
 #include "graph/shortest_path.hpp"
 #include "graph/topology.hpp"
-#include "quantum/circuits.hpp"
-#include "quantum/gates.hpp"
 #include "sim/network_state.hpp"
 #include "util/rng.hpp"
 
@@ -321,24 +318,5 @@ void BM_SteadyStateLpMinGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SteadyStateLpMinGeneration)->Arg(6)->Arg(10)->Arg(14)->Unit(benchmark::kMillisecond);
-
-void BM_StatevectorCnotLadder(benchmark::State& state) {
-  const auto qubits = static_cast<unsigned>(state.range(0));
-  quantum::Statevector sv(qubits);
-  sv.apply(quantum::gates::hadamard(), 0);
-  for (auto _ : state) {
-    for (unsigned q = 0; q + 1 < qubits; ++q) sv.apply_cnot(q, q + 1);
-    benchmark::DoNotOptimize(sv.amplitudes().data());
-  }
-}
-BENCHMARK(BM_StatevectorCnotLadder)->Arg(10)->Arg(16)->Arg(20);
-
-void BM_SwapChainFourHops(benchmark::State& state) {
-  util::Rng rng(11);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(quantum::swap_chain(4, {2, 1, 3}, rng));
-  }
-}
-BENCHMARK(BM_SwapChainFourHops);
 
 }  // namespace

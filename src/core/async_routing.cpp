@@ -66,13 +66,7 @@ class Driver {
       vp_.signals().reset_budget();
     }
     result_.control_messages = vp_.messages_sent();
-    if (fault_plan_) {
-      const sim::FaultStats& fault_stats = fault_plan_->stats();
-      result_.availability = fault_stats.availability();
-      result_.fault_rounds_degraded = fault_stats.degraded_rounds;
-      result_.node_crashes = fault_stats.node_crashes;
-      result_.link_downs = fault_stats.link_downs;
-    }
+    if (fault_plan_) result_.faults = fault_plan_->stats();
     return std::move(result_);
   }
 
@@ -87,10 +81,10 @@ class Driver {
   }
 
   /// Fault phase (serial): advance the plan, destroy crashed nodes' pairs
-  /// via the ledger's canonical remove path, track degraded episodes.
+  /// via the ledger's canonical remove path.
   void fault_phase() {
     if (!fault_plan_) return;
-    const std::vector<NodeId>& crashed = fault_plan_->advance(epoch_);
+    const std::vector<NodeId>& crashed = fault_plan_->advance(epoch_, now_);
     for (const NodeId x : crashed) {
       const std::span<const NodeId> row = ledger_.partners(x);
       purge_partners_.assign(row.begin(), row.end());
@@ -98,20 +92,11 @@ class Driver {
         const std::uint32_t count = ledger_.count(x, y);
         if (count == 0) continue;
         ledger_.remove(x, y, count);
-        result_.pairs_purged_by_faults += count;
+        fault_plan_->record_purged(count);
         vp_.signals().signal(y);  // its routing options shrank
       }
       vp_.signals().signal(x);
     }
-    const bool degraded = fault_plan_->degraded();
-    if (degraded) {
-      in_degraded_episode_ = true;
-    } else if (in_degraded_episode_) {
-      in_degraded_episode_ = false;
-      awaiting_recovery_ = true;
-      episode_end_ = now_;
-    }
-    round_degraded_ = degraded;
   }
 
   /// Deliver token handoffs: the apply kernel appends each arriving token
@@ -271,11 +256,7 @@ class Driver {
 
   void complete(const Token& token) {
     ++result_.requests_satisfied;
-    if (round_degraded_) ++result_.delivered_under_fault;
-    if (awaiting_recovery_) {
-      result_.time_to_recover.add(now_ - episode_end_);
-      awaiting_recovery_ = false;
-    }
+    if (fault_plan_) fault_plan_->record_delivery(now_);
     result_.request_latency.add(now_ - token.arrival_time);
     result_.request_hops.add(static_cast<double>(token.hops));
   }
@@ -304,10 +285,6 @@ class Driver {
   // Fault phase state (non-null only when config.faults.enabled()).
   std::unique_ptr<sim::FaultPlan> fault_plan_;
   std::vector<NodeId> purge_partners_;
-  bool round_degraded_ = false;
-  bool in_degraded_episode_ = false;
-  bool awaiting_recovery_ = false;
-  double episode_end_ = 0.0;
   AsyncRoutingResult result_;
 };
 
@@ -320,6 +297,8 @@ AsyncRoutingResult run_async_routing(const graph::Graph& generation_graph,
           "run_async_routing: need at least 2 nodes");
   require(config.latency_per_hop >= 0.0, "run_async_routing: negative latency");
   require(config.dt > 0.0, "run_async_routing: dt must be positive");
+  require(std::isfinite(config.duration) && config.duration > 0.0,
+          "run_async_routing: duration must be finite and positive");
   require(config.timeout > 0.0, "run_async_routing: timeout must be positive");
   require(config.arrival_rate >= 0.0, "run_async_routing: negative arrival rate");
   return Driver(generation_graph, workload, config).run();

@@ -85,16 +85,7 @@ void BalancingSimulation::fault_phase() {
   // canonical remove path (reader marks included).
   const std::vector<NodeId>& crashed = fault_plan_->advance(result_.rounds);
   for (const NodeId x : crashed) {
-    result_.pairs_purged_by_faults += state_.purge_node(x);
-  }
-  round_degraded_ = fault_plan_->degraded();
-  if (round_degraded_) {
-    in_degraded_episode_ = true;
-  } else if (in_degraded_episode_) {
-    // Episode over: measure rounds until delivery resumes.
-    in_degraded_episode_ = false;
-    awaiting_recovery_ = true;
-    episode_end_round_ = result_.rounds;
+    fault_plan_->record_purged(state_.purge_node(x));
   }
 }
 
@@ -186,12 +177,7 @@ void BalancingSimulation::consumption_phase() {
                     std::min(amount, ledger().count(pair.first, pair.second)));
     result_.pairs_consumed += amount;
     ++result_.requests_satisfied;
-    if (round_degraded_) ++result_.delivered_under_fault;
-    if (awaiting_recovery_) {
-      result_.time_to_recover.add(
-          static_cast<double>(result_.rounds - episode_end_round_));
-      awaiting_recovery_ = false;
-    }
+    if (fault_plan_) fault_plan_->record_delivery(result_.rounds);
     // Satisfied pairs are connected by construction (their count was
     // nonzero), so the hop lookup is total; the lazy oracle caches the
     // few rows the consumer set actually touches.

@@ -95,21 +95,11 @@ struct BalancingResult {
   /// requests that arrived, and the pending backlog when the run ended.
   std::uint64_t requests_arrived = 0;
   std::uint64_t backlog = 0;
-  /// Fault-injection resilience counters (all zero with availability 1
-  /// when faults are disabled — the historical metric set is untouched).
-  double availability = 1.0;
-  std::uint64_t fault_rounds_degraded = 0;
-  /// Requests satisfied during degraded rounds (the paper's
-  /// delivered-under-fault ordering reads this).
-  std::uint64_t delivered_under_fault = 0;
-  std::uint64_t node_crashes = 0;
-  std::uint64_t link_downs = 0;
-  std::uint64_t pairs_purged_by_faults = 0;
   /// Peak pending backlog over the run (streaming mode).
   std::uint64_t backlog_peak = 0;
-  /// Rounds from the end of each degraded episode to the next satisfied
-  /// request — how fast delivery recovers once the churn pauses.
-  util::RunningStats time_to_recover;
+  /// Fault-injection resilience record, in rounds (empty when faults are
+  /// disabled — the historical metric set is untouched).
+  sim::FaultStats faults;
   /// Cumulative wall-clock per phase kernel (observability only — outside
   /// the determinism contract).
   sim::PhaseTimers phase;
@@ -160,16 +150,10 @@ class BalancingSimulation {
   /// through it.
   [[nodiscard]] sim::NetworkState& state() { return state_; }
   /// Result snapshot; syncs the per-phase timers from the substrate and
-  /// the resilience counters from the fault plan.
+  /// the resilience record from the fault plan.
   [[nodiscard]] const BalancingResult& result() {
     result_.phase = state_.timers();
-    if (fault_plan_) {
-      const sim::FaultStats& fault_stats = fault_plan_->stats();
-      result_.availability = fault_stats.availability();
-      result_.fault_rounds_degraded = fault_stats.degraded_rounds;
-      result_.node_crashes = fault_stats.node_crashes;
-      result_.link_downs = fault_stats.link_downs;
-    }
+    if (fault_plan_) result_.faults = fault_plan_->stats();
     return result_;
   }
   [[nodiscard]] const MaxMinBalancer& balancer() const { return balancer_; }
@@ -224,10 +208,6 @@ class BalancingSimulation {
   std::size_t pool_size_ = 0;
   // Fault phase state (engaged only when config.faults.enabled()).
   std::optional<sim::FaultPlan> fault_plan_;
-  bool round_degraded_ = false;
-  bool in_degraded_episode_ = false;
-  bool awaiting_recovery_ = false;
-  std::uint32_t episode_end_round_ = 0;
 };
 
 /// Convenience wrapper: build the simulation and run to completion.

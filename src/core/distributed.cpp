@@ -226,13 +226,7 @@ class Driver {
       if (epoch % retry_epochs == 0) try_offer();
       vp_.signals().reset_budget();
     }
-    if (fault_plan_) {
-      const sim::FaultStats& fault_stats = fault_plan_->stats();
-      result_.availability = fault_stats.availability();
-      result_.fault_rounds_degraded = fault_stats.degraded_rounds;
-      result_.node_crashes = fault_stats.node_crashes;
-      result_.link_downs = fault_stats.link_downs;
-    }
+    if (fault_plan_) result_.faults = fault_plan_->stats();
     return std::move(result_);
   }
 
@@ -262,17 +256,8 @@ class Driver {
 
   void fault_phase() {
     if (!fault_plan_) return;
-    const std::vector<NodeId>& crashed = fault_plan_->advance(epoch_);
+    const std::vector<NodeId>& crashed = fault_plan_->advance(epoch_, now_);
     for (const NodeId x : crashed) purge_crashed(x);
-    const bool degraded = fault_plan_->degraded();
-    if (degraded) {
-      in_degraded_episode_ = true;
-    } else if (in_degraded_episode_) {
-      in_degraded_episode_ = false;
-      awaiting_recovery_ = true;
-      episode_end_ = now_;
-    }
-    round_degraded_ = degraded;
   }
 
   /// Crash purge: measure every qubit x holds. Heralded loss — the *true*
@@ -295,7 +280,7 @@ class Driver {
       nodes_[x].forget(q);
       if (nodes_[far_holder].knows(far)) nodes_[far_holder].forget(far);
       mark_serial(far_holder);
-      ++result_.pairs_purged_by_faults;
+      fault_plan_->record_purged(1);
     }
     mark_serial(x);
   }
@@ -395,11 +380,7 @@ class Driver {
       initiator.forget(offered_qubit_);
       offered_qubit_ = kDead;
       ++result_.requests_satisfied;
-      if (round_degraded_) ++result_.delivered_under_fault;
-      if (awaiting_recovery_) {
-        result_.time_to_recover.add(now_ - episode_end_);
-        awaiting_recovery_ = false;
-      }
+      if (fault_plan_) fault_plan_->record_delivery(now_);
       result_.request_latency.add(now_ - head_since_);
       ++head_;
       head_since_ = now_;
@@ -684,10 +665,6 @@ class Driver {
   std::vector<std::uint64_t> born_scratch_;
   // Fault phase state (non-null only when config.faults.enabled()).
   std::unique_ptr<sim::FaultPlan> fault_plan_;
-  bool round_degraded_ = false;
-  bool in_degraded_episode_ = false;
-  bool awaiting_recovery_ = false;
-  double episode_end_ = 0.0;
   DistributedResult result_;
 };
 
@@ -700,6 +677,8 @@ DistributedResult run_distributed(const graph::Graph& generation_graph,
   require(n >= 3, "run_distributed: need at least 3 nodes");
   require(config.latency_per_hop >= 0.0, "run_distributed: negative latency");
   require(config.dt > 0.0, "run_distributed: dt must be positive");
+  require(std::isfinite(config.duration) && config.duration > 0.0,
+          "run_distributed: duration must be finite and positive");
   return Driver(generation_graph, workload, config).run();
 }
 

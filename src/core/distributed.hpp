@@ -83,17 +83,9 @@ struct DistributedResult {
   /// Age (time units) of the beneficiary views used at swap decisions.
   util::RunningStats decision_view_age;
 
-  /// Fault-injection resilience counters (zero / availability 1 when
+  /// Fault-injection resilience record, in simulated time (empty when
   /// faults are disabled — the historical metric set is untouched).
-  double availability = 1.0;
-  std::uint64_t fault_rounds_degraded = 0;
-  std::uint64_t delivered_under_fault = 0;
-  std::uint64_t node_crashes = 0;
-  std::uint64_t link_downs = 0;
-  std::uint64_t pairs_purged_by_faults = 0;
-  /// Simulated time from the end of each degraded episode to the next
-  /// satisfied request.
-  util::RunningStats time_to_recover;
+  sim::FaultStats faults;
 
   [[nodiscard]] double stale_swap_fraction() const {
     return swaps == 0 ? 0.0

@@ -38,25 +38,9 @@ struct Consumer {
   const FidelitySimConfig& config;
   sim::NetworkState& state;
   FidelitySimResult& result;
+  sim::FaultPlan* fault_plan = nullptr;
   std::size_t head = 0;
   double head_since = 0.0;
-  // Fault-episode tracking (fed once per slice by note_fault_round).
-  bool degraded_now = false;
-  bool in_degraded_episode = false;
-  bool awaiting_recovery = false;
-  double episode_end = 0.0;
-
-  /// Record this fault round's degraded flag and episode boundaries.
-  void note_fault_round(bool degraded, double now) {
-    degraded_now = degraded;
-    if (degraded) {
-      in_degraded_episode = true;
-    } else if (in_degraded_episode) {
-      in_degraded_episode = false;
-      awaiting_recovery = true;
-      episode_end = now;
-    }
-  }
 
   void try_consume(double now) {
     while (head < workload.request_count()) {
@@ -71,11 +55,7 @@ struct Consumer {
       result.storage_age_at_use.add(now - used.created);
       result.request_latency.add(now - head_since);
       ++result.requests_satisfied;
-      if (degraded_now) ++result.delivered_under_fault;
-      if (awaiting_recovery) {
-        result.time_to_recover.add(now - episode_end);
-        awaiting_recovery = false;
-      }
+      if (fault_plan != nullptr) fault_plan->record_delivery(now);
       ++head;
       head_since = now;
     }
@@ -116,7 +96,8 @@ FidelitySimResult run_fidelity_sim(const graph::Graph& generation_graph,
                                    const FidelitySimConfig& config) {
   require(config.raw_fidelity > config.usable_fidelity,
           "fidelity_sim: raw pairs must be usable when fresh");
-  require(config.duration > 0.0, "fidelity_sim: duration must be positive");
+  require(std::isfinite(config.duration) && config.duration > 0.0,
+          "fidelity_sim: duration must be finite and positive");
   require(config.scan_rate > 0.0, "fidelity_sim: scan rate must be positive");
   require(generation_graph.node_count() >= 3, "fidelity_sim: need at least 3 nodes");
   const std::size_t n = generation_graph.node_count();
@@ -127,8 +108,6 @@ FidelitySimResult run_fidelity_sim(const graph::Graph& generation_graph,
   // marking for the cached best_swap can skip sub-threshold mutations.
   state.ledger().set_reader_threshold(2);
   FidelitySimResult result;
-  Consumer consumer{workload, config, state, result};
-  const bool freshest = config.policy == PairingPolicy::kFreshest;
 
   // Fault plan: one fault round per slice. Advanced serially at the slice
   // start, so every shard reads the same up/down masks and rate factor.
@@ -136,6 +115,9 @@ FidelitySimResult run_fidelity_sim(const graph::Graph& generation_graph,
   if (config.faults.enabled()) {
     fault_plan.emplace(generation_graph, config.faults, config.seed);
   }
+  Consumer consumer{workload, config, state, result,
+                    fault_plan ? &*fault_plan : nullptr};
+  const bool freshest = config.policy == PairingPolicy::kFreshest;
 
   // Slice width is a quarter of the mean scan interval; it is a semantic
   // constant of the slice discipline, not a tuning knob.
@@ -181,15 +163,14 @@ FidelitySimResult run_fidelity_sim(const graph::Graph& generation_graph,
     const double t1 = std::min(config.duration, t0 + dt);
     const double span = t1 - t0;
 
-    // 0. Fault phase (serial): advance the plan to this slice, destroy
-    // crashed nodes' stored pairs (purged, not decayed), note episode
-    // boundaries for the consumer.
+    // 0. Fault phase (serial): advance the plan to this slice, whose
+    // episode time is its start, and destroy crashed nodes' stored pairs
+    // (purged, not decayed).
     if (fault_plan) {
-      const std::vector<NodeId>& crashed = fault_plan->advance(s);
+      const std::vector<NodeId>& crashed = fault_plan->advance(s, t0);
       for (const NodeId x : crashed) {
-        result.pairs_purged_by_faults += state.purge_node(x);
+        fault_plan->record_purged(state.purge_node(x));
       }
-      consumer.note_fault_round(fault_plan->degraded(), t0);
     }
     const bool masked = fault_plan && fault_plan->any_edge_down();
     const double generation_rate =
@@ -360,13 +341,7 @@ FidelitySimResult run_fidelity_sim(const graph::Graph& generation_graph,
 
   result.pairs_in_storage_at_end = state.ledger().total_pairs();
   result.phase = state.timers();
-  if (fault_plan) {
-    const sim::FaultStats& fault_stats = fault_plan->stats();
-    result.availability = fault_stats.availability();
-    result.fault_rounds_degraded = fault_stats.degraded_rounds;
-    result.node_crashes = fault_stats.node_crashes;
-    result.link_downs = fault_stats.link_downs;
-  }
+  if (fault_plan) result.faults = fault_plan->stats();
   return result;
 }
 

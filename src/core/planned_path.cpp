@@ -75,10 +75,6 @@ PlannedPathResult run_planned_path(const graph::Graph& generation_graph,
   if (config.faults.enabled()) {
     fault_plan.emplace(generation_graph, config.faults, config.seed);
   }
-  bool round_degraded = false;
-  bool in_degraded_episode = false;
-  bool awaiting_recovery = false;
-  std::uint32_t episode_end_round = 0;
 
   sim::ParallelTickEngine pool(config.tick.threads);
   const std::size_t shard_count =
@@ -127,12 +123,7 @@ PlannedPathResult run_planned_path(const graph::Graph& generation_graph,
   const auto complete = [&](Connection& connection) {
     result.swaps_performed += connection.swap_count;
     ++result.requests_satisfied;
-    if (round_degraded) ++result.delivered_under_fault;
-    if (awaiting_recovery) {
-      result.time_to_recover.add(
-          static_cast<double>(result.rounds - episode_end_round));
-      awaiting_recovery = false;
-    }
+    if (fault_plan) fault_plan->record_delivery(result.rounds);
     result.service_rounds.add(
         static_cast<double>(result.rounds - connection.admitted_round));
     const auto hops = static_cast<std::uint32_t>(connection.edge_indices.size());
@@ -150,32 +141,24 @@ PlannedPathResult run_planned_path(const graph::Graph& generation_graph,
 
     // 0. Fault phase: advance the plan, destroy the raw pairs buffered at
     //    a crashed node's links (claimed pairs included — the in-flight
-    //    demand resets), track degraded episodes. Serial, keyed streams:
-    //    the trajectory is identical at every threads/shards setting.
+    //    demand resets). Serial, keyed streams: the trajectory is
+    //    identical at every threads/shards setting.
     if (fault_plan) {
       const std::vector<NodeId>& crashed = fault_plan->advance(result.rounds);
       for (const NodeId x : crashed) {
         for (const NodeId y : generation_graph.neighbors(x)) {
           const std::size_t e = *generation_graph.edge_index(x, y);
-          result.pairs_purged_by_faults += static_cast<std::uint64_t>(buffer[e]);
+          fault_plan->record_purged(static_cast<std::uint64_t>(buffer[e]));
           buffer[e] = 0.0;
           for (Connection& connection : active) {
             for (std::size_t k = 0; k < connection.edge_indices.size(); ++k) {
               if (connection.edge_indices[k] != e) continue;
-              result.pairs_purged_by_faults += static_cast<std::uint64_t>(
-                  connection.demand[k] - connection.remaining[k]);
+              fault_plan->record_purged(static_cast<std::uint64_t>(
+                  connection.demand[k] - connection.remaining[k]));
               connection.remaining[k] = connection.demand[k];
             }
           }
         }
-      }
-      round_degraded = fault_plan->degraded();
-      if (round_degraded) {
-        in_degraded_episode = true;
-      } else if (in_degraded_episode) {
-        in_degraded_episode = false;
-        awaiting_recovery = true;
-        episode_end_round = result.rounds;
       }
     }
 
@@ -238,13 +221,7 @@ PlannedPathResult run_planned_path(const graph::Graph& generation_graph,
     }
   }
 
-  if (fault_plan) {
-    const sim::FaultStats& fault_stats = fault_plan->stats();
-    result.availability = fault_stats.availability();
-    result.fault_rounds_degraded = fault_stats.degraded_rounds;
-    result.node_crashes = fault_stats.node_crashes;
-    result.link_downs = fault_stats.link_downs;
-  }
+  if (fault_plan) result.faults = fault_plan->stats();
   result.completed = result.requests_satisfied == workload.request_count();
   return result;
 }

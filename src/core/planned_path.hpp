@@ -78,17 +78,9 @@ struct PlannedPathResult {
   double denominator_exact = 0.0;
   /// Rounds from admission to completion per request.
   util::RunningStats service_rounds;
-  /// Fault-injection resilience counters (zero / availability 1 when
-  /// faults are disabled — the historical metric set is untouched).
-  double availability = 1.0;
-  std::uint64_t fault_rounds_degraded = 0;
-  std::uint64_t delivered_under_fault = 0;
-  std::uint64_t node_crashes = 0;
-  std::uint64_t link_downs = 0;
-  std::uint64_t pairs_purged_by_faults = 0;
-  /// Rounds from the end of each degraded episode to the next completed
-  /// request.
-  util::RunningStats time_to_recover;
+  /// Fault-injection resilience record, in rounds (empty when faults are
+  /// disabled — the historical metric set is untouched).
+  sim::FaultStats faults;
 
   [[nodiscard]] double swap_overhead_paper() const {
     return denominator_paper > 0.0 ? swaps_performed / denominator_paper : 0.0;

@@ -12,6 +12,7 @@
 //     "starved" (1 when no satisfied request was costed), and overhead
 //     metrics only when the denominator is positive, so sweep aggregation
 //     reproduces the benches' starved-cell semantics.
+#include <limits>
 #include <memory>
 
 #include "core/async_routing.hpp"
@@ -50,16 +51,24 @@ std::vector<KnobSpec> tick_knobs() {
   };
 }
 
+/// An integer knob narrowed to uint32 only after checking it lies in
+/// [lo, hi]; a bare cast would wrap -1 to 2^32 - 1 and 2^32 + 1 to 1.
+std::uint32_t knob_u32(const ScenarioSpec& spec, const std::string& name,
+                       std::int64_t fallback, std::int64_t lo,
+                       std::int64_t hi = std::numeric_limits<std::uint32_t>::max()) {
+  const std::int64_t value = spec.knob_int(name, fallback);
+  if (value < lo || value > hi) {
+    throw PreconditionError(util::str_cat("knob '", name, "' must be in [", lo,
+                                          ", ", hi, "], got ", value));
+  }
+  return static_cast<std::uint32_t>(value);
+}
+
 sim::TickConcurrency tick_from_spec(const std::string& protocol,
                                     const ScenarioSpec& spec) {
   sim::TickConcurrency tick;
-  const std::int64_t threads = spec.knob_int("threads", 1);
-  require(threads >= 0 && threads <= 4096,
-          "knob 'threads' must be in [0, 4096]");
-  tick.threads = static_cast<std::uint32_t>(threads);
-  const std::int64_t shards = spec.knob_int("shards", 0);
-  require(shards >= 0 && shards <= 1 << 20, "knob 'shards' must be >= 0");
-  tick.shards = static_cast<std::uint32_t>(shards);
+  tick.threads = knob_u32(spec, "threads", 1, 0, 4096);
+  tick.shards = knob_u32(spec, "shards", 0, 0, 1 << 20);
   const std::string decide = spec.knob_string("decide", "incremental");
   if (decide == "incremental") {
     tick.incremental_decide = true;
@@ -109,22 +118,20 @@ sim::FaultConfig fault_config_from_spec(const ScenarioSpec& spec) {
 /// Resilience metrics, emitted only when faults are engaged so fault-free
 /// runs (and every committed baseline) keep their historical metric set
 /// byte for byte — the same conditional-emission discipline as the
-/// streaming counters. Works on any family Result carrying the shared
-/// resilience field set.
-template <typename Result>
+/// streaming counters.
 void add_fault_metrics(RunMetrics& metrics, const sim::FaultConfig& config,
-                       const Result& result) {
+                       const sim::FaultStats& faults) {
   if (!config.enabled()) return;
-  metrics.set_scalar("availability", result.availability);
+  metrics.set_scalar("availability", faults.availability());
   metrics.set_scalar("fault_rounds_degraded",
-                     static_cast<double>(result.fault_rounds_degraded));
+                     static_cast<double>(faults.degraded_rounds));
   metrics.set_scalar("delivered_under_fault",
-                     static_cast<double>(result.delivered_under_fault));
-  metrics.set_scalar("node_crashes", static_cast<double>(result.node_crashes));
-  metrics.set_scalar("link_downs", static_cast<double>(result.link_downs));
+                     static_cast<double>(faults.delivered_under_fault));
+  metrics.set_scalar("node_crashes", static_cast<double>(faults.node_crashes));
+  metrics.set_scalar("link_downs", static_cast<double>(faults.link_downs));
   metrics.set_scalar("pairs_purged_by_faults",
-                     static_cast<double>(result.pairs_purged_by_faults));
-  metrics.set_stats("time_to_recover", result.time_to_recover);
+                     static_cast<double>(faults.pairs_purged_by_faults));
+  metrics.set_stats("time_to_recover", faults.time_to_recover);
 }
 
 /// Surface the phase-kernel wall-clock (RunMetrics timings; excluded from
@@ -186,7 +193,7 @@ void add_balancing_metrics(RunMetrics& metrics, const core::BalancingResult& res
 void add_balancing_fault_metrics(RunMetrics& metrics,
                                  const sim::FaultConfig& config,
                                  const core::BalancingResult& result) {
-  add_fault_metrics(metrics, config, result);
+  add_fault_metrics(metrics, config, result.faults);
   if (config.enabled()) {
     metrics.set_scalar("backlog_peak", static_cast<double>(result.backlog_peak));
   }
@@ -195,14 +202,12 @@ void add_balancing_fault_metrics(RunMetrics& metrics,
 core::BalancingConfig balancing_config(const ScenarioSpec& spec) {
   core::BalancingConfig config;
   config.distillation = spec.knob_double("distillation", 1.0);
-  config.max_rounds = static_cast<std::uint32_t>(spec.knob_int("max-rounds", 50000));
-  config.swaps_per_node_per_round =
-      static_cast<std::uint32_t>(spec.knob_int("swap-rate", 1));
+  config.max_rounds = knob_u32(spec, "max-rounds", 50000, 0);
+  config.swaps_per_node_per_round = knob_u32(spec, "swap-rate", 1, 0);
   config.generation_per_edge_per_round = spec.knob_double("generation-rate", 1.0);
   config.seed = spec.seed;
-  const std::int64_t detour_slack = spec.knob_int("detour-slack", -1);
-  if (detour_slack >= 0) {
-    config.policy.detour_slack = static_cast<std::uint32_t>(detour_slack);
+  if (spec.knob_int("detour-slack", -1) != -1) {  // -1 = unrestricted
+    config.policy.detour_slack = knob_u32(spec, "detour-slack", -1, 0);
   }
   config.arrival_rate = spec.knob_double("arrival-rate", 0.0);
   const std::int64_t consumer_pool = spec.knob_int("consumer-pool", 0);
@@ -297,9 +302,8 @@ class PlannedProtocol final : public Protocol {
   RunMetrics run(const ScenarioSpec& spec) const override {
     core::PlannedPathConfig config;
     config.distillation = spec.knob_double("distillation", 1.0);
-    config.window = static_cast<std::uint32_t>(spec.knob_int("window", 4));
-    config.max_rounds =
-        static_cast<std::uint32_t>(spec.knob_int("max-rounds", 200000));
+    config.window = knob_u32(spec, "window", 4, 1);
+    config.max_rounds = knob_u32(spec, "max-rounds", 200000, 0);
     config.seed = spec.seed;
     config.tick = tick_from_spec("planned", spec);
     config.faults = fault_config_from_spec(spec);
@@ -328,7 +332,7 @@ class PlannedProtocol final : public Protocol {
                          result.denominator_exact);
     metrics.set_scalar("mean_service", result.service_rounds.mean());
     metrics.set_stats("service_rounds", result.service_rounds);
-    add_fault_metrics(metrics, config.faults, result);
+    add_fault_metrics(metrics, config.faults, result.faults);
     return metrics;
   }
 };
@@ -349,8 +353,7 @@ class HybridProtocol final : public Protocol {
     core::HybridConfig config;
     config.base = balancing_config(spec);
     config.base.tick = tick_from_spec("hybrid", spec);
-    config.max_assist_hops =
-        static_cast<std::uint32_t>(spec.knob_int("max-assist-hops", 8));
+    config.max_assist_hops = knob_u32(spec, "max-assist-hops", 8, 0);
     const ScenarioInstance instance = instantiate(spec);
     const core::HybridResult result =
         core::run_hybrid(instance.graph, instance.workload, config);
@@ -386,7 +389,7 @@ class GossipProtocol final : public Protocol {
     core::GossipConfig config;
     config.base = balancing_config(spec);
     config.base.tick = tick_from_spec("gossip", spec);
-    config.fanout = static_cast<std::uint32_t>(spec.knob_int("fanout", 2));
+    config.fanout = knob_u32(spec, "fanout", 2, 1);
     config.optimistic_peer = spec.knob_bool("optimistic-peer", true);
     config.latency_per_hop = spec.knob_double("latency", 1.0);
     const ScenarioInstance instance = instantiate(spec);
@@ -451,7 +454,7 @@ class DistributedProtocol final : public Protocol {
                        static_cast<double>(result.pairs_generated));
     metrics.set_stats("request_latency", result.request_latency);
     metrics.set_stats("decision_view_age", result.decision_view_age);
-    add_fault_metrics(metrics, config.faults, result);
+    add_fault_metrics(metrics, config.faults, result.faults);
     return metrics;
   }
 };
@@ -511,7 +514,7 @@ class AsyncRoutingProtocol final : public Protocol {
                        static_cast<double>(result.control_messages));
     metrics.set_stats("request_latency", result.request_latency);
     metrics.set_stats("request_hops", result.request_hops);
-    add_fault_metrics(metrics, config.faults, result);
+    add_fault_metrics(metrics, config.faults, result.faults);
     return metrics;
   }
 };
@@ -580,7 +583,7 @@ class FidelityProtocol final : public Protocol {
     metrics.set_stats("request_latency", result.request_latency);
     metrics.set_stats("storage_age_at_use", result.storage_age_at_use);
     add_phase_timings(metrics, result.phase);
-    add_fault_metrics(metrics, config.faults, result);
+    add_fault_metrics(metrics, config.faults, result.faults);
     return metrics;
   }
 };

@@ -126,7 +126,8 @@ void FaultPlan::refresh_edges() {
   }
 }
 
-const std::vector<core::NodeId>& FaultPlan::advance(std::uint64_t round) {
+const std::vector<core::NodeId>& FaultPlan::advance(std::uint64_t round,
+                                                    double now) {
   crashed_.clear();
 
   // 1. Scripted events stamped with this round, in canonical order.
@@ -192,10 +193,25 @@ const std::vector<core::NodeId>& FaultPlan::advance(std::uint64_t round) {
                                 link_up_.size() - links_down_) /
                 entities
           : 1.0;
-  if (degraded()) ++stats_.degraded_rounds;
+  if (degraded()) {
+    ++stats_.degraded_rounds;
+    in_episode_ = true;
+  } else if (in_episode_) {
+    in_episode_ = false;
+    awaiting_recovery_ = true;
+    episode_end_ = now;
+  }
 
   std::sort(crashed_.begin(), crashed_.end());
   return crashed_;
+}
+
+void FaultPlan::record_delivery(double now) {
+  if (degraded()) ++stats_.delivered_under_fault;
+  if (awaiting_recovery_) {
+    stats_.time_to_recover.add(now - episode_end_);
+    awaiting_recovery_ = false;
+  }
 }
 
 }  // namespace poq::sim

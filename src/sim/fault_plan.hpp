@@ -87,7 +87,8 @@ struct FaultConfig {
   }
 };
 
-/// Cumulative resilience accounting over the advanced rounds.
+/// The run's one resilience record: the plan's own accounting over the
+/// advanced rounds plus the deliveries and purges the driver reports.
 struct FaultStats {
   std::uint64_t rounds = 0;
   /// Sum over rounds of (up nodes + up links) / (nodes + links).
@@ -95,6 +96,14 @@ struct FaultStats {
   std::uint64_t degraded_rounds = 0;
   std::uint64_t node_crashes = 0;
   std::uint64_t link_downs = 0;
+  /// Deliveries made during degraded rounds (the paper's
+  /// delivered-under-fault ordering reads this).
+  std::uint64_t delivered_under_fault = 0;
+  /// Stored pairs destroyed by node crashes.
+  std::uint64_t pairs_purged_by_faults = 0;
+  /// Episode time from the end of each degraded episode to the next
+  /// delivery: how fast delivery recovers once the churn pauses.
+  util::RunningStats time_to_recover;
 
   /// Mean per-round fraction of up entities (1 when never advanced).
   [[nodiscard]] double availability() const {
@@ -114,10 +123,22 @@ class FaultPlan {
   /// Advance the mask to `round` (serial phase; rounds must be passed in
   /// strictly increasing order). Applies scripted events stamped with
   /// this round, then the stochastic transitions, then refreshes the
-  /// derived edge availability and the round's rate factor. Returns the
-  /// nodes that crashed this round (ascending) — the caller purges their
-  /// stored pairs.
-  const std::vector<core::NodeId>& advance(std::uint64_t round);
+  /// derived edge availability and the round's rate factor. A clean round
+  /// after a degraded one ends the episode at `now`, the driver's episode
+  /// time. Returns the nodes that crashed this round (ascending) — the
+  /// caller purges their stored pairs and reports them to record_purged.
+  const std::vector<core::NodeId>& advance(std::uint64_t round, double now);
+  const std::vector<core::NodeId>& advance(std::uint64_t round) {
+    return advance(round, static_cast<double>(round));
+  }
+
+  /// A delivery at episode time `now`: counts toward delivered_under_fault
+  /// while the round is degraded, and the first one after an episode ends
+  /// samples time_to_recover.
+  void record_delivery(double now);
+  void record_purged(std::uint64_t count) {
+    stats_.pairs_purged_by_faults += count;
+  }
 
   [[nodiscard]] bool node_up(core::NodeId x) const {
     return node_up_[x] != 0;
@@ -160,6 +181,11 @@ class FaultPlan {
   double scripted_rate_factor_ = 1.0;
   double rate_factor_ = 1.0;
   FaultStats stats_;
+  // Degraded-episode state: set while rounds stay degraded; the first
+  // clean round stamps episode_end_ and arms the recovery clock.
+  bool in_episode_ = false;
+  bool awaiting_recovery_ = false;
+  double episode_end_ = 0.0;
   std::vector<core::NodeId> crashed_;
   /// Batched per-entity hazard flags (fail/recover thresholds over the
   /// same keyed stream element), reused every round.

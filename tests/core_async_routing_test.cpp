@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/workload.hpp"
 #include "graph/topology.hpp"
 #include "util/error.hpp"
@@ -128,6 +130,28 @@ TEST(AsyncRouting, RejectsBadInputs) {
   EXPECT_THROW(
       [&] { (void)run_async_routing(graph, workload, zero_timeout); }(),
       PreconditionError);
+}
+
+/// run_async_routing derives its epoch count from duration / dt, so a negative,
+/// NaN or infinite duration must be rejected up front.
+void expect_duration_rejected(double duration) {
+  const graph::Graph graph = graph::make_cycle(6);
+  Workload workload;
+  workload.pairs = {NodePair(0, 3)};
+  workload.sequence = {0};
+  AsyncRoutingConfig config = base_config();
+  config.duration = duration;
+  EXPECT_THROW((void)run_async_routing(graph, workload, config), PreconditionError);
+}
+
+TEST(AsyncRouting, RejectsNegativeDuration) { expect_duration_rejected(-5.0); }
+
+TEST(AsyncRouting, RejectsNanDuration) {
+  expect_duration_rejected(std::numeric_limits<double>::quiet_NaN());
+}
+
+TEST(AsyncRouting, RejectsInfiniteDuration) {
+  expect_duration_rejected(std::numeric_limits<double>::infinity());
 }
 
 }  // namespace

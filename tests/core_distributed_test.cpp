@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/workload.hpp"
 #include "graph/topology.hpp"
 #include "util/error.hpp"
@@ -138,6 +140,28 @@ TEST(Distributed, RejectsBadInputs) {
   negative.latency_per_hop = -1.0;
   EXPECT_THROW([&] { (void)run_distributed(graph, workload, negative); }(),
                PreconditionError);
+}
+
+/// run_distributed derives its epoch count from duration / dt, so a negative,
+/// NaN or infinite duration must be rejected up front.
+void expect_duration_rejected(double duration) {
+  const graph::Graph graph = graph::make_cycle(6);
+  Workload workload;
+  workload.pairs = {NodePair(0, 3)};
+  workload.sequence = {0};
+  DistributedConfig config = base_config();
+  config.duration = duration;
+  EXPECT_THROW((void)run_distributed(graph, workload, config), PreconditionError);
+}
+
+TEST(Distributed, RejectsNegativeDuration) { expect_duration_rejected(-5.0); }
+
+TEST(Distributed, RejectsNanDuration) {
+  expect_duration_rejected(std::numeric_limits<double>::quiet_NaN());
+}
+
+TEST(Distributed, RejectsInfiniteDuration) {
+  expect_duration_rejected(std::numeric_limits<double>::infinity());
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/workload.hpp"
 #include "graph/topology.hpp"
 #include "util/error.hpp"
@@ -141,6 +143,26 @@ TEST(FidelitySim, RejectsBadConfig) {
   EXPECT_THROW(
       [&] { (void)run_fidelity_sim(graph, near_and_far_workload(), zero); }(),
       PreconditionError);
+}
+
+/// The slice count is ceil(duration / dt), so a negative, NaN or
+/// infinite duration must be rejected up front.
+void expect_duration_rejected(double duration) {
+  const graph::Graph graph = graph::make_cycle(6);
+  FidelitySimConfig config = base_config();
+  config.duration = duration;
+  EXPECT_THROW((void)run_fidelity_sim(graph, near_and_far_workload(), config),
+               PreconditionError);
+}
+
+TEST(FidelitySim, RejectsNegativeDuration) { expect_duration_rejected(-5.0); }
+
+TEST(FidelitySim, RejectsNanDuration) {
+  expect_duration_rejected(std::numeric_limits<double>::quiet_NaN());
+}
+
+TEST(FidelitySim, RejectsInfiniteDuration) {
+  expect_duration_rejected(std::numeric_limits<double>::infinity());
 }
 
 }  // namespace

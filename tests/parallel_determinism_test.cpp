@@ -263,18 +263,21 @@ TEST(ParallelDeterminism, StreamingArrivalsStayDeterministic) {
 }
 
 TEST(ParallelDeterminism, FaultChurnStaysDeterministic) {
-  // Node + link churn plus rate degradation on the three protocols whose
-  // fault phases stress different machinery (ledger purges + generation
-  // masks, gossip's message substrate, the fidelity event engine): the
-  // fault trajectory comes from its own keyed streams, so the full
-  // resilience metric set — crashes, purges, availability, recovery
-  // timings in simulated time — must be bit-identical across the
-  // acceptance grid threads {1,2,8} x shards {1,3,16}.
-  for (const std::string protocol : {"balancing", "gossip", "fidelity"}) {
+  // Node + link churn plus rate degradation on every simulating protocol
+  // (ledger purges + generation masks, planned's edge buffers, gossip's
+  // message substrate, the fidelity event engine, the vertex-program
+  // drivers): the fault trajectory comes from its own keyed streams, so
+  // the full resilience metric set — crashes, purges, availability,
+  // recovery timings in rounds or simulated time — must be bit-identical
+  // across the acceptance grid threads {1,2,8} x shards {1,3,16}.
+  for (const std::string& protocol : kPortedProtocols) {
     ScenarioSpec spec = base_spec(protocol, 16);
     spec.consumer_pairs = 10;
     spec.requests = 30;
-    if (protocol == "fidelity") spec.knobs["duration"] = 40.0;
+    if (protocol == "fidelity" || protocol == "distributed" ||
+        protocol == "async_routing") {
+      spec.knobs["duration"] = 40.0;
+    }
     spec.knobs["fault-node-mtbf"] = 50.0;
     spec.knobs["fault-node-mttr"] = 6.0;
     spec.knobs["fault-link-mtbf"] = 30.0;

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "core/balancing_sim.hpp"
 #include "core/planned_path.hpp"
@@ -98,6 +100,56 @@ TEST(Registry, SameSpecSameMetrics) {
   for (std::size_t i = 0; i < a.scalars().size(); ++i) {
     EXPECT_EQ(a.scalars()[i].first, b.scalars()[i].first);
     EXPECT_EQ(a.scalars()[i].second, b.scalars()[i].second);  // bit-identical
+  }
+}
+
+/// Whether running `protocol` with `knob` = `value` fails with a
+/// PreconditionError that names the knob.
+bool knob_rejected(const std::string& protocol, const std::string& knob,
+                   std::int64_t value) {
+  ScenarioSpec spec = small_spec(protocol);
+  spec.knobs[knob] = value;
+  try {
+    (void)registry().run(protocol, spec);
+  } catch (const PreconditionError& error) {
+    return std::string(error.what()).find("'" + knob + "'") != std::string::npos;
+  }
+  return false;
+}
+
+TEST(Registry, UnsignedKnobsRejectNegativeAndOversizedValues) {
+  // A bare narrowing cast would wrap -1 to 2^32 - 1 (a fanout that never
+  // finishes a round) and 2^32 + 1 to 1 (a one-round run).
+  constexpr std::int64_t kWrapsToOne = (std::int64_t{1} << 32) + 1;
+  const std::pair<const char*, const char*> knobs[] = {
+      {"balancing", "max-rounds"},  {"balancing", "swap-rate"},
+      {"planned", "max-rounds"},    {"planned", "window"},
+      {"hybrid", "max-assist-hops"}, {"gossip", "fanout"},
+      {"balancing", "threads"},     {"balancing", "shards"},
+  };
+  for (const auto& [protocol, knob] : knobs) {
+    EXPECT_TRUE(knob_rejected(protocol, knob, -1)) << protocol << " " << knob;
+    EXPECT_TRUE(knob_rejected(protocol, knob, kWrapsToOne))
+        << protocol << " " << knob;
+  }
+}
+
+TEST(Registry, DetourSlackKeepsItsUnrestrictedSentinel) {
+  constexpr std::int64_t kWrapsToOne = (std::int64_t{1} << 32) + 1;
+  EXPECT_FALSE(knob_rejected("balancing", "detour-slack", -1));
+  EXPECT_TRUE(knob_rejected("balancing", "detour-slack", -2));
+  EXPECT_TRUE(knob_rejected("balancing", "detour-slack", kWrapsToOne));
+}
+
+TEST(Registry, ShardsMessageNamesItsRange) {
+  ScenarioSpec spec = small_spec("balancing");
+  spec.knobs["shards"] = std::int64_t{(1 << 20) + 1};
+  try {
+    (void)registry().run("balancing", spec);
+    FAIL() << "shards above 2^20 was accepted";
+  } catch (const PreconditionError& error) {
+    EXPECT_NE(std::string(error.what()).find("[0, 1048576]"), std::string::npos)
+        << error.what();
   }
 }
 

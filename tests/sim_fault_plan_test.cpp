@@ -1,8 +1,9 @@
 // sim::FaultPlan: the deterministic availability mask under scripted and
 // stochastic churn. The contract the drivers lean on: advance() is a pure
 // function of (seed, round, script), crashed lists come back sorted, edge
-// availability is link-up AND both endpoints up, and an all-defaults
-// config is exactly "no faults".
+// availability is link-up AND both endpoints up, an all-defaults config
+// is exactly "no faults", and the plan owns the degraded-episode and
+// recovery bookkeeping the drivers only feed with deliveries and purges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,8 @@
 #include "graph/graph.hpp"
 #include "sim/fault_plan.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace poq::sim {
 namespace {
@@ -179,6 +182,103 @@ TEST(FaultPlan, AvailabilityTracksDowntimeExactly) {
   for (std::uint64_t round = 1; round <= 4; ++round) plan.advance(round);
   EXPECT_DOUBLE_EQ(plan.stats().availability(), (1.0 + 0.9 + 0.9 + 1.0) / 4.0);
   EXPECT_EQ(plan.stats().degraded_rounds, 2u);
+}
+
+TEST(FaultPlan, RecordsDeliveriesAndRecoveryOfOneEpisode) {
+  // Node 2 is down over rounds 3-5; round 6 is the first clean round, so
+  // the episode ends there. The delivery at round 4 lands under fault;
+  // the one at round 8 closes the recovery clock (8 - 6 = 2); the one at
+  // round 9 is an ordinary delivery.
+  const graph::Graph graph = cycle5();
+  FaultConfig config;
+  config.script.push_back({3, FaultEventKind::kNodeDown, 2, 0, 0, 1.0});
+  config.script.push_back({6, FaultEventKind::kNodeUp, 2, 0, 0, 1.0});
+  FaultPlan plan(graph, config, 5);
+  for (std::uint64_t round = 1; round <= 9; ++round) {
+    for (const NodeId x : plan.advance(round)) {
+      EXPECT_EQ(x, 2u);
+      plan.record_purged(4);
+    }
+    if (round == 4 || round == 8 || round == 9) {
+      plan.record_delivery(static_cast<double>(round));
+    }
+  }
+  const FaultStats& stats = plan.stats();
+  EXPECT_EQ(stats.delivered_under_fault, 1u);
+  ASSERT_EQ(stats.time_to_recover.count(), 1u);
+  EXPECT_EQ(stats.time_to_recover.min(), 2.0);
+  EXPECT_EQ(stats.time_to_recover.max(), 2.0);
+  EXPECT_EQ(stats.pairs_purged_by_faults, 4u);
+  EXPECT_EQ(stats.degraded_rounds, 3u);
+}
+
+TEST(FaultPlan, EpisodeBookkeepingMatchesReferenceStateMachine) {
+  // Random scripts and stochastic churn over 200 rounds, deliveries at
+  // random times inside each round, and an episode clock that is not the
+  // round (now = 0.5 * round + 3). The reference is the per-driver state
+  // machine the plan replaced, fed only by degraded() after each advance.
+  const graph::Graph graph = cycle5();
+  util::Rng rng(2024);
+  std::size_t recoveries = 0;
+  for (int trial = 0; trial < 50; ++trial) {
+    FaultConfig config;
+    if (trial % 2 == 1) {
+      config.node_mtbf = 40.0;
+      config.node_mttr = 4.0;
+      config.link_mtbf = 30.0;
+      config.link_mttr = 3.0;
+    }
+    const std::size_t events = 1 + rng.uniform_index(30);
+    for (std::size_t i = 0; i < events; ++i) {
+      FaultEvent event;
+      event.round = 1 + rng.uniform_index(200);
+      event.kind = static_cast<FaultEventKind>(rng.uniform_index(5));
+      event.node = static_cast<NodeId>(rng.uniform_index(5));
+      event.a = static_cast<NodeId>(rng.uniform_index(5));
+      event.b = static_cast<NodeId>((event.a + 1) % 5);
+      event.factor = rng.bernoulli(0.5) ? 1.0 : 0.5;
+      config.script.push_back(event);
+    }
+    FaultPlan plan(graph, config, static_cast<std::uint64_t>(trial));
+
+    bool round_degraded = false;
+    bool in_degraded_episode = false;
+    bool awaiting_recovery = false;
+    double episode_end = 0.0;
+    std::uint64_t delivered_under_fault = 0;
+    util::RunningStats time_to_recover;
+    for (std::uint64_t round = 1; round <= 200; ++round) {
+      const double now = 0.5 * static_cast<double>(round) + 3.0;
+      plan.advance(round, now);
+      round_degraded = plan.degraded();
+      if (round_degraded) {
+        in_degraded_episode = true;
+      } else if (in_degraded_episode) {
+        in_degraded_episode = false;
+        awaiting_recovery = true;
+        episode_end = now;
+      }
+      const std::size_t deliveries = rng.uniform_index(3);
+      for (std::size_t d = 0; d < deliveries; ++d) {
+        const double at = now + 0.5 * rng.uniform_double();
+        plan.record_delivery(at);
+        if (round_degraded) ++delivered_under_fault;
+        if (awaiting_recovery) {
+          time_to_recover.add(at - episode_end);
+          awaiting_recovery = false;
+        }
+      }
+    }
+    const FaultStats& stats = plan.stats();
+    EXPECT_EQ(stats.delivered_under_fault, delivered_under_fault);
+    EXPECT_EQ(stats.time_to_recover.count(), time_to_recover.count());
+    EXPECT_EQ(stats.time_to_recover.mean(), time_to_recover.mean());
+    EXPECT_EQ(stats.time_to_recover.variance(), time_to_recover.variance());
+    EXPECT_EQ(stats.time_to_recover.min(), time_to_recover.min());
+    EXPECT_EQ(stats.time_to_recover.max(), time_to_recover.max());
+    recoveries += time_to_recover.count();
+  }
+  EXPECT_GT(recoveries, 50u) << "the scripts must exercise the recovery clock";
 }
 
 }  // namespace
