@@ -42,7 +42,7 @@ class Driver {
         waiting_(n_),
         blocked_(n_, 0),
         pool_(config.tick.threads),
-        vp_(n_, &pool_, pool_.resolve_shards(config.tick.shards, n_)) {
+        vp_(n_, pool_, config.tick.shards) {
     timeout_epochs_ = std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(std::ceil(config.timeout / config.dt)));
     if (config.faults.enabled()) {
@@ -63,7 +63,6 @@ class Driver {
       generate();
       admit_arrivals();
       route();
-      vp_.signals().reset_budget();
     }
     result_.control_messages = vp_.messages_sent();
     if (fault_plan_) result_.faults = fault_plan_->stats();
@@ -103,10 +102,10 @@ class Driver {
   /// to its junction's waiting queue and signals the junction.
   void apply_phase() {
     const std::vector<std::uint32_t>& active = vp_.deliver(epoch_);
-    if (active.empty()) return;
-    vp_.run_kernel([&](std::size_t shard, Program::Context& ctx) {
-      const auto [begin, end] = sim::ParallelTickEngine::shard_range(
-          active.size(), vp_.shard_count(), shard);
+    // O(1) per delivered token: the generation-draw grain.
+    vp_.run_kernel(active.size(), sim::grain::kGenerate,
+                   [&](std::size_t begin, std::size_t end,
+                       Program::Context& ctx) {
       for (std::size_t i = begin; i < end; ++i) {
         const NodeId v = active[i];
         for (const std::uint32_t token : vp_.inbox(v)) {

@@ -14,7 +14,7 @@
 // it is until local pair counts change, and is dropped on timeout.
 //
 // Runs on the sim::VertexProgram substrate: token handoffs are the typed
-// messages, the apply kernel (sharded across the ParallelTickEngine pool)
+// messages, the apply kernel (chunked across the ParallelTickEngine pool)
 // enqueues arrivals, and the signaled-set drives the retry discipline —
 // a blocked node is re-examined only when its pair counts or waiting set
 // changed (decide=incremental), which is result-identical to retrying

@@ -164,7 +164,9 @@ struct Candidate {
   double vt_right = 0.0;
 };
 
-struct ShardStats {
+/// One node's report sends in this epoch's decide kernel, summed into
+/// the control-plane totals in node order after the kernel.
+struct ReportCost {
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
 };
@@ -198,9 +200,8 @@ class Driver {
         scanned_(n_, 0),
         serial_dirty_(n_, kNeverDirty),
         pool_(config.tick.threads),
-        vp_(n_, &pool_, pool_.resolve_shards(config.tick.shards, n_)),
-        shard_stats_(vp_.shard_count()),
-        deferred_consume_(vp_.shard_count()) {
+        vp_(n_, pool_, config.tick.shards),
+        report_cost_(n_) {
     if (config.faults.enabled()) {
       fault_plan_ =
           std::make_unique<sim::FaultPlan>(graph, config.faults, config.seed);
@@ -224,7 +225,6 @@ class Driver {
       report_and_decide();
       commit();
       if (epoch % retry_epochs == 0) try_offer();
-      vp_.signals().reset_budget();
     }
     if (fault_plan_) result_.faults = fault_plan_->stats();
     return std::move(result_);
@@ -289,11 +289,9 @@ class Driver {
 
   void apply_phase() {
     const std::vector<std::uint32_t>& active = vp_.deliver(epoch_);
-    for (auto& deferred : deferred_consume_) deferred.clear();
-    if (active.empty()) return;
-    vp_.run_kernel([&](std::size_t shard, Program::Context& ctx) {
-      const auto [begin, end] = sim::ParallelTickEngine::shard_range(
-          active.size(), vp_.shard_count(), shard);
+    vp_.run_kernel(active.size(), sim::grain::kBelief,
+                   [&](std::size_t begin, std::size_t end,
+                       Program::Context& ctx) {
       for (std::size_t i = begin; i < end; ++i) {
         const NodeId x = active[i];
         for (const net::Message& message : vp_.inbox(x)) {
@@ -307,11 +305,9 @@ class Driver {
                               pair->new_partner_qubit);
               ctx.signal(x);
             }
-          } else {
-            // Consume handshake: touches the global head-of-line state, so
-            // it resolves in the serial phase (canonical shard order).
-            deferred_consume_[shard].push_back(message);
           }
+          // Consume handshakes touch the global head-of-line state, so
+          // resolve_consume applies them serially.
         }
       }
     });
@@ -333,9 +329,11 @@ class Driver {
 
   // --- phase 2: consume handshake (serial) ----------------------------
 
+  /// Walks this epoch's inboxes again in canonical (target, inbox)
+  /// order; the apply kernel left the consume handshakes to this phase.
   void resolve_consume() {
-    for (const std::vector<net::Message>& deferred : deferred_consume_) {
-      for (const net::Message& message : deferred) {
+    for (const std::uint32_t x : vp_.active()) {
+      for (const net::Message& message : vp_.inbox(x)) {
         if (const auto* offer = std::get_if<net::ConsumeOffer>(&message)) {
           handle_offer(*offer);
         } else if (const auto* reply = std::get_if<net::ConsumeReply>(&message)) {
@@ -451,12 +449,12 @@ class Driver {
   // --- phase 4: report + decide (parallel kernel) ---------------------
 
   void report_and_decide() {
-    vp_.run_kernel([&](std::size_t shard, Program::Context& ctx) {
-      ShardStats& stats = shard_stats_[shard];
-      const auto [begin, end] =
-          sim::ParallelTickEngine::shard_range(n_, vp_.shard_count(), shard);
+    vp_.run_kernel(n_, sim::grain::kBelief,
+                   [&](std::size_t begin, std::size_t end,
+                       Program::Context& ctx) {
       for (NodeId x = static_cast<NodeId>(begin); x < end; ++x) {
         scanned_[x] = 0;
+        report_cost_[x] = ReportCost{};
         // A crashed node neither reports nor scans; its streams are keyed
         // per (epoch, node), so skipping shifts nothing else. The masks
         // only change in the serial fault phase, so the kernel reads a
@@ -465,7 +463,7 @@ class Driver {
         util::Rng report_rng =
             util::Rng::keyed(config_.seed, sim::stream_tag::kReport, epoch_, x);
         if (report_rng.poisson(config_.report_rate * config_.dt) > 0) {
-          send_report(x, ctx, stats);
+          send_report(x, ctx);
         }
         util::Rng scan_rng =
             util::Rng::keyed(config_.seed, sim::stream_tag::kScan, epoch_, x);
@@ -478,10 +476,9 @@ class Driver {
         }
       }
     });
-    for (ShardStats& stats : shard_stats_) {
-      result_.control_messages += stats.messages;
-      result_.control_bytes += stats.bytes;
-      stats = ShardStats{};
+    for (const ReportCost& cost : report_cost_) {
+      result_.control_messages += cost.messages;
+      result_.control_bytes += cost.bytes;
     }
   }
 
@@ -489,7 +486,7 @@ class Driver {
   /// the union of the currently nonzero peers and the peers of the last
   /// report (so a count that dropped to zero decays at its readers);
   /// everything is sparse — cost is O(partners), not O(n).
-  void send_report(NodeId x, Program::Context& ctx, ShardStats& stats) {
+  void send_report(NodeId x, Program::Context& ctx) {
     const std::vector<NodeId> current = nodes_[x].partners(offered_qubit_);
     net::CountUpdate update;
     update.reporter = x;
@@ -511,9 +508,10 @@ class Driver {
     last_reported_[x] = current;
     if (current.empty()) return;  // nobody reads this row any more
     const std::uint64_t bytes = net::encoded_size(update);
+    ReportCost& cost = report_cost_[x];
     for (const NodeId target : current) {
-      ++stats.messages;
-      stats.bytes += bytes;
+      ++cost.messages;
+      cost.bytes += bytes;
       ctx.send(target, delay_epochs(x, target), update);
     }
   }
@@ -650,8 +648,7 @@ class Driver {
 
   sim::ParallelTickEngine pool_;
   Program vp_;
-  std::vector<ShardStats> shard_stats_;
-  std::vector<std::vector<net::Message>> deferred_consume_;
+  std::vector<ReportCost> report_cost_;
 
   // Consumption handshake state (head-of-line, so at most one in flight).
   std::size_t head_ = 0;

@@ -16,7 +16,7 @@
 // Runs on the sim::VertexProgram substrate: count rows travel as sparse
 // CountUpdate messages to a node's current believed partners (signaled on
 // change) instead of dense n-squared view matrices rebroadcast to all,
-// and the per-epoch apply/report/decide kernels shard across the
+// and the per-epoch apply/report/decide kernels fan across the
 // ParallelTickEngine pool under the canonical message-merge order, so
 // threads/shards/decide are real — and result-invariant — knobs.
 //

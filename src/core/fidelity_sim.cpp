@@ -83,10 +83,10 @@ NodeId pick_distill_peer(const sim::NetworkState& state,
 }  // namespace
 
 /// The fidelity physics as fixed time slices of phase kernels. Per slice:
-/// decohere (sharded per-bucket purge) -> generate (per-edge Poisson
+/// decohere (chunked per-bucket purge) -> generate (per-edge Poisson
 /// arrivals from keyed streams, merged in canonical edge order) -> decide
 /// (per-node scan events drawn from keyed streams, decisions computed
-/// against the slice snapshot across node shards) -> commit (all scan
+/// against the slice snapshot across node chunks) -> commit (all scan
 /// events executed serially in canonical (timestamp, node id) order, each
 /// re-validated against the live state) -> consume (head-of-line at the
 /// slice boundary). Every draw is keyed per (slice, entity[, event]) so
@@ -110,7 +110,7 @@ FidelitySimResult run_fidelity_sim(const graph::Graph& generation_graph,
   FidelitySimResult result;
 
   // Fault plan: one fault round per slice. Advanced serially at the slice
-  // start, so every shard reads the same up/down masks and rate factor.
+  // start, so every chunk reads the same up/down masks and rate factor.
   std::optional<sim::FaultPlan> fault_plan;
   if (config.faults.enabled()) {
     fault_plan.emplace(generation_graph, config.faults, config.seed);
@@ -134,21 +134,35 @@ FidelitySimResult run_fidelity_sim(const graph::Graph& generation_graph,
   const std::size_t edge_count = generation_graph.edge_count();
   std::vector<std::vector<double>> edge_arrivals(edge_count);
   std::vector<std::vector<double>> node_scans(n);
-  // Flat per-entity stream buffers: each shard batch-derives its keyed
-  // streams into its slice (Rng::keyed_batch hoists the per-slice sponge
+  // Flat per-entity stream buffers: each chunk batch-derives its keyed
+  // streams into its range (Rng::keyed_batch hoists the per-slice sponge
   // prefix; every element is bit-identical to the scalar derivation).
   std::vector<util::Rng> edge_rngs(edge_count);
   std::vector<util::Rng> node_rngs(n);
   std::vector<NodeDecision> decisions(n);
-  std::vector<MaxMinBalancer::Scratch> shard_scratch(state.shard_count());
-  for (MaxMinBalancer::Scratch& scratch : shard_scratch) scratch.reserve(n);
+  // Decide scratch is per pool worker: pure workspace, never a result.
+  std::vector<MaxMinBalancer::Scratch> worker_scratch(
+      state.pool().thread_count());
+  for (MaxMinBalancer::Scratch& scratch : worker_scratch) scratch.reserve(n);
+  const std::size_t generate_grain = sim::ParallelTickEngine::resolve_grain(
+      config.tick.shards, edge_count, sim::grain::kGenerate);
+  const std::size_t decide_grain = sim::ParallelTickEngine::resolve_grain(
+      config.tick.shards, n, sim::grain::kDecide);
   // Incremental decide: cache each node's count-based best_swap and
-  // recompute it only when the ledger's dirty bit says a count the node
-  // reads changed since its last computation (generation merges, commits,
-  // purges — every mutation funnels through the ledger). The distill-peer
-  // fallback reads time-varying fidelities, so it is never cached.
+  // recompute it only when a count the node reads changed since its last
+  // computation (generation merges, commits, purges — every mutation
+  // funnels through the ledger's dirty set). The ledger's dirty frontier
+  // is drained serially before each decide into `stale`, and the chunk
+  // that recomputes a node clears its flag; a node without scans stays
+  // stale until it next scans. The distill-peer fallback reads
+  // time-varying fidelities, so it is never cached.
   const bool incremental = config.tick.incremental_decide;
   std::vector<std::optional<SwapCandidate>> swap_cache(n);
+  std::vector<std::uint8_t> stale(n, 0);
+  std::vector<NodeId> drained;
+  drained.reserve(n);
+  std::vector<NodeId> purge_partners;  // commit's lazy-purge row copy
+  purge_partners.reserve(n);
 
   struct ScanEvent {
     double time = 0.0;
@@ -176,20 +190,16 @@ FidelitySimResult run_fidelity_sim(const graph::Graph& generation_graph,
     const double generation_rate =
         config.generation_rate * (fault_plan ? fault_plan->rate_factor() : 1.0);
 
-    // 1. Decohere kernel: purge every bucket at the slice start. The
-    // slice boundary is also the marking-epoch boundary for the cached
-    // best_swap dirty bits (fidelity clears bits per scanned node, so it
-    // resets the budget explicitly instead of draining).
-    state.ledger().reset_marking_budget();
+    // 1. Decohere kernel: purge every bucket at the slice start.
     result.pairs_decayed += state.decohere_all(t0);
 
     // 2. Generation kernel: per-edge Poisson arrivals from streams keyed
     // (seed, generation-tag, slice, edge); merged in canonical edge order.
     {
       const sim::PhaseStopwatch stopwatch(state.timers().generate_ns);
-      state.pool().run_shards(state.shard_count(), [&](std::size_t shard) {
-        const auto [begin, end] = sim::ParallelTickEngine::shard_range(
-            edge_count, state.shard_count(), shard);
+      state.pool().run_chunks(
+          edge_count, generate_grain, &state.timers().generate_load,
+          [&](std::size_t begin, std::size_t end, unsigned) {
         util::Rng::keyed_batch(
             config.seed, sim::stream_tag::kGeneration, s, begin,
             std::span<util::Rng>(edge_rngs.data() + begin, end - begin));
@@ -217,16 +227,19 @@ FidelitySimResult run_fidelity_sim(const graph::Graph& generation_graph,
 
     // 3. Decide kernel: per-node scan times from streams keyed (seed,
     // event-tag, slice, node), and the node's decision against the
-    // post-generation snapshot, fanned across node shards. The count-based
-    // best_swap comes from the per-node cache unless the node is dirty; an
+    // post-generation snapshot, fanned across node chunks. The count-based
+    // best_swap comes from the per-node cache unless the node is stale; an
     // unchanged readable view implies an unchanged decision, so this is
     // exactly the full recomputation.
     {
       const sim::PhaseStopwatch stopwatch(state.timers().decide_ns);
-      state.pool().run_shards(state.shard_count(), [&](std::size_t shard) {
-        const auto [begin, end] = sim::ParallelTickEngine::shard_range(
-            n, state.shard_count(), shard);
-        MaxMinBalancer::Scratch& scratch = shard_scratch[shard];
+      drained.clear();
+      state.ledger().drain_dirty(drained);
+      for (const NodeId x : drained) stale[x] = 1;
+      state.pool().run_chunks(
+          n, decide_grain, &state.timers().decide_load,
+          [&](std::size_t begin, std::size_t end, unsigned worker) {
+        MaxMinBalancer::Scratch& scratch = worker_scratch[worker];
         util::Rng::keyed_batch(
             config.seed, sim::stream_tag::kEventTimes, s, begin,
             std::span<util::Rng>(node_rngs.data() + begin, end - begin));
@@ -245,10 +258,10 @@ FidelitySimResult run_fidelity_sim(const graph::Graph& generation_graph,
           std::sort(node_scans[x].begin(), node_scans[x].end());
           decisions[x] = NodeDecision{std::nullopt, x};
           if (node_scans[x].empty()) continue;
-          if (incremental && !state.ledger().dirty(x)) {
+          if (incremental && stale[x] == 0) {
             decisions[x].swap = swap_cache[x];
           } else {
-            state.ledger().clear_dirty(x);
+            stale[x] = 0;
             swap_cache[x] = balancer.best_swap(state.ledger(), x, scratch);
             decisions[x].swap = swap_cache[x];
           }
@@ -285,9 +298,8 @@ FidelitySimResult run_fidelity_sim(const graph::Graph& generation_graph,
         const double now = event.time;
         // Lazy purge of x's buckets at the event time.
         const auto partner_list = state.ledger().partners(x);
-        const std::vector<NodeId> partner_copy(partner_list.begin(),
-                                               partner_list.end());
-        for (NodeId y : partner_copy) {
+        purge_partners.assign(partner_list.begin(), partner_list.end());
+        for (const NodeId y : purge_partners) {
           result.pairs_decayed += state.purge_pair_type(x, y, now);
         }
         const NodeDecision& decision = decisions[x];

@@ -14,7 +14,7 @@
 //
 // The physics — Poisson pair generation per edge, Poisson swap/distill
 // scans per node, head-of-line consumption — runs as phase kernels over
-// sim::NetworkState in fixed time slices: per-node event sharding draws
+// sim::NetworkState in fixed time slices: per-node event chunks draw
 // each entity's Poisson event times from counter-based keyed streams,
 // decisions are computed against the slice snapshot in parallel, and
 // commits execute in canonical (timestamp, node id) order — so results

@@ -86,7 +86,7 @@ void PairLedger::mark_pair_readers(NodeId x, NodeId y, std::uint32_t before,
     mark_dirty(x);
     mark_dirty(y);
   }
-  if (dirty_count_.load(std::memory_order_relaxed) == node_count_) return;
+  if (dirty_count_ == node_count_) return;
   // The other readers of C_x(y) are the nodes holding *eligible* pairs
   // toward both x and y (they see its exact value as a beneficiary
   // count, at any magnitude). Scan the smaller row; membership and
@@ -315,17 +315,6 @@ void PairLedger::enable_dirty_tracking() {
   mark_all_dirty();
 }
 
-void PairLedger::reset_marking_budget() {
-  if (dirty_.empty()) return;
-  // Marks were skipped while the overflow latch was up, so converting the
-  // latch back to bits must be conservative: everything dirty.
-  if (mark_overflow_) {
-    mark_all_dirty();
-    mark_overflow_ = false;
-  }
-  mark_budget_ = kMarkingBudgetPerNode * static_cast<std::int64_t>(node_count_);
-}
-
 void PairLedger::set_reader_threshold(std::uint32_t minimum_eligible_count) {
   require(minimum_eligible_count >= 1,
           "PairLedger: reader threshold must be >= 1");
@@ -335,19 +324,13 @@ void PairLedger::set_reader_threshold(std::uint32_t minimum_eligible_count) {
 void PairLedger::mark_dirty(NodeId x) {
   if (dirty_.empty() || dirty_[x] != 0) return;
   dirty_[x] = 1;
-  dirty_count_.fetch_add(1, std::memory_order_relaxed);
+  ++dirty_count_;
 }
 
 void PairLedger::mark_all_dirty() {
   if (dirty_.empty()) return;
   std::fill(dirty_.begin(), dirty_.end(), 1);
-  dirty_count_.store(node_count_, std::memory_order_relaxed);
-}
-
-void PairLedger::clear_dirty(NodeId x) {
-  if (dirty_.empty() || dirty_[x] == 0) return;
-  dirty_[x] = 0;
-  dirty_count_.fetch_sub(1, std::memory_order_relaxed);
+  dirty_count_ = node_count_;
 }
 
 std::size_t PairLedger::drain_dirty(std::vector<NodeId>& out) {
@@ -358,11 +341,11 @@ std::size_t PairLedger::drain_dirty(std::vector<NodeId>& out) {
     // network is the frontier.
     mark_overflow_ = false;
     std::fill(dirty_.begin(), dirty_.end(), 0);
-    dirty_count_.store(0, std::memory_order_relaxed);
+    dirty_count_ = 0;
     for (NodeId x = 0; x < node_count_; ++x) out.push_back(x);
     return node_count_;
   }
-  if (dirty_count_.load(std::memory_order_relaxed) == 0) return 0;
+  if (dirty_count_ == 0) return 0;
   std::size_t appended = 0;
   for (NodeId x = 0; x < node_count_; ++x) {
     if (dirty_[x] != 0) {
@@ -371,7 +354,7 @@ std::size_t PairLedger::drain_dirty(std::vector<NodeId>& out) {
       ++appended;
     }
   }
-  dirty_count_.store(0, std::memory_order_relaxed);
+  dirty_count_ = 0;
   return appended;
 }
 

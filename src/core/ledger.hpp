@@ -43,7 +43,6 @@
 //     a full rescan (sim::NetworkState::decide_swaps leans on this).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -125,9 +124,9 @@ class PairLedger {
 
   // --- incremental-decide dirty set ------------------------------------
   // Disabled (and free) by default; sim::NetworkState enables it for the
-  // phase-kernel engine. Marking happens inside ledger mutations, which
-  // run only in serial phases; clear_dirty is the one call that may run
-  // concurrently (on distinct nodes).
+  // phase-kernel engine. Marking happens inside ledger mutations and
+  // draining in the caller's serial phase, so the dirty set needs no
+  // synchronization.
 
   /// Turn on dirty tracking; every node starts dirty.
   void enable_dirty_tracking();
@@ -156,25 +155,16 @@ class PairLedger {
   [[nodiscard]] std::size_t dirty_count() const {
     if (dirty_.empty()) return 0;
     if (mark_overflow_) return node_count_;
-    return dirty_count_.load(std::memory_order_relaxed);
+    return dirty_count_;
   }
   /// Mark one node dirty (e.g. a gossip view install changed what the
   /// node would read at decide time). No-op when tracking is off.
   void mark_dirty(NodeId x);
   void mark_all_dirty();
-  /// Clear one node's bit: the caller has just recomputed its decision.
-  /// Safe to call concurrently for distinct nodes (the fidelity slice
-  /// kernel's sharded decide does).
-  void clear_dirty(NodeId x);
   /// Append the dirty nodes (ascending) to `out`, clearing their bits.
   /// Returns how many were appended. Serial contexts only. Starts a new
   /// marking epoch (see kMarkingBudgetPerNode).
   std::size_t drain_dirty(std::vector<NodeId>& out);
-  /// Start a new marking epoch without draining (consumers that clear
-  /// bits node by node, like the fidelity slice kernels, call this at
-  /// their serial phase boundary). If the previous epoch overflowed its
-  /// budget, every node is re-marked dirty first. Serial contexts only.
-  void reset_marking_budget();
 
   /// Precise reader marking is itself O(min-degree) per mutation; in
   /// dense regimes (every node's counts moving every round) that work
@@ -248,10 +238,7 @@ class PairLedger {
 
   // Dirty set (empty vector = tracking off).
   std::vector<std::uint8_t> dirty_;
-  /// The ledger's only atomic: the fidelity slice kernel's sharded decide
-  /// calls clear_dirty for its shard's nodes concurrently, and each clear
-  /// decrements this shared count.
-  std::atomic<std::size_t> dirty_count_{0};
+  std::size_t dirty_count_ = 0;
   std::uint32_t reader_threshold_ = 1;
   /// Probes left in this marking epoch; overflow latches all-dirty.
   std::int64_t mark_budget_ = 0;

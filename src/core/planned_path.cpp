@@ -77,9 +77,10 @@ PlannedPathResult run_planned_path(const graph::Graph& generation_graph,
   }
 
   sim::ParallelTickEngine pool(config.tick.threads);
-  const std::size_t shard_count =
-      pool.resolve_shards(config.tick.shards, generation_graph.edge_count());
-  std::vector<std::uint64_t> shard_generated(shard_count, 0);
+  const std::size_t grain = sim::ParallelTickEngine::resolve_grain(
+      config.tick.shards, generation_graph.edge_count(), sim::grain::kGenerate);
+  std::vector<std::uint64_t> chunk_generated(
+      (generation_graph.edge_count() + grain - 1) / grain, 0);
 
   std::vector<double> buffer(generation_graph.edge_count(), 0.0);
   std::vector<bool> reserved(generation_graph.edge_count(), false);
@@ -168,13 +169,12 @@ PlannedPathResult run_planned_path(const graph::Graph& generation_graph,
                         (fault_plan ? fault_plan->rate_factor() : 1.0);
     const double whole = std::floor(rate);
     const double frac = rate - whole;
-    // Per-(round, edge) streams + disjoint buffer slices per shard; the
-    // per-shard totals merge in shard order, so any threads/shards setting
+    // Per-(round, edge) streams + disjoint buffer slices per chunk; the
+    // per-chunk totals merge in chunk order, so any threads/shards setting
     // produces the same result bit for bit. Masked edges skip their draw —
     // each edge's stream is keyed, so no other stream shifts.
-    pool.run_shards(shard_count, [&](std::size_t shard) {
-      const auto [begin, end] = sim::ParallelTickEngine::shard_range(
-          buffer.size(), shard_count, shard);
+    pool.run_chunks(buffer.size(), grain, nullptr,
+                    [&](std::size_t begin, std::size_t end, unsigned) {
       std::uint64_t generated = 0;
       for (std::size_t e = begin; e < end; ++e) {
         if (masked && !fault_plan->edge_up(e)) continue;
@@ -187,10 +187,10 @@ PlannedPathResult run_planned_path(const graph::Graph& generation_graph,
         buffer[e] += amount;
         generated += static_cast<std::uint64_t>(amount);
       }
-      shard_generated[shard] = generated;
+      chunk_generated[begin / grain] = generated;
     });
-    for (std::size_t shard = 0; shard < shard_count; ++shard) {
-      result.pairs_generated += shard_generated[shard];
+    for (const std::uint64_t generated : chunk_generated) {
+      result.pairs_generated += generated;
     }
 
     // 2. Admission, strictly in sequence order.

@@ -54,8 +54,8 @@ struct PlannedPathConfig {
   std::uint32_t max_rounds = 200000;
   std::uint64_t seed = 1;
   PlannedPathMode mode = PlannedPathMode::kConnectionOriented;
-  /// Intra-run engine knobs: the per-round generation fill shards across
-  /// a worker pool (per-(round, edge) RNG streams, so results are
+  /// Intra-run engine knobs: the per-round generation fill is chunked
+  /// across a worker pool (per-(round, edge) RNG streams, so results are
   /// bit-identical for any threads/shards). Admission/allocation stay
   /// serial — they are head-of-line by definition.
   sim::TickConcurrency tick;

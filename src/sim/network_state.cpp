@@ -8,18 +8,6 @@
 
 namespace poq::sim {
 
-namespace {
-
-// Default chunk grains (entities per chunk) for the dynamically
-// scheduled kernels, tuned for cheap-per-entity generation flags vs the
-// partner-scan-heavy decide and the exp()-heavy decohere. Pure
-// performance constants — never part of the determinism contract.
-constexpr std::size_t kGenerateGrain = 2048;
-constexpr std::size_t kDecideGrain = 64;
-constexpr std::size_t kDecohereGrain = 256;
-
-}  // namespace
-
 NetworkState::NetworkState(const graph::Graph& generation_graph,
                            std::uint64_t seed, const TickConcurrency& tick,
                            std::optional<DecayModel> decay)
@@ -30,7 +18,6 @@ NetworkState::NetworkState(const graph::Graph& generation_graph,
       decay_(decay) {
   const std::size_t n = graph_.node_count();
   pool_ = std::make_unique<ParallelTickEngine>(tick_.threads);
-  shard_count_ = pool_->resolve_shards(tick_.shards, n);
   // Decide scratch is per pool worker (chunks of the frontier are
   // claimed dynamically; any worker may run any chunk, and scratch
   // never leaks into results).
@@ -52,9 +39,9 @@ NetworkState::NetworkState(const graph::Graph& generation_graph,
   // call against the live frontier size. Grain is a pure performance
   // knob — chunk boundaries are canonical, results never move.
   generate_grain_ = ParallelTickEngine::resolve_grain(
-      tick_.shards, graph_.edge_count(), kGenerateGrain);
+      tick_.shards, graph_.edge_count(), grain::kGenerate);
   decohere_grain_ =
-      ParallelTickEngine::resolve_grain(tick_.shards, n, kDecohereGrain);
+      ParallelTickEngine::resolve_grain(tick_.shards, n, grain::kDecohere);
   candidates_.assign(n, std::nullopt);
   dirty_nodes_.reserve(n);
   candidate_nodes_.reserve(n);
@@ -180,7 +167,7 @@ void NetworkState::decide_swaps(const DecideFn& decide) {
   // grain hits the engine's inline fast path, so a 1-node decide still
   // skips the pool handshake. Chunking never affects results.
   const std::size_t grain = ParallelTickEngine::resolve_grain(
-      tick_.shards, dirty_nodes_.size(), kDecideGrain);
+      tick_.shards, dirty_nodes_.size(), grain::kDecide);
   pool_->run_chunks(dirty_nodes_.size(), grain, &timers_.decide_load,
                     [this](std::size_t begin, std::size_t end,
                            unsigned worker) {
@@ -322,7 +309,7 @@ void NetworkState::decohere_chunk(std::size_t begin, std::size_t end) {
   drops.clear();
   for (auto x = static_cast<core::NodeId>(begin); x < end; ++x) {
     for (const core::NodeId y : ledger_.partners(x)) {
-      if (y <= x) continue;  // owned by y's shard when y < x
+      if (y <= x) continue;  // owned by y's chunk when y < x
       std::vector<TrackedPair>* slot = pair_store_->find(x, y);
       if (slot == nullptr || slot->empty()) continue;
       std::vector<TrackedPair>& bucket = *slot;

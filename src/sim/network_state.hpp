@@ -16,9 +16,9 @@
 // one thread as at many.
 //
 // Determinism contract: kernels draw
-// randomness from streams keyed per (phase-tag, round, entity), shard
-// work over contiguous index ranges, and merge all effects in canonical
-// entity order — so results are bit-identical for every threads/shards
+// randomness from streams keyed per (phase-tag, round, entity), split
+// work into canonical contiguous chunks, and merge all effects in
+// canonical entity order — so results are bit-identical for every threads/shards
 // setting. The swap commit is serial: it executes decided swaps one at
 // a time in canonical rotating order, each re-checked against the live
 // ledger, so it needs no merge at all.
@@ -75,8 +75,6 @@ class NetworkState {
   [[nodiscard]] const core::PairLedger& ledger() const { return ledger_; }
   /// Worker pool the kernels fan across.
   [[nodiscard]] ParallelTickEngine& pool() { return *pool_; }
-  /// Node shards resolved for this network.
-  [[nodiscard]] std::size_t shard_count() const { return shard_count_; }
   /// Whether the decide kernel runs over the dirty frontier only.
   [[nodiscard]] bool incremental_decide() const {
     return tick_.incremental_decide;
@@ -228,7 +226,6 @@ class NetworkState {
   PhaseTimers timers_;
 
   std::unique_ptr<ParallelTickEngine> pool_;
-  std::size_t shard_count_ = 1;
   // Decide scratch is pure per-invocation workspace, so one per pool
   // worker suffices under the chunk scheduler (results never depend on
   // which worker ran a chunk).

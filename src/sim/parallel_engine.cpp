@@ -12,29 +12,6 @@ unsigned ParallelTickEngine::resolve_threads(unsigned requested) {
   return hardware == 0 ? 1 : hardware;
 }
 
-std::pair<std::size_t, std::size_t> ParallelTickEngine::shard_range(
-    std::size_t items, std::size_t shard_count, std::size_t shard) {
-  require(shard_count > 0, "shard_range: shard_count must be positive");
-  require(shard < shard_count, "shard_range: shard out of range");
-  const std::size_t base = items / shard_count;
-  const std::size_t extra = items % shard_count;
-  // First `extra` shards carry one extra item; offsets stay contiguous.
-  const std::size_t begin = shard * base + std::min(shard, extra);
-  const std::size_t size = base + (shard < extra ? 1 : 0);
-  return {begin, begin + size};
-}
-
-std::size_t ParallelTickEngine::resolve_shards(std::uint32_t requested,
-                                               std::size_t items) const {
-  if (requested != 0) return requested;
-  // A few shards per thread keeps the pool balanced when per-entity cost
-  // varies (hub nodes cost more in the swap scan than leaves). Shards are
-  // a pure partitioning knob, so the auto value never affects results.
-  const std::size_t auto_shards = static_cast<std::size_t>(threads_) * 4;
-  return std::max<std::size_t>(
-      1, std::min(auto_shards, std::max<std::size_t>(items, 1)));
-}
-
 std::size_t ParallelTickEngine::resolve_grain(std::uint32_t requested_shards,
                                               std::size_t items,
                                               std::size_t default_grain) {
@@ -47,13 +24,6 @@ std::size_t ParallelTickEngine::resolve_grain(std::uint32_t requested_shards,
 
 ParallelTickEngine::ParallelTickEngine(unsigned threads)
     : threads_(resolve_threads(threads)) {
-  // Adapter bodies are built once; each captures only `this` so the
-  // std::function stays in its small-object buffer and a phase dispatch
-  // never allocates.
-  shard_body_ = [this](std::size_t index, unsigned) { (*shard_fn_)(index); };
-  chunk_body_ = [this](std::size_t chunk, unsigned worker) {
-    run_one_chunk(chunk, worker);
-  };
   if (threads_ > 1) {
     spares_.reserve(threads_);
     for (unsigned i = 0; i < threads_; ++i) {
@@ -77,7 +47,7 @@ ParallelTickEngine::~ParallelTickEngine() {
 
 void ParallelTickEngine::drain(const std::shared_ptr<Job>& job,
                                unsigned worker) {
-  // Claim work indices off the job's counter until it drains — this
+  // Claim chunk indices off the job's counter until it drains — this
   // atomic cursor IS the work-stealing: a worker that finishes a cheap
   // chunk immediately claims the next canonical index, so a skewed range
   // never serializes on one pre-assigned partition. A stale drain (a
@@ -86,17 +56,17 @@ void ParallelTickEngine::drain(const std::shared_ptr<Job>& job,
   // never dereferenced after the dispatching call returns.
   while (true) {
     const std::size_t index = job->next.fetch_add(1, std::memory_order_relaxed);
-    if (index >= job->shards) return;
+    if (index >= job->chunks) return;
     std::exception_ptr failure;
     try {
-      (*job->fn)(index, worker);
+      run_one_chunk(index, worker);
     } catch (...) {
       failure = std::current_exception();
     }
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       if (failure && !job->error) job->error = failure;
-      if (++job->completed == job->shards) done_cv_.notify_all();
+      if (++job->completed == job->chunks) done_cv_.notify_all();
     }
   }
 }
@@ -116,8 +86,7 @@ void ParallelTickEngine::worker_loop(unsigned worker) {
   }
 }
 
-void ParallelTickEngine::dispatch(
-    std::size_t count, const std::function<void(std::size_t, unsigned)>& body) {
+void ParallelTickEngine::dispatch(std::size_t chunk_count) {
   // Reuse a Job no late-waking worker still holds. Each worker holds at
   // most one Job at a time, so one of the threads_ spares is always free
   // and a dispatch never allocates.
@@ -130,8 +99,7 @@ void ParallelTickEngine::dispatch(
   }
   ensure(job != nullptr, "ParallelTickEngine: every Job still held");
   job->error = nullptr;
-  job->fn = &body;
-  job->shards = count;
+  job->chunks = chunk_count;
   job->next.store(0, std::memory_order_relaxed);
   job->completed = 0;
   {
@@ -144,25 +112,11 @@ void ParallelTickEngine::dispatch(
   std::exception_ptr failure;
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [&] { return job->completed == job->shards; });
+    done_cv_.wait(lock, [&] { return job->completed == job->chunks; });
     if (job_ == job) job_.reset();
     failure = job->error;
   }
   if (failure) std::rethrow_exception(failure);
-}
-
-void ParallelTickEngine::run_shards(
-    std::size_t shard_count, const std::function<void(std::size_t)>& shard_fn) {
-  if (shard_count == 0) return;
-  if (threads_ == 1 || shard_count == 1) {
-    // Inline fast path: no atomics, no handshake. Exceptions propagate
-    // directly, matching the pooled path's first-failure semantics.
-    for (std::size_t shard = 0; shard < shard_count; ++shard) shard_fn(shard);
-    return;
-  }
-  shard_fn_ = &shard_fn;
-  dispatch(shard_count, shard_body_);
-  shard_fn_ = nullptr;
 }
 
 void ParallelTickEngine::run_one_chunk(std::size_t chunk, unsigned worker) {
@@ -206,12 +160,19 @@ void ParallelTickEngine::run_chunks(std::size_t items, std::size_t grain,
   if (threads_ == 1 || chunk_count == 1) {
     // Inline fast path: same canonical chunk walk, no handshake. The
     // load accounting still runs so shard_imbalance is observable at
-    // every threads setting.
+    // every threads setting. A failing chunk does not stop the walk, as
+    // in dispatch: every chunk runs, then the first failure is rethrown.
+    std::exception_ptr failure;
     for (std::size_t chunk = 0; chunk < chunk_count; ++chunk) {
-      run_one_chunk(chunk, /*worker=*/0);
+      try {
+        run_one_chunk(chunk, /*worker=*/0);
+      } catch (...) {
+        if (!failure) failure = std::current_exception();
+      }
     }
+    if (failure) std::rethrow_exception(failure);
   } else {
-    dispatch(chunk_count, chunk_body_);
+    dispatch(chunk_count);
   }
   if (load != nullptr) load->weighted_max_ns += dispatch_max_ns_ * chunk_count;
   chunk_fn_ = nullptr;

@@ -3,24 +3,26 @@
 // The round-based simulators decompose each tick into phases whose work
 // factors over independent entities (generation over edges, swap decisions
 // over nodes). ParallelTickEngine is the worker pool that executes such a
-// phase: the caller partitions the entity range into `shard_count` shards
-// and the pool runs one callback per shard across its threads, blocking
-// until every shard has finished. It is the only tick engine: every
-// simulating protocol runs its phases through it, so one thread is just
-// the smallest pool, not a separate code path.
+// phase: run_chunks splits the entity range into canonical fixed-grain
+// chunks and the pool's threads claim them off an atomic cursor, blocking
+// until every chunk has finished. It is the only tick engine and
+// run_chunks its only dispatch: every simulating protocol runs its
+// parallel kernels through it, so one thread is just the smallest pool,
+// not a separate code path.
 //
 // Determinism contract (leaned on by the parallel_determinism test suite
 // and the BENCH_parallel_scaling gate): the engine itself never introduces
-// nondeterminism. Shards are identified by index, randomness comes from
-// counter-based streams keyed per entity (util::Rng::keyed), and callers
-// merge shard effects in canonical shard order — so a run's results are
-// bit-identical for every thread count and every shard count. Threads and
-// shards are pure performance knobs.
+// nondeterminism. Chunk boundaries depend only on (items, grain),
+// randomness comes from counter-based streams keyed per entity
+// (util::Rng::keyed), and callers merge per-chunk effects in ascending
+// chunk order — so a run's results are bit-identical for every thread
+// count and every shards setting. Threads and shards are pure performance
+// knobs.
 //
 // The pool threads are created once and parked on a condition variable
 // between phases, so driving ~10^4 rounds × 2 phases through the engine
 // costs two notify/wait handshakes per phase, not two thread spawns. With
-// one thread (or one shard) the engine runs inline on the caller with no
+// one thread (or one chunk) the engine runs inline on the caller with no
 // synchronization at all.
 #pragma once
 
@@ -28,11 +30,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
 
 namespace poq::sim {
@@ -68,12 +70,27 @@ inline constexpr std::uint64_t kFaultLink = 0x666C746CULL;  // "fltl"
 inline constexpr std::uint64_t kFaultRate = 0x666C7472ULL;  // "fltr"
 }  // namespace stream_tag
 
+/// Default chunk grains (entities per chunk) a kernel passes to
+/// ParallelTickEngine::resolve_grain for shards = 0, tuned for
+/// cheap-per-entity generation draws vs the partner-scan-heavy decides,
+/// the exp()-heavy decohere sweep and distributed's belief kernels
+/// (view maps, report building). Pure performance constants — never
+/// part of the determinism contract.
+namespace grain {
+inline constexpr std::size_t kGenerate = 2048;  // per-edge generation
+inline constexpr std::size_t kDecide = 64;      // per-node §4 row scan
+inline constexpr std::size_t kDecohere = 256;   // per-node bucket sweep
+inline constexpr std::size_t kBelief = 4;       // per-node belief kernels
+}  // namespace grain
+
 /// The intra-run concurrency knobs every simulating protocol carries.
 struct TickConcurrency {
   /// Worker threads for the tick engine (0 = hardware). Never affects
   /// results.
   std::uint32_t threads = 1;
-  /// Work shards per phase (0 = auto). Never affects results.
+  /// Chunks per parallel kernel: an explicit k splits each kernel's range
+  /// into k near-equal chunks; 0 = the kernel's default grain (sim::grain).
+  /// Never affects results.
   std::uint32_t shards = 0;
   /// Incremental dirty-set swap decide: re-run best_swap only over the
   /// nodes whose readable counts changed since their last decision
@@ -154,14 +171,6 @@ class ParallelTickEngine {
 
   [[nodiscard]] unsigned thread_count() const { return threads_; }
 
-  /// Execute `shard_fn(shard)` for every shard in [0, shard_count), fanned
-  /// across the pool (the calling thread participates). Blocks until all
-  /// shards complete; the first exception thrown by any shard is rethrown
-  /// on the caller after the phase drains. Not reentrant: a shard callback
-  /// must not call back into the same engine.
-  void run_shards(std::size_t shard_count,
-                  const std::function<void(std::size_t)>& shard_fn);
-
   /// Chunked dynamic scheduling (deterministic work stealing): split
   /// [0, items) into canonical contiguous chunks of `grain` entities
   /// (the last chunk may be short) and run
@@ -192,27 +201,12 @@ class ParallelTickEngine {
                                                  std::size_t items,
                                                  std::size_t default_grain);
 
-  /// Contiguous [begin, end) range of shard `shard` when `items` entities
-  /// are split into `shard_count` near-equal blocks. Trailing shards may
-  /// be empty when shard_count > items (n-smaller-than-shards is legal).
-  [[nodiscard]] static std::pair<std::size_t, std::size_t> shard_range(
-      std::size_t items, std::size_t shard_count, std::size_t shard);
-
-  /// Resolve a shards knob for `items` entities: explicit values pass
-  /// through; 0 = auto (a few shards per pool thread, for balance).
-  [[nodiscard]] std::size_t resolve_shards(std::uint32_t requested,
-                                           std::size_t items) const;
-
  private:
-  /// One run_shards/run_chunks call. Heap-allocated and shared so a
-  /// worker waking late for an already-finished phase operates on that
-  /// phase's own (exhausted) counter instead of racing the next phase's
-  /// state. `fn` takes (index, worker): run_shards and run_chunks adapt
-  /// their callbacks through the pre-built members below, so dispatching
-  /// a phase never constructs (or allocates) a std::function.
+  /// One run_chunks call. Heap-allocated and shared so a worker waking
+  /// late for an already-finished phase operates on that phase's own
+  /// (exhausted) counter instead of racing the next phase's state.
   struct Job {
-    const std::function<void(std::size_t, unsigned)>* fn = nullptr;
-    std::size_t shards = 0;
+    std::size_t chunks = 0;
     std::atomic<std::size_t> next{0};
     std::size_t completed = 0;  // guarded by mutex_
     std::exception_ptr error;   // first failure, guarded by mutex_
@@ -220,29 +214,26 @@ class ParallelTickEngine {
 
   void worker_loop(unsigned worker);
   void drain(const std::shared_ptr<Job>& job, unsigned worker);
-  void dispatch(std::size_t count,
-                const std::function<void(std::size_t, unsigned)>& body);
+  void dispatch(std::size_t chunk_count);
   void run_one_chunk(std::size_t chunk, unsigned worker);
 
   unsigned threads_ = 1;
 
-  // Phase contexts for the pre-built adapter bodies (single-word lambda
-  // captures keep the std::function in its small-object buffer; the
-  // contexts live here because run_* is not reentrant anyway).
-  const std::function<void(std::size_t)>* shard_fn_ = nullptr;
+  // The current run_chunks call's parameters. They live here, read by
+  // whichever worker claims a chunk, because run_chunks is not reentrant
+  // anyway; a late worker of a finished phase claims no chunk and so
+  // never reads them.
   const ChunkFn* chunk_fn_ = nullptr;
   std::size_t chunk_items_ = 0;
   std::size_t chunk_grain_ = 1;
   ChunkLoad* chunk_load_ = nullptr;
   std::uint64_t dispatch_max_ns_ = 0;  // slowest chunk of this run_chunks
-  std::function<void(std::size_t, unsigned)> shard_body_;
-  std::function<void(std::size_t, unsigned)> chunk_body_;
 
   std::mutex mutex_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
   bool shutdown_ = false;
-  std::uint64_t job_id_ = 0;     // bumps once per run_shards call
+  std::uint64_t job_id_ = 0;     // bumps once per dispatch
   std::shared_ptr<Job> job_;     // current phase, guarded by mutex_
   /// Recycled Job allocations, one per pool thread (empty at one
   /// thread): a dispatch takes one no late-waking worker still holds

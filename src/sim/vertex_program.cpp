@@ -6,8 +6,6 @@ namespace poq::sim {
 
 SignalSet::SignalSet(std::size_t vertex_count) : bits_(vertex_count, 0) {
   require(vertex_count > 0, "SignalSet: vertex_count must be positive");
-  budget_.store(kBudgetPerVertex * static_cast<std::int64_t>(vertex_count),
-                std::memory_order_relaxed);
 }
 
 void SignalSet::signal(std::uint32_t vertex) {
@@ -24,56 +22,22 @@ void SignalSet::signal_all() {
   count_.fetch_add(marked, std::memory_order_relaxed);
 }
 
-bool SignalSet::charge(std::size_t cost) {
-  if (overflow_.load(std::memory_order_relaxed) != 0) return false;
-  const std::int64_t left = budget_.fetch_sub(
-      static_cast<std::int64_t>(cost), std::memory_order_relaxed);
-  if (left < static_cast<std::int64_t>(cost)) {
-    overflow_.store(1, std::memory_order_relaxed);
-    return false;
-  }
-  return true;
-}
-
 bool SignalSet::test(std::uint32_t vertex) const {
-  if (overflow_.load(std::memory_order_relaxed) != 0) return true;
   return relaxed(bits_[vertex]).load(std::memory_order_relaxed) != 0;
 }
 
 void SignalSet::clear(std::uint32_t vertex) {
-  if (overflow_.load(std::memory_order_relaxed) != 0) return;
   if (relaxed(bits_[vertex]).exchange(0, std::memory_order_relaxed) != 0) {
     count_.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 
 std::size_t SignalSet::signaled_count() const {
-  if (overflow_.load(std::memory_order_relaxed) != 0) return bits_.size();
   return count_.load(std::memory_order_relaxed);
-}
-
-void SignalSet::reset_budget() {
-  if (overflow_.load(std::memory_order_relaxed) != 0) {
-    // The epoch lost precision: everything counts as signaled. Convert the
-    // latch back to explicit marks so per-vertex clear() works again.
-    overflow_.store(0, std::memory_order_relaxed);
-    signal_all();
-  }
-  budget_.store(kBudgetPerVertex * static_cast<std::int64_t>(bits_.size()),
-                std::memory_order_relaxed);
 }
 
 std::size_t SignalSet::drain(std::vector<std::uint32_t>& out) {
   const std::size_t before = out.size();
-  if (overflow_.load(std::memory_order_relaxed) != 0) {
-    overflow_.store(0, std::memory_order_relaxed);
-    for (std::uint32_t v = 0; v < bits_.size(); ++v) {
-      bits_[v] = 0;
-      out.push_back(v);
-    }
-    count_.store(0, std::memory_order_relaxed);
-    return out.size() - before;
-  }
   if (count_.load(std::memory_order_relaxed) == 0) return 0;
   for (std::uint32_t v = 0; v < bits_.size(); ++v) {
     if (bits_[v] != 0) {

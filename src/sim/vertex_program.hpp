@@ -10,7 +10,7 @@
 //   * nodes hold local state (owned by the driver, one slot per vertex);
 //   * an *apply* kernel consumes each vertex's inbox and may mutate only
 //     that vertex's state;
-//   * sends go through per-shard outboxes and *signal* marks the vertices
+//   * sends go through per-chunk outboxes and *signal* marks the vertices
 //     whose cached decisions must be recomputed.
 //
 // Time advances in epochs (fixed dt chosen by the driver). Within an
@@ -20,12 +20,13 @@
 //
 // Determinism contract — canonical message merge: every message has a
 // canonical position (deliver epoch, send phase, sender, per-sender send
-// index), independent of the threads/shards partitioning:
-//   * a parallel kernel iterates an ascending entity list; shard s covers
-//     a contiguous ascending slice, so concatenating the per-shard
-//     outboxes in shard order yields ascending-sender, program-send-order
-//     — the same sequence for every shard count (seal() per kernel keeps
-//     different kernels' sends from interleaving shard-wise);
+// index), independent of the threads/shards setting:
+//   * run_kernel splits an ascending entity list into the engine's
+//     canonical contiguous chunks and hands each chunk its own context,
+//     so concatenating the per-chunk outboxes in ascending chunk order
+//     yields ascending-sender, program-send-order — the same sequence for
+//     every grain (seal() per kernel keeps different kernels' sends from
+//     interleaving chunk-wise);
 //   * serial-phase sends append after the epoch's sealed kernels in call
 //     order, which is itself canonical;
 //   * delivery walks the due queue in that canonical order, so each
@@ -33,14 +34,11 @@
 //     carried the messages.
 // With all randomness drawn from counter-based keyed streams
 // (util::Rng::keyed per (tag, epoch, entity)), a vertex program's results
-// are bit-identical for every threads/shards setting, and running with
-// no pool (inline) is the shard_count = 1 special case of the same code.
+// are bit-identical for every threads/shards setting; a 1-thread pool
+// runs the same chunks inline.
 //
 // The signaled-set reuses the PairLedger dirty-set discipline: relaxed
-// atomic marks (safe from concurrent kernels), a per-epoch marking budget
-// for fan-out marking loops, and an overflow latch that degrades to
-// everything-signaled rather than paying unbounded precision (dense
-// regimes recompute everything anyway).
+// atomic marks, safe from concurrent kernels.
 #pragma once
 
 #include <algorithm>
@@ -56,16 +54,10 @@
 namespace poq::sim {
 
 /// The vertices whose cached decisions must be recomputed because their
-/// readable state changed. PairLedger dirty-set discipline: O(1) relaxed
-/// atomic marks, a per-epoch budget charged by fan-out marking loops, and
-/// an overflow latch that converts to everything-signaled at the epoch
-/// boundary.
+/// readable state changed: O(1) relaxed atomic marks (the PairLedger
+/// dirty-set discipline).
 class SignalSet {
  public:
-  /// Precision budget for fan-out marking loops, per vertex per epoch
-  /// (mirrors PairLedger::kMarkingBudgetPerNode).
-  static constexpr std::int64_t kBudgetPerVertex = 8;
-
   explicit SignalSet(std::size_t vertex_count);
 
   [[nodiscard]] std::size_t vertex_count() const { return bits_.size(); }
@@ -75,27 +67,11 @@ class SignalSet {
   /// Mark every vertex (serial).
   void signal_all();
 
-  /// Charge `cost` against the epoch's marking budget before a fan-out
-  /// marking loop of that size. Returns false — and latches the overflow
-  /// — once the epoch's scans have cost more than the budget; the caller
-  /// skips its loop (the latch makes everything signaled instead).
-  /// Thread-safe (relaxed).
-  bool charge(std::size_t cost);
-  [[nodiscard]] bool overflowed() const {
-    return overflow_.load(std::memory_order_relaxed) != 0;
-  }
-
-  /// Whether `vertex` is signaled (everything is, under the latch).
   [[nodiscard]] bool test(std::uint32_t vertex) const;
-  /// Clear one vertex's mark (no-op under the latch — precision is gone
-  /// for the epoch). Thread-safe against concurrent marks of *other*
-  /// vertices; callers clear only vertices they own.
+  /// Clear one vertex's mark. Thread-safe against concurrent marks of
+  /// *other* vertices; callers clear only vertices they own.
   void clear(std::uint32_t vertex);
   [[nodiscard]] std::size_t signaled_count() const;
-
-  /// Epoch boundary: refill the budget; if the epoch overflowed, convert
-  /// the latch back to bits conservatively (everything signaled).
-  void reset_budget();
 
   /// Append all signaled vertices to `out` in ascending order and clear
   /// every mark (serial).
@@ -108,8 +84,6 @@ class SignalSet {
 
   mutable std::vector<std::uint8_t> bits_;
   std::atomic<std::size_t> count_{0};
-  std::atomic<std::int64_t> budget_{0};
-  std::atomic<std::uint8_t> overflow_{0};
 };
 
 /// Typed message substrate for one vertex program. `Message` is the
@@ -119,8 +93,8 @@ class SignalSet {
 template <typename Message>
 class VertexProgram {
  public:
-  /// Per-shard send/signal surface handed to parallel kernels. Sends are
-  /// buffered per shard and merged canonically at seal(); signals go to
+  /// Per-chunk send/signal surface handed to parallel kernels. Sends are
+  /// buffered per chunk and merged canonically at seal(); signals go to
   /// the shared SignalSet (relaxed marks).
   class Context {
    public:
@@ -146,21 +120,17 @@ class VertexProgram {
     SignalSet* signals_ = nullptr;
   };
 
-  /// `pool` may be null: kernels then run inline on the caller with one
-  /// shard — the same canonical orders, bit for bit.
-  VertexProgram(std::size_t vertex_count, ParallelTickEngine* pool,
-                std::size_t shard_count)
+  /// `shards` is the protocol's shards knob: an explicit k splits each
+  /// kernel's range into k near-equal chunks, 0 = the kernel's grain.
+  VertexProgram(std::size_t vertex_count, ParallelTickEngine& pool,
+                std::uint32_t shards)
       : vertex_count_(vertex_count),
         pool_(pool),
-        shard_count_(pool == nullptr ? 1 : std::max<std::size_t>(1, shard_count)),
+        shards_(shards),
         signals_(vertex_count),
-        contexts_(shard_count_),
-        inboxes_(vertex_count) {
-    for (Context& context : contexts_) context.signals_ = &signals_;
-  }
+        inboxes_(vertex_count) {}
 
   [[nodiscard]] std::size_t vertex_count() const { return vertex_count_; }
-  [[nodiscard]] std::size_t shard_count() const { return shard_count_; }
   [[nodiscard]] SignalSet& signals() { return signals_; }
   [[nodiscard]] std::uint64_t messages_sent() const { return messages_sent_; }
   [[nodiscard]] std::uint64_t messages_delivered() const {
@@ -196,20 +166,26 @@ class VertexProgram {
     return inboxes_[target];
   }
 
-  /// Run `kernel(shard, context)` over every shard, fanned across the
-  /// pool (inline without one). The kernel must partition its entity
-  /// list with ParallelTickEngine::shard_range over shard_count() shards
-  /// — ascending contiguous slices are what make seal() canonical.
+  /// Run `kernel(begin, end, context)` over [0, items) in the engine's
+  /// canonical chunks (`default_grain` entities each when the shards knob
+  /// is 0), fanned across the pool, each chunk with its own context; the
+  /// kernel walks its ascending slice of the caller's entity list.
+  /// seal() then merges the contexts in ascending chunk order, which is
+  /// what makes the merge canonical.
   template <typename Kernel>
-  void run_kernel(Kernel&& kernel) {
-    if (pool_ == nullptr) {
-      kernel(std::size_t{0}, contexts_[0]);
-      seal();
-      return;
+  void run_kernel(std::size_t items, std::size_t default_grain,
+                  Kernel&& kernel) {
+    if (items == 0) return;
+    grain_ = ParallelTickEngine::resolve_grain(shards_, items, default_grain);
+    const std::size_t chunks = (items + grain_ - 1) / grain_;
+    while (contexts_.size() < chunks) {
+      contexts_.emplace_back().signals_ = &signals_;
     }
-    pool_->run_shards(shard_count_, [this, &kernel](std::size_t shard) {
-      kernel(shard, contexts_[shard]);
-    });
+    pool_.run_chunks(items, grain_, nullptr,
+                     [this, &kernel](std::size_t begin, std::size_t end,
+                                     unsigned) {
+                       kernel(begin, end, contexts_[begin / grain_]);
+                     });
     seal();
   }
 
@@ -235,10 +211,11 @@ class VertexProgram {
     Message payload;
   };
 
-  /// Merge the per-shard outboxes into the pending queue in canonical
-  /// order: shard 0..S-1 concatenation == ascending-sender program order
-  /// for every S, because each kernel walks an ascending contiguous
-  /// entity slice per shard.
+  /// Merge the per-chunk outboxes into the pending queue in canonical
+  /// order: chunk 0..C-1 concatenation == ascending-sender program order
+  /// for every grain, because each chunk walks an ascending contiguous
+  /// entity slice. Contexts past the last kernel's chunk count hold
+  /// empty outboxes.
   void seal() {
     for (Context& context : contexts_) {
       for (typename Context::Pending& pending : context.outbox_) {
@@ -251,8 +228,9 @@ class VertexProgram {
   }
 
   std::size_t vertex_count_;
-  ParallelTickEngine* pool_;
-  std::size_t shard_count_;
+  ParallelTickEngine& pool_;
+  std::uint32_t shards_;
+  std::size_t grain_ = 1;  // the running kernel's chunk grain
   SignalSet signals_;
   std::vector<Context> contexts_;
   std::uint64_t epoch_ = 0;

@@ -331,16 +331,17 @@ TEST(PairLedger, MarkingBudgetOverflowLatchesEverythingDirty) {
   EXPECT_EQ(ledger.drain_dirty(nodes), 8u);
   EXPECT_EQ(nodes.size(), 8u);
   EXPECT_EQ(ledger.dirty_count(), 0u);
-  // Fresh epoch: precise (bit-level, unlatched) marking works again — in
-  // this dense ledger every node reads C_0(1), but the marks are real
-  // bits now, so a per-node clear takes effect (a latch would not).
-  ledger.add(0, 1, 1);
-  EXPECT_EQ(ledger.dirty_count(), 8u);
-  ledger.clear_dirty(5);
-  EXPECT_EQ(ledger.dirty_count(), 7u);
-  EXPECT_FALSE(ledger.dirty(5));
+  // Fresh epoch: precise (bit-level, unlatched) marking works again — a
+  // single mark reads as one dirty node (a latch would read all 8).
+  ledger.mark_dirty(5);
+  EXPECT_EQ(ledger.dirty_count(), 1u);
+  EXPECT_TRUE(ledger.dirty(5));
+  EXPECT_FALSE(ledger.dirty(4));
 }
 
+// Fidelity's slice boundary is a drain_dirty into its own stale flags: an
+// overflowed epoch converts conservatively (every node, ascending) and
+// per-node marking is precise again afterwards.
 TEST(PairLedger, ResetMarkingBudgetConvertsOverflowToBits) {
   PairLedger ledger(6);
   ledger.enable_dirty_tracking();
@@ -354,13 +355,16 @@ TEST(PairLedger, ResetMarkingBudgetConvertsOverflowToBits) {
     ledger.remove(0, 1, 1);
   }
   ASSERT_EQ(ledger.dirty_count(), 6u);  // overflowed
-  ledger.reset_marking_budget();        // the fidelity slice boundary
-  // The latch is gone but the information loss was conservative: every
-  // node's bit is set, and per-node clears work again.
-  EXPECT_EQ(ledger.dirty_count(), 6u);
-  ledger.clear_dirty(3);
-  EXPECT_EQ(ledger.dirty_count(), 5u);
-  EXPECT_FALSE(ledger.dirty(3));
+  nodes.clear();
+  EXPECT_EQ(ledger.drain_dirty(nodes), 6u);  // the fidelity slice boundary
+  EXPECT_EQ(nodes, (std::vector<NodeId>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(ledger.dirty_count(), 0u);
+  ledger.mark_dirty(3);
+  EXPECT_EQ(ledger.dirty_count(), 1u);
+  EXPECT_FALSE(ledger.dirty(2));
+  nodes.clear();
+  EXPECT_EQ(ledger.drain_dirty(nodes), 1u);
+  EXPECT_EQ(nodes, (std::vector<NodeId>{3}));
 }
 
 // add_edges must be indistinguishable from the scalar add() loop it
@@ -487,7 +491,8 @@ TEST(PairLedger, DirtyTrackingOffByDefaultAndMarkAllOnEnable) {
   EXPECT_TRUE(ledger.dirty(0) == false && ledger.dirty_count() == 0u);
   ledger.mark_dirty(2);
   EXPECT_TRUE(ledger.dirty(2));
-  ledger.clear_dirty(2);
+  nodes.clear();
+  EXPECT_EQ(ledger.drain_dirty(nodes), 1u);
   EXPECT_EQ(ledger.dirty_count(), 0u);
 }
 

@@ -153,6 +153,22 @@ TEST(Registry, ShardsMessageNamesItsRange) {
   }
 }
 
+// Fidelity's generate and decide kernels dispatch through the chunk
+// scheduler with its phase timers' load records, so its timings carry
+// the chunk-imbalance signal like every NetworkState kernel's.
+TEST(Registry, FidelityTimingsCarryChunkImbalance) {
+  ScenarioSpec spec = small_spec("fidelity");
+  spec.knobs["duration"] = 30.0;
+  spec.knobs["threads"] = std::int64_t{2};
+  spec.knobs["shards"] = std::int64_t{4};
+  const RunMetrics metrics = registry().run("fidelity", spec);
+  for (const char* name :
+       {"shard_imbalance.generate", "shard_imbalance.decide"}) {
+    ASSERT_TRUE(metrics.has_timing(name)) << name;
+    EXPECT_GE(metrics.timing(name), 1.0) << name;
+  }
+}
+
 TEST(Registry, LpProtocolReportsStatus) {
   const RunMetrics metrics = registry().run("lp", small_spec("lp"));
   EXPECT_EQ(metrics.label("status"), "optimal");

@@ -13,43 +13,27 @@
 namespace poq::sim {
 namespace {
 
-TEST(ShardRange, PartitionsExactlyAndContiguously) {
-  for (const std::size_t items : {0u, 1u, 5u, 16u, 17u, 100u}) {
-    for (const std::size_t shards : {1u, 2u, 7u, 16u, 32u}) {
-      std::size_t covered = 0;
-      std::size_t previous_end = 0;
-      for (std::size_t s = 0; s < shards; ++s) {
-        const auto [begin, end] =
-            ParallelTickEngine::shard_range(items, shards, s);
-        EXPECT_EQ(begin, previous_end);
-        EXPECT_LE(begin, end);
-        covered += end - begin;
-        previous_end = end;
-      }
-      EXPECT_EQ(covered, items) << items << " items over " << shards;
-      EXPECT_EQ(previous_end, items);
-    }
-  }
-}
-
-TEST(ShardRange, MoreShardsThanItemsLeavesTrailingShardsEmpty) {
-  const auto [b0, e0] = ParallelTickEngine::shard_range(3, 8, 0);
-  EXPECT_EQ(e0 - b0, 1u);
-  const auto [b7, e7] = ParallelTickEngine::shard_range(3, 8, 7);
-  EXPECT_EQ(b7, e7);  // empty
-}
-
-TEST(ShardRange, RejectsBadArguments) {
-  EXPECT_THROW((void)ParallelTickEngine::shard_range(4, 0, 0), PreconditionError);
-  EXPECT_THROW((void)ParallelTickEngine::shard_range(4, 2, 2), PreconditionError);
-}
-
+// An explicit shards knob k splits the range into at most k near-equal
+// chunks, and every chunk runs exactly once at every thread count.
 TEST(ParallelTickEngine, RunsEveryShardExactlyOnce) {
   for (const unsigned threads : {1u, 2u, 8u}) {
     ParallelTickEngine engine(threads);
-    std::vector<std::atomic<int>> hits(23);
-    engine.run_shards(hits.size(), [&](std::size_t shard) { ++hits[shard]; });
-    for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
+    for (const std::uint32_t shards : {1u, 4u, 7u, 23u, 40u}) {
+      const std::size_t items = 23;
+      const std::size_t grain =
+          ParallelTickEngine::resolve_grain(shards, items, 2048);
+      std::vector<std::atomic<int>> hits(items);
+      std::atomic<std::size_t> chunks{0};
+      engine.run_chunks(items, grain, nullptr,
+                        [&](std::size_t begin, std::size_t end, unsigned) {
+                          ++chunks;
+                          for (std::size_t i = begin; i < end; ++i) ++hits[i];
+                        });
+      EXPECT_LE(chunks.load(), std::size_t{shards});
+      for (const auto& hit : hits) {
+        EXPECT_EQ(hit.load(), 1) << threads << " threads, shards " << shards;
+      }
+    }
   }
 }
 
@@ -57,47 +41,17 @@ TEST(ParallelTickEngine, ReusableAcrossManyPhases) {
   ParallelTickEngine engine(4);
   std::atomic<std::uint64_t> total{0};
   for (int phase = 0; phase < 200; ++phase) {
-    engine.run_shards(7, [&](std::size_t shard) { total += shard; });
+    engine.run_chunks(7, 1, nullptr,
+                      [&](std::size_t begin, std::size_t, unsigned) {
+                        total += begin;
+                      });
   }
   EXPECT_EQ(total.load(), 200u * (0 + 1 + 2 + 3 + 4 + 5 + 6));
-}
-
-TEST(ParallelTickEngine, ZeroShardsIsANoop) {
-  ParallelTickEngine engine(2);
-  bool touched = false;
-  engine.run_shards(0, [&](std::size_t) { touched = true; });
-  EXPECT_FALSE(touched);
-}
-
-TEST(ParallelTickEngine, ShardExceptionsPropagateAfterDraining) {
-  for (const unsigned threads : {1u, 4u}) {
-    ParallelTickEngine engine(threads);
-    EXPECT_THROW(
-        engine.run_shards(9,
-                          [&](std::size_t shard) {
-                            if (shard == 4) throw std::runtime_error("boom");
-                          }),
-        std::runtime_error);
-    // The engine must stay usable after a failed phase.
-    std::atomic<int> count{0};
-    engine.run_shards(5, [&](std::size_t) { ++count; });
-    EXPECT_EQ(count.load(), 5);
-  }
 }
 
 TEST(ParallelTickEngine, ResolveThreadsMapsZeroToHardware) {
   EXPECT_GE(ParallelTickEngine::resolve_threads(0), 1u);
   EXPECT_EQ(ParallelTickEngine::resolve_threads(3), 3u);
-}
-
-TEST(ParallelTickEngine, ResolveShardsAutoIsBoundedAndExplicitPassesThrough) {
-  ParallelTickEngine engine(2);
-  EXPECT_EQ(engine.resolve_shards(5, 100), 5u);
-  const std::size_t auto_shards = engine.resolve_shards(0, 100);
-  EXPECT_GE(auto_shards, 1u);
-  EXPECT_LE(auto_shards, 100u);
-  // Tiny inputs never get more auto shards than items.
-  EXPECT_LE(engine.resolve_shards(0, 3), 3u);
 }
 
 TEST(ParallelTickEngine, RunChunksCoversEveryIndexExactlyOnce) {
@@ -139,6 +93,45 @@ TEST(ParallelTickEngine, RunChunksZeroItemsIsANoop) {
   engine.run_chunks(0, 8, nullptr,
                     [&](std::size_t, std::size_t, unsigned) { touched = true; });
   EXPECT_FALSE(touched);
+}
+
+// An empty range resolves to a valid grain under every shards knob and
+// runs no chunk.
+TEST(ParallelTickEngine, ZeroShardsIsANoop) {
+  ParallelTickEngine engine(2);
+  for (const std::uint32_t shards : {0u, 3u}) {
+    const std::size_t grain = ParallelTickEngine::resolve_grain(shards, 0, 2048);
+    EXPECT_GE(grain, 1u);
+    bool touched = false;
+    engine.run_chunks(0, grain, nullptr,
+                      [&](std::size_t, std::size_t, unsigned) { touched = true; });
+    EXPECT_FALSE(touched) << "shards " << shards;
+  }
+}
+
+// A failing chunk does not cancel the rest of the dispatch: every other
+// chunk still runs before the first exception reaches the caller.
+TEST(ParallelTickEngine, ShardExceptionsPropagateAfterDraining) {
+  for (const unsigned threads : {1u, 4u}) {
+    ParallelTickEngine engine(threads);
+    const std::size_t grain = ParallelTickEngine::resolve_grain(9, 9, 2048);
+    std::atomic<int> ran{0};
+    EXPECT_THROW(engine.run_chunks(9, grain, nullptr,
+                                   [&](std::size_t begin, std::size_t,
+                                       unsigned) {
+                                     if (begin == 4) {
+                                       throw std::runtime_error("boom");
+                                     }
+                                     ++ran;
+                                   }),
+                 std::runtime_error);
+    EXPECT_EQ(ran.load(), 8) << threads << " threads";
+    // The engine must stay usable after a failed phase.
+    std::atomic<int> count{0};
+    engine.run_chunks(5, 1, nullptr,
+                      [&](std::size_t, std::size_t, unsigned) { ++count; });
+    EXPECT_EQ(count.load(), 5);
+  }
 }
 
 TEST(ParallelTickEngine, RunChunksRejectsZeroGrain) {
@@ -218,6 +211,23 @@ TEST(ParallelTickEngine, ResolveGrainDefaultsAndExplicitShardSplit) {
   // Never rounds down to a zero grain.
   EXPECT_EQ(ParallelTickEngine::resolve_grain(16, 3, 2048), 1u);
   EXPECT_GE(ParallelTickEngine::resolve_grain(0, 10, 0), 1u);
+}
+
+// The shards knob read as a chunk count: an explicit k that divides the
+// range passes through exactly; auto stays within [1, items].
+TEST(ParallelTickEngine, ResolveShardsAutoIsBoundedAndExplicitPassesThrough) {
+  const auto chunks = [](std::uint32_t shards, std::size_t items) {
+    const std::size_t grain =
+        ParallelTickEngine::resolve_grain(shards, items, 2048);
+    return (items + grain - 1) / grain;
+  };
+  EXPECT_EQ(chunks(5, 100), 5u);
+  const std::size_t auto_chunks = chunks(0, 100);
+  EXPECT_GE(auto_chunks, 1u);
+  EXPECT_LE(auto_chunks, 100u);
+  // Tiny inputs never get more chunks than items.
+  EXPECT_LE(chunks(0, 3), 3u);
+  EXPECT_LE(chunks(16, 3), 3u);
 }
 
 }  // namespace

@@ -39,38 +39,6 @@ TEST(SignalSet, MarksDrainAscendingAndClear) {
   EXPECT_EQ(signals.signaled_count(), 0u);
 }
 
-TEST(SignalSet, BudgetOverflowLatchesToEverythingSignaled) {
-  SignalSet signals(4);
-  const std::size_t budget = 4 * SignalSet::kBudgetPerVertex;
-  EXPECT_TRUE(signals.charge(budget));     // exactly spends the budget
-  EXPECT_FALSE(signals.charge(1));         // one more latches
-  EXPECT_TRUE(signals.overflowed());
-  // Precision is gone: everything reads signaled, clears are no-ops.
-  for (std::uint32_t v = 0; v < 4; ++v) EXPECT_TRUE(signals.test(v));
-  signals.clear(1);
-  EXPECT_TRUE(signals.test(1));
-  EXPECT_EQ(signals.signaled_count(), 4u);
-  std::vector<std::uint32_t> drained;
-  EXPECT_EQ(signals.drain(drained), 4u);
-  EXPECT_EQ(drained, (std::vector<std::uint32_t>{0, 1, 2, 3}));
-  EXPECT_FALSE(signals.overflowed());  // drain starts a fresh epoch
-}
-
-TEST(SignalSet, ResetBudgetConvertsLatchConservatively) {
-  SignalSet signals(3);
-  signals.signal(1);
-  EXPECT_FALSE(signals.charge(1000));
-  signals.reset_budget();
-  // The latch became real marks on every vertex; the new epoch has its
-  // budget back and precise clearing works again.
-  EXPECT_FALSE(signals.overflowed());
-  for (std::uint32_t v = 0; v < 3; ++v) EXPECT_TRUE(signals.test(v));
-  EXPECT_TRUE(signals.charge(1));
-  signals.clear(0);
-  EXPECT_FALSE(signals.test(0));
-  EXPECT_TRUE(signals.test(2));
-}
-
 // --- canonical message merge -------------------------------------------
 
 /// One epoch's order-sensitive message workload: every vertex mails a
@@ -78,11 +46,9 @@ TEST(SignalSet, ResetBudgetConvertsLatchConservatively) {
 /// serial phase mails a couple more. Receivers fold their inboxes with a
 /// non-commutative hash, so any reordering changes the digest.
 std::uint64_t run_digest(std::size_t vertex_count, unsigned threads,
-                         std::size_t shards, bool sequential) {
+                         std::uint32_t shards) {
   ParallelTickEngine pool(threads);
-  VertexProgram<std::uint32_t> program(
-      vertex_count, sequential ? nullptr : &pool,
-      sequential ? 1 : pool.resolve_shards(shards, vertex_count));
+  VertexProgram<std::uint32_t> program(vertex_count, pool, shards);
   std::vector<std::uint64_t> fold(vertex_count, 1469598103934665603ull);
   const auto n = static_cast<std::uint32_t>(vertex_count);
   for (std::uint64_t epoch = 0; epoch < 8; ++epoch) {
@@ -91,10 +57,9 @@ std::uint64_t run_digest(std::size_t vertex_count, unsigned threads,
         fold[v] = fold[v] * 31 + payload;  // deliberately non-commutative
       }
     }
-    program.run_kernel([&](std::size_t shard,
+    program.run_kernel(vertex_count, grain::kDecide,
+                       [&](std::size_t begin, std::size_t end,
                            VertexProgram<std::uint32_t>::Context& ctx) {
-      const auto [begin, end] = ParallelTickEngine::shard_range(
-          vertex_count, program.shard_count(), shard);
       for (std::size_t i = begin; i < end; ++i) {
         const auto v = static_cast<std::uint32_t>(i);
         util::Rng rng = util::Rng::keyed(41, 0x766d7478, epoch, v);
@@ -118,22 +83,29 @@ std::uint64_t run_digest(std::size_t vertex_count, unsigned threads,
 }
 
 TEST(VertexProgram, MergeOrderIsCanonicalAcrossThreadsAndShards) {
-  const std::uint64_t reference = run_digest(24, 1, 1, /*sequential=*/false);
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    for (const std::size_t shards : {1u, 3u, 16u}) {
-      EXPECT_EQ(run_digest(24, threads, shards, false), reference)
-          << "digest drifted at threads=" << threads << " shards=" << shards;
+  // 200 vertices: the auto grain (shards 0) splits them into several
+  // chunks too.
+  for (const std::size_t vertices : {24u, 200u}) {
+    const std::uint64_t reference = run_digest(vertices, 1, 1);
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      for (const std::uint32_t shards : {0u, 1u, 3u, 16u}) {
+        EXPECT_EQ(run_digest(vertices, threads, shards), reference)
+            << "digest drifted at vertices=" << vertices
+            << " threads=" << threads << " shards=" << shards;
+      }
     }
   }
 }
 
+// A 1-thread pool runs every chunk inline on the caller: the sequential
+// engine is the same code, not a separate path.
 TEST(VertexProgram, SequentialEngineIsTheOneShardSpecialCase) {
-  EXPECT_EQ(run_digest(24, 1, 1, /*sequential=*/true),
-            run_digest(24, 4, 7, /*sequential=*/false));
+  EXPECT_EQ(run_digest(24, 1, 1), run_digest(24, 4, 7));
 }
 
 TEST(VertexProgram, SerialSendRejectsSameEpochDelivery) {
-  VertexProgram<int> program(4, nullptr, 1);
+  ParallelTickEngine pool(1);
+  VertexProgram<int> program(4, pool, 1);
   (void)program.deliver(0);
   EXPECT_THROW(program.send(2, 0, 7), PreconditionError);
   program.send(2, 1, 7);  // >= 1 is fine
@@ -142,10 +114,11 @@ TEST(VertexProgram, SerialSendRejectsSameEpochDelivery) {
 
 TEST(VertexProgram, ParallelSendClampsToNextEpoch) {
   ParallelTickEngine pool(2);
-  VertexProgram<int> program(4, &pool, 2);
+  VertexProgram<int> program(4, pool, 2);
   (void)program.deliver(0);
-  program.run_kernel([&](std::size_t shard, VertexProgram<int>::Context& ctx) {
-    if (shard == 0) ctx.send(3, 0, 42);  // clamped to delay 1
+  program.run_kernel(4, 1, [&](std::size_t begin, std::size_t,
+                               VertexProgram<int>::Context& ctx) {
+    if (begin == 0) ctx.send(3, 0, 42);  // clamped to delay 1
   });
   EXPECT_EQ(program.messages_sent(), 1u);
   const std::vector<std::uint32_t>& active = program.deliver(1);
@@ -169,8 +142,7 @@ std::vector<std::int64_t> run_decisions(bool changed_only) {
   constexpr std::size_t kVertices = 12;
   constexpr std::uint64_t kEpochs = 40;
   ParallelTickEngine pool(2);
-  VertexProgram<std::int64_t> program(kVertices, &pool,
-                                      pool.resolve_shards(3, kVertices));
+  VertexProgram<std::int64_t> program(kVertices, pool, 3);
   std::vector<std::int64_t> value(kVertices, 0);
   std::vector<std::int64_t> decision(kVertices, 0);
   std::vector<std::int64_t> trajectory;
@@ -194,7 +166,6 @@ std::vector<std::int64_t> run_decisions(bool changed_only) {
       program.signals().clear(v);
     }
     trajectory.insert(trajectory.end(), decision.begin(), decision.end());
-    program.signals().reset_budget();
   }
   return trajectory;
 }
