@@ -1,7 +1,7 @@
 #include "core/gossip.hpp"
 
 #include <algorithm>
-#include <memory>
+#include <cmath>
 #include <vector>
 
 #include "net/message.hpp"
@@ -21,12 +21,11 @@ class KnowledgeBase {
         counts_(node_count * node_count * node_count, 0),
         age_(node_count * node_count, 0) {}
 
-  /// Install reporter's row as seen by `owner` at `round`.
-  void install(NodeId owner, NodeId reporter, const std::vector<std::uint32_t>& row,
+  /// Install reporter's dense row as seen by `owner` at `round`.
+  void install(NodeId owner, NodeId reporter, const std::uint32_t* row,
                std::uint32_t round) {
-    for (NodeId peer = 0; peer < node_count_; ++peer) {
-      counts_[flat(owner, reporter, peer)] = row[peer];
-    }
+    std::copy(row, row + node_count_, counts_.begin() + static_cast<std::ptrdiff_t>(
+                                                            flat(owner, reporter, 0)));
     age_[static_cast<std::size_t>(owner) * node_count_ + reporter] = round;
   }
 
@@ -52,45 +51,129 @@ class KnowledgeBase {
   std::vector<std::uint32_t> age_;  // round of last report, per (owner, reporter)
 };
 
-/// Rotating-window gossip targets of node x at `round` (+ one optimistic
-/// peer drawn from `rng`, the per-(round, node) keyed stream).
-std::vector<NodeId> gossip_targets(NodeId x, std::uint32_t round, NodeId node_count,
-                                   const GossipConfig& config, util::Rng& rng) {
-  std::vector<NodeId> targets;
-  for (std::uint32_t k = 0; k < config.fanout; ++k) {
-    const auto offset = 1 + (static_cast<std::uint64_t>(round) * config.fanout + k) %
-                                (node_count - 1);
-    targets.push_back(static_cast<NodeId>((x + offset) % node_count));
-  }
-  if (config.optimistic_peer) {
-    NodeId random_peer = x;
-    while (random_peer == x) {
-      random_peer = static_cast<NodeId>(rng.uniform_index(node_count));
+/// Count reports in flight, as a ring of per-round slots `depth` rounds
+/// deep. Each send round owns one slot: the n x n snapshot of the rows
+/// sent that round plus that round's messages. Each message also joins
+/// the delivery list of its due round, a chain through the slots
+/// appended in send order, so the merge walks exactly the messages due
+/// now in (send round, sender, target) order. Every queued delay is
+/// below `depth`, so a slot is reused only after everything sent from it
+/// has been installed. A slot's storage is sized on its first use and
+/// reused after, so the ring stops allocating once it has wrapped.
+class DeliveryRing {
+ public:
+  DeliveryRing(std::size_t node_count, std::size_t messages_per_round,
+               std::size_t depth)
+      : node_count_(node_count), per_round_(messages_per_round), slots_(depth) {}
+
+  /// Open `round`'s send slot; returns its row snapshot (row x at
+  /// x * node_count) for the caller to fill.
+  std::uint32_t* open(std::uint32_t round) {
+    sending_ = round % slots_.size();
+    Slot& slot = slots_[sending_];
+    if (slot.rows.empty()) {
+      slot.rows.resize(node_count_ * node_count_);
+      slot.messages.reserve(per_round_);
     }
-    targets.push_back(random_peer);
+    slot.round = round;
+    slot.messages.clear();
+    return slot.rows.data();
   }
-  return targets;
+
+  /// Queue sender's row from the open slot for `target` at `due_round`
+  /// (the open round + a delay below the ring depth).
+  void post(NodeId sender, NodeId target, std::uint32_t due_round) {
+    Slot& slot = slots_[sending_];
+    const std::size_t id = sending_ * per_round_ + slot.messages.size();
+    slot.messages.push_back(Message{sender, target, kNone});
+    Slot& due = slots_[due_round % slots_.size()];
+    if (due.tail == kNone) {
+      due.head = id;
+    } else {
+      message(due.tail).next = id;
+    }
+    due.tail = id;
+  }
+
+  /// Hand every message due at `round` to
+  /// install(target, sender, row, send_round), in send order, and empty
+  /// the round's delivery list.
+  template <typename Install>
+  void deliver(std::uint32_t round, Install&& install) {
+    Slot& due = slots_[round % slots_.size()];
+    for (std::size_t id = due.head; id != kNone;) {
+      const Slot& from = slots_[id / per_round_];
+      const Message& m = from.messages[id % per_round_];
+      install(m.target, m.sender, from.rows.data() + m.sender * node_count_,
+              from.round);
+      id = m.next;
+    }
+    due.head = kNone;
+    due.tail = kNone;
+  }
+
+ private:
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  struct Message {
+    NodeId sender = 0;
+    NodeId target = 0;
+    std::size_t next = kNone;  // next message due the same round
+  };
+  struct Slot {
+    std::uint32_t round = 0;  // send round of rows/messages
+    std::vector<std::uint32_t> rows;
+    std::vector<Message> messages;
+    // Delivery list of the due round that maps to this slot.
+    std::size_t head = kNone;
+    std::size_t tail = kNone;
+  };
+
+  Message& message(std::size_t id) {
+    return slots_[id / per_round_].messages[id % per_round_];
+  }
+
+  std::size_t node_count_;
+  std::size_t per_round_;
+  std::vector<Slot> slots_;
+  std::size_t sending_ = 0;
+};
+
+/// Ring depth: 1 + the longest delay ceil(latency * hops) of a message
+/// that can still arrive within max_rounds (rounds start at 1, so a
+/// longer one never does and is not queued).
+std::size_t delivery_depth(const std::vector<std::vector<std::uint32_t>>& distances,
+                           double latency_per_hop, std::uint32_t max_rounds) {
+  double longest = 0.0;
+  for (const std::vector<std::uint32_t>& row : distances) {
+    for (const std::uint32_t hops : row) {
+      const double delay = latency_per_hop * static_cast<double>(hops);
+      if (delay < static_cast<double>(max_rounds)) {
+        longest = std::max(longest, std::ceil(delay));
+      }
+    }
+  }
+  return static_cast<std::size_t>(longest) + 1;
 }
 
-/// Node x's true count row, dense over all nodes, filled from x's sparse
+/// Write node x's true count row, dense over all nodes, from x's sparse
 /// ledger row.
-std::vector<std::uint32_t> dense_row_of(const PairLedger& ledger, NodeId x,
-                                        NodeId node_count) {
-  std::vector<std::uint32_t> row(node_count, 0);
+void fill_dense_row(const PairLedger& ledger, NodeId x, std::uint32_t* row,
+                    NodeId node_count) {
+  std::fill(row, row + node_count, 0);
   const auto partners = ledger.partners(x);
   const auto counts = ledger.pair_counts(x);
   for (std::size_t k = 0; k < partners.size(); ++k) row[partners[k]] = counts[k];
-  return row;
 }
 
 /// Refill `update` (reused across senders) with x's dense row as the wire
 /// message it sends: one entry per other node.
 void fill_count_update(net::CountUpdate& update, NodeId x, std::uint32_t round,
-                       const std::vector<std::uint32_t>& row) {
+                       const std::uint32_t* row, NodeId node_count) {
   update.reporter = x;
   update.version = round;
   update.entries.clear();
-  for (NodeId peer = 0; peer < row.size(); ++peer) {
+  for (NodeId peer = 0; peer < node_count; ++peer) {
     if (peer != x) update.entries.push_back(net::CountUpdate::Entry{peer, row[peer]});
   }
 }
@@ -109,30 +192,32 @@ void fill_count_update(net::CountUpdate& update, NodeId x, std::uint32_t round,
 GossipResult run_gossip(const graph::Graph& generation_graph, const Workload& workload,
                         const GossipConfig& config) {
   require(config.fanout >= 1, "GossipConfig: fanout must be >= 1");
+  require(std::isfinite(config.latency_per_hop) && config.latency_per_hop >= 0.0,
+          "run_gossip: latency must be finite and non-negative");
   BalancingSimulation sim(generation_graph, workload, config.base);
   sim::NetworkState& state = sim.state();
   const auto node_count = static_cast<NodeId>(generation_graph.node_count());
 
   KnowledgeBase knowledge(node_count);
   const auto& distances = sim.distances();
-
-  /// One count row in flight: due round, canonical (sender, target) key.
-  /// The row is immutable once sent, so the (fanout+1) copies of a
-  /// round's report share one allocation.
-  struct PendingUpdate {
-    double due = 0.0;
-    NodeId sender = 0;
-    NodeId target = 0;
-    std::uint32_t version = 0;
-    std::shared_ptr<const std::vector<std::uint32_t>> row;
-  };
-  std::vector<PendingUpdate> pending;
+  const std::size_t per_sender = config.fanout + (config.optimistic_peer ? 1 : 0);
+  const auto max_rounds = static_cast<double>(config.base.max_rounds);
+  DeliveryRing ring(node_count, per_sender * node_count,
+                    delivery_depth(distances, config.latency_per_hop,
+                                   config.base.max_rounds));
 
   GossipResult result;
   net::CountUpdate update;  // send-kernel scratch, sized only
   update.entries.reserve(node_count - 1);
-  double view_age_total = 0.0;
-  std::uint64_t view_age_samples = 0;
+  // Ages of the views behind committed swaps. The commit observer
+  // captures only this struct, which keeps its std::function inline
+  // (no heap allocation per round).
+  struct ViewAgeTally {
+    const KnowledgeBase& knowledge;
+    std::uint32_t round = 0;
+    double total = 0.0;
+    std::uint64_t samples = 0;
+  } view_ages{knowledge};
 
   while (!sim.finished()) {
     util::this_thread_check_cancelled();
@@ -140,51 +225,63 @@ GossipResult run_gossip(const graph::Graph& generation_graph, const Workload& wo
     sim.fault_phase();
     const auto round = static_cast<std::uint32_t>(sim.round());
     const double now = static_cast<double>(round);
+    view_ages.round = round;
 
     sim.generation_phase();
 
-    // 1. Send kernel: count rows to the rotating window (+ one optimistic
-    // peer from a keyed stream), in canonical node order.
-    for (NodeId x = 0; x < node_count; ++x) {
-      util::Rng peer_rng = util::Rng::keyed(config.base.seed,
-                                            sim::stream_tag::kGossip, round, x);
-      const std::vector<NodeId> targets =
-          gossip_targets(x, round, node_count, config, peer_rng);
-      const auto row = std::make_shared<const std::vector<std::uint32_t>>(
-          dense_row_of(sim.ledger(), x, node_count));
-      fill_count_update(update, x, round, *row);
-      const std::size_t bytes = net::encoded_size(update);
-      for (NodeId target : targets) {
-        ++result.control_messages;
-        result.control_bytes += bytes;
-        pending.push_back(PendingUpdate{
-            now + config.latency_per_hop * static_cast<double>(distances[x][target]),
-            x, target, round, row});
+    {
+      const sim::PhaseStopwatch stopwatch(state.timers().exchange_ns);
+      // 1. Send kernel: count rows to the rotating window (+ one
+      // optimistic peer from a keyed stream), in canonical node order.
+      // Every message is counted on the wire; one due after max_rounds
+      // would never be installed, so it is not queued.
+      std::uint32_t* rows = ring.open(round);
+      for (NodeId x = 0; x < node_count; ++x) {
+        std::uint32_t* row = rows + static_cast<std::size_t>(x) * node_count;
+        fill_dense_row(sim.ledger(), x, row, node_count);
+        fill_count_update(update, x, round, row, node_count);
+        const std::size_t bytes = net::encoded_size(update);
+        const auto send = [&](NodeId target) {
+          ++result.control_messages;
+          result.control_bytes += bytes;
+          const double due =
+              now + config.latency_per_hop * static_cast<double>(distances[x][target]);
+          if (due <= max_rounds) {
+            ring.post(x, target, static_cast<std::uint32_t>(std::ceil(due)));
+          }
+        };
+        for (std::uint32_t k = 0; k < config.fanout; ++k) {
+          const auto offset =
+              1 + (static_cast<std::uint64_t>(round) * config.fanout + k) %
+                      (node_count - 1);
+          send(static_cast<NodeId>((x + offset) % node_count));
+        }
+        if (config.optimistic_peer) {
+          util::Rng peer_rng = util::Rng::keyed(config.base.seed,
+                                                sim::stream_tag::kGossip, round, x);
+          NodeId random_peer = x;
+          while (random_peer == x) {
+            random_peer = static_cast<NodeId>(peer_rng.uniform_index(node_count));
+          }
+          send(random_peer);
+        }
       }
-    }
 
-    // 2. Merge kernel: everything due by this round installs in insertion
-    // order — send round, then canonical sender, then target. A report's
-    // latency to a fixed target never varies, so per (owner, reporter)
-    // installs are already in send order; the canonical order fixes the
-    // rest deterministically.
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      PendingUpdate& message = pending[i];
-      if (message.due <= now) {
-        knowledge.install(message.target, message.sender, *message.row,
-                          message.version);
+      // 2. Merge kernel: the messages due this round install in send
+      // order — send round, then canonical sender, then target. A
+      // report's latency to a fixed target never varies, so per (owner,
+      // reporter) installs are already in send order; the canonical order
+      // fixes the rest deterministically.
+      ring.deliver(round, [&](NodeId owner, NodeId reporter, const std::uint32_t* row,
+                              std::uint32_t version) {
+        knowledge.install(owner, reporter, row, version);
         // An install changes what the owner reads at decide time (its
         // beneficiary views, including the freshness tie-break), so the
         // incremental decide must re-run it even if no ledger count it
         // reads moved.
-        sim.ledger().mark_dirty(message.target);
-        continue;
-      }
-      if (kept != i) pending[kept] = std::move(message);
-      ++kept;
+        sim.ledger().mark_dirty(owner);
+      });
     }
-    pending.resize(kept);
 
     // 3. Decide + serial commit under stale beneficiary views. The
     // decide scan reads the frozen post-generation ledger; the commit
@@ -205,11 +302,13 @@ GossipResult run_gossip(const graph::Graph& generation_graph, const Workload& wo
                 sim.ledger(), x, candidate.left, candidate.right,
                 candidate.beneficiary_count);
           },
-          [&](const sim::NetworkState::CommittedSwap& swap) {
-            view_age_total +=
-                round - std::max(knowledge.report_round(swap.node, swap.candidate.left),
-                                 knowledge.report_round(swap.node, swap.candidate.right));
-            ++view_age_samples;
+          [&view_ages](const sim::NetworkState::CommittedSwap& swap) {
+            const KnowledgeBase& views = view_ages.knowledge;
+            view_ages.total +=
+                view_ages.round -
+                std::max(views.report_round(swap.node, swap.candidate.left),
+                         views.report_round(swap.node, swap.candidate.right));
+            ++view_ages.samples;
           });
       sim.record_extra_swaps(stats.swaps);
       if (stats.swaps == 0) break;
@@ -220,7 +319,7 @@ GossipResult run_gossip(const graph::Graph& generation_graph, const Workload& wo
 
   result.base = sim.result();
   result.mean_view_age =
-      view_age_samples > 0 ? view_age_total / static_cast<double>(view_age_samples)
+      view_ages.samples > 0 ? view_ages.total / static_cast<double>(view_ages.samples)
                            : 0.0;
   return result;
 }

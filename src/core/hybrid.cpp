@@ -1,44 +1,90 @@
 #include "core/hybrid.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
-#include "core/planned_path.hpp"
-#include "graph/shortest_path.hpp"
 #include "util/cancel.hpp"
 #include "util/error.hpp"
 
 namespace poq::core {
+
+AssistRouter::AssistRouter(std::size_t node_count, std::uint32_t max_hops)
+    : max_hops_(max_hops),
+      parent_(node_count, 0),
+      depth_(node_count, 0),
+      seen_(node_count, 0) {
+  const std::size_t edges =
+      std::min<std::size_t>(max_hops, std::max<std::size_t>(node_count, 1) - 1);
+  queue_.reserve(node_count);
+  path_.reserve(edges + 1);
+  demand_.edge_raw_demand.reserve(edges);
+}
+
+const std::vector<NodeId>& AssistRouter::route(const PairLedger& ledger,
+                                               const NodePair& pair) {
+  const NodeId source = pair.first;
+  const NodeId target = pair.second;
+  path_.clear();
+  queue_.clear();
+  if (++epoch_ == 0) {  // stamps wrapped: forget every old mark
+    std::fill(seen_.begin(), seen_.end(), 0);
+    epoch_ = 1;
+  }
+  seen_[source] = epoch_;
+  depth_[source] = 0;
+  queue_.push_back(source);
+  for (std::size_t head = 0; head < queue_.size(); ++head) {
+    const NodeId u = queue_[head];
+    // Breadth-first: every later node is at least this deep, and a path
+    // through it would be longer than max_hops.
+    if (depth_[u] >= max_hops_) break;
+    for (const NodeId v : ledger.partners(u)) {
+      if (seen_[v] == epoch_ || (u == source && v == target)) continue;
+      seen_[v] = epoch_;
+      parent_[v] = u;
+      depth_[v] = depth_[u] + 1;
+      if (v == target) {
+        for (NodeId at = target; at != source; at = parent_[at]) path_.push_back(at);
+        path_.push_back(source);
+        std::reverse(path_.begin(), path_.end());
+        return path_;
+      }
+      queue_.push_back(v);
+    }
+  }
+  return path_;
+}
 
 namespace {
 
 /// Try to produce the head request's pairs by nested swapping along a
 /// shortest entanglement-graph path. Returns the swaps spent, or 0 if no
 /// viable path exists.
-double attempt_assist(BalancingSimulation& sim, const NodePair& pair,
-                      double distillation, std::uint32_t max_hops) {
+double attempt_assist(BalancingSimulation& sim, AssistRouter& router,
+                      const NodePair& pair, double distillation) {
   PairLedger& ledger = sim.ledger();
-  graph::Graph entanglement = ledger.entanglement_graph(1);
   // A direct pair that exists but is too weak to consume would be found as
-  // a 1-edge "path"; route around it so the assist can top the count up.
-  entanglement.remove_edge(pair.first, pair.second);
-  const auto path = graph::shortest_path(entanglement, pair.first, pair.second);
-  if (!path || path->size() < 3) return 0.0;
-  const std::size_t hops = path->size() - 1;
-  if (hops > max_hops) return 0.0;
+  // a 1-edge "path"; the router routes around it so the assist can top
+  // the count up.
+  const std::vector<NodeId>& path = router.route(ledger, pair);
+  if (path.empty()) return 0.0;
+  const std::size_t hops = path.size() - 1;
 
   // Consumption will destroy D raw (x,y) pairs, so the assist must
   // manufacture ceil(D) of them; top-level usable_need = 1 already yields
   // D raw top pairs in compute_nested_demand's accounting.
-  NestedDemand demand = compute_nested_demand(hops, distillation);
-  for (std::size_t k = 0; k + 1 < path->size(); ++k) {
-    const auto have = ledger.count((*path)[k], (*path)[k + 1]);
+  NestedDemand& demand = router.demand();
+  compute_nested_demand(hops, distillation, demand);
+  for (std::size_t k = 0; k + 1 < path.size(); ++k) {
+    const auto have = ledger.count(path[k], path[k + 1]);
     if (static_cast<double>(have) < std::ceil(demand.edge_raw_demand[k])) {
       return 0.0;  // some span pair cannot cover its share
     }
   }
   // Execute: consume the span pairs, credit the end-to-end raw pairs.
-  for (std::size_t k = 0; k + 1 < path->size(); ++k) {
-    ledger.remove((*path)[k], (*path)[k + 1],
+  for (std::size_t k = 0; k + 1 < path.size(); ++k) {
+    ledger.remove(path[k], path[k + 1],
                   static_cast<std::uint32_t>(std::ceil(demand.edge_raw_demand[k])));
   }
   const auto produced =
@@ -52,6 +98,7 @@ double attempt_assist(BalancingSimulation& sim, const NodePair& pair,
 HybridResult run_hybrid(const graph::Graph& generation_graph, const Workload& workload,
                         const HybridConfig& config) {
   BalancingSimulation sim(generation_graph, workload, config.base);
+  AssistRouter router(generation_graph.node_count(), config.max_assist_hops);
   HybridResult result;
 
   while (!sim.finished()) {
@@ -64,18 +111,21 @@ HybridResult run_hybrid(const graph::Graph& generation_graph, const Workload& wo
     // Assist the head request if it is still blocked after balancing.
     // head_pair() serves both modes: the fixed-sequence cursor and the
     // streaming pending queue.
-    if (const std::optional<NodePair> head = sim.head_pair()) {
-      const NodePair& pair = *head;
-      const auto need = static_cast<std::uint32_t>(
-          std::max(1.0, std::ceil(config.base.distillation)));
-      if (sim.ledger().count(pair.first, pair.second) < need) {
-        ++result.assists_attempted;
-        const double spent = attempt_assist(sim, pair, config.base.distillation,
-                                            config.max_assist_hops);
-        if (spent > 0.0) {
-          ++result.assists_succeeded;
-          result.assist_swaps += spent;
-          sim.record_extra_swaps(static_cast<std::uint64_t>(std::llround(spent)));
+    {
+      const sim::PhaseStopwatch stopwatch(sim.state().timers().assist_ns);
+      if (const std::optional<NodePair> head = sim.head_pair()) {
+        const NodePair& pair = *head;
+        const auto need = static_cast<std::uint32_t>(
+            std::max(1.0, std::ceil(config.base.distillation)));
+        if (sim.ledger().count(pair.first, pair.second) < need) {
+          ++result.assists_attempted;
+          const double spent =
+              attempt_assist(sim, router, pair, config.base.distillation);
+          if (spent > 0.0) {
+            ++result.assists_succeeded;
+            result.assist_swaps += spent;
+            sim.record_extra_swaps(static_cast<std::uint64_t>(std::llround(spent)));
+          }
         }
       }
     }

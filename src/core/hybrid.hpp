@@ -16,10 +16,44 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "core/balancing_sim.hpp"
+#include "core/planned_path.hpp"
 
 namespace poq::core {
+
+/// The assist's route search: breadth-first over the live entanglement
+/// graph, walking the ledger's partner rows directly. Rows ascend like
+/// graph::Graph's sorted adjacency and the target is tested on discovery,
+/// so the path is exactly graph::shortest_path's over
+/// ledger.entanglement_graph(1) with the direct pair removed, whenever
+/// that path has at most max_hops edges. Every buffer is sized once and
+/// reused, so a round's search never allocates.
+class AssistRouter {
+ public:
+  AssistRouter(std::size_t node_count, std::uint32_t max_hops);
+
+  /// Shortest path from pair.first to pair.second that avoids the direct
+  /// (first, second) pair and has at most max_hops edges; empty when
+  /// there is none. Valid until the next call.
+  const std::vector<NodeId>& route(const PairLedger& ledger, const NodePair& pair);
+
+  /// Nested-swapping demand scratch, reserved for the longest path
+  /// route() can return.
+  NestedDemand& demand() { return demand_; }
+
+ private:
+  std::uint32_t max_hops_;
+  std::vector<NodeId> parent_;
+  std::vector<std::uint32_t> depth_;
+  /// seen_[v] == epoch_ marks v as discovered by the current search.
+  std::vector<std::uint32_t> seen_;
+  std::uint32_t epoch_ = 0;
+  std::vector<NodeId> queue_;
+  std::vector<NodeId> path_;
+  NestedDemand demand_;
+};
 
 struct HybridConfig {
   BalancingConfig base;

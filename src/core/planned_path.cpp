@@ -34,13 +34,13 @@ void expand_demand(std::size_t lo, std::size_t hi, double usable_need,
 
 }  // namespace
 
-NestedDemand compute_nested_demand(std::size_t path_edges, double distillation) {
+void compute_nested_demand(std::size_t path_edges, double distillation,
+                           NestedDemand& out) {
   require(path_edges >= 1, "compute_nested_demand: need >= 1 edge");
   require(distillation >= 0.0, "compute_nested_demand: D must be >= 0");
-  NestedDemand demand;
-  demand.edge_raw_demand.assign(path_edges, 0.0);
-  expand_demand(0, path_edges, 1.0, distillation, demand);
-  return demand;
+  out.edge_raw_demand.assign(path_edges, 0.0);
+  out.swap_count = 0.0;
+  expand_demand(0, path_edges, 1.0, distillation, out);
 }
 
 namespace {
@@ -111,7 +111,8 @@ PlannedPathResult run_planned_path(const graph::Graph& generation_graph,
       }
       for (std::size_t e : connection.edge_indices) reserved[e] = true;
     }
-    NestedDemand demand = compute_nested_demand(hops, config.distillation);
+    NestedDemand demand;
+    compute_nested_demand(hops, config.distillation, demand);
     connection.remaining = demand.edge_raw_demand;
     connection.demand = std::move(demand.edge_raw_demand);
     connection.swap_count = demand.swap_count;

@@ -40,8 +40,10 @@ struct NestedDemand {
 
 /// Demands of symmetric nested swapping with uniform distillation D over
 /// a path of `path_edges` >= 1 edges; every use of a pair costs D pairs.
-[[nodiscard]] NestedDemand compute_nested_demand(std::size_t path_edges,
-                                                 double distillation);
+/// Overwrites `out`, reusing its storage: no allocation when its demand
+/// vector's capacity already covers `path_edges`.
+void compute_nested_demand(std::size_t path_edges, double distillation,
+                           NestedDemand& out);
 
 enum class PlannedPathMode { kConnectionOriented, kConnectionless };
 

@@ -365,6 +365,8 @@ class HybridProtocol final : public Protocol {
     metrics.set_scalar("assists_succeeded",
                        static_cast<double>(result.assists_succeeded));
     metrics.set_scalar("assist_swaps", result.assist_swaps);
+    metrics.set_timing("phase_ms.assist",
+                       static_cast<double>(result.base.phase.assist_ns) / 1e6);
     return metrics;
   }
 };
@@ -402,6 +404,8 @@ class GossipProtocol final : public Protocol {
     metrics.set_scalar("control_messages",
                        static_cast<double>(result.control_messages));
     metrics.set_scalar("control_bytes", static_cast<double>(result.control_bytes));
+    metrics.set_timing("phase_ms.exchange",
+                       static_cast<double>(result.base.phase.exchange_ns) / 1e6);
     return metrics;
   }
 };

@@ -132,6 +132,10 @@ struct PhaseTimers {
   std::uint64_t decide_ns = 0;
   std::uint64_t commit_ns = 0;
   std::uint64_t decohere_ns = 0;
+  /// Protocol-specific serial phases: gossip's count-report send + merge,
+  /// and hybrid's entanglement-path assist.
+  std::uint64_t exchange_ns = 0;
+  std::uint64_t assist_ns = 0;
   ChunkLoad generate_load;
   ChunkLoad decide_load;
   ChunkLoad decohere_load;

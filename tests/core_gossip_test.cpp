@@ -106,5 +106,59 @@ TEST(Gossip, RejectsZeroFanout) {
                PreconditionError);
 }
 
+// --- pinned trajectories -----------------------------------------------
+// Exact values recorded from the implementation that kept every in-flight
+// report in one pending list and rescanned it each round. The exchange
+// may change shape, never these numbers.
+
+struct GossipGolden {
+  std::uint32_t rounds;
+  double view_age;
+  std::uint64_t control_messages;
+  std::uint64_t control_bytes;
+};
+
+void expect_golden(const GossipResult& result, const GossipGolden& golden) {
+  EXPECT_TRUE(result.base.completed);
+  EXPECT_EQ(result.base.rounds, golden.rounds);
+  EXPECT_EQ(result.mean_view_age, golden.view_age);
+  EXPECT_EQ(result.control_messages, golden.control_messages);
+  EXPECT_EQ(result.control_bytes, golden.control_bytes);
+}
+
+TEST(GossipGolden, RandomGridDefaults) {
+  util::Rng topology_rng(3);
+  const graph::Graph graph = graph::make_random_connected_grid(25, topology_rng);
+  util::Rng workload_rng(5);
+  const Workload workload = make_uniform_workload(25, 12, 150, workload_rng);
+  GossipConfig config;
+  config.base.seed = 7;
+  expect_golden(run_gossip(graph, workload, config),
+                {280, 4.5475409836065577, 21000, 1103607});
+}
+
+TEST(GossipGolden, CycleSlowLinksNoOptimisticPeer) {
+  util::Rng workload_rng(2);
+  const Workload workload = make_uniform_workload(16, 8, 60, workload_rng);
+  GossipConfig config;
+  config.base.seed = 11;
+  config.latency_per_hop = 2.5;
+  config.fanout = 1;
+  config.optimistic_peer = false;
+  expect_golden(run_gossip(graph::make_cycle(16), workload, config),
+                {137, 10.120022434099832, 2192, 74688});
+}
+
+TEST(GossipGolden, CycleHalfRoundLatencyWideFanout) {
+  util::Rng workload_rng(4);
+  const Workload workload = make_uniform_workload(24, 10, 80, workload_rng);
+  GossipConfig config;
+  config.base.seed = 13;
+  config.latency_per_hop = 0.5;
+  config.fanout = 5;
+  expect_golden(run_gossip(graph::make_cycle(24), workload, config),
+                {145, 2.4781205164992826, 20880, 1046592});
+}
+
 }  // namespace
 }  // namespace poq::core

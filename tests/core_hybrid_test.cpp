@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/workload.hpp"
+#include "graph/shortest_path.hpp"
 #include "graph/topology.hpp"
 #include "util/rng.hpp"
 
@@ -91,6 +94,99 @@ TEST(Hybrid, WithDistillation) {
   config.base.max_rounds = 200000;
   const HybridResult result = run_hybrid(graph, workload, config);
   EXPECT_TRUE(result.base.completed);
+}
+
+// --- pinned trajectories -----------------------------------------------
+// Exact values recorded from the implementation that routed every assist
+// through ledger.entanglement_graph(1) + graph::shortest_path. The assist
+// search may change shape, never these numbers.
+
+struct HybridGolden {
+  std::uint32_t rounds;
+  std::uint64_t swaps;
+  std::uint64_t assists_attempted;
+  std::uint64_t assists_succeeded;
+  double assist_swaps;
+};
+
+void expect_golden(const HybridResult& result, const HybridGolden& golden) {
+  EXPECT_TRUE(result.base.completed);
+  EXPECT_EQ(result.base.rounds, golden.rounds);
+  EXPECT_EQ(result.base.swaps_performed, golden.swaps);
+  EXPECT_EQ(result.assists_attempted, golden.assists_attempted);
+  EXPECT_EQ(result.assists_succeeded, golden.assists_succeeded);
+  EXPECT_EQ(result.assist_swaps, golden.assist_swaps);
+}
+
+TEST(HybridGolden, RandomGridDefaults) {
+  util::Rng topology_rng(3);
+  const graph::Graph graph = graph::make_random_connected_grid(25, topology_rng);
+  util::Rng workload_rng(5);
+  const Workload workload = make_uniform_workload(25, 12, 150, workload_rng);
+  HybridConfig config;
+  config.base.seed = 7;
+  expect_golden(run_hybrid(graph, workload, config), {92, 1422, 90, 90, 148.0});
+}
+
+TEST(HybridGolden, CycleTwoHopAssistsWithDistillation) {
+  util::Rng workload_rng(2);
+  const Workload workload = make_uniform_workload(16, 8, 60, workload_rng);
+  HybridConfig config;
+  config.base.seed = 11;
+  config.base.distillation = 1.5;
+  config.max_assist_hops = 2;
+  expect_golden(run_hybrid(graph::make_cycle(16), workload, config),
+                {290, 2050, 276, 6, 9.0});
+}
+
+TEST(HybridGolden, CycleTwelveHopAssists) {
+  util::Rng workload_rng(4);
+  const Workload workload = make_uniform_workload(24, 10, 80, workload_rng);
+  HybridConfig config;
+  config.base.seed = 13;
+  config.max_assist_hops = 12;
+  expect_golden(run_hybrid(graph::make_cycle(24), workload, config),
+                {67, 1177, 65, 65, 108.0});
+}
+
+// --- assist route search -------------------------------------------------
+
+TEST(AssistRouter, MatchesShortestPathOnRandomLedgers) {
+  // The reference: graph::shortest_path over the entanglement graph with
+  // the direct pair removed, kept only when it has 2..max_hops edges.
+  // Sparse and dense random ledgers, several hop limits, and one router
+  // reused across queries (its scratch must not leak between searches).
+  util::Rng rng(20260417);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 3 + rng.uniform_index(38);
+    PairLedger ledger(n);
+    const std::size_t adds = rng.uniform_index(3 * n + 1);
+    for (std::size_t i = 0; i < adds; ++i) {
+      const auto a = static_cast<NodeId>(rng.uniform_index(n));
+      const auto b = static_cast<NodeId>(rng.uniform_index(n));
+      if (a != b) ledger.add(a, b, 1 + static_cast<std::uint32_t>(rng.uniform_index(3)));
+    }
+    const graph::Graph live = ledger.entanglement_graph(1);
+    for (const std::uint32_t max_hops :
+         {0u, 1u, 2u, 3u, 5u, 8u, static_cast<std::uint32_t>(n)}) {
+      AssistRouter router(n, max_hops);
+      for (int query = 0; query < 6; ++query) {
+        const auto a = static_cast<NodeId>(rng.uniform_index(n));
+        const auto b = static_cast<NodeId>((a + 1 + rng.uniform_index(n - 1)) % n);
+        const NodePair pair(a, b);
+        graph::Graph reference = live;
+        reference.remove_edge(pair.first, pair.second);
+        const auto path = graph::shortest_path(reference, pair.first, pair.second);
+        std::vector<NodeId> expected;
+        if (path && path->size() >= 3 && path->size() - 1 <= max_hops) {
+          expected = *path;
+        }
+        EXPECT_EQ(router.route(ledger, pair), expected)
+            << "trial " << trial << " n=" << n << " max_hops=" << max_hops
+            << " pair=(" << pair.first << ", " << pair.second << ")";
+      }
+    }
+  }
 }
 
 }  // namespace

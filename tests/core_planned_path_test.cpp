@@ -13,22 +13,28 @@
 namespace poq::core {
 namespace {
 
+NestedDemand nested_demand(std::size_t path_edges, double distillation) {
+  NestedDemand demand;
+  compute_nested_demand(path_edges, distillation, demand);
+  return demand;
+}
+
 TEST(NestedDemand, SingleEdge) {
-  const NestedDemand demand = compute_nested_demand(1, 2.0);
+  const NestedDemand demand = nested_demand(1, 2.0);
   ASSERT_EQ(demand.edge_raw_demand.size(), 1u);
   EXPECT_DOUBLE_EQ(demand.edge_raw_demand[0], 2.0);  // D raw per usable
   EXPECT_DOUBLE_EQ(demand.swap_count, 0.0);
 }
 
 TEST(NestedDemand, TwoEdgesUnitDistillation) {
-  const NestedDemand demand = compute_nested_demand(2, 1.0);
+  const NestedDemand demand = nested_demand(2, 1.0);
   EXPECT_DOUBLE_EQ(demand.swap_count, 1.0);
   EXPECT_DOUBLE_EQ(demand.edge_raw_demand[0], 1.0);
   EXPECT_DOUBLE_EQ(demand.edge_raw_demand[1], 1.0);
 }
 
 TEST(NestedDemand, TwoEdgesWithDistillation) {
-  const NestedDemand demand = compute_nested_demand(2, 2.0);
+  const NestedDemand demand = nested_demand(2, 2.0);
   // D raw top copies -> D swaps; each swap eats one usable per side and a
   // usable elementary costs D raw: D*D per edge.
   EXPECT_DOUBLE_EQ(demand.swap_count, 2.0);
@@ -39,7 +45,7 @@ TEST(NestedDemand, TwoEdgesWithDistillation) {
 TEST(NestedDemand, SwapCountMatchesExactRecurrence) {
   for (std::size_t hops = 1; hops <= 20; ++hops) {
     for (double d : {1.0, 1.5, 2.0, 3.0}) {
-      const NestedDemand demand = compute_nested_demand(hops, d);
+      const NestedDemand demand = nested_demand(hops, d);
       EXPECT_NEAR(demand.swap_count,
                   nested_swap_cost_exact(static_cast<std::uint32_t>(hops), d), 1e-9)
           << "hops=" << hops << " D=" << d;
@@ -50,7 +56,7 @@ TEST(NestedDemand, SwapCountMatchesExactRecurrence) {
 TEST(NestedDemand, RawTotalMatchesClosedForm) {
   for (std::size_t hops = 1; hops <= 16; ++hops) {
     for (double d : {1.0, 2.0}) {
-      const NestedDemand demand = compute_nested_demand(hops, d);
+      const NestedDemand demand = nested_demand(hops, d);
       const double total = std::accumulate(demand.edge_raw_demand.begin(),
                                            demand.edge_raw_demand.end(), 0.0);
       EXPECT_NEAR(total, nested_raw_pair_cost(static_cast<std::uint32_t>(hops), d),
@@ -59,8 +65,17 @@ TEST(NestedDemand, RawTotalMatchesClosedForm) {
   }
 }
 
+TEST(NestedDemand, RefillOverwritesThePreviousDemand) {
+  NestedDemand demand;
+  compute_nested_demand(7, 2.0, demand);
+  compute_nested_demand(2, 1.0, demand);
+  const NestedDemand fresh = nested_demand(2, 1.0);
+  EXPECT_EQ(demand.edge_raw_demand, fresh.edge_raw_demand);
+  EXPECT_DOUBLE_EQ(demand.swap_count, fresh.swap_count);
+}
+
 TEST(NestedDemand, UnitDistillationDemandsOnePerEdge) {
-  const NestedDemand demand = compute_nested_demand(7, 1.0);
+  const NestedDemand demand = nested_demand(7, 1.0);
   for (double edge : demand.edge_raw_demand) EXPECT_DOUBLE_EQ(edge, 1.0);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -139,6 +140,26 @@ TEST(Registry, DetourSlackKeepsItsUnrestrictedSentinel) {
   EXPECT_FALSE(knob_rejected("balancing", "detour-slack", -1));
   EXPECT_TRUE(knob_rejected("balancing", "detour-slack", -2));
   EXPECT_TRUE(knob_rejected("balancing", "detour-slack", kWrapsToOne));
+}
+
+TEST(Registry, GossipRejectsNegativeOrNonFiniteLatency) {
+  // An infinite or NaN latency never delivers a report, so the run would
+  // spin out its whole round budget; a negative one has no meaning.
+  for (const double latency : {-0.5, std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN()}) {
+    ScenarioSpec spec = small_spec("gossip");
+    spec.knobs["latency"] = latency;
+    try {
+      (void)registry().run("gossip", spec);
+      ADD_FAILURE() << "latency " << latency << " was accepted";
+    } catch (const PreconditionError& error) {
+      EXPECT_NE(std::string(error.what()).find("latency"), std::string::npos)
+          << error.what();
+    }
+  }
+  ScenarioSpec spec = small_spec("gossip");
+  spec.knobs["latency"] = 0.0;
+  EXPECT_NO_THROW((void)registry().run("gossip", spec));
 }
 
 TEST(Registry, ShardsMessageNamesItsRange) {

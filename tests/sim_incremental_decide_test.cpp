@@ -21,6 +21,8 @@
 #include <vector>
 
 #include "core/balancing_sim.hpp"
+#include "core/gossip.hpp"
+#include "core/hybrid.hpp"
 #include "core/maxmin_balancer.hpp"
 #include "core/workload.hpp"
 #include "graph/topology.hpp"
@@ -254,6 +256,50 @@ TEST(HotPathAllocations, SteadyStateRoundAllocatesNothing) {
           << (after - before) << " allocations in 200 steady-state rounds at "
           << "threads=" << threads << " shards=" << shards;
     }
+  }
+}
+
+/// Heap allocations of one full run of `run` (hybrid or gossip) capped at
+/// `max_rounds` on a backlog too long to finish, so the run lasts exactly
+/// that many rounds.
+template <typename Config, typename Run>
+std::uint64_t full_run_allocations(unsigned threads, std::uint32_t max_rounds,
+                                   Run run) {
+  util::Rng topology_rng(3);
+  const graph::Graph graph = graph::make_random_connected_grid(49, topology_rng);
+  util::Rng workload_rng(5);
+  const core::Workload workload =
+      core::make_uniform_workload(49, 20, 100000, workload_rng);
+  Config config;
+  config.base.generation_per_edge_per_round = 0.5;
+  config.base.seed = 9;
+  config.base.max_rounds = max_rounds;
+  config.base.tick.threads = threads;
+  const std::uint64_t before = g_allocation_count.load(std::memory_order_relaxed);
+  const auto result = run(graph, workload, config);
+  const std::uint64_t after = g_allocation_count.load(std::memory_order_relaxed);
+  EXPECT_FALSE(result.base.completed);
+  EXPECT_EQ(result.base.rounds, max_rounds);
+  return after - before;
+}
+
+TEST(HotPathAllocations, HybridAndGossipRoundsAllocateNothing) {
+  // Every per-round structure of the two protocol-specific phases (the
+  // assist's route search and demand, gossip's report ring and its
+  // delivery lists) is sized up front or on first use, so a run twice as
+  // long must allocate exactly as often: any per-round allocation would
+  // show up 300 more times.
+#ifdef POQ_UNDER_TSAN
+  GTEST_SKIP() << "the TSan runtime allocates behind the program's back, "
+                  "so a heap-silence assertion is meaningless under it";
+#endif
+  for (const unsigned threads : {1u, 2u}) {
+    EXPECT_EQ((full_run_allocations<core::HybridConfig>(threads, 300, core::run_hybrid)),
+              (full_run_allocations<core::HybridConfig>(threads, 600, core::run_hybrid)))
+        << "hybrid at threads=" << threads;
+    EXPECT_EQ((full_run_allocations<core::GossipConfig>(threads, 300, core::run_gossip)),
+              (full_run_allocations<core::GossipConfig>(threads, 600, core::run_gossip)))
+        << "gossip at threads=" << threads;
   }
 }
 
