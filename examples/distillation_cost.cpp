@@ -1,21 +1,22 @@
 // §3.2 physics bridge: deriving the abstract D_{x,y} from link fidelity.
 //
 // The paper treats D as a free parameter ("an expected number D_{x,y} of
-// distillations"). This bench grounds it: for raw link fidelities and
+// distillations"). This walkthrough grounds it: for raw link fidelities and
 // target fidelities, it computes the expected raw-pair overhead of nested
 // BBPSSW and of entanglement pumping, the end-to-end fidelity of swap
 // chains without distillation, and the storage budget decoherence allows
 // — the quantities that motivate Fig. 4's D sweep.
 //
-// Usage: distillation_cost [--csv]
+//   ./build/distillation_cost
 #include <iostream>
 #include <string>
 
-#include "common.hpp"
 #include "quantum/distillation.hpp"
 #include "quantum/werner.hpp"
+#include "util/strings.hpp"
+#include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace poq;
 
   std::cout << "Deriving the paper's D from physics (nested BBPSSW vs "
@@ -40,7 +41,7 @@ int main(int argc, char** argv) {
                         : "-"});
     }
   }
-  bench::emit(cost, argc, argv);
+  cost.print(std::cout);
 
   std::cout << "\nEnd-to-end fidelity of an undistilled swap chain (why long "
                "paths need distillation at all):\n\n";
@@ -51,7 +52,7 @@ int main(int argc, char** argv) {
                    util::format_double(quantum::chain_fidelity(0.95, segments), 4),
                    util::format_double(quantum::chain_fidelity(0.90, segments), 4)});
   }
-  bench::emit(chain, argc, argv);
+  chain.print(std::cout);
 
   std::cout << "\nStorage budget under decoherence F(t) = 1/4 + (F0 - 1/4) "
                "e^{-t/T} (time until F drops to 0.85, units of T):\n\n";
@@ -61,7 +62,7 @@ int main(int argc, char** argv) {
         {util::format_double(f0, 2),
          util::format_double(quantum::time_to_fidelity(f0, 0.85, 1.0), 3)});
   }
-  bench::emit(storage, argc, argv);
+  storage.print(std::cout);
   std::cout << "\nReading: D(nested) is the value the balancer's D knob "
                "should take for a given hardware fidelity / application "
                "target; the paper sweeps D = 1..5, i.e. raw links around "

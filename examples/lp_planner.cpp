@@ -1,13 +1,16 @@
 // Capacity planning with the §3 steady-state LP: given a physical
 // architecture (generation capacities) and a teleportation demand matrix,
 // compute the optimal swap-rate program and what it costs in generation —
-// with and without QEC overhead and distillation.
+// with and without QEC overhead and distillation, and how far from the
+// pairs they serve the optimum puts its swapping repeaters.
 //
 //   ./build/examples/lp_planner
 #include <algorithm>
 #include <iostream>
+#include <vector>
 
 #include "core/lp_formulation.hpp"
+#include "graph/shortest_path.hpp"
 #include "graph/topology.hpp"
 #include "util/strings.hpp"
 
@@ -83,6 +86,26 @@ int main() {
                             " pairs/sec"
                       : std::string(lp::status_name(solution.status)))
               << '\n';
+  }
+
+  // Swap locality: how far off a shortest x-y path does the min-generation
+  // optimum put its repeater i (detour = d(x,i) + d(i,y) - d(x,y))? Detour
+  // 0 is an on-path repeater; congested edges can make off-path ones pay.
+  const auto distances = graph::all_pairs_distances(backbone);
+  std::vector<double> rate_by_detour;
+  for (const core::SwapRate& swap : plan.swap_rates) {
+    const auto [x, y] = swap.pair;
+    const std::size_t detour = distances[x][swap.repeater] +
+                               distances[swap.repeater][y] - distances[x][y];
+    if (rate_by_detour.size() <= detour) rate_by_detour.resize(detour + 1, 0.0);
+    rate_by_detour[detour] += swap.rate;
+  }
+  std::cout << "\nswap locality of the min-total-generation plan:\n";
+  for (std::size_t detour = 0; detour < rate_by_detour.size(); ++detour) {
+    if (rate_by_detour[detour] <= 0.0) continue;
+    std::cout << "  repeater detour " << detour << " hop(s): "
+              << util::format_double(rate_by_detour[detour] / plan.total_swap_rate, 3)
+              << " of the swap rate\n";
   }
   return 0;
 }

@@ -164,8 +164,11 @@ constexpr const char* kCommonOptionsHelp =
 void print_protocol_help(const scenario::Protocol& protocol) {
   std::cout << "usage: poqsim " << protocol.name() << " [options]\n"
             << protocol.describe() << "\nknobs:\n";
-  for (const scenario::KnobSpec& knob : protocol.knobs()) {
-    std::cout << "  --" << util::pad_right(knob.name, 18) << knob.help
+  const std::vector<scenario::KnobSpec> knobs = protocol.knobs();
+  std::size_t width = 0;
+  for (const scenario::KnobSpec& knob : knobs) width = std::max(width, knob.name.size());
+  for (const scenario::KnobSpec& knob : knobs) {
+    std::cout << "  --" << util::pad_right(knob.name, width + 2) << knob.help
               << " (" << scenario::knob_type_name(knob.type) << ", default "
               << scenario::knob_value_text(knob.default_value) << ")\n";
   }
