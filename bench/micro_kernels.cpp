@@ -6,7 +6,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/balancing_sim.hpp"
@@ -104,35 +103,23 @@ void BM_BernoulliBatchBranchFree(benchmark::State& state) {
 }
 BENCHMARK(BM_BernoulliBatchBranchFree)->Arg(1024)->Arg(16384);
 
-/// Batched canonical ledger merge vs edge-by-edge adds on the megascale
-/// generation shape (every edge +1 per round over a fixed grid).
-void ledger_generate_bench(benchmark::State& state, bool batched) {
+/// The generation merge on the megascale shape: every edge of a fixed
+/// grid +1 per round, one canonical-order add per edge with dirty
+/// tracking on (what NetworkState::generate runs at integral rates).
+void BM_LedgerGenerateMerge(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   util::Rng topo_rng(3);
   const graph::Graph graph = graph::make_random_connected_grid(n, topo_rng);
   core::PairLedger ledger(n);
   ledger.enable_dirty_tracking();
-  const std::span<const graph::Edge> edges(graph.edges());
   for (auto _ : state) {
-    if (batched) {
-      benchmark::DoNotOptimize(ledger.add_edges(edges, 1));
-    } else {
-      for (const graph::Edge& edge : edges) ledger.add(edge.a(), edge.b(), 1);
-    }
+    for (const graph::Edge& edge : graph.edges()) ledger.add(edge.a(), edge.b(), 1);
+    benchmark::DoNotOptimize(ledger.total_pairs());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(edges.size()));
+                          static_cast<std::int64_t>(graph.edge_count()));
 }
-
-void BM_LedgerGenerateMergeScalar(benchmark::State& state) {
-  ledger_generate_bench(state, /*batched=*/false);
-}
-BENCHMARK(BM_LedgerGenerateMergeScalar)->Arg(1024)->Arg(10000);
-
-void BM_LedgerGenerateMergeBatched(benchmark::State& state) {
-  ledger_generate_bench(state, /*batched=*/true);
-}
-BENCHMARK(BM_LedgerGenerateMergeBatched)->Arg(1024)->Arg(10000);
+BENCHMARK(BM_LedgerGenerateMerge)->Arg(1024)->Arg(10000);
 
 void BM_BestSwapScan(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

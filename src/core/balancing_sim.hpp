@@ -159,7 +159,6 @@ class BalancingSimulation {
   [[nodiscard]] const MaxMinBalancer& balancer() const { return balancer_; }
   [[nodiscard]] std::uint32_t round() const { return result_.rounds; }
   [[nodiscard]] std::size_t head_request() const { return head_; }
-  [[nodiscard]] util::Rng& consume_rng() { return consume_rng_; }
 
   /// Whether requests stream in over time (config.arrival_rate > 0)
   /// instead of replaying the fixed workload sequence.

@@ -351,7 +351,6 @@ FidelitySimResult run_fidelity_sim(const graph::Graph& generation_graph,
     consumer.try_consume(t1);
   }
 
-  result.pairs_in_storage_at_end = state.ledger().total_pairs();
   result.phase = state.timers();
   if (fault_plan) result.faults = fault_plan->stats();
   return result;

@@ -79,7 +79,6 @@ struct FidelitySimResult {
   std::uint64_t distillations = 0;
   std::uint64_t distillation_failures = 0;
   std::uint64_t requests_satisfied = 0;
-  std::uint64_t pairs_in_storage_at_end = 0;
 
   /// Empirical L of Eq. 3: fraction of created pairs (generated + swap
   /// outputs) that survived to be used rather than decaying.

@@ -21,9 +21,7 @@ PairLedger::PairLedger(std::size_t node_count)
     : node_count_(node_count),
       rows_(node_count),
       dense_(node_count <= kFullReserveNodeLimit ? node_count * node_count
-                                                 : 0),
-      min_histogram_(kMinHistogramCap + 1),
-      histogram_delta_(kMinHistogramCap + 1, 0) {
+                                                 : 0) {
   require(node_count >= 2, "PairLedger: need at least 2 nodes");
   // Small networks pre-reserve the dense worst case so steady-state
   // mutation never allocates; megascale networks grow rows amortized.
@@ -33,9 +31,6 @@ PairLedger::PairLedger(std::size_t node_count)
       row.counts.reserve(node_count - 1);
     }
   }
-  // Every unordered pair starts at count 0.
-  min_histogram_[0] =
-      static_cast<std::uint64_t>(node_count) * (node_count - 1) / 2;
 }
 
 void PairLedger::check(NodeId x, NodeId y) const {
@@ -57,22 +52,6 @@ std::uint32_t PairLedger::count(NodeId x, NodeId y) const {
                  rows_[y].partners.size() < rows_[x].partners.size()
              ? row_count(y, x)
              : row_count(x, y);
-}
-
-std::uint32_t PairLedger::degree(NodeId x) const {
-  require(x < node_count_, "PairLedger::degree: node out of range");
-  return static_cast<std::uint32_t>(rows_[x].partners.size());
-}
-
-void PairLedger::histogram_move(std::uint32_t from, std::uint32_t to) {
-  const std::uint32_t from_bucket = std::min(from, kMinHistogramCap);
-  const std::uint32_t to_bucket = std::min(to, kMinHistogramCap);
-  if (from_bucket == to_bucket) return;
-  --min_histogram_[from_bucket];
-  ++min_histogram_[to_bucket];
-  // Keep the hint a lower bound on the true minimum: a pair landing below
-  // it drags it down; it is only ever raised by a query.
-  min_hint_ = std::min(min_hint_, to_bucket);
 }
 
 void PairLedger::mark_pair_readers(NodeId x, NodeId y, std::uint32_t before,
@@ -151,76 +130,7 @@ void PairLedger::add(NodeId x, NodeId y, std::uint32_t amount) {
   if (amount == 0) return;
   const std::uint32_t before = bump_pair(x, y, amount);
   total_ += amount;
-  histogram_move(before, before + amount);
   if (!dirty_.empty()) mark_pair_readers(x, y, before, before + amount);
-}
-
-template <typename AmountOf>
-std::uint64_t PairLedger::add_edges_impl(std::span<const graph::Edge> edges,
-                                         AmountOf amount_of) {
-  // Per-edge work is the same row mutation and (when tracking is on) the
-  // same reader marking, in the same order, as the scalar add loop — the
-  // mark-budget trajectory and the dirty frontier are bit-identical. The
-  // global bookkeeping (total, histogram moves, min hint) commutes across
-  // the batch and nothing reads it mid-merge, so it accumulates locally
-  // and flushes once.
-  std::uint64_t added = 0;
-  std::uint32_t lowest_to = UINT32_MAX;
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    const NodeId x = edges[i].a();
-    const NodeId y = edges[i].b();
-    check(x, y);
-    const std::uint32_t amount = amount_of(i);
-    if (amount == 0) continue;
-    const std::uint32_t before = bump_pair(x, y, amount);
-    const std::uint32_t after = before + amount;
-    added += amount;
-    const std::uint32_t from = std::min(before, kMinHistogramCap);
-    const std::uint32_t to = std::min(after, kMinHistogramCap);
-    if (from != to) {
-      --histogram_delta_[from];
-      ++histogram_delta_[to];
-      lowest_to = std::min(lowest_to, to);
-    }
-    if (!dirty_.empty()) mark_pair_readers(x, y, before, after);
-  }
-  if (added == 0) return 0;
-  total_ += added;
-  for (std::uint32_t bucket = 0; bucket <= kMinHistogramCap; ++bucket) {
-    const std::int64_t delta = histogram_delta_[bucket];
-    if (delta != 0) {
-      min_histogram_[bucket] += static_cast<std::uint64_t>(delta);
-      histogram_delta_[bucket] = 0;
-    }
-  }
-  // Sequential histogram_moves end the hint at min(hint, all to-buckets);
-  // one lower to the batch minimum lands on the same value.
-  min_hint_ = std::min(min_hint_, lowest_to);
-  return added;
-}
-
-std::uint64_t PairLedger::add_edges(std::span<const graph::Edge> edges,
-                                    std::uint32_t amount) {
-  return add_edges_impl(edges, [amount](std::size_t) { return amount; });
-}
-
-std::uint64_t PairLedger::add_edges(std::span<const graph::Edge> edges,
-                                    std::span<const std::uint32_t> amounts) {
-  require(amounts.size() == edges.size(),
-          "PairLedger::add_edges: amounts must match edges");
-  const std::uint32_t* data = amounts.data();
-  return add_edges_impl(edges, [data](std::size_t i) { return data[i]; });
-}
-
-std::uint64_t PairLedger::add_edges(std::span<const graph::Edge> edges,
-                                    std::uint32_t base,
-                                    std::span<const std::uint8_t> extra) {
-  require(extra.size() == edges.size(),
-          "PairLedger::add_edges: extra flags must match edges");
-  const std::uint8_t* data = extra.data();
-  return add_edges_impl(edges, [base, data](std::size_t i) {
-    return base + static_cast<std::uint32_t>(data[i]);
-  });
 }
 
 void PairLedger::remove(NodeId x, NodeId y, std::uint32_t amount) {
@@ -242,7 +152,6 @@ void PairLedger::remove(NodeId x, NodeId y, std::uint32_t amount) {
     dense_[y * node_count_ + x] = after;
   }
   total_ -= amount;
-  histogram_move(before, after);
   if (!dirty_.empty()) mark_pair_readers(x, y, before, after);
   if (after == 0) {
     row_x.partners.erase(row_x.partners.begin() + static_cast<long>(slot_x));
@@ -262,24 +171,6 @@ std::span<const std::uint32_t> PairLedger::pair_counts(NodeId x) const {
   return {rows_[x].counts.data(), rows_[x].counts.size()};
 }
 
-std::uint32_t PairLedger::minimum_pair_count() const {
-  std::uint32_t bucket = min_hint_;
-  while (bucket < kMinHistogramCap && min_histogram_[bucket] == 0) ++bucket;
-  min_hint_ = bucket;
-  if (bucket < kMinHistogramCap) return bucket;
-  // Every pair count is >= the histogram cap, so every unordered pair is
-  // live in some row: the exact minimum comes from the row scan (rare —
-  // it means every pair holds 256+ pairs).
-  std::uint32_t minimum = UINT32_MAX;
-  for (NodeId x = 0; x < node_count_; ++x) {
-    const Row& row = rows_[x];
-    for (std::size_t i = 0; i < row.partners.size(); ++i) {
-      if (row.partners[i] > x) minimum = std::min(minimum, row.counts[i]);
-    }
-  }
-  return minimum;
-}
-
 graph::Graph PairLedger::entanglement_graph(std::uint32_t threshold) const {
   graph::Graph result(node_count_);
   for (NodeId x = 0; x < node_count_; ++x) {
@@ -296,14 +187,13 @@ graph::Graph PairLedger::entanglement_graph(std::uint32_t threshold) const {
 std::uint64_t PairLedger::memory_bytes() const {
   // Logical accounting with fixed constants: per-node row headers (two
   // vector headers + the dirty slot) plus live entries (partner id +
-  // count, both symmetric copies counted) plus the histogram, plus the
-  // dense count mirror below kFullReserveNodeLimit (4 n^2 bytes).
+  // count, both symmetric copies counted) plus the dense count mirror
+  // below kFullReserveNodeLimit (4 n^2 bytes).
   constexpr std::uint64_t kPerNodeBytes = 56;
   constexpr std::uint64_t kPerEntryBytes =
       sizeof(NodeId) + sizeof(std::uint32_t);
   std::uint64_t bytes = kPerNodeBytes * node_count_;
   for (const Row& row : rows_) bytes += kPerEntryBytes * row.partners.size();
-  bytes += (kMinHistogramCap + 1) * sizeof(std::uint64_t);
   bytes += sizeof(std::uint32_t) * dense_.size();
   return bytes;
 }

@@ -27,20 +27,21 @@
 // probe and the §4 decide's beneficiary reads with one indexed load;
 // above the limit dense_row is null, and those readers fall back to the
 // sorted rows (binary search, or the decide's merge cursor).
-// The ledger also maintains two incremental structures:
 //
-//   * a count-of-counts histogram (bucketed at kMinHistogramCap) backing
-//     minimum_pair_count() without the O(n^2) matrix scan — the dense
-//     scan remains only as the fallback when every pair count has
-//     overflowed the histogram range;
-//   * an optional per-node dirty set for the incremental swap-decide
-//     kernel: when enabled, every count mutation marks exactly the nodes
-//     whose readable state changed — the two endpoints (they own the
-//     counts) plus the common partners of the changed pair (the nodes
-//     that read C_x(y) as a §4 beneficiary count). An unchanged readable
-//     view implies an unchanged best-swap decision, so a decide kernel
-//     that re-runs only over the dirty frontier is exactly equivalent to
-//     a full rescan (sim::NetworkState::decide_swaps leans on this).
+// add and remove are the only mutation paths; the generation merge is a
+// canonical-edge-order loop of add (sim::NetworkState::generate). Nothing
+// in the protocol reads a network-wide minimum — §4 swap decisions read a
+// node's own row and its partners' counts — so the ledger keeps no
+// minimum tracker.
+//
+// Dirty set: an optional per-node set for the incremental swap-decide
+// kernel. When enabled, every count mutation marks exactly the nodes
+// whose readable state changed — the two endpoints (they own the counts)
+// plus the common partners of the changed pair (the nodes that read
+// C_x(y) as a §4 beneficiary count). An unchanged readable view implies
+// an unchanged best-swap decision, so a decide kernel that re-runs only
+// over the dirty frontier is exactly equivalent to a full rescan
+// (sim::NetworkState::decide_swaps leans on this).
 #pragma once
 
 #include <cstdint>
@@ -65,28 +66,6 @@ class PairLedger {
   /// Add `amount` pairs between x and y (x != y).
   void add(NodeId x, NodeId y, std::uint32_t amount = 1);
 
-  /// Batched canonical-order merge: exactly equivalent to calling
-  /// add(edges[i].a(), edges[i].b(), amount) for i ascending — same rows, same
-  /// reader marks in the same order, same histogram/min-hint/total — but
-  /// with the global bookkeeping accumulated in pre-sized local scratch
-  /// and applied once per batch instead of once per edge. This is the
-  /// generation merge's hot path. Serial phase contexts only:
-  /// total_pairs()/minimum_pair_count() are not coherent mid-call.
-  /// Returns the total amount added.
-  std::uint64_t add_edges(std::span<const graph::Edge> edges,
-                          std::uint32_t amount = 1);
-
-  /// Per-edge amounts variant (amounts.size() == edges.size()); zero
-  /// amounts are skipped exactly like add(x, y, 0).
-  std::uint64_t add_edges(std::span<const graph::Edge> edges,
-                          std::span<const std::uint32_t> amounts);
-
-  /// Bernoulli-rounding variant: edge i adds base + extra[i] pairs
-  /// (extra holds 0/1 flags, e.g. a batched fractional-rate draw).
-  std::uint64_t add_edges(std::span<const graph::Edge> edges,
-                          std::uint32_t base,
-                          std::span<const std::uint8_t> extra);
-
   /// Remove `amount` pairs; requires count(x, y) >= amount.
   void remove(NodeId x, NodeId y, std::uint32_t amount = 1);
 
@@ -109,14 +88,6 @@ class PairLedger {
     require(x < node_count_, "PairLedger::dense_row: node out of range");
     return dense_.empty() ? nullptr : dense_.data() + x * node_count_;
   }
-
-  /// Number of partners of x (the length of partners(x)).
-  [[nodiscard]] std::uint32_t degree(NodeId x) const;
-
-  /// Smallest count over all (unordered) node pairs, including zeroes.
-  /// Served from the incremental count histogram; falls back to the dense
-  /// matrix scan only when every pair count is >= kMinHistogramCap.
-  [[nodiscard]] std::uint32_t minimum_pair_count() const;
 
   /// Snapshot of pairs with count >= threshold as an undirected graph
   /// (the entanglement graph the hybrid protocol routes over, §6).
@@ -178,10 +149,6 @@ class PairLedger {
   /// come close to the budget.
   static constexpr std::int64_t kMarkingBudgetPerNode = 8;
 
-  /// Histogram range for minimum_pair_count maintenance: counts at or
-  /// above the cap share one overflow bucket.
-  static constexpr std::uint32_t kMinHistogramCap = 256;
-
   /// Below this node count every row pre-reserves node_count-1 slots
   /// (dense worst case, <= ~8 MB total) so steady-state mutation never
   /// allocates, and the dense count mirror (<= 4 MB) is kept; above it
@@ -206,17 +173,9 @@ class PairLedger {
   /// Count of (x, y) read from the mirror, or from x's row above the
   /// limit (0 when absent).
   [[nodiscard]] std::uint32_t row_count(NodeId x, NodeId y) const;
-  /// The row mutation shared by add and add_edges: insert-or-increment
-  /// both symmetric entries by `amount` (> 0); returns the count before.
+  /// add's row mutation: insert-or-increment both symmetric entries by
+  /// `amount` (> 0); returns the count before.
   std::uint32_t bump_pair(NodeId x, NodeId y, std::uint32_t amount);
-  /// Shared body of the add_edges overloads; `amount_of(i)` yields the
-  /// i-th edge's amount.
-  template <typename AmountOf>
-  std::uint64_t add_edges_impl(std::span<const graph::Edge> edges,
-                               AmountOf amount_of);
-  /// Move one unordered pair between histogram buckets + maintain the
-  /// lower-bound hint.
-  void histogram_move(std::uint32_t from, std::uint32_t to);
   /// Mark everything that reads C_x(y) as it moves before -> after: the
   /// endpoints (unless the count stays strictly under the reader
   /// threshold on both sides) and the eligible common partners.
@@ -230,12 +189,6 @@ class PairLedger {
   std::vector<std::uint32_t> dense_;
   std::uint64_t total_ = 0;
 
-  /// count value -> number of unordered pairs holding it (counts >=
-  /// kMinHistogramCap collapse into the last bucket).
-  std::vector<std::uint64_t> min_histogram_;
-  /// Lower bound on the true minimum; raised only by minimum_pair_count.
-  mutable std::uint32_t min_hint_ = 0;
-
   // Dirty set (empty vector = tracking off).
   std::vector<std::uint8_t> dirty_;
   std::size_t dirty_count_ = 0;
@@ -243,11 +196,6 @@ class PairLedger {
   /// Probes left in this marking epoch; overflow latches all-dirty.
   std::int64_t mark_budget_ = 0;
   bool mark_overflow_ = false;
-
-  /// add_edges scratch: per-bucket histogram deltas accumulated over a
-  /// batch and flushed once (pre-sized to kMinHistogramCap + 1, zeroed
-  /// after each flush — the batch path never allocates).
-  std::vector<std::int64_t> histogram_delta_;
 };
 
 }  // namespace poq::core

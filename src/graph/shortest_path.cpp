@@ -71,59 +71,6 @@ std::vector<std::vector<std::uint32_t>> all_pairs_distances(const Graph& graph) 
   return result;
 }
 
-std::vector<double> dijkstra(const Graph& graph, NodeId source,
-                             const std::vector<double>& edge_cost) {
-  require(source < graph.node_count(), "dijkstra: source out of range");
-  require(edge_cost.size() == graph.edge_count(),
-          "dijkstra: edge_cost must align with graph.edges()");
-  std::vector<double> dist(graph.node_count(), kInfCost);
-  dist[source] = 0.0;
-  using Entry = std::pair<double, NodeId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  heap.emplace(0.0, source);
-  while (!heap.empty()) {
-    const auto [d, u] = heap.top();
-    heap.pop();
-    if (d > dist[u]) continue;
-    for (NodeId v : graph.neighbors(u)) {
-      const auto idx = graph.edge_index(u, v);
-      const double cost = edge_cost[*idx];
-      require(cost >= 0.0, "dijkstra: negative edge cost");
-      if (dist[u] + cost < dist[v]) {
-        dist[v] = dist[u] + cost;
-        heap.emplace(dist[v], v);
-      }
-    }
-  }
-  return dist;
-}
-
-std::optional<std::vector<NodeId>> dijkstra_path(const Graph& graph, NodeId source,
-                                                 NodeId target,
-                                                 const std::vector<double>& edge_cost) {
-  require(target < graph.node_count(), "dijkstra_path: target out of range");
-  const auto dist = dijkstra(graph, source, edge_cost);
-  if (dist[target] == kInfCost) return std::nullopt;
-  // Walk back from target choosing any predecessor on a tight edge.
-  std::vector<NodeId> path{target};
-  NodeId current = target;
-  while (current != source) {
-    bool stepped = false;
-    for (NodeId v : graph.neighbors(current)) {
-      const auto idx = graph.edge_index(current, v);
-      if (std::abs(dist[v] + edge_cost[*idx] - dist[current]) < 1e-12) {
-        path.push_back(v);
-        current = v;
-        stepped = true;
-        break;
-      }
-    }
-    ensure(stepped, "dijkstra_path: backtrack failed");
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
 DistanceOracle::DistanceOracle(const Graph& graph, std::size_t max_cached_rows)
     : graph_(&graph), max_rows_(max_cached_rows == 0 ? 1 : max_cached_rows) {}
 

@@ -75,7 +75,6 @@ class DistanceOracle {
 
   /// Materialize (first call) and return the dense all-pairs matrix.
   [[nodiscard]] const std::vector<std::vector<std::uint32_t>>& dense();
-  [[nodiscard]] bool dense_materialized() const { return dense_ready_; }
 
   /// Deterministic logical bytes held (element counts times fixed
   /// constants; see PairLedger::memory_bytes).
@@ -89,18 +88,5 @@ class DistanceOracle {
   std::unordered_map<NodeId, std::vector<std::uint32_t>> rows_;
   std::deque<NodeId> eviction_order_;  // FIFO over cached rows
 };
-
-/// Dijkstra over non-negative edge weights supplied per edge index
-/// (aligned with graph.edges()). Returns per-node distance, kInfCost when
-/// unreachable.
-inline constexpr double kInfCost = std::numeric_limits<double>::infinity();
-[[nodiscard]] std::vector<double> dijkstra(const Graph& graph, NodeId source,
-                                           const std::vector<double>& edge_cost);
-
-/// Weighted shortest path (node sequence) under `edge_cost`; nullopt when
-/// unreachable.
-[[nodiscard]] std::optional<std::vector<NodeId>> dijkstra_path(
-    const Graph& graph, NodeId source, NodeId target,
-    const std::vector<double>& edge_cost);
 
 }  // namespace poq::graph

@@ -26,11 +26,6 @@ void LpModel::set_objective_coefficient(VarId var, double coefficient) {
   objective_[var] = coefficient;
 }
 
-void LpModel::add_objective_coefficient(VarId var, double delta) {
-  require(var < variable_count(), "LpModel: unknown variable");
-  objective_[var] += delta;
-}
-
 RowId LpModel::add_constraint(LinearExpr expr, Relation relation, double rhs) {
   for (const Term& term : expr) {
     require(term.var < variable_count(), "LpModel: constraint uses unknown variable");
@@ -40,13 +35,6 @@ RowId LpModel::add_constraint(LinearExpr expr, Relation relation, double rhs) {
   const auto id = static_cast<RowId>(constraints_.size());
   constraints_.push_back(Constraint{std::move(expr), relation, rhs});
   return id;
-}
-
-void LpModel::set_bounds(VarId var, double lo, double hi) {
-  require(var < variable_count(), "LpModel: unknown variable");
-  require(lo <= hi, "LpModel::set_bounds: lo must be <= hi");
-  lower_[var] = lo;
-  upper_[var] = hi;
 }
 
 double LpModel::objective_value(const std::vector<double>& x) const {

@@ -53,13 +53,7 @@ class LpModel {
   /// Sets (replaces) the objective coefficient of `var`.
   void set_objective_coefficient(VarId var, double coefficient);
 
-  /// Adds `delta` to the objective coefficient of `var`.
-  void add_objective_coefficient(VarId var, double delta);
-
   RowId add_constraint(LinearExpr expr, Relation relation, double rhs);
-
-  /// Tightens bounds on an existing variable (used by lexicographic passes).
-  void set_bounds(VarId var, double lo, double hi);
 
   [[nodiscard]] std::size_t variable_count() const { return lower_.size(); }
   [[nodiscard]] std::size_t constraint_count() const { return constraints_.size(); }

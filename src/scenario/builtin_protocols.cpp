@@ -583,6 +583,9 @@ class FidelityProtocol final : public Protocol {
     if (result.consumed_fidelity.count() > 0) {
       metrics.set_scalar("mean_consumed_F", result.consumed_fidelity.mean());
     }
+    if (result.storage_age_at_use.count() > 0) {
+      metrics.set_scalar("mean_storage_age", result.storage_age_at_use.mean());
+    }
     metrics.set_stats("consumed_fidelity", result.consumed_fidelity);
     metrics.set_stats("request_latency", result.request_latency);
     metrics.set_stats("storage_age_at_use", result.storage_age_at_use);

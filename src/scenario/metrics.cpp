@@ -70,10 +70,6 @@ bool RunMetrics::has_scalar(const std::string& name) const {
   return find_entry(scalars_, name) != nullptr;
 }
 
-bool RunMetrics::has_stats(const std::string& name) const {
-  return find_entry(stats_, name) != nullptr;
-}
-
 const std::string& RunMetrics::label(const std::string& name) const {
   const std::string* value = find_entry(labels_, name);
   if (!value) throw PreconditionError(util::str_cat("no label metric '", name, "'"));

@@ -35,7 +35,6 @@ class RunMetrics {
 
   [[nodiscard]] bool has_label(const std::string& name) const;
   [[nodiscard]] bool has_scalar(const std::string& name) const;
-  [[nodiscard]] bool has_stats(const std::string& name) const;
   [[nodiscard]] bool has_timing(const std::string& name) const;
 
   /// Lookups throw PreconditionError naming the missing metric.

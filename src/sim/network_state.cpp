@@ -80,44 +80,40 @@ std::uint64_t NetworkState::generate(std::uint32_t round, double rate) {
   const double whole = std::floor(rate);
   const double frac = rate - whole;
   const auto whole_amount = static_cast<std::uint32_t>(whole);
-  // The merge runs on the caller in canonical edge order through the
-  // ledger's batched add_edges (adds commute, but a fixed order keeps the
-  // ledger internals single-threaded here; the batch hoists the global
-  // bookkeeping without changing any observable state).
   const std::span<const graph::Edge> edges(graph_.edges());
   if (frac > 0.0) {
     // Fractional rate: each edge's rounding flag comes from its own stream
     // keyed (seed, tag, round, edge), batch-derived over dynamically
     // scheduled chunks into disjoint slices of generation_flags_. Masked
     // edges still get their flag derived (so masking never shifts another
-    // edge's stream); only their merged amount is zeroed.
+    // edge's stream); the merge below skips them.
     gen_round_ = round;
     gen_frac_ = frac;
     pool_->run_chunks(edges.size(), generate_grain_, &timers_.generate_load,
                       [this](std::size_t begin, std::size_t end, unsigned) {
                         generate_chunk(begin, end);
                       });
-    if (!masked) return ledger_.add_edges(edges, whole_amount, generation_flags_);
-  } else {
-    // Integral rate: every edge adds the same amount — no draws at all,
-    // straight to the merge (the hot regime of the megascale cells).
-    if (whole_amount == 0) return 0;
-    if (!masked) return ledger_.add_edges(edges, whole_amount);
+  } else if (whole_amount == 0) {
+    return 0;
   }
-  // Masked merge: per-edge amounts with zeros for unavailable edges.
-  generation_amounts_.resize(edges.size());
+  // The merge runs on the caller in canonical edge order (adds commute,
+  // but a fixed order keeps the ledger and its reader marks
+  // single-threaded and reproducible).
+  std::uint64_t added = 0;
   for (std::size_t e = 0; e < edges.size(); ++e) {
-    std::uint32_t amount = whole_amount;
-    if (frac > 0.0) amount += generation_flags_[e];
-    generation_amounts_[e] = fault_plan_->edge_up(e) ? amount : 0;
+    if (masked && !fault_plan_->edge_up(e)) continue;
+    const std::uint32_t amount =
+        frac > 0.0 ? whole_amount + generation_flags_[e] : whole_amount;
+    ledger_.add(edges[e].a(), edges[e].b(), amount);
+    added += amount;
   }
-  return ledger_.add_edges(edges, generation_amounts_);
+  return added;
 }
 
 std::uint64_t NetworkState::purge_node(core::NodeId x) {
   // Copy the partner row first: remove() mutates it. Each remove goes
-  // through the ledger's normal path, so histogram, totals and dirty-set
-  // reader marks stay exact.
+  // through the ledger's normal path, so totals and dirty-set reader
+  // marks stay exact.
   const std::span<const core::NodeId> row = ledger_.partners(x);
   purge_partners_.assign(row.begin(), row.end());
   std::uint64_t purged = 0;

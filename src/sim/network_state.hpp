@@ -90,9 +90,11 @@ class NetworkState {
   /// Bernoulli rounding). Each edge's rounding flag comes from a stream
   /// keyed (seed, generation-tag, round, edge) — batched per chunk
   /// through util::Rng::bernoulli_batch, bit-identical to the scalar
-  /// draws — and merges into the ledger in canonical edge order via the
-  /// batched PairLedger::add_edges. Integral rates skip the draw pass
-  /// entirely and merge directly. Returns the number of pairs generated.
+  /// draws — and merges into the ledger with one PairLedger::add per edge,
+  /// in canonical edge order (masked edges skipped), so rows and reader
+  /// marks are exactly those of a scalar add loop. Integral rates skip the
+  /// draw pass entirely and merge directly. Returns the number of pairs
+  /// generated.
   std::uint64_t generate(std::uint32_t round, double rate);
 
   // --- fault phase ------------------------------------------------------
@@ -100,8 +102,8 @@ class NetworkState {
   /// is attached, generate() scales the rate by the plan's current rate
   /// factor and masks unavailable edges out of the sweep. Masking never
   /// shifts another edge's keyed stream: the kernel still derives the
-  /// per-(round, edge) rounding flag for every edge and only zeroes the
-  /// merged amount, so the same plan trajectory yields bit-identical
+  /// per-(round, edge) rounding flag for every edge and only skips the
+  /// masked edge's add, so the same plan trajectory yields bit-identical
   /// results at every threads/shards setting.
   void set_fault_plan(const FaultPlan* plan) { fault_plan_ = plan; }
   [[nodiscard]] const FaultPlan* fault_plan() const { return fault_plan_; }
@@ -127,12 +129,6 @@ class NetworkState {
   [[nodiscard]] const std::vector<std::optional<core::SwapCandidate>>&
   candidates() const {
     return candidates_;
-  }
-  /// Nodes whose cached candidate is non-null, ascending. Maintained by
-  /// decide_swaps (two-pointer merge of the dirty frontier into the
-  /// previous list); commit_swaps enumerates only this list.
-  [[nodiscard]] const std::vector<core::NodeId>& candidate_nodes() const {
-    return candidate_nodes_;
   }
   /// Candidate-list entries visited by the last commit_swaps call (one
   /// per candidate). Test hook for the O(#candidates) contract: with a
@@ -174,7 +170,6 @@ class NetworkState {
                            const ObserveFn& observe = {});
 
   // --- decay state + decohere kernel (decay model required) ------------
-  [[nodiscard]] bool tracks_pairs() const { return decay_.has_value(); }
   [[nodiscard]] const DecayModel& decay() const;
   /// Current fidelity of a tracked pair under the decay model.
   [[nodiscard]] double fidelity_now(const TrackedPair& pair, double now) const;
@@ -231,12 +226,9 @@ class NetworkState {
   // which worker ran a chunk).
   std::vector<core::MaxMinBalancer::Scratch> worker_scratch_;
   // Per-edge Bernoulli rounding flags for fractional generation rates,
-  // filled chunk-parallel by bernoulli_batch and merged through
-  // add_edges (integral rates never touch it).
+  // filled chunk-parallel by bernoulli_batch and read by the merge loop
+  // (integral rates never touch it).
   std::vector<std::uint8_t> generation_flags_;
-  // Per-edge merge amounts for the fault-masked generation path (sized on
-  // first faulty generate; fault-free runs never touch it).
-  std::vector<std::uint32_t> generation_amounts_;
   const FaultPlan* fault_plan_ = nullptr;
   // Scratch for purge_node's partner-row walk (the row mutates under the
   // removes).
@@ -263,7 +255,7 @@ class NetworkState {
   const DecideFn* decide_fn_ = nullptr;
   double decohere_now_ = 0.0;
 
-  // Decay state (tracks_pairs() only): sparse metadata buckets keyed by
+  // Decay state (only with a decay model): sparse metadata buckets keyed by
   // live pairs, mirroring the ledger counts (bucket size == count).
   std::optional<DecayModel> decay_;
   std::optional<PairStore> pair_store_;

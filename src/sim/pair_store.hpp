@@ -54,9 +54,6 @@ class PairStore {
   [[nodiscard]] const std::vector<TrackedPair>* find(core::NodeId x,
                                                      core::NodeId y) const;
 
-  /// Live pair-type slots (never shrinks; empty buckets keep theirs).
-  [[nodiscard]] std::size_t slot_count() const { return buckets_.size(); }
-
   /// Deterministic logical memory accounting: element counts times fixed
   /// per-element constants, bit-identical across compilers/allocators.
   [[nodiscard]] std::uint64_t memory_bytes() const;

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -21,7 +20,6 @@ TEST(PairLedger, StartsEmpty) {
   EXPECT_EQ(ledger.total_pairs(), 0u);
   EXPECT_EQ(ledger.count(0, 1), 0u);
   EXPECT_TRUE(ledger.partners(0).empty());
-  EXPECT_EQ(ledger.minimum_pair_count(), 0u);
 }
 
 TEST(PairLedger, CountsAreSymmetric) {
@@ -87,15 +85,6 @@ TEST(PairLedger, ZeroAmountIsNoop) {
   EXPECT_EQ(ledger.count(0, 1), 2u);
 }
 
-TEST(PairLedger, MinimumPairCount) {
-  PairLedger ledger(3);
-  ledger.add(0, 1, 2);
-  ledger.add(0, 2, 3);
-  EXPECT_EQ(ledger.minimum_pair_count(), 0u);  // (1,2) still empty
-  ledger.add(1, 2, 1);
-  EXPECT_EQ(ledger.minimum_pair_count(), 1u);
-}
-
 TEST(PairLedger, EntanglementGraphThreshold) {
   PairLedger ledger(4);
   ledger.add(0, 1, 1);
@@ -118,59 +107,19 @@ TEST(PairLedger, TotalPairsAccumulates) {
   EXPECT_EQ(ledger.total_pairs(), 11u);
 }
 
-/// Brute-force reference for minimum_pair_count: the dense matrix scan.
-std::uint32_t scan_minimum(const PairLedger& ledger) {
-  std::uint32_t minimum = UINT32_MAX;
-  const auto n = static_cast<NodeId>(ledger.node_count());
-  for (NodeId x = 0; x < n; ++x) {
-    for (NodeId y = x + 1; y < n; ++y) {
-      minimum = std::min(minimum, ledger.count(x, y));
-    }
-  }
-  return minimum;
-}
-
-TEST(PairLedger, MinimumPairCountMatchesScanUnderRandomChurn) {
-  // The incremental count histogram must agree with the full matrix scan
-  // after every mutation of a randomized add/remove workload.
-  PairLedger ledger(6);
-  util::Rng rng(0xC0FFEE);
-  for (int step = 0; step < 4000; ++step) {
-    const auto x = static_cast<NodeId>(rng.uniform_index(6));
-    auto y = static_cast<NodeId>(rng.uniform_index(6));
-    if (y == x) y = (y + 1) % 6;
-    const auto amount = static_cast<std::uint32_t>(1 + rng.uniform_index(3));
-    if (rng.bernoulli(0.55) || ledger.count(x, y) < amount) {
-      ledger.add(x, y, amount);
-    } else {
-      ledger.remove(x, y, amount);
-    }
-    ASSERT_EQ(ledger.minimum_pair_count(), scan_minimum(ledger))
-        << "histogram minimum diverged at step " << step;
-  }
-}
-
 // pair_counts(x) is x's row read in place, and dense_row(x) is x's row of
-// the count mirror: after any mix of add, remove (to zero included), the
-// three batched add_edges overloads and NetworkState::purge_node, both
-// agree with a reference matrix and with count() entry for entry, absent
-// pairs included.
+// the count mirror: after any mix of add, remove (to zero included),
+// integral and fractional NetworkState::generate and
+// NetworkState::purge_node, both agree with a reference matrix and with
+// count() entry for entry, absent pairs included.
 TEST(PairLedger, PairCountsAlignWithPartnersUnderChurn) {
   constexpr std::size_t kNodes = 12;
-  sim::NetworkState state(graph::make_cycle(kNodes), 7, sim::TickConcurrency{});
+  const graph::Graph cycle = graph::make_cycle(kNodes);
+  sim::NetworkState state(cycle, 7, sim::TickConcurrency{});
   PairLedger& ledger = state.ledger();
   std::vector<std::vector<std::uint32_t>> expected(
       kNodes, std::vector<std::uint32_t>(kNodes, 0));
   util::Rng rng(0xA11C);
-  const auto random_edges = [&] {
-    std::vector<graph::Edge> edges;
-    for (int e = 0; e < 8; ++e) {
-      const auto a = static_cast<NodeId>(rng.uniform_index(kNodes));
-      const auto b = static_cast<NodeId>((a + 1 + rng.uniform_index(kNodes - 1)) % kNodes);
-      edges.push_back({a, b});
-    }
-    return edges;
-  };
   const auto expect_add = [&](NodeId a, NodeId b, std::uint32_t amount) {
     expected[a][b] += amount;
     expected[b][a] += amount;
@@ -203,29 +152,21 @@ TEST(PairLedger, PairCountsAlignWithPartnersUnderChurn) {
     auto y = static_cast<NodeId>(rng.uniform_index(kNodes));
     if (y == x) y = static_cast<NodeId>((y + 1) % kNodes);
     const auto amount = static_cast<std::uint32_t>(1 + rng.uniform_index(3));
-    if (step % 50 == 0) {
-      const auto edges = random_edges();
-      ledger.add_edges(edges, amount);
-      for (const graph::Edge& e : edges) expect_add(e.a(), e.b(), amount);
-    } else if (step % 50 == 10) {
-      const auto edges = random_edges();
-      std::vector<std::uint32_t> amounts;
+    if (step % 50 == 0 || step % 50 == 10) {
+      // Generation over the cycle's edges: integral, or fractional with
+      // each edge's rounding flag from its keyed stream.
+      const auto round = static_cast<std::uint32_t>(step + 1);
+      const double rate = step % 50 == 0 ? amount : amount - 0.5;
+      (void)state.generate(round, rate);
+      const auto& edges = state.generation_graph().edges();
       for (std::size_t e = 0; e < edges.size(); ++e) {
-        amounts.push_back(static_cast<std::uint32_t>(rng.uniform_index(3)));
-      }
-      ledger.add_edges(edges, amounts);
-      for (std::size_t e = 0; e < edges.size(); ++e) {
-        expect_add(edges[e].a(), edges[e].b(), amounts[e]);
-      }
-    } else if (step % 50 == 20) {
-      const auto edges = random_edges();
-      std::vector<std::uint8_t> extra;
-      for (std::size_t e = 0; e < edges.size(); ++e) {
-        extra.push_back(rng.bernoulli(0.5) ? 1 : 0);
-      }
-      ledger.add_edges(edges, amount - 1, extra);
-      for (std::size_t e = 0; e < edges.size(); ++e) {
-        expect_add(edges[e].a(), edges[e].b(), amount - 1 + extra[e]);
+        std::uint32_t added = amount;
+        if (step % 50 == 10) {
+          util::Rng draw =
+              util::Rng::keyed(state.seed(), sim::stream_tag::kGeneration, round, e);
+          added = amount - 1 + (draw.bernoulli(0.5) ? 1 : 0);
+        }
+        expect_add(edges[e].a(), edges[e].b(), added);
       }
     } else if (step % 50 == 30) {
       (void)state.purge_node(x);
@@ -255,20 +196,7 @@ TEST(PairLedger, DenseRowOnlyUpToFullReserveLimit) {
   EXPECT_EQ(above.dense_row(0), nullptr);
   EXPECT_EQ(above.dense_row(PairLedger::kFullReserveNodeLimit), nullptr);
   const PairLedger small(3);
-  EXPECT_EQ(small.memory_bytes(), 56u * 3 + (PairLedger::kMinHistogramCap + 1) * 8u + 4u * 9);
-}
-
-TEST(PairLedger, MinimumPairCountFallsBackAboveHistogramCap) {
-  // Saturate every unordered pair past the histogram range: the exact
-  // minimum must still come out (via the dense-scan fallback).
-  PairLedger ledger(3);
-  const std::uint32_t above = PairLedger::kMinHistogramCap + 40;
-  ledger.add(0, 1, above + 2);
-  ledger.add(0, 2, above);
-  ledger.add(1, 2, above + 7);
-  EXPECT_EQ(ledger.minimum_pair_count(), above);
-  ledger.remove(0, 2, above - 1);  // drop one pair back into range
-  EXPECT_EQ(ledger.minimum_pair_count(), 1u);
+  EXPECT_EQ(small.memory_bytes(), 56u * 3 + 4u * 9);
 }
 
 std::vector<NodeId> drained(PairLedger& ledger) {
@@ -365,117 +293,6 @@ TEST(PairLedger, ResetMarkingBudgetConvertsOverflowToBits) {
   nodes.clear();
   EXPECT_EQ(ledger.drain_dirty(nodes), 1u);
   EXPECT_EQ(nodes, (std::vector<NodeId>{3}));
-}
-
-// add_edges must be indistinguishable from the scalar add() loop it
-// replaces in the generation merge: same rows, same totals, same
-// minimum, and the same dirty frontier in the same drain order.
-TEST(PairLedger, AddEdgesMatchesScalarAddLoop) {
-  constexpr std::size_t kNodes = 24;
-  util::Rng rng(90210);
-  std::vector<graph::Edge> edges;
-  for (NodeId x = 0; x < kNodes; ++x) {
-    for (NodeId y = static_cast<NodeId>(x + 1); y < kNodes; ++y) {
-      if (rng.uniform_double() < 0.4) {
-        // Mix endpoint orders: add_edges must normalize via a()/b().
-        if (rng.uniform_double() < 0.5) edges.push_back({x, y});
-        else edges.push_back({y, x});
-      }
-    }
-  }
-  ASSERT_GT(edges.size(), 50u);
-  std::vector<std::uint32_t> amounts(edges.size());
-  std::vector<std::uint8_t> extra(edges.size());
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    amounts[i] = static_cast<std::uint32_t>(rng.uniform_index(4));  // has zeros
-    extra[i] = static_cast<std::uint8_t>(rng.uniform_index(2));
-  }
-
-  const auto expect_equivalent = [&](PairLedger& batched, PairLedger& scalar,
-                                     auto amount_of, std::uint64_t added) {
-    std::uint64_t expected_added = 0;
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      scalar.add(edges[i].a(), edges[i].b(), amount_of(i));
-      expected_added += amount_of(i);
-    }
-    EXPECT_EQ(added, expected_added);
-    EXPECT_EQ(batched.total_pairs(), scalar.total_pairs());
-    EXPECT_EQ(batched.minimum_pair_count(), scalar.minimum_pair_count());
-    for (NodeId x = 0; x < kNodes; ++x) {
-      for (NodeId y = static_cast<NodeId>(x + 1); y < kNodes; ++y) {
-        EXPECT_EQ(batched.count(x, y), scalar.count(x, y));
-      }
-    }
-    std::vector<NodeId> batched_dirty;
-    std::vector<NodeId> scalar_dirty;
-    batched.drain_dirty(batched_dirty);
-    scalar.drain_dirty(scalar_dirty);
-    EXPECT_EQ(batched_dirty, scalar_dirty);
-  };
-
-  const auto fresh_pair = [&](PairLedger& ledger) {
-    ledger.enable_dirty_tracking();
-    ledger.set_reader_threshold(2);
-    // Seed some counts so mark_pair_readers has common partners to walk,
-    // then start from a clean frontier.
-    ledger.add(0, 1, 2);
-    ledger.add(1, 2, 2);
-    ledger.add(2, 3, 1);
-    std::vector<NodeId> drain;
-    ledger.drain_dirty(drain);
-  };
-
-  {  // Uniform-amount overload.
-    PairLedger batched(kNodes), scalar(kNodes);
-    fresh_pair(batched);
-    fresh_pair(scalar);
-    const std::uint64_t added = batched.add_edges(edges, 3);
-    expect_equivalent(batched, scalar, [](std::size_t) { return 3u; }, added);
-  }
-  {  // Per-edge amounts overload (zero amounts skipped).
-    PairLedger batched(kNodes), scalar(kNodes);
-    fresh_pair(batched);
-    fresh_pair(scalar);
-    const std::uint64_t added =
-        batched.add_edges(edges, std::span<const std::uint32_t>(amounts));
-    expect_equivalent(
-        batched, scalar, [&](std::size_t i) { return amounts[i]; }, added);
-  }
-  {  // base + 0/1 flags overload (the generation-merge shape).
-    PairLedger batched(kNodes), scalar(kNodes);
-    fresh_pair(batched);
-    fresh_pair(scalar);
-    const std::uint64_t added =
-        batched.add_edges(edges, 2, std::span<const std::uint8_t>(extra));
-    expect_equivalent(
-        batched, scalar, [&](std::size_t i) { return 2u + extra[i]; }, added);
-  }
-  {  // base 0 + flags: exercises the amount == 0 skip path heavily.
-    PairLedger batched(kNodes), scalar(kNodes);
-    fresh_pair(batched);
-    fresh_pair(scalar);
-    const std::uint64_t added =
-        batched.add_edges(edges, 0, std::span<const std::uint8_t>(extra));
-    expect_equivalent(
-        batched, scalar,
-        [&](std::size_t i) { return static_cast<std::uint32_t>(extra[i]); },
-        added);
-  }
-}
-
-TEST(PairLedger, AddEdgesValidatesLikeScalarAdd) {
-  PairLedger ledger(4);
-  const std::vector<graph::Edge> self_loop{{2, 2}};
-  EXPECT_THROW((void)ledger.add_edges(self_loop, 1), PreconditionError);
-  const std::vector<graph::Edge> out_of_range{{1, 9}};
-  EXPECT_THROW((void)ledger.add_edges(out_of_range, 1), PreconditionError);
-  const std::vector<graph::Edge> edges{{0, 1}, {1, 2}};
-  const std::vector<std::uint32_t> short_amounts{1};
-  EXPECT_THROW(
-      (void)ledger.add_edges(edges,
-                             std::span<const std::uint32_t>(short_amounts)),
-      PreconditionError);
-  EXPECT_EQ(ledger.total_pairs(), 0u);  // failed batches may not commit totals
 }
 
 TEST(PairLedger, DirtyTrackingOffByDefaultAndMarkAllOnEnable) {

@@ -176,7 +176,9 @@ TEST(Registry, ShardsMessageNamesItsRange) {
 
 // Fidelity's generate and decide kernels dispatch through the chunk
 // scheduler with its phase timers' load records, so its timings carry
-// the chunk-imbalance signal like every NetworkState kernel's.
+// the chunk-imbalance signal like every NetworkState kernel's. The mean
+// storage age at use is also a scalar, so suites (which keep scalars,
+// not stats) report it.
 TEST(Registry, FidelityTimingsCarryChunkImbalance) {
   ScenarioSpec spec = small_spec("fidelity");
   spec.knobs["duration"] = 30.0;
@@ -188,6 +190,9 @@ TEST(Registry, FidelityTimingsCarryChunkImbalance) {
     ASSERT_TRUE(metrics.has_timing(name)) << name;
     EXPECT_GE(metrics.timing(name), 1.0) << name;
   }
+  const util::RunningStats& age = metrics.stats("storage_age_at_use");
+  ASSERT_GT(age.count(), 0u);
+  EXPECT_EQ(metrics.scalar("mean_storage_age"), age.mean());
 }
 
 TEST(Registry, LpProtocolReportsStatus) {

@@ -93,42 +93,5 @@ TEST(ShortestPath, TriangleInequalityHolds) {
   }
 }
 
-TEST(Dijkstra, MatchesBfsOnUnitWeights) {
-  const Graph graph = make_cycle(9);
-  const std::vector<double> unit(graph.edge_count(), 1.0);
-  const auto weighted = dijkstra(graph, 0, unit);
-  const auto hops = bfs_distances(graph, 0);
-  for (NodeId v = 0; v < 9; ++v) {
-    EXPECT_DOUBLE_EQ(weighted[v], static_cast<double>(hops[v]));
-  }
-}
-
-TEST(Dijkstra, PrefersCheapDetour) {
-  // 0-1 expensive direct edge; 0-2-1 cheap detour.
-  Graph graph(3);
-  graph.add_edge(0, 1);
-  graph.add_edge(0, 2);
-  graph.add_edge(1, 2);
-  std::vector<double> cost(graph.edge_count());
-  cost[*graph.edge_index(0, 1)] = 10.0;
-  cost[*graph.edge_index(0, 2)] = 1.0;
-  cost[*graph.edge_index(1, 2)] = 1.0;
-  const auto dist = dijkstra(graph, 0, cost);
-  EXPECT_DOUBLE_EQ(dist[1], 2.0);
-  const auto path = dijkstra_path(graph, 0, 1, cost);
-  ASSERT_TRUE(path.has_value());
-  ASSERT_EQ(path->size(), 3u);
-  EXPECT_EQ((*path)[1], 2u);
-}
-
-TEST(Dijkstra, UnreachableIsInfinite) {
-  Graph graph(3);
-  graph.add_edge(0, 1);
-  const std::vector<double> cost{1.0};
-  const auto dist = dijkstra(graph, 0, cost);
-  EXPECT_EQ(dist[2], kInfCost);
-  EXPECT_FALSE(dijkstra_path(graph, 0, 2, cost).has_value());
-}
-
 }  // namespace
 }  // namespace poq::graph

@@ -1,10 +1,13 @@
-// sim::NetworkState phase kernels: the generation kernel's keyed streams,
-// the decay/decohere kernels, and above all the swap commit — its one walk
-// over the sorted candidate list rotated at `first` must equal the
-// hand-written rotated, filtered 0..n scan below, for every threads/shards
-// setting, even on a dense round where every node has a candidate.
+// sim::NetworkState phase kernels: the generation kernel's keyed streams
+// and its merge (one canonical-order add per edge), the decay/decohere
+// kernels, and above all the swap commit — its one walk over the sorted
+// candidate list rotated at `first` must equal the hand-written rotated,
+// filtered 0..n scan below, for every threads/shards setting, even on a
+// dense round where every node has a candidate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <optional>
 #include <string>
 #include <vector>
@@ -12,6 +15,7 @@
 #include "core/ledger.hpp"
 #include "core/maxmin_balancer.hpp"
 #include "graph/topology.hpp"
+#include "sim/fault_plan.hpp"
 #include "sim/network_state.hpp"
 #include "util/rng.hpp"
 
@@ -193,6 +197,77 @@ TEST(NetworkStateGeneration, KeyedStreamsAreShardInvariant) {
       EXPECT_GT(generated, 0u);
     } else {
       EXPECT_EQ(dump, reference) << "shards=" << shards;
+    }
+  }
+}
+
+// The generation merge is one canonical-edge-order loop of
+// PairLedger::add. Rebuild it per edge from the scalar keyed draw, the
+// fault plan's edge_up and add, and require the same rows, the same dirty
+// frontier (drained in the same order) and the same returned count, for
+// integral and fractional rates, with and without a churning link mask,
+// at every chunking.
+TEST(NetworkStateGeneration, MergeMatchesScalarReference) {
+  util::Rng topo_rng(5);
+  const graph::Graph graph = graph::make_random_connected_grid(25, topo_rng);
+  const auto n = static_cast<NodeId>(graph.node_count());
+  FaultConfig churn;
+  churn.link_mtbf = 4.0;
+  churn.link_mttr = 3.0;
+  constexpr std::uint64_t kSeed = 11;
+  for (const double rate : {2.0, 1.6}) {
+    for (const bool masked : {false, true}) {
+      for (const std::uint32_t shards : {1u, 5u}) {
+        SCOPED_TRACE("rate " + std::to_string(rate) + " masked " +
+                     std::to_string(masked) + " shards " + std::to_string(shards));
+        TickConcurrency tick = sharded(2, shards);
+        tick.incremental_decide = true;
+        NetworkState state(graph, kSeed, tick);
+        FaultPlan plan(graph, churn, kSeed);
+        if (masked) state.set_fault_plan(&plan);
+        PairLedger reference(graph.node_count());
+        reference.enable_dirty_tracking();
+        ASSERT_TRUE(state.ledger().dirty_tracking());
+        const double whole = std::floor(rate);
+        bool saw_mask = false;
+        for (std::uint32_t round = 1; round <= 12; ++round) {
+          if (masked) {
+            (void)plan.advance(round);
+            saw_mask |= plan.any_edge_down();
+          }
+          std::uint64_t expected = 0;
+          for (std::size_t e = 0; e < graph.edge_count(); ++e) {
+            util::Rng draw = util::Rng::keyed(kSeed, stream_tag::kGeneration, round, e);
+            const auto amount = static_cast<std::uint32_t>(whole) +
+                                (rate > whole && draw.bernoulli(rate - whole) ? 1u : 0u);
+            if (masked && !plan.edge_up(e)) continue;
+            reference.add(graph.edges()[e].a(), graph.edges()[e].b(), amount);
+            expected += amount;
+          }
+          EXPECT_EQ(state.generate(round, rate), expected) << "round " << round;
+          for (NodeId x = 0; x < n; ++x) {
+            const auto partners = state.ledger().partners(x);
+            const auto counts = state.ledger().pair_counts(x);
+            const auto ref_partners = reference.partners(x);
+            const auto ref_counts = reference.pair_counts(x);
+            ASSERT_TRUE(std::equal(partners.begin(), partners.end(),
+                                   ref_partners.begin(), ref_partners.end()))
+                << "node " << x << " round " << round;
+            ASSERT_TRUE(std::equal(counts.begin(), counts.end(),
+                                   ref_counts.begin(), ref_counts.end()))
+                << "node " << x << " round " << round;
+          }
+          EXPECT_EQ(state.ledger().total_pairs(), reference.total_pairs());
+          if (round % 3 == 0) {
+            std::vector<NodeId> dirty;
+            std::vector<NodeId> ref_dirty;
+            state.ledger().drain_dirty(dirty);
+            reference.drain_dirty(ref_dirty);
+            EXPECT_EQ(dirty, ref_dirty) << "round " << round;
+          }
+        }
+        EXPECT_EQ(saw_mask, masked);
+      }
     }
   }
 }

@@ -91,10 +91,10 @@ namespace {
 
 TEST(PairStoreChurn, LedgerFuzzMatchesDenseReference) {
   // Random add/remove churn on the sparse partner rows vs a dense n x n
-  // count matrix: counts, totals, the minimum-over-pairs, and the
-  // thresholded entanglement graph must agree after every operation
-  // batch. Erasing rows to zero and re-inserting them exercises the
-  // partner-slot insert/erase paths that the dense array never had.
+  // count matrix: counts, totals and the thresholded entanglement graph
+  // must agree after every operation batch. Erasing rows to zero and
+  // re-inserting them exercises the partner-slot insert/erase paths that
+  // the dense array never had.
   constexpr std::size_t kNodes = 24;
   util::Rng rng(0x5EED5);
   core::PairLedger ledger(kNodes);
@@ -119,17 +119,14 @@ TEST(PairStoreChurn, LedgerFuzzMatchesDenseReference) {
       }
     }
     std::uint64_t total = 0;
-    std::uint32_t minimum = 0xFFFFFFFFu;
     for (core::NodeId x = 0; x < kNodes; ++x) {
       for (core::NodeId y = x + 1; y < kNodes; ++y) {
         ASSERT_EQ(ledger.count(x, y), dense[x][y])
             << "batch " << batch << " pair (" << x << "," << y << ")";
         total += dense[x][y];
-        minimum = std::min(minimum, dense[x][y]);
       }
     }
     ASSERT_EQ(ledger.total_pairs(), total) << "batch " << batch;
-    ASSERT_EQ(ledger.minimum_pair_count(), minimum) << "batch " << batch;
     // Partner rows must hold exactly the nonzero pairs, both directions.
     for (core::NodeId x = 0; x < kNodes; ++x) {
       std::vector<core::NodeId> expected;

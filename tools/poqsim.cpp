@@ -303,6 +303,26 @@ std::vector<SweepAxis> parse_axes(const std::string& text) {
   return axes;
 }
 
+/// The sweep grid's axes (`sweep` and `client sweep`): --nodes is the
+/// outermost axis; --axes appends further ones.
+std::vector<SweepAxis> sweep_axes(const util::ArgParser& args) {
+  std::vector<SweepAxis> axes(1);
+  axes[0].name = "nodes";
+  for (const std::size_t n : parse_node_list(args.get_string("nodes", "9,16,25"))) {
+    axes[0].values.push_back(std::to_string(n));
+  }
+  if (args.has("axes")) {
+    for (SweepAxis& axis : parse_axes(args.get_string("axes", ""))) {
+      if (axis.name == "nodes") {
+        throw PreconditionError(
+            "axis 'nodes' is owned by --nodes; list the counts there");
+      }
+      axes.push_back(std::move(axis));
+    }
+  }
+  return axes;
+}
+
 scenario::KnobValue parse_knob_text(const scenario::KnobSpec& knob,
                                     const std::string& raw) {
   const auto fail = [&]() -> scenario::KnobValue {
@@ -460,25 +480,7 @@ int cmd_sweep(const util::ArgParser& args) {
     throw PreconditionError("--grid renders a table; drop --json");
   }
 
-  // Axes: --nodes is the outermost axis; --axes appends further ones.
-  std::vector<SweepAxis> axes;
-  {
-    SweepAxis nodes_axis;
-    nodes_axis.name = "nodes";
-    for (const std::size_t n : parse_node_list(args.get_string("nodes", "9,16,25"))) {
-      nodes_axis.values.push_back(std::to_string(n));
-    }
-    axes.push_back(std::move(nodes_axis));
-  }
-  if (args.has("axes")) {
-    for (SweepAxis& axis : parse_axes(args.get_string("axes", ""))) {
-      if (axis.name == "nodes") {
-        throw PreconditionError(
-            "axis 'nodes' is owned by --nodes; list the counts there");
-      }
-      axes.push_back(std::move(axis));
-    }
-  }
+  const std::vector<SweepAxis> axes = sweep_axes(args);
 
   scenario::ScenarioSpec base = parse_frame(args, protocol_name, false);
   parse_knobs(args, protocol, base);
@@ -660,25 +662,7 @@ int cmd_serve(const util::ArgParser& args) {
 std::vector<scenario::ScenarioSpec> build_client_grid(const util::ArgParser& args,
                                                       const std::string& name) {
   const scenario::Protocol& protocol = scenario::registry().find(name);
-  std::vector<SweepAxis> axes;
-  {
-    SweepAxis nodes_axis;
-    nodes_axis.name = "nodes";
-    for (const std::size_t n :
-         parse_node_list(args.get_string("nodes", "9,16,25"))) {
-      nodes_axis.values.push_back(std::to_string(n));
-    }
-    axes.push_back(std::move(nodes_axis));
-  }
-  if (args.has("axes")) {
-    for (SweepAxis& axis : parse_axes(args.get_string("axes", ""))) {
-      if (axis.name == "nodes") {
-        throw PreconditionError(
-            "axis 'nodes' is owned by --nodes; list the counts there");
-      }
-      axes.push_back(std::move(axis));
-    }
-  }
+  const std::vector<SweepAxis> axes = sweep_axes(args);
   scenario::ScenarioSpec base = parse_frame(args, name, false);
   parse_knobs(args, protocol, base);
   return build_axis_grid(base, protocol, axes);

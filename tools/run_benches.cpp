@@ -123,10 +123,8 @@ util::json::Value suite_to_json(const SuiteRun& run, const Options& options) {
   Value config = Value::object();
   config.set("quick", options.quick);
   config.set("seeds", static_cast<double>(run.seeds));
-  // Engine provenance for committed baselines: every cell ran the sharded
-  // tick engine at this intra-run thread count (the suite's own value —
-  // some suites pin it regardless of the flag).
-  config.set("default_engine", "sharded");
+  // Thread provenance for committed baselines: the suite's own intra-run
+  // thread count (some suites pin it regardless of the flag).
   config.set("intra_threads", static_cast<double>(run.intra_threads));
   out.set("config", std::move(config));
   out.set("total_wall_ms", run.total_wall_ms);
