@@ -1,7 +1,8 @@
 // Microbenchmarks for poqnet's hot kernels (google-benchmark).
 //
 // These guard the costs that dominate the figure harnesses: the §4
-// best-swap scan, ledger updates, shortest paths and the simplex solver.
+// best-swap scan, gossip's report sizing, ledger updates, shortest paths
+// and the simplex solver.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -16,6 +17,7 @@
 #include "core/workload.hpp"
 #include "graph/shortest_path.hpp"
 #include "graph/topology.hpp"
+#include "net/message.hpp"
 #include "sim/network_state.hpp"
 #include "util/rng.hpp"
 
@@ -121,24 +123,72 @@ void BM_LedgerGenerateMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_LedgerGenerateMerge)->Arg(1024)->Arg(10000);
 
-void BM_BestSwapScan(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
+/// Deck-shaped ledger rows: each pair is live with probability 0.7 (55 of
+/// 80 partners on the paper's 81-node full grid), and 30% of live pairs
+/// hold enough to spend at D = 1 (the decks measured 16-20 eligible of
+/// 55-66 partners); the rest hold one pair.
+core::PairLedger deck_shaped_ledger(std::size_t n, std::uint64_t seed) {
   core::PairLedger ledger(n);
-  util::Rng rng(7);
-  // Dense-ish ledger: every node entangled with ~n/2 partners.
+  util::Rng rng(seed);
   for (core::NodeId x = 0; x < n; ++x) {
     for (core::NodeId y = x + 1; y < n; ++y) {
-      if (rng.bernoulli(0.5)) ledger.add(x, y, 1 + static_cast<std::uint32_t>(rng.uniform_index(5)));
+      if (!rng.bernoulli(0.7)) continue;
+      ledger.add(x, y,
+                 rng.bernoulli(0.3) ? 2 + static_cast<std::uint32_t>(rng.uniform_index(5))
+                                    : 1);
     }
   }
+  return ledger;
+}
+
+void BM_BestSwapScan(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const core::PairLedger ledger = deck_shaped_ledger(n, 7);
   const core::MaxMinBalancer balancer((core::DistillationMatrix(1.0)));
+  core::MaxMinBalancer::Scratch scratch;
+  scratch.reserve(n);
   core::NodeId node = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(balancer.best_swap(ledger, node));
+    benchmark::DoNotOptimize(balancer.best_swap(ledger, node, scratch));
     node = (node + 1) % static_cast<core::NodeId>(n);
   }
 }
-BENCHMARK(BM_BestSwapScan)->Arg(25)->Arg(49)->Arg(100);
+BENCHMARK(BM_BestSwapScan)->Arg(49)->Arg(81)->Arg(100);
+
+/// One gossip round's report sizing over every sender of a deck-shaped
+/// 81-node ledger: the closed form over each row's live counts (encode =
+/// 0), against building each dense CountUpdate and sizing it with the
+/// encoder (encode = 1). Both return the same byte total.
+void BM_CountReportSize(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const bool encode = state.range(1) != 0;
+  const core::PairLedger ledger = deck_shaped_ledger(n, 11);
+  net::CountUpdate update;
+  update.entries.reserve(n - 1);
+  std::uint32_t round = 0;
+  for (auto _ : state) {
+    std::size_t bytes = 0;
+    for (core::NodeId x = 0; x < n; ++x) {
+      if (!encode) {
+        bytes += net::count_report_size(x, round, n, ledger.pair_counts(x));
+        continue;
+      }
+      const std::uint32_t* row = ledger.dense_row(x);
+      update.reporter = x;
+      update.version = round;
+      update.entries.clear();
+      for (core::NodeId peer = 0; peer < n; ++peer) {
+        if (peer != x) update.entries.push_back({peer, row[peer]});
+      }
+      bytes += net::encoded_size(update);
+    }
+    benchmark::DoNotOptimize(bytes);
+    ++round;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_CountReportSize)->ArgNames({"n", "encode"})->Args({81, 0})->Args({81, 1});
 
 void BM_LedgerPartnerChurn(benchmark::State& state) {
   // CSR partner-arena in-place insert/erase: every iteration flips one

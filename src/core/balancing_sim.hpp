@@ -122,6 +122,9 @@ class BalancingSimulation {
  public:
   BalancingSimulation(const graph::Graph& generation_graph, const Workload& workload,
                       const BalancingConfig& config);
+  /// The simulation keeps a reference to the graph, so a temporary is
+  /// refused.
+  BalancingSimulation(graph::Graph&&, const Workload&, const BalancingConfig&) = delete;
 
   /// One full round: generate, swap decide + commit, consume.
   void step_round();

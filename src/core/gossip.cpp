@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "net/message.hpp"
@@ -30,10 +31,12 @@ class KnowledgeBase {
   }
 
   [[nodiscard]] std::uint32_t view(NodeId owner, NodeId a, NodeId b) const {
-    // Freshest of the two first-hand reports about the (a, b) pair.
-    const std::uint32_t age_a = report_round(owner, a);
-    const std::uint32_t age_b = report_round(owner, b);
-    return age_a >= age_b ? counts_[flat(owner, a, b)] : counts_[flat(owner, b, a)];
+    // Freshest of the two first-hand reports about the (a, b) pair (a's
+    // on a tie). Both are loaded and the age picks one, so the freshness
+    // test is a select, not a branch.
+    const std::uint32_t from_a = counts_[flat(owner, a, b)];
+    const std::uint32_t from_b = counts_[flat(owner, b, a)];
+    return report_round(owner, a) >= report_round(owner, b) ? from_a : from_b;
   }
 
   [[nodiscard]] std::uint32_t report_round(NodeId owner, NodeId reporter) const {
@@ -53,31 +56,32 @@ class KnowledgeBase {
 
 /// Count reports in flight, as a ring of per-round slots `depth` rounds
 /// deep. Each send round owns one slot: the n x n snapshot of the rows
-/// sent that round plus that round's messages. Each message also joins
-/// the delivery list of its due round, a chain through the slots
-/// appended in send order, so the merge walks exactly the messages due
-/// now in (send round, sender, target) order. Every queued delay is
-/// below `depth`, so a slot is reused only after everything sent from it
-/// has been installed. A slot's storage is sized on its first use and
-/// reused after, so the ring stops allocating once it has wrapped.
+/// sent that round (one copy of the ledger's dense count mirror) plus
+/// that round's messages. Each message also joins the delivery list of
+/// its due round, a chain through the slots appended in send order, so
+/// the merge walks exactly the messages due now in (send round, sender,
+/// target) order. Every queued delay is below `depth`, so a slot is
+/// reused only after everything sent from it has been installed. A
+/// slot's storage is sized on its first use and reused after, so the
+/// ring stops allocating once it has wrapped.
 class DeliveryRing {
  public:
   DeliveryRing(std::size_t node_count, std::size_t messages_per_round,
                std::size_t depth)
       : node_count_(node_count), per_round_(messages_per_round), slots_(depth) {}
 
-  /// Open `round`'s send slot; returns its row snapshot (row x at
-  /// x * node_count) for the caller to fill.
-  std::uint32_t* open(std::uint32_t round) {
+  /// Open `round`'s send slot with `counts` (the row-major n x n dense
+  /// count mirror) as the snapshot every report sent this round carries.
+  void open(std::uint32_t round, std::span<const std::uint32_t> counts) {
     sending_ = round % slots_.size();
     Slot& slot = slots_[sending_];
     if (slot.rows.empty()) {
       slot.rows.resize(node_count_ * node_count_);
       slot.messages.reserve(per_round_);
     }
+    std::copy(counts.begin(), counts.end(), slot.rows.begin());
     slot.round = round;
     slot.messages.clear();
-    return slot.rows.data();
   }
 
   /// Queue sender's row from the open slot for `target` at `due_round`
@@ -156,28 +160,6 @@ std::size_t delivery_depth(const std::vector<std::vector<std::uint32_t>>& distan
   return static_cast<std::size_t>(longest) + 1;
 }
 
-/// Write node x's true count row, dense over all nodes, from x's sparse
-/// ledger row.
-void fill_dense_row(const PairLedger& ledger, NodeId x, std::uint32_t* row,
-                    NodeId node_count) {
-  std::fill(row, row + node_count, 0);
-  const auto partners = ledger.partners(x);
-  const auto counts = ledger.pair_counts(x);
-  for (std::size_t k = 0; k < partners.size(); ++k) row[partners[k]] = counts[k];
-}
-
-/// Refill `update` (reused across senders) with x's dense row as the wire
-/// message it sends: one entry per other node.
-void fill_count_update(net::CountUpdate& update, NodeId x, std::uint32_t round,
-                       const std::uint32_t* row, NodeId node_count) {
-  update.reporter = x;
-  update.version = round;
-  update.entries.clear();
-  for (NodeId peer = 0; peer < node_count; ++peer) {
-    if (peer != x) update.entries.push_back(net::CountUpdate::Entry{peer, row[peer]});
-  }
-}
-
 }  // namespace
 
 /// The §6 protocol expressed as phase kernels over the shared
@@ -194,6 +176,13 @@ GossipResult run_gossip(const graph::Graph& generation_graph, const Workload& wo
   require(config.fanout >= 1, "GossipConfig: fanout must be >= 1");
   require(std::isfinite(config.latency_per_hop) && config.latency_per_hop >= 0.0,
           "run_gossip: latency must be finite and non-negative");
+  // Reports are snapshots of the ledger's dense count mirror, and every
+  // node keeps a view of every report: 4 n^3 bytes of knowledge.
+  static_assert(PairLedger::kFullReserveNodeLimit == 1024,
+                "the message below names the limit and its knowledge-base size");
+  require(generation_graph.node_count() <= PairLedger::kFullReserveNodeLimit,
+          "run_gossip: at most 1024 nodes (the dense count mirror's limit); "
+          "the knowledge base holds 4n^3 bytes, 4.3 GB at 1024 nodes");
   BalancingSimulation sim(generation_graph, workload, config.base);
   sim::NetworkState& state = sim.state();
   const auto node_count = static_cast<NodeId>(generation_graph.node_count());
@@ -207,8 +196,6 @@ GossipResult run_gossip(const graph::Graph& generation_graph, const Workload& wo
                                    config.base.max_rounds));
 
   GossipResult result;
-  net::CountUpdate update;  // send-kernel scratch, sized only
-  update.entries.reserve(node_count - 1);
   // Ages of the views behind committed swaps. The commit observer
   // captures only this struct, which keeps its std::function inline
   // (no heap allocation per round).
@@ -233,14 +220,14 @@ GossipResult run_gossip(const graph::Graph& generation_graph, const Workload& wo
       const sim::PhaseStopwatch stopwatch(state.timers().exchange_ns);
       // 1. Send kernel: count rows to the rotating window (+ one
       // optimistic peer from a keyed stream), in canonical node order.
-      // Every message is counted on the wire; one due after max_rounds
-      // would never be installed, so it is not queued.
-      std::uint32_t* rows = ring.open(round);
+      // Every message is counted on the wire at its encoded size, which
+      // depends on the row's live counts only (every stored count is
+      // nonzero). One due after max_rounds would never be installed, so
+      // it is not queued.
+      ring.open(round, sim.ledger().dense_counts());
       for (NodeId x = 0; x < node_count; ++x) {
-        std::uint32_t* row = rows + static_cast<std::size_t>(x) * node_count;
-        fill_dense_row(sim.ledger(), x, row, node_count);
-        fill_count_update(update, x, round, row, node_count);
-        const std::size_t bytes = net::encoded_size(update);
+        const std::size_t bytes = net::count_report_size(x, round, node_count,
+                                                         sim.ledger().pair_counts(x));
         const auto send = [&](NodeId target) {
           ++result.control_messages;
           result.control_bytes += bytes;

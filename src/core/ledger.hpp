@@ -11,7 +11,7 @@
 // sorted arrays (partner ids + counts) per node, so memory is
 // O(nodes + live pair types), never O(n^2). partners(x)/pair_counts(x)
 // expose a row read-only; bulk readers (the §4 merge decide, gossip's
-// count reports) walk it directly, bounds-checked once per row, while
+// report sizing) walk it directly, bounds-checked once per row, while
 // count() stays the checked single-pair probe. Below kFullReserveNodeLimit
 // nodes every row pre-reserves the dense worst case, so steady-state
 // add/remove never allocates (the zero-allocation hot-path contract);
@@ -21,12 +21,14 @@
 // Dense count mirror: below the same limit the ledger also keeps an n x n
 // uint32 copy of the counts (4 n^2 bytes beside the rows' 8 n^2 reserve;
 // 40 KB at n = 100), written by every row mutation (bump_pair, remove)
-// and read through dense_row(x). The choice is made once, from the node
-// count, and is the only selection rule: small ledgers answer count(),
-// the commit's preferability recheck, reader marking's common-partner
-// probe and the §4 decide's beneficiary reads with one indexed load;
-// above the limit dense_row is null, and those readers fall back to the
-// sorted rows (binary search, or the decide's merge cursor).
+// and read through dense_row(x), or whole through dense_counts() (gossip
+// copies it once per round as its report snapshot). The choice is made
+// once, from the node count, and is the only selection rule: small
+// ledgers answer count(), the commit's preferability recheck, reader
+// marking's common-partner probe and the §4 decide's beneficiary reads
+// with one indexed load; above the limit dense_row is null, and those
+// readers fall back to the sorted rows (binary search, or the decide's
+// merge cursor).
 //
 // add and remove are the only mutation paths; the generation merge is a
 // canonical-edge-order loop of add (sim::NetworkState::generate). Nothing
@@ -88,6 +90,11 @@ class PairLedger {
     require(x < node_count_, "PairLedger::dense_row: node out of range");
     return dense_.empty() ? nullptr : dense_.data() + x * node_count_;
   }
+
+  /// The whole dense count mirror, row-major n x n: row x is
+  /// dense_row(x), and the diagonal is 0. Empty above
+  /// kFullReserveNodeLimit nodes.
+  [[nodiscard]] std::span<const std::uint32_t> dense_counts() const { return dense_; }
 
   /// Snapshot of pairs with count >= threshold as an undirected graph
   /// (the entanglement graph the hybrid protocol routes over, §6).

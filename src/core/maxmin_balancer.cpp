@@ -17,15 +17,6 @@ MaxMinBalancer::MaxMinBalancer(
           "MaxMinBalancer: detour policy requires generation distances");
 }
 
-bool MaxMinBalancer::detour_allowed(NodeId x, NodeId a, NodeId b) const {
-  if (!policy_.detour_slack) return true;
-  const auto& dist = *generation_distances_;
-  const std::uint64_t through_x =
-      static_cast<std::uint64_t>(dist[a][x]) + dist[x][b];
-  const std::uint64_t direct = dist[a][b];
-  return through_x <= direct + *policy_.detour_slack;
-}
-
 bool MaxMinBalancer::is_preferable(const PairLedger& ledger, NodeId x, NodeId left,
                                    NodeId right) const {
   return is_preferable_given_beneficiary(ledger, x, left, right,
@@ -56,14 +47,24 @@ std::span<const MaxMinBalancer::Eligible> MaxMinBalancer::collect_eligible(
     const PairLedger& ledger, NodeId x, Scratch& scratch) const {
   const auto partners = ledger.partners(x);
   const auto counts = ledger.pair_counts(x);
-  std::vector<Eligible>& eligible = scratch.eligible;
-  eligible.clear();
+  if (scratch.eligible.size() < partners.size()) {
+    scratch.eligible.resize(partners.size());
+  }
+  Eligible* const eligible = scratch.eligible.data();
+  std::size_t size = 0;
   for (std::size_t k = 0; k < partners.size(); ++k) {
+    // floor(cap) is exact for the scan's test: an integer count c has
+    // c + 1 <= cap iff c + 1 <= floor(cap). The clamp keeps the
+    // conversion defined (a negative or NaN cap becomes room 0, which is
+    // never eligible) and truncation is floor on what is left.
     const double cap =
         static_cast<double>(counts[k]) - distillation_.at(x, partners[k]);
-    if (cap >= 1.0) eligible.push_back(Eligible{partners[k], cap});
+    const auto room = static_cast<std::uint32_t>(
+        std::min(static_cast<double>(UINT32_MAX), std::max(0.0, cap)));
+    eligible[size] = Eligible{partners[k], room};
+    size += room >= 1 ? 1 : 0;
   }
-  return eligible;
+  return {eligible, size};
 }
 
 std::optional<SwapCandidate> MaxMinBalancer::best_swap(const PairLedger& ledger,

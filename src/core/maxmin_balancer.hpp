@@ -22,9 +22,12 @@
 // Every decide runs the same candidate scan (scan_pairs): the eligible
 // partners come from one walk of x's ledger row, and the pairs are
 // visited in lexicographic (i, j) order keeping the first strict minimum.
-// Under true knowledge the beneficiary counts are read from the ledger's
-// dense count mirror below PairLedger::kFullReserveNodeLimit (one load
-// per pair), and above it by merging each donor's sorted row against the
+// The scan is integer-only: each eligible partner y carries its room
+// floor(C_x(y) - D_{x,y}), and since C_y(y') is an integer,
+// C_y(y') + 1 <= min(caps) exactly when C_y(y') < min(rooms). Under true
+// knowledge the beneficiary counts are read from the ledger's dense
+// count mirror below PairLedger::kFullReserveNodeLimit (one load per
+// pair), and above it by merging each donor's sorted row against the
 // eligible list; a stale view is probed per pair instead.
 #pragma once
 
@@ -82,7 +85,9 @@ class MaxMinBalancer {
   /// A partner x holds enough pairs toward to spend on a swap.
   struct Eligible {
     NodeId node;
-    double capacity;  // C_x(node) - D_{x,node}
+    /// floor(C_x(node) - D_{x,node}) >= 1: the swap toward node is
+    /// affordable for a beneficiary count below it.
+    std::uint32_t room;
   };
 
   /// Reusable per-caller scratch for the candidate scan. best_swap is
@@ -90,12 +95,15 @@ class MaxMinBalancer {
   /// sharded decide phase) are safe as long as each brings its own
   /// Scratch.
   struct Scratch {
+    /// Sized, not just reserved: the eligibility walk writes every
+    /// partner's slot and advances past the eligible ones only, so it
+    /// needs one slot per partner of the scanned row.
     std::vector<Eligible> eligible;
 
-    /// Pre-size for networks of `node_count` nodes (at most node_count-1
-    /// partners are ever eligible), so the per-node scan never allocates.
+    /// Pre-size for networks of `node_count` nodes (a row holds at most
+    /// node_count-1 partners), so the per-node scan never allocates.
     void reserve(std::size_t node_count) {
-      eligible.reserve(node_count > 0 ? node_count - 1 : 0);
+      eligible.resize(node_count > 0 ? node_count - 1 : 0);
     }
   };
 
@@ -141,37 +149,56 @@ class MaxMinBalancer {
   [[nodiscard]] const DistillationMatrix& distillation() const { return distillation_; }
 
  private:
-  [[nodiscard]] bool detour_allowed(NodeId x, NodeId a, NodeId b) const;
+  /// The §6 detour test; true when no detour policy is set.
+  [[nodiscard]] bool detour_allowed(NodeId x, NodeId a, NodeId b) const {
+    if (!policy_.detour_slack) return true;
+    const auto& dist = *generation_distances_;
+    const std::uint64_t through_x =
+        static_cast<std::uint64_t>(dist[a][x]) + dist[x][b];
+    return through_x <= static_cast<std::uint64_t>(dist[a][b]) + *policy_.detour_slack;
+  }
 
-  /// x's eligible partners (capacity C_x(y) - D_{x,y} >= 1), ascending,
-  /// read in one walk of x's row into scratch.eligible.
+  /// x's eligible partners (room floor(C_x(y) - D_{x,y}) >= 1),
+  /// ascending, read in one walk of x's row into scratch.eligible.
   [[nodiscard]] std::span<const Eligible> collect_eligible(const PairLedger& ledger,
                                                            NodeId x,
                                                            Scratch& scratch) const;
 
   /// The §4 candidate scan every decide shares. Visits the eligible pairs
   /// (i, j), i < j, in lexicographic order and keeps the first strict
-  /// minimum of the beneficiary count, stopping at the first preferable
-  /// zero (nothing can beat it). `donor_row(a)` returns a reader of
-  /// C_a(b) that is called once per j, at strictly ascending b.
+  /// minimum of the beneficiary count, stopping after the donor row that
+  /// found a preferable zero (nothing can beat it). Each donor row keeps
+  /// its minimum and first index with selects; the result moves only on
+  /// a strict improvement, so the choice is the pairwise loop's.
+  /// `donor_row(a)` returns a reader of C_a(b) that is called once per j,
+  /// at strictly ascending b.
   template <typename DonorRow>
   [[nodiscard]] std::optional<SwapCandidate> scan_pairs(
       NodeId x, std::span<const Eligible> eligible, DonorRow&& donor_row) const {
+    constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+    const bool detour = policy_.detour_slack.has_value();
     std::optional<SwapCandidate> best;
+    // Every preferable count is below some room, so UINT32_MAX stands for
+    // "nothing yet".
+    std::uint32_t best_count = UINT32_MAX;
     for (std::size_t i = 0; i + 1 < eligible.size(); ++i) {
       const NodeId a = eligible[i].node;
+      const std::uint32_t room_a = eligible[i].room;
       auto beneficiary_of = donor_row(a);
+      std::uint32_t row_count = best_count;
+      std::size_t row_j = kNone;
       for (std::size_t j = i + 1; j < eligible.size(); ++j) {
-        const NodeId b = eligible[j].node;
-        const std::uint32_t beneficiary = beneficiary_of(b);
-        const double cap = std::min(eligible[i].capacity, eligible[j].capacity);
-        if (static_cast<double>(beneficiary) + 1.0 > cap) continue;
-        if (!detour_allowed(x, a, b)) continue;
-        if (!best || beneficiary < best->beneficiary_count) {
-          best = SwapCandidate{a, b, beneficiary};
-          if (beneficiary == 0) return best;  // cannot improve further
-        }
+        const std::uint32_t beneficiary = beneficiary_of(eligible[j].node);
+        bool better =
+            beneficiary < std::min(row_count, std::min(room_a, eligible[j].room));
+        if (detour) better = better && detour_allowed(x, a, eligible[j].node);
+        row_count = better ? beneficiary : row_count;
+        row_j = better ? j : row_j;
       }
+      if (row_j == kNone) continue;
+      best_count = row_count;
+      best = SwapCandidate{a, eligible[row_j].node, best_count};
+      if (best_count == 0) break;  // cannot improve further
     }
     return best;
   }

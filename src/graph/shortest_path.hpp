@@ -64,6 +64,8 @@ class DistanceOracle {
  public:
   explicit DistanceOracle(const Graph& graph,
                           std::size_t max_cached_rows = 64);
+  /// The oracle keeps a pointer to the graph, so a temporary is refused.
+  explicit DistanceOracle(Graph&&, std::size_t = 64) = delete;
 
   /// Hop distance (kUnreachable when disconnected). Serial contexts only
   /// (may BFS + cache). Served from the dense matrix when materialized.

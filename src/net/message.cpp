@@ -1,5 +1,7 @@
 #include "net/message.hpp"
 
+#include <bit>
+
 #include "util/error.hpp"
 
 namespace poq::net {
@@ -26,18 +28,18 @@ MessageType message_type(const Message& message) {
 
 namespace {
 
+/// Bytes of ByteWriter::write_varint(value): one per started 7-bit group.
+std::size_t varint_size(std::uint64_t value) {
+  return (static_cast<std::size_t>(std::bit_width(value | 1)) + 6) / 7;
+}
+
 /// Counts the bytes the ByteWriter calls in encode_body would append, so
 /// a message can be sized without building its buffer.
 struct SizeCounter {
   std::size_t size = 0;
 
   void write_u8(std::uint8_t) { ++size; }
-  void write_varint(std::uint64_t value) {
-    do {
-      ++size;
-      value >>= 7;
-    } while (value != 0);
-  }
+  void write_varint(std::uint64_t value) { size += varint_size(value); }
 };
 
 template <typename Out>
@@ -211,6 +213,29 @@ std::size_t encoded_size(const CountUpdate& update) {
   out.write_u8(static_cast<std::uint8_t>(MessageType::kCountUpdate));
   encode_body(out, update);
   return out.size;
+}
+
+std::size_t count_report_size(NodeId reporter, std::uint64_t version,
+                              std::size_t node_count,
+                              std::span<const std::uint32_t> live_counts) {
+  require(reporter < node_count && live_counts.size() < node_count,
+          "count_report_size: reporter or live count out of range");
+  // Peer ids 0..n-1 take one byte each, plus one more per 7-bit boundary
+  // an id reaches; the reporter is not its own peer.
+  std::size_t peer_bytes = node_count - varint_size(reporter);
+  for (std::uint64_t boundary = 128; boundary < node_count; boundary <<= 7) {
+    peer_bytes += node_count - boundary;
+  }
+  // Every count takes one byte, plus one more per 7-bit boundary it
+  // reaches; the absent peers' zeros take just the one.
+  std::size_t count_bytes = node_count - 1;
+  for (const std::uint32_t count : live_counts) {
+    count_bytes += static_cast<std::size_t>(count >= (1u << 7)) + (count >= (1u << 14)) +
+                   (count >= (1u << 21)) + (count >= (1u << 28));
+  }
+  // The type tag, then encode_body's fields in order.
+  return 1 + varint_size(reporter) + varint_size(version) +
+         varint_size(node_count - 1) + peer_bytes + count_bytes;
 }
 
 }  // namespace poq::net

@@ -119,6 +119,8 @@ class FaultPlan {
  public:
   FaultPlan(const graph::Graph& graph, const FaultConfig& config,
             std::uint64_t seed);
+  /// The plan keeps a reference to the graph, so a temporary is refused.
+  FaultPlan(graph::Graph&&, const FaultConfig&, std::uint64_t) = delete;
 
   /// Advance the mask to `round` (serial phase; rounds must be passed in
   /// strictly increasing order). Applies scripted events stamped with

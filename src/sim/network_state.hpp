@@ -67,6 +67,9 @@ class NetworkState {
   NetworkState(const graph::Graph& generation_graph, std::uint64_t seed,
                const TickConcurrency& tick,
                std::optional<DecayModel> decay = std::nullopt);
+  /// The state keeps a reference to the graph, so a temporary is refused.
+  NetworkState(graph::Graph&&, std::uint64_t, const TickConcurrency&,
+               std::optional<DecayModel> = std::nullopt) = delete;
 
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
   [[nodiscard]] std::size_t node_count() const { return ledger_.node_count(); }

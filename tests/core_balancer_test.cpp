@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -338,15 +339,18 @@ struct ScanShape {
 };
 
 /// The §4 decide as a literal pairwise loop: every candidate pair (i, j)
-/// of the eligible list probes its beneficiary count with count(a, b),
-/// keeping the first strict minimum. Reference oracle for both beneficiary
-/// readers of best_swap. It scans every pair (no early exit at 0, which
-/// cannot change a first strict minimum) so it can also report the
-/// scan's shape.
+/// of the eligible list probes its beneficiary count with
+/// `beneficiary(a, b)` (count(a, b) by default, or a stale view), keeping
+/// the first strict minimum. Capacities stay real-valued, C - D, as the
+/// rule is written. Reference oracle for every beneficiary reader of
+/// best_swap. It scans every pair (no early exit at 0, which cannot
+/// change a first strict minimum) so it can also report the scan's shape.
+template <typename Beneficiary>
 std::optional<SwapCandidate> pairwise_best_swap(
     const PairLedger& ledger, const DistillationMatrix& distillation,
     const std::vector<std::vector<std::uint32_t>>& distances,
-    std::optional<std::uint32_t> detour_slack, NodeId x, ScanShape& shape) {
+    std::optional<std::uint32_t> detour_slack, NodeId x, ScanShape& shape,
+    Beneficiary&& beneficiary_of) {
   shape.empty_row = ledger.partners(x).empty();
   std::vector<std::pair<NodeId, double>> eligible;
   for (const NodeId y : ledger.partners(x)) {
@@ -364,7 +368,7 @@ std::optional<SwapCandidate> pairwise_best_swap(
     for (std::size_t j = i + 1; j < eligible.size(); ++j) {
       const auto [a, cap_a] = eligible[i];
       const auto [b, cap_b] = eligible[j];
-      const std::uint32_t beneficiary = ledger.count(a, b);
+      const std::uint32_t beneficiary = beneficiary_of(a, b);
       const bool forbidden =
           detour_slack.has_value() &&
           static_cast<std::uint64_t>(distances[a][x]) + distances[x][b] >
@@ -386,6 +390,38 @@ std::optional<SwapCandidate> pairwise_best_swap(
   }
   shape.tie_at_minimum = at_best > 1;
   return best;
+}
+
+std::optional<SwapCandidate> pairwise_best_swap(
+    const PairLedger& ledger, const DistillationMatrix& distillation,
+    const std::vector<std::vector<std::uint32_t>>& distances,
+    std::optional<std::uint32_t> detour_slack, NodeId x, ScanShape& shape) {
+  return pairwise_best_swap(ledger, distillation, distances, detour_slack, x, shape,
+                            [&ledger](NodeId a, NodeId b) { return ledger.count(a, b); });
+}
+
+/// The same pairs in a ledger just above kFullReserveNodeLimit, which has
+/// no dense mirror, so best_swap reads it through the merge cursor.
+PairLedger embed_above_limit(const PairLedger& ledger) {
+  PairLedger embedded(PairLedger::kFullReserveNodeLimit + 1);
+  for (NodeId a = 0; a < ledger.node_count(); ++a) {
+    const auto partners = ledger.partners(a);
+    const auto counts = ledger.pair_counts(a);
+    for (std::size_t k = 0; k < partners.size(); ++k) {
+      if (partners[k] > a) embedded.add(a, partners[k], counts[k]);
+    }
+  }
+  return embedded;
+}
+
+void expect_same_swap(const std::optional<SwapCandidate>& actual,
+                      const std::optional<SwapCandidate>& expected,
+                      const std::string& where) {
+  ASSERT_EQ(actual.has_value(), expected.has_value()) << where;
+  if (!expected) return;
+  EXPECT_EQ(actual->left, expected->left) << where;
+  EXPECT_EQ(actual->right, expected->right) << where;
+  EXPECT_EQ(actual->beneficiary_count, expected->beneficiary_count) << where;
 }
 
 // Both beneficiary readers of best_swap — the dense count mirror (ledgers
@@ -436,14 +472,7 @@ TEST(BestSwapKernel, MergeMatchesPairwiseOracle) {
       }
     }
 
-    PairLedger embedded(PairLedger::kFullReserveNodeLimit + 1);
-    for (NodeId a = 0; a < n; ++a) {
-      const auto partners = ledger.partners(a);
-      const auto counts = ledger.pair_counts(a);
-      for (std::size_t k = 0; k < partners.size(); ++k) {
-        if (partners[k] > a) embedded.add(a, partners[k], counts[k]);
-      }
-    }
+    PairLedger embedded = embed_above_limit(ledger);
     ASSERT_NE(ledger.dense_row(0), nullptr);
     ASSERT_EQ(embedded.dense_row(0), nullptr);
 
@@ -464,14 +493,9 @@ TEST(BestSwapKernel, MergeMatchesPairwiseOracle) {
       if (expected) ++decisions;
       for (const PairLedger* reader : {&ledger, &embedded}) {
         const char* kind = reader == &ledger ? "dense" : "sparse";
-        const auto actual = balancer.best_swap(*reader, x, scratch);
-        ASSERT_EQ(actual.has_value(), expected.has_value())
-            << kind << " trial " << trial << " node " << x;
-        if (!expected) continue;
-        EXPECT_EQ(actual->left, expected->left) << kind << " trial " << trial << " node " << x;
-        EXPECT_EQ(actual->right, expected->right) << kind << " trial " << trial << " node " << x;
-        EXPECT_EQ(actual->beneficiary_count, expected->beneficiary_count)
-            << kind << " trial " << trial << " node " << x;
+        expect_same_swap(balancer.best_swap(*reader, x, scratch), expected,
+                         std::string(kind) + " trial " + std::to_string(trial) +
+                             " node " + std::to_string(x));
       }
       covered.empty_row |= shape.empty_row;
       covered.ineligible_partner |= shape.ineligible_partner;
@@ -484,6 +508,134 @@ TEST(BestSwapKernel, MergeMatchesPairwiseOracle) {
   EXPECT_TRUE(covered.ineligible_partner);
   EXPECT_TRUE(covered.forbidden_zero_first);
   EXPECT_TRUE(covered.tie_at_minimum);
+}
+
+// The scan tests beneficiary < min(room) in integers, with room =
+// floor(C - D) per eligible partner. Both edges of that arithmetic against
+// the real-valued pairwise loop: D = 0 (room = C, every partner with one
+// pair is eligible) and fractional D, with counts around 2^31 (own counts
+// and beneficiaries alike, so the comparisons happen at that scale, next
+// to the 0 of every absent pair) as well as small ones.
+TEST(BestSwapKernel, IntegerRoomMatchesPairwiseOracleAtZeroDAndNear2To31) {
+  util::Rng rng(0xD0);
+  ScanShape covered;
+  std::uint64_t decisions = 0;
+  for (int trial = 0; trial < 160; ++trial) {
+    const std::size_t n = 4 + rng.uniform_index(21);
+    const std::uint32_t base = trial % 2 == 0 ? 0u : (1u << 31) - 4;
+    const double density = 0.2 + 0.8 * static_cast<double>(rng.uniform_index(101)) / 100.0;
+    PairLedger ledger(n);
+    for (NodeId a = 0; a < n; ++a) {
+      for (NodeId b = a + 1; b < n; ++b) {
+        if (rng.bernoulli(density)) {
+          ledger.add(a, b, base + 1 + static_cast<std::uint32_t>(rng.uniform_index(8)));
+        }
+      }
+    }
+    const double d = std::vector<double>{0.0, 0.0, 0.5, 1.0, 1.5, 2.75}[rng.uniform_index(6)];
+    const DistillationMatrix distillation(d);
+    PairLedger embedded = embed_above_limit(ledger);
+    const auto distances = graph::all_pairs_distances(graph::make_cycle(n));
+    std::optional<std::uint32_t> detour_slack;
+    if (rng.bernoulli(0.25)) detour_slack = static_cast<std::uint32_t>(rng.uniform_index(3));
+    BalancerPolicy policy;
+    policy.detour_slack = detour_slack;
+    const MaxMinBalancer balancer(distillation, policy, &distances);
+
+    MaxMinBalancer::Scratch scratch;
+    for (NodeId x = 0; x < n; ++x) {
+      ScanShape shape;
+      const auto expected =
+          pairwise_best_swap(embedded, distillation, distances, detour_slack, x, shape);
+      if (expected) ++decisions;
+      for (const PairLedger* reader : {&ledger, &embedded}) {
+        const char* kind = reader == &ledger ? "dense" : "sparse";
+        expect_same_swap(balancer.best_swap(*reader, x, scratch), expected,
+                         std::string(kind) + " D " + std::to_string(d) + " base " +
+                             std::to_string(base) + " trial " + std::to_string(trial) +
+                             " node " + std::to_string(x));
+      }
+      covered.tie_at_minimum |= shape.tie_at_minimum;
+      covered.ineligible_partner |= shape.ineligible_partner;
+    }
+  }
+  EXPECT_GT(decisions, 0u);
+  EXPECT_TRUE(covered.tie_at_minimum);
+  EXPECT_TRUE(covered.ineligible_partner);
+}
+
+// best_swap_with_view (gossip's decide) against the pairwise loop reading
+// the same stale view. Node x holds a report row from every other node
+// with a report round; the view of C_a(b) is the fresher of a's and b's
+// reports, a's on a tie, which is the rule gossip's knowledge base uses.
+// Report rounds come from a small range so equal ages are common, and
+// the reports disagree with the ledger and with each other.
+TEST(BestSwapKernel, StaleViewMatchesPairwiseOracle) {
+  util::Rng rng(0x57A1E);
+  ScanShape covered;
+  std::uint64_t decisions = 0;
+  std::uint64_t equal_age_reads = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t n = 4 + rng.uniform_index(29);
+    const double density = 0.05 + 0.95 * static_cast<double>(rng.uniform_index(101)) / 100.0;
+    PairLedger ledger(n);
+    for (NodeId a = 0; a < n; ++a) {
+      for (NodeId b = a + 1; b < n; ++b) {
+        if (rng.bernoulli(density)) {
+          ledger.add(a, b, 1 + static_cast<std::uint32_t>(rng.uniform_index(6)));
+        }
+      }
+    }
+    // reports[reporter][peer] and rounds[reporter], as node x holds them.
+    std::vector<std::vector<std::uint32_t>> reports(n, std::vector<std::uint32_t>(n, 0));
+    std::vector<std::uint32_t> rounds(n, 0);
+    const DistillationMatrix distillation(
+        std::vector<double>{0.0, 1.0, 1.5}[rng.uniform_index(3)]);
+    const auto distances = graph::all_pairs_distances(
+        rng.bernoulli(0.5) ? graph::make_cycle(n) : graph::make_star(n));
+    std::optional<std::uint32_t> detour_slack;
+    if (rng.bernoulli(0.3)) detour_slack = static_cast<std::uint32_t>(rng.uniform_index(3));
+    BalancerPolicy policy;
+    policy.detour_slack = detour_slack;
+    const MaxMinBalancer balancer(distillation, policy, &distances);
+
+    MaxMinBalancer::Scratch scratch;
+    for (NodeId x = 0; x < n; ++x) {
+      for (NodeId r = 0; r < n; ++r) {
+        rounds[r] = static_cast<std::uint32_t>(rng.uniform_index(3));
+        for (NodeId p = 0; p < n; ++p) {
+          reports[r][p] = p == r || rng.bernoulli(0.3)
+                              ? 0
+                              : static_cast<std::uint32_t>(rng.uniform_index(5));
+        }
+      }
+      const auto oracle_view = [&](NodeId a, NodeId b) -> std::uint32_t {
+        if (rounds[a] == rounds[b]) {
+          ++equal_age_reads;
+          return reports[a][b];
+        }
+        return rounds[a] > rounds[b] ? reports[a][b] : reports[b][a];
+      };
+      ScanShape shape;
+      const auto expected = pairwise_best_swap(ledger, distillation, distances,
+                                               detour_slack, x, shape, oracle_view);
+      if (expected) ++decisions;
+      const auto actual = balancer.best_swap_with_view(
+          ledger, x,
+          [&](NodeId a, NodeId b) {
+            return rounds[a] >= rounds[b] ? reports[a][b] : reports[b][a];
+          },
+          scratch);
+      expect_same_swap(actual, expected,
+                       "trial " + std::to_string(trial) + " node " + std::to_string(x));
+      covered.tie_at_minimum |= shape.tie_at_minimum;
+      covered.forbidden_zero_first |= shape.forbidden_zero_first;
+    }
+  }
+  EXPECT_GT(decisions, 0u);
+  EXPECT_GT(equal_age_reads, 0u);
+  EXPECT_TRUE(covered.tie_at_minimum);
+  EXPECT_TRUE(covered.forbidden_zero_first);
 }
 
 }  // namespace

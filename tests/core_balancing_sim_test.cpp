@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "core/workload.hpp"
 #include "graph/topology.hpp"
 #include "util/error.hpp"
@@ -9,6 +11,13 @@
 
 namespace poq::core {
 namespace {
+
+// BalancingSimulation keeps a reference to its graph, so a temporary is
+// refused.
+static_assert(std::is_constructible_v<BalancingSimulation, const graph::Graph&,
+                                      const Workload&, const BalancingConfig&>);
+static_assert(!std::is_constructible_v<BalancingSimulation, graph::Graph&&,
+                                       const Workload&, const BalancingConfig&>);
 
 Workload small_workload(std::size_t nodes, std::size_t pairs, std::size_t requests,
                         std::uint64_t seed) {

@@ -227,5 +227,98 @@ TEST(Message, EncodedSizeMatchesEncodeAtVarintBoundaries) {
   }
 }
 
+/// The dense report the slow way: one entry per other node, ascending,
+/// with `live[peer]` as the count (0 = absent).
+CountUpdate dense_report(NodeId reporter, std::uint64_t version,
+                         const std::vector<std::uint32_t>& live) {
+  CountUpdate m;
+  m.reporter = reporter;
+  m.version = version;
+  m.entries.reserve(live.size());
+  for (NodeId peer = 0; peer < live.size(); ++peer) {
+    if (peer != reporter) m.entries.push_back({peer, live[peer]});
+  }
+  return m;
+}
+
+// The closed form against the encoder on random rows, with reporters,
+// versions, counts and (through the node count) peer ids on both sides
+// of each varint boundary, and with empty, full and partly live rows.
+TEST(Message, CountReportSizeMatchesEncodedSize) {
+  util::Rng rng(0xC0DE);
+  const std::vector<std::uint64_t> edges = {0,        1,        127,           128,
+                                            16383,    16384,    (1u << 21) - 1, 1u << 21,
+                                            (1u << 28) - 1, 1u << 28, 0xFFFFFFFFu};
+  // 2^21 + 1 nodes hold peer ids 2^21 - 1 and 2^21; that cell runs only
+  // a full and a partly live row, as each is a 2M-entry report.
+  const std::vector<std::size_t> node_counts = {2,     3,     5,     127,   128,  129,
+                                                130,   16383, 16384, 16385, 16386, (1u << 21) + 1};
+  std::size_t checked = 0;
+  for (const std::size_t n : node_counts) {
+    const bool huge = n > 20000;
+    for (int row = huge ? 1 : 0; row < (huge ? 3 : 12); ++row) {
+      // Reporters at both ends and at every boundary below n.
+      std::vector<NodeId> reporters = {0, static_cast<NodeId>(n - 1),
+                                       static_cast<NodeId>(rng.uniform_index(n))};
+      for (const std::uint64_t edge : edges) {
+        if (edge < n && !huge) reporters.push_back(static_cast<NodeId>(edge));
+      }
+      const NodeId reporter = reporters[rng.uniform_index(reporters.size())];
+      const std::uint64_t version = rng.bernoulli(0.5) ? edges[rng.uniform_index(edges.size())]
+                                                       : rng();
+      // Empty, full, or a random share of live partners; a live count is
+      // a varint boundary value or a small one, and never 0.
+      const double live_share = row % 3 == 0   ? 0.0
+                                : row % 3 == 1 ? 1.0
+                                               : static_cast<double>(rng.uniform_index(101)) / 100.0;
+      std::vector<std::uint32_t> live(n, 0);
+      std::vector<std::uint32_t> live_counts;
+      for (NodeId peer = 0; peer < n; ++peer) {
+        if (peer == reporter || !rng.bernoulli(live_share)) continue;
+        const std::uint64_t pick = edges[rng.uniform_index(edges.size())];
+        live[peer] = pick == 0 ? 1 + static_cast<std::uint32_t>(rng.uniform_index(200))
+                               : static_cast<std::uint32_t>(pick);
+        live_counts.push_back(live[peer]);
+      }
+      const CountUpdate report = dense_report(reporter, version, live);
+      ASSERT_EQ(count_report_size(reporter, version, n, live_counts), encoded_size(report))
+          << "n " << n << " reporter " << reporter << " version " << version << " live "
+          << live_counts.size();
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 100u);
+
+  // Peer ids reach 2^28 only in a 2^28-node report (2 GB of entries), so
+  // around each boundary the closed form is checked one node at a time: a
+  // report one node wider carries one more absent peer, whose entry is
+  // sized by the encoder, and its entry-count varint may grow.
+  const auto varint_size = [](std::uint64_t value) {
+    CountUpdate m;
+    m.version = value;
+    return encoded_size(m) - encoded_size(CountUpdate{}) + 1;
+  };
+  const std::vector<std::uint32_t> some_live = {1, 127, 128, 16384, 1u << 28};
+  for (const std::size_t boundary : {std::size_t{128}, std::size_t{16384}, std::size_t{1} << 21,
+                                      std::size_t{1} << 28}) {
+    for (std::size_t n = boundary - 2; n <= boundary + 2; ++n) {
+      CountUpdate one_absent;
+      one_absent.entries.push_back({static_cast<NodeId>(n), 0});
+      const std::size_t entry_bytes = encoded_size(one_absent) - encoded_size(CountUpdate{});
+      const std::size_t growth = entry_bytes + varint_size(n) - varint_size(n - 1);
+      EXPECT_EQ(count_report_size(7, 9, n + 1, some_live) - count_report_size(7, 9, n, some_live),
+                growth)
+          << n;
+    }
+  }
+}
+
+TEST(Message, CountReportSizeRejectsOutOfRangeRows) {
+  const std::vector<std::uint32_t> two = {1, 1};
+  EXPECT_THROW((void)count_report_size(3, 0, 3, {}), PreconditionError);
+  EXPECT_THROW((void)count_report_size(0, 0, 2, two), PreconditionError);
+  EXPECT_NO_THROW((void)count_report_size(0, 0, 3, two));
+}
+
 }  // namespace
 }  // namespace poq::net

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "core/balancing_sim.hpp"
+#include "core/ledger.hpp"
 #include "core/planned_path.hpp"
 #include "core/workload.hpp"
 #include "graph/topology.hpp"
@@ -160,6 +161,24 @@ TEST(Registry, GossipRejectsNegativeOrNonFiniteLatency) {
   ScenarioSpec spec = small_spec("gossip");
   spec.knobs["latency"] = 0.0;
   EXPECT_NO_THROW((void)registry().run("gossip", spec));
+}
+
+// Gossip's reports are snapshots of the ledger's dense count mirror,
+// which exists only up to PairLedger::kFullReserveNodeLimit nodes, and
+// its knowledge base holds 4n^3 bytes. A larger run is refused before
+// anything is allocated, with a message naming both.
+TEST(Registry, GossipRejectsNetworksAboveTheDenseMirrorLimit) {
+  ScenarioSpec spec = small_spec("gossip");
+  spec.topology = "cycle";
+  spec.nodes = core::PairLedger::kFullReserveNodeLimit + 1;
+  try {
+    (void)registry().run("gossip", spec);
+    FAIL() << "a gossip run above the mirror limit was accepted";
+  } catch (const PreconditionError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("1024 nodes"), std::string::npos) << what;
+    EXPECT_NE(what.find("4n^3 bytes"), std::string::npos) << what;
+  }
 }
 
 TEST(Registry, ShardsMessageNamesItsRange) {

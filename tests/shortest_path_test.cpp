@@ -2,11 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "graph/topology.hpp"
 #include "util/rng.hpp"
 
 namespace poq::graph {
 namespace {
+
+// DistanceOracle keeps a pointer to its graph, so a temporary is refused.
+static_assert(std::is_constructible_v<DistanceOracle, const Graph&>);
+static_assert(std::is_constructible_v<DistanceOracle, const Graph&, std::size_t>);
+static_assert(!std::is_constructible_v<DistanceOracle, Graph&&>);
+static_assert(!std::is_constructible_v<DistanceOracle, Graph&&, std::size_t>);
 
 TEST(ShortestPath, BfsDistancesOnPathGraph) {
   const Graph graph = make_path(6);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <type_traits>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -19,6 +20,12 @@ namespace poq::sim {
 namespace {
 
 using core::NodeId;
+
+// FaultPlan keeps a reference to its graph, so a temporary is refused.
+static_assert(std::is_constructible_v<FaultPlan, const graph::Graph&, const FaultConfig&,
+                                      std::uint64_t>);
+static_assert(!std::is_constructible_v<FaultPlan, graph::Graph&&, const FaultConfig&,
+                                       std::uint64_t>);
 
 /// 5-cycle: edges (0,1) (1,2) (2,3) (3,4) (4,0).
 graph::Graph cycle5() {

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/ledger.hpp"
@@ -26,6 +27,15 @@ using core::MaxMinBalancer;
 using core::NodeId;
 using core::PairLedger;
 using core::SwapCandidate;
+
+// NetworkState keeps a reference to its graph: a temporary graph would
+// dangle after the constructor, so it must not compile.
+static_assert(std::is_constructible_v<NetworkState, const graph::Graph&, std::uint64_t,
+                                      const TickConcurrency&>);
+static_assert(!std::is_constructible_v<NetworkState, graph::Graph&&, std::uint64_t,
+                                       const TickConcurrency&>);
+static_assert(!std::is_constructible_v<NetworkState, graph::Graph&&, std::uint64_t,
+                                       const TickConcurrency&, std::optional<DecayModel>>);
 
 TickConcurrency sharded(std::uint32_t threads, std::uint32_t shards = 0) {
   TickConcurrency tick;
