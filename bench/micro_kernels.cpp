@@ -191,8 +191,9 @@ void BM_CountReportSize(benchmark::State& state) {
 BENCHMARK(BM_CountReportSize)->ArgNames({"n", "encode"})->Args({81, 0})->Args({81, 1});
 
 void BM_LedgerPartnerChurn(benchmark::State& state) {
-  // CSR partner-arena in-place insert/erase: every iteration flips one
-  // pair between 0 and 1, forcing a sorted-row insert and erase.
+  // Membership churn: every iteration flips one pair between 0 and 1,
+  // forcing an insert into (or an erase from) both sorted-vector rows and
+  // the slot index re-index of their shifted tails.
   core::PairLedger ledger(64);
   util::Rng rng(2);
   for (core::NodeId x = 0; x < 64; ++x) {
@@ -213,6 +214,68 @@ void BM_LedgerPartnerChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LedgerPartnerChurn);
+
+/// One §4 swap's ledger mutations per iteration: the two donor removes
+/// and the beneficiary pair's add. Rows are deck-shaped (70% of partners
+/// live, every count >= 2), so most mutations only move a count, as on
+/// the serve decks, and an add now and then inserts a new pair. n = 81
+/// keeps the dense mirror and its slot index; n = 2048 is above
+/// PairLedger::kFullReserveNodeLimit and searches the sorted rows. Each
+/// pass replays a fixed list of swaps and is undone untimed.
+void BM_LedgerSwapMutation(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  core::PairLedger ledger(n);
+  util::Rng rng(5);
+  for (core::NodeId x = 0; x < n; ++x) {
+    for (core::NodeId y = x + 1; y < n; ++y) {
+      if (rng.bernoulli(0.7)) {
+        ledger.add(x, y, 2 + static_cast<std::uint32_t>(rng.uniform_index(5)));
+      }
+    }
+  }
+  struct Swap {
+    core::NodeId x, l, r;
+  };
+  const auto apply = [&ledger](const Swap& swap) {
+    ledger.remove(swap.x, swap.l);
+    ledger.remove(swap.x, swap.r);
+    ledger.add(swap.l, swap.r);
+  };
+  const auto undo = [&ledger](const std::vector<Swap>& swaps) {
+    for (auto it = swaps.rbegin(); it != swaps.rend(); ++it) {
+      ledger.remove(it->l, it->r);
+      ledger.add(it->x, it->r);
+      ledger.add(it->x, it->l);
+    }
+  };
+  // Draw swaps whose donor pairs hold at least 2 at their turn, so no
+  // remove erases a pair.
+  std::vector<Swap> swaps;
+  while (swaps.size() < 1024) {
+    const auto x = static_cast<core::NodeId>(rng.uniform_index(n));
+    const auto partners = ledger.partners(x);
+    const auto counts = ledger.pair_counts(x);
+    const std::size_t i = rng.uniform_index(partners.size());
+    const std::size_t j = rng.uniform_index(partners.size());
+    if (i == j || counts[i] < 2 || counts[j] < 2) continue;
+    swaps.push_back({x, partners[i], partners[j]});
+    apply(swaps.back());
+  }
+  undo(swaps);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    apply(swaps[next]);
+    if (++next == swaps.size()) {
+      state.PauseTiming();
+      undo(swaps);
+      next = 0;
+      state.ResumeTiming();
+    }
+  }
+  benchmark::DoNotOptimize(ledger.total_pairs());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_LedgerSwapMutation)->Arg(81)->Arg(2048);
 
 void BM_LedgerPartnersScan(benchmark::State& state) {
   core::PairLedger ledger(128);

@@ -1,6 +1,7 @@
 #include "core/ledger.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/error.hpp"
 
@@ -8,20 +9,35 @@ namespace poq::core {
 
 namespace {
 
+/// Index of the first partner >= y in the sorted partner list: y's slot
+/// when present, its insertion point when absent.
+std::size_t lower_slot(const std::vector<NodeId>& partners, NodeId y) {
+  return static_cast<std::size_t>(
+      std::lower_bound(partners.begin(), partners.end(), y) - partners.begin());
+}
+
 /// Index of y in the sorted partner list, or npos when absent.
 std::size_t partner_slot(const std::vector<NodeId>& partners, NodeId y) {
-  const auto it = std::lower_bound(partners.begin(), partners.end(), y);
-  if (it == partners.end() || *it != y) return static_cast<std::size_t>(-1);
-  return static_cast<std::size_t>(it - partners.begin());
+  const std::size_t slot = lower_slot(partners, y);
+  if (slot == partners.size() || partners[slot] != y) {
+    return static_cast<std::size_t>(-1);
+  }
+  return slot;
 }
 
 }  // namespace
+
+static_assert(PairLedger::kFullReserveNodeLimit - 1 <=
+                  std::numeric_limits<std::uint16_t>::max(),
+              "PairLedger: a row slot below the mirror limit must fit the "
+              "uint16_t slot index");
 
 PairLedger::PairLedger(std::size_t node_count)
     : node_count_(node_count),
       rows_(node_count),
       dense_(node_count <= kFullReserveNodeLimit ? node_count * node_count
-                                                 : 0) {
+                                                 : 0),
+      slot_(dense_.size()) {
   require(node_count >= 2, "PairLedger: need at least 2 nodes");
   // Small networks pre-reserve the dense worst case so steady-state
   // mutation never allocates; megascale networks grow rows amortized.
@@ -94,34 +110,57 @@ void PairLedger::mark_pair_readers(NodeId x, NodeId y, std::uint32_t before,
   }
 }
 
+void PairLedger::reindex_tail(NodeId x, std::size_t from) {
+  const std::vector<NodeId>& partners = rows_[x].partners;
+  std::uint16_t* slots = slot_.data() + x * node_count_;
+  for (std::size_t k = from; k < partners.size(); ++k) {
+    slots[partners[k]] = static_cast<std::uint16_t>(k);
+  }
+}
+
+void PairLedger::insert_entry(NodeId x, std::size_t slot, NodeId y,
+                              std::uint32_t amount) {
+  Row& row = rows_[x];
+  row.partners.insert(row.partners.begin() + static_cast<long>(slot), y);
+  row.counts.insert(row.counts.begin() + static_cast<long>(slot), amount);
+  if (!slot_.empty()) reindex_tail(x, slot);
+}
+
+void PairLedger::erase_entry(NodeId x, std::size_t slot) {
+  Row& row = rows_[x];
+  row.partners.erase(row.partners.begin() + static_cast<long>(slot));
+  row.counts.erase(row.counts.begin() + static_cast<long>(slot));
+  if (!slot_.empty()) reindex_tail(x, slot);
+}
+
 std::uint32_t PairLedger::bump_pair(NodeId x, NodeId y, std::uint32_t amount) {
-  Row& row_x = rows_[x];
-  Row& row_y = rows_[y];
-  const auto it_x = std::lower_bound(row_x.partners.begin(),
-                                     row_x.partners.end(), y);
-  std::uint32_t before = 0;
-  if (it_x == row_x.partners.end() || *it_x != y) {
-    const auto slot_x = static_cast<std::size_t>(it_x - row_x.partners.begin());
-    row_x.partners.insert(it_x, y);
-    row_x.counts.insert(row_x.counts.begin() + static_cast<long>(slot_x),
-                        amount);
-    const auto it_y = std::lower_bound(row_y.partners.begin(),
-                                       row_y.partners.end(), x);
-    const auto slot_y = static_cast<std::size_t>(it_y - row_y.partners.begin());
-    row_y.partners.insert(it_y, x);
-    row_y.counts.insert(row_y.counts.begin() + static_cast<long>(slot_y),
-                        amount);
-  } else {
-    const auto slot_x = static_cast<std::size_t>(it_x - row_x.partners.begin());
-    before = row_x.counts[slot_x];
-    row_x.counts[slot_x] = before + amount;
-    const std::size_t slot_y = partner_slot(row_y.partners, x);
-    row_y.counts[slot_y] = before + amount;
-  }
   if (!dense_.empty()) {
-    dense_[x * node_count_ + y] += amount;
-    dense_[y * node_count_ + x] += amount;
+    // Below the limit the mirror says whether the pair is live; a live
+    // pair's count moves in place through the slot index, no search.
+    std::uint32_t& mirror_xy = dense_[x * node_count_ + y];
+    const std::uint32_t before = mirror_xy;
+    const std::uint32_t after = before + amount;
+    if (before > 0) {
+      rows_[x].counts[slot_[x * node_count_ + y]] = after;
+      rows_[y].counts[slot_[y * node_count_ + x]] = after;
+    } else {
+      insert_entry(x, lower_slot(rows_[x].partners, y), y, amount);
+      insert_entry(y, lower_slot(rows_[y].partners, x), x, amount);
+    }
+    mirror_xy = after;
+    dense_[y * node_count_ + x] = after;
+    return before;
   }
+  Row& row_x = rows_[x];
+  const std::size_t slot_x = lower_slot(row_x.partners, y);
+  if (slot_x == row_x.partners.size() || row_x.partners[slot_x] != y) {
+    insert_entry(x, slot_x, y, amount);
+    insert_entry(y, lower_slot(rows_[y].partners, x), x, amount);
+    return 0;
+  }
+  const std::uint32_t before = row_x.counts[slot_x];
+  row_x.counts[slot_x] = before + amount;
+  rows_[y].counts[partner_slot(rows_[y].partners, x)] = before + amount;
   return before;
 }
 
@@ -138,14 +177,25 @@ void PairLedger::remove(NodeId x, NodeId y, std::uint32_t amount) {
   if (amount == 0) return;
   Row& row_x = rows_[x];
   Row& row_y = rows_[y];
-  const std::size_t slot_x = partner_slot(row_x.partners, y);
-  require(slot_x != static_cast<std::size_t>(-1) &&
-              row_x.counts[slot_x] >= amount,
-          "PairLedger::remove: count underflow");
+  // The mirror count is checked before a slot is trusted: an absent
+  // pair's slot index entry is stale.
+  std::size_t slot_x;
+  std::size_t slot_y;
+  if (!dense_.empty()) {
+    require(dense_[x * node_count_ + y] >= amount,
+            "PairLedger::remove: count underflow");
+    slot_x = slot_[x * node_count_ + y];
+    slot_y = slot_[y * node_count_ + x];
+  } else {
+    slot_x = partner_slot(row_x.partners, y);
+    require(slot_x != static_cast<std::size_t>(-1) &&
+                row_x.counts[slot_x] >= amount,
+            "PairLedger::remove: count underflow");
+    slot_y = partner_slot(row_y.partners, x);
+  }
   const std::uint32_t before = row_x.counts[slot_x];
   const std::uint32_t after = before - amount;
   row_x.counts[slot_x] = after;
-  const std::size_t slot_y = partner_slot(row_y.partners, x);
   row_y.counts[slot_y] = after;
   if (!dense_.empty()) {
     dense_[x * node_count_ + y] = after;
@@ -154,10 +204,8 @@ void PairLedger::remove(NodeId x, NodeId y, std::uint32_t amount) {
   total_ -= amount;
   if (!dirty_.empty()) mark_pair_readers(x, y, before, after);
   if (after == 0) {
-    row_x.partners.erase(row_x.partners.begin() + static_cast<long>(slot_x));
-    row_x.counts.erase(row_x.counts.begin() + static_cast<long>(slot_x));
-    row_y.partners.erase(row_y.partners.begin() + static_cast<long>(slot_y));
-    row_y.counts.erase(row_y.counts.begin() + static_cast<long>(slot_y));
+    erase_entry(x, slot_x);
+    erase_entry(y, slot_y);
   }
 }
 
@@ -188,14 +236,51 @@ std::uint64_t PairLedger::memory_bytes() const {
   // Logical accounting with fixed constants: per-node row headers (two
   // vector headers + the dirty slot) plus live entries (partner id +
   // count, both symmetric copies counted) plus the dense count mirror
-  // below kFullReserveNodeLimit (4 n^2 bytes).
+  // and its slot index below kFullReserveNodeLimit (4 n^2 + 2 n^2 bytes).
   constexpr std::uint64_t kPerNodeBytes = 56;
   constexpr std::uint64_t kPerEntryBytes =
       sizeof(NodeId) + sizeof(std::uint32_t);
   std::uint64_t bytes = kPerNodeBytes * node_count_;
   for (const Row& row : rows_) bytes += kPerEntryBytes * row.partners.size();
   bytes += sizeof(std::uint32_t) * dense_.size();
+  bytes += sizeof(std::uint16_t) * slot_.size();
   return bytes;
+}
+
+void PairLedger::check_invariants() const {
+  std::uint64_t recount = 0;
+  for (NodeId x = 0; x < node_count_; ++x) {
+    const Row& row = rows_[x];
+    ensure(row.counts.size() == row.partners.size(),
+           "PairLedger: row partners and counts differ in length");
+    for (std::size_t k = 0; k < row.partners.size(); ++k) {
+      const NodeId y = row.partners[k];
+      ensure(y < node_count_ && y != x, "PairLedger: row holds a bad partner");
+      ensure(k == 0 || row.partners[k - 1] < y,
+             "PairLedger: row is not strictly sorted");
+      ensure(row.counts[k] > 0, "PairLedger: row holds a zero count");
+      const std::size_t back = partner_slot(rows_[y].partners, x);
+      ensure(back != static_cast<std::size_t>(-1) &&
+                 rows_[y].counts[back] == row.counts[k],
+             "PairLedger: rows are not symmetric");
+      if (!slot_.empty()) {
+        ensure(slot_[x * node_count_ + y] == k,
+               "PairLedger: slot index misses a live partner");
+      }
+      if (y > x) recount += row.counts[k];
+    }
+    if (dense_.empty()) continue;
+    // The mirror equals the row entry for entry, absent pairs (and the
+    // diagonal) included.
+    std::size_t k = 0;
+    for (NodeId y = 0; y < node_count_; ++y) {
+      const bool live = k < row.partners.size() && row.partners[k] == y;
+      ensure(dense_[x * node_count_ + y] == (live ? row.counts[k] : 0),
+             "PairLedger: dense mirror differs from the rows");
+      if (live) ++k;
+    }
+  }
+  ensure(recount == total_, "PairLedger: total differs from a recount");
 }
 
 void PairLedger::enable_dirty_tracking() {

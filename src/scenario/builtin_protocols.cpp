@@ -456,6 +456,9 @@ class DistributedProtocol final : public Protocol {
     metrics.set_scalar("control_bytes", static_cast<double>(result.control_bytes));
     metrics.set_scalar("pairs_generated",
                        static_cast<double>(result.pairs_generated));
+    if (result.request_latency.count() > 0) {
+      metrics.set_scalar("mean_request_latency", result.request_latency.mean());
+    }
     metrics.set_stats("request_latency", result.request_latency);
     metrics.set_stats("decision_view_age", result.decision_view_age);
     add_fault_metrics(metrics, config.faults, result.faults);
@@ -516,6 +519,9 @@ class AsyncRoutingProtocol final : public Protocol {
                        static_cast<double>(result.pairs_consumed));
     metrics.set_scalar("control_messages",
                        static_cast<double>(result.control_messages));
+    if (result.request_latency.count() > 0) {
+      metrics.set_scalar("mean_request_latency", result.request_latency.mean());
+    }
     metrics.set_stats("request_latency", result.request_latency);
     metrics.set_stats("request_hops", result.request_hops);
     add_fault_metrics(metrics, config.faults, result.faults);
@@ -585,6 +591,9 @@ class FidelityProtocol final : public Protocol {
     }
     if (result.storage_age_at_use.count() > 0) {
       metrics.set_scalar("mean_storage_age", result.storage_age_at_use.mean());
+    }
+    if (result.request_latency.count() > 0) {
+      metrics.set_scalar("mean_request_latency", result.request_latency.mean());
     }
     metrics.set_stats("consumed_fidelity", result.consumed_fidelity);
     metrics.set_stats("request_latency", result.request_latency);

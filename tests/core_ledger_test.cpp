@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -111,46 +110,64 @@ TEST(PairLedger, TotalPairsAccumulates) {
 // the count mirror: after any mix of add, remove (to zero included),
 // integral and fractional NetworkState::generate and
 // NetworkState::purge_node, both agree with a reference matrix and with
-// count() entry for entry, absent pairs included.
-TEST(PairLedger, PairCountsAlignWithPartnersUnderChurn) {
-  constexpr std::size_t kNodes = 12;
-  const graph::Graph cycle = graph::make_cycle(kNodes);
+// count() entry for entry, absent pairs included, and check_invariants()
+// holds after every step. Runs below the mirror limit (every node churns)
+// and above it (no mirror; the random churn touches 12 nodes spread over
+// the ring, while generation covers every cycle edge).
+void churn_rows_against_reference(std::size_t nodes) {
+  SCOPED_TRACE(testing::Message() << "nodes " << nodes);
+  constexpr std::size_t kActive = 12;
+  const std::size_t stride = nodes / kActive;
+  const bool mirrored = nodes <= PairLedger::kFullReserveNodeLimit;
+  const graph::Graph cycle = graph::make_cycle(nodes);
   sim::NetworkState state(cycle, 7, sim::TickConcurrency{});
   PairLedger& ledger = state.ledger();
-  std::vector<std::vector<std::uint32_t>> expected(
-      kNodes, std::vector<std::uint32_t>(kNodes, 0));
+  std::vector<std::uint32_t> expected(nodes * nodes, 0);
+  const auto ref = [&](NodeId a, NodeId b) -> std::uint32_t& {
+    return expected[a * nodes + b];
+  };
+  std::uint64_t expected_total = 0;
   util::Rng rng(0xA11C);
   const auto expect_add = [&](NodeId a, NodeId b, std::uint32_t amount) {
-    expected[a][b] += amount;
-    expected[b][a] += amount;
+    ref(a, b) += amount;
+    ref(b, a) += amount;
+    expected_total += amount;
   };
   const auto check_rows = [&](int step) {
-    for (NodeId x = 0; x < kNodes; ++x) {
+    ASSERT_NO_THROW(ledger.check_invariants()) << "step " << step;
+    ASSERT_EQ(ledger.total_pairs(), expected_total) << "step " << step;
+    // Every row entry matches the reference and the totals agree, so no
+    // live reference pair is missing from the rows either.
+    for (NodeId x = 0; x < nodes; ++x) {
       const auto partners = ledger.partners(x);
       const auto counts = ledger.pair_counts(x);
       ASSERT_EQ(counts.size(), partners.size()) << "node " << x << " step " << step;
       for (std::size_t k = 0; k < partners.size(); ++k) {
         EXPECT_GT(counts[k], 0u);
-        EXPECT_EQ(counts[k], expected[x][partners[k]])
+        EXPECT_EQ(counts[k], ref(x, partners[k]))
             << "node " << x << " slot " << k << " step " << step;
       }
+    }
+    for (std::size_t i = 0; i < kActive; ++i) {
+      const auto x = static_cast<NodeId>(i * stride);
       const std::uint32_t* dense = ledger.dense_row(x);
-      ASSERT_NE(dense, nullptr);
-      for (NodeId y = 0; y < kNodes; ++y) {
+      ASSERT_EQ(dense != nullptr, mirrored);
+      for (NodeId y = 0; y < nodes; ++y) {
         if (y == x) continue;
-        EXPECT_EQ(dense[y], expected[x][y]) << "pair " << x << "," << y << " step " << step;
-        EXPECT_EQ(ledger.count(x, y), expected[x][y])
+        if (mirrored) {
+          EXPECT_EQ(dense[y], ref(x, y)) << "pair " << x << "," << y << " step " << step;
+        }
+        EXPECT_EQ(ledger.count(x, y), ref(x, y))
             << "pair " << x << "," << y << " step " << step;
       }
-      const auto live = static_cast<std::size_t>(std::count_if(
-          expected[x].begin(), expected[x].end(), [](std::uint32_t c) { return c > 0; }));
-      EXPECT_EQ(partners.size(), live) << "node " << x << " step " << step;
     }
   };
   for (int step = 0; step < 2000; ++step) {
-    const auto x = static_cast<NodeId>(rng.uniform_index(kNodes));
-    auto y = static_cast<NodeId>(rng.uniform_index(kNodes));
-    if (y == x) y = static_cast<NodeId>((y + 1) % kNodes);
+    const std::size_t xi = rng.uniform_index(kActive);
+    std::size_t yi = rng.uniform_index(kActive);
+    if (yi == xi) yi = (yi + 1) % kActive;
+    const auto x = static_cast<NodeId>(xi * stride);
+    const auto y = static_cast<NodeId>(yi * stride);
     const auto amount = static_cast<std::uint32_t>(1 + rng.uniform_index(3));
     if (step % 50 == 0 || step % 50 == 10) {
       // Generation over the cycle's edges: integral, or fractional with
@@ -170,25 +187,37 @@ TEST(PairLedger, PairCountsAlignWithPartnersUnderChurn) {
       }
     } else if (step % 50 == 30) {
       (void)state.purge_node(x);
-      for (NodeId z = 0; z < kNodes; ++z) expected[x][z] = expected[z][x] = 0;
-    } else if (rng.bernoulli(0.5) || expected[x][y] < amount) {
+      for (NodeId z = 0; z < nodes; ++z) {
+        expected_total -= ref(x, z);
+        ref(x, z) = ref(z, x) = 0;
+      }
+    } else if (rng.bernoulli(0.5) || ref(x, y) < amount) {
       ledger.add(x, y, amount);
       expect_add(x, y, amount);
     } else {
       // Removing the whole count erases the entry from both rows.
-      const std::uint32_t removed = rng.bernoulli(0.3) ? expected[x][y] : amount;
+      const std::uint32_t removed = rng.bernoulli(0.3) ? ref(x, y) : amount;
       ledger.remove(x, y, removed);
-      expected[x][y] -= removed;
-      expected[y][x] -= removed;
+      ref(x, y) -= removed;
+      ref(y, x) -= removed;
+      expected_total -= removed;
     }
     check_rows(step);
+    if (testing::Test::HasFatalFailure()) return;
   }
-  EXPECT_THROW((void)ledger.pair_counts(static_cast<NodeId>(kNodes)), PreconditionError);
-  EXPECT_THROW((void)ledger.dense_row(static_cast<NodeId>(kNodes)), PreconditionError);
+  const auto past_end = static_cast<NodeId>(nodes);
+  EXPECT_THROW((void)ledger.pair_counts(past_end), PreconditionError);
+  EXPECT_THROW((void)ledger.dense_row(past_end), PreconditionError);
+}
+
+TEST(PairLedger, PairCountsAlignWithPartnersUnderChurn) {
+  churn_rows_against_reference(12);
+  churn_rows_against_reference(PairLedger::kFullReserveNodeLimit + 1);
 }
 
 // The mirror exists exactly up to kFullReserveNodeLimit nodes, and the
-// logical memory accounting charges its 4 n^2 bytes.
+// logical memory accounting charges its 4 n^2 bytes plus the slot
+// index's 2 n^2.
 TEST(PairLedger, DenseRowOnlyUpToFullReserveLimit) {
   const PairLedger at_limit(PairLedger::kFullReserveNodeLimit);
   const PairLedger above(PairLedger::kFullReserveNodeLimit + 1);
@@ -196,7 +225,34 @@ TEST(PairLedger, DenseRowOnlyUpToFullReserveLimit) {
   EXPECT_EQ(above.dense_row(0), nullptr);
   EXPECT_EQ(above.dense_row(PairLedger::kFullReserveNodeLimit), nullptr);
   const PairLedger small(3);
-  EXPECT_EQ(small.memory_bytes(), 56u * 3 + 4u * 9);
+  EXPECT_EQ(small.memory_bytes(), 56u * 3 + 4u * 9 + 2u * 9);
+}
+
+// Removing a pair that is not live throws and changes nothing, with and
+// without the mirror: below the limit the mirror count is checked before
+// the (stale) slot index entry of an erased pair is trusted.
+TEST(PairLedger, RemoveAbsentPairThrowsAndLeavesLedgerUnchanged) {
+  for (const std::size_t nodes :
+       {std::size_t{3}, PairLedger::kFullReserveNodeLimit + 1}) {
+    SCOPED_TRACE(testing::Message() << "nodes " << nodes);
+    PairLedger ledger(nodes);
+    const auto last = static_cast<NodeId>(nodes - 1);
+    ledger.add(0, 1, 2);
+    ledger.add(1, last, 1);
+    // (0, last) was never live; (0, 1) was live and is erased, so its
+    // slot index entries are stale.
+    EXPECT_THROW(ledger.remove(0, last), PreconditionError);
+    ledger.remove(1, 0, 2);
+    EXPECT_THROW(ledger.remove(0, 1), PreconditionError);
+    EXPECT_THROW(ledger.remove(1, 0, 3), PreconditionError);
+    EXPECT_EQ(ledger.count(0, 1), 0u);
+    EXPECT_EQ(ledger.count(1, last), 1u);
+    EXPECT_EQ(ledger.total_pairs(), 1u);
+    EXPECT_TRUE(ledger.partners(0).empty());
+    ASSERT_EQ(ledger.partners(1).size(), 1u);
+    EXPECT_EQ(ledger.partners(1)[0], last);
+    EXPECT_NO_THROW(ledger.check_invariants());
+  }
 }
 
 std::vector<NodeId> drained(PairLedger& ledger) {

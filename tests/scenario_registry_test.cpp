@@ -214,6 +214,19 @@ TEST(Registry, FidelityTimingsCarryChunkImbalance) {
   EXPECT_EQ(metrics.scalar("mean_storage_age"), age.mean());
 }
 
+// The protocols that record a per-request latency also report its mean
+// as a scalar, so suites (which keep scalars, not stats) carry it.
+TEST(Registry, RequestLatencyMeanIsAScalar) {
+  for (const char* name : {"distributed", "async_routing", "fidelity"}) {
+    ScenarioSpec spec = small_spec(name);
+    spec.knobs["duration"] = 60.0;
+    const RunMetrics metrics = registry().run(name, spec);
+    const util::RunningStats& latency = metrics.stats("request_latency");
+    ASSERT_GT(latency.count(), 0u) << name;
+    EXPECT_EQ(metrics.scalar("mean_request_latency"), latency.mean()) << name;
+  }
+}
+
 TEST(Registry, LpProtocolReportsStatus) {
   const RunMetrics metrics = registry().run("lp", small_spec("lp"));
   EXPECT_EQ(metrics.label("status"), "optimal");

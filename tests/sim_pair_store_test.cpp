@@ -89,63 +89,78 @@ namespace {
 
 // --- ledger churn vs a dense reference --------------------------------
 
-TEST(PairStoreChurn, LedgerFuzzMatchesDenseReference) {
-  // Random add/remove churn on the sparse partner rows vs a dense n x n
-  // count matrix: counts, totals and the thresholded entanglement graph
-  // must agree after every operation batch. Erasing rows to zero and
-  // re-inserting them exercises the partner-slot insert/erase paths that
-  // the dense array never had.
-  constexpr std::size_t kNodes = 24;
+// Random add/remove churn on the sparse partner rows vs a dense count
+// matrix over `kActive` nodes spread evenly over a ledger of `nodes`:
+// counts, totals and the thresholded entanglement graph must agree after
+// every operation batch, and check_invariants() must hold after every
+// operation. Erasing rows to zero and re-inserting them exercises the
+// partner-slot insert/erase paths (and, below the mirror limit, the slot
+// index re-indexing) that the dense array never had.
+void ledger_fuzz_against_dense(std::size_t nodes) {
+  SCOPED_TRACE(testing::Message() << "nodes " << nodes);
+  constexpr std::size_t kActive = 24;
+  const std::size_t stride = nodes / kActive;
+  const auto id = [stride](std::size_t i) {
+    return static_cast<core::NodeId>(i * stride);
+  };
   util::Rng rng(0x5EED5);
-  core::PairLedger ledger(kNodes);
+  core::PairLedger ledger(nodes);
   std::vector<std::vector<std::uint32_t>> dense(
-      kNodes, std::vector<std::uint32_t>(kNodes, 0));
+      kActive, std::vector<std::uint32_t>(kActive, 0));
 
   for (int batch = 0; batch < 60; ++batch) {
     for (int op = 0; op < 40; ++op) {
-      auto x = static_cast<core::NodeId>(rng.uniform_index(kNodes));
-      auto y = static_cast<core::NodeId>(rng.uniform_index(kNodes - 1));
+      const std::size_t x = rng.uniform_index(kActive);
+      std::size_t y = rng.uniform_index(kActive - 1);
       if (y >= x) ++y;
       const auto amount = static_cast<std::uint32_t>(1 + rng.uniform_index(3));
       if (rng.bernoulli(0.55) || dense[x][y] == 0) {
-        ledger.add(x, y, amount);
+        ledger.add(id(x), id(y), amount);
         dense[x][y] += amount;
         dense[y][x] += amount;
       } else {
         const std::uint32_t take = std::min(amount, dense[x][y]);
-        ledger.remove(x, y, take);
+        ledger.remove(id(x), id(y), take);
         dense[x][y] -= take;
         dense[y][x] -= take;
       }
+      ASSERT_NO_THROW(ledger.check_invariants())
+          << "batch " << batch << " op " << op;
     }
     std::uint64_t total = 0;
-    for (core::NodeId x = 0; x < kNodes; ++x) {
-      for (core::NodeId y = x + 1; y < kNodes; ++y) {
-        ASSERT_EQ(ledger.count(x, y), dense[x][y])
+    for (std::size_t x = 0; x < kActive; ++x) {
+      for (std::size_t y = x + 1; y < kActive; ++y) {
+        ASSERT_EQ(ledger.count(id(x), id(y)), dense[x][y])
             << "batch " << batch << " pair (" << x << "," << y << ")";
         total += dense[x][y];
       }
     }
     ASSERT_EQ(ledger.total_pairs(), total) << "batch " << batch;
     // Partner rows must hold exactly the nonzero pairs, both directions.
-    for (core::NodeId x = 0; x < kNodes; ++x) {
+    for (std::size_t x = 0; x < kActive; ++x) {
       std::vector<core::NodeId> expected;
-      for (core::NodeId y = 0; y < kNodes; ++y) {
-        if (dense[x][y] > 0) expected.push_back(y);
+      for (std::size_t y = 0; y < kActive; ++y) {
+        if (dense[x][y] > 0) expected.push_back(id(y));
       }
-      const std::span<const core::NodeId> row = ledger.partners(x);
+      const std::span<const core::NodeId> row = ledger.partners(id(x));
       ASSERT_EQ(std::vector<core::NodeId>(row.begin(), row.end()), expected)
           << "batch " << batch << " row " << x;
     }
     const graph::Graph entanglement = ledger.entanglement_graph(2);
     std::size_t expected_edges = 0;
-    for (core::NodeId x = 0; x < kNodes; ++x) {
-      for (core::NodeId y = x + 1; y < kNodes; ++y) {
+    for (std::size_t x = 0; x < kActive; ++x) {
+      for (std::size_t y = x + 1; y < kActive; ++y) {
         if (dense[x][y] >= 2) ++expected_edges;
       }
     }
     ASSERT_EQ(entanglement.edge_count(), expected_edges) << "batch " << batch;
   }
+}
+
+TEST(PairStoreChurn, LedgerFuzzMatchesDenseReference) {
+  ledger_fuzz_against_dense(24);
+  if (testing::Test::HasFatalFailure()) return;
+  ledger_fuzz_against_dense(core::PairLedger::kFullReserveNodeLimit + 1);
 }
 
 // --- tracked-pair churn vs a dense reference --------------------------
