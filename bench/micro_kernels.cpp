@@ -170,7 +170,7 @@ void BM_CountReportSize(benchmark::State& state) {
     std::size_t bytes = 0;
     for (core::NodeId x = 0; x < n; ++x) {
       if (!encode) {
-        bytes += net::count_report_size(x, round, n, ledger.pair_counts(x));
+        bytes += net::count_report_size(x, round, n, {ledger.dense_row(x), n});
         continue;
       }
       const std::uint32_t* row = ledger.dense_row(x);
@@ -190,36 +190,39 @@ void BM_CountReportSize(benchmark::State& state) {
 }
 BENCHMARK(BM_CountReportSize)->ArgNames({"n", "encode"})->Args({81, 0})->Args({81, 1});
 
+/// Membership churn: every iteration flips one pair between 0 and 1,
+/// forcing an insert into (or an erase from) both sorted rows. n = 64
+/// keeps the dense mirror (rows shift ids only); n = 2048 is above
+/// PairLedger::kFullReserveNodeLimit (rows shift ids and counts).
 void BM_LedgerPartnerChurn(benchmark::State& state) {
-  // Membership churn: every iteration flips one pair between 0 and 1,
-  // forcing an insert into (or an erase from) both sorted-vector rows and
-  // the slot index re-index of their shifted tails.
-  core::PairLedger ledger(64);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  core::PairLedger ledger(n);
   util::Rng rng(2);
-  for (core::NodeId x = 0; x < 64; ++x) {
-    for (core::NodeId y = x + 1; y < 64; ++y) {
+  for (core::NodeId x = 0; x < n; ++x) {
+    for (core::NodeId y = x + 1; y < n; ++y) {
       if (rng.bernoulli(0.3)) ledger.add(x, y);
     }
   }
   util::Rng pick(3);
   for (auto _ : state) {
-    const auto x = static_cast<core::NodeId>(pick.uniform_index(64));
-    auto y = static_cast<core::NodeId>(pick.uniform_index(64));
-    if (y == x) y = (y + 1) % 64;
-    if (ledger.count(x, y) == 0) {
+    const auto x = static_cast<core::NodeId>(pick.uniform_index(n));
+    auto y = static_cast<core::NodeId>(pick.uniform_index(n));
+    if (y == x) y = static_cast<core::NodeId>((y + 1) % n);
+    const std::uint32_t count = ledger.count(x, y);
+    if (count == 0) {
       ledger.add(x, y);
     } else {
-      ledger.remove(x, y, ledger.count(x, y));
+      ledger.remove(x, y, count);
     }
   }
 }
-BENCHMARK(BM_LedgerPartnerChurn);
+BENCHMARK(BM_LedgerPartnerChurn)->Arg(64)->Arg(2048);
 
 /// One §4 swap's ledger mutations per iteration: the two donor removes
 /// and the beneficiary pair's add. Rows are deck-shaped (70% of partners
 /// live, every count >= 2), so most mutations only move a count, as on
 /// the serve decks, and an add now and then inserts a new pair. n = 81
-/// keeps the dense mirror and its slot index; n = 2048 is above
+/// keeps the dense mirror (two stores per count move); n = 2048 is above
 /// PairLedger::kFullReserveNodeLimit and searches the sorted rows. Each
 /// pass replays a fixed list of swaps and is undone untimed.
 void BM_LedgerSwapMutation(benchmark::State& state) {
@@ -253,12 +256,11 @@ void BM_LedgerSwapMutation(benchmark::State& state) {
   std::vector<Swap> swaps;
   while (swaps.size() < 1024) {
     const auto x = static_cast<core::NodeId>(rng.uniform_index(n));
-    const auto partners = ledger.partners(x);
-    const auto counts = ledger.pair_counts(x);
-    const std::size_t i = rng.uniform_index(partners.size());
-    const std::size_t j = rng.uniform_index(partners.size());
-    if (i == j || counts[i] < 2 || counts[j] < 2) continue;
-    swaps.push_back({x, partners[i], partners[j]});
+    const core::PairLedger::RowView row = ledger.row(x);
+    const std::size_t i = rng.uniform_index(row.size());
+    const std::size_t j = rng.uniform_index(row.size());
+    if (i == j || row.count_at(i) < 2 || row.count_at(j) < 2) continue;
+    swaps.push_back({x, row.partners()[i], row.partners()[j]});
     apply(swaps.back());
   }
   undo(swaps);

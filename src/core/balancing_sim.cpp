@@ -96,6 +96,21 @@ void BalancingSimulation::generation_phase() {
 }
 
 void BalancingSimulation::swap_phase() {
+  swap_phase(
+      [this](NodeId x, MaxMinBalancer::Scratch& scratch) {
+        return balancer_.best_swap(ledger(), x, scratch);
+      },
+      [this](NodeId x, const SwapCandidate& candidate) {
+        // An earlier commit of this pass may have consumed the pairs
+        // this choice needed.
+        return balancer_.is_preferable(ledger(), x, candidate.left,
+                                       candidate.right);
+      });
+}
+
+void BalancingSimulation::swap_phase(const sim::NetworkState::DecideFn& decide,
+                                     const sim::NetworkState::RecheckFn& recheck,
+                                     const sim::NetworkState::ObserveFn& observe) {
   // Synchronous-round semantics: every node picks its best preferable swap
   // against the frozen post-generation ledger (the expensive O(P^2) scan,
   // fanned across node shards), then the choices commit serially in
@@ -107,17 +122,9 @@ void BalancingSimulation::swap_phase() {
   const auto first = static_cast<NodeId>(result_.rounds % node_count);
   for (std::uint32_t attempt = 0; attempt < config_.swaps_per_node_per_round;
        ++attempt) {
-    state_.decide_swaps([&](NodeId x, MaxMinBalancer::Scratch& scratch) {
-      return balancer_.best_swap(ledger(), x, scratch);
-    });
+    state_.decide_swaps(decide);
     const sim::NetworkState::CommitStats stats = state_.commit_swaps(
-        balancer_, first, result_.rounds, attempt,
-        [&](NodeId x, const SwapCandidate& candidate) {
-          // An earlier commit of this pass may have consumed the pairs
-          // this choice needed.
-          return balancer_.is_preferable(ledger(), x, candidate.left,
-                                         candidate.right);
-        });
+        balancer_, first, result_.rounds, attempt, recheck, observe);
     result_.swaps_performed += stats.swaps;
     result_.pairs_spent_on_swaps += stats.pairs_consumed;
     result_.pairs_produced_by_swaps += stats.pairs_produced;

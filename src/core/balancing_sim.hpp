@@ -83,6 +83,9 @@ struct BalancingResult {
   std::uint64_t pairs_spent_on_swaps = 0;
   /// Pairs produced by swaps (one per swap).
   std::uint64_t pairs_produced_by_swaps = 0;
+  /// Pairs held in the ledger when the result was taken: generated +
+  /// produced = consumed + spent + stored.
+  std::uint64_t pairs_stored = 0;
   std::uint64_t requests_satisfied = 0;
   std::uint32_t rounds = 0;
   bool completed = false;
@@ -142,19 +145,29 @@ class BalancingSimulation {
   /// call it at the same point.
   void fault_phase();
   void generation_phase();
+  /// Up to swaps_per_node_per_round decide + serial commit attempts,
+  /// stopping at the first that commits nothing, under the §4 rule on
+  /// true counts.
   void swap_phase();
+  /// The same attempt loop with the protocol's own decide kernel, commit
+  /// recheck and optional per-swap observer (gossip: stale beneficiary
+  /// views and their ages). Swaps and the pairs they spend and produce
+  /// are booked in the result either way.
+  void swap_phase(const sim::NetworkState::DecideFn& decide,
+                  const sim::NetworkState::RecheckFn& recheck,
+                  const sim::NetworkState::ObserveFn& observe = {});
   void consumption_phase();
   void begin_round();  // bookkeeping: increments the round counter
 
   [[nodiscard]] PairLedger& ledger() { return state_.ledger(); }
   [[nodiscard]] const PairLedger& ledger() const { return state_.ledger(); }
-  /// The shared phase-kernel substrate (ledger + pool + keyed streams);
-  /// protocol variants (gossip) drive their own decide/commit kernels
-  /// through it.
+  /// The shared phase-kernel substrate (ledger + pool + keyed streams).
   [[nodiscard]] sim::NetworkState& state() { return state_; }
-  /// Result snapshot; syncs the per-phase timers from the substrate and
-  /// the resilience record from the fault plan.
+  /// Result snapshot; syncs the stored-pair total from the ledger, the
+  /// per-phase timers from the substrate and the resilience record from
+  /// the fault plan.
   [[nodiscard]] const BalancingResult& result() {
+    result_.pairs_stored = ledger().total_pairs();
     result_.phase = state_.timers();
     if (fault_plan_) result_.faults = fault_plan_->stats();
     return result_;

@@ -184,7 +184,6 @@ GossipResult run_gossip(const graph::Graph& generation_graph, const Workload& wo
           "run_gossip: at most 1024 nodes (the dense count mirror's limit); "
           "the knowledge base holds 4n^3 bytes, 4.3 GB at 1024 nodes");
   BalancingSimulation sim(generation_graph, workload, config.base);
-  sim::NetworkState& state = sim.state();
   const auto node_count = static_cast<NodeId>(generation_graph.node_count());
 
   KnowledgeBase knowledge(node_count);
@@ -217,17 +216,18 @@ GossipResult run_gossip(const graph::Graph& generation_graph, const Workload& wo
     sim.generation_phase();
 
     {
-      const sim::PhaseStopwatch stopwatch(state.timers().exchange_ns);
+      const sim::PhaseStopwatch stopwatch(sim.state().timers().exchange_ns);
       // 1. Send kernel: count rows to the rotating window (+ one
       // optimistic peer from a keyed stream), in canonical node order.
       // Every message is counted on the wire at its encoded size, which
-      // depends on the row's live counts only (every stored count is
-      // nonzero). One due after max_rounds would never be installed, so
-      // it is not queued.
+      // depends on the row's live counts only, so it is sized from the
+      // sender's mirror row (absent peers and the diagonal are 0). One
+      // due after max_rounds would never be installed, so it is not
+      // queued.
       ring.open(round, sim.ledger().dense_counts());
       for (NodeId x = 0; x < node_count; ++x) {
-        const std::size_t bytes = net::count_report_size(x, round, node_count,
-                                                         sim.ledger().pair_counts(x));
+        const std::size_t bytes = net::count_report_size(
+            x, round, node_count, {sim.ledger().dense_row(x), node_count});
         const auto send = [&](NodeId target) {
           ++result.control_messages;
           result.control_bytes += bytes;
@@ -274,32 +274,25 @@ GossipResult run_gossip(const graph::Graph& generation_graph, const Workload& wo
     // decide scan reads the frozen post-generation ledger; the commit
     // re-check reads live own counts but keeps the decision's view count
     // (views do not move during a sweep).
-    const auto first = static_cast<NodeId>(round % node_count);
-    for (std::uint32_t attempt = 0; attempt < config.base.swaps_per_node_per_round;
-         ++attempt) {
-      state.decide_swaps([&](NodeId x, MaxMinBalancer::Scratch& scratch) {
-        return sim.balancer().best_swap_with_view(
-            sim.ledger(), x,
-            [&](NodeId a, NodeId b) { return knowledge.view(x, a, b); }, scratch);
-      });
-      const sim::NetworkState::CommitStats stats = state.commit_swaps(
-          sim.balancer(), first, round, attempt,
-          [&](NodeId x, const SwapCandidate& candidate) {
-            return sim.balancer().is_preferable_given_beneficiary(
-                sim.ledger(), x, candidate.left, candidate.right,
-                candidate.beneficiary_count);
-          },
-          [&view_ages](const sim::NetworkState::CommittedSwap& swap) {
-            const KnowledgeBase& views = view_ages.knowledge;
-            view_ages.total +=
-                view_ages.round -
-                std::max(views.report_round(swap.node, swap.candidate.left),
-                         views.report_round(swap.node, swap.candidate.right));
-            ++view_ages.samples;
-          });
-      sim.record_extra_swaps(stats.swaps);
-      if (stats.swaps == 0) break;
-    }
+    sim.swap_phase(
+        [&](NodeId x, MaxMinBalancer::Scratch& scratch) {
+          return sim.balancer().best_swap_with_view(
+              sim.ledger(), x,
+              [&](NodeId a, NodeId b) { return knowledge.view(x, a, b); }, scratch);
+        },
+        [&sim](NodeId x, const SwapCandidate& candidate) {
+          return sim.balancer().is_preferable_given_beneficiary(
+              sim.ledger(), x, candidate.left, candidate.right,
+              candidate.beneficiary_count);
+        },
+        [&view_ages](const sim::NetworkState::CommittedSwap& swap) {
+          const KnowledgeBase& views = view_ages.knowledge;
+          view_ages.total +=
+              view_ages.round -
+              std::max(views.report_round(swap.node, swap.candidate.left),
+                       views.report_round(swap.node, swap.candidate.right));
+          ++view_ages.samples;
+        });
 
     sim.consumption_phase();
   }

@@ -13,7 +13,7 @@
 // A round's reports are one copy of the ledger's dense count mirror
 // (each message carries its sender's row of that snapshot), and each
 // report's wire size comes from net::count_report_size in closed form
-// from the sender's live counts. Gossip therefore runs only where the
+// from the sender's mirror row. Gossip therefore runs only where the
 // mirror exists, at most PairLedger::kFullReserveNodeLimit nodes; every
 // node's views of every report hold 4n^3 bytes there (4.3 GB at the
 // limit). A beneficiary view is the fresher of the two endpoints'

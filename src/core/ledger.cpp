@@ -1,7 +1,6 @@
 #include "core/ledger.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "util/error.hpp"
 
@@ -27,25 +26,16 @@ std::size_t partner_slot(const std::vector<NodeId>& partners, NodeId y) {
 
 }  // namespace
 
-static_assert(PairLedger::kFullReserveNodeLimit - 1 <=
-                  std::numeric_limits<std::uint16_t>::max(),
-              "PairLedger: a row slot below the mirror limit must fit the "
-              "uint16_t slot index");
-
 PairLedger::PairLedger(std::size_t node_count)
     : node_count_(node_count),
       rows_(node_count),
       dense_(node_count <= kFullReserveNodeLimit ? node_count * node_count
-                                                 : 0),
-      slot_(dense_.size()) {
+                                                 : 0) {
   require(node_count >= 2, "PairLedger: need at least 2 nodes");
   // Small networks pre-reserve the dense worst case so steady-state
   // mutation never allocates; megascale networks grow rows amortized.
-  if (node_count <= kFullReserveNodeLimit) {
-    for (Row& row : rows_) {
-      row.partners.reserve(node_count - 1);
-      row.counts.reserve(node_count - 1);
-    }
+  if (!dense_.empty()) {
+    for (Row& row : rows_) row.partners.reserve(node_count - 1);
   }
 }
 
@@ -85,14 +75,15 @@ void PairLedger::mark_pair_readers(NodeId x, NodeId y, std::uint32_t before,
   // The other readers of C_x(y) are the nodes holding *eligible* pairs
   // toward both x and y (they see its exact value as a beneficiary
   // count, at any magnitude). Scan the smaller row; membership and
-  // eligibility in the other row are O(log deg) probes.
+  // eligibility in the other row are one mirror load below the limit
+  // and an O(log deg) probe above it.
   NodeId small = x;
   NodeId big = y;
   if (rows_[big].partners.size() < rows_[small].partners.size()) {
     std::swap(small, big);
   }
-  const Row& row = rows_[small];
-  const auto deg = static_cast<std::uint32_t>(row.partners.size());
+  const RowView row = this->row(small);
+  const auto deg = static_cast<std::uint32_t>(row.size());
   // Precision has a per-epoch budget; once the scans have cost more than
   // O(n) this epoch, latch everything-dirty and stop paying (dense
   // regimes re-decide everything anyway).
@@ -101,54 +92,41 @@ void PairLedger::mark_pair_readers(NodeId x, NodeId y, std::uint32_t before,
     mark_overflow_ = true;
     return;
   }
-  for (std::uint32_t i = 0; i < deg; ++i) {
-    const NodeId z = row.partners[i];
-    if (z != big && row.counts[i] >= reader_threshold_ &&
+  row.for_each([this, big](NodeId z, std::uint32_t count) {
+    if (z != big && count >= reader_threshold_ &&
         row_count(big, z) >= reader_threshold_) {
       mark_dirty(z);
     }
-  }
-}
-
-void PairLedger::reindex_tail(NodeId x, std::size_t from) {
-  const std::vector<NodeId>& partners = rows_[x].partners;
-  std::uint16_t* slots = slot_.data() + x * node_count_;
-  for (std::size_t k = from; k < partners.size(); ++k) {
-    slots[partners[k]] = static_cast<std::uint16_t>(k);
-  }
+  });
 }
 
 void PairLedger::insert_entry(NodeId x, std::size_t slot, NodeId y,
                               std::uint32_t amount) {
   Row& row = rows_[x];
   row.partners.insert(row.partners.begin() + static_cast<long>(slot), y);
-  row.counts.insert(row.counts.begin() + static_cast<long>(slot), amount);
-  if (!slot_.empty()) reindex_tail(x, slot);
+  if (dense_.empty()) {
+    row.counts.insert(row.counts.begin() + static_cast<long>(slot), amount);
+  }
 }
 
 void PairLedger::erase_entry(NodeId x, std::size_t slot) {
   Row& row = rows_[x];
   row.partners.erase(row.partners.begin() + static_cast<long>(slot));
-  row.counts.erase(row.counts.begin() + static_cast<long>(slot));
-  if (!slot_.empty()) reindex_tail(x, slot);
+  if (dense_.empty()) row.counts.erase(row.counts.begin() + static_cast<long>(slot));
 }
 
 std::uint32_t PairLedger::bump_pair(NodeId x, NodeId y, std::uint32_t amount) {
   if (!dense_.empty()) {
-    // Below the limit the mirror says whether the pair is live; a live
-    // pair's count moves in place through the slot index, no search.
+    // Below the limit the mirror is the count: a live pair's count moves
+    // in place, and only a new pair touches (searches) the rows.
     std::uint32_t& mirror_xy = dense_[x * node_count_ + y];
     const std::uint32_t before = mirror_xy;
-    const std::uint32_t after = before + amount;
-    if (before > 0) {
-      rows_[x].counts[slot_[x * node_count_ + y]] = after;
-      rows_[y].counts[slot_[y * node_count_ + x]] = after;
-    } else {
+    if (before == 0) {
       insert_entry(x, lower_slot(rows_[x].partners, y), y, amount);
       insert_entry(y, lower_slot(rows_[y].partners, x), x, amount);
     }
-    mirror_xy = after;
-    dense_[y * node_count_ + x] = after;
+    mirror_xy = before + amount;
+    dense_[y * node_count_ + x] = before + amount;
     return before;
   }
   Row& row_x = rows_[x];
@@ -175,35 +153,35 @@ void PairLedger::add(NodeId x, NodeId y, std::uint32_t amount) {
 void PairLedger::remove(NodeId x, NodeId y, std::uint32_t amount) {
   check(x, y);
   if (amount == 0) return;
-  Row& row_x = rows_[x];
-  Row& row_y = rows_[y];
-  // The mirror count is checked before a slot is trusted: an absent
-  // pair's slot index entry is stale.
-  std::size_t slot_x;
-  std::size_t slot_y;
+  // Below the limit the mirror answers without a search, and the rows
+  // are searched only to erase; above it both rows are searched here.
+  std::size_t slot_x = 0;
+  std::size_t slot_y = 0;
+  std::uint32_t before;
   if (!dense_.empty()) {
-    require(dense_[x * node_count_ + y] >= amount,
-            "PairLedger::remove: count underflow");
-    slot_x = slot_[x * node_count_ + y];
-    slot_y = slot_[y * node_count_ + x];
+    before = dense_[x * node_count_ + y];
+    require(before >= amount, "PairLedger::remove: count underflow");
+    dense_[x * node_count_ + y] = before - amount;
+    dense_[y * node_count_ + x] = before - amount;
   } else {
+    Row& row_x = rows_[x];
     slot_x = partner_slot(row_x.partners, y);
     require(slot_x != static_cast<std::size_t>(-1) &&
                 row_x.counts[slot_x] >= amount,
             "PairLedger::remove: count underflow");
-    slot_y = partner_slot(row_y.partners, x);
+    slot_y = partner_slot(rows_[y].partners, x);
+    before = row_x.counts[slot_x];
+    row_x.counts[slot_x] = before - amount;
+    rows_[y].counts[slot_y] = before - amount;
   }
-  const std::uint32_t before = row_x.counts[slot_x];
   const std::uint32_t after = before - amount;
-  row_x.counts[slot_x] = after;
-  row_y.counts[slot_y] = after;
-  if (!dense_.empty()) {
-    dense_[x * node_count_ + y] = after;
-    dense_[y * node_count_ + x] = after;
-  }
   total_ -= amount;
   if (!dirty_.empty()) mark_pair_readers(x, y, before, after);
   if (after == 0) {
+    if (!dense_.empty()) {
+      slot_x = lower_slot(rows_[x].partners, y);
+      slot_y = lower_slot(rows_[y].partners, x);
+    }
     erase_entry(x, slot_x);
     erase_entry(y, slot_y);
   }
@@ -214,69 +192,58 @@ std::span<const NodeId> PairLedger::partners(NodeId x) const {
   return {rows_[x].partners.data(), rows_[x].partners.size()};
 }
 
-std::span<const std::uint32_t> PairLedger::pair_counts(NodeId x) const {
-  require(x < node_count_, "PairLedger::pair_counts: node out of range");
-  return {rows_[x].counts.data(), rows_[x].counts.size()};
-}
-
 graph::Graph PairLedger::entanglement_graph(std::uint32_t threshold) const {
   graph::Graph result(node_count_);
   for (NodeId x = 0; x < node_count_; ++x) {
-    const Row& row = rows_[x];
-    for (std::size_t i = 0; i < row.partners.size(); ++i) {
-      if (row.partners[i] > x && row.counts[i] >= threshold) {
-        result.add_edge(x, row.partners[i]);
-      }
-    }
+    row(x).for_each([&](NodeId y, std::uint32_t count) {
+      if (y > x && count >= threshold) result.add_edge(x, y);
+    });
   }
   return result;
 }
 
 std::uint64_t PairLedger::memory_bytes() const {
   // Logical accounting with fixed constants: per-node row headers (two
-  // vector headers + the dirty slot) plus live entries (partner id +
-  // count, both symmetric copies counted) plus the dense count mirror
-  // and its slot index below kFullReserveNodeLimit (4 n^2 + 2 n^2 bytes).
+  // vector headers + the dirty slot) plus live entries, both symmetric
+  // copies counted — a partner id, plus its count above
+  // kFullReserveNodeLimit — plus the dense count mirror below it
+  // (4 n^2 bytes).
   constexpr std::uint64_t kPerNodeBytes = 56;
-  constexpr std::uint64_t kPerEntryBytes =
-      sizeof(NodeId) + sizeof(std::uint32_t);
+  const std::uint64_t per_entry_bytes =
+      sizeof(NodeId) + (dense_.empty() ? sizeof(std::uint32_t) : 0);
   std::uint64_t bytes = kPerNodeBytes * node_count_;
-  for (const Row& row : rows_) bytes += kPerEntryBytes * row.partners.size();
+  for (const Row& row : rows_) bytes += per_entry_bytes * row.partners.size();
   bytes += sizeof(std::uint32_t) * dense_.size();
-  bytes += sizeof(std::uint16_t) * slot_.size();
   return bytes;
 }
 
 void PairLedger::check_invariants() const {
   std::uint64_t recount = 0;
   for (NodeId x = 0; x < node_count_; ++x) {
-    const Row& row = rows_[x];
-    ensure(row.counts.size() == row.partners.size(),
-           "PairLedger: row partners and counts differ in length");
-    for (std::size_t k = 0; k < row.partners.size(); ++k) {
-      const NodeId y = row.partners[k];
+    const Row& raw = rows_[x];
+    ensure(raw.counts.size() == (dense_.empty() ? raw.partners.size() : 0),
+           "PairLedger: a row's counts are not where its regime keeps them");
+    const RowView row = this->row(x);
+    for (std::size_t k = 0; k < row.size(); ++k) {
+      const NodeId y = row.partners()[k];
       ensure(y < node_count_ && y != x, "PairLedger: row holds a bad partner");
-      ensure(k == 0 || row.partners[k - 1] < y,
+      ensure(k == 0 || row.partners()[k - 1] < y,
              "PairLedger: row is not strictly sorted");
-      ensure(row.counts[k] > 0, "PairLedger: row holds a zero count");
+      ensure(row.count_at(k) > 0, "PairLedger: row holds a zero count");
       const std::size_t back = partner_slot(rows_[y].partners, x);
       ensure(back != static_cast<std::size_t>(-1) &&
-                 rows_[y].counts[back] == row.counts[k],
+                 this->row(y).count_at(back) == row.count_at(k),
              "PairLedger: rows are not symmetric");
-      if (!slot_.empty()) {
-        ensure(slot_[x * node_count_ + y] == k,
-               "PairLedger: slot index misses a live partner");
-      }
-      if (y > x) recount += row.counts[k];
+      if (y > x) recount += row.count_at(k);
     }
     if (dense_.empty()) continue;
-    // The mirror equals the row entry for entry, absent pairs (and the
-    // diagonal) included.
+    // Off the row (the diagonal included) the mirror holds 0: a pair the
+    // rows do not list has no count.
     std::size_t k = 0;
     for (NodeId y = 0; y < node_count_; ++y) {
-      const bool live = k < row.partners.size() && row.partners[k] == y;
-      ensure(dense_[x * node_count_ + y] == (live ? row.counts[k] : 0),
-             "PairLedger: dense mirror differs from the rows");
+      const bool live = k < row.size() && row.partners()[k] == y;
+      ensure(live || dense_[x * node_count_ + y] == 0,
+             "PairLedger: dense mirror holds a count off the rows");
       if (live) ++k;
     }
   }

@@ -7,37 +7,33 @@
 // matrix plus per-node partner sets for fast swap-candidate enumeration,
 // and doubles as the instantaneous entanglement graph (§6).
 //
-// Hot-path layout: the counts live in per-node sparse rows — two parallel
-// sorted vectors (partner ids + counts) per node, so above
-// kFullReserveNodeLimit memory is O(nodes + live pair types), never
-// O(n^2) (below it the mirror and slot index add 6 n^2 bytes).
-// partners(x)/pair_counts(x) expose a row read-only; bulk readers (the
-// §4 merge decide, gossip's report sizing) walk it directly,
-// bounds-checked once per row, while count() stays the checked
-// single-pair probe. Below kFullReserveNodeLimit nodes every row
-// pre-reserves the dense worst case, so steady-state add/remove never
-// allocates (the zero-allocation hot-path contract); above it rows grow
-// amortized — the megascale regime, where a dense reserve would itself
-// be the n^2 allocation this layout exists to avoid.
+// Hot-path layout: every node has a sparse row, its partner ids sorted
+// ascending, for enumeration (the §4 eligibility walk, hybrid's route
+// search, decohere, purge and reader marking). Where a pair's count
+// lives depends on the node count, chosen once at construction and the
+// only selection rule:
 //
-// Dense count mirror and slot index: below the same limit the ledger also
-// keeps an n x n uint32 copy of the counts (4 n^2 bytes beside the rows'
-// 8 n^2 reserve; 40 KB at n = 100), written by every row mutation
-// (bump_pair, remove) and read through dense_row(x), or whole through
-// dense_counts() (gossip copies it once per round as its report
-// snapshot), and an n x n uint16 slot index (2 n^2 bytes; 20 KB at
-// n = 100): y's position in x's row while C_x(y) > 0. A mutation reads
-// the count before from the mirror; when the pair was live and stays
-// live it writes both rows' counts through the slot index in O(1), with
-// no search (95% of adds and 99.3% of removes over the eight serve_paper
-// cells at seed 1). Only an insert or an erase searches a row, shifts it
-// and re-indexes the shifted tail. The choice is made once, from the
-// node count, and is the only selection rule: small ledgers answer
-// count(), the commit's preferability recheck, reader marking's
-// common-partner probe and the §4 decide's beneficiary reads with one
-// indexed load; above the limit dense_row is null, there is no slot
-// index, and mutations and those readers fall back to the sorted rows
-// (binary search, or the decide's merge cursor).
+//   * Up to kFullReserveNodeLimit nodes, one dense n x n uint32 count
+//     mirror (4 n^2 bytes; 40 KB at n = 100) holds every count, and the
+//     rows hold ids only. A count-only add or remove is two mirror
+//     stores; only an insert or an erase searches a row and shifts it.
+//     count(), the commit's preferability recheck, reader marking and
+//     the §4 decide's beneficiary reads are one indexed load
+//     (dense_row(x)); gossip copies the whole mirror once per round as
+//     its report snapshot (dense_counts()). Every row pre-reserves the
+//     dense worst case, so steady-state add/remove never allocates (the
+//     zero-allocation hot-path contract).
+//   * Above it (the megascale regime) there is no mirror: each row
+//     carries a count vector parallel to its ids, so memory is
+//     O(nodes + live pair types), never O(n^2). Rows grow amortized —
+//     a dense reserve would itself be the n^2 allocation this layout
+//     exists to avoid — and mutations and count readers binary-search
+//     the sorted rows (the decide merges each donor's row instead).
+//
+// row(x) reads x's partners with their counts in either regime, so bulk
+// readers (the §4 eligibility walk, the merge decide, the entanglement
+// graph) walk a row bounds-checked once, while count() stays the checked
+// single-pair probe.
 //
 // add and remove are the only mutation paths; the generation merge is a
 // canonical-edge-order loop of add (sim::NetworkState::generate). Nothing
@@ -86,11 +82,49 @@ class PairLedger {
   /// Nodes y with count(x, y) > 0, ascending.
   [[nodiscard]] std::span<const NodeId> partners(NodeId x) const;
 
-  /// The counts of x's row, aligned with partners(x):
-  /// pair_counts(x)[k] == count(x, partners(x)[k]). Together the two spans
-  /// are x's sorted row, so a scan over many of x's pairs can walk it once
-  /// instead of probing count() per pair (the §4 merge decide does).
-  [[nodiscard]] std::span<const std::uint32_t> pair_counts(NodeId x) const;
+  /// One node's sorted row with its counts, read in place: count_at(k) ==
+  /// count(x, partners()[k]). Valid in both regimes — the counts come
+  /// from the mirror below kFullReserveNodeLimit and from the row above
+  /// it — so a scan over many of x's pairs walks the row once instead of
+  /// probing count() per pair. Invalidated by any ledger mutation.
+  class RowView {
+   public:
+    [[nodiscard]] std::span<const NodeId> partners() const { return partners_; }
+    [[nodiscard]] std::size_t size() const { return partners_.size(); }
+    [[nodiscard]] std::uint32_t count_at(std::size_t k) const {
+      return counts_ != nullptr ? counts_[k] : dense_[partners_[k]];
+    }
+    /// visit(y, count(x, y)) for every partner y, ascending; the regime
+    /// is tested once per row rather than once per entry (the form the
+    /// hot loops use).
+    template <typename Visit>
+    void for_each(Visit&& visit) const {
+      if (counts_ != nullptr) {
+        for (std::size_t k = 0; k < partners_.size(); ++k) visit(partners_[k], counts_[k]);
+      } else {
+        for (const NodeId y : partners_) visit(y, dense_[y]);
+      }
+    }
+
+   private:
+    friend class PairLedger;
+    RowView(std::span<const NodeId> partners, const std::uint32_t* counts,
+            const std::uint32_t* dense)
+        : partners_(partners), counts_(counts), dense_(dense) {}
+
+    std::span<const NodeId> partners_;
+    const std::uint32_t* counts_;  // the row's own counts (above the limit)
+    const std::uint32_t* dense_;   // x's mirror row (below the limit)
+  };
+
+  /// x's row (see RowView).
+  [[nodiscard]] RowView row(NodeId x) const {
+    require(x < node_count_, "PairLedger::row: node out of range");
+    const std::vector<NodeId>& partners = rows_[x].partners;
+    return dense_.empty()
+               ? RowView(partners, rows_[x].counts.data(), nullptr)
+               : RowView(partners, nullptr, dense_.data() + x * node_count_);
+  }
 
   /// x's row of the dense count mirror: dense_row(x)[y] == count(x, y)
   /// for every y != x, absent pairs included (0). Null above
@@ -165,11 +199,11 @@ class PairLedger {
   /// come close to the budget.
   static constexpr std::int64_t kMarkingBudgetPerNode = 8;
 
-  /// Below this node count every row pre-reserves node_count-1 slots
-  /// (dense worst case, <= ~8 MB total) so steady-state mutation never
-  /// allocates, and the dense count mirror (<= 4 MB) and its uint16 slot
-  /// index (<= 2 MB) are kept; above it rows grow amortized and memory
-  /// stays O(nodes + live pair types).
+  /// Up to this node count the dense count mirror (<= 4 MB) holds every
+  /// count and every row pre-reserves node_count-1 partner ids (dense
+  /// worst case, <= ~4 MB total) so steady-state mutation never
+  /// allocates; above it rows carry their own counts, grow amortized,
+  /// and memory stays O(nodes + live pair types).
   static constexpr std::size_t kFullReserveNodeLimit = 1024;
 
   /// Deterministic logical memory accounting: element counts times fixed
@@ -180,15 +214,16 @@ class PairLedger {
 
   /// Verify the ledger's internal consistency; throws InvariantError on
   /// the first violation: every row sorted, symmetric and free of zero
-  /// counts; below the limit, the mirror equal to the rows (absent pairs
-  /// 0) and the slot index pointing at every live partner; the total
-  /// equal to a recount. O(n^2) below the limit, O(live pairs log deg)
-  /// above it — for tests and debug checks, never a hot path.
+  /// counts; below the limit, the mirror symmetric and zero exactly off
+  /// the rows (diagonal included); the total equal to a recount. O(n^2)
+  /// below the limit, O(live pairs log deg) above it — for tests and
+  /// debug checks, never a hot path.
   void check_invariants() const;
 
  private:
-  /// One node's pairs: sorted partner ids with parallel counts. Both
-  /// symmetric entries of a pair are maintained (C_x(y) = C_y(x)).
+  /// One node's pairs: sorted partner ids, with parallel counts above
+  /// the limit only (below it counts stays empty and the mirror holds
+  /// them). Both symmetric entries of a pair are maintained.
   struct Row {
     std::vector<NodeId> partners;
     std::vector<std::uint32_t> counts;
@@ -202,11 +237,9 @@ class PairLedger {
   /// `amount` (> 0); returns the count before.
   std::uint32_t bump_pair(NodeId x, NodeId y, std::uint32_t amount);
   /// Insert y into x's row at `slot` (its sorted position) / erase x's
-  /// entry at `slot`; below the limit both re-index the shifted tail.
+  /// entry at `slot`; the count moves with the id only above the limit.
   void insert_entry(NodeId x, std::size_t slot, NodeId y, std::uint32_t amount);
   void erase_entry(NodeId x, std::size_t slot);
-  /// Point the slot index at x's partners from row position `from` on.
-  void reindex_tail(NodeId x, std::size_t from);
   /// Mark everything that reads C_x(y) as it moves before -> after: the
   /// endpoints (unless the count stays strictly under the reader
   /// threshold on both sides) and the eligible common partners.
@@ -214,14 +247,10 @@ class PairLedger {
                          std::uint32_t after);
 
   std::size_t node_count_;
-  std::vector<Row> rows_;                       // sparse symmetric counts
-  /// Row-major n x n mirror of the counts, sized once at construction
-  /// below kFullReserveNodeLimit, empty above it.
+  std::vector<Row> rows_;
+  /// Row-major n x n counts, sized once at construction up to
+  /// kFullReserveNodeLimit (the only count store there), empty above it.
   std::vector<std::uint32_t> dense_;
-  /// Row-major n x n slot index, sized with the mirror: slot_[x n + y]
-  /// is y's position in x's row while count(x, y) > 0, stale otherwise
-  /// (the mirror says which).
-  std::vector<std::uint16_t> slot_;
   std::uint64_t total_ = 0;
 
   // Dirty set (empty vector = tracking off).

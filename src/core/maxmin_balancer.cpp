@@ -38,32 +38,23 @@ bool MaxMinBalancer::is_preferable_given_beneficiary(
   return detour_allowed(x, left, right);
 }
 
-std::optional<SwapCandidate> MaxMinBalancer::best_swap(const PairLedger& ledger,
-                                                       NodeId x) const {
-  return best_swap(ledger, x, scratch_);
-}
-
 std::span<const MaxMinBalancer::Eligible> MaxMinBalancer::collect_eligible(
     const PairLedger& ledger, NodeId x, Scratch& scratch) const {
-  const auto partners = ledger.partners(x);
-  const auto counts = ledger.pair_counts(x);
-  if (scratch.eligible.size() < partners.size()) {
-    scratch.eligible.resize(partners.size());
-  }
+  const PairLedger::RowView row = ledger.row(x);
+  if (scratch.eligible.size() < row.size()) scratch.eligible.resize(row.size());
   Eligible* const eligible = scratch.eligible.data();
   std::size_t size = 0;
-  for (std::size_t k = 0; k < partners.size(); ++k) {
+  row.for_each([&](NodeId y, std::uint32_t count) {
     // floor(cap) is exact for the scan's test: an integer count c has
     // c + 1 <= cap iff c + 1 <= floor(cap). The clamp keeps the
     // conversion defined (a negative or NaN cap becomes room 0, which is
     // never eligible) and truncation is floor on what is left.
-    const double cap =
-        static_cast<double>(counts[k]) - distillation_.at(x, partners[k]);
+    const double cap = static_cast<double>(count) - distillation_.at(x, y);
     const auto room = static_cast<std::uint32_t>(
         std::min(static_cast<double>(UINT32_MAX), std::max(0.0, cap)));
-    eligible[size] = Eligible{partners[k], room};
+    eligible[size] = Eligible{y, room};
     size += room >= 1 ? 1 : 0;
-  }
+  });
   return {eligible, size};
 }
 
@@ -81,17 +72,14 @@ std::optional<SwapCandidate> MaxMinBalancer::best_swap(const PairLedger& ledger,
   return scan_pairs(x, eligible, [&ledger](NodeId a) {
     // Cursor over row(a), started past a itself: every b it is asked
     // about is a later eligible partner, so b > a and b only grows.
-    const auto partners = ledger.partners(a);
-    const auto counts = ledger.pair_counts(a);
-    const NodeId* const end = partners.data() + partners.size();
-    const NodeId* partner = std::lower_bound(partners.data(), end, a);
-    const std::uint32_t* count = counts.data() + (partner - partners.data());
-    return [partner, end, count](NodeId b) mutable -> std::uint32_t {
-      while (partner != end && *partner < b) {
-        ++partner;
-        ++count;
-      }
-      return partner != end && *partner == b ? *count : 0;
+    const PairLedger::RowView row = ledger.row(a);
+    const std::span<const NodeId> partners = row.partners();
+    auto k = static_cast<std::size_t>(
+        std::lower_bound(partners.begin(), partners.end(), a) - partners.begin());
+    return [row, k](NodeId b) mutable -> std::uint32_t {
+      const std::span<const NodeId> ids = row.partners();
+      while (k < ids.size() && ids[k] < b) ++k;
+      return k < ids.size() && ids[k] == b ? row.count_at(k) : 0;
     };
   });
 }

@@ -108,11 +108,7 @@ class MaxMinBalancer {
   };
 
   /// Best preferable swap at x under true (global) knowledge; nullopt when
-  /// no candidate is preferable.
-  [[nodiscard]] std::optional<SwapCandidate> best_swap(const PairLedger& ledger,
-                                                       NodeId x) const;
-
-  /// Thread-safe variant: identical decision, caller-owned scratch.
+  /// no candidate is preferable. Thread-safe: caller-owned scratch.
   /// Ledgers with a dense count mirror (PairLedger::dense_row) read each
   /// C_a(b) as dense_row(a)[b]. Larger ledgers run the merge decide: both
   /// the eligible list E and every ledger row are ascending, so for each
@@ -159,7 +155,8 @@ class MaxMinBalancer {
   }
 
   /// x's eligible partners (room floor(C_x(y) - D_{x,y}) >= 1),
-  /// ascending, read in one walk of x's row into scratch.eligible.
+  /// ascending, read in one walk of x's ledger row into
+  /// scratch.eligible.
   [[nodiscard]] std::span<const Eligible> collect_eligible(const PairLedger& ledger,
                                                            NodeId x,
                                                            Scratch& scratch) const;
@@ -206,7 +203,6 @@ class MaxMinBalancer {
   DistillationMatrix distillation_;
   BalancerPolicy policy_;
   const std::vector<std::vector<std::uint32_t>>* generation_distances_;
-  mutable Scratch scratch_;  // single-threaded convenience path only
 };
 
 }  // namespace poq::core

@@ -217,9 +217,11 @@ std::size_t encoded_size(const CountUpdate& update) {
 
 std::size_t count_report_size(NodeId reporter, std::uint64_t version,
                               std::size_t node_count,
-                              std::span<const std::uint32_t> live_counts) {
-  require(reporter < node_count && live_counts.size() < node_count,
-          "count_report_size: reporter or live count out of range");
+                              std::span<const std::uint32_t> counts) {
+  require(reporter < node_count &&
+              (counts.size() < node_count ||
+               (counts.size() == node_count && counts[reporter] == 0)),
+          "count_report_size: reporter or counts out of range");
   // Peer ids 0..n-1 take one byte each, plus one more per 7-bit boundary
   // an id reaches; the reporter is not its own peer.
   std::size_t peer_bytes = node_count - varint_size(reporter);
@@ -227,9 +229,9 @@ std::size_t count_report_size(NodeId reporter, std::uint64_t version,
     peer_bytes += node_count - boundary;
   }
   // Every count takes one byte, plus one more per 7-bit boundary it
-  // reaches; the absent peers' zeros take just the one.
+  // reaches; zeros (absent peers) take just the one.
   std::size_t count_bytes = node_count - 1;
-  for (const std::uint32_t count : live_counts) {
+  for (const std::uint32_t count : counts) {
     count_bytes += static_cast<std::size_t>(count >= (1u << 7)) + (count >= (1u << 14)) +
                    (count >= (1u << 21)) + (count >= (1u << 28));
   }

@@ -122,12 +122,14 @@ enum class MessageType : std::uint8_t {
 
 /// encoded_size of the dense count report `reporter` sends in a
 /// `node_count`-node network: one entry per other node, peer ids
-/// ascending, with `live_counts` the nonzero counts (in any order) and 0
-/// for every other peer. Closed form, without building the entries: the
-/// peer-id bytes depend only on (node_count, reporter), each absent peer
-/// costs one byte, and only the live counts need a varint length.
+/// ascending, with `counts` its nonzero counts (in any order) and 0 for
+/// every other peer. `counts` may also be the reporter's whole dense row
+/// (node_count entries, its own entry 0): a zero costs what an absent
+/// peer costs. Closed form, without building the entries: the peer-id
+/// bytes depend only on (node_count, reporter), each absent peer costs
+/// one byte, and only the live counts need a varint length.
 [[nodiscard]] std::size_t count_report_size(NodeId reporter, std::uint64_t version,
                                             std::size_t node_count,
-                                            std::span<const std::uint32_t> live_counts);
+                                            std::span<const std::uint32_t> counts);
 
 }  // namespace poq::net

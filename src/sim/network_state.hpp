@@ -78,10 +78,6 @@ class NetworkState {
   [[nodiscard]] const core::PairLedger& ledger() const { return ledger_; }
   /// Worker pool the kernels fan across.
   [[nodiscard]] ParallelTickEngine& pool() { return *pool_; }
-  /// Whether the decide kernel runs over the dirty frontier only.
-  [[nodiscard]] bool incremental_decide() const {
-    return tick_.incremental_decide;
-  }
   /// Cumulative per-phase wall-clock spent in this state's kernels.
   /// Mutable so drivers with bespoke kernel loops (fidelity slices) can
   /// account their phases here too.

@@ -81,7 +81,8 @@ TEST(Preferable, RejectsDegenerateTriples) {
 TEST(BestSwap, NoneWhenNoPairs) {
   PairLedger ledger(4);
   const MaxMinBalancer balancer = unit_balancer();
-  EXPECT_FALSE(balancer.best_swap(ledger, 0).has_value());
+  MaxMinBalancer::Scratch scratch;
+  EXPECT_FALSE(balancer.best_swap(ledger, 0, scratch).has_value());
 }
 
 TEST(BestSwap, PicksMinimalBeneficiary) {
@@ -93,7 +94,8 @@ TEST(BestSwap, PicksMinimalBeneficiary) {
   ledger.add(1, 2, 4);  // candidate (1,2) beneficiary 4
   ledger.add(1, 3, 2);  // candidate (1,3) beneficiary 2  <- minimal
   ledger.add(2, 3, 6);  // candidate (2,3) beneficiary 6
-  const auto best = balancer.best_swap(ledger, 0);
+  MaxMinBalancer::Scratch scratch;
+  const auto best = balancer.best_swap(ledger, 0, scratch);
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(NodePair(best->left, best->right), NodePair(1, 3));
   EXPECT_EQ(best->beneficiary_count, 2u);
@@ -104,7 +106,8 @@ TEST(BestSwap, ZeroBeneficiaryShortCircuits) {
   const MaxMinBalancer balancer = unit_balancer();
   ledger.add(0, 1, 5);
   ledger.add(0, 2, 5);
-  const auto best = balancer.best_swap(ledger, 0);
+  MaxMinBalancer::Scratch scratch;
+  const auto best = balancer.best_swap(ledger, 0, scratch);
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(best->beneficiary_count, 0u);
 }
@@ -165,6 +168,7 @@ std::uint32_t global_minimum(const PairLedger& ledger) {
 // A preferable swap never lowers the global minimum pair count.
 TEST(MaxMinProperty, GlobalMinimumNeverDecreases) {
   util::Rng rng(17);
+  MaxMinBalancer::Scratch scratch;
   for (int trial = 0; trial < 30; ++trial) {
     PairLedger ledger(6);
     const MaxMinBalancer balancer = unit_balancer();
@@ -175,7 +179,7 @@ TEST(MaxMinProperty, GlobalMinimumNeverDecreases) {
     }
     for (int step = 0; step < 200; ++step) {
       const NodeId x = static_cast<NodeId>(rng.uniform_index(6));
-      const auto candidate = balancer.best_swap(ledger, x);
+      const auto candidate = balancer.best_swap(ledger, x, scratch);
       if (!candidate) continue;
       const std::uint32_t before = global_minimum(ledger);
       balancer.execute_swap(ledger, x, candidate->left, candidate->right, rng);
@@ -254,8 +258,9 @@ TEST(MaxMinProperty, FrozenSystemReachesFixedPoint) {
   const Settled settled = settle(state, balancer, 10000);
   ASSERT_TRUE(settled.quiescent) << "balancing did not reach a fixed point";
   EXPECT_GT(settled.totals.swaps, 0u);
+  MaxMinBalancer::Scratch scratch;
   for (NodeId x = 0; x < 8; ++x) {
-    EXPECT_FALSE(balancer.best_swap(state.ledger(), x).has_value());
+    EXPECT_FALSE(balancer.best_swap(state.ledger(), x, scratch).has_value());
   }
 }
 
@@ -270,8 +275,9 @@ TEST_P(FrozenConvergenceSweep, TerminatesForAllDistillation) {
   fill_random(state.ledger(), 12, rng);
   const Settled settled = settle(state, balancer, 20000);
   ASSERT_TRUE(settled.quiescent) << "no fixed point at D=" << GetParam();
+  MaxMinBalancer::Scratch scratch;
   for (NodeId x = 0; x < 6; ++x) {
-    EXPECT_FALSE(balancer.best_swap(state.ledger(), x).has_value());
+    EXPECT_FALSE(balancer.best_swap(state.ledger(), x, scratch).has_value());
   }
 }
 
@@ -405,10 +411,9 @@ std::optional<SwapCandidate> pairwise_best_swap(
 PairLedger embed_above_limit(const PairLedger& ledger) {
   PairLedger embedded(PairLedger::kFullReserveNodeLimit + 1);
   for (NodeId a = 0; a < ledger.node_count(); ++a) {
-    const auto partners = ledger.partners(a);
-    const auto counts = ledger.pair_counts(a);
-    for (std::size_t k = 0; k < partners.size(); ++k) {
-      if (partners[k] > a) embedded.add(a, partners[k], counts[k]);
+    const PairLedger::RowView row = ledger.row(a);
+    for (std::size_t k = 0; k < row.size(); ++k) {
+      if (row.partners()[k] > a) embedded.add(a, row.partners()[k], row.count_at(k));
     }
   }
   return embedded;

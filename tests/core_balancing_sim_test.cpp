@@ -4,6 +4,7 @@
 
 #include <type_traits>
 
+#include "core/gossip.hpp"
 #include "core/workload.hpp"
 #include "graph/topology.hpp"
 #include "util/error.hpp"
@@ -90,17 +91,29 @@ TEST(BalancingSim, SeedChangesGenerationOrdering) {
   EXPECT_NE(a.pairs_generated, b.pairs_generated);
 }
 
+// generated + produced-by-swaps = consumed + destroyed-by-swaps + stored,
+// with one pair produced per swap.
+void expect_conserved(const BalancingResult& result) {
+  EXPECT_GT(result.swaps_performed, 0u);
+  EXPECT_EQ(result.pairs_produced_by_swaps, result.swaps_performed);
+  EXPECT_EQ(result.pairs_generated + result.pairs_produced_by_swaps,
+            result.pairs_consumed + result.pairs_spent_on_swaps + result.pairs_stored);
+}
+
+// The §4 run, and a gossip run: its stale-view swaps run through the same
+// swap phase and are booked the same way.
 TEST(BalancingSim, ConservationLaw) {
-  // generated = consumed + destroyed-by-swaps - produced-by-swaps + stored.
   const graph::Graph graph = graph::make_cycle(9);
   const Workload workload = small_workload(9, 6, 25, 5);
   BalancingConfig config;
   config.seed = 17;
   BalancingSimulation sim(graph, workload, config);
   const BalancingResult result = sim.run();
-  const std::uint64_t stored = sim.ledger().total_pairs();
-  EXPECT_EQ(result.pairs_generated + result.pairs_produced_by_swaps,
-            result.pairs_consumed + result.pairs_spent_on_swaps + stored);
+  EXPECT_EQ(result.pairs_stored, sim.ledger().total_pairs());
+  expect_conserved(result);
+  GossipConfig gossip;
+  gossip.base = config;
+  expect_conserved(run_gossip(graph, workload, gossip).base);
 }
 
 TEST(BalancingSim, HigherDistillationCostsMoreSwaps) {

@@ -106,9 +106,9 @@ TEST(PairLedger, TotalPairsAccumulates) {
   EXPECT_EQ(ledger.total_pairs(), 11u);
 }
 
-// pair_counts(x) is x's row read in place, and dense_row(x) is x's row of
-// the count mirror: after any mix of add, remove (to zero included),
-// integral and fractional NetworkState::generate and
+// row(x) is x's row with its counts read in place, and dense_row(x) is
+// x's row of the count mirror: after any mix of add, remove (to zero
+// included), integral and fractional NetworkState::generate and
 // NetworkState::purge_node, both agree with a reference matrix and with
 // count() entry for entry, absent pairs included, and check_invariants()
 // holds after every step. Runs below the mirror limit (every node churns)
@@ -139,12 +139,10 @@ void churn_rows_against_reference(std::size_t nodes) {
     // Every row entry matches the reference and the totals agree, so no
     // live reference pair is missing from the rows either.
     for (NodeId x = 0; x < nodes; ++x) {
-      const auto partners = ledger.partners(x);
-      const auto counts = ledger.pair_counts(x);
-      ASSERT_EQ(counts.size(), partners.size()) << "node " << x << " step " << step;
-      for (std::size_t k = 0; k < partners.size(); ++k) {
-        EXPECT_GT(counts[k], 0u);
-        EXPECT_EQ(counts[k], ref(x, partners[k]))
+      const PairLedger::RowView row = ledger.row(x);
+      for (std::size_t k = 0; k < row.size(); ++k) {
+        EXPECT_GT(row.count_at(k), 0u);
+        EXPECT_EQ(row.count_at(k), ref(x, row.partners()[k]))
             << "node " << x << " slot " << k << " step " << step;
       }
     }
@@ -206,7 +204,7 @@ void churn_rows_against_reference(std::size_t nodes) {
     if (testing::Test::HasFatalFailure()) return;
   }
   const auto past_end = static_cast<NodeId>(nodes);
-  EXPECT_THROW((void)ledger.pair_counts(past_end), PreconditionError);
+  EXPECT_THROW((void)ledger.row(past_end), PreconditionError);
   EXPECT_THROW((void)ledger.dense_row(past_end), PreconditionError);
 }
 
@@ -216,21 +214,27 @@ TEST(PairLedger, PairCountsAlignWithPartnersUnderChurn) {
 }
 
 // The mirror exists exactly up to kFullReserveNodeLimit nodes, and the
-// logical memory accounting charges its 4 n^2 bytes plus the slot
-// index's 2 n^2.
+// logical memory accounting charges its 4 n^2 bytes, a partner id per
+// row entry below the limit (the mirror holds the count) and an id plus
+// a count above it.
 TEST(PairLedger, DenseRowOnlyUpToFullReserveLimit) {
   const PairLedger at_limit(PairLedger::kFullReserveNodeLimit);
   const PairLedger above(PairLedger::kFullReserveNodeLimit + 1);
   EXPECT_NE(at_limit.dense_row(0), nullptr);
   EXPECT_EQ(above.dense_row(0), nullptr);
   EXPECT_EQ(above.dense_row(PairLedger::kFullReserveNodeLimit), nullptr);
-  const PairLedger small(3);
-  EXPECT_EQ(small.memory_bytes(), 56u * 3 + 4u * 9 + 2u * 9);
+  PairLedger small(3);
+  EXPECT_EQ(small.memory_bytes(), 56u * 3 + 4u * 9);
+  small.add(0, 1, 5);
+  EXPECT_EQ(small.memory_bytes(), 56u * 3 + 4u * 9 + 4u * 2);
+  PairLedger big(PairLedger::kFullReserveNodeLimit + 1);
+  big.add(0, 1, 5);
+  EXPECT_EQ(big.memory_bytes(), 56u * (PairLedger::kFullReserveNodeLimit + 1) + 8u * 2);
 }
 
 // Removing a pair that is not live throws and changes nothing, with and
-// without the mirror: below the limit the mirror count is checked before
-// the (stale) slot index entry of an erased pair is trusted.
+// without the mirror, for a pair that was never live and for one that
+// was erased.
 TEST(PairLedger, RemoveAbsentPairThrowsAndLeavesLedgerUnchanged) {
   for (const std::size_t nodes :
        {std::size_t{3}, PairLedger::kFullReserveNodeLimit + 1}) {
@@ -239,8 +243,7 @@ TEST(PairLedger, RemoveAbsentPairThrowsAndLeavesLedgerUnchanged) {
     const auto last = static_cast<NodeId>(nodes - 1);
     ledger.add(0, 1, 2);
     ledger.add(1, last, 1);
-    // (0, last) was never live; (0, 1) was live and is erased, so its
-    // slot index entries are stale.
+    // (0, last) was never live; (0, 1) was live and is erased.
     EXPECT_THROW(ledger.remove(0, last), PreconditionError);
     ledger.remove(1, 0, 2);
     EXPECT_THROW(ledger.remove(0, 1), PreconditionError);

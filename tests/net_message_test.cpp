@@ -284,6 +284,10 @@ TEST(Message, CountReportSizeMatchesEncodedSize) {
       ASSERT_EQ(count_report_size(reporter, version, n, live_counts), encoded_size(report))
           << "n " << n << " reporter " << reporter << " version " << version << " live "
           << live_counts.size();
+      // The reporter's whole dense row (zeros and its own 0 included), as
+      // gossip passes its mirror row, sizes the same report.
+      ASSERT_EQ(count_report_size(reporter, version, n, live), encoded_size(report))
+          << "dense row, n " << n << " reporter " << reporter;
       ++checked;
     }
   }
@@ -318,6 +322,11 @@ TEST(Message, CountReportSizeRejectsOutOfRangeRows) {
   EXPECT_THROW((void)count_report_size(3, 0, 3, {}), PreconditionError);
   EXPECT_THROW((void)count_report_size(0, 0, 2, two), PreconditionError);
   EXPECT_NO_THROW((void)count_report_size(0, 0, 3, two));
+  // A dense row has one entry per node and 0 at the reporter.
+  const std::vector<std::uint32_t> row = {4, 0, 1};
+  EXPECT_NO_THROW((void)count_report_size(1, 0, 3, row));
+  EXPECT_THROW((void)count_report_size(0, 0, 3, row), PreconditionError);
+  EXPECT_THROW((void)count_report_size(1, 0, 2, row), PreconditionError);
 }
 
 }  // namespace

@@ -256,16 +256,15 @@ TEST(NetworkStateGeneration, MergeMatchesScalarReference) {
           }
           EXPECT_EQ(state.generate(round, rate), expected) << "round " << round;
           for (NodeId x = 0; x < n; ++x) {
-            const auto partners = state.ledger().partners(x);
-            const auto counts = state.ledger().pair_counts(x);
-            const auto ref_partners = reference.partners(x);
-            const auto ref_counts = reference.pair_counts(x);
-            ASSERT_TRUE(std::equal(partners.begin(), partners.end(),
-                                   ref_partners.begin(), ref_partners.end()))
+            const core::PairLedger::RowView row = state.ledger().row(x);
+            const core::PairLedger::RowView ref_row = reference.row(x);
+            ASSERT_TRUE(std::equal(row.partners().begin(), row.partners().end(),
+                                   ref_row.partners().begin(), ref_row.partners().end()))
                 << "node " << x << " round " << round;
-            ASSERT_TRUE(std::equal(counts.begin(), counts.end(),
-                                   ref_counts.begin(), ref_counts.end()))
-                << "node " << x << " round " << round;
+            for (std::size_t k = 0; k < row.size(); ++k) {
+              ASSERT_EQ(row.count_at(k), ref_row.count_at(k))
+                  << "node " << x << " slot " << k << " round " << round;
+            }
           }
           EXPECT_EQ(state.ledger().total_pairs(), reference.total_pairs());
           if (round % 3 == 0) {

@@ -94,8 +94,8 @@ namespace {
 // counts, totals and the thresholded entanglement graph must agree after
 // every operation batch, and check_invariants() must hold after every
 // operation. Erasing rows to zero and re-inserting them exercises the
-// partner-slot insert/erase paths (and, below the mirror limit, the slot
-// index re-indexing) that the dense array never had.
+// partner-slot insert/erase paths (and, below the mirror limit, the
+// mirror's zero for an erased pair) that the dense array never had.
 void ledger_fuzz_against_dense(std::size_t nodes) {
   SCOPED_TRACE(testing::Message() << "nodes " << nodes);
   constexpr std::size_t kActive = 24;
