@@ -144,7 +144,7 @@ core::PairLedger deck_shaped_ledger(std::size_t n, std::uint64_t seed) {
 void BM_BestSwapScan(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const core::PairLedger ledger = deck_shaped_ledger(n, 7);
-  const core::MaxMinBalancer balancer((core::DistillationMatrix(1.0)));
+  const core::MaxMinBalancer balancer(1.0);
   core::MaxMinBalancer::Scratch scratch;
   scratch.reserve(n);
   core::NodeId node = 0;
@@ -310,7 +310,8 @@ void decide_kernel_bench(benchmark::State& state, bool incremental) {
   tick.threads = 1;
   tick.incremental_decide = incremental;
   sim::NetworkState net(graph, 1, tick);
-  net.ledger().set_reader_threshold(2);
+  const core::MaxMinBalancer balancer(1.0);
+  net.ledger().set_reader_threshold(balancer.min_eligible_count());
   util::Rng fill(7);
   for (core::NodeId x = 0; x < n; ++x) {
     for (core::NodeId y = x + 1; y < n; ++y) {
@@ -319,7 +320,6 @@ void decide_kernel_bench(benchmark::State& state, bool incremental) {
       }
     }
   }
-  const core::MaxMinBalancer balancer((core::DistillationMatrix(1.0)));
   const auto decide = [&](core::NodeId x, core::MaxMinBalancer::Scratch& s) {
     return balancer.best_swap(net.ledger(), x, s);
   };

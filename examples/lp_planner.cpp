@@ -73,7 +73,7 @@ int main() {
         std::tuple<const char*, double, double>{"QEC (R=3)", 1.0, 3.0},
         std::tuple<const char*, double, double>{"distilled + QEC", 2.0, 3.0}}) {
     core::SteadyStateSpec variant = spec;
-    variant.distillation = core::PairMatrix(d);
+    variant.distillation = d;
     variant.qec_overhead = r;
     // Headroom so the distilled variants stay feasible.
     for (core::RatedPair& edge : variant.generation_capacity) edge.rate = 20.0;

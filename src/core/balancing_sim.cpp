@@ -12,13 +12,15 @@ namespace poq::core {
 
 namespace {
 
-/// Probabilistic rounding of a fractional amount.
-std::uint32_t rounded_amount(double value, util::Rng& rng) {
-  const double floor_part = std::floor(value);
-  auto amount = static_cast<std::uint32_t>(floor_part);
-  const double frac = value - floor_part;
-  if (frac > 0.0 && rng.bernoulli(frac)) ++amount;
-  return amount;
+/// The config's own checks, run before any member is built from it.
+const BalancingConfig& checked(const BalancingConfig& config) {
+  require(std::isfinite(config.distillation) && config.distillation >= 0.0,
+          "BalancingConfig: D (distillation) must be finite and >= 0");
+  require(config.generation_per_edge_per_round >= 0.0,
+          "BalancingConfig: generation rate must be >= 0");
+  require(config.arrival_rate >= 0.0,
+          "BalancingConfig: arrival rate must be >= 0");
+  return config;
 }
 
 }  // namespace
@@ -28,26 +30,18 @@ BalancingSimulation::BalancingSimulation(const graph::Graph& generation_graph,
                                          const BalancingConfig& config)
     : generation_graph_(generation_graph),
       workload_(workload),
-      config_(config),
+      config_(checked(config)),
       oracle_(generation_graph),
       state_(generation_graph, config.seed, config.tick),
       // The dense distance matrix is materialized only when the decide
       // kernel actually reads it (detour slack); megascale runs stay
       // O(nodes + edges).
-      balancer_(DistillationMatrix(config.distillation), config.policy,
+      balancer_(config.distillation, config.policy,
                 config.policy.detour_slack ? &oracle_.dense() : nullptr),
       consume_rng_(util::Rng(config.seed).fork(3)) {
-  require(config.distillation >= 0.0, "BalancingConfig: D must be >= 0");
-  require(config.generation_per_edge_per_round >= 0.0,
-          "BalancingConfig: generation rate must be >= 0");
-  require(config.arrival_rate >= 0.0,
-          "BalancingConfig: arrival rate must be >= 0");
-  // Uniform distillation: a partner is eligible for the §4 scan only from
-  // count ceil(D + 1) (the smallest integer C with C - D >= 1), which
-  // lets the incremental decide skip marking for mutations no decision
-  // can observe.
-  state_.ledger().set_reader_threshold(
-      static_cast<std::uint32_t>(std::ceil(config.distillation + 1.0)));
+  // The incremental decide skips marking for mutations below the
+  // balancer's eligibility threshold: no decision can observe them.
+  state_.ledger().set_reader_threshold(balancer_.min_eligible_count());
   require(generation_graph.node_count() >= 3,
           "BalancingSimulation: need at least 3 nodes to swap");
   if (config_.faults.enabled()) {
@@ -174,12 +168,9 @@ void BalancingSimulation::consumption_phase() {
     const std::optional<NodePair> head = head_pair();
     if (!head) break;
     const NodePair pair = *head;
-    const double need = balancer_.distillation().at(pair.first, pair.second);
-    // A consumption event uses (and destroys) D_{x,y} pairs (§3.2's r-).
-    const auto need_ceiling = static_cast<std::uint32_t>(std::ceil(need));
-    if (ledger().count(pair.first, pair.second) < std::max(1u, need_ceiling)) break;
-    const std::uint32_t amount =
-        std::max(1u, rounded_amount(need, consume_rng_));
+    // A consumption event uses (and destroys) D pairs (§3.2's r-).
+    if (ledger().count(pair.first, pair.second) < balancer_.consumption_need()) break;
+    const std::uint32_t amount = std::max(1u, balancer_.spend(consume_rng_));
     ledger().remove(pair.first, pair.second,
                     std::min(amount, ledger().count(pair.first, pair.second)));
     result_.pairs_consumed += amount;

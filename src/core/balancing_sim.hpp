@@ -81,7 +81,8 @@ struct BalancingResult {
   std::uint64_t pairs_consumed = 0;
   /// Donor pairs destroyed as swap inputs (distillation included).
   std::uint64_t pairs_spent_on_swaps = 0;
-  /// Pairs produced by swaps (one per swap).
+  /// Pairs produced by swaps (one per §4 swap; a hybrid assist books the
+  /// end-to-end pairs it adds).
   std::uint64_t pairs_produced_by_swaps = 0;
   /// Pairs held in the ledger when the result was taken: generated +
   /// produced = consumed + spent + stored.
@@ -187,9 +188,15 @@ class BalancingSimulation {
   /// its keyed stream (never materialized).
   [[nodiscard]] NodePair pool_pair(std::uint64_t j) const;
 
-  /// Record `extra` additional swaps performed by a protocol variant
-  /// (e.g. hybrid path assembly) so overhead accounting stays honest.
-  void record_extra_swaps(std::uint64_t extra) { result_.swaps_performed += extra; }
+  /// Book work a protocol variant did outside the swap phase (hybrid path
+  /// assembly): `swaps` swaps that destroyed `spent` pairs and put
+  /// `produced` pairs into the ledger, so the swap overhead and the pair
+  /// balance (generated + produced = consumed + spent + stored) hold.
+  void record_swaps(std::uint64_t swaps, std::uint64_t spent, std::uint64_t produced) {
+    result_.swaps_performed += swaps;
+    result_.pairs_spent_on_swaps += spent;
+    result_.pairs_produced_by_swaps += produced;
+  }
 
   /// All-pairs generation-graph hop distances (shared with variants).
   /// Materializes the dense O(n^2) matrix on first call — gossip's

@@ -103,10 +103,10 @@ FidelitySimResult run_fidelity_sim(const graph::Graph& generation_graph,
   const std::size_t n = generation_graph.node_count();
   sim::NetworkState state(generation_graph, config.seed, config.tick,
                           decay_model(config));
-  const MaxMinBalancer balancer{DistillationMatrix(1.0)};
-  // The swap rule runs at D = 1: partners are eligible from count 2, so
-  // marking for the cached best_swap can skip sub-threshold mutations.
-  state.ledger().set_reader_threshold(2);
+  const MaxMinBalancer balancer{1.0};
+  // The swap rule runs at D = 1, so marking for the cached best_swap can
+  // skip mutations below the balancer's eligibility threshold.
+  state.ledger().set_reader_threshold(balancer.min_eligible_count());
   FidelitySimResult result;
 
   // Fault plan: one fault round per slice. Advanced serially at the slice

@@ -58,39 +58,46 @@ const std::vector<NodeId>& AssistRouter::route(const PairLedger& ledger,
 
 namespace {
 
+/// What an assist did to the ledger; all zero when no viable path exists.
+struct Assist {
+  double swaps = 0.0;
+  std::uint64_t spent = 0;
+  std::uint32_t produced = 0;
+};
+
 /// Try to produce the head request's pairs by nested swapping along a
-/// shortest entanglement-graph path. Returns the swaps spent, or 0 if no
-/// viable path exists.
-double attempt_assist(BalancingSimulation& sim, AssistRouter& router,
+/// shortest entanglement-graph path.
+Assist attempt_assist(BalancingSimulation& sim, AssistRouter& router,
                       const NodePair& pair, double distillation) {
   PairLedger& ledger = sim.ledger();
   // A direct pair that exists but is too weak to consume would be found as
   // a 1-edge "path"; the router routes around it so the assist can top
   // the count up.
   const std::vector<NodeId>& path = router.route(ledger, pair);
-  if (path.empty()) return 0.0;
+  if (path.empty()) return {};
   const std::size_t hops = path.size() - 1;
 
   // Consumption will destroy D raw (x,y) pairs, so the assist must
-  // manufacture ceil(D) of them; top-level usable_need = 1 already yields
-  // D raw top pairs in compute_nested_demand's accounting.
+  // manufacture the consumption need, max(1, ceil(D)), of them; top-level
+  // usable_need = 1 already yields D raw top pairs in
+  // compute_nested_demand's accounting.
   NestedDemand& demand = router.demand();
   compute_nested_demand(hops, distillation, demand);
   for (std::size_t k = 0; k + 1 < path.size(); ++k) {
     const auto have = ledger.count(path[k], path[k + 1]);
     if (static_cast<double>(have) < std::ceil(demand.edge_raw_demand[k])) {
-      return 0.0;  // some span pair cannot cover its share
+      return {};  // some span pair cannot cover its share
     }
   }
   // Execute: consume the span pairs, credit the end-to-end raw pairs.
+  Assist assist{demand.swap_count, 0, sim.balancer().consumption_need()};
   for (std::size_t k = 0; k + 1 < path.size(); ++k) {
-    ledger.remove(path[k], path[k + 1],
-                  static_cast<std::uint32_t>(std::ceil(demand.edge_raw_demand[k])));
+    const auto spent = static_cast<std::uint32_t>(std::ceil(demand.edge_raw_demand[k]));
+    ledger.remove(path[k], path[k + 1], spent);
+    assist.spent += spent;
   }
-  const auto produced =
-      static_cast<std::uint32_t>(std::max(1.0, std::ceil(distillation)));
-  ledger.add(pair.first, pair.second, produced);
-  return demand.swap_count;
+  ledger.add(pair.first, pair.second, assist.produced);
+  return assist;
 }
 
 }  // namespace
@@ -115,16 +122,18 @@ HybridResult run_hybrid(const graph::Graph& generation_graph, const Workload& wo
       const sim::PhaseStopwatch stopwatch(sim.state().timers().assist_ns);
       if (const std::optional<NodePair> head = sim.head_pair()) {
         const NodePair& pair = *head;
-        const auto need = static_cast<std::uint32_t>(
-            std::max(1.0, std::ceil(config.base.distillation)));
-        if (sim.ledger().count(pair.first, pair.second) < need) {
+        if (sim.ledger().count(pair.first, pair.second) <
+            sim.balancer().consumption_need()) {
           ++result.assists_attempted;
-          const double spent =
+          const Assist assist =
               attempt_assist(sim, router, pair, config.base.distillation);
-          if (spent > 0.0) {
+          // At D = 0 an assist needs no swap: its pairs are booked, but it
+          // does not count as a success.
+          sim.record_swaps(static_cast<std::uint64_t>(std::llround(assist.swaps)),
+                           assist.spent, assist.produced);
+          if (assist.swaps > 0.0) {
             ++result.assists_succeeded;
-            result.assist_swaps += spent;
-            sim.record_extra_swaps(static_cast<std::uint64_t>(std::llround(spent)));
+            result.assist_swaps += assist.swaps;
           }
         }
       }

@@ -153,15 +153,14 @@ class PairLedger {
   void enable_dirty_tracking();
   [[nodiscard]] bool dirty_tracking() const { return !dirty_.empty(); }
   /// Minimum count at which a partner becomes *eligible* for the §4 scan
-  /// (the smallest integer C with C - D >= 1, i.e. ceil(D + 1) for a
-  /// uniform distillation D). Tightens the marking: a node reads a
-  /// partner's exact count only once that partner is eligible, and it
-  /// reads a beneficiary count C_x(y) only when both x and y are eligible
-  /// partners — so a mutation that stays strictly below the threshold on
-  /// both sides marks no endpoint, and beneficiary readers are filtered
-  /// by their own eligibility toward the pair. The default (1) assumes
-  /// nothing (any nonzero count may be read) and is always safe; callers
-  /// with a uniform D may raise it. Protocol-exact, not a heuristic:
+  /// (MaxMinBalancer::min_eligible_count(), ceil(D) + 1). Tightens the
+  /// marking: a node reads a partner's exact count only once that
+  /// partner is eligible, and it reads a beneficiary count C_x(y) only
+  /// when both x and y are eligible partners — so a mutation that stays
+  /// strictly below the threshold on both sides marks no endpoint, and
+  /// beneficiary readers are filtered by their own eligibility toward
+  /// the pair. The default (1) assumes nothing (any nonzero count may be
+  /// read) and is always safe. Protocol-exact, not a heuristic:
   /// under-threshold counts are consulted only through the >= threshold
   /// predicate itself, which such a mutation cannot flip.
   void set_reader_threshold(std::uint32_t minimum_eligible_count);

@@ -1,6 +1,7 @@
 #include "core/lp_formulation.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "util/error.hpp"
@@ -30,6 +31,10 @@ struct SteadyStateLp::Build {
 
 SteadyStateLp::SteadyStateLp(SteadyStateSpec spec) : spec_(std::move(spec)) {
   require(spec_.node_count >= 3, "SteadyStateLp: need at least 3 nodes");
+  require(std::isfinite(spec_.distillation) && spec_.distillation >= 1.0,
+          "SteadyStateLp: distillation overhead D must be finite and >= 1");
+  require(spec_.survival > 0.0 && spec_.survival <= 1.0,
+          "SteadyStateLp: survival factor L must be in (0, 1]");
   require(spec_.qec_overhead >= 1.0, "SteadyStateLp: QEC overhead R must be >= 1");
   for (const RatedPair& entry : spec_.generation_capacity) {
     require(entry.pair.second < spec_.node_count, "SteadyStateLp: bad node id");
@@ -95,20 +100,17 @@ SteadyStateLp::Build SteadyStateLp::build(SteadyStateObjective objective) const 
   std::vector<lp::LinearExpr> rows(pairs);
   std::vector<double> rhs(pairs, 0.0);
 
-  // Swap terms: sigma_c({a,b}) arrives at (a,b) with +L_ab, departs from
-  // (c,a) with -D_ca and from (c,b) with -D_cb (Eqs. 3-4).
+  // Swap terms: sigma_c({a,b}) arrives at (a,b) with +L, departs from
+  // (c,a) and from (c,b) with -D each (Eqs. 3-4).
   for (NodeId center = 0; center < n; ++center) {
     for (NodeId a = 0; a < n; ++a) {
       if (a == center) continue;
       for (NodeId b = a + 1; b < n; ++b) {
         if (b == center) continue;
         const lp::VarId var = build.sigma[center * pairs + pair_index(n, a, b)];
-        rows[pair_index(n, a, b)].push_back(
-            lp::Term{var, spec_.survival.at(a, b)});
-        rows[pair_index(n, center, a)].push_back(
-            lp::Term{var, -spec_.distillation.at(center, a)});
-        rows[pair_index(n, center, b)].push_back(
-            lp::Term{var, -spec_.distillation.at(center, b)});
+        rows[pair_index(n, a, b)].push_back(lp::Term{var, spec_.survival});
+        rows[pair_index(n, center, a)].push_back(lp::Term{var, -spec_.distillation});
+        rows[pair_index(n, center, b)].push_back(lp::Term{var, -spec_.distillation});
       }
     }
   }
@@ -116,22 +118,21 @@ SteadyStateLp::Build SteadyStateLp::build(SteadyStateObjective objective) const 
   // Generation arrivals, thinned by QEC: +L g / R.
   for (std::size_t e = 0; e < spec_.generation_capacity.size(); ++e) {
     const NodePair& pair = spec_.generation_capacity[e].pair;
-    rows[pair_index(n, pair.first, pair.second)].push_back(lp::Term{
-        build.gen_vars[e],
-        spec_.survival.at(pair.first, pair.second) / spec_.qec_overhead});
+    rows[pair_index(n, pair.first, pair.second)].push_back(
+        lp::Term{build.gen_vars[e], spec_.survival / spec_.qec_overhead});
   }
 
   // Consumption departures: -D c (variable, pinned constant, or alpha-scaled).
   for (std::size_t d = 0; d < spec_.demand.size(); ++d) {
     const NodePair& pair = spec_.demand[d].pair;
-    const double overhead = spec_.distillation.at(pair.first, pair.second);
     const std::size_t row = pair_index(n, pair.first, pair.second);
     if (demand_pinned) {
-      rhs[row] += overhead * spec_.demand[d].rate;
+      rhs[row] += spec_.distillation * spec_.demand[d].rate;
     } else if (demand_scaled) {
-      rows[row].push_back(lp::Term{build.aux, -overhead * spec_.demand[d].rate});
+      rows[row].push_back(
+          lp::Term{build.aux, -spec_.distillation * spec_.demand[d].rate});
     } else {
-      rows[row].push_back(lp::Term{build.cons_vars[d], -overhead});
+      rows[row].push_back(lp::Term{build.cons_vars[d], -spec_.distillation});
     }
   }
 

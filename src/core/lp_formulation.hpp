@@ -1,17 +1,19 @@
 // The paper's path-oblivious LP (§3).
 //
 // Inputs: maximum generation rates gamma(x,y) (the physical architecture),
-// desired consumption rates kappa(x,y) (teleportation demand), per-pair
-// distillation overheads D_{x,y}, survival factors L_{x,y}, and a QEC
-// overhead R that thins generation to g/R (§3.2). Decision variables are
+// desired consumption rates kappa(x,y) (teleportation demand), a uniform
+// distillation overhead D, a uniform survival factor L, and a QEC
+// overhead R that thins generation to g/R (§3.2). The paper's §3.2 allows
+// D and L to vary per pair; every protocol here runs with one value each,
+// so the spec holds scalars. Decision variables are
 // the swap rates sigma_i(x,y) — any node may swap any pair of its
 // entanglement partners; no path structure is imposed — plus g and c where
 // the objective frees them.
 //
 // Steady-state constraint per unordered pair (x, y)  (Eqs. 1-4):
 //
-//   L_xy ( g(x,y)/R + sum_i sigma_i(x,y) )
-//     >= D_xy ( c(x,y) + sum_i ( sigma_x(i,y) + sigma_y(i,x) ) )
+//   L ( g(x,y)/R + sum_i sigma_i(x,y) )
+//     >= D ( c(x,y) + sum_i ( sigma_x(i,y) + sigma_y(i,x) ) )
 //
 // (arrivals >= departures; equality holds at a tight optimum).
 //
@@ -43,9 +45,9 @@ struct SteadyStateSpec {
   std::vector<RatedPair> generation_capacity;
   /// kappa: desired consumption rate per demand pair.
   std::vector<RatedPair> demand;
-  PairMatrix distillation{1.0};  // D_{x,y} >= 1
-  PairMatrix survival{1.0};      // L_{x,y} in (0, 1]
-  double qec_overhead = 1.0;     // R >= 1 (physical qubits per logical)
+  double distillation = 1.0;  // D >= 1, finite
+  double survival = 1.0;      // L in (0, 1]
+  double qec_overhead = 1.0;  // R >= 1 (physical qubits per logical)
 };
 
 enum class SteadyStateObjective {

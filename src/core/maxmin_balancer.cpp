@@ -7,12 +7,24 @@
 
 namespace poq::core {
 
+namespace {
+
+/// A non-negative whole number (or +infinity) as a count, saturated.
+std::uint32_t saturated(double whole) {
+  return whole < static_cast<double>(UINT32_MAX) ? static_cast<std::uint32_t>(whole)
+                                                 : UINT32_MAX;
+}
+
+}  // namespace
+
 MaxMinBalancer::MaxMinBalancer(
-    DistillationMatrix distillation, BalancerPolicy policy,
+    double distillation, BalancerPolicy policy,
     const std::vector<std::vector<std::uint32_t>>* generation_distances)
-    : distillation_(std::move(distillation)),
+    : distillation_(distillation),
       policy_(policy),
       generation_distances_(generation_distances) {
+  require(distillation_ >= 0.0, "MaxMinBalancer: D must be >= 0");
+  ceil_d_ = saturated(std::ceil(distillation_));
   require(!policy_.detour_slack.has_value() || generation_distances_ != nullptr,
           "MaxMinBalancer: detour policy requires generation distances");
 }
@@ -28,14 +40,9 @@ bool MaxMinBalancer::is_preferable_given_beneficiary(
     std::uint32_t beneficiary) const {
   require(left != right && left != x && right != x,
           "is_preferable: swap endpoints must be three distinct nodes");
-  const double cap_right =
-      static_cast<double>(ledger.count(x, right)) - distillation_.at(x, right);
-  const double cap_left =
-      static_cast<double>(ledger.count(x, left)) - distillation_.at(x, left);
-  if (static_cast<double>(beneficiary) + 1.0 > std::min(cap_left, cap_right)) {
-    return false;
-  }
-  return detour_allowed(x, left, right);
+  return beneficiary <
+             std::min(room(ledger.count(x, right)), room(ledger.count(x, left))) &&
+         detour_allowed(x, left, right);
 }
 
 std::span<const MaxMinBalancer::Eligible> MaxMinBalancer::collect_eligible(
@@ -45,15 +52,9 @@ std::span<const MaxMinBalancer::Eligible> MaxMinBalancer::collect_eligible(
   Eligible* const eligible = scratch.eligible.data();
   std::size_t size = 0;
   row.for_each([&](NodeId y, std::uint32_t count) {
-    // floor(cap) is exact for the scan's test: an integer count c has
-    // c + 1 <= cap iff c + 1 <= floor(cap). The clamp keeps the
-    // conversion defined (a negative or NaN cap becomes room 0, which is
-    // never eligible) and truncation is floor on what is left.
-    const double cap = static_cast<double>(count) - distillation_.at(x, y);
-    const auto room = static_cast<std::uint32_t>(
-        std::min(static_cast<double>(UINT32_MAX), std::max(0.0, cap)));
-    eligible[size] = Eligible{y, room};
-    size += room >= 1 ? 1 : 0;
+    const std::uint32_t y_room = room(count);
+    eligible[size] = Eligible{y, y_room};
+    size += y_room >= 1 ? 1 : 0;
   });
   return {eligible, size};
 }
@@ -87,20 +88,20 @@ std::optional<SwapCandidate> MaxMinBalancer::best_swap(const PairLedger& ledger,
 MaxMinBalancer::Execution MaxMinBalancer::execute_swap(PairLedger& ledger, NodeId x,
                                                        NodeId left, NodeId right,
                                                        util::Rng& rng) const {
-  const auto rounded = [&rng](double d) {
-    const double floor_part = std::floor(d);
-    const double frac = d - floor_part;
-    auto amount = static_cast<std::uint32_t>(floor_part);
-    if (frac > 0.0 && rng.bernoulli(frac)) ++amount;
-    return amount;
-  };
   Execution execution;
-  execution.consumed_left = rounded(distillation_.at(x, left));
-  execution.consumed_right = rounded(distillation_.at(x, right));
+  execution.consumed_left = spend(rng);
+  execution.consumed_right = spend(rng);
   ledger.remove(x, left, execution.consumed_left);
   ledger.remove(x, right, execution.consumed_right);
   ledger.add(left, right, 1);
   return execution;
+}
+
+std::uint32_t MaxMinBalancer::spend(util::Rng& rng) const {
+  const double whole = std::floor(distillation_);
+  const double fraction = distillation_ - whole;
+  // With a fraction, ceil(D) = floor(D) + 1.
+  return fraction > 0.0 && rng.bernoulli(fraction) ? ceil_d_ : saturated(whole);
 }
 
 }  // namespace poq::core

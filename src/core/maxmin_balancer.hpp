@@ -3,7 +3,7 @@
 // Node x, holding pairs toward y and y', may perform the swap
 // y' <- x -> y. The swap is *preferable* when
 //
-//   C_y(y') + 1 <= min( C_x(y) - D_{x,y},  C_x(y') - D_{x,y'} )
+//   C_y(y') + 1 <= min( C_x(y) - D,  C_x(y') - D )
 //
 // i.e. x only spends its own counts when the beneficiary pair would still
 // be no better off than either donor pair after the swap. Among multiple
@@ -22,9 +22,11 @@
 // Every decide runs the same candidate scan (scan_pairs): the eligible
 // partners come from one walk of x's ledger row, and the pairs are
 // visited in lexicographic (i, j) order keeping the first strict minimum.
-// The scan is integer-only: each eligible partner y carries its room
-// floor(C_x(y) - D_{x,y}), and since C_y(y') is an integer,
-// C_y(y') + 1 <= min(caps) exactly when C_y(y') < min(rooms). Under true
+// The rule is integer-only, and this class is its one home: for an
+// integer count c, floor(c - D) = c - k with k = ceil(D), so partner y's
+// room is C_x(y) - k (0 when C_x(y) <= k), and since C_y(y') is an
+// integer, C_y(y') + 1 <= min(caps) exactly when C_y(y') < min(rooms).
+// The scan and the commit recheck both test that. Under true
 // knowledge the beneficiary counts are read from the ledger's dense
 // count mirror below PairLedger::kFullReserveNodeLimit (one load per
 // pair), and above it by merging each donor's sorted row against the
@@ -64,9 +66,11 @@ struct BalancerPolicy {
 /// the PairLedger so alternative knowledge models can reuse the logic.
 class MaxMinBalancer {
  public:
-  /// `generation_distances` (all-pairs hop counts, aligned with node ids)
-  /// is required iff policy.detour_slack is set; the caller keeps it alive.
-  MaxMinBalancer(DistillationMatrix distillation, BalancerPolicy policy = {},
+  /// `distillation` is the uniform overhead D >= 0 (+infinity allowed: no
+  /// partner is ever eligible). `generation_distances` (all-pairs hop
+  /// counts, aligned with node ids) is required iff policy.detour_slack
+  /// is set; the caller keeps it alive.
+  MaxMinBalancer(double distillation, BalancerPolicy policy = {},
                  const std::vector<std::vector<std::uint32_t>>* generation_distances =
                      nullptr);
 
@@ -85,8 +89,8 @@ class MaxMinBalancer {
   /// A partner x holds enough pairs toward to spend on a swap.
   struct Eligible {
     NodeId node;
-    /// floor(C_x(node) - D_{x,node}) >= 1: the swap toward node is
-    /// affordable for a beneficiary count below it.
+    /// C_x(node) - ceil(D) >= 1: the swap toward node is affordable for
+    /// a beneficiary count below it.
     std::uint32_t room;
   };
 
@@ -131,10 +135,9 @@ class MaxMinBalancer {
     });
   }
 
-  /// Execute left <- x -> right on the ledger: consumes D_{x,right} pairs
-  /// of (x,right) and D_{x,left} of (x,left) (fractional D uses
-  /// probabilistic rounding via `rng`), produces one (left,right) pair.
-  /// Returns the amounts actually consumed.
+  /// Execute left <- x -> right on the ledger: consumes spend(rng) pairs
+  /// of (x,left), then spend(rng) of (x,right), and produces one
+  /// (left,right) pair. Returns the amounts actually consumed.
   struct Execution {
     std::uint32_t consumed_left = 0;
     std::uint32_t consumed_right = 0;
@@ -142,7 +145,20 @@ class MaxMinBalancer {
   Execution execute_swap(PairLedger& ledger, NodeId x, NodeId left, NodeId right,
                          util::Rng& rng) const;
 
-  [[nodiscard]] const DistillationMatrix& distillation() const { return distillation_; }
+  /// The pairs one use of D destroys: floor(D), or ceil(D) with
+  /// probability D - floor(D) (a Bernoulli draw from `rng` only when
+  /// that fraction is positive). Shared by swaps and consumption.
+  [[nodiscard]] std::uint32_t spend(util::Rng& rng) const;
+
+  /// The smallest count with room >= 1 (ceil(D) + 1, saturating): the
+  /// ledger's reader threshold, below which no decision can see a count.
+  [[nodiscard]] std::uint32_t min_eligible_count() const {
+    return ceil_d_ + (ceil_d_ < UINT32_MAX ? 1 : 0);
+  }
+
+  /// Pairs a consumer pair must hold to be consumed, and the pairs a
+  /// hybrid assist manufactures for it: max(1, ceil(D)).
+  [[nodiscard]] std::uint32_t consumption_need() const { return std::max(1u, ceil_d_); }
 
  private:
   /// The §6 detour test; true when no detour policy is set.
@@ -154,9 +170,13 @@ class MaxMinBalancer {
     return through_x <= static_cast<std::uint64_t>(dist[a][b]) + *policy_.detour_slack;
   }
 
-  /// x's eligible partners (room floor(C_x(y) - D_{x,y}) >= 1),
-  /// ascending, read in one walk of x's ledger row into
-  /// scratch.eligible.
+  /// The §4 room of an own count: floor(count - D) = count - ceil(D) >= 0.
+  [[nodiscard]] std::uint32_t room(std::uint32_t count) const {
+    return count > ceil_d_ ? count - ceil_d_ : 0;
+  }
+
+  /// x's eligible partners (room(C_x(y)) >= 1), ascending, read in one
+  /// walk of x's ledger row into scratch.eligible.
   [[nodiscard]] std::span<const Eligible> collect_eligible(const PairLedger& ledger,
                                                            NodeId x,
                                                            Scratch& scratch) const;
@@ -200,7 +220,10 @@ class MaxMinBalancer {
     return best;
   }
 
-  DistillationMatrix distillation_;
+  double distillation_;
+  /// ceil(D), saturated at UINT32_MAX (no count exceeds it, so a huge or
+  /// infinite D leaves every room 0 without overflowing a cast).
+  std::uint32_t ceil_d_;
   BalancerPolicy policy_;
   const std::vector<std::vector<std::uint32_t>>* generation_distances_;
 };

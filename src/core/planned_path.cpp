@@ -67,7 +67,8 @@ PlannedPathResult run_planned_path(const graph::Graph& generation_graph,
                                    const Workload& workload,
                                    const PlannedPathConfig& config) {
   require(config.window >= 1, "PlannedPathConfig: window must be >= 1");
-  require(config.distillation >= 0.0, "PlannedPathConfig: D must be >= 0");
+  require(std::isfinite(config.distillation) && config.distillation >= 0.0,
+          "PlannedPathConfig: D (distillation) must be finite and >= 0");
 
   PlannedPathResult result;
 

@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <stdexcept>
-#include <vector>
 
 #include "graph/graph.hpp"
 
@@ -32,42 +30,5 @@ struct NodePairHash {
         (static_cast<std::uint64_t>(pair.first) << 32) | pair.second);
   }
 };
-
-/// Symmetric per-pair scalar with a cheap uniform representation. Used
-/// for the distillation overheads D_{x,y} (expected pairs consumed per
-/// use, §3.2) and the survival factors L_{x,y} (fraction of arrivals that
-/// outlive distillation/decoherence, Eq. 3).
-class PairMatrix {
- public:
-  /// Uniform value for every pair.
-  explicit PairMatrix(double uniform = 1.0) : uniform_(uniform) {}
-
-  /// Per-pair values for `node_count` nodes, initialized to `uniform`.
-  PairMatrix(std::size_t node_count, double uniform)
-      : uniform_(uniform), node_count_(node_count),
-        values_(node_count * node_count, uniform) {}
-
-  [[nodiscard]] double at(NodeId x, NodeId y) const {
-    if (values_.empty()) return uniform_;
-    return values_[static_cast<std::size_t>(x) * node_count_ + y];
-  }
-
-  /// Per-pair override; only valid on instances built with a node count.
-  void set(NodeId x, NodeId y, double value) {
-    if (values_.empty() || x >= node_count_ || y >= node_count_) {
-      throw std::out_of_range("PairMatrix::set: construct with a node count first");
-    }
-    values_[static_cast<std::size_t>(x) * node_count_ + y] = value;
-    values_[static_cast<std::size_t>(y) * node_count_ + x] = value;
-  }
-
- private:
-  double uniform_;
-  std::size_t node_count_ = 0;
-  std::vector<double> values_;
-};
-
-/// D_{x,y} in protocol code reads better under its domain name.
-using DistillationMatrix = PairMatrix;
 
 }  // namespace poq::core

@@ -614,8 +614,8 @@ class LpProtocol final : public Protocol {
     std::vector<KnobSpec> knobs = {
         {"gamma", KnobType::kDouble, 1.0, "generation capacity per edge"},
         {"kappa", KnobType::kDouble, 0.1, "demand per consumer pair"},
-        {"distillation", KnobType::kDouble, 1.0, "distillation matrix scalar"},
-        {"survival", KnobType::kDouble, 1.0, "survival matrix scalar"},
+        {"distillation", KnobType::kDouble, 1.0, "distillation overhead D"},
+        {"survival", KnobType::kDouble, 1.0, "survival factor L"},
         {"qec", KnobType::kDouble, 1.0, "QEC overhead R"},
         {"objective", KnobType::kString, std::string("min-generation"),
          "min-generation|min-max-generation|max-consumption|"
@@ -662,8 +662,8 @@ class LpProtocol final : public Protocol {
     for (const core::NodePair& pair : instance.workload.pairs) {
       lp_spec.demand.push_back(core::RatedPair{pair, kappa});
     }
-    lp_spec.distillation = core::PairMatrix(spec.knob_double("distillation", 1.0));
-    lp_spec.survival = core::PairMatrix(spec.knob_double("survival", 1.0));
+    lp_spec.distillation = spec.knob_double("distillation", 1.0);
+    lp_spec.survival = spec.knob_double("survival", 1.0);
     lp_spec.qec_overhead = spec.knob_double("qec", 1.0);
 
     const std::string objective_name =

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -19,7 +20,7 @@ namespace poq::core {
 namespace {
 
 MaxMinBalancer unit_balancer(double distillation = 1.0) {
-  return MaxMinBalancer(DistillationMatrix(distillation));
+  return MaxMinBalancer(distillation);
 }
 
 // §4's rule, literal reading: swap y' <- x -> y is preferable iff
@@ -292,7 +293,7 @@ TEST(DetourPolicy, RestrictsFarSwaps) {
   const auto distances = graph::all_pairs_distances(graph);
   BalancerPolicy policy;
   policy.detour_slack = 0;
-  const MaxMinBalancer balancer(DistillationMatrix(1.0), policy, &distances);
+  const MaxMinBalancer balancer(1.0, policy, &distances);
 
   PairLedger on_path(6);
   on_path.add(3, 2, 4);
@@ -307,15 +308,14 @@ TEST(DetourPolicy, RestrictsFarSwaps) {
   // Positive slack re-allows it.
   BalancerPolicy loose;
   loose.detour_slack = 2;
-  const MaxMinBalancer relaxed(DistillationMatrix(1.0), loose, &distances);
+  const MaxMinBalancer relaxed(1.0, loose, &distances);
   EXPECT_TRUE(relaxed.is_preferable(detour, 0, 2, 4));
 }
 
 TEST(DetourPolicy, RequiresDistances) {
   BalancerPolicy policy;
   policy.detour_slack = 1;
-  EXPECT_THROW(MaxMinBalancer(DistillationMatrix(1.0), policy, nullptr),
-               PreconditionError);
+  EXPECT_THROW(MaxMinBalancer(1.0, policy, nullptr), PreconditionError);
 }
 
 TEST(CommitStats, AccountsConservation) {
@@ -353,14 +353,14 @@ struct ScanShape {
 /// change a first strict minimum) so it can also report the scan's shape.
 template <typename Beneficiary>
 std::optional<SwapCandidate> pairwise_best_swap(
-    const PairLedger& ledger, const DistillationMatrix& distillation,
+    const PairLedger& ledger, double distillation,
     const std::vector<std::vector<std::uint32_t>>& distances,
     std::optional<std::uint32_t> detour_slack, NodeId x, ScanShape& shape,
     Beneficiary&& beneficiary_of) {
   shape.empty_row = ledger.partners(x).empty();
   std::vector<std::pair<NodeId, double>> eligible;
   for (const NodeId y : ledger.partners(x)) {
-    const double cap = static_cast<double>(ledger.count(x, y)) - distillation.at(x, y);
+    const double cap = static_cast<double>(ledger.count(x, y)) - distillation;
     if (cap >= 1.0) {
       eligible.emplace_back(y, cap);
     } else {
@@ -399,7 +399,7 @@ std::optional<SwapCandidate> pairwise_best_swap(
 }
 
 std::optional<SwapCandidate> pairwise_best_swap(
-    const PairLedger& ledger, const DistillationMatrix& distillation,
+    const PairLedger& ledger, double distillation,
     const std::vector<std::vector<std::uint32_t>>& distances,
     std::optional<std::uint32_t> detour_slack, NodeId x, ScanShape& shape) {
   return pairwise_best_swap(ledger, distillation, distances, detour_slack, x, shape,
@@ -433,11 +433,11 @@ void expect_same_swap(const std::optional<SwapCandidate>& actual,
 // up to kFullReserveNodeLimit nodes) and the sorted-row merge cursor
 // (larger ledgers) — pick exactly the swap the pairwise count(a, b) loop
 // picks: same pair, same count, same lexicographic first minimum, across
-// sparse and dense pair sets, empty rows, per-pair fractional
-// distillation and detour policies. Every trial runs twice: on an n-node
-// ledger, and with the same pairs embedded in a ledger just above the
-// limit, which has no mirror. The oracle reads the embedded ledger, whose
-// count() is a binary search over the sorted rows.
+// sparse and dense pair sets, empty rows, integer and fractional D and
+// detour policies. Every trial runs twice: on an n-node ledger, and with
+// the same pairs embedded in a ledger just above the limit, which has no
+// mirror. The oracle reads the embedded ledger, whose count() is a binary
+// search over the sorted rows.
 TEST(BestSwapKernel, MergeMatchesPairwiseOracle) {
   util::Rng rng(0x5EED);
   ScanShape covered;
@@ -457,24 +457,17 @@ TEST(BestSwapKernel, MergeMatchesPairwiseOracle) {
       }
     }
 
-    DistillationMatrix distillation(1.0);
+    double distillation = 1.0;
     switch (rng.uniform_index(3)) {
       case 0:
         break;
       case 1:
-        distillation = DistillationMatrix(1.0 + 0.5 * static_cast<double>(rng.uniform_index(4)));
+        distillation = 1.0 + 0.5 * static_cast<double>(rng.uniform_index(4));
         break;
-      default: {
-        // Per-pair fractional overheads: eligibility differs per partner.
-        DistillationMatrix per_pair(n, 1.0);
-        for (NodeId a = 0; a < n; ++a) {
-          for (NodeId b = a + 1; b < n; ++b) {
-            per_pair.set(a, b, 0.25 * static_cast<double>(rng.uniform_index(13)));
-          }
-        }
-        distillation = per_pair;
+      default:
+        // Quarter steps from 0 to 3: integer and fractional D alike.
+        distillation = 0.25 * static_cast<double>(rng.uniform_index(13));
         break;
-      }
     }
 
     PairLedger embedded = embed_above_limit(ledger);
@@ -515,16 +508,20 @@ TEST(BestSwapKernel, MergeMatchesPairwiseOracle) {
   EXPECT_TRUE(covered.tie_at_minimum);
 }
 
-// The scan tests beneficiary < min(room) in integers, with room =
-// floor(C - D) per eligible partner. Both edges of that arithmetic against
-// the real-valued pairwise loop: D = 0 (room = C, every partner with one
-// pair is eligible) and fractional D, with counts around 2^31 (own counts
-// and beneficiaries alike, so the comparisons happen at that scale, next
-// to the 0 of every absent pair) as well as small ones.
+// The scan and the commit recheck test beneficiary < min(room) in
+// integers, with room = C - ceil(D) (0 when C <= ceil(D)). Every edge of
+// that arithmetic against the real-valued rule: D = 0 (room = C, every
+// partner with one pair is eligible), fractional D, and D so large that
+// ceil(D) saturates (2^32, 1e300, +infinity: nothing is eligible), with
+// counts around 2^31 (own counts and beneficiaries alike, so the
+// comparisons happen at that scale, next to the 0 of every absent pair)
+// as well as small ones. best_swap is checked against the pairwise loop,
+// is_preferable against the caps C - D of every candidate pair.
 TEST(BestSwapKernel, IntegerRoomMatchesPairwiseOracleAtZeroDAndNear2To31) {
   util::Rng rng(0xD0);
   ScanShape covered;
   std::uint64_t decisions = 0;
+  std::uint64_t preferable = 0;
   for (int trial = 0; trial < 160; ++trial) {
     const std::size_t n = 4 + rng.uniform_index(21);
     const std::uint32_t base = trial % 2 == 0 ? 0u : (1u << 31) - 4;
@@ -537,21 +534,22 @@ TEST(BestSwapKernel, IntegerRoomMatchesPairwiseOracleAtZeroDAndNear2To31) {
         }
       }
     }
-    const double d = std::vector<double>{0.0, 0.0, 0.5, 1.0, 1.5, 2.75}[rng.uniform_index(6)];
-    const DistillationMatrix distillation(d);
+    const double d =
+        std::vector<double>{0.0, 0.0, 0.5, 1.0, 1.5, 2.75, 4294967296.0, 1e300,
+                            std::numeric_limits<double>::infinity()}[rng.uniform_index(9)];
     PairLedger embedded = embed_above_limit(ledger);
     const auto distances = graph::all_pairs_distances(graph::make_cycle(n));
     std::optional<std::uint32_t> detour_slack;
     if (rng.bernoulli(0.25)) detour_slack = static_cast<std::uint32_t>(rng.uniform_index(3));
     BalancerPolicy policy;
     policy.detour_slack = detour_slack;
-    const MaxMinBalancer balancer(distillation, policy, &distances);
+    const MaxMinBalancer balancer(d, policy, &distances);
 
     MaxMinBalancer::Scratch scratch;
     for (NodeId x = 0; x < n; ++x) {
       ScanShape shape;
       const auto expected =
-          pairwise_best_swap(embedded, distillation, distances, detour_slack, x, shape);
+          pairwise_best_swap(embedded, d, distances, detour_slack, x, shape);
       if (expected) ++decisions;
       for (const PairLedger* reader : {&ledger, &embedded}) {
         const char* kind = reader == &ledger ? "dense" : "sparse";
@@ -562,9 +560,32 @@ TEST(BestSwapKernel, IntegerRoomMatchesPairwiseOracleAtZeroDAndNear2To31) {
       }
       covered.tie_at_minimum |= shape.tie_at_minimum;
       covered.ineligible_partner |= shape.ineligible_partner;
+      for (NodeId left = 0; left < n; ++left) {
+        for (NodeId right = left + 1; right < n; ++right) {
+          if (left == x || right == x) continue;
+          const auto cap = [&](NodeId y) {
+            return static_cast<double>(embedded.count(x, y)) - d;
+          };
+          const bool detour_ok =
+              !detour_slack ||
+              static_cast<std::uint64_t>(distances[left][x]) + distances[x][right] <=
+                  static_cast<std::uint64_t>(distances[left][right]) + *detour_slack;
+          const bool expected_preferable =
+              static_cast<double>(embedded.count(left, right)) + 1.0 <=
+                  std::min(cap(left), cap(right)) &&
+              detour_ok;
+          preferable += expected_preferable ? 1 : 0;
+          for (const PairLedger* reader : {&ledger, &embedded}) {
+            EXPECT_EQ(balancer.is_preferable(*reader, x, left, right), expected_preferable)
+                << "D " << d << " base " << base << " trial " << trial << " swap " << left
+                << " <- " << x << " -> " << right;
+          }
+        }
+      }
     }
   }
   EXPECT_GT(decisions, 0u);
+  EXPECT_GT(preferable, 0u);
   EXPECT_TRUE(covered.tie_at_minimum);
   EXPECT_TRUE(covered.ineligible_partner);
 }
@@ -594,8 +615,7 @@ TEST(BestSwapKernel, StaleViewMatchesPairwiseOracle) {
     // reports[reporter][peer] and rounds[reporter], as node x holds them.
     std::vector<std::vector<std::uint32_t>> reports(n, std::vector<std::uint32_t>(n, 0));
     std::vector<std::uint32_t> rounds(n, 0);
-    const DistillationMatrix distillation(
-        std::vector<double>{0.0, 1.0, 1.5}[rng.uniform_index(3)]);
+    const double distillation = std::vector<double>{0.0, 1.0, 1.5}[rng.uniform_index(3)];
     const auto distances = graph::all_pairs_distances(
         rng.bernoulli(0.5) ? graph::make_cycle(n) : graph::make_star(n));
     std::optional<std::uint32_t> detour_slack;

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
 #include <type_traits>
 
 #include "core/gossip.hpp"
+#include "core/hybrid.hpp"
 #include "core/workload.hpp"
 #include "graph/topology.hpp"
 #include "util/error.hpp"
@@ -114,6 +117,15 @@ TEST(BalancingSim, ConservationLaw) {
   GossipConfig gossip;
   gossip.base = config;
   expect_conserved(run_gossip(graph, workload, gossip).base);
+  // A hybrid run books its assists' spent and produced pairs too. An
+  // assist does not produce one pair per swap, so only the balance holds.
+  HybridConfig hybrid;
+  hybrid.base = config;
+  const HybridResult assisted = run_hybrid(graph, workload, hybrid);
+  EXPECT_GT(assisted.assists_succeeded, 0u);
+  EXPECT_EQ(assisted.base.pairs_generated + assisted.base.pairs_produced_by_swaps,
+            assisted.base.pairs_consumed + assisted.base.pairs_spent_on_swaps +
+                assisted.base.pairs_stored);
 }
 
 TEST(BalancingSim, HigherDistillationCostsMoreSwaps) {
@@ -217,6 +229,38 @@ TEST(BalancingSim, RejectsDisconnectedConsumerPair) {
   workload.sequence = {0};
   BalancingConfig config;
   EXPECT_THROW(BalancingSimulation(graph, workload, config), PreconditionError);
+}
+
+// A non-finite D is refused with a message that names it. A finite but
+// huge D runs: its ceil saturates, so no partner is ever eligible and no
+// consumer pair ever holds enough pairs.
+TEST(BalancingSim, RejectsNonFiniteDistillationAndRunsHugeOne) {
+  const graph::Graph graph = graph::make_cycle(9);
+  const Workload workload = small_workload(9, 6, 25, 5);
+  BalancingConfig config;
+  for (const double d : {std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    config.distillation = d;
+    try {
+      BalancingSimulation sim(graph, workload, config);
+      ADD_FAILURE() << "D " << d << " accepted";
+    } catch (const PreconditionError& error) {
+      EXPECT_NE(std::string(error.what()).find("D (distillation)"), std::string::npos)
+          << error.what();
+    }
+  }
+  config.distillation = 1e300;
+  config.max_rounds = 30;
+  const BalancingResult result = run_balancing(graph, workload, config);
+  EXPECT_FALSE(result.completed);
+  EXPECT_EQ(result.swaps_performed, 0u);
+  EXPECT_EQ(result.requests_satisfied, 0u);
+  HybridConfig hybrid;
+  hybrid.base = config;
+  const HybridResult assisted = run_hybrid(graph, workload, hybrid);
+  EXPECT_GT(assisted.assists_attempted, 0u);
+  EXPECT_EQ(assisted.assists_succeeded, 0u);
+  EXPECT_EQ(assisted.base.swaps_performed, 0u);
 }
 
 TEST(BalancingSim, WaitStatsPopulated) {

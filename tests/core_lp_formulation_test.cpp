@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/nested.hpp"
 #include "graph/topology.hpp"
@@ -54,7 +55,7 @@ TEST(SteadyStateLp, DistillationSquaresTwoHopCost) {
   for (double d : {1.0, 2.0, 3.0}) {
     SteadyStateSpec spec = spec_from_graph(graph::make_path(3), 100.0);
     spec.demand.push_back(RatedPair{NodePair(0, 2), 1.0});
-    spec.distillation = PairMatrix(d);
+    spec.distillation = d;
     const SteadyStateLp lp(spec);
     const SteadyStateSolution solution =
         lp.solve(SteadyStateObjective::kMinTotalGeneration);
@@ -89,7 +90,7 @@ TEST(SteadyStateLp, QecThinningScalesGeneration) {
 TEST(SteadyStateLp, SurvivalLossScalesGeneration) {
   SteadyStateSpec spec = spec_from_graph(graph::make_path(3), 100.0);
   spec.demand.push_back(RatedPair{NodePair(0, 2), 1.0});
-  spec.survival = PairMatrix(0.5);  // half of arrivals survive
+  spec.survival = 0.5;  // half of arrivals survive
   const SteadyStateLp lp(spec);
   const SteadyStateSolution solution =
       lp.solve(SteadyStateObjective::kMinTotalGeneration);
@@ -203,7 +204,7 @@ TEST(SteadyStateLp, DegeneratePlateauRegression) {
   SteadyStateSpec spec = spec_from_graph(graph::make_torus_grid(9), 20.0);
   spec.demand.push_back(RatedPair{NodePair(0, 4), 0.3});
   spec.demand.push_back(RatedPair{NodePair(1, 5), 0.2});
-  spec.distillation = PairMatrix(2.0);
+  spec.distillation = 2.0;
   const SteadyStateLp lp(spec);
   const SteadyStateSolution solution =
       lp.solve(SteadyStateObjective::kMinTotalGeneration);
@@ -225,6 +226,23 @@ TEST(SteadyStateLp, RejectsBadSpecs) {
   SteadyStateSpec bad_gamma = spec_from_graph(graph::make_cycle(4), 1.0);
   bad_gamma.generation_capacity[0].rate = 0.0;
   EXPECT_THROW(SteadyStateLp{bad_gamma}, PreconditionError);
+
+  // D is a finite overhead >= 1 and L a survival fraction in (0, 1]; an
+  // input outside those ranges is refused instead of solved.
+  const SteadyStateSpec valid = spec_from_graph(graph::make_cycle(4), 1.0);
+  EXPECT_NO_THROW(SteadyStateLp{valid});
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double d : {0.5, 0.0, -1.0, inf, nan}) {
+    SteadyStateSpec spec = valid;
+    spec.distillation = d;
+    EXPECT_THROW(SteadyStateLp{spec}, PreconditionError) << "D " << d;
+  }
+  for (const double l : {0.0, -1.0, 1.5, inf, nan}) {
+    SteadyStateSpec spec = valid;
+    spec.survival = l;
+    EXPECT_THROW(SteadyStateLp{spec}, PreconditionError) << "L " << l;
+  }
 }
 
 }  // namespace

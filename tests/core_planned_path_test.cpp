@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 
 #include "core/nested.hpp"
@@ -189,6 +190,14 @@ TEST(PlannedPath, RejectsBadConfig) {
   config.window = 0;
   EXPECT_THROW([&] { (void)run_planned_path(graph, workload, config); }(),
                PreconditionError);
+  config.window = 1;
+  for (const double d : {std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    config.distillation = d;
+    EXPECT_THROW([&] { (void)run_planned_path(graph, workload, config); }(),
+                 PreconditionError)
+        << "D " << d;
+  }
 }
 
 }  // namespace

@@ -323,7 +323,7 @@ std::uint64_t commit_probes(std::size_t nodes) {
         return std::nullopt;
       });
   (void)state.commit_swaps(
-      core::MaxMinBalancer(core::DistillationMatrix(1.0)), /*first=*/0, /*round=*/0, /*attempt=*/0,
+      core::MaxMinBalancer(1.0), /*first=*/0, /*round=*/0, /*attempt=*/0,
       [](core::NodeId, const core::SwapCandidate&) { return false; });
   return state.last_commit_probes();
 }
@@ -355,7 +355,7 @@ TEST(HotPathAllocations, QuiescentCommitIsFree) {
     return std::nullopt;
   });
   const auto stats = state.commit_swaps(
-      core::MaxMinBalancer(core::DistillationMatrix(1.0)), 0, 0, 0,
+      core::MaxMinBalancer(1.0), 0, 0, 0,
       [](core::NodeId, const core::SwapCandidate&) { return true; });
   EXPECT_EQ(stats.swaps, 0u);
   EXPECT_EQ(state.last_commit_probes(), 0u);

@@ -107,7 +107,7 @@ TEST(NetworkStateCommit, DenseConflictRoundMatchesSerialCommit) {
   // disjoint ones. Every (threads, shards) setting must reproduce the
   // serial canonical commit bit for bit — counts, stats, and order.
   const graph::Graph graph = graph::make_cycle(24);
-  const MaxMinBalancer balancer{core::DistillationMatrix(1.0)};
+  const MaxMinBalancer balancer{1.0};
   const std::uint64_t seed = 99;
   const std::uint32_t round = 17;
 
@@ -164,7 +164,7 @@ TEST(NetworkStateCommit, ConflictingCandidatesSerializeInCanonicalOrder) {
   // Three nodes on a path all want the same donor pairs: only the first
   // in rotating order can win; the others must fail the re-check.
   const graph::Graph graph = graph::make_path(5);
-  const MaxMinBalancer balancer{core::DistillationMatrix(1.0)};
+  const MaxMinBalancer balancer{1.0};
   NetworkState state(graph, 1, sharded(4, 8));
   // One chain 0-1-2-3-4 with exactly two pairs per link: nodes 1, 2, 3
   // each decide a swap, every pair of them conflicts (shared links).
