@@ -16,10 +16,12 @@ namespace {
 const BalancingConfig& checked(const BalancingConfig& config) {
   require(std::isfinite(config.distillation) && config.distillation >= 0.0,
           "BalancingConfig: D (distillation) must be finite and >= 0");
-  require(config.generation_per_edge_per_round >= 0.0,
-          "BalancingConfig: generation rate must be >= 0");
-  require(config.arrival_rate >= 0.0,
-          "BalancingConfig: arrival rate must be >= 0");
+  // floor(rate) plus a rounding pair per edge and round is a uint32 amount.
+  const double rate = config.generation_per_edge_per_round;
+  require(std::isfinite(rate) && rate >= 0.0 && std::floor(rate) + 1.0 <= UINT32_MAX,
+          "BalancingConfig: generation rate must be finite, >= 0 and < 2^32 - 1");
+  require(std::isfinite(config.arrival_rate) && config.arrival_rate >= 0.0,
+          "BalancingConfig: arrival rate must be finite and >= 0");
   return config;
 }
 

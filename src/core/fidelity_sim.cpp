@@ -85,12 +85,13 @@ NodeId pick_distill_peer(const sim::NetworkState& state,
 /// The fidelity physics as fixed time slices of phase kernels. Per slice:
 /// decohere (chunked per-bucket purge) -> generate (per-edge Poisson
 /// arrivals from keyed streams, merged in canonical edge order) -> decide
-/// (per-node scan events drawn from keyed streams, decisions computed
-/// against the slice snapshot across node chunks) -> commit (all scan
-/// events executed serially in canonical (timestamp, node id) order, each
-/// re-validated against the live state) -> consume (head-of-line at the
-/// slice boundary). Every draw is keyed per (slice, entity[, event]) so
-/// results are bit-identical for every threads/shards setting.
+/// (per-node scan events drawn from keyed streams; each scanning node's
+/// decision computed from scratch against the slice snapshot across node
+/// chunks) -> commit (all scan events executed serially in canonical
+/// (timestamp, node id) order, each re-validated against the live state)
+/// -> consume (head-of-line at the slice boundary). Every draw is keyed
+/// per (slice, entity[, event]) so results are bit-identical for every
+/// threads/shards setting.
 FidelitySimResult run_fidelity_sim(const graph::Graph& generation_graph,
                                    const Workload& workload,
                                    const FidelitySimConfig& config) {
@@ -98,15 +99,18 @@ FidelitySimResult run_fidelity_sim(const graph::Graph& generation_graph,
           "fidelity_sim: raw pairs must be usable when fresh");
   require(std::isfinite(config.duration) && config.duration > 0.0,
           "fidelity_sim: duration must be finite and positive");
-  require(config.scan_rate > 0.0, "fidelity_sim: scan rate must be positive");
+  require(std::isfinite(config.generation_rate) && config.generation_rate >= 0.0,
+          "fidelity_sim: generation rate must be finite and >= 0");
+  require(std::isfinite(config.scan_rate) && config.scan_rate > 0.0,
+          "fidelity_sim: scan rate must be finite and positive");
   require(generation_graph.node_count() >= 3, "fidelity_sim: need at least 3 nodes");
   const std::size_t n = generation_graph.node_count();
-  sim::NetworkState state(generation_graph, config.seed, config.tick,
+  // Nothing drains a dirty set here, so the ledger keeps none.
+  sim::TickConcurrency tick = config.tick;
+  tick.incremental_decide = false;
+  sim::NetworkState state(generation_graph, config.seed, tick,
                           decay_model(config));
   const MaxMinBalancer balancer{1.0};
-  // The swap rule runs at D = 1, so marking for the cached best_swap can
-  // skip mutations below the balancer's eligibility threshold.
-  state.ledger().set_reader_threshold(balancer.min_eligible_count());
   FidelitySimResult result;
 
   // Fault plan: one fault round per slice. Advanced serially at the slice
@@ -148,19 +152,6 @@ FidelitySimResult run_fidelity_sim(const graph::Graph& generation_graph,
       config.tick.shards, edge_count, sim::grain::kGenerate);
   const std::size_t decide_grain = sim::ParallelTickEngine::resolve_grain(
       config.tick.shards, n, sim::grain::kDecide);
-  // Incremental decide: cache each node's count-based best_swap and
-  // recompute it only when a count the node reads changed since its last
-  // computation (generation merges, commits, purges — every mutation
-  // funnels through the ledger's dirty set). The ledger's dirty frontier
-  // is drained serially before each decide into `stale`, and the chunk
-  // that recomputes a node clears its flag; a node without scans stays
-  // stale until it next scans. The distill-peer fallback reads
-  // time-varying fidelities, so it is never cached.
-  const bool incremental = config.tick.incremental_decide;
-  std::vector<std::optional<SwapCandidate>> swap_cache(n);
-  std::vector<std::uint8_t> stale(n, 0);
-  std::vector<NodeId> drained;
-  drained.reserve(n);
   std::vector<NodeId> purge_partners;  // commit's lazy-purge row copy
   purge_partners.reserve(n);
 
@@ -227,15 +218,10 @@ FidelitySimResult run_fidelity_sim(const graph::Graph& generation_graph,
 
     // 3. Decide kernel: per-node scan times from streams keyed (seed,
     // event-tag, slice, node), and the node's decision against the
-    // post-generation snapshot, fanned across node chunks. The count-based
-    // best_swap comes from the per-node cache unless the node is stale; an
-    // unchanged readable view implies an unchanged decision, so this is
-    // exactly the full recomputation.
+    // post-generation snapshot, fanned across node chunks. Only a node
+    // that scans this slice decides, and it decides from scratch.
     {
       const sim::PhaseStopwatch stopwatch(state.timers().decide_ns);
-      drained.clear();
-      state.ledger().drain_dirty(drained);
-      for (const NodeId x : drained) stale[x] = 1;
       state.pool().run_chunks(
           n, decide_grain, &state.timers().decide_load,
           [&](std::size_t begin, std::size_t end, unsigned worker) {
@@ -258,13 +244,7 @@ FidelitySimResult run_fidelity_sim(const graph::Graph& generation_graph,
           std::sort(node_scans[x].begin(), node_scans[x].end());
           decisions[x] = NodeDecision{std::nullopt, x};
           if (node_scans[x].empty()) continue;
-          if (incremental && stale[x] == 0) {
-            decisions[x].swap = swap_cache[x];
-          } else {
-            stale[x] = 0;
-            swap_cache[x] = balancer.best_swap(state.ledger(), x, scratch);
-            decisions[x].swap = swap_cache[x];
-          }
+          decisions[x].swap = balancer.best_swap(state.ledger(), x, scratch);
           if (!decisions[x].swap && config.distillation_enabled) {
             decisions[x].distill_peer = pick_distill_peer(state, config, x, t0);
           }
@@ -327,7 +307,7 @@ FidelitySimResult run_fidelity_sim(const graph::Graph& generation_graph,
         }
         if (decision.distill_peer == x) continue;
         const NodeId peer = decision.distill_peer;
-        if (state.ledger().count(x, peer) < 2) continue;  // decision went stale
+        if (state.ledger().count(x, peer) < 2) continue;  // pairs already taken
         const sim::TrackedPair a = state.take_pair(x, peer, now, freshest);
         const sim::TrackedPair b = state.take_pair(x, peer, now, freshest);
         const quantum::DistillationStep step =
@@ -351,6 +331,7 @@ FidelitySimResult run_fidelity_sim(const graph::Graph& generation_graph,
     consumer.try_consume(t1);
   }
 
+  result.pairs_stored = state.ledger().total_pairs();
   result.phase = state.timers();
   if (fault_plan) result.faults = fault_plan->stats();
   return result;

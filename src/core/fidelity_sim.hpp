@@ -59,7 +59,8 @@ struct FidelitySimConfig {
   /// Simulated duration.
   double duration = 500.0;
   std::uint64_t seed = 1;
-  /// Intra-run threads/shards/decide knobs of the slice-kernel engine.
+  /// Intra-run threads/shards of the slice-kernel engine. Every scanning
+  /// node decides from scratch, so tick.incremental_decide is not read.
   sim::TickConcurrency tick;
 
   /// Fault-injection plan. A fault "round" here is one slice of width
@@ -79,6 +80,7 @@ struct FidelitySimResult {
   std::uint64_t distillations = 0;
   std::uint64_t distillation_failures = 0;
   std::uint64_t requests_satisfied = 0;
+  std::uint64_t pairs_stored = 0;  // ledger total at the end of the run
 
   /// Empirical L of Eq. 3: fraction of created pairs (generated + swap
   /// outputs) that survived to be used rather than decaying.

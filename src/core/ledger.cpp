@@ -121,6 +121,7 @@ std::uint32_t PairLedger::bump_pair(NodeId x, NodeId y, std::uint32_t amount) {
     // in place, and only a new pair touches (searches) the rows.
     std::uint32_t& mirror_xy = dense_[x * node_count_ + y];
     const std::uint32_t before = mirror_xy;
+    require(before + amount > before, "PairLedger::add: count overflow");
     if (before == 0) {
       insert_entry(x, lower_slot(rows_[x].partners, y), y, amount);
       insert_entry(y, lower_slot(rows_[y].partners, x), x, amount);
@@ -137,6 +138,7 @@ std::uint32_t PairLedger::bump_pair(NodeId x, NodeId y, std::uint32_t amount) {
     return 0;
   }
   const std::uint32_t before = row_x.counts[slot_x];
+  require(before + amount > before, "PairLedger::add: count overflow");
   row_x.counts[slot_x] = before + amount;
   rows_[y].counts[partner_slot(rows_[y].partners, x)] = before + amount;
   return before;
@@ -252,9 +254,9 @@ void PairLedger::check_invariants() const {
 
 void PairLedger::enable_dirty_tracking() {
   if (!dirty_.empty()) return;
-  dirty_.assign(node_count_, 0);
+  dirty_.assign(node_count_, 1);
+  dirty_count_ = node_count_;
   mark_budget_ = kMarkingBudgetPerNode * static_cast<std::int64_t>(node_count_);
-  mark_all_dirty();
 }
 
 void PairLedger::set_reader_threshold(std::uint32_t minimum_eligible_count) {
@@ -267,12 +269,6 @@ void PairLedger::mark_dirty(NodeId x) {
   if (dirty_.empty() || dirty_[x] != 0) return;
   dirty_[x] = 1;
   ++dirty_count_;
-}
-
-void PairLedger::mark_all_dirty() {
-  if (dirty_.empty()) return;
-  std::fill(dirty_.begin(), dirty_.end(), 1);
-  dirty_count_ = node_count_;
 }
 
 std::size_t PairLedger::drain_dirty(std::vector<NodeId>& out) {

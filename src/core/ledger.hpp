@@ -70,7 +70,8 @@ class PairLedger {
 
   [[nodiscard]] std::uint32_t count(NodeId x, NodeId y) const;
 
-  /// Add `amount` pairs between x and y (x != y).
+  /// Add `amount` pairs between x and y (x != y); a count past the
+  /// uint32 range throws PreconditionError instead of wrapping.
   void add(NodeId x, NodeId y, std::uint32_t amount = 1);
 
   /// Remove `amount` pairs; requires count(x, y) >= amount.
@@ -164,9 +165,6 @@ class PairLedger {
   /// under-threshold counts are consulted only through the >= threshold
   /// predicate itself, which such a mutation cannot flip.
   void set_reader_threshold(std::uint32_t minimum_eligible_count);
-  [[nodiscard]] std::uint32_t reader_threshold() const {
-    return reader_threshold_;
-  }
   [[nodiscard]] bool dirty(NodeId x) const {
     return !dirty_.empty() && (mark_overflow_ || dirty_[x] != 0);
   }
@@ -180,7 +178,6 @@ class PairLedger {
   /// Mark one node dirty (e.g. a gossip view install changed what the
   /// node would read at decide time). No-op when tracking is off.
   void mark_dirty(NodeId x);
-  void mark_all_dirty();
   /// Append the dirty nodes (ascending) to `out`, clearing their bits.
   /// Returns how many were appended. Serial contexts only. Starts a new
   /// marking epoch (see kMarkingBudgetPerNode).

@@ -36,8 +36,8 @@ namespace {
 /// Intra-run concurrency knobs shared by every protocol on the
 /// phase-kernel engine (balancing, planned, hybrid, gossip, fidelity) or
 /// the vertex-program substrate (distributed, async_routing). Results are
-/// bit-identical for every threads/shards/decide setting, so parallelism
-/// is purely a performance decision. Protocols with no engine at all (lp)
+/// bit-identical for every threads/shards setting, so parallelism is
+/// purely a performance decision. Protocols with no engine at all (lp)
 /// do not declare these knobs and the registry rejects them outright.
 std::vector<KnobSpec> tick_knobs() {
   return {
@@ -45,10 +45,15 @@ std::vector<KnobSpec> tick_knobs() {
        "intra-run worker threads (0 = hardware; never changes results)"},
       {"shards", KnobType::kInt, std::int64_t{0},
        "work shards per phase (0 = auto; never changes results)"},
-      {"decide", KnobType::kString, std::string("incremental"),
-       "swap-decide mode: incremental (dirty-set candidate cache) or "
-       "full (rescan every node); never changes results"},
   };
+}
+
+/// Declared only where a decide reads it: planned has no swap decide and
+/// fidelity decides from scratch, so the registry rejects it there.
+KnobSpec decide_knob() {
+  return {"decide", KnobType::kString, std::string("incremental"),
+          "swap-decide mode: incremental (dirty-set candidate cache) or "
+          "full (rescan every node); never changes results"};
 }
 
 /// An integer knob narrowed to uint32 only after checking it lies in
@@ -244,6 +249,7 @@ std::vector<KnobSpec> balancing_knobs() {
 std::vector<KnobSpec> balancing_knobs_with_tick() {
   std::vector<KnobSpec> knobs = balancing_knobs();
   for (KnobSpec& knob : tick_knobs()) knobs.push_back(std::move(knob));
+  knobs.push_back(decide_knob());
   for (KnobSpec& knob : fault_knobs()) knobs.push_back(std::move(knob));
   return knobs;
 }
@@ -428,6 +434,7 @@ class DistributedProtocol final : public Protocol {
          "epoch length of the vertex-program loop (time units)"},
     };
     for (KnobSpec& knob : tick_knobs()) knobs.push_back(std::move(knob));
+    knobs.push_back(decide_knob());
     for (KnobSpec& knob : fault_knobs()) knobs.push_back(std::move(knob));
     return knobs;
   }
@@ -488,6 +495,7 @@ class AsyncRoutingProtocol final : public Protocol {
          "epoch length of the vertex-program loop (time units)"},
     };
     for (KnobSpec& knob : tick_knobs()) knobs.push_back(std::move(knob));
+    knobs.push_back(decide_knob());
     for (KnobSpec& knob : fault_knobs()) knobs.push_back(std::move(knob));
     return knobs;
   }

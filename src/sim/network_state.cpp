@@ -279,19 +279,23 @@ double NetworkState::best_fidelity(core::NodeId x, core::NodeId y,
   return best;
 }
 
+std::uint32_t NetworkState::drop_decayed(std::vector<TrackedPair>& bucket,
+                                         double now) const {
+  const double usable = decay().usable_fidelity;
+  const auto kept = std::remove_if(
+      bucket.begin(), bucket.end(),
+      [&](const TrackedPair& pair) { return fidelity_now(pair, now) < usable; });
+  const auto dropped = static_cast<std::uint32_t>(bucket.end() - kept);
+  bucket.erase(kept, bucket.end());
+  return dropped;
+}
+
 std::uint64_t NetworkState::purge_pair_type(core::NodeId x, core::NodeId y,
                                             double now) {
   std::vector<TrackedPair>* slot = pair_store_->find(x, y);
   if (slot == nullptr) return 0;
-  std::vector<TrackedPair>& bucket = *slot;
-  std::uint64_t dropped = 0;
-  for (std::size_t i = bucket.size(); i-- > 0;) {
-    if (fidelity_now(bucket[i], now) < decay().usable_fidelity) {
-      bucket.erase(bucket.begin() + static_cast<long>(i));
-      ledger_.remove(x, y, 1);
-      ++dropped;
-    }
-  }
+  const std::uint32_t dropped = drop_decayed(*slot, now);
+  ledger_.remove(x, y, dropped);
   return dropped;
 }
 
@@ -300,22 +304,14 @@ void NetworkState::decohere_chunk(std::size_t begin, std::size_t end) {
   // of a node come from its ledger partner row (read-only here), so the
   // scan touches exactly the live buckets — never n^2 of them. Buckets of
   // different chunks are disjoint, so compaction is race-free.
-  const double usable = decay().usable_fidelity;
   std::vector<PurgeEntry>& drops = purge_entries_[begin / decohere_grain_];
   drops.clear();
   for (auto x = static_cast<core::NodeId>(begin); x < end; ++x) {
     for (const core::NodeId y : ledger_.partners(x)) {
       if (y <= x) continue;  // owned by y's chunk when y < x
       std::vector<TrackedPair>* slot = pair_store_->find(x, y);
-      if (slot == nullptr || slot->empty()) continue;
-      std::vector<TrackedPair>& bucket = *slot;
-      std::uint32_t dropped = 0;
-      for (std::size_t i = bucket.size(); i-- > 0;) {
-        if (fidelity_now(bucket[i], decohere_now_) < usable) {
-          bucket.erase(bucket.begin() + static_cast<long>(i));
-          ++dropped;
-        }
-      }
+      if (slot == nullptr) continue;
+      const std::uint32_t dropped = drop_decayed(*slot, decohere_now_);
       if (dropped > 0) drops.push_back(PurgeEntry{x, y, dropped});
     }
   }

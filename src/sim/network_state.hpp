@@ -27,7 +27,7 @@
 // kernel caches each node's last SwapCandidate in the candidate table and
 // re-runs the decide callback only over the ledger's dirty frontier — the
 // nodes whose readable counts changed since their last decision (marked
-// by every ledger mutation: generation merges, swap commits, decoherence
+// by every ledger mutation: generation merges, swap commits, crash
 // purges, consumption; gossip additionally marks view-install owners).
 // The decide callback must be a pure function of the node's readable
 // state (its own counts, the beneficiary counts / views of its partner
@@ -212,6 +212,10 @@ class NetworkState {
   void generate_chunk(std::size_t begin, std::size_t end);
   void decide_chunk(std::size_t begin, std::size_t end, unsigned worker);
   void decohere_chunk(std::size_t begin, std::size_t end);
+  /// The one decayed-pair drop loop (purge_pair_type, decohere): erase
+  /// the bucket's pairs below usable_fidelity at `now`, keeping the
+  /// survivors in order. Touches the bucket only, never the ledger.
+  std::uint32_t drop_decayed(std::vector<TrackedPair>& bucket, double now) const;
 
   const graph::Graph& graph_;
   std::uint64_t seed_;

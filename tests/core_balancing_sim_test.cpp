@@ -263,6 +263,40 @@ TEST(BalancingSim, RejectsNonFiniteDistillationAndRunsHugeOne) {
   EXPECT_EQ(assisted.base.swaps_performed, 0u);
 }
 
+TEST(BalancingSim, RejectsUnrepresentableRates) {
+  // Each edge adds floor(rate) pairs plus a rounding pair per round as one
+  // uint32 amount; a non-finite arrival rate has no Poisson draw. Only the
+  // constructor runs: no huge rate is ever simulated.
+  const graph::Graph graph = graph::make_cycle(9);
+  const Workload workload = small_workload(9, 6, 25, 5);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const auto rejects = [&](const BalancingConfig& config, const char* what) {
+    try {
+      BalancingSimulation sim(graph, workload, config);
+      ADD_FAILURE() << what << " accepted";
+    } catch (const PreconditionError& error) {
+      EXPECT_NE(std::string(error.what()).find(what), std::string::npos)
+          << error.what();
+    }
+  };
+  for (const double rate : {5e9, 4294967295.0, 1e300, kInf, kNan, -1.0}) {
+    SCOPED_TRACE(testing::Message() << "generation rate " << rate);
+    BalancingConfig config;
+    config.generation_per_edge_per_round = rate;
+    rejects(config, "generation rate");
+  }
+  BalancingConfig largest;
+  largest.generation_per_edge_per_round = 4294967294.5;  // floor + 1 == 2^32 - 1
+  EXPECT_NO_THROW({ const BalancingSimulation sim(graph, workload, largest); });
+  for (const double rate : {kInf, kNan, -1.0}) {
+    SCOPED_TRACE(testing::Message() << "arrival rate " << rate);
+    BalancingConfig config;
+    config.arrival_rate = rate;
+    rejects(config, "arrival rate");
+  }
+}
+
 TEST(BalancingSim, WaitStatsPopulated) {
   const graph::Graph graph = graph::make_cycle(9);
   const Workload workload = small_workload(9, 6, 25, 9);

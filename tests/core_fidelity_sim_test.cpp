@@ -165,5 +165,56 @@ TEST(FidelitySim, RejectsInfiniteDuration) {
   expect_duration_rejected(std::numeric_limits<double>::infinity());
 }
 
+TEST(FidelitySim, RejectsNonFiniteRates) {
+  // dt = 0.25 / scan_rate: an infinite scan rate would make dt 0 and the
+  // slice count infinite; a non-finite generation rate has no Poisson
+  // draw.
+  const graph::Graph graph = graph::make_cycle(6);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (const double rate : {kInf, kNan, -1.0}) {
+    FidelitySimConfig config = base_config();
+    config.generation_rate = rate;
+    EXPECT_THROW((void)run_fidelity_sim(graph, near_and_far_workload(), config),
+                 PreconditionError)
+        << "generation rate " << rate;
+  }
+  for (const double rate : {kInf, kNan, 0.0}) {
+    FidelitySimConfig config = base_config();
+    config.scan_rate = rate;
+    EXPECT_THROW((void)run_fidelity_sim(graph, near_and_far_workload(), config),
+                 PreconditionError)
+        << "scan rate " << rate;
+  }
+}
+
+/// Every pair is created once (generated, a kept swap output, a distilled
+/// output) and leaves once (consumed, a swap or distillation input,
+/// decayed, purged by a crash) or is still stored at the end.
+void expect_conserved(const FidelitySimResult& result) {
+  EXPECT_EQ(result.pairs_generated + (result.swaps - result.swap_outputs_discarded) +
+                result.distillations,
+            result.requests_satisfied + 2 * result.swaps +
+                2 * (result.distillations + result.distillation_failures) +
+                result.pairs_decayed + result.faults.pairs_purged_by_faults +
+                result.pairs_stored);
+}
+
+TEST(FidelitySim, ConservationLaw) {
+  const graph::Graph graph = graph::make_cycle(8);
+  FidelitySimConfig config = base_config();
+  const FidelitySimResult distilled =
+      run_fidelity_sim(graph, near_and_far_workload(), config);
+  EXPECT_GT(distilled.distillations + distilled.distillation_failures, 0u);
+  EXPECT_GT(distilled.pairs_decayed, 0u);
+  expect_conserved(distilled);
+  config.faults.node_mtbf = 15.0;
+  config.faults.link_mtbf = 10.0;
+  const FidelitySimResult faulty =
+      run_fidelity_sim(graph, near_and_far_workload(), config);
+  EXPECT_GT(faulty.faults.pairs_purged_by_faults, 0u);
+  expect_conserved(faulty);
+}
+
 }  // namespace
 }  // namespace poq::core

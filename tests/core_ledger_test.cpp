@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -258,6 +259,22 @@ TEST(PairLedger, RemoveAbsentPairThrowsAndLeavesLedgerUnchanged) {
   }
 }
 
+TEST(PairLedger, AddRejectsCountOverflowAndLeavesLedgerUnchanged) {
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  for (const std::size_t nodes :
+       {std::size_t{3}, PairLedger::kFullReserveNodeLimit + 1}) {
+    SCOPED_TRACE(testing::Message() << "nodes " << nodes);
+    PairLedger ledger(nodes);
+    ledger.add(0, 1, kMax - 1);
+    ledger.add(0, 1, 1);  // exactly the uint32 maximum is representable
+    EXPECT_THROW(ledger.add(1, 0, 1), PreconditionError);
+    EXPECT_THROW(ledger.add(0, 1, kMax), PreconditionError);
+    EXPECT_EQ(ledger.count(0, 1), kMax);
+    EXPECT_EQ(ledger.total_pairs(), std::uint64_t{kMax});
+    EXPECT_NO_THROW(ledger.check_invariants());
+  }
+}
+
 std::vector<NodeId> drained(PairLedger& ledger) {
   std::vector<NodeId> nodes;
   ledger.drain_dirty(nodes);
@@ -326,9 +343,9 @@ TEST(PairLedger, MarkingBudgetOverflowLatchesEverythingDirty) {
   EXPECT_FALSE(ledger.dirty(4));
 }
 
-// Fidelity's slice boundary is a drain_dirty into its own stale flags: an
-// overflowed epoch converts conservatively (every node, ascending) and
-// per-node marking is precise again afterwards.
+// The incremental decide's frontier is a drain_dirty: an overflowed
+// epoch converts conservatively (every node, ascending) and per-node
+// marking is precise again afterwards.
 TEST(PairLedger, ResetMarkingBudgetConvertsOverflowToBits) {
   PairLedger ledger(6);
   ledger.enable_dirty_tracking();
@@ -343,7 +360,7 @@ TEST(PairLedger, ResetMarkingBudgetConvertsOverflowToBits) {
   }
   ASSERT_EQ(ledger.dirty_count(), 6u);  // overflowed
   nodes.clear();
-  EXPECT_EQ(ledger.drain_dirty(nodes), 6u);  // the fidelity slice boundary
+  EXPECT_EQ(ledger.drain_dirty(nodes), 6u);  // the next decide's frontier
   EXPECT_EQ(nodes, (std::vector<NodeId>{0, 1, 2, 3, 4, 5}));
   EXPECT_EQ(ledger.dirty_count(), 0u);
   ledger.mark_dirty(3);

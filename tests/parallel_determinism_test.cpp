@@ -24,8 +24,8 @@ namespace {
 /// Every protocol with a tick engine: the phase-kernel family runs on the
 /// sharded NetworkState, the message-driven family (distributed,
 /// async_routing) on the vertex-program substrate. All of them must be
-/// threads/shards/decide-invariant. lp is deliberately absent: it has no
-/// engine and rejects the knobs (LpRejectsEngineKnobs below).
+/// threads/shards-invariant. lp is deliberately absent: it has no engine
+/// and rejects the knobs (LpRejectsEngineKnobs below).
 const std::vector<std::string> kPortedProtocols = {
     "balancing", "planned",  "hybrid",        "gossip",
     "distributed", "fidelity", "async_routing"};
@@ -396,6 +396,29 @@ TEST(ParallelDeterminism, LpRejectsEngineKnobs) {
       EXPECT_NE(std::string(error.what()).find("has no knob"),
                 std::string::npos)
           << "unhelpful error for knob '" << knob << "': " << error.what();
+    }
+  }
+}
+
+TEST(ParallelDeterminism, DecideKnobOnlyWhereRead) {
+  // planned has no swap decide and fidelity decides every scanning node
+  // from scratch, so neither declares `decide`: accepting and ignoring it
+  // would be the same adapter lie. The five protocols whose decide reads
+  // the knob accept it.
+  for (const std::string& protocol : kPortedProtocols) {
+    ScenarioSpec spec = base_spec(protocol);
+    spec.knobs["decide"] = std::string("full");
+    if (protocol != "planned" && protocol != "fidelity") {
+      EXPECT_NO_THROW((void)registry().run(protocol, spec)) << protocol;
+      continue;
+    }
+    try {
+      (void)registry().run(protocol, spec);
+      ADD_FAILURE() << protocol << " accepted the decide knob";
+    } catch (const PreconditionError& error) {
+      EXPECT_NE(std::string(error.what()).find("has no knob 'decide'"),
+                std::string::npos)
+          << protocol << ": unhelpful error: " << error.what();
     }
   }
 }

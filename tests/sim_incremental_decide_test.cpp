@@ -1,7 +1,7 @@
 // The incremental dirty-set decide contract: re-running best_swap only
 // over the nodes whose readable counts (or views) changed produces round
 // trajectories bit-identical to a full rescan of every node — for every
-// phase-kernel protocol, at every threads/shards setting — and the
+// protocol with a cached decide, at every threads/shards setting — and the
 // steady-state round allocates nothing on the heap after warm-up.
 //
 // The equivalence leans on the candidate-cache invariant
@@ -112,30 +112,26 @@ ScenarioSpec fuzz_spec(const std::string& protocol, util::Rng& fuzz) {
   spec.consumer_pairs = 6 + fuzz.uniform_index(10);
   spec.requests = 20 + fuzz.uniform_index(30);
   spec.seed = 1 + fuzz.uniform_index(1000);
-  if (protocol == "fidelity") {
-    spec.knobs["duration"] = 30.0 + static_cast<double>(fuzz.uniform_index(3)) * 15.0;
-    spec.knobs["memory-T"] = fuzz.bernoulli(0.5) ? 30.0 : 80.0;
-  } else {
-    spec.knobs["max-rounds"] = std::int64_t{2000};
-    const double rates[] = {0.05, 0.3, 1.0, 1.6};
-    spec.knobs["generation-rate"] = rates[fuzz.uniform_index(4)];
-    const double distillations[] = {1.0, 1.5, 2.0};
-    spec.knobs["distillation"] = distillations[fuzz.uniform_index(3)];
-    if (protocol == "gossip") {
-      spec.knobs["fanout"] = static_cast<std::int64_t>(1 + fuzz.uniform_index(3));
-      spec.knobs["latency"] = fuzz.bernoulli(0.5) ? 1.0 : 2.0;
-    }
+  spec.knobs["max-rounds"] = std::int64_t{2000};
+  const double rates[] = {0.05, 0.3, 1.0, 1.6};
+  spec.knobs["generation-rate"] = rates[fuzz.uniform_index(4)];
+  const double distillations[] = {1.0, 1.5, 2.0};
+  spec.knobs["distillation"] = distillations[fuzz.uniform_index(3)];
+  if (protocol == "gossip") {
+    spec.knobs["fanout"] = static_cast<std::int64_t>(1 + fuzz.uniform_index(3));
+    spec.knobs["latency"] = fuzz.bernoulli(0.5) ? 1.0 : 2.0;
   }
   return spec;
 }
 
 TEST(IncrementalDecide, FuzzBitIdenticalToFullRescan) {
-  // protocols {balancing, gossip, fidelity} x threads {1,8} x shards
+  // protocols {balancing, gossip, hybrid} x threads {1,8} x shards
   // {1,16} on randomized frames: the dirty-set decide must reproduce the
-  // forced full rescan bit for bit, at every concurrency setting.
+  // forced full rescan bit for bit, at every concurrency setting (for
+  // hybrid, with the assist's ledger mutations between decides).
   util::Rng fuzz(0xD1E7);
   const std::vector<std::string> protocols = {"balancing", "gossip",
-                                              "fidelity"};
+                                              "hybrid"};
   for (int trial = 0; trial < 3; ++trial) {
     for (const std::string& protocol : protocols) {
       const ScenarioSpec spec = fuzz_spec(protocol, fuzz);
