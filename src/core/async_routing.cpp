@@ -40,7 +40,6 @@ class Driver {
         distances_(graph::all_pairs_distances(graph)),
         ledger_(n_),
         waiting_(n_),
-        blocked_(n_, 0),
         pool_(config.tick.threads),
         vp_(n_, pool_, config.tick.shards) {
     timeout_epochs_ = std::max<std::uint64_t>(
@@ -92,26 +91,22 @@ class Driver {
         if (count == 0) continue;
         ledger_.remove(x, y, count);
         fault_plan_->record_purged(count);
-        vp_.signals().signal(y);  // its routing options shrank
       }
-      vp_.signals().signal(x);
     }
   }
 
   /// Deliver token handoffs: the apply kernel appends each arriving token
-  /// to its junction's waiting queue and signals the junction.
+  /// to its junction's waiting queue.
   void apply_phase() {
     const std::vector<std::uint32_t>& active = vp_.deliver(epoch_);
     // O(1) per delivered token: the generation-draw grain.
     vp_.run_kernel(active.size(), sim::grain::kGenerate,
-                   [&](std::size_t begin, std::size_t end,
-                       Program::Context& ctx) {
+                   [&](std::size_t begin, std::size_t end, Program::Context&) {
       for (std::size_t i = begin; i < end; ++i) {
         const NodeId v = active[i];
         for (const std::uint32_t token : vp_.inbox(v)) {
           waiting_[v].push_back(token);
         }
-        ctx.signal(v);
       }
     });
   }
@@ -135,8 +130,6 @@ class Driver {
       if (born == 0) continue;
       const graph::Edge& edge = edges[index];
       ledger_.add(edge.a(), edge.b(), static_cast<std::uint32_t>(born));
-      vp_.signals().signal(edge.a());
-      vp_.signals().signal(edge.b());
       result_.pairs_generated += born;
     }
   }
@@ -158,7 +151,6 @@ class Driver {
       const auto id = static_cast<std::uint32_t>(tokens_.size());
       tokens_.push_back(token);
       waiting_[request.first].push_back(id);
-      vp_.signals().signal(request.first);
     }
   }
 
@@ -178,42 +170,23 @@ class Driver {
     return best;
   }
 
-  /// The continuous resolution walk, in canonical rotating order. Each
-  /// waiting token tries one greedy step; junctions whose last attempt
-  /// blocked are skipped until signaled (counts or waiting set changed) —
-  /// a token's step is a pure function of exactly that state, so the skip
-  /// never changes results.
+  /// The continuous resolution walk, in canonical rotating order: every
+  /// waiting token tries one greedy step.
   void route() {
     const auto first = static_cast<NodeId>(epoch_ % n_);
     for (NodeId offset = 0; offset < n_; ++offset) {
       const NodeId u = (first + offset) % n_;
       std::vector<std::uint32_t>& queue = waiting_[u];
-      if (queue.empty()) {
-        blocked_[u] = 0;
-        continue;
-      }
+      if (queue.empty()) continue;
       expire(queue);
-      if (fault_plan_ && !fault_plan_->node_up(u)) {
-        // Crashed: tokens wait (expiring on timeout) until recovery.
-        // blocked_ stays 0 so the node is re-examined once it is back up.
-        blocked_[u] = 0;
-        continue;
-      }
-      if (config_.tick.incremental_decide && blocked_[u] != 0 &&
-          !vp_.signals().test(u)) {
-        continue;  // blocked and nothing it reads changed: still blocked
-      }
+      // Crashed: tokens wait (expiring on timeout) until recovery.
+      if (fault_plan_ && !fault_plan_->node_up(u)) continue;
       std::size_t keep = 0;
       for (std::size_t i = 0; i < queue.size(); ++i) {
         const std::uint32_t id = queue[i];
         if (!step(u, id)) queue[keep++] = id;
       }
       queue.resize(keep);
-      blocked_[u] = queue.empty() ? 0 : 1;
-      // Clear after the walk: everything marked so far (including this
-      // node's own consumption) was read live by the steps above, so the
-      // remaining tokens are blocked against the post-change counts.
-      vp_.signals().clear(u);
     }
   }
 
@@ -241,8 +214,6 @@ class Driver {
     if (v == n_) return false;
     ledger_.remove(u, v);
     ++result_.pairs_consumed;
-    vp_.signals().signal(u);
-    vp_.signals().signal(v);
     if (u != token.src) ++result_.swaps;  // junction chained two segments
     ++token.hops;
     if (v == token.dst) {
@@ -269,8 +240,6 @@ class Driver {
   PairLedger ledger_;
   std::vector<Token> tokens_;
   std::vector<std::vector<std::uint32_t>> waiting_;
-  /// Nonzero while the node's last routing attempt left tokens waiting.
-  std::vector<std::uint8_t> blocked_;
   std::size_t next_request_ = 0;
   std::uint64_t timeout_epochs_ = 1;
 

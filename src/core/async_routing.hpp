@@ -15,11 +15,8 @@
 //
 // Runs on the sim::VertexProgram substrate: token handoffs are the typed
 // messages, the apply kernel (chunked across the ParallelTickEngine pool)
-// enqueues arrivals, and the signaled-set drives the retry discipline —
-// a blocked node is re-examined only when its pair counts or waiting set
-// changed (decide=incremental), which is result-identical to retrying
-// every epoch (decide=full) because a token's routing step is a pure
-// function of exactly that state.
+// enqueues arrivals, and every waiting token retries its greedy step
+// every epoch.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +47,7 @@ struct AsyncRoutingConfig {
   double duration = 400.0;
   std::uint64_t seed = 1;
   /// Intra-run engine knobs (vertex-program substrate; results are
-  /// bit-identical for every threads/shards/decide setting).
+  /// bit-identical for every threads/shards setting).
   sim::TickConcurrency tick;
 
   /// Fault-injection plan (one fault round per epoch). A crash destroys

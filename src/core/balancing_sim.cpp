@@ -41,9 +41,6 @@ BalancingSimulation::BalancingSimulation(const graph::Graph& generation_graph,
       balancer_(config.distillation, config.policy,
                 config.policy.detour_slack ? &oracle_.dense() : nullptr),
       consume_rng_(util::Rng(config.seed).fork(3)) {
-  // The incremental decide skips marking for mutations below the
-  // balancer's eligibility threshold: no decision can observe them.
-  state_.ledger().set_reader_threshold(balancer_.min_eligible_count());
   require(generation_graph.node_count() >= 3,
           "BalancingSimulation: need at least 3 nodes to swap");
   if (config_.faults.enabled()) {

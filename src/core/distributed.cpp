@@ -24,7 +24,7 @@ namespace {
 
 using QubitId = std::uint64_t;
 constexpr QubitId kDead = UINT64_MAX;
-constexpr std::uint64_t kNeverDirty = UINT64_MAX;
+constexpr std::uint64_t kNever = UINT64_MAX;
 
 /// Ground truth: qubits never move; entanglement is a symmetric partner
 /// relation that swaps rewire and measurements sever.
@@ -151,10 +151,8 @@ struct ViewState {
   }
 };
 
-/// A node's cached swap decision (the §4 rule evaluated against its
-/// beliefs and views). Pure function of (beliefs, views, locked qubit),
-/// so under decide=incremental it is recomputed only when the node is
-/// signaled — same results, fewer scans.
+/// A node's swap decision (the §4 rule evaluated against its beliefs and
+/// views), recomputed at every scan.
 struct Candidate {
   NodeId left = 0;
   NodeId right = 0;
@@ -198,7 +196,7 @@ class Driver {
         last_reported_(n_),
         candidates_(n_),
         scanned_(n_, 0),
-        serial_dirty_(n_, kNeverDirty),
+        mutated_epoch_(n_, kNever),
         pool_(config.tick.threads),
         vp_(n_, pool_, config.tick.shards),
         report_cost_(n_) {
@@ -245,12 +243,8 @@ class Driver {
   }
 
   /// A serial mutation of `v` after this epoch's decide kernel: the
-  /// commit walk re-scans `v` live, and the signal invalidates the cache
-  /// for future epochs.
-  void mark_serial(NodeId v) {
-    serial_dirty_[v] = epoch_;
-    vp_.signals().signal(v);
-  }
+  /// commit walk re-scans `v` live.
+  void mark_serial(NodeId v) { mutated_epoch_[v] = epoch_; }
 
   // --- phase 0: fault injection (serial) ------------------------------
 
@@ -264,7 +258,7 @@ class Driver {
   /// far endpoint's holder (not the possibly stale believed partner)
   /// forgets its half through the reliable control plane, preserving the
   /// invariant that believed unlocked qubits are truth-alive. Both ends
-  /// are marked serial so cached decisions recompute.
+  /// are marked serial so this epoch's commit walk re-scans them.
   void purge_crashed(NodeId x) {
     const std::vector<QubitId> qubits = nodes_[x].believed_qubits();
     for (const QubitId q : qubits) {
@@ -290,20 +284,17 @@ class Driver {
   void apply_phase() {
     const std::vector<std::uint32_t>& active = vp_.deliver(epoch_);
     vp_.run_kernel(active.size(), sim::grain::kBelief,
-                   [&](std::size_t begin, std::size_t end,
-                       Program::Context& ctx) {
+                   [&](std::size_t begin, std::size_t end, Program::Context&) {
       for (std::size_t i = begin; i < end; ++i) {
         const NodeId x = active[i];
         for (const net::Message& message : vp_.inbox(x)) {
           if (const auto* counts = std::get_if<net::CountUpdate>(&message)) {
             apply_count_update(x, *counts);
-            ctx.signal(x);
           } else if (const auto* pair = std::get_if<net::PairUpdate>(&message)) {
             // Obsolete if the recipient already measured this qubit itself.
             if (nodes_[x].knows(pair->qubit)) {
               nodes_[x].learn(pair->qubit, pair->new_partner,
                               pair->new_partner_qubit);
-              ctx.signal(x);
             }
           }
           // Consume handshakes touch the global head-of-line state, so
@@ -405,7 +396,6 @@ class Driver {
     offer.responder_qubit = belief->partner_qubit;
     offered_qubit_ = qubit;
     offer_in_flight_ = true;
-    vp_.signals().signal(request.first);  // the lock changes its counts
     account_serial(offer);
     const std::uint64_t delay = delay_epochs(offer.from, offer.to);
     if (delay == 0) {
@@ -439,8 +429,6 @@ class Driver {
         truth_.entangle(qa, qb);
         nodes_[edge.a()].learn(qa, edge.b(), qb);
         nodes_[edge.b()].learn(qb, edge.a(), qa);
-        vp_.signals().signal(edge.a());
-        vp_.signals().signal(edge.b());
         ++result_.pairs_generated;
       }
     }
@@ -469,10 +457,7 @@ class Driver {
             util::Rng::keyed(config_.seed, sim::stream_tag::kScan, epoch_, x);
         if (scan_rng.poisson(config_.scan_rate * config_.dt) > 0) {
           scanned_[x] = 1;
-          if (!config_.tick.incremental_decide || vp_.signals().test(x)) {
-            candidates_[x] = compute_candidate(x);
-            vp_.signals().clear(x);
-          }
+          candidates_[x] = compute_candidate(x);
         }
       }
     });
@@ -569,7 +554,7 @@ class Driver {
       const NodeId x = (first + offset) % n_;
       if (scanned_[x] == 0) continue;
       std::optional<Candidate> candidate = candidates_[x];
-      if (serial_dirty_[x] == epoch_) {
+      if (mutated_epoch_[x] == epoch_) {
         // x's readable state changed after the decide kernel (an earlier
         // commit in this walk, or this epoch's consume resolution): its
         // scan happens live, seeing all earlier events of the epoch.
@@ -644,7 +629,7 @@ class Driver {
   std::vector<std::optional<Candidate>> candidates_;
   std::vector<std::uint8_t> scanned_;
   /// Last epoch whose serial phases mutated the node after decide.
-  std::vector<std::uint64_t> serial_dirty_;
+  std::vector<std::uint64_t> mutated_epoch_;
 
   sim::ParallelTickEngine pool_;
   Program vp_;

@@ -14,11 +14,12 @@
 // consumption conflicts, as a function of classical latency.
 //
 // Runs on the sim::VertexProgram substrate: count rows travel as sparse
-// CountUpdate messages to a node's current believed partners (signaled on
-// change) instead of dense n-squared view matrices rebroadcast to all,
-// and the per-epoch apply/report/decide kernels fan across the
-// ParallelTickEngine pool under the canonical message-merge order, so
-// threads/shards/decide are real — and result-invariant — knobs.
+// CountUpdate messages to a node's current believed partners instead of
+// dense n-squared view matrices rebroadcast to all, and the per-epoch
+// apply/report/decide kernels fan across the ParallelTickEngine pool
+// under the canonical message-merge order, so threads/shards are real —
+// and result-invariant — knobs. Every scanning node decides from
+// scratch.
 //
 // Distillation is out of scope here (D = 1): the consistency questions
 // are orthogonal to the distillation cascade, which the round-based
@@ -56,7 +57,7 @@ struct DistributedConfig {
   std::uint64_t seed = 1;
   /// Intra-run engine knobs: the apply and report/decide kernels fan
   /// across a worker pool; results are bit-identical for every
-  /// threads/shards/decide setting (vertex-program canonical merge).
+  /// threads/shards setting (vertex-program canonical merge).
   sim::TickConcurrency tick;
 
   /// Fault-injection plan (one fault round per epoch). A crash measures

@@ -12,6 +12,7 @@
 #include "sim/network_state.hpp"
 #include "util/cancel.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace poq::core {
 
@@ -95,6 +96,15 @@ NodeId pick_distill_peer(const sim::NetworkState& state,
 FidelitySimResult run_fidelity_sim(const graph::Graph& generation_graph,
                                    const Workload& workload,
                                    const FidelitySimConfig& config) {
+  // An empty bucket's best fidelity reads 0, so a target <= 0 (or NaN)
+  // would count a missing pair as good enough.
+  require(std::isfinite(config.app_fidelity) && config.app_fidelity > 0.0 &&
+              config.app_fidelity <= 1.0,
+          util::str_cat("fidelity_sim: app-fidelity must be finite and in "
+                        "(0, 1], got ", config.app_fidelity));
+  require(config.memory_time_constant > 0.0,
+          util::str_cat("fidelity_sim: memory-T must be > 0, got ",
+                        config.memory_time_constant));
   require(config.raw_fidelity > config.usable_fidelity,
           "fidelity_sim: raw pairs must be usable when fresh");
   require(std::isfinite(config.duration) && config.duration > 0.0,
@@ -105,10 +115,7 @@ FidelitySimResult run_fidelity_sim(const graph::Graph& generation_graph,
           "fidelity_sim: scan rate must be finite and positive");
   require(generation_graph.node_count() >= 3, "fidelity_sim: need at least 3 nodes");
   const std::size_t n = generation_graph.node_count();
-  // Nothing drains a dirty set here, so the ledger keeps none.
-  sim::TickConcurrency tick = config.tick;
-  tick.incremental_decide = false;
-  sim::NetworkState state(generation_graph, config.seed, tick,
+  sim::NetworkState state(generation_graph, config.seed, config.tick,
                           decay_model(config));
   const MaxMinBalancer balancer{1.0};
   FidelitySimResult result;

@@ -59,8 +59,7 @@ struct FidelitySimConfig {
   /// Simulated duration.
   double duration = 500.0;
   std::uint64_t seed = 1;
-  /// Intra-run threads/shards of the slice-kernel engine. Every scanning
-  /// node decides from scratch, so tick.incremental_decide is not read.
+  /// Intra-run threads/shards of the slice-kernel engine.
   sim::TickConcurrency tick;
 
   /// Fault-injection plan. A fault "round" here is one slice of width

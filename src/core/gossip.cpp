@@ -262,11 +262,6 @@ GossipResult run_gossip(const graph::Graph& generation_graph, const Workload& wo
       ring.deliver(round, [&](NodeId owner, NodeId reporter, const std::uint32_t* row,
                               std::uint32_t version) {
         knowledge.install(owner, reporter, row, version);
-        // An install changes what the owner reads at decide time (its
-        // beneficiary views, including the freshness tie-break), so the
-        // incremental decide must re-run it even if no ledger count it
-        // reads moved.
-        sim.ledger().mark_dirty(owner);
       });
     }
 

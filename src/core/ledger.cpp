@@ -60,46 +60,6 @@ std::uint32_t PairLedger::count(NodeId x, NodeId y) const {
              : row_count(x, y);
 }
 
-void PairLedger::mark_pair_readers(NodeId x, NodeId y, std::uint32_t before,
-                                   std::uint32_t after) {
-  if (mark_overflow_) return;
-  // The endpoints read C_x(y) (eligibility + donor capacity) only once it
-  // can reach the eligibility threshold; below it, the scan consults the
-  // count solely through the threshold predicate, which this move left
-  // false on both sides.
-  if (before >= reader_threshold_ || after >= reader_threshold_) {
-    mark_dirty(x);
-    mark_dirty(y);
-  }
-  if (dirty_count_ == node_count_) return;
-  // The other readers of C_x(y) are the nodes holding *eligible* pairs
-  // toward both x and y (they see its exact value as a beneficiary
-  // count, at any magnitude). Scan the smaller row; membership and
-  // eligibility in the other row are one mirror load below the limit
-  // and an O(log deg) probe above it.
-  NodeId small = x;
-  NodeId big = y;
-  if (rows_[big].partners.size() < rows_[small].partners.size()) {
-    std::swap(small, big);
-  }
-  const RowView row = this->row(small);
-  const auto deg = static_cast<std::uint32_t>(row.size());
-  // Precision has a per-epoch budget; once the scans have cost more than
-  // O(n) this epoch, latch everything-dirty and stop paying (dense
-  // regimes re-decide everything anyway).
-  mark_budget_ -= deg;
-  if (mark_budget_ <= 0) {
-    mark_overflow_ = true;
-    return;
-  }
-  row.for_each([this, big](NodeId z, std::uint32_t count) {
-    if (z != big && count >= reader_threshold_ &&
-        row_count(big, z) >= reader_threshold_) {
-      mark_dirty(z);
-    }
-  });
-}
-
 void PairLedger::insert_entry(NodeId x, std::size_t slot, NodeId y,
                               std::uint32_t amount) {
   Row& row = rows_[x];
@@ -115,7 +75,9 @@ void PairLedger::erase_entry(NodeId x, std::size_t slot) {
   if (dense_.empty()) row.counts.erase(row.counts.begin() + static_cast<long>(slot));
 }
 
-std::uint32_t PairLedger::bump_pair(NodeId x, NodeId y, std::uint32_t amount) {
+void PairLedger::add(NodeId x, NodeId y, std::uint32_t amount) {
+  check(x, y);
+  if (amount == 0) return;
   if (!dense_.empty()) {
     // Below the limit the mirror is the count: a live pair's count moves
     // in place, and only a new pair touches (searches) the rows.
@@ -128,28 +90,20 @@ std::uint32_t PairLedger::bump_pair(NodeId x, NodeId y, std::uint32_t amount) {
     }
     mirror_xy = before + amount;
     dense_[y * node_count_ + x] = before + amount;
-    return before;
+  } else {
+    Row& row_x = rows_[x];
+    const std::size_t slot_x = lower_slot(row_x.partners, y);
+    if (slot_x == row_x.partners.size() || row_x.partners[slot_x] != y) {
+      insert_entry(x, slot_x, y, amount);
+      insert_entry(y, lower_slot(rows_[y].partners, x), x, amount);
+    } else {
+      const std::uint32_t before = row_x.counts[slot_x];
+      require(before + amount > before, "PairLedger::add: count overflow");
+      row_x.counts[slot_x] = before + amount;
+      rows_[y].counts[partner_slot(rows_[y].partners, x)] = before + amount;
+    }
   }
-  Row& row_x = rows_[x];
-  const std::size_t slot_x = lower_slot(row_x.partners, y);
-  if (slot_x == row_x.partners.size() || row_x.partners[slot_x] != y) {
-    insert_entry(x, slot_x, y, amount);
-    insert_entry(y, lower_slot(rows_[y].partners, x), x, amount);
-    return 0;
-  }
-  const std::uint32_t before = row_x.counts[slot_x];
-  require(before + amount > before, "PairLedger::add: count overflow");
-  row_x.counts[slot_x] = before + amount;
-  rows_[y].counts[partner_slot(rows_[y].partners, x)] = before + amount;
-  return before;
-}
-
-void PairLedger::add(NodeId x, NodeId y, std::uint32_t amount) {
-  check(x, y);
-  if (amount == 0) return;
-  const std::uint32_t before = bump_pair(x, y, amount);
   total_ += amount;
-  if (!dirty_.empty()) mark_pair_readers(x, y, before, before + amount);
 }
 
 void PairLedger::remove(NodeId x, NodeId y, std::uint32_t amount) {
@@ -178,7 +132,6 @@ void PairLedger::remove(NodeId x, NodeId y, std::uint32_t amount) {
   }
   const std::uint32_t after = before - amount;
   total_ -= amount;
-  if (!dirty_.empty()) mark_pair_readers(x, y, before, after);
   if (after == 0) {
     if (!dense_.empty()) {
       slot_x = lower_slot(rows_[x].partners, y);
@@ -206,11 +159,10 @@ graph::Graph PairLedger::entanglement_graph(std::uint32_t threshold) const {
 
 std::uint64_t PairLedger::memory_bytes() const {
   // Logical accounting with fixed constants: per-node row headers (two
-  // vector headers + the dirty slot) plus live entries, both symmetric
-  // copies counted — a partner id, plus its count above
-  // kFullReserveNodeLimit — plus the dense count mirror below it
-  // (4 n^2 bytes).
-  constexpr std::uint64_t kPerNodeBytes = 56;
+  // vector headers) plus live entries, both symmetric copies counted — a
+  // partner id, plus its count above kFullReserveNodeLimit — plus the
+  // dense count mirror below it (4 n^2 bytes).
+  constexpr std::uint64_t kPerNodeBytes = 48;
   const std::uint64_t per_entry_bytes =
       sizeof(NodeId) + (dense_.empty() ? sizeof(std::uint32_t) : 0);
   std::uint64_t bytes = kPerNodeBytes * node_count_;
@@ -250,50 +202,6 @@ void PairLedger::check_invariants() const {
     }
   }
   ensure(recount == total_, "PairLedger: total differs from a recount");
-}
-
-void PairLedger::enable_dirty_tracking() {
-  if (!dirty_.empty()) return;
-  dirty_.assign(node_count_, 1);
-  dirty_count_ = node_count_;
-  mark_budget_ = kMarkingBudgetPerNode * static_cast<std::int64_t>(node_count_);
-}
-
-void PairLedger::set_reader_threshold(std::uint32_t minimum_eligible_count) {
-  require(minimum_eligible_count >= 1,
-          "PairLedger: reader threshold must be >= 1");
-  reader_threshold_ = minimum_eligible_count;
-}
-
-void PairLedger::mark_dirty(NodeId x) {
-  if (dirty_.empty() || dirty_[x] != 0) return;
-  dirty_[x] = 1;
-  ++dirty_count_;
-}
-
-std::size_t PairLedger::drain_dirty(std::vector<NodeId>& out) {
-  if (dirty_.empty()) return 0;
-  mark_budget_ = kMarkingBudgetPerNode * static_cast<std::int64_t>(node_count_);
-  if (mark_overflow_) {
-    // The epoch overflowed: marks were latched, not recorded — the whole
-    // network is the frontier.
-    mark_overflow_ = false;
-    std::fill(dirty_.begin(), dirty_.end(), 0);
-    dirty_count_ = 0;
-    for (NodeId x = 0; x < node_count_; ++x) out.push_back(x);
-    return node_count_;
-  }
-  if (dirty_count_ == 0) return 0;
-  std::size_t appended = 0;
-  for (NodeId x = 0; x < node_count_; ++x) {
-    if (dirty_[x] != 0) {
-      dirty_[x] = 0;
-      out.push_back(x);
-      ++appended;
-    }
-  }
-  dirty_count_ = 0;
-  return appended;
 }
 
 }  // namespace poq::core

@@ -9,20 +9,19 @@
 //
 // Hot-path layout: every node has a sparse row, its partner ids sorted
 // ascending, for enumeration (the §4 eligibility walk, hybrid's route
-// search, decohere, purge and reader marking). Where a pair's count
-// lives depends on the node count, chosen once at construction and the
-// only selection rule:
+// search, decohere and purge). Where a pair's count lives depends on the
+// node count, chosen once at construction and the only selection rule:
 //
 //   * Up to kFullReserveNodeLimit nodes, one dense n x n uint32 count
 //     mirror (4 n^2 bytes; 40 KB at n = 100) holds every count, and the
 //     rows hold ids only. A count-only add or remove is two mirror
 //     stores; only an insert or an erase searches a row and shifts it.
-//     count(), the commit's preferability recheck, reader marking and
-//     the §4 decide's beneficiary reads are one indexed load
-//     (dense_row(x)); gossip copies the whole mirror once per round as
-//     its report snapshot (dense_counts()). Every row pre-reserves the
-//     dense worst case, so steady-state add/remove never allocates (the
-//     zero-allocation hot-path contract).
+//     count(), the commit's preferability recheck and the §4 decide's
+//     beneficiary reads are one indexed load (dense_row(x)); gossip
+//     copies the whole mirror once per round as its report snapshot
+//     (dense_counts()). Every row pre-reserves the dense worst case, so
+//     steady-state add/remove never allocates (the zero-allocation
+//     hot-path contract).
 //   * Above it (the megascale regime) there is no mirror: each row
 //     carries a count vector parallel to its ids, so memory is
 //     O(nodes + live pair types), never O(n^2). Rows grow amortized —
@@ -39,16 +38,8 @@
 // canonical-edge-order loop of add (sim::NetworkState::generate). Nothing
 // in the protocol reads a network-wide minimum — §4 swap decisions read a
 // node's own row and its partners' counts — so the ledger keeps no
-// minimum tracker.
-//
-// Dirty set: an optional per-node set for the incremental swap-decide
-// kernel. When enabled, every count mutation marks exactly the nodes
-// whose readable state changed — the two endpoints (they own the counts)
-// plus the common partners of the changed pair (the nodes that read
-// C_x(y) as a §4 beneficiary count). An unchanged readable view implies
-// an unchanged best-swap decision, so a decide kernel that re-runs only
-// over the dirty frontier is exactly equivalent to a full rescan
-// (sim::NetworkState::decide_swaps leans on this).
+// minimum tracker, and no record of which nodes a mutation touched:
+// every decide reads the counts from scratch.
 #pragma once
 
 #include <cstdint>
@@ -144,57 +135,6 @@ class PairLedger {
   /// (the entanglement graph the hybrid protocol routes over, §6).
   [[nodiscard]] graph::Graph entanglement_graph(std::uint32_t threshold = 1) const;
 
-  // --- incremental-decide dirty set ------------------------------------
-  // Disabled (and free) by default; sim::NetworkState enables it for the
-  // phase-kernel engine. Marking happens inside ledger mutations and
-  // draining in the caller's serial phase, so the dirty set needs no
-  // synchronization.
-
-  /// Turn on dirty tracking; every node starts dirty.
-  void enable_dirty_tracking();
-  [[nodiscard]] bool dirty_tracking() const { return !dirty_.empty(); }
-  /// Minimum count at which a partner becomes *eligible* for the §4 scan
-  /// (MaxMinBalancer::min_eligible_count(), ceil(D) + 1). Tightens the
-  /// marking: a node reads a partner's exact count only once that
-  /// partner is eligible, and it reads a beneficiary count C_x(y) only
-  /// when both x and y are eligible partners — so a mutation that stays
-  /// strictly below the threshold on both sides marks no endpoint, and
-  /// beneficiary readers are filtered by their own eligibility toward
-  /// the pair. The default (1) assumes nothing (any nonzero count may be
-  /// read) and is always safe. Protocol-exact, not a heuristic:
-  /// under-threshold counts are consulted only through the >= threshold
-  /// predicate itself, which such a mutation cannot flip.
-  void set_reader_threshold(std::uint32_t minimum_eligible_count);
-  [[nodiscard]] bool dirty(NodeId x) const {
-    return !dirty_.empty() && (mark_overflow_ || dirty_[x] != 0);
-  }
-  /// Currently dirty nodes (0 when tracking is off; node_count when the
-  /// marking epoch overflowed and everything counts as dirty).
-  [[nodiscard]] std::size_t dirty_count() const {
-    if (dirty_.empty()) return 0;
-    if (mark_overflow_) return node_count_;
-    return dirty_count_;
-  }
-  /// Mark one node dirty (e.g. a gossip view install changed what the
-  /// node would read at decide time). No-op when tracking is off.
-  void mark_dirty(NodeId x);
-  /// Append the dirty nodes (ascending) to `out`, clearing their bits.
-  /// Returns how many were appended. Serial contexts only. Starts a new
-  /// marking epoch (see kMarkingBudgetPerNode).
-  std::size_t drain_dirty(std::vector<NodeId>& out);
-
-  /// Precise reader marking is itself O(min-degree) per mutation; in
-  /// dense regimes (every node's counts moving every round) that work
-  /// buys nothing — everything ends up dirty anyway. Each marking epoch
-  /// (decide-to-decide) therefore has a probe budget of
-  /// kMarkingBudgetPerNode * node_count; once spent, the ledger latches
-  /// "everything dirty" and marking becomes O(1) per mutation for the
-  /// rest of the epoch. Over-marking is always safe (dirty nodes just
-  /// recompute), so this bounds the marking overhead at O(n) per epoch
-  /// without touching the equivalence proof. Sparse steady states never
-  /// come close to the budget.
-  static constexpr std::int64_t kMarkingBudgetPerNode = 8;
-
   /// Up to this node count the dense count mirror (<= 4 MB) holds every
   /// count and every row pre-reserves node_count-1 partner ids (dense
   /// worst case, <= ~4 MB total) so steady-state mutation never
@@ -229,18 +169,10 @@ class PairLedger {
   /// Count of (x, y) read from the mirror, or from x's row above the
   /// limit (0 when absent).
   [[nodiscard]] std::uint32_t row_count(NodeId x, NodeId y) const;
-  /// add's row mutation: insert-or-increment both symmetric entries by
-  /// `amount` (> 0); returns the count before.
-  std::uint32_t bump_pair(NodeId x, NodeId y, std::uint32_t amount);
   /// Insert y into x's row at `slot` (its sorted position) / erase x's
   /// entry at `slot`; the count moves with the id only above the limit.
   void insert_entry(NodeId x, std::size_t slot, NodeId y, std::uint32_t amount);
   void erase_entry(NodeId x, std::size_t slot);
-  /// Mark everything that reads C_x(y) as it moves before -> after: the
-  /// endpoints (unless the count stays strictly under the reader
-  /// threshold on both sides) and the eligible common partners.
-  void mark_pair_readers(NodeId x, NodeId y, std::uint32_t before,
-                         std::uint32_t after);
 
   std::size_t node_count_;
   std::vector<Row> rows_;
@@ -248,14 +180,6 @@ class PairLedger {
   /// kFullReserveNodeLimit (the only count store there), empty above it.
   std::vector<std::uint32_t> dense_;
   std::uint64_t total_ = 0;
-
-  // Dirty set (empty vector = tracking off).
-  std::vector<std::uint8_t> dirty_;
-  std::size_t dirty_count_ = 0;
-  std::uint32_t reader_threshold_ = 1;
-  /// Probes left in this marking epoch; overflow latches all-dirty.
-  std::int64_t mark_budget_ = 0;
-  bool mark_overflow_ = false;
 };
 
 }  // namespace poq::core

@@ -150,12 +150,6 @@ class MaxMinBalancer {
   /// that fraction is positive). Shared by swaps and consumption.
   [[nodiscard]] std::uint32_t spend(util::Rng& rng) const;
 
-  /// The smallest count with room >= 1 (ceil(D) + 1, saturating): the
-  /// ledger's reader threshold, below which no decision can see a count.
-  [[nodiscard]] std::uint32_t min_eligible_count() const {
-    return ceil_d_ + (ceil_d_ < UINT32_MAX ? 1 : 0);
-  }
-
   /// Pairs a consumer pair must hold to be consumed, and the pairs a
   /// hybrid assist manufactures for it: max(1, ceil(D)).
   [[nodiscard]] std::uint32_t consumption_need() const { return std::max(1u, ceil_d_); }

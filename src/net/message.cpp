@@ -8,13 +8,7 @@ namespace poq::net {
 
 MessageType message_type(const Message& message) {
   struct Visitor {
-    MessageType operator()(const SwapNotify&) const { return MessageType::kSwapNotify; }
     MessageType operator()(const CountUpdate&) const { return MessageType::kCountUpdate; }
-    MessageType operator()(const PathReserve&) const { return MessageType::kPathReserve; }
-    MessageType operator()(const PathRelease&) const { return MessageType::kPathRelease; }
-    MessageType operator()(const GossipControl&) const {
-      return MessageType::kGossipControl;
-    }
     MessageType operator()(const PairUpdate&) const { return MessageType::kPairUpdate; }
     MessageType operator()(const ConsumeOffer&) const {
       return MessageType::kConsumeOffer;
@@ -43,16 +37,6 @@ struct SizeCounter {
 };
 
 template <typename Out>
-void encode_body(Out& out, const SwapNotify& m) {
-  out.write_varint(m.repeater);
-  out.write_varint(m.left);
-  out.write_varint(m.right);
-  // The paper's "only 2 bits of classical information": packed into one
-  // byte on the wire (bit 0 = z, bit 1 = x).
-  out.write_u8(static_cast<std::uint8_t>((m.z_bit ? 1 : 0) | (m.x_bit ? 2 : 0)));
-}
-
-template <typename Out>
 void encode_body(Out& out, const CountUpdate& m) {
   out.write_varint(m.reporter);
   out.write_varint(m.version);
@@ -61,26 +45,6 @@ void encode_body(Out& out, const CountUpdate& m) {
     out.write_varint(entry.peer);
     out.write_varint(entry.count);
   }
-}
-
-template <typename Out>
-void encode_body(Out& out, const PathReserve& m) {
-  out.write_varint(m.request_id);
-  out.write_varint(m.path.size());
-  for (NodeId node : m.path) out.write_varint(node);
-}
-
-template <typename Out>
-void encode_body(Out& out, const PathRelease& m) {
-  out.write_varint(m.request_id);
-  out.write_u8(m.completed ? 1 : 0);
-}
-
-template <typename Out>
-void encode_body(Out& out, const GossipControl& m) {
-  out.write_varint(m.from);
-  out.write_varint(m.to);
-  out.write_u8(m.unchoke ? 1 : 0);
 }
 
 template <typename Out>
@@ -122,16 +86,6 @@ Message decode(std::span<const std::uint8_t> bytes) {
   ByteReader in(bytes);
   const auto type = static_cast<MessageType>(in.read_u8());
   switch (type) {
-    case MessageType::kSwapNotify: {
-      SwapNotify m;
-      m.repeater = static_cast<NodeId>(in.read_varint());
-      m.left = static_cast<NodeId>(in.read_varint());
-      m.right = static_cast<NodeId>(in.read_varint());
-      const std::uint8_t bits = in.read_u8();
-      m.z_bit = (bits & 1) != 0;
-      m.x_bit = (bits & 2) != 0;
-      return m;
-    }
     case MessageType::kCountUpdate: {
       CountUpdate m;
       m.reporter = static_cast<NodeId>(in.read_varint());
@@ -144,29 +98,6 @@ Message decode(std::span<const std::uint8_t> bytes) {
         entry.count = static_cast<std::uint32_t>(in.read_varint());
         m.entries.push_back(entry);
       }
-      return m;
-    }
-    case MessageType::kPathReserve: {
-      PathReserve m;
-      m.request_id = in.read_varint();
-      const std::uint64_t length = in.read_varint();
-      m.path.reserve(length);
-      for (std::uint64_t i = 0; i < length; ++i) {
-        m.path.push_back(static_cast<NodeId>(in.read_varint()));
-      }
-      return m;
-    }
-    case MessageType::kPathRelease: {
-      PathRelease m;
-      m.request_id = in.read_varint();
-      m.completed = in.read_u8() != 0;
-      return m;
-    }
-    case MessageType::kGossipControl: {
-      GossipControl m;
-      m.from = static_cast<NodeId>(in.read_varint());
-      m.to = static_cast<NodeId>(in.read_varint());
-      m.unchoke = in.read_u8() != 0;
       return m;
     }
     case MessageType::kPairUpdate: {

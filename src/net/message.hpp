@@ -1,11 +1,10 @@
 // Classical control-plane messages.
 //
-// The paper's protocols exchange: the 2 bits completing each swap
-// (Fig. 2), buffer-count state for the balancer (§4 assumes global
-// knowledge; §6 relaxes it to gossip), and reservation traffic for the
-// planned-path baselines (RSVP-like, cf. [33]). Each message encodes to a
-// deterministic byte string so classical overhead is measured, not
-// estimated.
+// The simulated protocols exchange: buffer-count state for the balancer
+// (§4 assumes global knowledge; §6 relaxes it to gossip), the repointing
+// notice carrying the 2 bits that complete each swap (Fig. 2), and the
+// consumption handshake. Each message encodes to a deterministic byte
+// string so classical overhead is measured, not estimated.
 #pragma once
 
 #include <cstdint>
@@ -19,16 +18,6 @@ namespace poq::net {
 
 using NodeId = std::uint32_t;
 
-/// Completion notice for swap left <- repeater -> right: carries the two
-/// Bell-measurement bits the far end needs for its Pauli repair.
-struct SwapNotify {
-  NodeId repeater = 0;
-  NodeId left = 0;
-  NodeId right = 0;
-  bool z_bit = false;
-  bool x_bit = false;
-};
-
 /// One node's current Bell-pair counts toward a set of peers.
 struct CountUpdate {
   NodeId reporter = 0;
@@ -38,26 +27,6 @@ struct CountUpdate {
     std::uint32_t count = 0;
   };
   std::vector<Entry> entries;
-};
-
-/// Reserve swap capacity along an explicit path (planned-path baseline).
-struct PathReserve {
-  std::uint64_t request_id = 0;
-  std::vector<NodeId> path;
-};
-
-/// Release a reservation after completion or failure.
-struct PathRelease {
-  std::uint64_t request_id = 0;
-  bool completed = false;
-};
-
-/// BitTorrent-style neighbour management for partial-knowledge gossip
-/// (§6): a node offers its counts to a rotating subset and chokes others.
-struct GossipControl {
-  NodeId from = 0;
-  NodeId to = 0;
-  bool unchoke = false;  // true: start exchanging counts; false: stop
 };
 
 /// Repointing notice after a remote swap (distributed protocol): "your
@@ -90,16 +59,13 @@ struct ConsumeReply {
   bool accept = false;
 };
 
-using Message = std::variant<SwapNotify, CountUpdate, PathReserve, PathRelease,
-                             GossipControl, PairUpdate, ConsumeOffer, ConsumeReply>;
+using Message = std::variant<CountUpdate, PairUpdate, ConsumeOffer, ConsumeReply>;
 
-/// Stable wire tags (first byte of every encoded message).
+/// Stable wire tags (first byte of every encoded message). The values are
+/// fixed: control_bytes metrics count them, so a retired kind's tag is
+/// never reused.
 enum class MessageType : std::uint8_t {
-  kSwapNotify = 1,
   kCountUpdate = 2,
-  kPathReserve = 3,
-  kPathRelease = 4,
-  kGossipControl = 5,
   kPairUpdate = 6,
   kConsumeOffer = 7,
   kConsumeReply = 8,

@@ -48,14 +48,6 @@ std::vector<KnobSpec> tick_knobs() {
   };
 }
 
-/// Declared only where a decide reads it: planned has no swap decide and
-/// fidelity decides from scratch, so the registry rejects it there.
-KnobSpec decide_knob() {
-  return {"decide", KnobType::kString, std::string("incremental"),
-          "swap-decide mode: incremental (dirty-set candidate cache) or "
-          "full (rescan every node); never changes results"};
-}
-
 /// An integer knob narrowed to uint32 only after checking it lies in
 /// [lo, hi]; a bare cast would wrap -1 to 2^32 - 1 and 2^32 + 1 to 1.
 std::uint32_t knob_u32(const ScenarioSpec& spec, const std::string& name,
@@ -69,21 +61,10 @@ std::uint32_t knob_u32(const ScenarioSpec& spec, const std::string& name,
   return static_cast<std::uint32_t>(value);
 }
 
-sim::TickConcurrency tick_from_spec(const std::string& protocol,
-                                    const ScenarioSpec& spec) {
+sim::TickConcurrency tick_from_spec(const ScenarioSpec& spec) {
   sim::TickConcurrency tick;
   tick.threads = knob_u32(spec, "threads", 1, 0, 4096);
   tick.shards = knob_u32(spec, "shards", 0, 0, 1 << 20);
-  const std::string decide = spec.knob_string("decide", "incremental");
-  if (decide == "incremental") {
-    tick.incremental_decide = true;
-  } else if (decide == "full") {
-    tick.incremental_decide = false;
-  } else {
-    throw PreconditionError(util::str_cat(
-        protocol, ": knob 'decide' must be incremental or full, got '", decide,
-        "'"));
-  }
   return tick;
 }
 
@@ -117,6 +98,9 @@ sim::FaultConfig fault_config_from_spec(const ScenarioSpec& spec) {
   config.link_mttr = spec.knob_double("fault-link-mttr", 10.0);
   config.rate_degradation = spec.knob_double("fault-rate-degradation", 0.0);
   config.script = spec.faults;
+  // Checked whatever enabled() says: a negative or NaN knob would
+  // otherwise read as "faults off" and run silently.
+  config.validate();
   return config;
 }
 
@@ -249,7 +233,6 @@ std::vector<KnobSpec> balancing_knobs() {
 std::vector<KnobSpec> balancing_knobs_with_tick() {
   std::vector<KnobSpec> knobs = balancing_knobs();
   for (KnobSpec& knob : tick_knobs()) knobs.push_back(std::move(knob));
-  knobs.push_back(decide_knob());
   for (KnobSpec& knob : fault_knobs()) knobs.push_back(std::move(knob));
   return knobs;
 }
@@ -266,7 +249,7 @@ class BalancingProtocol final : public Protocol {
   RunMetrics run(const ScenarioSpec& spec) const override {
     const ScenarioInstance instance = instantiate(spec);
     core::BalancingConfig config = balancing_config(spec);
-    config.tick = tick_from_spec("balancing", spec);
+    config.tick = tick_from_spec(spec);
     core::BalancingSimulation simulation(instance.graph, instance.workload,
                                          config);
     const core::BalancingResult result = simulation.run();
@@ -311,7 +294,7 @@ class PlannedProtocol final : public Protocol {
     config.window = knob_u32(spec, "window", 4, 1);
     config.max_rounds = knob_u32(spec, "max-rounds", 200000, 0);
     config.seed = spec.seed;
-    config.tick = tick_from_spec("planned", spec);
+    config.tick = tick_from_spec(spec);
     config.faults = fault_config_from_spec(spec);
     const std::string mode = spec.knob_string("mode", "oriented");
     if (mode == "connectionless") {
@@ -358,7 +341,7 @@ class HybridProtocol final : public Protocol {
   RunMetrics run(const ScenarioSpec& spec) const override {
     core::HybridConfig config;
     config.base = balancing_config(spec);
-    config.base.tick = tick_from_spec("hybrid", spec);
+    config.base.tick = tick_from_spec(spec);
     config.max_assist_hops = knob_u32(spec, "max-assist-hops", 8, 0);
     const ScenarioInstance instance = instantiate(spec);
     const core::HybridResult result =
@@ -396,7 +379,7 @@ class GossipProtocol final : public Protocol {
   RunMetrics run(const ScenarioSpec& spec) const override {
     core::GossipConfig config;
     config.base = balancing_config(spec);
-    config.base.tick = tick_from_spec("gossip", spec);
+    config.base.tick = tick_from_spec(spec);
     config.fanout = knob_u32(spec, "fanout", 2, 1);
     config.optimistic_peer = spec.knob_bool("optimistic-peer", true);
     config.latency_per_hop = spec.knob_double("latency", 1.0);
@@ -434,7 +417,6 @@ class DistributedProtocol final : public Protocol {
          "epoch length of the vertex-program loop (time units)"},
     };
     for (KnobSpec& knob : tick_knobs()) knobs.push_back(std::move(knob));
-    knobs.push_back(decide_knob());
     for (KnobSpec& knob : fault_knobs()) knobs.push_back(std::move(knob));
     return knobs;
   }
@@ -447,7 +429,7 @@ class DistributedProtocol final : public Protocol {
     config.scan_rate = spec.knob_double("scan-rate", 1.0);
     config.dt = spec.knob_double("dt", 0.25);
     config.seed = spec.seed;
-    config.tick = tick_from_spec("distributed", spec);
+    config.tick = tick_from_spec(spec);
     config.faults = fault_config_from_spec(spec);
     const ScenarioInstance instance = instantiate(spec);
     const core::DistributedResult result =
@@ -495,7 +477,6 @@ class AsyncRoutingProtocol final : public Protocol {
          "epoch length of the vertex-program loop (time units)"},
     };
     for (KnobSpec& knob : tick_knobs()) knobs.push_back(std::move(knob));
-    knobs.push_back(decide_knob());
     for (KnobSpec& knob : fault_knobs()) knobs.push_back(std::move(knob));
     return knobs;
   }
@@ -508,7 +489,7 @@ class AsyncRoutingProtocol final : public Protocol {
     config.duration = spec.knob_double("duration", 400.0);
     config.dt = spec.knob_double("dt", 0.25);
     config.seed = spec.seed;
-    config.tick = tick_from_spec("async_routing", spec);
+    config.tick = tick_from_spec(spec);
     config.faults = fault_config_from_spec(spec);
     const ScenarioInstance instance = instantiate(spec);
     const core::AsyncRoutingResult result =
@@ -567,7 +548,7 @@ class FidelityProtocol final : public Protocol {
     config.duration = spec.knob_double("duration", 500.0);
     config.distillation_enabled = spec.knob_bool("distill", true);
     config.seed = spec.seed;
-    config.tick = tick_from_spec("fidelity", spec);
+    config.tick = tick_from_spec(spec);
     config.faults = fault_config_from_spec(spec);
     const std::string pairing = spec.knob_string("pairing", "freshest");
     if (pairing == "oldest") {
@@ -630,8 +611,8 @@ class LpProtocol final : public Protocol {
          "max-min-consumption|max-scale"},
     };
     // No tick knobs: the steady-state solve has no engine to select, and
-    // accepting-then-ignoring threads/shards/decide would misrepresent the
-    // run. The registry's knob validation rejects them with a clear error.
+    // accepting-then-ignoring threads/shards would misrepresent the run.
+    // The registry's knob validation rejects them with a clear error.
     for (KnobSpec& knob : fault_knobs()) knobs.push_back(std::move(knob));
     return knobs;
   }

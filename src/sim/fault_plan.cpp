@@ -1,6 +1,7 @@
 #include "sim/fault_plan.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "sim/parallel_engine.hpp"
@@ -10,17 +11,28 @@
 
 namespace poq::sim {
 
+void FaultConfig::validate() const {
+  const auto check = [](bool ok, const char* knob, const char* rule,
+                        double value) {
+    require(ok, util::str_cat("knob '", knob, "' must be ", rule, ", got ",
+                              value));
+  };
+  check(std::isfinite(node_mtbf) && node_mtbf >= 0.0, "fault-node-mtbf",
+        "finite and >= 0", node_mtbf);
+  check(std::isfinite(node_mttr) && node_mttr >= 1.0, "fault-node-mttr",
+        "finite and >= 1 round", node_mttr);
+  check(std::isfinite(link_mtbf) && link_mtbf >= 0.0, "fault-link-mtbf",
+        "finite and >= 0", link_mtbf);
+  check(std::isfinite(link_mttr) && link_mttr >= 1.0, "fault-link-mttr",
+        "finite and >= 1 round", link_mttr);
+  check(rate_degradation >= 0.0 && rate_degradation < 1.0,
+        "fault-rate-degradation", "in [0, 1)", rate_degradation);
+}
+
 FaultPlan::FaultPlan(const graph::Graph& graph, const FaultConfig& config,
                      std::uint64_t seed)
     : graph_(graph), config_(config), seed_(seed) {
-  require(config.node_mtbf >= 0.0, "FaultConfig: node mtbf must be >= 0");
-  require(config.link_mtbf >= 0.0, "FaultConfig: link mtbf must be >= 0");
-  require(config.node_mtbf == 0.0 || config.node_mttr >= 1.0,
-          "FaultConfig: node mttr must be >= 1 round");
-  require(config.link_mtbf == 0.0 || config.link_mttr >= 1.0,
-          "FaultConfig: link mttr must be >= 1 round");
-  require(config.rate_degradation >= 0.0 && config.rate_degradation < 1.0,
-          "FaultConfig: rate degradation must be in [0, 1)");
+  config.validate();
 
   const std::size_t n = graph.node_count();
   node_up_.assign(n, 1);

@@ -85,6 +85,12 @@ struct FaultConfig {
     return node_mtbf > 0.0 || link_mtbf > 0.0 || rate_degradation > 0.0 ||
            !script.empty();
   }
+
+  /// Throw PreconditionError naming the knob (fault-node-mtbf, ...) of
+  /// the first bad value: every mtbf finite and >= 0, every mttr finite
+  /// and >= 1 round, the rate degradation in [0, 1). Independent of
+  /// enabled(), which a negative or NaN value would turn false.
+  void validate() const;
 };
 
 /// The run's one resilience record: the plan's own accounting over the

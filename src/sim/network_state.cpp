@@ -13,14 +13,13 @@ NetworkState::NetworkState(const graph::Graph& generation_graph,
                            std::optional<DecayModel> decay)
     : graph_(generation_graph),
       seed_(seed),
-      tick_(tick),
       ledger_(generation_graph.node_count()),
       decay_(decay) {
   const std::size_t n = graph_.node_count();
-  pool_ = std::make_unique<ParallelTickEngine>(tick_.threads);
-  // Decide scratch is per pool worker (chunks of the frontier are
-  // claimed dynamically; any worker may run any chunk, and scratch
-  // never leaks into results).
+  pool_ = std::make_unique<ParallelTickEngine>(tick.threads);
+  // Decide scratch is per pool worker (node chunks are claimed
+  // dynamically; any worker may run any chunk, and scratch never leaks
+  // into results).
   worker_scratch_.resize(pool_->thread_count());
   // Pre-size every per-round scratch once: the steady-state round
   // allocates nothing (asserted by the hot-path allocation test). The
@@ -34,23 +33,18 @@ NetworkState::NetworkState(const graph::Graph& generation_graph,
     scratch.reserve(scratch_nodes);
   }
   generation_flags_.assign(graph_.edge_count(), 0);
-  // Chunk grains for the dynamically scheduled kernels. Fixed ranges
-  // (edges, all nodes) resolve once here; the decide grain resolves per
-  // call against the live frontier size. Grain is a pure performance
-  // knob — chunk boundaries are canonical, results never move.
+  // Chunk grains for the dynamically scheduled kernels, resolved once
+  // over their fixed ranges (edges, all nodes). Grain is a pure
+  // performance knob — chunk boundaries are canonical, results never
+  // move.
   generate_grain_ = ParallelTickEngine::resolve_grain(
-      tick_.shards, graph_.edge_count(), grain::kGenerate);
+      tick.shards, graph_.edge_count(), grain::kGenerate);
+  decide_grain_ =
+      ParallelTickEngine::resolve_grain(tick.shards, n, grain::kDecide);
   decohere_grain_ =
-      ParallelTickEngine::resolve_grain(tick_.shards, n, grain::kDecohere);
+      ParallelTickEngine::resolve_grain(tick.shards, n, grain::kDecohere);
   candidates_.assign(n, std::nullopt);
-  dirty_nodes_.reserve(n);
   candidate_nodes_.reserve(n);
-  candidate_scratch_.reserve(n);
-  // The incremental decide consumes the ledger's dirty frontier; every
-  // node starts dirty so the first decide computes the full table.
-  // Full-rescan mode leaves tracking off entirely — it re-decides every
-  // node anyway, so it should not pay the per-mutation marking either.
-  if (tick_.incremental_decide) ledger_.enable_dirty_tracking();
   if (decay_) {
     pair_store_.emplace(graph_.node_count());
     // One drop list per decohere chunk (the chunk count is fixed: nodes
@@ -97,8 +91,8 @@ std::uint64_t NetworkState::generate(std::uint32_t round, double rate) {
     return 0;
   }
   // The merge runs on the caller in canonical edge order (adds commute,
-  // but a fixed order keeps the ledger and its reader marks
-  // single-threaded and reproducible).
+  // but a fixed order keeps the ledger single-threaded and
+  // reproducible).
   std::uint64_t added = 0;
   for (std::size_t e = 0; e < edges.size(); ++e) {
     if (masked && !fault_plan_->edge_up(e)) continue;
@@ -112,8 +106,7 @@ std::uint64_t NetworkState::generate(std::uint32_t round, double rate) {
 
 std::uint64_t NetworkState::purge_node(core::NodeId x) {
   // Copy the partner row first: remove() mutates it. Each remove goes
-  // through the ledger's normal path, so totals and dirty-set reader
-  // marks stay exact.
+  // through the ledger's normal path, so totals stay exact.
   const std::span<const core::NodeId> row = ledger_.partners(x);
   purge_partners_.assign(row.begin(), row.end());
   std::uint64_t purged = 0;
@@ -136,61 +129,27 @@ void NetworkState::decide_chunk(std::size_t begin, std::size_t end,
   // Scratch is indexed by worker, not chunk: it is pure workspace, so the
   // dynamic chunk-to-worker assignment never reaches a result.
   core::MaxMinBalancer::Scratch& scratch = worker_scratch_[worker];
-  for (std::size_t i = begin; i < end; ++i) {
-    const core::NodeId x = dirty_nodes_[i];
+  for (auto x = static_cast<core::NodeId>(begin); x < end; ++x) {
     candidates_[x] = (*decide_fn_)(x, scratch);
   }
 }
 
 void NetworkState::decide_swaps(const DecideFn& decide) {
   const PhaseStopwatch stopwatch(timers_.decide_ns);
-  // The frontier: only nodes whose readable counts (or views — the
-  // protocol marks those itself) changed since their last decision. A
-  // clean node's cached candidate is exactly what `decide` would return,
-  // so recomputing the frontier alone equals the full rescan. Full-rescan
-  // mode (no dirty tracking) simply makes the frontier everything.
-  dirty_nodes_.clear();
-  if (tick_.incremental_decide) {
-    ledger_.drain_dirty(dirty_nodes_);
-    if (dirty_nodes_.empty()) return;
-  } else {
-    const auto n = static_cast<core::NodeId>(graph_.node_count());
-    for (core::NodeId x = 0; x < n; ++x) dirty_nodes_.push_back(x);
-  }
   decide_fn_ = &decide;
-  // The grain resolves against the live frontier size (an explicit
-  // shards knob keeps its partitioning meaning); a frontier within one
-  // grain hits the engine's inline fast path, so a 1-node decide still
-  // skips the pool handshake. Chunking never affects results.
-  const std::size_t grain = ParallelTickEngine::resolve_grain(
-      tick_.shards, dirty_nodes_.size(), grain::kDecide);
-  pool_->run_chunks(dirty_nodes_.size(), grain, &timers_.decide_load,
+  pool_->run_chunks(graph_.node_count(), decide_grain_, &timers_.decide_load,
                     [this](std::size_t begin, std::size_t end,
                            unsigned worker) {
                       decide_chunk(begin, end, worker);
                     });
   decide_fn_ = nullptr;
-  // Fold the frontier into the sorted candidate-node list (two-pointer
-  // merge, both inputs ascending): frontier nodes are re-tested against
-  // their freshly computed candidate, everything else carries over. The
-  // commit enumerates this list instead of scanning all n nodes.
-  candidate_scratch_.clear();
-  std::size_t old_i = 0;
-  std::size_t new_j = 0;
-  while (old_i < candidate_nodes_.size() || new_j < dirty_nodes_.size()) {
-    if (new_j == dirty_nodes_.size() ||
-        (old_i < candidate_nodes_.size() &&
-         candidate_nodes_[old_i] < dirty_nodes_[new_j])) {
-      candidate_scratch_.push_back(candidate_nodes_[old_i++]);
-      continue;
-    }
-    const core::NodeId x = dirty_nodes_[new_j++];
-    if (old_i < candidate_nodes_.size() && candidate_nodes_[old_i] == x) {
-      ++old_i;
-    }
-    if (candidates_[x].has_value()) candidate_scratch_.push_back(x);
+  // The sorted candidate-node list, rebuilt in one serial pass: the
+  // commit enumerates it instead of scanning all n nodes.
+  candidate_nodes_.clear();
+  const auto n = static_cast<core::NodeId>(graph_.node_count());
+  for (core::NodeId x = 0; x < n; ++x) {
+    if (candidates_[x].has_value()) candidate_nodes_.push_back(x);
   }
-  candidate_nodes_.swap(candidate_scratch_);
 }
 
 NetworkState::CommitStats NetworkState::commit_swaps(
@@ -348,9 +307,9 @@ std::uint64_t NetworkState::decohere_all(double now) {
 std::uint64_t NetworkState::memory_bytes() const {
   std::uint64_t bytes = ledger_.memory_bytes();
   // Per-node kernel scratch (the optional<SwapCandidate> table slot plus
-  // the dirty-frontier, candidate-node and merge-scratch lists): fixed
-  // logical bytes per node, plus one generation slot per edge.
-  constexpr std::uint64_t kKernelPerNodeBytes = 28;
+  // the candidate-node list): fixed logical bytes per node, plus one
+  // generation slot per edge.
+  constexpr std::uint64_t kKernelPerNodeBytes = 20;
   bytes += kKernelPerNodeBytes * graph_.node_count();
   bytes += sizeof(std::uint32_t) *
            static_cast<std::uint64_t>(graph_.edge_count());

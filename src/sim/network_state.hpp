@@ -23,17 +23,10 @@
 // a time in canonical rotating order, each re-checked against the live
 // ledger, so it needs no merge at all.
 //
-// Incremental decide (tick.incremental_decide, default on): the decide
-// kernel caches each node's last SwapCandidate in the candidate table and
-// re-runs the decide callback only over the ledger's dirty frontier — the
-// nodes whose readable counts changed since their last decision (marked
-// by every ledger mutation: generation merges, swap commits, crash
-// purges, consumption; gossip additionally marks view-install owners).
-// The decide callback must be a pure function of the node's readable
-// state (its own counts, the beneficiary counts / views of its partner
-// pairs, and immutable protocol state) — then an unchanged readable view
-// implies an unchanged decision, and the dirty-set decide is exactly
-// equivalent to the full rescan at every threads/shards setting.
+// Every decide is computed from scratch: the decide kernel re-runs the
+// protocol's callback for every node each round and keeps no candidate
+// from an earlier round, so the ledger records nothing about which nodes
+// a mutation touched.
 #pragma once
 
 #include <cstdint>
@@ -90,8 +83,8 @@ class NetworkState {
   /// keyed (seed, generation-tag, round, edge) — batched per chunk
   /// through util::Rng::bernoulli_batch, bit-identical to the scalar
   /// draws — and merges into the ledger with one PairLedger::add per edge,
-  /// in canonical edge order (masked edges skipped), so rows and reader
-  /// marks are exactly those of a scalar add loop. Integral rates skip the
+  /// in canonical edge order (masked edges skipped), so the rows are
+  /// exactly those of a scalar add loop. Integral rates skip the
   /// draw pass entirely and merge directly. Returns the number of pairs
   /// generated.
   std::uint64_t generate(std::uint32_t round, double rate);
@@ -107,9 +100,8 @@ class NetworkState {
   void set_fault_plan(const FaultPlan* plan) { fault_plan_ = plan; }
   [[nodiscard]] const FaultPlan* fault_plan() const { return fault_plan_; }
   /// Crash purge: remove every stored pair the node shares — ledger
-  /// counts via the sparse partner row (which marks readers per the
-  /// dirty-set discipline) and, when pairs are tracked, the decay
-  /// metadata buckets. Serial phase; returns the pairs purged.
+  /// counts via the sparse partner row and, when pairs are tracked, the
+  /// decay metadata buckets. Serial phase; returns the pairs purged.
   std::uint64_t purge_node(core::NodeId x);
 
   // --- swap decide kernel ---------------------------------------------
@@ -118,12 +110,10 @@ class NetworkState {
   /// scratch.
   using DecideFn = std::function<std::optional<core::SwapCandidate>(
       core::NodeId, core::MaxMinBalancer::Scratch&)>;
-  /// Refresh the candidate table: fan `decide` across dynamically
-  /// scheduled chunks of the dirty frontier (incremental mode) or of
-  /// every node (full-rescan mode) — chunk boundaries are canonical, so
-  /// the schedule never affects results. Clean nodes keep their cached
-  /// candidate, which by the purity contract equals what `decide` would
-  /// return.
+  /// Recompute the candidate table: fan `decide` across dynamically
+  /// scheduled chunks of every node — chunk boundaries are canonical, so
+  /// the schedule never affects results — then rebuild the sorted
+  /// candidate-node list the commit walks in one serial pass.
   void decide_swaps(const DecideFn& decide);
   [[nodiscard]] const std::vector<std::optional<core::SwapCandidate>>&
   candidates() const {
@@ -219,7 +209,6 @@ class NetworkState {
 
   const graph::Graph& graph_;
   std::uint64_t seed_;
-  TickConcurrency tick_;
   core::PairLedger ledger_;
   PhaseTimers timers_;
 
@@ -237,21 +226,16 @@ class NetworkState {
   // removes).
   std::vector<core::NodeId> purge_partners_;
   std::vector<std::optional<core::SwapCandidate>> candidates_;  // per node
-  // Dirty frontier of the current decide call (pre-sized to node_count).
-  std::vector<core::NodeId> dirty_nodes_;
-  // Sorted list of nodes with a non-null cached candidate, plus the merge
-  // scratch decide_swaps folds the frontier through. Both pre-sized; the
-  // swap between them keeps the decide phase allocation-free.
+  // Sorted list of nodes with a candidate this round (pre-sized, so the
+  // decide phase stays allocation-free).
   std::vector<core::NodeId> candidate_nodes_;
-  std::vector<core::NodeId> candidate_scratch_;
   std::uint64_t last_commit_probes_ = 0;
   // Per-kernel contexts (see the chunk bodies above), plus the fixed
-  // chunk grains the generate and decohere kernels resolved at
-  // construction (the decide grain resolves per call against the live
-  // frontier; grain is a pure performance knob, and an explicit shards
-  // setting keeps its partitioning meaning through
-  // ParallelTickEngine::resolve_grain).
+  // chunk grains the kernels resolved at construction (grain is a pure
+  // performance knob, and an explicit shards setting keeps its
+  // partitioning meaning through ParallelTickEngine::resolve_grain).
   std::size_t generate_grain_ = 1;
+  std::size_t decide_grain_ = 1;
   std::size_t decohere_grain_ = 1;
   std::uint32_t gen_round_ = 0;
   double gen_frac_ = 0.0;

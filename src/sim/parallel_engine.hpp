@@ -92,13 +92,6 @@ struct TickConcurrency {
   /// into k near-equal chunks; 0 = the kernel's default grain (sim::grain).
   /// Never affects results.
   std::uint32_t shards = 0;
-  /// Incremental dirty-set swap decide: re-run best_swap only over the
-  /// nodes whose readable counts changed since their last decision
-  /// (false = full rescan every round). An unchanged readable view
-  /// implies an unchanged decision, so this never affects results either
-  /// — it is the steady-state hot-path knob the BENCH_hotpath suite
-  /// measures.
-  bool incremental_decide = true;
 };
 
 /// Per-phase chunk-load accounting from the dynamic chunk scheduler,

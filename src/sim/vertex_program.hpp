@@ -3,15 +3,15 @@
 // The phase-kernel protocols share state through the PairLedger; the
 // control-plane protocols (distributed, async_routing) share nothing —
 // each node owns local state, learns about the rest of the network only
-// through typed messages, and acts when something it can observe changed.
+// through typed messages, and acts on what it has learned.
 // VertexProgram is the substrate for that second family, in the
-// signal/apply/scatter shape of GraphLab-style vertex programs:
+// apply/scatter shape of GraphLab-style vertex programs:
 //
 //   * nodes hold local state (owned by the driver, one slot per vertex);
 //   * an *apply* kernel consumes each vertex's inbox and may mutate only
 //     that vertex's state;
-//   * sends go through per-chunk outboxes and *signal* marks the vertices
-//     whose cached decisions must be recomputed.
+//   * sends go through per-chunk outboxes; the driver recomputes every
+//     decision from the vertex's current state.
 //
 // Time advances in epochs (fixed dt chosen by the driver). Within an
 // epoch the driver alternates parallel kernels (fanned across the
@@ -36,13 +36,9 @@
 // (util::Rng::keyed per (tag, epoch, entity)), a vertex program's results
 // are bit-identical for every threads/shards setting; a 1-thread pool
 // runs the same chunks inline.
-//
-// The signaled-set reuses the PairLedger dirty-set discipline: relaxed
-// atomic marks, safe from concurrent kernels.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <span>
@@ -53,49 +49,15 @@
 
 namespace poq::sim {
 
-/// The vertices whose cached decisions must be recomputed because their
-/// readable state changed: O(1) relaxed atomic marks (the PairLedger
-/// dirty-set discipline).
-class SignalSet {
- public:
-  explicit SignalSet(std::size_t vertex_count);
-
-  [[nodiscard]] std::size_t vertex_count() const { return bits_.size(); }
-
-  /// Mark one vertex. Thread-safe (relaxed), callable from kernels.
-  void signal(std::uint32_t vertex);
-  /// Mark every vertex (serial).
-  void signal_all();
-
-  [[nodiscard]] bool test(std::uint32_t vertex) const;
-  /// Clear one vertex's mark. Thread-safe against concurrent marks of
-  /// *other* vertices; callers clear only vertices they own.
-  void clear(std::uint32_t vertex);
-  [[nodiscard]] std::size_t signaled_count() const;
-
-  /// Append all signaled vertices to `out` in ascending order and clear
-  /// every mark (serial).
-  std::size_t drain(std::vector<std::uint32_t>& out);
-
- private:
-  [[nodiscard]] std::atomic<std::uint8_t>& relaxed(std::uint8_t& byte) const {
-    return reinterpret_cast<std::atomic<std::uint8_t>&>(byte);
-  }
-
-  mutable std::vector<std::uint8_t> bits_;
-  std::atomic<std::size_t> count_{0};
-};
-
 /// Typed message substrate for one vertex program. `Message` is the
 /// driver's payload type (a struct or a std::variant for multi-kind
 /// protocols). The driver owns the per-vertex state and the epoch loop;
-/// VertexProgram owns delivery, the canonical merge, and the signals.
+/// VertexProgram owns delivery and the canonical merge.
 template <typename Message>
 class VertexProgram {
  public:
-  /// Per-chunk send/signal surface handed to parallel kernels. Sends are
-  /// buffered per chunk and merged canonically at seal(); signals go to
-  /// the shared SignalSet (relaxed marks).
+  /// Per-chunk send surface handed to parallel kernels. Sends are
+  /// buffered per chunk and merged canonically at seal().
   class Context {
    public:
     /// Queue `payload` for `target`, `delay_epochs` epochs from now.
@@ -107,7 +69,6 @@ class VertexProgram {
       outbox_.push_back(Pending{std::max<std::uint64_t>(1, delay_epochs),
                                 target, std::move(payload)});
     }
-    void signal(std::uint32_t vertex) { signals_->signal(vertex); }
 
    private:
     friend class VertexProgram;
@@ -117,7 +78,6 @@ class VertexProgram {
       Message payload;
     };
     std::vector<Pending> outbox_;
-    SignalSet* signals_ = nullptr;
   };
 
   /// `shards` is the protocol's shards knob: an explicit k splits each
@@ -127,11 +87,9 @@ class VertexProgram {
       : vertex_count_(vertex_count),
         pool_(pool),
         shards_(shards),
-        signals_(vertex_count),
         inboxes_(vertex_count) {}
 
   [[nodiscard]] std::size_t vertex_count() const { return vertex_count_; }
-  [[nodiscard]] SignalSet& signals() { return signals_; }
   [[nodiscard]] std::uint64_t messages_sent() const { return messages_sent_; }
   [[nodiscard]] std::uint64_t messages_delivered() const {
     return messages_delivered_;
@@ -178,9 +136,7 @@ class VertexProgram {
     if (items == 0) return;
     grain_ = ParallelTickEngine::resolve_grain(shards_, items, default_grain);
     const std::size_t chunks = (items + grain_ - 1) / grain_;
-    while (contexts_.size() < chunks) {
-      contexts_.emplace_back().signals_ = &signals_;
-    }
+    if (contexts_.size() < chunks) contexts_.resize(chunks);
     pool_.run_chunks(items, grain_, nullptr,
                      [this, &kernel](std::size_t begin, std::size_t end,
                                      unsigned) {
@@ -231,7 +187,6 @@ class VertexProgram {
   ParallelTickEngine& pool_;
   std::uint32_t shards_;
   std::size_t grain_ = 1;  // the running kernel's chunk grain
-  SignalSet signals_;
   std::vector<Context> contexts_;
   std::uint64_t epoch_ = 0;
   /// deliver_epoch -> envelopes in canonical order. Keyed lookups only;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "core/workload.hpp"
 #include "graph/topology.hpp"
@@ -185,6 +186,38 @@ TEST(FidelitySim, RejectsNonFiniteRates) {
     EXPECT_THROW((void)run_fidelity_sim(graph, near_and_far_workload(), config),
                  PreconditionError)
         << "scan rate " << rate;
+  }
+}
+
+/// Bad target fidelities and memory constants are caught up front with
+/// a message naming the knob — never deep in the run as an internal
+/// invariant (an empty bucket's best fidelity 0 "meets" a target <= 0).
+void expect_fidelity_rejected(FidelitySimConfig config, const std::string& knob) {
+  const graph::Graph graph = graph::make_cycle(6);
+  try {
+    (void)run_fidelity_sim(graph, near_and_far_workload(), config);
+    ADD_FAILURE() << knob << ": bad value accepted";
+  } catch (const PreconditionError& error) {
+    EXPECT_NE(std::string(error.what()).find(knob), std::string::npos)
+        << "message does not name " << knob << ": " << error.what();
+  } catch (const InvariantError& error) {
+    ADD_FAILURE() << knob << ": failed inside the run: " << error.what();
+  }
+}
+
+TEST(FidelitySim, RejectsBadFidelities) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (const double target : {kNan, 0.0, -1.0, 1.5}) {
+    FidelitySimConfig config = base_config();
+    config.app_fidelity = target;
+    SCOPED_TRACE(testing::Message() << "app fidelity " << target);
+    expect_fidelity_rejected(config, "app-fidelity");
+  }
+  for (const double memory : {kNan, 0.0, -1.0}) {
+    FidelitySimConfig config = base_config();
+    config.memory_time_constant = memory;
+    SCOPED_TRACE(testing::Message() << "memory T " << memory);
+    expect_fidelity_rejected(config, "memory-T");
   }
 }
 

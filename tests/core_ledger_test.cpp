@@ -225,12 +225,12 @@ TEST(PairLedger, DenseRowOnlyUpToFullReserveLimit) {
   EXPECT_EQ(above.dense_row(0), nullptr);
   EXPECT_EQ(above.dense_row(PairLedger::kFullReserveNodeLimit), nullptr);
   PairLedger small(3);
-  EXPECT_EQ(small.memory_bytes(), 56u * 3 + 4u * 9);
+  EXPECT_EQ(small.memory_bytes(), 48u * 3 + 4u * 9);
   small.add(0, 1, 5);
-  EXPECT_EQ(small.memory_bytes(), 56u * 3 + 4u * 9 + 4u * 2);
+  EXPECT_EQ(small.memory_bytes(), 48u * 3 + 4u * 9 + 4u * 2);
   PairLedger big(PairLedger::kFullReserveNodeLimit + 1);
   big.add(0, 1, 5);
-  EXPECT_EQ(big.memory_bytes(), 56u * (PairLedger::kFullReserveNodeLimit + 1) + 8u * 2);
+  EXPECT_EQ(big.memory_bytes(), 48u * (PairLedger::kFullReserveNodeLimit + 1) + 8u * 2);
 }
 
 // Removing a pair that is not live throws and changes nothing, with and
@@ -273,120 +273,6 @@ TEST(PairLedger, AddRejectsCountOverflowAndLeavesLedgerUnchanged) {
     EXPECT_EQ(ledger.total_pairs(), std::uint64_t{kMax});
     EXPECT_NO_THROW(ledger.check_invariants());
   }
-}
-
-std::vector<NodeId> drained(PairLedger& ledger) {
-  std::vector<NodeId> nodes;
-  ledger.drain_dirty(nodes);
-  return nodes;
-}
-
-TEST(PairLedger, DirtyMarksEndpointsAndEligibleCommonPartners) {
-  // 0-1 counts change; 2 holds eligible pairs toward both endpoints and
-  // reads C_0(1) as a beneficiary count; 3 holds a pair toward 0 only.
-  PairLedger ledger(5);
-  ledger.enable_dirty_tracking();
-  ledger.set_reader_threshold(2);
-  ledger.add(0, 2, 2);
-  ledger.add(1, 2, 2);
-  ledger.add(0, 3, 2);
-  (void)drained(ledger);  // start clean
-  ledger.add(0, 1, 2);
-  EXPECT_EQ(drained(ledger), (std::vector<NodeId>{0, 1, 2}));
-  EXPECT_EQ(ledger.dirty_count(), 0u);
-}
-
-TEST(PairLedger, DirtySkipsMutationsBelowReaderThreshold) {
-  // With eligibility from count 2 (uniform D = 1), a 0 -> 1 add is
-  // invisible to the endpoints' scans (the new partner stays ineligible)
-  // — only eligible common partners read its exact value.
-  PairLedger ledger(5);
-  ledger.enable_dirty_tracking();
-  ledger.set_reader_threshold(2);
-  ledger.add(0, 2, 2);
-  ledger.add(1, 2, 2);
-  (void)drained(ledger);
-  ledger.add(0, 1, 1);  // below threshold: endpoints unmarked
-  EXPECT_EQ(drained(ledger), (std::vector<NodeId>{2}));
-  ledger.add(0, 1, 1);  // 1 -> 2 crosses the threshold: endpoints marked
-  EXPECT_EQ(drained(ledger), (std::vector<NodeId>{0, 1, 2}));
-}
-
-TEST(PairLedger, MarkingBudgetOverflowLatchesEverythingDirty) {
-  // Hammer one epoch with far more reader scans than the O(n) budget:
-  // the ledger must degrade to "everything dirty" (over-marking is safe)
-  // and the next drain must emit every node and start a fresh epoch.
-  PairLedger ledger(8);
-  ledger.enable_dirty_tracking();
-  // Dense counts so every mutation scans a full partner row.
-  for (NodeId x = 0; x < 8; ++x) {
-    for (NodeId y = static_cast<NodeId>(x + 1); y < 8; ++y) ledger.add(x, y, 3);
-  }
-  std::vector<NodeId> nodes;
-  ledger.drain_dirty(nodes);
-  nodes.clear();
-  const std::int64_t budget = PairLedger::kMarkingBudgetPerNode * 8;
-  for (std::int64_t i = 0; i < budget; ++i) {
-    ledger.add(0, 1, 1);
-    ledger.remove(0, 1, 1);
-  }
-  EXPECT_EQ(ledger.dirty_count(), 8u);  // latched: everything reads dirty
-  EXPECT_TRUE(ledger.dirty(7));
-  EXPECT_EQ(ledger.drain_dirty(nodes), 8u);
-  EXPECT_EQ(nodes.size(), 8u);
-  EXPECT_EQ(ledger.dirty_count(), 0u);
-  // Fresh epoch: precise (bit-level, unlatched) marking works again — a
-  // single mark reads as one dirty node (a latch would read all 8).
-  ledger.mark_dirty(5);
-  EXPECT_EQ(ledger.dirty_count(), 1u);
-  EXPECT_TRUE(ledger.dirty(5));
-  EXPECT_FALSE(ledger.dirty(4));
-}
-
-// The incremental decide's frontier is a drain_dirty: an overflowed
-// epoch converts conservatively (every node, ascending) and per-node
-// marking is precise again afterwards.
-TEST(PairLedger, ResetMarkingBudgetConvertsOverflowToBits) {
-  PairLedger ledger(6);
-  ledger.enable_dirty_tracking();
-  for (NodeId x = 0; x < 6; ++x) {
-    for (NodeId y = static_cast<NodeId>(x + 1); y < 6; ++y) ledger.add(x, y, 3);
-  }
-  std::vector<NodeId> nodes;
-  ledger.drain_dirty(nodes);
-  for (int i = 0; i < 200; ++i) {
-    ledger.add(0, 1, 1);
-    ledger.remove(0, 1, 1);
-  }
-  ASSERT_EQ(ledger.dirty_count(), 6u);  // overflowed
-  nodes.clear();
-  EXPECT_EQ(ledger.drain_dirty(nodes), 6u);  // the next decide's frontier
-  EXPECT_EQ(nodes, (std::vector<NodeId>{0, 1, 2, 3, 4, 5}));
-  EXPECT_EQ(ledger.dirty_count(), 0u);
-  ledger.mark_dirty(3);
-  EXPECT_EQ(ledger.dirty_count(), 1u);
-  EXPECT_FALSE(ledger.dirty(2));
-  nodes.clear();
-  EXPECT_EQ(ledger.drain_dirty(nodes), 1u);
-  EXPECT_EQ(nodes, (std::vector<NodeId>{3}));
-}
-
-TEST(PairLedger, DirtyTrackingOffByDefaultAndMarkAllOnEnable) {
-  PairLedger ledger(4);
-  EXPECT_FALSE(ledger.dirty_tracking());
-  ledger.add(0, 1, 3);
-  EXPECT_EQ(ledger.dirty_count(), 0u);
-  ledger.enable_dirty_tracking();
-  EXPECT_TRUE(ledger.dirty_tracking());
-  EXPECT_EQ(ledger.dirty_count(), 4u);  // everything starts dirty
-  std::vector<NodeId> nodes;
-  EXPECT_EQ(ledger.drain_dirty(nodes), 4u);
-  EXPECT_TRUE(ledger.dirty(0) == false && ledger.dirty_count() == 0u);
-  ledger.mark_dirty(2);
-  EXPECT_TRUE(ledger.dirty(2));
-  nodes.clear();
-  EXPECT_EQ(ledger.drain_dirty(nodes), 1u);
-  EXPECT_EQ(ledger.dirty_count(), 0u);
 }
 
 }  // namespace

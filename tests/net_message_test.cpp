@@ -12,41 +12,26 @@
 namespace poq::net {
 namespace {
 
-TEST(Message, SwapNotifyRoundTrip) {
-  SwapNotify original;
-  original.repeater = 7;
-  original.left = 2;
-  original.right = 19;
-  original.z_bit = true;
-  original.x_bit = false;
-  const auto bytes = encode(original);
-  const Message decoded = decode(bytes);
-  const auto& m = std::get<SwapNotify>(decoded);
-  EXPECT_EQ(m.repeater, 7u);
-  EXPECT_EQ(m.left, 2u);
-  EXPECT_EQ(m.right, 19u);
-  EXPECT_TRUE(m.z_bit);
-  EXPECT_FALSE(m.x_bit);
-}
-
-TEST(Message, SwapNotifyIsCompact) {
-  // The classical completion notice is tiny: tag + 3 small varints + the
-  // packed 2 bits — 5 bytes for small node ids.
-  SwapNotify m;
-  m.repeater = 3;
-  m.left = 1;
-  m.right = 5;
-  EXPECT_EQ(encoded_size(m), 5u);
+TEST(Message, PairUpdateIsCompact) {
+  // The repointing notice is tiny: tag + 4 small varints + the paper's
+  // "only 2 bits of classical information", packed into one byte — 6
+  // bytes for small node and qubit ids.
+  PairUpdate m;
+  m.to = 3;
+  m.new_partner = 1;
+  m.qubit = 5;
+  m.new_partner_qubit = 6;
+  EXPECT_EQ(encoded_size(m), 6u);
 }
 
 TEST(Message, AllFourBitCombinationsSurvive) {
   for (bool z : {false, true}) {
     for (bool x : {false, true}) {
-      SwapNotify m;
+      PairUpdate m;
       m.z_bit = z;
       m.x_bit = x;
       const Message decoded = decode(encode(m));
-      const auto& round = std::get<SwapNotify>(decoded);
+      const auto& round = std::get<PairUpdate>(decoded);
       EXPECT_EQ(round.z_bit, z);
       EXPECT_EQ(round.x_bit, x);
     }
@@ -73,38 +58,6 @@ TEST(Message, CountUpdateEmptyEntries) {
   const Message decoded = decode(encode(original));
   const auto& m = std::get<CountUpdate>(decoded);
   EXPECT_TRUE(m.entries.empty());
-}
-
-TEST(Message, PathReserveRoundTrip) {
-  PathReserve original;
-  original.request_id = 999;
-  original.path = {0, 5, 2, 8};
-  const Message decoded = decode(encode(original));
-  const auto& m = std::get<PathReserve>(decoded);
-  EXPECT_EQ(m.request_id, 999u);
-  EXPECT_EQ(m.path, (std::vector<NodeId>{0, 5, 2, 8}));
-}
-
-TEST(Message, PathReleaseRoundTrip) {
-  PathRelease original;
-  original.request_id = 31337;
-  original.completed = true;
-  const Message decoded = decode(encode(original));
-  const auto& m = std::get<PathRelease>(decoded);
-  EXPECT_EQ(m.request_id, 31337u);
-  EXPECT_TRUE(m.completed);
-}
-
-TEST(Message, GossipControlRoundTrip) {
-  GossipControl original;
-  original.from = 3;
-  original.to = 11;
-  original.unchoke = true;
-  const Message decoded = decode(encode(original));
-  const auto& m = std::get<GossipControl>(decoded);
-  EXPECT_EQ(m.from, 3u);
-  EXPECT_EQ(m.to, 11u);
-  EXPECT_TRUE(m.unchoke);
 }
 
 TEST(Message, PairUpdateRoundTrip) {
@@ -156,12 +109,15 @@ TEST(Message, ConsumeReplyRoundTrip) {
 }
 
 TEST(Message, TypeTagsStable) {
-  EXPECT_EQ(message_type(SwapNotify{}), MessageType::kSwapNotify);
+  // control_bytes counts these tags, so their values never move.
   EXPECT_EQ(message_type(CountUpdate{}), MessageType::kCountUpdate);
-  EXPECT_EQ(message_type(PathReserve{}), MessageType::kPathReserve);
-  EXPECT_EQ(message_type(PathRelease{}), MessageType::kPathRelease);
-  EXPECT_EQ(message_type(GossipControl{}), MessageType::kGossipControl);
-  EXPECT_EQ(encode(SwapNotify{}).front(), 1u);
+  EXPECT_EQ(message_type(PairUpdate{}), MessageType::kPairUpdate);
+  EXPECT_EQ(message_type(ConsumeOffer{}), MessageType::kConsumeOffer);
+  EXPECT_EQ(message_type(ConsumeReply{}), MessageType::kConsumeReply);
+  EXPECT_EQ(encode(CountUpdate{}).front(), 2u);
+  EXPECT_EQ(encode(PairUpdate{}).front(), 6u);
+  EXPECT_EQ(encode(ConsumeOffer{}).front(), 7u);
+  EXPECT_EQ(encode(ConsumeReply{}).front(), 8u);
 }
 
 TEST(Message, DecodeRejectsUnknownTag) {
@@ -170,8 +126,12 @@ TEST(Message, DecodeRejectsUnknownTag) {
 }
 
 TEST(Message, DecodeRejectsTruncatedBody) {
-  auto bytes = encode(PathReserve{42, {1, 2, 3}});
-  bytes.resize(bytes.size() - 2);
+  CountUpdate update;
+  update.reporter = 42;
+  update.entries = {{1, 2}, {3, 4}};
+  auto bytes = encode(update);
+  bytes.pop_back();  // cut the last entry short
+  bytes.pop_back();
   EXPECT_THROW((void)decode(bytes), PreconditionError);
 }
 
@@ -212,10 +172,6 @@ TEST(Message, EncodedSizeMatchesEncodeAtVarintBoundaries) {
 
     const auto id = static_cast<NodeId>(a);
     const std::vector<Message> bodies = {
-        SwapNotify{id, id, id, true, false},
-        PathReserve{a, {id, id, id}},
-        PathRelease{a, true},
-        GossipControl{id, id, true},
         PairUpdate{id, id, a, a, false, true},
         ConsumeOffer{id, id, a, a, a},
         ConsumeReply{id, id, a, false},

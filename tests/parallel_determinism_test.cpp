@@ -400,18 +400,13 @@ TEST(ParallelDeterminism, LpRejectsEngineKnobs) {
   }
 }
 
-TEST(ParallelDeterminism, DecideKnobOnlyWhereRead) {
-  // planned has no swap decide and fidelity decides every scanning node
-  // from scratch, so neither declares `decide`: accepting and ignoring it
-  // would be the same adapter lie. The five protocols whose decide reads
-  // the knob accept it.
-  for (const std::string& protocol : kPortedProtocols) {
+TEST(ParallelDeterminism, NoProtocolHasADecideKnob) {
+  // Every swap decide is computed from scratch; there is no second decide
+  // path to select, so every protocol (lp included) rejects the knob
+  // instead of accepting and ignoring it.
+  for (const std::string& protocol : registry().names()) {
     ScenarioSpec spec = base_spec(protocol);
     spec.knobs["decide"] = std::string("full");
-    if (protocol != "planned" && protocol != "fidelity") {
-      EXPECT_NO_THROW((void)registry().run(protocol, spec)) << protocol;
-      continue;
-    }
     try {
       (void)registry().run(protocol, spec);
       ADD_FAILURE() << protocol << " accepted the decide knob";

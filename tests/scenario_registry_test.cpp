@@ -7,6 +7,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/balancing_sim.hpp"
 #include "core/ledger.hpp"
@@ -108,7 +109,7 @@ TEST(Registry, SameSpecSameMetrics) {
 /// Whether running `protocol` with `knob` = `value` fails with a
 /// PreconditionError that names the knob.
 bool knob_rejected(const std::string& protocol, const std::string& knob,
-                   std::int64_t value) {
+                   const KnobValue& value) {
   ScenarioSpec spec = small_spec(protocol);
   spec.knobs[knob] = value;
   try {
@@ -130,16 +131,43 @@ TEST(Registry, UnsignedKnobsRejectNegativeAndOversizedValues) {
       {"balancing", "threads"},     {"balancing", "shards"},
   };
   for (const auto& [protocol, knob] : knobs) {
-    EXPECT_TRUE(knob_rejected(protocol, knob, -1)) << protocol << " " << knob;
+    EXPECT_TRUE(knob_rejected(protocol, knob, std::int64_t{-1}))
+        << protocol << " " << knob;
     EXPECT_TRUE(knob_rejected(protocol, knob, kWrapsToOne))
         << protocol << " " << knob;
   }
 }
 
+TEST(Registry, FaultKnobsAreCheckedEvenWhenFaultsAreOff) {
+  // A negative or NaN mtbf/degradation makes FaultConfig::enabled()
+  // false, so only a check independent of it stops a run that would go
+  // ahead with faults silently off (or, on lp, a negative degradation
+  // inflating every capacity).
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::pair<const char*, std::vector<double>> bad_values[] = {
+      {"fault-node-mtbf", {-1.0, kNan, kInf}},
+      {"fault-node-mttr", {0.5, -1.0, kNan, kInf}},
+      {"fault-link-mtbf", {-1.0, kNan, kInf}},
+      {"fault-link-mttr", {0.5, -1.0, kNan, kInf}},
+      {"fault-rate-degradation", {-0.5, 1.0, kNan}},
+  };
+  const std::vector<std::string> names = registry().names();
+  ASSERT_EQ(names.size(), 8u);
+  for (const std::string& protocol : names) {
+    for (const auto& [knob, values] : bad_values) {
+      for (const double value : values) {
+        EXPECT_TRUE(knob_rejected(protocol, knob, value))
+            << protocol << " accepted " << knob << " = " << value;
+      }
+    }
+  }
+}
+
 TEST(Registry, DetourSlackKeepsItsUnrestrictedSentinel) {
   constexpr std::int64_t kWrapsToOne = (std::int64_t{1} << 32) + 1;
-  EXPECT_FALSE(knob_rejected("balancing", "detour-slack", -1));
-  EXPECT_TRUE(knob_rejected("balancing", "detour-slack", -2));
+  EXPECT_FALSE(knob_rejected("balancing", "detour-slack", std::int64_t{-1}));
+  EXPECT_TRUE(knob_rejected("balancing", "detour-slack", std::int64_t{-2}));
   EXPECT_TRUE(knob_rejected("balancing", "detour-slack", kWrapsToOne));
 }
 

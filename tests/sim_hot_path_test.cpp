@@ -1,16 +1,8 @@
-// The incremental dirty-set decide contract: re-running best_swap only
-// over the nodes whose readable counts (or views) changed produces round
-// trajectories bit-identical to a full rescan of every node — for every
-// protocol with a cached decide, at every threads/shards setting — and the
-// steady-state round allocates nothing on the heap after warm-up.
-//
-// The equivalence leans on the candidate-cache invariant
-// (docs/ARCHITECTURE.md): the decide callback is a pure function of a
-// node's readable state, every ledger mutation marks exactly the nodes
-// whose readable state it changed (endpoints above the eligibility
-// threshold + eligible common partners), and gossip marks view-install
-// owners — so a clean node's cached candidate equals what a rescan would
-// recompute.
+// The swap hot path: every decide is computed from scratch, so round
+// trajectories are a pure function of the spec — bit-identical at every
+// threads/shards setting, checked against threads 1 / shards 1 on
+// randomized frames and round by round — and the steady-state round
+// allocates nothing on the heap after warm-up.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -92,9 +84,8 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace poq::scenario {
 namespace {
 
-std::string run_dump(ScenarioSpec spec, const std::string& decide,
-                     std::int64_t threads, std::int64_t shards) {
-  spec.knobs["decide"] = decide;
+std::string run_dump(ScenarioSpec spec, std::int64_t threads,
+                     std::int64_t shards) {
   spec.knobs["threads"] = threads;
   spec.knobs["shards"] = shards;
   // to_json(false): phase_ms.* wall-clock is outside the contract.
@@ -124,23 +115,22 @@ ScenarioSpec fuzz_spec(const std::string& protocol, util::Rng& fuzz) {
   return spec;
 }
 
-TEST(IncrementalDecide, FuzzBitIdenticalToFullRescan) {
+TEST(HotPathDeterminism, FuzzFramesMatchSerialReference) {
   // protocols {balancing, gossip, hybrid} x threads {1,8} x shards
-  // {1,16} on randomized frames: the dirty-set decide must reproduce the
-  // forced full rescan bit for bit, at every concurrency setting (for
-  // hybrid, with the assist's ledger mutations between decides).
+  // {1,16} on randomized frames: every setting must reproduce the
+  // threads 1 / shards 1 run bit for bit (for hybrid, with the assist's
+  // ledger mutations between decides).
   util::Rng fuzz(0xD1E7);
   const std::vector<std::string> protocols = {"balancing", "gossip",
                                               "hybrid"};
   for (int trial = 0; trial < 3; ++trial) {
     for (const std::string& protocol : protocols) {
       const ScenarioSpec spec = fuzz_spec(protocol, fuzz);
+      const std::string reference = run_dump(spec, 1, 1);
       for (const std::int64_t threads : {1, 8}) {
         for (const std::int64_t shards : {1, 16}) {
-          const std::string incremental =
-              run_dump(spec, "incremental", threads, shards);
-          const std::string full = run_dump(spec, "full", threads, shards);
-          EXPECT_EQ(incremental, full)
+          if (threads == 1 && shards == 1) continue;
+          EXPECT_EQ(run_dump(spec, threads, shards), reference)
               << protocol << " trial " << trial << " diverged at threads="
               << threads << " shards=" << shards << "\nspec: "
               << spec.to_json().dump(2);
@@ -150,10 +140,10 @@ TEST(IncrementalDecide, FuzzBitIdenticalToFullRescan) {
   }
 }
 
-TEST(IncrementalDecide, SparseSteadyStateStaysIdentical) {
-  // The regime the hot path is built for: rare generation events on a
-  // larger grid, long horizon, tiny dirty frontier — plus a fractional
-  // distillation so commit-time rounding draws stay exercised.
+TEST(HotPathDeterminism, SparseSteadyStateMatchesSerialReference) {
+  // A near-quiescent regime: rare generation events on a larger grid and
+  // a long horizon, plus a fractional distillation so commit-time
+  // rounding draws stay exercised.
   ScenarioSpec spec;
   spec.protocol = "balancing";
   spec.topology = "random-grid";
@@ -164,11 +154,7 @@ TEST(IncrementalDecide, SparseSteadyStateStaysIdentical) {
   spec.knobs["max-rounds"] = std::int64_t{4000};
   spec.knobs["generation-rate"] = 0.02;
   spec.knobs["distillation"] = 1.5;
-  for (const std::int64_t threads : {1, 8}) {
-    EXPECT_EQ(run_dump(spec, "incremental", threads, 16),
-              run_dump(spec, "full", threads, 16))
-        << "threads=" << threads;
-  }
+  EXPECT_EQ(run_dump(spec, 8, 16), run_dump(spec, 1, 1));
 }
 
 // --- lockstep round trajectories --------------------------------------
@@ -184,9 +170,10 @@ std::string ledger_dump(const core::PairLedger& ledger) {
   return out;
 }
 
-TEST(IncrementalDecide, RoundTrajectoriesMatchFullRescan) {
+TEST(HotPathDeterminism, RoundTrajectoriesMatchSerialReference) {
   // Stronger than end-metrics equality: the full count matrix must match
-  // after every single round, so a divergence cannot cancel out later.
+  // the threads 1 / shards 1 run after every single round, so a
+  // divergence cannot cancel out later.
   util::Rng topology_rng(3);
   const graph::Graph graph = graph::make_random_connected_grid(49, topology_rng);
   util::Rng workload_rng(5);
@@ -197,17 +184,18 @@ TEST(IncrementalDecide, RoundTrajectoriesMatchFullRescan) {
   config.seed = 11;
   config.tick.threads = 2;
   config.tick.shards = 8;
-  core::BalancingConfig full_config = config;
-  full_config.tick.incremental_decide = false;
-  core::BalancingSimulation incremental(graph, workload, config);
-  core::BalancingSimulation full(graph, workload, full_config);
+  core::BalancingConfig serial_config = config;
+  serial_config.tick.threads = 1;
+  serial_config.tick.shards = 1;
+  core::BalancingSimulation sharded(graph, workload, config);
+  core::BalancingSimulation serial(graph, workload, serial_config);
   for (int round = 0; round < 400; ++round) {
-    incremental.step_round();
-    full.step_round();
-    ASSERT_EQ(ledger_dump(incremental.ledger()), ledger_dump(full.ledger()))
+    sharded.step_round();
+    serial.step_round();
+    ASSERT_EQ(ledger_dump(sharded.ledger()), ledger_dump(serial.ledger()))
         << "count matrices diverged at round " << round;
-    ASSERT_EQ(incremental.result().swaps_performed,
-              full.result().swaps_performed)
+    ASSERT_EQ(sharded.result().swaps_performed,
+              serial.result().swaps_performed)
         << "swap counts diverged at round " << round;
   }
 }
@@ -216,8 +204,8 @@ TEST(IncrementalDecide, RoundTrajectoriesMatchFullRescan) {
 
 TEST(HotPathAllocations, SteadyStateRoundAllocatesNothing) {
   // After warm-up, a balancing round on the sharded engine — generation
-  // (fractional rate: batched keyed streams exercised), dirty-set decide,
-  // serial commit, consumption — must not touch the heap: all
+  // (fractional rate: batched keyed streams exercised), decide, serial
+  // commit, consumption — must not touch the heap: all
   // per-round scratch is pre-sized, the CSR partner arena mutates in
   // place, and the pool recycles its job allocation. shards=8 forces the
   // chunk grain small enough that every phase goes through the dynamic

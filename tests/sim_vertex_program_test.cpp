@@ -1,10 +1,8 @@
 // The vertex-program substrate contract (docs/ARCHITECTURE.md): the
 // canonical message merge makes every inbox fold in a fixed order —
 // (deliver epoch, send phase, sender, per-sender send index) — for every
-// threads/shards setting, and the signaled-set makes changed-only
-// recomputation exactly equivalent to recomputing every vertex every
-// epoch. Both claims are checked with deliberately order-sensitive
-// folds, so a merge-order or signaling slip cannot cancel out.
+// threads/shards setting. The claim is checked with deliberately
+// order-sensitive folds, so a merge-order slip cannot cancel out.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,25 +17,6 @@
 
 namespace poq::sim {
 namespace {
-
-// --- SignalSet ---------------------------------------------------------
-
-TEST(SignalSet, MarksDrainAscendingAndClear) {
-  SignalSet signals(16);
-  signals.signal(9);
-  signals.signal(2);
-  signals.signal(9);  // re-marking is idempotent
-  signals.signal(14);
-  EXPECT_TRUE(signals.test(9));
-  EXPECT_FALSE(signals.test(3));
-  EXPECT_EQ(signals.signaled_count(), 3u);
-  signals.clear(9);
-  EXPECT_FALSE(signals.test(9));
-  std::vector<std::uint32_t> drained;
-  EXPECT_EQ(signals.drain(drained), 2u);
-  EXPECT_EQ(drained, (std::vector<std::uint32_t>{2, 14}));
-  EXPECT_EQ(signals.signaled_count(), 0u);
-}
 
 // --- canonical message merge -------------------------------------------
 
@@ -128,51 +107,6 @@ TEST(VertexProgram, ParallelSendClampsToNextEpoch) {
   EXPECT_EQ(program.inbox(3)[0], 42);
   EXPECT_EQ(program.messages_delivered(), 1u);
   EXPECT_TRUE(program.idle());
-}
-
-// --- changed-only signaling == full broadcast --------------------------
-
-/// A miniature protocol with a cached per-vertex decision: the decision
-/// is a pure function of the vertex's value, values change only through
-/// keyed generation events and neighbor updates (messages), and every
-/// change signals the vertex. Run changed-only (recompute signaled
-/// vertices) against the full-broadcast reference (recompute everything,
-/// every epoch): the decision trajectories must be identical.
-std::vector<std::int64_t> run_decisions(bool changed_only) {
-  constexpr std::size_t kVertices = 12;
-  constexpr std::uint64_t kEpochs = 40;
-  ParallelTickEngine pool(2);
-  VertexProgram<std::int64_t> program(kVertices, pool, 3);
-  std::vector<std::int64_t> value(kVertices, 0);
-  std::vector<std::int64_t> decision(kVertices, 0);
-  std::vector<std::int64_t> trajectory;
-  program.signals().signal_all();  // everything undecided at the start
-  for (std::uint64_t epoch = 0; epoch < kEpochs; ++epoch) {
-    for (const std::uint32_t v : program.deliver(epoch)) {
-      for (const std::int64_t delta : program.inbox(v)) value[v] += delta;
-      program.signals().signal(v);
-    }
-    // Generation: a keyed event bumps one vertex's value and mails a
-    // fraction of the bump to its ring neighbor.
-    util::Rng rng = util::Rng::keyed(7, 0x6d696e69, epoch, 0);
-    const auto hit = static_cast<std::uint32_t>(rng.uniform_index(kVertices));
-    value[hit] += 3;
-    program.signals().signal(hit);
-    program.send((hit + 1) % kVertices, 1 + epoch % 2, 1);
-    // Decide: cached unless signaled (changed-only) or always (full).
-    for (std::uint32_t v = 0; v < kVertices; ++v) {
-      if (changed_only && !program.signals().test(v)) continue;
-      decision[v] = value[v] * 2 - static_cast<std::int64_t>(v);
-      program.signals().clear(v);
-    }
-    trajectory.insert(trajectory.end(), decision.begin(), decision.end());
-  }
-  return trajectory;
-}
-
-TEST(VertexProgram, ChangedOnlySignalingMatchesFullBroadcast) {
-  EXPECT_EQ(run_decisions(/*changed_only=*/true),
-            run_decisions(/*changed_only=*/false));
 }
 
 }  // namespace

@@ -422,41 +422,32 @@ SuiteRun suite_parallel_scaling(const Options& options) {
 }
 
 SuiteRun suite_hotpath(const Options& options) {
-  // Steady-state hot-path gate: Fig.-5-style large sparse random grids,
-  // swept decide=incremental vs decide=full at two generation regimes.
-  //   * sparse (generation-rate 0.01, the steady-state headline): rare
-  //     generation events only locally perturb the max-min operating
-  //     point, the dirty frontier stays a handful of nodes, and the
-  //     incremental decide carries the >= 2x round-throughput win
-  //     (recorded by the committed baseline's wall_ms / phase timings;
-  //     wall time is never *compared* by --check).
+  // Steady-state hot-path gate: Fig.-5-style large sparse random grids at
+  // two generation regimes, every decide computed from scratch.
+  //   * sparse (generation-rate 0.01): rare generation events only
+  //     locally perturb the max-min operating point, so nearly every
+  //     round's decide re-derives what the last one found — the regime
+  //     where the decide dominates the round.
   //   * dense (generation-rate 1 on the largest quick Fig. 5 cell):
-  //     every node's counts move every round, the frontier is
-  //     everything, and the cells guard the marking overhead from
-  //     regressing the dense path.
-  // Cells pair up (same physics, different decide knob), so the 1e-9
-  // --check gate doubles as an incremental == full equivalence gate, and
-  // the per-phase timings land in each cell's "timings" object. The
-  // backlog is trimmed so cell wall_ms measures the round loop, not the
-  // workload build.
+  //     every node's counts move every round.
+  // The per-phase timings land in each cell's "timings" object (recorded,
+  // never compared by --check). The backlog is trimmed so cell wall_ms
+  // measures the round loop, not the workload build.
   const std::int64_t sparse_budget = options.quick ? 6000 : 8000;
   const std::size_t sparse_nodes = options.quick ? 225 : 324;
   const std::int64_t dense_budget = options.quick ? 500 : 1500;
   const std::size_t dense_nodes = options.quick ? 49 : 100;
   std::vector<scenario::ScenarioSpec> grid;
   for (const bool sparse : {true, false}) {
-    for (const char* decide : {"incremental", "full"}) {
-      scenario::ScenarioSpec spec = balancing_cell_spec(
-          graph::TopologyFamily::kRandomGrid, sparse ? sparse_nodes : dense_nodes,
-          1.0, sparse ? sparse_budget : dense_budget, /*backlog=*/10000);
-      if (sparse) spec.knobs["generation-rate"] = 0.01;
-      spec.knobs["decide"] = std::string(decide);
-      grid.push_back(std::move(spec));
-    }
+    scenario::ScenarioSpec spec = balancing_cell_spec(
+        graph::TopologyFamily::kRandomGrid, sparse ? sparse_nodes : dense_nodes,
+        1.0, sparse ? sparse_budget : dense_budget, /*backlog=*/10000);
+    if (sparse) spec.knobs["generation-rate"] = 0.01;
+    grid.push_back(std::move(spec));
   }
   Options serial = options;
   serial.threads = 1;        // one cell at a time: honest wall_ms
-  serial.intra_threads = 1;  // the decide knob is the only axis
+  serial.intra_threads = 1;  // and one intra-run thread, comparable run to run
   return run_grid("hotpath", std::move(grid), 1, serial);
 }
 
