@@ -122,16 +122,16 @@ void BM_LedgerGenerateMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_LedgerGenerateMerge)->Arg(1024)->Arg(10000);
 
-/// Deck-shaped ledger rows: each pair is live with probability 0.7 (55 of
-/// 80 partners on the paper's 81-node full grid), and 30% of live pairs
-/// hold enough to spend at D = 1 (the decks measured 16-20 eligible of
-/// 55-66 partners); the rest hold one pair.
-core::PairLedger deck_shaped_ledger(std::size_t n, std::uint64_t seed) {
+/// Deck-shaped ledger rows: each pair is live with probability
+/// `live` (0.7: 55 of 80 partners on the paper's 81-node full grid), and
+/// 30% of live pairs hold enough to spend at D = 1 (the decks measured
+/// 16-20 eligible of 55-66 partners); the rest hold one pair.
+core::PairLedger deck_shaped_ledger(std::size_t n, std::uint64_t seed, double live = 0.7) {
   core::PairLedger ledger(n);
   util::Rng rng(seed);
   for (core::NodeId x = 0; x < n; ++x) {
     for (core::NodeId y = x + 1; y < n; ++y) {
-      if (!rng.bernoulli(0.7)) continue;
+      if (!rng.bernoulli(live)) continue;
       ledger.add(x, y,
                  rng.bernoulli(0.3) ? 2 + static_cast<std::uint32_t>(rng.uniform_index(5))
                                     : 1);
@@ -140,9 +140,14 @@ core::PairLedger deck_shaped_ledger(std::size_t n, std::uint64_t seed) {
   return ledger;
 }
 
+/// One §4 decide per iteration, cycling over the nodes. On deck-shaped
+/// rows (zero_free = 0) most decides end in tier 1, at a zero pair; with
+/// every pair live (zero_free = 1) there is none, and every decide runs
+/// tier 2's scan over the room >= 2 partners.
 void BM_BestSwapScan(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const core::PairLedger ledger = deck_shaped_ledger(n, 7);
+  const bool zero_free = state.range(1) != 0;
+  const core::PairLedger ledger = deck_shaped_ledger(n, 7, zero_free ? 1.0 : 0.7);
   const core::MaxMinBalancer balancer(1.0);
   core::MaxMinBalancer::Scratch scratch;
   scratch.reserve(n);
@@ -152,7 +157,13 @@ void BM_BestSwapScan(benchmark::State& state) {
     node = (node + 1) % static_cast<core::NodeId>(n);
   }
 }
-BENCHMARK(BM_BestSwapScan)->Arg(49)->Arg(81)->Arg(100);
+BENCHMARK(BM_BestSwapScan)
+    ->ArgNames({"n", "zero_free"})
+    ->Args({49, 0})
+    ->Args({81, 0})
+    ->Args({100, 0})
+    ->Args({81, 1})
+    ->Args({100, 1});
 
 /// One gossip round's report sizing over every sender of a deck-shaped
 /// 81-node ledger: the closed form over each row's live counts (encode =

@@ -14,29 +14,33 @@ namespace poq::core {
 
 namespace {
 
-/// Per-node stale views of everyone else's count rows.
+/// Per-node stale views of everyone else's count rows, each stored with
+/// the live bitset it was reported with (MaxMinBalancer::ReportView's
+/// block layout).
 class KnowledgeBase {
  public:
-  KnowledgeBase(std::size_t node_count)
+  KnowledgeBase(std::size_t node_count, std::size_t words)
       : node_count_(node_count),
-        counts_(node_count * node_count * node_count, 0),
+        words_(words),
+        block_(MaxMinBalancer::ReportView::block_size(node_count, words)),
+        blocks_(node_count * node_count * block_, 0),
         age_(node_count * node_count, 0) {}
 
-  /// Install reporter's dense row as seen by `owner` at `round`.
+  /// Install reporter's dense row and live bitset as seen by `owner` at
+  /// `round`.
   void install(NodeId owner, NodeId reporter, const std::uint32_t* row,
-               std::uint32_t round) {
-    std::copy(row, row + node_count_, counts_.begin() + static_cast<std::ptrdiff_t>(
-                                                            flat(owner, reporter, 0)));
-    age_[static_cast<std::size_t>(owner) * node_count_ + reporter] = round;
+               const std::uint64_t* live, std::uint32_t round) {
+    const std::size_t slot = static_cast<std::size_t>(owner) * node_count_ + reporter;
+    std::uint32_t* block = blocks_.data() + slot * block_;
+    std::copy(row, row + node_count_, block);
+    MaxMinBalancer::ReportView::store_live(block, node_count_, live, words_);
+    age_[slot] = round;
   }
 
-  [[nodiscard]] std::uint32_t view(NodeId owner, NodeId a, NodeId b) const {
-    // Freshest of the two first-hand reports about the (a, b) pair (a's
-    // on a tie). Both are loaded and the age picks one, so the freshness
-    // test is a select, not a branch.
-    const std::uint32_t from_a = counts_[flat(owner, a, b)];
-    const std::uint32_t from_b = counts_[flat(owner, b, a)];
-    return report_round(owner, a) >= report_round(owner, b) ? from_a : from_b;
+  /// Everything `owner` has been told, as the balancer reads it.
+  [[nodiscard]] MaxMinBalancer::ReportView reports(NodeId owner) const {
+    const std::size_t first = static_cast<std::size_t>(owner) * node_count_;
+    return {blocks_.data() + first * block_, age_.data() + first, node_count_, words_};
   }
 
   [[nodiscard]] std::uint32_t report_round(NodeId owner, NodeId reporter) const {
@@ -44,42 +48,46 @@ class KnowledgeBase {
   }
 
  private:
-  [[nodiscard]] std::size_t flat(NodeId owner, NodeId reporter, NodeId peer) const {
-    return (static_cast<std::size_t>(owner) * node_count_ + reporter) * node_count_ +
-           peer;
-  }
-
   std::size_t node_count_;
-  std::vector<std::uint32_t> counts_;
+  std::size_t words_;
+  std::size_t block_;  // uint32 slots per (owner, reporter) report
+  std::vector<std::uint32_t> blocks_;
   std::vector<std::uint32_t> age_;  // round of last report, per (owner, reporter)
 };
 
 /// Count reports in flight, as a ring of per-round slots `depth` rounds
 /// deep. Each send round owns one slot: the n x n snapshot of the rows
-/// sent that round (one copy of the ledger's dense count mirror) plus
-/// that round's messages. Each message also joins the delivery list of
-/// its due round, a chain through the slots appended in send order, so
-/// the merge walks exactly the messages due now in (send round, sender,
-/// target) order. Every queued delay is below `depth`, so a slot is
-/// reused only after everything sent from it has been installed. A
-/// slot's storage is sized on its first use and reused after, so the
-/// ring stops allocating once it has wrapped.
+/// sent that round (one copy of the ledger's dense count mirror and of
+/// its live bitsets) plus that round's messages. Each message also
+/// joins the delivery list of its due round, a chain through the slots
+/// appended in send order, so the merge walks exactly the messages due
+/// now in (send round, sender, target) order. Every queued delay is
+/// below `depth`, so a slot is reused only after everything sent from it
+/// has been installed. A slot's storage is sized on its first use and
+/// reused after, so the ring stops allocating once it has wrapped.
 class DeliveryRing {
  public:
-  DeliveryRing(std::size_t node_count, std::size_t messages_per_round,
-               std::size_t depth)
-      : node_count_(node_count), per_round_(messages_per_round), slots_(depth) {}
+  DeliveryRing(std::size_t node_count, std::size_t words,
+               std::size_t messages_per_round, std::size_t depth)
+      : node_count_(node_count),
+        words_(words),
+        per_round_(messages_per_round),
+        slots_(depth) {}
 
   /// Open `round`'s send slot with `counts` (the row-major n x n dense
-  /// count mirror) as the snapshot every report sent this round carries.
-  void open(std::uint32_t round, std::span<const std::uint32_t> counts) {
+  /// count mirror) and `live` (the ledger's live bitsets) as the
+  /// snapshot every report sent this round carries.
+  void open(std::uint32_t round, std::span<const std::uint32_t> counts,
+            std::span<const std::uint64_t> live) {
     sending_ = round % slots_.size();
     Slot& slot = slots_[sending_];
     if (slot.rows.empty()) {
       slot.rows.resize(node_count_ * node_count_);
+      slot.live.resize(node_count_ * words_);
       slot.messages.reserve(per_round_);
     }
     std::copy(counts.begin(), counts.end(), slot.rows.begin());
+    std::copy(live.begin(), live.end(), slot.live.begin());
     slot.round = round;
     slot.messages.clear();
   }
@@ -100,8 +108,8 @@ class DeliveryRing {
   }
 
   /// Hand every message due at `round` to
-  /// install(target, sender, row, send_round), in send order, and empty
-  /// the round's delivery list.
+  /// install(target, sender, row, live, send_round), in send order, and
+  /// empty the round's delivery list.
   template <typename Install>
   void deliver(std::uint32_t round, Install&& install) {
     Slot& due = slots_[round % slots_.size()];
@@ -109,7 +117,7 @@ class DeliveryRing {
       const Slot& from = slots_[id / per_round_];
       const Message& m = from.messages[id % per_round_];
       install(m.target, m.sender, from.rows.data() + m.sender * node_count_,
-              from.round);
+              from.live.data() + m.sender * words_, from.round);
       id = m.next;
     }
     due.head = kNone;
@@ -127,6 +135,7 @@ class DeliveryRing {
   struct Slot {
     std::uint32_t round = 0;  // send round of rows/messages
     std::vector<std::uint32_t> rows;
+    std::vector<std::uint64_t> live;
     std::vector<Message> messages;
     // Delivery list of the due round that maps to this slot.
     std::size_t head = kNone;
@@ -138,6 +147,7 @@ class DeliveryRing {
   }
 
   std::size_t node_count_;
+  std::size_t words_;
   std::size_t per_round_;
   std::vector<Slot> slots_;
   std::size_t sending_ = 0;
@@ -177,7 +187,8 @@ GossipResult run_gossip(const graph::Graph& generation_graph, const Workload& wo
   require(std::isfinite(config.latency_per_hop) && config.latency_per_hop >= 0.0,
           "run_gossip: latency must be finite and non-negative");
   // Reports are snapshots of the ledger's dense count mirror, and every
-  // node keeps a view of every report: 4 n^3 bytes of knowledge.
+  // node keeps a view of every report: 4 n^3 bytes of counts (its
+  // bitsets add 8 n^2 ceil(n/64) bytes, 1/32 of that at the limit).
   static_assert(PairLedger::kFullReserveNodeLimit == 1024,
                 "the message below names the limit and its knowledge-base size");
   require(generation_graph.node_count() <= PairLedger::kFullReserveNodeLimit,
@@ -186,11 +197,12 @@ GossipResult run_gossip(const graph::Graph& generation_graph, const Workload& wo
   BalancingSimulation sim(generation_graph, workload, config.base);
   const auto node_count = static_cast<NodeId>(generation_graph.node_count());
 
-  KnowledgeBase knowledge(node_count);
+  const std::size_t words = sim.ledger().live_words();
+  KnowledgeBase knowledge(node_count, words);
   const auto& distances = sim.distances();
   const std::size_t per_sender = config.fanout + (config.optimistic_peer ? 1 : 0);
   const auto max_rounds = static_cast<double>(config.base.max_rounds);
-  DeliveryRing ring(node_count, per_sender * node_count,
+  DeliveryRing ring(node_count, words, per_sender * node_count,
                     delivery_depth(distances, config.latency_per_hop,
                                    config.base.max_rounds));
 
@@ -224,7 +236,7 @@ GossipResult run_gossip(const graph::Graph& generation_graph, const Workload& wo
       // sender's mirror row (absent peers and the diagonal are 0). One
       // due after max_rounds would never be installed, so it is not
       // queued.
-      ring.open(round, sim.ledger().dense_counts());
+      ring.open(round, sim.ledger().dense_counts(), sim.ledger().live_bits());
       for (NodeId x = 0; x < node_count; ++x) {
         const std::size_t bytes = net::count_report_size(
             x, round, node_count, {sim.ledger().dense_row(x), node_count});
@@ -260,8 +272,8 @@ GossipResult run_gossip(const graph::Graph& generation_graph, const Workload& wo
       // reporter) installs are already in send order; the canonical order
       // fixes the rest deterministically.
       ring.deliver(round, [&](NodeId owner, NodeId reporter, const std::uint32_t* row,
-                              std::uint32_t version) {
-        knowledge.install(owner, reporter, row, version);
+                              const std::uint64_t* live, std::uint32_t version) {
+        knowledge.install(owner, reporter, row, live, version);
       });
     }
 
@@ -271,9 +283,8 @@ GossipResult run_gossip(const graph::Graph& generation_graph, const Workload& wo
     // (views do not move during a sweep).
     sim.swap_phase(
         [&](NodeId x, MaxMinBalancer::Scratch& scratch) {
-          return sim.balancer().best_swap_with_view(
-              sim.ledger(), x,
-              [&](NodeId a, NodeId b) { return knowledge.view(x, a, b); }, scratch);
+          return sim.balancer().best_swap_with_reports(sim.ledger(), x,
+                                                       knowledge.reports(x), scratch);
         },
         [&sim](NodeId x, const SwapCandidate& candidate) {
           return sim.balancer().is_preferable_given_beneficiary(

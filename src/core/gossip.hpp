@@ -10,14 +10,17 @@
 // always ground truth — it owns those qubits). Classical overhead is
 // accounted in encoded bytes per message.
 //
-// A round's reports are one copy of the ledger's dense count mirror
-// (each message carries its sender's row of that snapshot), and each
-// report's wire size comes from net::count_report_size in closed form
-// from the sender's mirror row. Gossip therefore runs only where the
-// mirror exists, at most PairLedger::kFullReserveNodeLimit nodes; every
-// node's views of every report hold 4n^3 bytes there (4.3 GB at the
-// limit). A beneficiary view is the fresher of the two endpoints'
-// reports, picked by a select on their report rounds.
+// A round's reports are one copy of the ledger's dense count mirror and
+// of its live-partner bitsets (each message carries its sender's row of
+// that snapshot), and each report's wire size comes from
+// net::count_report_size in closed form from the sender's mirror row.
+// Gossip therefore runs only where the mirror exists, at most
+// PairLedger::kFullReserveNodeLimit nodes; every node's views of every
+// report hold 4n^3 bytes of counts there (4.3 GB at the limit) plus
+// 8n^2 ceil(n/64) bytes of bitsets. A beneficiary view is the fresher of
+// the two endpoints' reports, picked by a select on their report rounds;
+// the decide finds zero views from the reported bitsets first
+// (MaxMinBalancer::best_swap_with_reports).
 //
 // The round runs as phase kernels on the tick engine: a deterministic
 // per-round message merge in canonical sender order, swap decisions

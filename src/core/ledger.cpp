@@ -30,7 +30,9 @@ PairLedger::PairLedger(std::size_t node_count)
     : node_count_(node_count),
       rows_(node_count),
       dense_(node_count <= kFullReserveNodeLimit ? node_count * node_count
-                                                 : 0) {
+                                                 : 0),
+      live_words_(dense_.empty() ? 0 : (node_count + 63) / 64),
+      live_(node_count * live_words_, 0) {
   require(node_count >= 2, "PairLedger: need at least 2 nodes");
   // Small networks pre-reserve the dense worst case so steady-state
   // mutation never allocates; megascale networks grow rows amortized.
@@ -66,13 +68,20 @@ void PairLedger::insert_entry(NodeId x, std::size_t slot, NodeId y,
   row.partners.insert(row.partners.begin() + static_cast<long>(slot), y);
   if (dense_.empty()) {
     row.counts.insert(row.counts.begin() + static_cast<long>(slot), amount);
+  } else {
+    live_[x * live_words_ + y / 64] |= std::uint64_t{1} << (y % 64);
   }
 }
 
 void PairLedger::erase_entry(NodeId x, std::size_t slot) {
   Row& row = rows_[x];
+  const NodeId y = row.partners[slot];
   row.partners.erase(row.partners.begin() + static_cast<long>(slot));
-  if (dense_.empty()) row.counts.erase(row.counts.begin() + static_cast<long>(slot));
+  if (dense_.empty()) {
+    row.counts.erase(row.counts.begin() + static_cast<long>(slot));
+  } else {
+    live_[x * live_words_ + y / 64] &= ~(std::uint64_t{1} << (y % 64));
+  }
 }
 
 void PairLedger::add(NodeId x, NodeId y, std::uint32_t amount) {
@@ -161,13 +170,15 @@ std::uint64_t PairLedger::memory_bytes() const {
   // Logical accounting with fixed constants: per-node row headers (two
   // vector headers) plus live entries, both symmetric copies counted — a
   // partner id, plus its count above kFullReserveNodeLimit — plus the
-  // dense count mirror below it (4 n^2 bytes).
+  // dense count mirror (4 n^2 bytes) and the live bitsets
+  // (8 n ceil(n/64) bytes) below it.
   constexpr std::uint64_t kPerNodeBytes = 48;
   const std::uint64_t per_entry_bytes =
       sizeof(NodeId) + (dense_.empty() ? sizeof(std::uint32_t) : 0);
   std::uint64_t bytes = kPerNodeBytes * node_count_;
   for (const Row& row : rows_) bytes += per_entry_bytes * row.partners.size();
   bytes += sizeof(std::uint32_t) * dense_.size();
+  bytes += sizeof(std::uint64_t) * live_.size();
   return bytes;
 }
 
@@ -192,12 +203,16 @@ void PairLedger::check_invariants() const {
     }
     if (dense_.empty()) continue;
     // Off the row (the diagonal included) the mirror holds 0: a pair the
-    // rows do not list has no count.
+    // rows do not list has no count. The live bitset is the row, bit for
+    // bit, so its diagonal and the padding past n are clear.
+    const std::uint64_t* bits = live_row(x);
     std::size_t k = 0;
-    for (NodeId y = 0; y < node_count_; ++y) {
+    for (NodeId y = 0; y < live_words_ * 64; ++y) {
       const bool live = k < row.size() && row.partners()[k] == y;
-      ensure(live || dense_[x * node_count_ + y] == 0,
+      ensure(live || y >= node_count_ || dense_[x * node_count_ + y] == 0,
              "PairLedger: dense mirror holds a count off the rows");
+      ensure(((bits[y / 64] >> (y % 64)) & 1) == (live ? 1u : 0u),
+             "PairLedger: live bitset differs from the row");
       if (live) ++k;
     }
   }

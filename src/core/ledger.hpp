@@ -19,9 +19,14 @@
 //     count(), the commit's preferability recheck and the §4 decide's
 //     beneficiary reads are one indexed load (dense_row(x)); gossip
 //     copies the whole mirror once per round as its report snapshot
-//     (dense_counts()). Every row pre-reserves the dense worst case, so
-//     steady-state add/remove never allocates (the zero-allocation
-//     hot-path contract).
+//     (dense_counts()). Beside the mirror, each row keeps a bitset of
+//     its live partners (ceil(n/64) words, bit y set exactly when
+//     C_x(y) > 0), set on an insert and cleared on an erase, so the §4
+//     decide finds zero-count pairs a word at a time (live_row(x), or
+//     the whole array live_bits(), which gossip copies with the
+//     mirror). Every row
+//     pre-reserves the dense worst case, so steady-state add/remove
+//     never allocates (the zero-allocation hot-path contract).
 //   * Above it (the megascale regime) there is no mirror: each row
 //     carries a count vector parallel to its ids, so memory is
 //     O(nodes + live pair types), never O(n^2). Rows grow amortized —
@@ -131,6 +136,22 @@ class PairLedger {
   /// kFullReserveNodeLimit nodes.
   [[nodiscard]] std::span<const std::uint32_t> dense_counts() const { return dense_; }
 
+  /// Words per live-partner bitset: ceil(n/64) below
+  /// kFullReserveNodeLimit nodes, 0 above it.
+  [[nodiscard]] std::size_t live_words() const { return live_words_; }
+
+  /// x's live-partner bitset, live_words() words: bit y (word y / 64,
+  /// bit y % 64) is set exactly when count(x, y) > 0, so the diagonal
+  /// and the padding past n are clear. Null above kFullReserveNodeLimit.
+  [[nodiscard]] const std::uint64_t* live_row(NodeId x) const {
+    require(x < node_count_, "PairLedger::live_row: node out of range");
+    return live_.empty() ? nullptr : live_.data() + x * live_words_;
+  }
+
+  /// Every row's bitset, row-major n x live_words(): row x is
+  /// live_row(x). Empty above kFullReserveNodeLimit nodes.
+  [[nodiscard]] std::span<const std::uint64_t> live_bits() const { return live_; }
+
   /// Snapshot of pairs with count >= threshold as an undirected graph
   /// (the entanglement graph the hybrid protocol routes over, §6).
   [[nodiscard]] graph::Graph entanglement_graph(std::uint32_t threshold = 1) const;
@@ -151,7 +172,8 @@ class PairLedger {
   /// Verify the ledger's internal consistency; throws InvariantError on
   /// the first violation: every row sorted, symmetric and free of zero
   /// counts; below the limit, the mirror symmetric and zero exactly off
-  /// the rows (diagonal included); the total equal to a recount. O(n^2)
+  /// the rows (diagonal included) and each live bitset equal to its row
+  /// (diagonal and padding clear); the total equal to a recount. O(n^2)
   /// below the limit, O(live pairs log deg) above it — for tests and
   /// debug checks, never a hot path.
   void check_invariants() const;
@@ -170,7 +192,8 @@ class PairLedger {
   /// limit (0 when absent).
   [[nodiscard]] std::uint32_t row_count(NodeId x, NodeId y) const;
   /// Insert y into x's row at `slot` (its sorted position) / erase x's
-  /// entry at `slot`; the count moves with the id only above the limit.
+  /// entry at `slot`; the count moves with the id only above the limit,
+  /// and the live bit flips only below it.
   void insert_entry(NodeId x, std::size_t slot, NodeId y, std::uint32_t amount);
   void erase_entry(NodeId x, std::size_t slot);
 
@@ -179,6 +202,10 @@ class PairLedger {
   /// Row-major n x n counts, sized once at construction up to
   /// kFullReserveNodeLimit (the only count store there), empty above it.
   std::vector<std::uint32_t> dense_;
+  /// Row-major n x live_words_ live-partner bitsets, sized with the
+  /// mirror (empty above the limit).
+  std::size_t live_words_;
+  std::vector<std::uint64_t> live_;
   std::uint64_t total_ = 0;
 };
 

@@ -59,13 +59,63 @@ std::span<const MaxMinBalancer::Eligible> MaxMinBalancer::collect_eligible(
   return {eligible, size};
 }
 
+std::optional<std::pair<NodeId, NodeId>> MaxMinBalancer::first_zero_pair(
+    const PairLedger& ledger, NodeId x, std::span<const Eligible> eligible,
+    Scratch& scratch) const {
+  const std::size_t words = ledger.live_words();
+  if (scratch.mask.size() < words) scratch.mask.resize(words);
+  // E as a bitmask, each word accumulated in a register (E ascends).
+  std::uint64_t* const in_e = scratch.mask.data();
+  std::size_t k = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t word = 0;
+    for (; k < eligible.size() && eligible[k].node / 64 == w; ++k) {
+      word |= std::uint64_t{1} << (eligible[k].node % 64);
+    }
+    in_e[w] = word;
+  }
+  // For donor a, the set bits of in_e & ~live(a) above a are the b > a
+  // in E with C_a(b) = 0, ascending.
+  const std::uint64_t* const live = ledger.live_bits().data();
+  for (const Eligible& e : eligible) {
+    const NodeId a = e.node;
+    const std::uint64_t* const live_a = live + a * words;
+    // Bits strictly above a in its own word (none when a % 64 = 63).
+    std::uint64_t above = (~std::uint64_t{0} << (a % 64)) << 1;
+    for (std::size_t w = a / 64; w < words; ++w, above = ~std::uint64_t{0}) {
+      for (std::uint64_t zero = in_e[w] & ~live_a[w] & above; zero != 0; zero &= zero - 1) {
+        const auto b = static_cast<NodeId>(w * 64 + std::countr_zero(zero));
+        if (detour_allowed(x, a, b)) return std::pair{a, b};
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+std::span<const MaxMinBalancer::Eligible> MaxMinBalancer::roomy(
+    std::span<const Eligible> eligible, Scratch& scratch) {
+  if (scratch.roomy.size() < eligible.size()) scratch.roomy.resize(eligible.size());
+  Eligible* const roomy = scratch.roomy.data();
+  std::size_t size = 0;
+  for (const Eligible& e : eligible) {
+    roomy[size] = e;
+    size += e.room >= 2 ? 1 : 0;
+  }
+  return {roomy, size};
+}
+
 std::optional<SwapCandidate> MaxMinBalancer::best_swap(const PairLedger& ledger,
                                                        NodeId x,
                                                        Scratch& scratch) const {
   const std::span<const Eligible> eligible = collect_eligible(ledger, x, scratch);
+  if (eligible.size() < 2) return std::nullopt;  // no pair to swap
   if (ledger.dense_row(x) != nullptr) {
-    // Below the full-reserve limit every C_a(b) is one mirror load.
-    return scan_pairs(x, eligible, [&ledger](NodeId a) {
+    if (const auto zero = first_zero_pair(ledger, x, eligible, scratch)) {
+      return SwapCandidate{zero->first, zero->second, 0};
+    }
+    // No zero pair: every count is >= 1, so only room >= 2 partners can
+    // be preferable, and each C_a(b) is one mirror load.
+    return scan_pairs(x, roomy(eligible, scratch), [&ledger](NodeId a) {
       const std::uint32_t* row = ledger.dense_row(a);
       return [row](NodeId b) { return row[b]; };
     });
@@ -82,6 +132,21 @@ std::optional<SwapCandidate> MaxMinBalancer::best_swap(const PairLedger& ledger,
       while (k < ids.size() && ids[k] < b) ++k;
       return k < ids.size() && ids[k] == b ? row.count_at(k) : 0;
     };
+  });
+}
+
+std::optional<SwapCandidate> MaxMinBalancer::best_swap_with_reports(
+    const PairLedger& ledger, NodeId x, const ReportView& reports,
+    Scratch& scratch) const {
+  const std::span<const Eligible> eligible = collect_eligible(ledger, x, scratch);
+  if (eligible.size() < 2) return std::nullopt;  // no pair to swap
+  if (const auto zero = first_zero_view_pair(
+          eligible, reports,
+          [this, x](NodeId a, NodeId b) { return detour_allowed(x, a, b); }, scratch)) {
+    return SwapCandidate{zero->first, zero->second, 0};
+  }
+  return scan_pairs(x, roomy(eligible, scratch), [&reports](NodeId a) {
+    return [&reports, a](NodeId b) { return reports.view(a, b); };
   });
 }
 

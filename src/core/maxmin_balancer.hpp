@@ -19,22 +19,42 @@
 //   * beneficiary counts can be read through a stale view (gossip.hpp)
 //     instead of ground truth.
 //
-// Every decide runs the same candidate scan (scan_pairs): the eligible
-// partners come from one walk of x's ledger row, and the pairs are
-// visited in lexicographic (i, j) order keeping the first strict minimum.
-// The rule is integer-only, and this class is its one home: for an
-// integer count c, floor(c - D) = c - k with k = ceil(D), so partner y's
-// room is C_x(y) - k (0 when C_x(y) <= k), and since C_y(y') is an
-// integer, C_y(y') + 1 <= min(caps) exactly when C_y(y') < min(rooms).
-// The scan and the commit recheck both test that. Under true
-// knowledge the beneficiary counts are read from the ledger's dense
-// count mirror below PairLedger::kFullReserveNodeLimit (one load per
-// pair), and above it by merging each donor's sorted row against the
-// eligible list; a stale view is probed per pair instead.
+// Every decide picks what one candidate scan (scan_pairs) would pick:
+// the eligible partners E come from one walk of x's ledger row, and the
+// pairs are visited in lexicographic (i, j) order keeping the first
+// strict minimum. The rule is integer-only, and this class is its one
+// home: for an integer count c, floor(c - D) = c - k with k = ceil(D),
+// so partner y's room is C_x(y) - k (0 when C_x(y) <= k), and since
+// C_y(y') is an integer, C_y(y') + 1 <= min(caps) exactly when
+// C_y(y') < min(rooms). The scan and the commit recheck both test that.
+//
+// Below PairLedger::kFullReserveNodeLimit the decide runs in two exact
+// tiers. Every eligible room is >= 1, so a beneficiary count of 0 is
+// preferable for any eligible pair (detour test permitting), nothing
+// beats it, and the scan's answer is then the lexicographically first
+// allowed zero pair. Tier 1 finds that pair with the ledger's
+// live-partner bitsets: for donors a in ascending order, the set bits
+// of E & ~live(a) above a are a's zero pairs, a word at a time. Only
+// when there is none does tier 2 run the scan, and then every count is
+// >= 1, so a pair with a room-1 partner can never be preferable: the
+// scan runs over the room >= 2 sub-list, a subsequence of E, which keeps
+// the lexicographic order and the first strict minimum. Beneficiary
+// counts are read from the dense count mirror there (one load per pair).
+// Above the limit there are no bitsets, and the scan merges each
+// donor's sorted row against the whole eligible list.
+//
+// A stale view (gossip's reports, ReportView) gets the same two tiers:
+// the view of a pair is the fresher endpoint's report, so a reporter
+// decides exactly the pairs it shares with the partners it precedes in
+// (report round descending, id ascending) order, and
+// first_zero_view_pair finds the lexicographically first zero view pair
+// from each reporter's reported live bitset.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <utility>
@@ -103,37 +123,92 @@ class MaxMinBalancer {
     /// partner's slot and advances past the eligible ones only, so it
     /// needs one slot per partner of the scanned row.
     std::vector<Eligible> eligible;
+    /// Tier 2's room >= 2 sub-list of `eligible` (sized like it).
+    std::vector<Eligible> roomy;
+    /// Tier 1's node bitset (ceil(n/64) words).
+    std::vector<std::uint64_t> mask;
+    /// The stale-view tier 1's (report round, id) order of `eligible`.
+    std::vector<std::uint64_t> order;
 
     /// Pre-size for networks of `node_count` nodes (a row holds at most
     /// node_count-1 partners), so the per-node scan never allocates.
     void reserve(std::size_t node_count) {
-      eligible.resize(node_count > 0 ? node_count - 1 : 0);
+      const std::size_t partners = node_count > 0 ? node_count - 1 : 0;
+      eligible.resize(partners);
+      roomy.resize(partners);
+      order.resize(partners);
+      mask.resize((node_count + 63) / 64);
     }
   };
 
-  /// Best preferable swap at x under true (global) knowledge; nullopt when
-  /// no candidate is preferable. Thread-safe: caller-owned scratch.
-  /// Ledgers with a dense count mirror (PairLedger::dense_row) read each
-  /// C_a(b) as dense_row(a)[b]. Larger ledgers run the merge decide: both
-  /// the eligible list E and every ledger row are ascending, so for each
-  /// donor a = E[i] one forward walk of row(a) alongside E[i+1..] yields
-  /// every C_a(b) (the cursor entry, or 0 when b is absent) —
-  /// O(|row(a)| + |E|) per donor rather than a count() binary search per
-  /// candidate pair.
+  /// What one node knows of every other node's count row (gossip's
+  /// knowledge base, per owner). Reporter r's last report, sent at round
+  /// rounds[r] (0: never heard from, and then all zero), is one block of
+  /// block_size() uint32 slots at blocks + r * block_size(): C_r(p) at
+  /// slot p, then the report's live bitset, whose bit p is set exactly
+  /// when C_r(p) > 0, as `words` 64-bit words (store_live, live_word).
+  /// Keeping a report's bitset next to its counts lets one install write
+  /// one contiguous block. The view of C_a(b) is the fresher of a's and
+  /// b's reports, a's on a tie.
+  struct ReportView {
+    const std::uint32_t* blocks;
+    const std::uint32_t* rounds;
+    std::size_t node_count;
+    std::size_t words;
+
+    [[nodiscard]] static std::size_t block_size(std::size_t node_count,
+                                                std::size_t words) {
+      return node_count + 2 * words;
+    }
+
+    /// Write a report's live bitset into its block.
+    static void store_live(std::uint32_t* block, std::size_t node_count,
+                           const std::uint64_t* live, std::size_t words) {
+      std::memcpy(block + node_count, live, words * sizeof(std::uint64_t));
+    }
+
+    [[nodiscard]] std::uint32_t count(NodeId reporter, NodeId peer) const {
+      return blocks[reporter * block_size(node_count, words) + peer];
+    }
+
+    [[nodiscard]] std::uint64_t live_word(NodeId reporter, std::size_t w) const {
+      std::uint64_t word;
+      std::memcpy(&word,
+                  blocks + reporter * block_size(node_count, words) + node_count + 2 * w,
+                  sizeof word);
+      return word;
+    }
+
+    [[nodiscard]] std::uint32_t view(NodeId a, NodeId b) const {
+      // Both reports are loaded and the rounds pick one, so the
+      // freshness test is a select, not a branch.
+      const std::uint32_t from_a = count(a, b);
+      const std::uint32_t from_b = count(b, a);
+      return rounds[a] >= rounds[b] ? from_a : from_b;
+    }
+  };
+
+  /// Best preferable swap at x under true (global) knowledge; nullopt
+  /// when no candidate is preferable. Thread-safe: caller-owned scratch.
+  /// Ledgers with a dense count mirror (PairLedger::dense_row) decide in
+  /// the two tiers: first_zero_pair, then the room >= 2 scan reading
+  /// each C_a(b) as dense_row(a)[b]. Larger ledgers run the merge
+  /// decide: both the eligible list E and every ledger row are
+  /// ascending, so for each donor a = E[i] one forward walk of row(a)
+  /// alongside E[i+1..] yields every C_a(b) (the cursor entry, or 0 when
+  /// b is absent) — O(|row(a)| + |E|) per donor rather than a count()
+  /// binary search per candidate pair.
   [[nodiscard]] std::optional<SwapCandidate> best_swap(const PairLedger& ledger,
                                                        NodeId x,
                                                        Scratch& scratch) const;
 
   /// Best preferable swap where the *beneficiary* count C_y(y') is read
-  /// through `view(y, y')` (possibly stale); x's own counts are always
-  /// ground truth (x owns them). Thread-safe: caller-owned scratch.
-  template <typename View>
-  [[nodiscard]] std::optional<SwapCandidate> best_swap_with_view(
-      const PairLedger& ledger, NodeId x, View&& view, Scratch& scratch) const {
-    return scan_pairs(x, collect_eligible(ledger, x, scratch), [&view](NodeId a) {
-      return [&view, a](NodeId b) { return view(a, b); };
-    });
-  }
+  /// through x's stale `reports`; x's own counts are always ground truth
+  /// (x owns them). Two tiers: first_zero_view_pair, then the room >= 2
+  /// scan reading reports.view. Thread-safe: caller-owned scratch.
+  [[nodiscard]] std::optional<SwapCandidate> best_swap_with_reports(
+      const PairLedger& ledger, NodeId x, const ReportView& reports,
+      Scratch& scratch) const;
 
   /// Execute left <- x -> right on the ledger: consumes spend(rng) pairs
   /// of (x,left), then spend(rng) of (x,right), and produces one
@@ -174,6 +249,18 @@ class MaxMinBalancer {
   [[nodiscard]] std::span<const Eligible> collect_eligible(const PairLedger& ledger,
                                                            NodeId x,
                                                            Scratch& scratch) const;
+
+  /// Tier 1 under true knowledge: the lexicographically first pair
+  /// (a, b), a < b, of `eligible` with C_a(b) = 0 that passes the detour
+  /// test, read from the ledger's live bitsets; nullopt when none.
+  [[nodiscard]] std::optional<std::pair<NodeId, NodeId>> first_zero_pair(
+      const PairLedger& ledger, NodeId x, std::span<const Eligible> eligible,
+      Scratch& scratch) const;
+
+  /// Tier 2's candidates: the partners of `eligible` with room >= 2, in
+  /// order, compacted into scratch.roomy.
+  [[nodiscard]] static std::span<const Eligible> roomy(
+      std::span<const Eligible> eligible, Scratch& scratch);
 
   /// The §4 candidate scan every decide shares. Visits the eligible pairs
   /// (i, j), i < j, in lexicographic order and keeps the first strict
@@ -221,5 +308,58 @@ class MaxMinBalancer {
   BalancerPolicy policy_;
   const std::vector<std::vector<std::uint32_t>>* generation_distances_;
 };
+
+/// Tier 1 of the stale-view decide: the lexicographically first pair
+/// (a, b), a < b, of `eligible` (ascending) whose view count
+/// reports.view(a, b) is 0 and for which allowed(a, b) holds; nullopt
+/// when there is none. It reads only the report rounds and live
+/// bitsets. The view of {u, v} is the report of whichever comes first
+/// in (round descending, id ascending) order, so after sorting E that
+/// way, a reverse walk keeps the set S of partners after u, and the bits
+/// of S & ~live(u) are exactly the zero view pairs u decides: every zero
+/// pair turns up once, and the lexicographic minimum of the allowed ones
+/// is kept. Uses scratch.order and scratch.mask.
+template <typename Allowed>
+[[nodiscard]] std::optional<std::pair<NodeId, NodeId>> first_zero_view_pair(
+    std::span<const MaxMinBalancer::Eligible> eligible,
+    const MaxMinBalancer::ReportView& reports, Allowed&& allowed,
+    MaxMinBalancer::Scratch& scratch) {
+  const std::size_t words = reports.words;
+  if (scratch.order.size() < eligible.size()) scratch.order.resize(eligible.size());
+  if (scratch.mask.size() < words) scratch.mask.resize(words);
+  std::uint64_t* const order = scratch.order.data();
+  for (std::size_t k = 0; k < eligible.size(); ++k) {
+    const NodeId u = eligible[k].node;
+    order[k] = (static_cast<std::uint64_t>(UINT32_MAX - reports.rounds[u]) << 32) | u;
+  }
+  std::sort(order, order + eligible.size());
+  std::uint64_t* const after = scratch.mask.data();
+  std::fill_n(after, words, std::uint64_t{0});
+  std::optional<std::pair<NodeId, NodeId>> best;
+  // Keep the first of u's zero pairs that beats `best` and is allowed,
+  // if any. As v ascends, {min(u, v), max(u, v)} ascends
+  // lexicographically, so the walk stops at the first pair not below
+  // `best`.
+  const auto improve = [&](NodeId u) {
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t zero = after[w] & ~reports.live_word(u, w); zero != 0;
+           zero &= zero - 1) {
+        const auto v = static_cast<NodeId>(w * 64 + std::countr_zero(zero));
+        const std::pair<NodeId, NodeId> pair{std::min(u, v), std::max(u, v)};
+        if (best && pair >= *best) return;
+        if (allowed(pair.first, pair.second)) {
+          best = pair;
+          return;
+        }
+      }
+    }
+  };
+  for (std::size_t k = eligible.size(); k-- > 0;) {
+    const auto u = static_cast<NodeId>(order[k]);
+    improve(u);
+    after[u / 64] |= std::uint64_t{1} << (u % 64);
+  }
+  return best;
+}
 
 }  // namespace poq::core

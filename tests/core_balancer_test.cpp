@@ -590,12 +590,13 @@ TEST(BestSwapKernel, IntegerRoomMatchesPairwiseOracleAtZeroDAndNear2To31) {
   EXPECT_TRUE(covered.ineligible_partner);
 }
 
-// best_swap_with_view (gossip's decide) against the pairwise loop reading
-// the same stale view. Node x holds a report row from every other node
-// with a report round; the view of C_a(b) is the fresher of a's and b's
-// reports, a's on a tie, which is the rule gossip's knowledge base uses.
-// Report rounds come from a small range so equal ages are common, and
-// the reports disagree with the ledger and with each other.
+// best_swap_with_reports (gossip's decide) against the pairwise loop
+// reading the same stale view. Node x holds a report row from every other
+// node with a report round and the row's live bitset; the view of C_a(b)
+// is the fresher of a's and b's reports, a's on a tie, which is the rule
+// gossip's knowledge base uses. Report rounds come from a small range so
+// equal ages are common, and the reports disagree with the ledger and
+// with each other.
 TEST(BestSwapKernel, StaleViewMatchesPairwiseOracle) {
   util::Rng rng(0x57A1E);
   ScanShape covered;
@@ -615,6 +616,10 @@ TEST(BestSwapKernel, StaleViewMatchesPairwiseOracle) {
     // reports[reporter][peer] and rounds[reporter], as node x holds them.
     std::vector<std::vector<std::uint32_t>> reports(n, std::vector<std::uint32_t>(n, 0));
     std::vector<std::uint32_t> rounds(n, 0);
+    const std::size_t words = (n + 63) / 64;
+    const std::size_t block = MaxMinBalancer::ReportView::block_size(n, words);
+    std::vector<std::uint32_t> blocks(n * block);
+    std::vector<std::uint64_t> live(words);
     const double distillation = std::vector<double>{0.0, 1.0, 1.5}[rng.uniform_index(3)];
     const auto distances = graph::all_pairs_distances(
         rng.bernoulli(0.5) ? graph::make_cycle(n) : graph::make_star(n));
@@ -634,6 +639,15 @@ TEST(BestSwapKernel, StaleViewMatchesPairwiseOracle) {
                               : static_cast<std::uint32_t>(rng.uniform_index(5));
         }
       }
+      for (NodeId r = 0; r < n; ++r) {
+        std::fill(live.begin(), live.end(), 0);
+        for (NodeId p = 0; p < n; ++p) {
+          blocks[r * block + p] = reports[r][p];
+          if (reports[r][p] > 0) live[p / 64] |= std::uint64_t{1} << (p % 64);
+        }
+        MaxMinBalancer::ReportView::store_live(blocks.data() + r * block, n, live.data(),
+                                               words);
+      }
       const auto oracle_view = [&](NodeId a, NodeId b) -> std::uint32_t {
         if (rounds[a] == rounds[b]) {
           ++equal_age_reads;
@@ -645,11 +659,9 @@ TEST(BestSwapKernel, StaleViewMatchesPairwiseOracle) {
       const auto expected = pairwise_best_swap(ledger, distillation, distances,
                                                detour_slack, x, shape, oracle_view);
       if (expected) ++decisions;
-      const auto actual = balancer.best_swap_with_view(
+      const auto actual = balancer.best_swap_with_reports(
           ledger, x,
-          [&](NodeId a, NodeId b) {
-            return rounds[a] >= rounds[b] ? reports[a][b] : reports[b][a];
-          },
+          MaxMinBalancer::ReportView{blocks.data(), rounds.data(), n, words},
           scratch);
       expect_same_swap(actual, expected,
                        "trial " + std::to_string(trial) + " node " + std::to_string(x));
@@ -661,6 +673,114 @@ TEST(BestSwapKernel, StaleViewMatchesPairwiseOracle) {
   EXPECT_GT(equal_age_reads, 0u);
   EXPECT_TRUE(covered.tie_at_minimum);
   EXPECT_TRUE(covered.forbidden_zero_first);
+}
+
+// --- the two exact tiers of the dense decide ---------------------------
+
+// Below the mirror limit best_swap first looks for the lexicographically
+// first allowed zero pair in the live bitsets, and only then scans the
+// room >= 2 partners. Both tiers against the pairwise loop: zero-heavy
+// ledgers (most answers come from tier 1) and zero-free ones (every pair
+// live, so tier 1 finds nothing and tier 2 decides), D in {0, 1, 1.5,
+// 2.75}, detour policies (some forbidding the first zero), and 130-node
+// ledgers whose bitsets span 3 words (zero pairs in the last word).
+TEST(BestSwapZeroTier, TiersMatchPairwiseOracle) {
+  util::Rng rng(0x2E50);
+  ScanShape covered;
+  std::uint64_t zero_answers = 0;
+  std::uint64_t scan_answers = 0;
+  std::uint64_t last_word_zero_answers = 0;
+  for (int trial = 0; trial < 90; ++trial) {
+    const bool zero_free = trial % 2 == 1;
+    const bool three_words = trial % 3 == 0;
+    const std::size_t n = three_words ? 130 : 4 + rng.uniform_index(40);
+    const double density =
+        zero_free ? 1.0 : 0.1 + 0.5 * static_cast<double>(rng.uniform_index(101)) / 100.0;
+    // Every sixth ledger has no zero pair touching nodes 0-119, so its
+    // zero pairs lie in the bitsets' last words.
+    const NodeId all_live_below = trial % 6 == 0 ? 120 : 0;
+    PairLedger ledger(n);
+    for (NodeId a = 0; a < n; ++a) {
+      for (NodeId b = a + 1; b < n; ++b) {
+        if (a < all_live_below || rng.bernoulli(density)) {
+          ledger.add(a, b, 1 + static_cast<std::uint32_t>(rng.uniform_index(8)));
+        }
+      }
+    }
+    const double d = std::vector<double>{0.0, 1.0, 1.5, 2.75}[rng.uniform_index(4)];
+    const auto distances = graph::all_pairs_distances(graph::make_cycle(n));
+    std::optional<std::uint32_t> detour_slack;
+    if (rng.bernoulli(0.3)) detour_slack = static_cast<std::uint32_t>(rng.uniform_index(2));
+    BalancerPolicy policy;
+    policy.detour_slack = detour_slack;
+    const MaxMinBalancer balancer(d, policy, &distances);
+    MaxMinBalancer::Scratch scratch;
+    scratch.reserve(n);
+    // Every node of the small ledgers, a spread of the 130-node ones (the
+    // pairwise loop is quadratic in their ~100 eligible partners).
+    for (NodeId x = 0; x < n; x += three_words ? 7 : 1) {
+      ScanShape shape;
+      const auto expected = pairwise_best_swap(ledger, d, distances, detour_slack, x, shape);
+      expect_same_swap(balancer.best_swap(ledger, x, scratch), expected,
+                       "n " + std::to_string(n) + " D " + std::to_string(d) + " trial " +
+                           std::to_string(trial) + " node " + std::to_string(x));
+      if (expected && expected->beneficiary_count == 0) {
+        ++zero_answers;
+        last_word_zero_answers += expected->right >= 128 ? 1 : 0;
+      } else if (expected) {
+        ++scan_answers;
+      }
+      covered.forbidden_zero_first |= shape.forbidden_zero_first;
+      covered.tie_at_minimum |= shape.tie_at_minimum;
+    }
+  }
+  EXPECT_GT(zero_answers, 0u);
+  EXPECT_GT(scan_answers, 0u);
+  EXPECT_GT(last_word_zero_answers, 0u);
+  EXPECT_TRUE(covered.forbidden_zero_first);
+  EXPECT_TRUE(covered.tie_at_minimum);
+}
+
+// A partner with room 1 wins only with a zero beneficiary. x = 0 holds
+// room 1 toward node 1 and room 4 toward nodes 2-4 (D = 1); the detour
+// rule (slack 0, distance 1 between every pair but the ones set to 2)
+// forbids the lexicographically first zero pair (1, 2).
+TEST(BestSwapZeroTier, DetourForbiddenZerosFallThroughInOrder) {
+  std::vector<std::vector<std::uint32_t>> distances(5, std::vector<std::uint32_t>(5, 1));
+  for (NodeId a = 0; a < 5; ++a) distances[a][a] = 0;
+  const auto far = [&](NodeId a, NodeId b) { distances[a][b] = distances[b][a] = 2; };
+  far(1, 3);
+  far(2, 3);
+  BalancerPolicy policy;
+  policy.detour_slack = 0;
+  const MaxMinBalancer balancer(1.0, policy, &distances);
+  MaxMinBalancer::Scratch scratch;
+
+  PairLedger ledger(5);
+  ledger.add(0, 1, 2);
+  for (const NodeId y : {2u, 3u, 4u}) ledger.add(0, y, 5);
+  ledger.add(1, 4, 1);
+  ledger.add(2, 3, 1);
+  ledger.add(2, 4, 2);
+  // Zero pairs: (1, 2) forbidden, (1, 3) allowed, (3, 4) forbidden.
+  auto best = balancer.best_swap(ledger, 0, scratch);
+  ASSERT_TRUE(best.has_value());
+  EXPECT_EQ(best->left, 1u);
+  EXPECT_EQ(best->right, 3u);
+  EXPECT_EQ(best->beneficiary_count, 0u);
+
+  // With (1, 3) live too, every zero pair is forbidden: room-1 node 1
+  // cannot take part, and the room >= 2 scan picks (2, 3) at count 1.
+  ledger.add(1, 3, 1);
+  best = balancer.best_swap(ledger, 0, scratch);
+  ASSERT_TRUE(best.has_value());
+  EXPECT_EQ(best->left, 2u);
+  EXPECT_EQ(best->right, 3u);
+  EXPECT_EQ(best->beneficiary_count, 1u);
+  ScanShape shape;
+  expect_same_swap(best, pairwise_best_swap(ledger, 1.0, distances, 0u, 0, shape),
+                   "all zeros forbidden");
+  EXPECT_TRUE(shape.forbidden_zero_first);
 }
 
 }  // namespace

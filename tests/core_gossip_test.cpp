@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <utility>
+#include <vector>
+
+#include "core/ledger.hpp"
+#include "core/maxmin_balancer.hpp"
 #include "core/workload.hpp"
+#include "graph/shortest_path.hpp"
 #include "graph/topology.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -158,6 +166,214 @@ TEST(GossipGolden, CycleHalfRoundLatencyWideFanout) {
   config.fanout = 5;
   expect_golden(run_gossip(graph::make_cycle(24), workload, config),
                 {145, 2.4781205164992826, 20880, 1046592});
+}
+
+// Latency 0: every report arrives in the round it is sent, so all the
+// reports a node installs in one round carry the same round, and the
+// decide's freshness order falls back on node ids for each such pair
+// (reports of one round copy one snapshot, so either side of a tie reads
+// the same count). Values recorded from the single-scan decide, before
+// the zero-first tiers.
+TEST(GossipGolden, RandomGridZeroLatencyTiedReports) {
+  util::Rng topology_rng(3);
+  const graph::Graph graph = graph::make_random_connected_grid(36, topology_rng);
+  util::Rng workload_rng(8);
+  const Workload workload = make_uniform_workload(36, 14, 150, workload_rng);
+  GossipConfig config;
+  config.base.seed = 17;
+  config.latency_per_hop = 0.0;
+  expect_golden(run_gossip(graph, workload, config),
+                {156, 4.5594248483486854, 16848, 1249884});
+}
+
+// --- the two exact tiers of the stale-view decide ----------------------
+
+/// What one node holds of every reporter — report rows, report rounds
+/// and the rows' live bitsets — laid out as MaxMinBalancer::ReportView
+/// reads them. A reporter never heard from has round 0 and an all-zero
+/// row.
+struct Reports {
+  explicit Reports(std::size_t nodes)
+      : n(nodes),
+        words((nodes + 63) / 64),
+        block(MaxMinBalancer::ReportView::block_size(n, words)),
+        blocks(n * block, 0),
+        rounds(n, 0),
+        live(n * words, 0) {}
+
+  void set(NodeId reporter, NodeId peer, std::uint32_t count) {
+    blocks[reporter * block + peer] = count;
+    std::uint64_t& word = live[reporter * words + peer / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (peer % 64);
+    word = count > 0 ? word | bit : word & ~bit;
+    MaxMinBalancer::ReportView::store_live(blocks.data() + reporter * block, n,
+                                           live.data() + reporter * words, words);
+  }
+
+  [[nodiscard]] MaxMinBalancer::ReportView view() const {
+    return {blocks.data(), rounds.data(), n, words};
+  }
+
+  std::size_t n;
+  std::size_t words;
+  std::size_t block;
+  std::vector<std::uint32_t> blocks;
+  std::vector<std::uint32_t> rounds;
+  std::vector<std::uint64_t> live;
+};
+
+/// A quarter of the reporters never heard from (unless `all_heard`), the
+/// rest from rounds 1-3, so equal rounds are common; each reported count
+/// is 0 with probability `zero`.
+Reports random_reports(std::size_t n, double zero, bool all_heard, util::Rng& rng) {
+  Reports reports(n);
+  for (NodeId r = 0; r < n; ++r) {
+    if (!all_heard && rng.bernoulli(0.25)) continue;
+    reports.rounds[r] = 1 + static_cast<std::uint32_t>(rng.uniform_index(3));
+    for (NodeId p = 0; p < n; ++p) {
+      if (p != r && !rng.bernoulli(zero)) {
+        reports.set(r, p, 1 + static_cast<std::uint32_t>(rng.uniform_index(4)));
+      }
+    }
+  }
+  return reports;
+}
+
+/// The lexicographically first pair of `eligible` with a zero view that
+/// `allowed` passes, found by probing every pair in order.
+template <typename Allowed>
+std::optional<std::pair<NodeId, NodeId>> pairwise_first_zero_view(
+    const std::vector<MaxMinBalancer::Eligible>& eligible,
+    const MaxMinBalancer::ReportView& reports, Allowed&& allowed) {
+  for (std::size_t i = 0; i < eligible.size(); ++i) {
+    for (std::size_t j = i + 1; j < eligible.size(); ++j) {
+      const NodeId a = eligible[i].node;
+      const NodeId b = eligible[j].node;
+      if (reports.view(a, b) == 0 && allowed(a, b)) return std::pair{a, b};
+    }
+  }
+  return std::nullopt;
+}
+
+// first_zero_view_pair (gossip's tier 1) reads only report rounds and
+// live bitsets; the oracle probes the view of every eligible pair in
+// order. Eligible sets up to 130 nodes (3 bitset words), zero-heavy and
+// zero-free reports, reporters never heard from, many equal rounds, and
+// three `allowed` rules: everything, a random half, and everything but
+// the first zero pair.
+TEST(GossipZeroTier, FirstZeroViewPairMatchesPairwiseOracle) {
+  util::Rng rng(0x2E51);
+  std::uint64_t found = 0;
+  std::uint64_t none = 0;
+  std::uint64_t tied_reporters = 0;
+  std::uint64_t unheard_answers = 0;
+  std::uint64_t last_word_answers = 0;
+  MaxMinBalancer::Scratch scratch;
+  for (int trial = 0; trial < 600; ++trial) {
+    const std::size_t n = trial % 4 == 0 ? 130 : 4 + rng.uniform_index(60);
+    const double zero = std::vector<double>{0.0, 0.1, 0.5, 0.9}[rng.uniform_index(4)];
+    const Reports reports = random_reports(n, zero, /*all_heard=*/zero == 0.0, rng);
+    std::vector<MaxMinBalancer::Eligible> eligible;
+    const double pick = 0.2 + 0.8 * static_cast<double>(rng.uniform_index(101)) / 100.0;
+    // Every eighth set holds only nodes 120-129, in the last two words.
+    for (NodeId y = trial % 8 == 0 ? 120 : 0; y < n; ++y) {
+      if (rng.bernoulli(pick)) {
+        eligible.push_back({y, 1 + static_cast<std::uint32_t>(rng.uniform_index(3))});
+      }
+    }
+    std::vector<std::uint8_t> forbidden(n * n, 0);
+    const auto allowed = [&](NodeId a, NodeId b) { return forbidden[a * n + b] == 0; };
+    switch (trial % 3) {
+      case 0:
+        break;
+      case 1:
+        for (std::uint8_t& f : forbidden) f = rng.bernoulli(0.5) ? 1 : 0;
+        break;
+      default:
+        if (const auto first = pairwise_first_zero_view(eligible, reports.view(), allowed)) {
+          forbidden[first->first * n + first->second] = 1;
+        }
+        break;
+    }
+    const auto expected = pairwise_first_zero_view(eligible, reports.view(), allowed);
+    const auto actual = first_zero_view_pair(eligible, reports.view(), allowed, scratch);
+    ASSERT_EQ(actual, expected) << "trial " << trial << " n " << n;
+    if (expected) {
+      ++found;
+      const NodeId a = expected->first;
+      const NodeId b = expected->second;
+      unheard_answers += reports.rounds[a] == 0 || reports.rounds[b] == 0 ? 1 : 0;
+      tied_reporters += reports.rounds[a] == reports.rounds[b] ? 1 : 0;
+      last_word_answers += b >= 128 ? 1 : 0;
+    } else {
+      ++none;
+    }
+  }
+  EXPECT_GT(found, 0u);
+  EXPECT_GT(none, 0u);
+  EXPECT_GT(tied_reporters, 0u);
+  EXPECT_GT(unheard_answers, 0u);
+  EXPECT_GT(last_word_answers, 0u);
+}
+
+// best_swap_with_reports, both tiers, against the §4 rule as a literal
+// pairwise loop over x's eligible partners (caps C_x(y) - D, real-valued)
+// reading the same stale view: D in {0, 1, 1.5, 2.75}, detour policies,
+// zero-heavy and zero-free reports, up to 130 nodes.
+TEST(GossipZeroTier, ReportDecideMatchesPairwiseOracle) {
+  util::Rng rng(0x2E52);
+  std::uint64_t zero_answers = 0;
+  std::uint64_t scan_answers = 0;
+  MaxMinBalancer::Scratch scratch;
+  for (int trial = 0; trial < 120; ++trial) {
+    const std::size_t n = trial % 4 == 0 ? 130 : 4 + rng.uniform_index(40);
+    PairLedger ledger(n);
+    for (NodeId a = 0; a < n; ++a) {
+      for (NodeId b = a + 1; b < n; ++b) {
+        if (rng.bernoulli(0.5)) {
+          ledger.add(a, b, 1 + static_cast<std::uint32_t>(rng.uniform_index(6)));
+        }
+      }
+    }
+    const bool zero_free = trial % 2 == 1;
+    const Reports reports = random_reports(n, zero_free ? 0.0 : 0.6, zero_free, rng);
+    const double d = std::vector<double>{0.0, 1.0, 1.5, 2.75}[rng.uniform_index(4)];
+    const auto distances = graph::all_pairs_distances(graph::make_cycle(n));
+    BalancerPolicy policy;
+    if (rng.bernoulli(0.3)) policy.detour_slack = static_cast<std::uint32_t>(rng.uniform_index(2));
+    const MaxMinBalancer balancer(d, policy, &distances);
+    for (NodeId x = 0; x < n; x += n > 64 ? 9 : 1) {
+      std::vector<std::pair<NodeId, double>> eligible;
+      for (const NodeId y : ledger.partners(x)) {
+        const double cap = static_cast<double>(ledger.count(x, y)) - d;
+        if (cap >= 1.0) eligible.emplace_back(y, cap);
+      }
+      std::optional<SwapCandidate> expected;
+      for (std::size_t i = 0; i < eligible.size(); ++i) {
+        for (std::size_t j = i + 1; j < eligible.size(); ++j) {
+          const auto [a, cap_a] = eligible[i];
+          const auto [b, cap_b] = eligible[j];
+          const std::uint32_t beneficiary = reports.view().view(a, b);
+          const bool allowed =
+              !policy.detour_slack ||
+              distances[a][x] + distances[x][b] <= distances[a][b] + *policy.detour_slack;
+          if (allowed && static_cast<double>(beneficiary) + 1.0 <= std::min(cap_a, cap_b) &&
+              (!expected || beneficiary < expected->beneficiary_count)) {
+            expected = SwapCandidate{a, b, beneficiary};
+          }
+        }
+      }
+      const auto actual = balancer.best_swap_with_reports(ledger, x, reports.view(), scratch);
+      ASSERT_EQ(actual.has_value(), expected.has_value()) << "trial " << trial << " node " << x;
+      if (!expected) continue;
+      EXPECT_EQ(actual->left, expected->left) << "trial " << trial << " node " << x;
+      EXPECT_EQ(actual->right, expected->right) << "trial " << trial << " node " << x;
+      EXPECT_EQ(actual->beneficiary_count, expected->beneficiary_count);
+      (expected->beneficiary_count == 0 ? zero_answers : scan_answers) += 1;
+    }
+  }
+  EXPECT_GT(zero_answers, 0u);
+  EXPECT_GT(scan_answers, 0u);
 }
 
 }  // namespace

@@ -111,9 +111,10 @@ TEST(PairLedger, TotalPairsAccumulates) {
 // x's row of the count mirror: after any mix of add, remove (to zero
 // included), integral and fractional NetworkState::generate and
 // NetworkState::purge_node, both agree with a reference matrix and with
-// count() entry for entry, absent pairs included, and check_invariants()
-// holds after every step. Runs below the mirror limit (every node churns)
-// and above it (no mirror; the random churn touches 12 nodes spread over
+// count() entry for entry, absent pairs included, live_row(x) has
+// exactly the live partners' bits, and check_invariants() holds after
+// every step. Runs below the mirror limit (every node churns; 130 nodes
+// spread each bitset over 3 words) and above it (no mirror; the random churn touches 12 nodes spread over
 // the ring, while generation covers every cycle edge).
 void churn_rows_against_reference(std::size_t nodes) {
   SCOPED_TRACE(testing::Message() << "nodes " << nodes);
@@ -150,8 +151,14 @@ void churn_rows_against_reference(std::size_t nodes) {
     for (std::size_t i = 0; i < kActive; ++i) {
       const auto x = static_cast<NodeId>(i * stride);
       const std::uint32_t* dense = ledger.dense_row(x);
+      const std::uint64_t* live = ledger.live_row(x);
       ASSERT_EQ(dense != nullptr, mirrored);
+      ASSERT_EQ(live != nullptr, mirrored);
       for (NodeId y = 0; y < nodes; ++y) {
+        if (mirrored) {
+          EXPECT_EQ((live[y / 64] >> (y % 64)) & 1, ref(x, y) > 0 ? 1u : 0u)
+              << "live bit " << x << "," << y << " step " << step;
+        }
         if (y == x) continue;
         if (mirrored) {
           EXPECT_EQ(dense[y], ref(x, y)) << "pair " << x << "," << y << " step " << step;
@@ -211,23 +218,34 @@ void churn_rows_against_reference(std::size_t nodes) {
 
 TEST(PairLedger, PairCountsAlignWithPartnersUnderChurn) {
   churn_rows_against_reference(12);
+  churn_rows_against_reference(130);
   churn_rows_against_reference(PairLedger::kFullReserveNodeLimit + 1);
 }
 
-// The mirror exists exactly up to kFullReserveNodeLimit nodes, and the
-// logical memory accounting charges its 4 n^2 bytes, a partner id per
-// row entry below the limit (the mirror holds the count) and an id plus
-// a count above it.
+// The mirror and the live bitsets exist exactly up to
+// kFullReserveNodeLimit nodes, and the logical memory accounting charges
+// their 4 n^2 and 8 n ceil(n/64) bytes, a partner id per row entry below
+// the limit (the mirror holds the count) and an id plus a count above it.
 TEST(PairLedger, DenseRowOnlyUpToFullReserveLimit) {
   const PairLedger at_limit(PairLedger::kFullReserveNodeLimit);
   const PairLedger above(PairLedger::kFullReserveNodeLimit + 1);
   EXPECT_NE(at_limit.dense_row(0), nullptr);
   EXPECT_EQ(above.dense_row(0), nullptr);
   EXPECT_EQ(above.dense_row(PairLedger::kFullReserveNodeLimit), nullptr);
+  // The live bitsets come and go with the mirror: ceil(n/64) words a row.
+  EXPECT_EQ(at_limit.live_words(), PairLedger::kFullReserveNodeLimit / 64);
+  EXPECT_NE(at_limit.live_row(0), nullptr);
+  EXPECT_EQ(above.live_words(), 0u);
+  EXPECT_EQ(above.live_row(0), nullptr);
+  EXPECT_TRUE(above.live_bits().empty());
+  // Rows, then the mirror (4 n^2), then the bitsets (8 n ceil(n/64)).
   PairLedger small(3);
-  EXPECT_EQ(small.memory_bytes(), 48u * 3 + 4u * 9);
+  EXPECT_EQ(small.memory_bytes(), 48u * 3 + 4u * 9 + 8u * 3);
   small.add(0, 1, 5);
-  EXPECT_EQ(small.memory_bytes(), 48u * 3 + 4u * 9 + 4u * 2);
+  EXPECT_EQ(small.memory_bytes(), 48u * 3 + 4u * 9 + 8u * 3 + 4u * 2);
+  const PairLedger three_words(130);
+  EXPECT_EQ(three_words.live_words(), 3u);
+  EXPECT_EQ(three_words.memory_bytes(), 48u * 130 + 4u * 130 * 130 + 8u * 130 * 3);
   PairLedger big(PairLedger::kFullReserveNodeLimit + 1);
   big.add(0, 1, 5);
   EXPECT_EQ(big.memory_bytes(), 48u * (PairLedger::kFullReserveNodeLimit + 1) + 8u * 2);

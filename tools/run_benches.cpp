@@ -451,6 +451,53 @@ SuiteRun suite_hotpath(const Options& options) {
   return run_grid("hotpath", std::move(grid), 1, serial);
 }
 
+SuiteRun suite_deck(const Options& options) {
+  // The benchmark's deck in-process: the twelve serve_converge cells and
+  // the eight serve_paper cells (those at threads = 1) that perfbench
+  // serves, every one run to completion, so the gate holds exactly the
+  // runs the benchmark times to bit identity. The per-phase timings land
+  // in each cell's "timings" object (recorded, never compared by
+  // --check).
+  const auto cell = [](const char* protocol, const char* topology, std::size_t nodes,
+                       bool one_thread) {
+    scenario::ScenarioSpec spec;
+    spec.protocol = protocol;
+    spec.topology = topology;
+    spec.nodes = nodes;
+    spec.consumer_pairs = 35;
+    spec.requests = 200;
+    if (one_thread) spec.knobs["threads"] = std::int64_t{1};
+    return spec;
+  };
+  std::vector<scenario::ScenarioSpec> grid = {
+      // serve_converge
+      cell("balancing", "full-grid", 36, false),
+      cell("balancing", "full-grid", 49, false),
+      cell("balancing", "full-grid", 64, false),
+      cell("balancing", "cycle", 25, false),
+      cell("balancing", "cycle", 36, false),
+      cell("balancing", "random-grid", 25, false),
+      cell("balancing", "random-grid", 36, false),
+      cell("hybrid", "full-grid", 49, false),
+      cell("hybrid", "cycle", 49, false),
+      cell("gossip", "full-grid", 36, false),
+      cell("gossip", "cycle", 25, false),
+      cell("gossip", "random-grid", 25, false),
+      // serve_paper
+      cell("balancing", "full-grid", 81, true),
+      cell("balancing", "full-grid", 100, true),
+      cell("balancing", "cycle", 49, true),
+      cell("hybrid", "full-grid", 81, true),
+      cell("hybrid", "full-grid", 100, true),
+      cell("hybrid", "cycle", 100, true),
+      cell("gossip", "full-grid", 81, true),
+      cell("gossip", "cycle", 49, true),
+  };
+  Options serial = options;
+  serial.threads = 1;  // one cell at a time: honest phase timings
+  return run_grid("deck", std::move(grid), options.quick ? 1 : 3, serial);
+}
+
 SuiteRun suite_async_routing(const Options& options) {
   // Asynchronous entanglement routing: a Poisson request stream resolved
   // continuously on the vertex-program substrate. The grid crosses
@@ -847,6 +894,7 @@ const std::vector<std::pair<std::string, SuiteFn>> kSuites = {
     {"lp_steady_state", suite_lp_steady_state},
     {"parallel_scaling", suite_parallel_scaling},
     {"hotpath", suite_hotpath},
+    {"deck", suite_deck},
     {"async_routing", suite_async_routing},
     {"serve", suite_serve},
     {"megascale", suite_megascale},
