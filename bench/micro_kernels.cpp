@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/balancing_sim.hpp"
@@ -125,16 +126,22 @@ BENCHMARK(BM_LedgerGenerateMerge)->Arg(1024)->Arg(10000);
 /// Deck-shaped ledger rows: each pair is live with probability
 /// `live` (0.7: 55 of 80 partners on the paper's 81-node full grid), and
 /// 30% of live pairs hold enough to spend at D = 1 (the decks measured
-/// 16-20 eligible of 55-66 partners); the rest hold one pair.
+/// 16-20 eligible of 55-66 partners); the rest hold one pair. Two thirds
+/// of those eligible pairs hold 2 (room 1) and the rest 3-4 (room 2-3),
+/// so tier 2 scans about a tenth of the eligible pairs, as on the decks
+/// (23 of 210).
 core::PairLedger deck_shaped_ledger(std::size_t n, std::uint64_t seed, double live = 0.7) {
   core::PairLedger ledger(n);
   util::Rng rng(seed);
   for (core::NodeId x = 0; x < n; ++x) {
     for (core::NodeId y = x + 1; y < n; ++y) {
       if (!rng.bernoulli(live)) continue;
-      ledger.add(x, y,
-                 rng.bernoulli(0.3) ? 2 + static_cast<std::uint32_t>(rng.uniform_index(5))
-                                    : 1);
+      std::uint32_t count = 1;
+      if (rng.bernoulli(0.3)) {
+        count = rng.bernoulli(1.0 / 3.0) ? 3 + static_cast<std::uint32_t>(rng.uniform_index(2))
+                                         : 2;
+      }
+      ledger.add(x, y, count);
     }
   }
   return ledger;
@@ -201,9 +208,10 @@ void BM_CountReportSize(benchmark::State& state) {
 BENCHMARK(BM_CountReportSize)->ArgNames({"n", "encode"})->Args({81, 0})->Args({81, 1});
 
 /// Membership churn: every iteration flips one pair between 0 and 1,
-/// forcing an insert into (or an erase from) both sorted rows. n = 64
-/// keeps the dense mirror (rows shift ids only); n = 2048 is above
-/// PairLedger::kFullReserveNodeLimit (rows shift ids and counts).
+/// the pair's birth or death. n = 64 keeps the dense mirror (two mirror
+/// stores and two bit flips); n = 2048 is above
+/// PairLedger::kFullReserveNodeLimit (an insert into, or an erase from,
+/// both sorted rows, shifting ids and counts).
 void BM_LedgerPartnerChurn(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   core::PairLedger ledger(n);
@@ -264,13 +272,16 @@ void BM_LedgerSwapMutation(benchmark::State& state) {
   // Draw swaps whose donor pairs hold at least 2 at their turn, so no
   // remove erases a pair.
   std::vector<Swap> swaps;
+  std::vector<std::pair<core::NodeId, std::uint32_t>> row;
   while (swaps.size() < 1024) {
     const auto x = static_cast<core::NodeId>(rng.uniform_index(n));
-    const core::PairLedger::RowView row = ledger.row(x);
+    row.clear();
+    ledger.row(x).for_each(
+        [&row](core::NodeId y, std::uint32_t count) { row.emplace_back(y, count); });
     const std::size_t i = rng.uniform_index(row.size());
     const std::size_t j = rng.uniform_index(row.size());
-    if (i == j || row.count_at(i) < 2 || row.count_at(j) < 2) continue;
-    swaps.push_back({x, row.partners()[i], row.partners()[j]});
+    if (i == j || row[i].second < 2 || row[j].second < 2) continue;
+    swaps.push_back({x, row[i].first, row[j].first});
     apply(swaps.back());
   }
   undo(swaps);
@@ -300,7 +311,7 @@ void BM_LedgerPartnersScan(benchmark::State& state) {
   core::NodeId node = 0;
   for (auto _ : state) {
     std::uint64_t sum = 0;
-    for (const core::NodeId y : ledger.partners(node)) sum += y;
+    ledger.row(node).for_each([&sum](core::NodeId y, std::uint32_t) { sum += y; });
     benchmark::DoNotOptimize(sum);
     node = (node + 1) % 128;
   }

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "core/ledger.hpp"
@@ -78,21 +77,11 @@ class Driver {
         1, static_cast<std::uint64_t>(std::floor(latency / config_.dt + 0.5)));
   }
 
-  /// Fault phase (serial): advance the plan, destroy crashed nodes' pairs
-  /// via the ledger's canonical remove path.
+  /// Fault phase (serial): advance the plan, destroy crashed nodes' pairs.
   void fault_phase() {
     if (!fault_plan_) return;
     const std::vector<NodeId>& crashed = fault_plan_->advance(epoch_, now_);
-    for (const NodeId x : crashed) {
-      const std::span<const NodeId> row = ledger_.partners(x);
-      purge_partners_.assign(row.begin(), row.end());
-      for (const NodeId y : purge_partners_) {
-        const std::uint32_t count = ledger_.count(x, y);
-        if (count == 0) continue;
-        ledger_.remove(x, y, count);
-        fault_plan_->record_purged(count);
-      }
-    }
+    for (const NodeId x : crashed) fault_plan_->record_purged(ledger_.remove_node(x));
   }
 
   /// Deliver token handoffs: the apply kernel appends each arriving token
@@ -160,13 +149,13 @@ class Driver {
     const std::uint32_t from_here = distances_[u][dst];
     NodeId best = n_;
     std::uint32_t best_distance = from_here;
-    for (const NodeId v : ledger_.partners(u)) {
+    ledger_.row(u).for_each([&](NodeId v, std::uint32_t) {
       const std::uint32_t through = distances_[v][dst];
       if (through < best_distance) {
         best_distance = through;
         best = v;
       }
-    }
+    });
     return best;
   }
 
@@ -252,7 +241,6 @@ class Driver {
   std::vector<std::uint64_t> born_scratch_;
   // Fault phase state (non-null only when config.faults.enabled()).
   std::unique_ptr<sim::FaultPlan> fault_plan_;
-  std::vector<NodeId> purge_partners_;
   AsyncRoutingResult result_;
 };
 

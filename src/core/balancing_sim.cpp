@@ -74,8 +74,8 @@ void BalancingSimulation::fault_phase() {
   if (!fault_plan_) return;
   // Serial phase between the round boundary and the generation kernel:
   // the plan's keyed streams make the trajectory identical at every
-  // threads/shards setting, and the crash purges run through the ledger's
-  // canonical remove path (reader marks included).
+  // threads/shards setting, and each crashed node's pairs leave the
+  // ledger in one PairLedger::remove_node.
   const std::vector<NodeId>& crashed = fault_plan_->advance(result_.rounds);
   for (const NodeId x : crashed) {
     fault_plan_->record_purged(state_.purge_node(x));

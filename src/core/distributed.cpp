@@ -10,6 +10,7 @@
 #include <variant>
 #include <vector>
 
+#include "core/maxmin_balancer.hpp"
 #include "graph/shortest_path.hpp"
 #include "net/message.hpp"
 #include "sim/parallel_engine.hpp"
@@ -501,48 +502,35 @@ class Driver {
     }
   }
 
-  /// The §4 swap rule on believed own counts and viewed beneficiary
-  /// counts (D = 1): pick the candidate pair (a, b) with the smallest
-  /// viewed beneficiary count whose caps allow the swap.
+  /// The §4 swap rule (MaxMinBalancer's scan at D = 1) on believed own
+  /// counts and viewed beneficiary counts: a partner is eligible with
+  /// believed count c >= 2, room c - 1, and C_a(b) is read from the
+  /// fresher of a's and b's reports.
   [[nodiscard]] std::optional<Candidate> compute_candidate(NodeId x) const {
     const QubitId locked = offered_qubit_;
-    const std::vector<NodeId> partner_list = nodes_[x].partners(locked);
     const ViewState& view = views_[x];
-    NodeId best_left = n_;
-    NodeId best_right = n_;
-    std::uint32_t best_beneficiary = UINT32_MAX;
-    for (std::size_t i = 0; i < partner_list.size(); ++i) {
-      const NodeId a = partner_list[i];
-      const double cap_a = static_cast<double>(nodes_[x].count(a, locked)) - 1.0;
-      if (cap_a < 1.0) continue;
-      for (std::size_t j = i + 1; j < partner_list.size(); ++j) {
-        const NodeId b = partner_list[j];
-        const double cap_b = static_cast<double>(nodes_[x].count(b, locked)) - 1.0;
-        if (cap_b < 1.0) continue;
-        // Freshest first-hand report about the (a, b) pair.
-        const std::uint32_t beneficiary = view.time_of(a) >= view.time_of(b)
-                                              ? view.count_of(a, b)
-                                              : view.count_of(b, a);
-        if (static_cast<double>(beneficiary) + 1.0 > std::min(cap_a, cap_b)) {
-          continue;
-        }
-        if (beneficiary < best_beneficiary) {
-          best_beneficiary = beneficiary;
-          best_left = a;
-          best_right = b;
-        }
-      }
+    std::vector<MaxMinBalancer::Eligible> eligible;
+    for (NodeId y = 0; y < n_; ++y) {
+      const std::uint32_t count = nodes_[x].count(y, locked);
+      if (count >= 2) eligible.push_back({y, count - 1});
     }
-    if (best_left == n_) return std::nullopt;
+    const std::optional<SwapCandidate> best =
+        rule_.scan_pairs(x, eligible, [&view](NodeId a) {
+          return [&view, a](NodeId b) {
+            return view.time_of(a) >= view.time_of(b) ? view.count_of(a, b)
+                                                      : view.count_of(b, a);
+          };
+        });
+    if (!best) return std::nullopt;
     Candidate candidate;
-    candidate.left = best_left;
-    candidate.right = best_right;
-    candidate.q1 = nodes_[x].pick(best_left, locked);
-    candidate.q2 = nodes_[x].pick(best_right, locked);
+    candidate.left = best->left;
+    candidate.right = best->right;
+    candidate.q1 = nodes_[x].pick(best->left, locked);
+    candidate.q2 = nodes_[x].pick(best->right, locked);
     ensure(candidate.q1 != kDead && candidate.q2 != kDead,
            "distributed: belief lists corrupt");
-    candidate.vt_left = view.time_of(best_left);
-    candidate.vt_right = view.time_of(best_right);
+    candidate.vt_left = view.time_of(best->left);
+    candidate.vt_right = view.time_of(best->right);
     return candidate;
   }
 
@@ -620,6 +608,8 @@ class Driver {
   const DistributedConfig& config_;
   NodeId n_;
   std::vector<std::vector<std::uint32_t>> distances_;
+  /// The §4 rule at D = 1 (every believed pair is one raw pair).
+  const MaxMinBalancer rule_{1.0};
 
   Truth truth_;
   std::vector<NodeState> nodes_;

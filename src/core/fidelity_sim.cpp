@@ -70,14 +70,14 @@ NodeId pick_distill_peer(const sim::NetworkState& state,
                          const FidelitySimConfig& config, NodeId x, double now) {
   NodeId best_peer = x;
   double worst_best = config.app_fidelity;
-  for (NodeId y : state.ledger().partners(x)) {
-    if (state.ledger().count(x, y) < 2) continue;
+  state.ledger().row(x).for_each([&](NodeId y, std::uint32_t count) {
+    if (count < 2) return;
     const double best = state.best_fidelity(x, y, now);
     if (best > quantum::kDistillableThreshold && best < worst_best) {
       worst_best = best;
       best_peer = y;
     }
-  }
+  });
   return best_peer;
 }
 
@@ -283,9 +283,11 @@ FidelitySimResult run_fidelity_sim(const graph::Graph& generation_graph,
       for (const ScanEvent& event : events) {
         const NodeId x = event.node;
         const double now = event.time;
-        // Lazy purge of x's buckets at the event time.
-        const auto partner_list = state.ledger().partners(x);
-        purge_partners.assign(partner_list.begin(), partner_list.end());
+        // Lazy purge of x's buckets at the event time, over a copy of
+        // x's partners (a purge may erase the pair from the row).
+        purge_partners.clear();
+        state.ledger().row(x).for_each(
+            [&](NodeId y, std::uint32_t) { purge_partners.push_back(y); });
         for (const NodeId y : purge_partners) {
           result.pairs_decayed += state.purge_pair_type(x, y, now);
         }

@@ -34,24 +34,25 @@ const std::vector<NodeId>& AssistRouter::route(const PairLedger& ledger,
   seen_[source] = epoch_;
   depth_[source] = 0;
   queue_.push_back(source);
-  for (std::size_t head = 0; head < queue_.size(); ++head) {
+  bool found = false;
+  for (std::size_t head = 0; head < queue_.size() && !found; ++head) {
     const NodeId u = queue_[head];
     // Breadth-first: every later node is at least this deep, and a path
     // through it would be longer than max_hops.
     if (depth_[u] >= max_hops_) break;
-    for (const NodeId v : ledger.partners(u)) {
-      if (seen_[v] == epoch_ || (u == source && v == target)) continue;
+    ledger.row(u).for_each([&](NodeId v, std::uint32_t) {
+      if (found || seen_[v] == epoch_ || (u == source && v == target)) return;
       seen_[v] = epoch_;
       parent_[v] = u;
       depth_[v] = depth_[u] + 1;
-      if (v == target) {
-        for (NodeId at = target; at != source; at = parent_[at]) path_.push_back(at);
-        path_.push_back(source);
-        std::reverse(path_.begin(), path_.end());
-        return path_;
-      }
-      queue_.push_back(v);
-    }
+      found = v == target;
+      if (!found) queue_.push_back(v);
+    });
+  }
+  if (found) {
+    for (NodeId at = target; at != source; at = parent_[at]) path_.push_back(at);
+    path_.push_back(source);
+    std::reverse(path_.begin(), path_.end());
   }
   return path_;
 }

@@ -7,46 +7,40 @@
 // matrix plus per-node partner sets for fast swap-candidate enumeration,
 // and doubles as the instantaneous entanglement graph (§6).
 //
-// Hot-path layout: every node has a sparse row, its partner ids sorted
-// ascending, for enumeration (the §4 eligibility walk, hybrid's route
-// search, decohere and purge). Where a pair's count lives depends on the
-// node count, chosen once at construction and the only selection rule:
+// Hot-path layout: where a node's partners and counts live depends on
+// the node count, chosen once at construction and the only selection
+// rule:
 //
-//   * Up to kFullReserveNodeLimit nodes, one dense n x n uint32 count
-//     mirror (4 n^2 bytes; 40 KB at n = 100) holds every count, and the
-//     rows hold ids only. A count-only add or remove is two mirror
-//     stores; only an insert or an erase searches a row and shifts it.
-//     count(), the commit's preferability recheck and the §4 decide's
-//     beneficiary reads are one indexed load (dense_row(x)); gossip
-//     copies the whole mirror once per round as its report snapshot
-//     (dense_counts()). Beside the mirror, each row keeps a bitset of
-//     its live partners (ceil(n/64) words, bit y set exactly when
-//     C_x(y) > 0), set on an insert and cleared on an erase, so the §4
-//     decide finds zero-count pairs a word at a time (live_row(x), or
-//     the whole array live_bits(), which gossip copies with the
-//     mirror). Every row
-//     pre-reserves the dense worst case, so steady-state add/remove
-//     never allocates (the zero-allocation hot-path contract).
-//   * Above it (the megascale regime) there is no mirror: each row
-//     carries a count vector parallel to its ids, so memory is
-//     O(nodes + live pair types), never O(n^2). Rows grow amortized —
-//     a dense reserve would itself be the n^2 allocation this layout
-//     exists to avoid — and mutations and count readers binary-search
-//     the sorted rows (the decide merges each donor's row instead).
+//   * Up to kFullReserveNodeLimit nodes the whole state is one dense
+//     n x n uint32 count mirror (4 n^2 bytes; 40 KB at n = 100) and, per
+//     node, a live-partner bitset of ceil(n/64) words (bit y set exactly
+//     when C_x(y) > 0). An add or remove is two mirror stores, plus two
+//     bit flips when the pair is born or dies: nothing is searched,
+//     shifted or allocated (the zero-allocation hot-path contract).
+//     count() and the §4 decide's beneficiary reads are one load
+//     (dense_row), the decide finds zero-count pairs a word at a time
+//     (live_row), and gossip copies both arrays once per round as its
+//     report snapshot (dense_counts, live_bits).
+//   * Above it (the megascale regime) there is no mirror: each node has
+//     a sparse row, sorted partner ids with parallel counts, so memory is
+//     O(nodes + live pair types), never O(n^2). Rows grow amortized, and
+//     mutations and count readers binary-search them (the decide merges
+//     each donor's row instead, through sparse_row).
 //
-// row(x) reads x's partners with their counts in either regime, so bulk
-// readers (the §4 eligibility walk, the merge decide, the entanglement
-// graph) walk a row bounds-checked once, while count() stays the checked
-// single-pair probe.
+// row(x).for_each is the one row reader in both regimes: it visits x's
+// partners ascending with their counts, testing the regime once per row,
+// while count() stays the checked single-pair probe.
 //
-// add and remove are the only mutation paths; the generation merge is a
-// canonical-edge-order loop of add (sim::NetworkState::generate). Nothing
-// in the protocol reads a network-wide minimum — §4 swap decisions read a
-// node's own row and its partners' counts — so the ledger keeps no
-// minimum tracker, and no record of which nodes a mutation touched:
-// every decide reads the counts from scratch.
+// add and remove are the only mutation paths (remove_node, the crash
+// purge, is a loop of remove); the generation merge is a
+// canonical-edge-order loop of add (sim::NetworkState::generate).
+// Nothing in the protocol reads a network-wide minimum — §4 swap
+// decisions read a node's own row and its partners' counts — so the
+// ledger keeps no minimum tracker, and no record of which nodes a
+// mutation touched: every decide reads the counts from scratch.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -76,51 +70,74 @@ class PairLedger {
   /// Total pairs currently stored (each pair counted once).
   [[nodiscard]] std::uint64_t total_pairs() const { return total_; }
 
-  /// Nodes y with count(x, y) > 0, ascending.
-  [[nodiscard]] std::span<const NodeId> partners(NodeId x) const;
+  /// Remove every pair x holds; returns how many (each pair counted
+  /// once). The crash purge.
+  std::uint64_t remove_node(NodeId x);
 
-  /// One node's sorted row with its counts, read in place: count_at(k) ==
-  /// count(x, partners()[k]). Valid in both regimes — the counts come
-  /// from the mirror below kFullReserveNodeLimit and from the row above
-  /// it — so a scan over many of x's pairs walks the row once instead of
-  /// probing count() per pair. Invalidated by any ledger mutation.
+  /// x's sorted row above kFullReserveNodeLimit: counts[k] is
+  /// count(x, partners[k]), partners ascending. Both symmetric entries of
+  /// a pair are kept.
+  struct SparseRow {
+    std::vector<NodeId> partners;
+    std::vector<std::uint32_t> counts;
+  };
+
+  /// One node's partners with their counts, read in place. Valid in both
+  /// regimes — the live bitset and the mirror below
+  /// kFullReserveNodeLimit, the sparse row above it. Invalidated by any
+  /// ledger mutation, except that a for_each visit may remove the pair it
+  /// is visiting below the limit.
   class RowView {
    public:
-    [[nodiscard]] std::span<const NodeId> partners() const { return partners_; }
-    [[nodiscard]] std::size_t size() const { return partners_.size(); }
-    [[nodiscard]] std::uint32_t count_at(std::size_t k) const {
-      return counts_ != nullptr ? counts_[k] : dense_[partners_[k]];
+    /// Number of partners.
+    [[nodiscard]] std::size_t size() const {
+      if (ledger_->dense_.empty()) return ledger_->rows_[x_].partners.size();
+      std::size_t size = 0;
+      for (std::size_t w = 0; w < ledger_->live_words_; ++w) {
+        size += std::popcount(ledger_->live_[x_ * ledger_->live_words_ + w]);
+      }
+      return size;
     }
     /// visit(y, count(x, y)) for every partner y, ascending; the regime
-    /// is tested once per row rather than once per entry (the form the
-    /// hot loops use).
+    /// is tested once per row rather than once per entry.
     template <typename Visit>
     void for_each(Visit&& visit) const {
-      if (counts_ != nullptr) {
-        for (std::size_t k = 0; k < partners_.size(); ++k) visit(partners_[k], counts_[k]);
-      } else {
-        for (const NodeId y : partners_) visit(y, dense_[y]);
+      if (ledger_->dense_.empty()) {
+        const SparseRow& row = ledger_->rows_[x_];
+        for (std::size_t k = 0; k < row.partners.size(); ++k) visit(row.partners[k], row.counts[k]);
+        return;
+      }
+      const std::size_t words = ledger_->live_words_;
+      const std::uint64_t* live = ledger_->live_.data() + x_ * words;
+      const std::uint32_t* dense = ledger_->dense_.data() + x_ * ledger_->node_count_;
+      for (std::size_t w = 0; w < words; ++w) {
+        for (std::uint64_t bits = live[w]; bits != 0; bits &= bits - 1) {
+          const auto y = static_cast<NodeId>(w * 64 + std::countr_zero(bits));
+          visit(y, dense[y]);
+        }
       }
     }
 
    private:
     friend class PairLedger;
-    RowView(std::span<const NodeId> partners, const std::uint32_t* counts,
-            const std::uint32_t* dense)
-        : partners_(partners), counts_(counts), dense_(dense) {}
+    RowView(const PairLedger& ledger, NodeId x) : ledger_(&ledger), x_(x) {}
 
-    std::span<const NodeId> partners_;
-    const std::uint32_t* counts_;  // the row's own counts (above the limit)
-    const std::uint32_t* dense_;   // x's mirror row (below the limit)
+    const PairLedger* ledger_;
+    NodeId x_;
   };
 
   /// x's row (see RowView).
   [[nodiscard]] RowView row(NodeId x) const {
     require(x < node_count_, "PairLedger::row: node out of range");
-    const std::vector<NodeId>& partners = rows_[x].partners;
-    return dense_.empty()
-               ? RowView(partners, rows_[x].counts.data(), nullptr)
-               : RowView(partners, nullptr, dense_.data() + x * node_count_);
+    return RowView(*this, x);
+  }
+
+  /// x's sparse row; throws below the limit, where the live bitset is
+  /// the row.
+  [[nodiscard]] const SparseRow& sparse_row(NodeId x) const {
+    require(x < node_count_ && dense_.empty(),
+            "PairLedger::sparse_row: node out of range, or a mirrored ledger");
+    return rows_[x];
   }
 
   /// x's row of the dense count mirror: dense_row(x)[y] == count(x, y)
@@ -156,11 +173,11 @@ class PairLedger {
   /// (the entanglement graph the hybrid protocol routes over, §6).
   [[nodiscard]] graph::Graph entanglement_graph(std::uint32_t threshold = 1) const;
 
-  /// Up to this node count the dense count mirror (<= 4 MB) holds every
-  /// count and every row pre-reserves node_count-1 partner ids (dense
-  /// worst case, <= ~4 MB total) so steady-state mutation never
-  /// allocates; above it rows carry their own counts, grow amortized,
-  /// and memory stays O(nodes + live pair types).
+  /// Up to this node count the dense count mirror (<= 4 MB) and the
+  /// live bitsets (<= 128 KB) hold every count and partner set, sized
+  /// once, so mutation never allocates; above it rows are sorted id and
+  /// count vectors that grow amortized, and memory stays O(nodes + live
+  /// pair types).
   static constexpr std::size_t kFullReserveNodeLimit = 1024;
 
   /// Deterministic logical memory accounting: element counts times fixed
@@ -170,37 +187,32 @@ class PairLedger {
   [[nodiscard]] std::uint64_t memory_bytes() const;
 
   /// Verify the ledger's internal consistency; throws InvariantError on
-  /// the first violation: every row sorted, symmetric and free of zero
-  /// counts; below the limit, the mirror symmetric and zero exactly off
-  /// the rows (diagonal included) and each live bitset equal to its row
-  /// (diagonal and padding clear); the total equal to a recount. O(n^2)
-  /// below the limit, O(live pairs log deg) above it — for tests and
-  /// debug checks, never a hot path.
+  /// the first violation. Below the limit: each live bit set exactly when
+  /// its mirror count is > 0, the mirror symmetric, and the diagonal and
+  /// the bitset padding past n clear. Above it: every row strictly
+  /// sorted, symmetric and free of zero counts. In both, the total equal
+  /// to a recount. O(n^2) below the limit, O(live pairs log deg) above it
+  /// — for tests and debug checks, never a hot path.
   void check_invariants() const;
 
  private:
-  /// One node's pairs: sorted partner ids, with parallel counts above
-  /// the limit only (below it counts stays empty and the mirror holds
-  /// them). Both symmetric entries of a pair are maintained.
-  struct Row {
-    std::vector<NodeId> partners;
-    std::vector<std::uint32_t> counts;
-  };
-
   void check(NodeId x, NodeId y) const;
   /// Count of (x, y) read from the mirror, or from x's row above the
   /// limit (0 when absent).
   [[nodiscard]] std::uint32_t row_count(NodeId x, NodeId y) const;
-  /// Insert y into x's row at `slot` (its sorted position) / erase x's
-  /// entry at `slot`; the count moves with the id only above the limit,
-  /// and the live bit flips only below it.
-  void insert_entry(NodeId x, std::size_t slot, NodeId y, std::uint32_t amount);
-  void erase_entry(NodeId x, std::size_t slot);
+  /// Flip the pair's bit in both live bitsets (below the limit): set
+  /// when the pair is born, cleared when it dies.
+  void flip_live(NodeId x, NodeId y) {
+    live_[x * live_words_ + y / 64] ^= std::uint64_t{1} << (y % 64);
+    live_[y * live_words_ + x / 64] ^= std::uint64_t{1} << (x % 64);
+  }
 
   std::size_t node_count_;
-  std::vector<Row> rows_;
+  /// The sparse rows, one per node above kFullReserveNodeLimit, none
+  /// below it.
+  std::vector<SparseRow> rows_;
   /// Row-major n x n counts, sized once at construction up to
-  /// kFullReserveNodeLimit (the only count store there), empty above it.
+  /// kFullReserveNodeLimit, empty above it.
   std::vector<std::uint32_t> dense_;
   /// Row-major n x live_words_ live-partner bitsets, sized with the
   /// mirror (empty above the limit).

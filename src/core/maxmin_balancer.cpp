@@ -121,16 +121,15 @@ std::optional<SwapCandidate> MaxMinBalancer::best_swap(const PairLedger& ledger,
     });
   }
   return scan_pairs(x, eligible, [&ledger](NodeId a) {
-    // Cursor over row(a), started past a itself: every b it is asked
-    // about is a later eligible partner, so b > a and b only grows.
-    const PairLedger::RowView row = ledger.row(a);
-    const std::span<const NodeId> partners = row.partners();
+    // Cursor over a's sorted row, started past a itself: every b it is
+    // asked about is a later eligible partner, so b > a and b only grows.
+    const PairLedger::SparseRow& row = ledger.sparse_row(a);
     auto k = static_cast<std::size_t>(
-        std::lower_bound(partners.begin(), partners.end(), a) - partners.begin());
-    return [row, k](NodeId b) mutable -> std::uint32_t {
-      const std::span<const NodeId> ids = row.partners();
-      while (k < ids.size() && ids[k] < b) ++k;
-      return k < ids.size() && ids[k] == b ? row.count_at(k) : 0;
+        std::lower_bound(row.partners.begin(), row.partners.end(), a) -
+        row.partners.begin());
+    return [&row, k](NodeId b) mutable -> std::uint32_t {
+      while (k < row.partners.size() && row.partners[k] < b) ++k;
+      return k < row.partners.size() && row.partners[k] == b ? row.counts[k] : 0;
     };
   });
 }

@@ -194,10 +194,10 @@ class MaxMinBalancer {
   /// the two tiers: first_zero_pair, then the room >= 2 scan reading
   /// each C_a(b) as dense_row(a)[b]. Larger ledgers run the merge
   /// decide: both the eligible list E and every ledger row are
-  /// ascending, so for each donor a = E[i] one forward walk of row(a)
-  /// alongside E[i+1..] yields every C_a(b) (the cursor entry, or 0 when
-  /// b is absent) — O(|row(a)| + |E|) per donor rather than a count()
-  /// binary search per candidate pair.
+  /// ascending, so for each donor a = E[i] one forward walk of
+  /// sparse_row(a) alongside E[i+1..] yields every C_a(b) (the cursor
+  /// entry, or 0 when b is absent) — O(|row(a)| + |E|) per donor rather
+  /// than a count() binary search per candidate pair.
   [[nodiscard]] std::optional<SwapCandidate> best_swap(const PairLedger& ledger,
                                                        NodeId x,
                                                        Scratch& scratch) const;
@@ -228,6 +228,47 @@ class MaxMinBalancer {
   /// Pairs a consumer pair must hold to be consumed, and the pairs a
   /// hybrid assist manufactures for it: max(1, ceil(D)).
   [[nodiscard]] std::uint32_t consumption_need() const { return std::max(1u, ceil_d_); }
+
+  /// The §4 candidate scan every decide shares. Visits the eligible pairs
+  /// (i, j), i < j, in lexicographic order and keeps the first strict
+  /// minimum of the beneficiary count, stopping after the donor row that
+  /// found a preferable zero (nothing can beat it). Each donor row keeps
+  /// its minimum and first index with selects; the result moves only on
+  /// a strict improvement, so the choice is the pairwise loop's.
+  /// `donor_row(a)` returns a reader of C_a(b) that is called once per j,
+  /// at strictly ascending b. Public so that a decide with its own
+  /// eligible list and count reader (distributed's beliefs and views)
+  /// applies the same rule.
+  template <typename DonorRow>
+  [[nodiscard]] std::optional<SwapCandidate> scan_pairs(
+      NodeId x, std::span<const Eligible> eligible, DonorRow&& donor_row) const {
+    constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+    const bool detour = policy_.detour_slack.has_value();
+    std::optional<SwapCandidate> best;
+    // Every preferable count is below some room, so UINT32_MAX stands for
+    // "nothing yet".
+    std::uint32_t best_count = UINT32_MAX;
+    for (std::size_t i = 0; i + 1 < eligible.size(); ++i) {
+      const NodeId a = eligible[i].node;
+      const std::uint32_t room_a = eligible[i].room;
+      auto beneficiary_of = donor_row(a);
+      std::uint32_t row_count = best_count;
+      std::size_t row_j = kNone;
+      for (std::size_t j = i + 1; j < eligible.size(); ++j) {
+        const std::uint32_t beneficiary = beneficiary_of(eligible[j].node);
+        bool better =
+            beneficiary < std::min(row_count, std::min(room_a, eligible[j].room));
+        if (detour) better = better && detour_allowed(x, a, eligible[j].node);
+        row_count = better ? beneficiary : row_count;
+        row_j = better ? j : row_j;
+      }
+      if (row_j == kNone) continue;
+      best_count = row_count;
+      best = SwapCandidate{a, eligible[row_j].node, best_count};
+      if (best_count == 0) break;  // cannot improve further
+    }
+    return best;
+  }
 
  private:
   /// The §6 detour test; true when no detour policy is set.
@@ -261,45 +302,6 @@ class MaxMinBalancer {
   /// order, compacted into scratch.roomy.
   [[nodiscard]] static std::span<const Eligible> roomy(
       std::span<const Eligible> eligible, Scratch& scratch);
-
-  /// The §4 candidate scan every decide shares. Visits the eligible pairs
-  /// (i, j), i < j, in lexicographic order and keeps the first strict
-  /// minimum of the beneficiary count, stopping after the donor row that
-  /// found a preferable zero (nothing can beat it). Each donor row keeps
-  /// its minimum and first index with selects; the result moves only on
-  /// a strict improvement, so the choice is the pairwise loop's.
-  /// `donor_row(a)` returns a reader of C_a(b) that is called once per j,
-  /// at strictly ascending b.
-  template <typename DonorRow>
-  [[nodiscard]] std::optional<SwapCandidate> scan_pairs(
-      NodeId x, std::span<const Eligible> eligible, DonorRow&& donor_row) const {
-    constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-    const bool detour = policy_.detour_slack.has_value();
-    std::optional<SwapCandidate> best;
-    // Every preferable count is below some room, so UINT32_MAX stands for
-    // "nothing yet".
-    std::uint32_t best_count = UINT32_MAX;
-    for (std::size_t i = 0; i + 1 < eligible.size(); ++i) {
-      const NodeId a = eligible[i].node;
-      const std::uint32_t room_a = eligible[i].room;
-      auto beneficiary_of = donor_row(a);
-      std::uint32_t row_count = best_count;
-      std::size_t row_j = kNone;
-      for (std::size_t j = i + 1; j < eligible.size(); ++j) {
-        const std::uint32_t beneficiary = beneficiary_of(eligible[j].node);
-        bool better =
-            beneficiary < std::min(row_count, std::min(room_a, eligible[j].room));
-        if (detour) better = better && detour_allowed(x, a, eligible[j].node);
-        row_count = better ? beneficiary : row_count;
-        row_j = better ? j : row_j;
-      }
-      if (row_j == kNone) continue;
-      best_count = row_count;
-      best = SwapCandidate{a, eligible[row_j].node, best_count};
-      if (best_count == 0) break;  // cannot improve further
-    }
-    return best;
-  }
 
   double distillation_;
   /// ceil(D), saturated at UINT32_MAX (no count exceeds it, so a huge or

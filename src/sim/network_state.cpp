@@ -44,7 +44,6 @@ NetworkState::NetworkState(const graph::Graph& generation_graph,
   decohere_grain_ =
       ParallelTickEngine::resolve_grain(tick.shards, n, grain::kDecohere);
   candidates_.assign(n, std::nullopt);
-  candidate_nodes_.reserve(n);
   if (decay_) {
     pair_store_.emplace(graph_.node_count());
     // One drop list per decohere chunk (the chunk count is fixed: nodes
@@ -105,23 +104,14 @@ std::uint64_t NetworkState::generate(std::uint32_t round, double rate) {
 }
 
 std::uint64_t NetworkState::purge_node(core::NodeId x) {
-  // Copy the partner row first: remove() mutates it. Each remove goes
-  // through the ledger's normal path, so totals stay exact.
-  const std::span<const core::NodeId> row = ledger_.partners(x);
-  purge_partners_.assign(row.begin(), row.end());
-  std::uint64_t purged = 0;
-  for (const core::NodeId y : purge_partners_) {
-    const std::uint32_t count = ledger_.count(x, y);
-    if (count == 0) continue;
-    if (pair_store_) {
+  if (pair_store_) {
+    ledger_.row(x).for_each([&](core::NodeId y, std::uint32_t) {
       if (std::vector<TrackedPair>* bucket = pair_store_->find(x, y)) {
         bucket->clear();
       }
-    }
-    ledger_.remove(x, y, count);
-    purged += count;
+    });
   }
-  return purged;
+  return ledger_.remove_node(x);
 }
 
 void NetworkState::decide_chunk(std::size_t begin, std::size_t end,
@@ -143,13 +133,6 @@ void NetworkState::decide_swaps(const DecideFn& decide) {
                       decide_chunk(begin, end, worker);
                     });
   decide_fn_ = nullptr;
-  // The sorted candidate-node list, rebuilt in one serial pass: the
-  // commit enumerates it instead of scanning all n nodes.
-  candidate_nodes_.clear();
-  const auto n = static_cast<core::NodeId>(graph_.node_count());
-  for (core::NodeId x = 0; x < n; ++x) {
-    if (candidates_[x].has_value()) candidate_nodes_.push_back(x);
-  }
 }
 
 NetworkState::CommitStats NetworkState::commit_swaps(
@@ -157,23 +140,15 @@ NetworkState::CommitStats NetworkState::commit_swaps(
     std::uint32_t round, std::uint32_t attempt, const RecheckFn& recheck,
     const ObserveFn& observe) {
   const PhaseStopwatch stopwatch(timers_.commit_ns);
-  last_commit_probes_ = 0;
   CommitStats stats;
-  // The sorted candidate-node list rotated at `first` — the same visit
-  // order as filtering a (first + offset) % n scan, at O(#candidates)
-  // instead of O(n).
-  const auto split = static_cast<std::size_t>(
-      std::lower_bound(candidate_nodes_.begin(), candidate_nodes_.end(),
-                       first) -
-      candidate_nodes_.begin());
-  const std::size_t list_size = candidate_nodes_.size();
   // Key packs (attempt, round) without collision: rounds is 32-bit.
   const std::uint64_t key = (static_cast<std::uint64_t>(attempt) << 32) | round;
-  for (std::size_t i = 0; i < list_size; ++i) {
-    ++last_commit_probes_;
-    const std::size_t at = split + i;
-    const core::NodeId x =
-        candidate_nodes_[at < list_size ? at : at - list_size];
+  const std::size_t n = candidates_.size();
+  require(first < n, "NetworkState::commit_swaps: first node out of range");
+  for (std::size_t offset = 0; offset < n; ++offset) {
+    const std::size_t at = first + offset;
+    const auto x = static_cast<core::NodeId>(at < n ? at : at - n);
+    if (!candidates_[x].has_value()) continue;
     const core::SwapCandidate& candidate = *candidates_[x];
     if (!recheck(x, candidate)) continue;
     util::Rng commit_rng = util::Rng::keyed(seed_, stream_tag::kSwap, key, x);
@@ -266,13 +241,13 @@ void NetworkState::decohere_chunk(std::size_t begin, std::size_t end) {
   std::vector<PurgeEntry>& drops = purge_entries_[begin / decohere_grain_];
   drops.clear();
   for (auto x = static_cast<core::NodeId>(begin); x < end; ++x) {
-    for (const core::NodeId y : ledger_.partners(x)) {
-      if (y <= x) continue;  // owned by y's chunk when y < x
+    ledger_.row(x).for_each([&](core::NodeId y, std::uint32_t) {
+      if (y <= x) return;  // owned by y's chunk when y < x
       std::vector<TrackedPair>* slot = pair_store_->find(x, y);
-      if (slot == nullptr) continue;
+      if (slot == nullptr) return;
       const std::uint32_t dropped = drop_decayed(*slot, decohere_now_);
       if (dropped > 0) drops.push_back(PurgeEntry{x, y, dropped});
-    }
+    });
   }
 }
 
@@ -306,10 +281,9 @@ std::uint64_t NetworkState::decohere_all(double now) {
 
 std::uint64_t NetworkState::memory_bytes() const {
   std::uint64_t bytes = ledger_.memory_bytes();
-  // Per-node kernel scratch (the optional<SwapCandidate> table slot plus
-  // the candidate-node list): fixed logical bytes per node, plus one
-  // generation slot per edge.
-  constexpr std::uint64_t kKernelPerNodeBytes = 20;
+  // Per-node kernel scratch (the optional<SwapCandidate> table slot):
+  // fixed logical bytes per node, plus one generation slot per edge.
+  constexpr std::uint64_t kKernelPerNodeBytes = 16;
   bytes += kKernelPerNodeBytes * graph_.node_count();
   bytes += sizeof(std::uint32_t) *
            static_cast<std::uint64_t>(graph_.edge_count());

@@ -99,9 +99,9 @@ class NetworkState {
   /// results at every threads/shards setting.
   void set_fault_plan(const FaultPlan* plan) { fault_plan_ = plan; }
   [[nodiscard]] const FaultPlan* fault_plan() const { return fault_plan_; }
-  /// Crash purge: remove every stored pair the node shares — ledger
-  /// counts via the sparse partner row and, when pairs are tracked, the
-  /// decay metadata buckets. Serial phase; returns the pairs purged.
+  /// Crash purge: remove every stored pair the node shares — the decay
+  /// metadata buckets when pairs are tracked, then the ledger counts
+  /// (PairLedger::remove_node). Serial phase; returns the pairs purged.
   std::uint64_t purge_node(core::NodeId x);
 
   // --- swap decide kernel ---------------------------------------------
@@ -112,18 +112,11 @@ class NetworkState {
       core::NodeId, core::MaxMinBalancer::Scratch&)>;
   /// Recompute the candidate table: fan `decide` across dynamically
   /// scheduled chunks of every node — chunk boundaries are canonical, so
-  /// the schedule never affects results — then rebuild the sorted
-  /// candidate-node list the commit walks in one serial pass.
+  /// the schedule never affects results.
   void decide_swaps(const DecideFn& decide);
   [[nodiscard]] const std::vector<std::optional<core::SwapCandidate>>&
   candidates() const {
     return candidates_;
-  }
-  /// Candidate-list entries visited by the last commit_swaps call (one
-  /// per candidate). Test hook for the O(#candidates) contract: with a
-  /// fixed candidate set this must not grow with the node count.
-  [[nodiscard]] std::uint64_t last_commit_probes() const {
-    return last_commit_probes_;
   }
 
   // --- swap commit kernel ---------------------------------------------
@@ -145,14 +138,11 @@ class NetworkState {
     std::uint64_t pairs_produced = 0;  // one per swap
   };
   /// Commit the decided candidates serially in canonical rotating order
-  /// from `first`: each is re-checked via `recheck` against the live
-  /// ledger, executed, added to the stats and reported to `observe`.
-  /// Fractional-D rounding draws come from streams keyed
-  /// (seed, swap-tag, attempt|round, node), so the outcome is
-  /// bit-identical for every threads/shards setting. Cost is
-  /// O(#candidates), not O(n): the walk enumerates the sorted
-  /// candidate-node list rotated at `first` (identical visit order to a
-  /// filtered (first + offset) % n scan).
+  /// — nodes first, first + 1, ... modulo n (first < n) — each re-checked
+  /// via `recheck` against the live ledger, executed, added to the stats
+  /// and reported to `observe`. Fractional-D rounding draws come from
+  /// streams keyed (seed, swap-tag, attempt|round, node), so the outcome
+  /// is bit-identical for every threads/shards setting.
   CommitStats commit_swaps(const core::MaxMinBalancer& balancer,
                            core::NodeId first, std::uint32_t round,
                            std::uint32_t attempt, const RecheckFn& recheck,
@@ -187,8 +177,8 @@ class NetworkState {
   /// dropped.
   std::uint64_t decohere_all(double now);
 
-  /// Deterministic logical bytes held by the simulation state (ledger
-  /// rows, candidate table and lists, decay store). Element counts times
+  /// Deterministic logical bytes held by the simulation state (ledger,
+  /// candidate table, generation flags, decay store). Element counts times
   /// fixed constants — bit-identical across compilers, so bench gates can
   /// compare memory-per-node at 1e-9 tolerance.
   [[nodiscard]] std::uint64_t memory_bytes() const;
@@ -222,14 +212,7 @@ class NetworkState {
   // (integral rates never touch it).
   std::vector<std::uint8_t> generation_flags_;
   const FaultPlan* fault_plan_ = nullptr;
-  // Scratch for purge_node's partner-row walk (the row mutates under the
-  // removes).
-  std::vector<core::NodeId> purge_partners_;
   std::vector<std::optional<core::SwapCandidate>> candidates_;  // per node
-  // Sorted list of nodes with a candidate this round (pre-sized, so the
-  // decide phase stays allocation-free).
-  std::vector<core::NodeId> candidate_nodes_;
-  std::uint64_t last_commit_probes_ = 0;
   // Per-kernel contexts (see the chunk bodies above), plus the fixed
   // chunk grains the kernels resolved at construction (grain is a pure
   // performance knob, and an explicit shards setting keeps its

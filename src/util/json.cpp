@@ -22,6 +22,8 @@ namespace {
 struct Parser {
   std::string_view text;
   std::size_t pos = 0;
+  /// Arrays and objects open around the cursor.
+  std::size_t depth = 0;
 
   [[nodiscard]] std::string locate(const std::string& message) const {
     std::size_t line = 1;
@@ -90,8 +92,17 @@ struct Parser {
     skip_whitespace();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // One recursion per level: refuse to go past the bound.
+        if (++depth > kMaxParseDepth) {
+          fail(str_cat("nesting depth ", depth, " exceeds the limit of ",
+                       kMaxParseDepth));
+        }
+        Value out = c == '{' ? parse_object() : parse_array();
+        --depth;
+        return out;
+      }
       case '"': return Value(parse_string());
       case 't':
         if (consume_literal("true")) return Value(true);

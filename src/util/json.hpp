@@ -19,6 +19,11 @@ namespace poq::util::json {
 
 class Value;
 
+/// Deepest array/object nesting Value::parse accepts. The parser
+/// recurses once per level, so a fixed bound keeps a hostile document
+/// (a spec file, a serve frame) from exhausting the stack.
+inline constexpr std::size_t kMaxParseDepth = 256;
+
 /// Object members preserve insertion order so dumps are deterministic.
 using Member = std::pair<std::string, Value>;
 
@@ -42,7 +47,8 @@ class Value {
   /// Throws PreconditionError on malformed input, locating the failure by
   /// byte offset, line and column, plus a caret-marked excerpt of the
   /// offending line (the serve protocol replies with these messages, so
-  /// they must pinpoint the problem in the client's frame).
+  /// they must pinpoint the problem in the client's frame). Nesting
+  /// deeper than kMaxParseDepth is refused the same way.
   [[nodiscard]] static Value parse(std::string_view text);
 
   [[nodiscard]] Type type() const { return type_; }

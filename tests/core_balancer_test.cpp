@@ -357,16 +357,16 @@ std::optional<SwapCandidate> pairwise_best_swap(
     const std::vector<std::vector<std::uint32_t>>& distances,
     std::optional<std::uint32_t> detour_slack, NodeId x, ScanShape& shape,
     Beneficiary&& beneficiary_of) {
-  shape.empty_row = ledger.partners(x).empty();
+  shape.empty_row = ledger.row(x).size() == 0;
   std::vector<std::pair<NodeId, double>> eligible;
-  for (const NodeId y : ledger.partners(x)) {
-    const double cap = static_cast<double>(ledger.count(x, y)) - distillation;
+  ledger.row(x).for_each([&](NodeId y, std::uint32_t count) {
+    const double cap = static_cast<double>(count) - distillation;
     if (cap >= 1.0) {
       eligible.emplace_back(y, cap);
     } else {
       shape.ineligible_partner = true;
     }
-  }
+  });
   std::optional<SwapCandidate> best;
   std::size_t at_best = 0;
   bool seen_zero = false;
@@ -411,10 +411,9 @@ std::optional<SwapCandidate> pairwise_best_swap(
 PairLedger embed_above_limit(const PairLedger& ledger) {
   PairLedger embedded(PairLedger::kFullReserveNodeLimit + 1);
   for (NodeId a = 0; a < ledger.node_count(); ++a) {
-    const PairLedger::RowView row = ledger.row(a);
-    for (std::size_t k = 0; k < row.size(); ++k) {
-      if (row.partners()[k] > a) embedded.add(a, row.partners()[k], row.count_at(k));
-    }
+    ledger.row(a).for_each([&](NodeId b, std::uint32_t count) {
+      if (b > a) embedded.add(a, b, count);
+    });
   }
   return embedded;
 }

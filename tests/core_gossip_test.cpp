@@ -344,10 +344,10 @@ TEST(GossipZeroTier, ReportDecideMatchesPairwiseOracle) {
     const MaxMinBalancer balancer(d, policy, &distances);
     for (NodeId x = 0; x < n; x += n > 64 ? 9 : 1) {
       std::vector<std::pair<NodeId, double>> eligible;
-      for (const NodeId y : ledger.partners(x)) {
-        const double cap = static_cast<double>(ledger.count(x, y)) - d;
+      ledger.row(x).for_each([&](NodeId y, std::uint32_t count) {
+        const double cap = static_cast<double>(count) - d;
         if (cap >= 1.0) eligible.emplace_back(y, cap);
-      }
+      });
       std::optional<SwapCandidate> expected;
       for (std::size_t i = 0; i < eligible.size(); ++i) {
         for (std::size_t j = i + 1; j < eligible.size(); ++j) {

@@ -15,11 +15,18 @@
 namespace poq::core {
 namespace {
 
+/// x's partners, ascending, as row(x).for_each visits them.
+std::vector<NodeId> partners_of(const PairLedger& ledger, NodeId x) {
+  std::vector<NodeId> partners;
+  ledger.row(x).for_each([&partners](NodeId y, std::uint32_t) { partners.push_back(y); });
+  return partners;
+}
+
 TEST(PairLedger, StartsEmpty) {
   PairLedger ledger(4);
   EXPECT_EQ(ledger.total_pairs(), 0u);
   EXPECT_EQ(ledger.count(0, 1), 0u);
-  EXPECT_TRUE(ledger.partners(0).empty());
+  EXPECT_TRUE(partners_of(ledger, 0).empty());
 }
 
 TEST(PairLedger, CountsAreSymmetric) {
@@ -35,13 +42,10 @@ TEST(PairLedger, PartnersTrackNonzeroCounts) {
   ledger.add(1, 3);
   ledger.add(1, 0);
   ledger.add(1, 4);
-  const auto partners = ledger.partners(1);
-  ASSERT_EQ(partners.size(), 3u);
-  EXPECT_EQ(partners[0], 0u);
-  EXPECT_EQ(partners[1], 3u);
-  EXPECT_EQ(partners[2], 4u);
-  EXPECT_EQ(ledger.partners(3).size(), 1u);
-  EXPECT_EQ(ledger.partners(2).size(), 0u);
+  EXPECT_EQ(partners_of(ledger, 1), (std::vector<NodeId>{0, 3, 4}));
+  EXPECT_EQ(ledger.row(1).size(), 3u);
+  EXPECT_EQ(ledger.row(3).size(), 1u);
+  EXPECT_EQ(ledger.row(2).size(), 0u);
 }
 
 TEST(PairLedger, RemoveUpdatesPartners) {
@@ -49,11 +53,11 @@ TEST(PairLedger, RemoveUpdatesPartners) {
   ledger.add(0, 1, 2);
   ledger.remove(0, 1, 1);
   EXPECT_EQ(ledger.count(0, 1), 1u);
-  EXPECT_EQ(ledger.partners(0).size(), 1u);
+  EXPECT_EQ(ledger.row(0).size(), 1u);
   ledger.remove(1, 0, 1);
   EXPECT_EQ(ledger.count(0, 1), 0u);
-  EXPECT_TRUE(ledger.partners(0).empty());
-  EXPECT_TRUE(ledger.partners(1).empty());
+  EXPECT_TRUE(partners_of(ledger, 0).empty());
+  EXPECT_TRUE(partners_of(ledger, 1).empty());
   EXPECT_EQ(ledger.total_pairs(), 0u);
 }
 
@@ -72,14 +76,15 @@ TEST(PairLedger, RejectsSelfPairs) {
 TEST(PairLedger, RejectsOutOfRange) {
   PairLedger ledger(3);
   EXPECT_THROW(ledger.add(0, 3), PreconditionError);
-  EXPECT_THROW((void)ledger.partners(5), PreconditionError);
+  EXPECT_THROW((void)ledger.row(5), PreconditionError);
+  EXPECT_THROW((void)ledger.remove_node(3), PreconditionError);
 }
 
 TEST(PairLedger, ZeroAmountIsNoop) {
   PairLedger ledger(3);
   ledger.add(0, 1, 0);
   EXPECT_EQ(ledger.count(0, 1), 0u);
-  EXPECT_TRUE(ledger.partners(0).empty());
+  EXPECT_TRUE(partners_of(ledger, 0).empty());
   ledger.add(0, 1, 2);
   ledger.remove(0, 1, 0);
   EXPECT_EQ(ledger.count(0, 1), 2u);
@@ -107,15 +112,18 @@ TEST(PairLedger, TotalPairsAccumulates) {
   EXPECT_EQ(ledger.total_pairs(), 11u);
 }
 
-// row(x) is x's row with its counts read in place, and dense_row(x) is
-// x's row of the count mirror: after any mix of add, remove (to zero
+// row(x).for_each walks x's partners with their counts, and dense_row(x)
+// is x's row of the count mirror: after any mix of add, remove (to zero
 // included), integral and fractional NetworkState::generate and
-// NetworkState::purge_node, both agree with a reference matrix and with
-// count() entry for entry, absent pairs included, live_row(x) has
+// NetworkState::purge_node, every walk visits exactly the live partners,
+// ascending, with the reference counts, dense_row and count() agree with
+// the reference entry for entry, absent pairs included, live_row(x) has
 // exactly the live partners' bits, and check_invariants() holds after
-// every step. Runs below the mirror limit (every node churns; 130 nodes
-// spread each bitset over 3 words) and above it (no mirror; the random churn touches 12 nodes spread over
-// the ring, while generation covers every cycle edge).
+// every step. Runs below the mirror limit (every node churns; 63, 64 and
+// 65 nodes put the last partner on either side of a bitset word's end,
+// and 130 nodes spread each bitset over 3 words) and above it (no
+// mirror; the random churn touches 12 nodes spread over the ring, while
+// generation covers every cycle edge).
 void churn_rows_against_reference(std::size_t nodes) {
   SCOPED_TRACE(testing::Message() << "nodes " << nodes);
   constexpr std::size_t kActive = 12;
@@ -138,16 +146,24 @@ void churn_rows_against_reference(std::size_t nodes) {
   const auto check_rows = [&](int step) {
     ASSERT_NO_THROW(ledger.check_invariants()) << "step " << step;
     ASSERT_EQ(ledger.total_pairs(), expected_total) << "step " << step;
-    // Every row entry matches the reference and the totals agree, so no
-    // live reference pair is missing from the rows either.
+    // Every visited entry matches the reference, ascending, and the
+    // visits add up to twice the total, so no live reference pair is
+    // missing from the walks either.
+    std::uint64_t visited_total = 0;
     for (NodeId x = 0; x < nodes; ++x) {
-      const PairLedger::RowView row = ledger.row(x);
-      for (std::size_t k = 0; k < row.size(); ++k) {
-        EXPECT_GT(row.count_at(k), 0u);
-        EXPECT_EQ(row.count_at(k), ref(x, row.partners()[k]))
-            << "node " << x << " slot " << k << " step " << step;
-      }
+      std::size_t visits = 0;
+      NodeId previous = 0;
+      ledger.row(x).for_each([&](NodeId y, std::uint32_t count) {
+        EXPECT_TRUE(visits == 0 || previous < y) << "node " << x << " step " << step;
+        EXPECT_GT(count, 0u);
+        EXPECT_EQ(count, ref(x, y)) << "pair " << x << "," << y << " step " << step;
+        previous = y;
+        ++visits;
+        visited_total += count;
+      });
+      EXPECT_EQ(ledger.row(x).size(), visits) << "node " << x << " step " << step;
     }
+    EXPECT_EQ(visited_total, 2 * expected_total) << "step " << step;
     for (std::size_t i = 0; i < kActive; ++i) {
       const auto x = static_cast<NodeId>(i * stride);
       const std::uint32_t* dense = ledger.dense_row(x);
@@ -192,11 +208,13 @@ void churn_rows_against_reference(std::size_t nodes) {
         expect_add(edges[e].a(), edges[e].b(), added);
       }
     } else if (step % 50 == 30) {
-      (void)state.purge_node(x);
+      std::uint64_t held = 0;
       for (NodeId z = 0; z < nodes; ++z) {
-        expected_total -= ref(x, z);
+        held += ref(x, z);
         ref(x, z) = ref(z, x) = 0;
       }
+      EXPECT_EQ(state.purge_node(x), held) << "step " << step;
+      expected_total -= held;
     } else if (rng.bernoulli(0.5) || ref(x, y) < amount) {
       ledger.add(x, y, amount);
       expect_add(x, y, amount);
@@ -217,15 +235,48 @@ void churn_rows_against_reference(std::size_t nodes) {
 }
 
 TEST(PairLedger, PairCountsAlignWithPartnersUnderChurn) {
-  churn_rows_against_reference(12);
-  churn_rows_against_reference(130);
-  churn_rows_against_reference(PairLedger::kFullReserveNodeLimit + 1);
+  for (const std::size_t nodes : {std::size_t{12}, std::size_t{63}, std::size_t{64},
+                                  std::size_t{65}, std::size_t{130},
+                                  PairLedger::kFullReserveNodeLimit + 1}) {
+    churn_rows_against_reference(nodes);
+  }
+}
+
+// remove_node(x) removes every pair x holds and returns how many, in
+// both regimes: x's row and x's entries in its partners' rows are gone,
+// the other pairs are untouched, and a second call removes nothing.
+TEST(PairLedger, RemoveNodeEmptiesTheRowInBothRegimes) {
+  for (const std::size_t nodes :
+       {std::size_t{5}, std::size_t{65}, PairLedger::kFullReserveNodeLimit + 1}) {
+    SCOPED_TRACE(testing::Message() << "nodes " << nodes);
+    PairLedger ledger(nodes);
+    const auto last = static_cast<NodeId>(nodes - 1);
+    ledger.add(0, 1, 3);
+    ledger.add(2, 0, 1);
+    ledger.add(0, last, 4);
+    ledger.add(1, 2, 2);
+    ledger.add(last, 1, 5);
+    EXPECT_EQ(ledger.remove_node(0), 8u);
+    EXPECT_EQ(ledger.total_pairs(), 7u);
+    EXPECT_NO_THROW(ledger.check_invariants());
+    EXPECT_EQ(ledger.row(0).size(), 0u);
+    for (const NodeId y : {NodeId{1}, NodeId{2}, last}) EXPECT_EQ(ledger.count(0, y), 0u);
+    EXPECT_EQ(partners_of(ledger, 1), (std::vector<NodeId>{2, last}));
+    EXPECT_EQ(partners_of(ledger, 2), std::vector<NodeId>{1});
+    EXPECT_EQ(partners_of(ledger, last), std::vector<NodeId>{1});
+    EXPECT_EQ(ledger.count(1, last), 5u);
+    EXPECT_EQ(ledger.remove_node(0), 0u);
+    EXPECT_EQ(ledger.remove_node(1), 7u);
+    EXPECT_EQ(ledger.total_pairs(), 0u);
+    EXPECT_NO_THROW(ledger.check_invariants());
+  }
 }
 
 // The mirror and the live bitsets exist exactly up to
 // kFullReserveNodeLimit nodes, and the logical memory accounting charges
-// their 4 n^2 and 8 n ceil(n/64) bytes, a partner id per row entry below
-// the limit (the mirror holds the count) and an id plus a count above it.
+// their 4 n^2 and 8 n ceil(n/64) bytes and nothing per live pair below
+// the limit (they are the whole state), and an id plus a count per row
+// entry above it; 48 bytes a node in both.
 TEST(PairLedger, DenseRowOnlyUpToFullReserveLimit) {
   const PairLedger at_limit(PairLedger::kFullReserveNodeLimit);
   const PairLedger above(PairLedger::kFullReserveNodeLimit + 1);
@@ -238,11 +289,11 @@ TEST(PairLedger, DenseRowOnlyUpToFullReserveLimit) {
   EXPECT_EQ(above.live_words(), 0u);
   EXPECT_EQ(above.live_row(0), nullptr);
   EXPECT_TRUE(above.live_bits().empty());
-  // Rows, then the mirror (4 n^2), then the bitsets (8 n ceil(n/64)).
+  // Per node, then the mirror (4 n^2), then the bitsets (8 n ceil(n/64)).
   PairLedger small(3);
   EXPECT_EQ(small.memory_bytes(), 48u * 3 + 4u * 9 + 8u * 3);
   small.add(0, 1, 5);
-  EXPECT_EQ(small.memory_bytes(), 48u * 3 + 4u * 9 + 8u * 3 + 4u * 2);
+  EXPECT_EQ(small.memory_bytes(), 48u * 3 + 4u * 9 + 8u * 3);
   const PairLedger three_words(130);
   EXPECT_EQ(three_words.live_words(), 3u);
   EXPECT_EQ(three_words.memory_bytes(), 48u * 130 + 4u * 130 * 130 + 8u * 130 * 3);
@@ -270,9 +321,8 @@ TEST(PairLedger, RemoveAbsentPairThrowsAndLeavesLedgerUnchanged) {
     EXPECT_EQ(ledger.count(0, 1), 0u);
     EXPECT_EQ(ledger.count(1, last), 1u);
     EXPECT_EQ(ledger.total_pairs(), 1u);
-    EXPECT_TRUE(ledger.partners(0).empty());
-    ASSERT_EQ(ledger.partners(1).size(), 1u);
-    EXPECT_EQ(ledger.partners(1)[0], last);
+    EXPECT_TRUE(partners_of(ledger, 0).empty());
+    EXPECT_EQ(partners_of(ledger, 1), std::vector<NodeId>{last});
     EXPECT_NO_THROW(ledger.check_invariants());
   }
 }

@@ -56,6 +56,29 @@ scenario::ScenarioSpec blocker_spec() {
   return spec;
 }
 
+/// Send `line` plus a newline as one frame on a fresh connection of its
+/// own, bypassing the client's encoder, and return the daemon's reply
+/// line.
+std::string raw_round_trip(const std::string& socket, const std::string& line) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_un address{};
+  address.sun_family = AF_UNIX;
+  socket.copy(address.sun_path, sizeof(address.sun_path) - 1);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&address), sizeof(address)), 0);
+  const std::string frame = line + "\n";
+  for (std::size_t sent = 0; sent < frame.size();) {
+    const ssize_t wrote = ::write(fd, frame.data() + sent, frame.size() - sent);
+    if (wrote <= 0) break;
+    sent += static_cast<std::size_t>(wrote);
+  }
+  std::string reply;
+  char c = 0;
+  while (::read(fd, &c, 1) == 1 && c != '\n') reply.push_back(c);
+  ::close(fd);
+  return reply;
+}
+
 Value submit_run_request(const scenario::ScenarioSpec& spec, bool watch) {
   Value request = Value::object();
   request.set("op", "submit_run");
@@ -265,6 +288,25 @@ TEST(ServeServer, MalformedFramesGetBadRequestAndKeepTheConnection) {
   const Value missing = client.request(truncated_spec);
   ASSERT_FALSE(missing.at("ok").as_bool());
   EXPECT_EQ(missing.at("code").as_string(), "bad_request");
+
+  // Nesting one level past the parser's bound is refused, not recursed.
+  Value deep = Value::array();
+  for (std::size_t level = 1; level <= util::json::kMaxParseDepth; ++level) {
+    Value outer = Value::array();
+    outer.push_back(std::move(deep));
+    deep = std::move(outer);
+  }
+  const Value too_deep = client.request(deep);
+  ASSERT_FALSE(too_deep.at("ok").as_bool());
+  EXPECT_EQ(too_deep.at("code").as_string(), "bad_request");
+  EXPECT_NE(too_deep.at("error").as_string().find("nesting depth"), std::string::npos)
+      << too_deep.dump();
+
+  // A 300 000-byte frame of '[' (under kMaxFrameBytes) used to overflow
+  // the parser's stack and kill the daemon with every queued job.
+  const Value brackets = Value::parse(raw_round_trip(socket, std::string(300000, '[')));
+  ASSERT_FALSE(brackets.at("ok").as_bool());
+  EXPECT_EQ(brackets.at("code").as_string(), "bad_request");
 
   // The connection survives malformed frames: a valid request still works.
   const Value status = client.request(op_request("status"));

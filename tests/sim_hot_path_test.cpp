@@ -287,63 +287,5 @@ TEST(HotPathAllocations, HybridAndGossipRoundsAllocateNothing) {
   }
 }
 
-// --- O(#candidates) commit --------------------------------------------
-
-/// Probe count of one decide + commit with exactly 16 candidates (nodes
-/// 1, 5, ..., 61 of a cycle of `nodes`), in the allocation-counting
-/// spirit above: the counter proves no hidden O(n) scan, not just that
-/// the result is right.
-std::uint64_t commit_probes(std::size_t nodes) {
-  const graph::Graph graph = graph::make_cycle(nodes);
-  sim::TickConcurrency tick;
-  tick.threads = 1;
-  sim::NetworkState state(graph, 1, tick);
-  state.decide_swaps(
-      [&](core::NodeId x, core::MaxMinBalancer::Scratch&)
-          -> std::optional<core::SwapCandidate> {
-        if (x < 64 && x % 4 == 1) {
-          return core::SwapCandidate{x - 1, x + 1, 1};
-        }
-        return std::nullopt;
-      });
-  (void)state.commit_swaps(
-      core::MaxMinBalancer(1.0), /*first=*/0, /*round=*/0, /*attempt=*/0,
-      [](core::NodeId, const core::SwapCandidate&) { return false; });
-  return state.last_commit_probes();
-}
-
-TEST(HotPathAllocations, CommitCostTracksCandidatesNotNodes) {
-  // The same 16 decided candidates on a 64-node and a 4096-node network:
-  // the commit's probe count (candidate-list entries visited by its one
-  // walk) must not move with the node count — a filtered 0..n scan would
-  // visit all n nodes per attempt.
-  const std::uint64_t small = commit_probes(64);
-  const std::uint64_t large = commit_probes(4096);
-  EXPECT_EQ(small, large)
-      << "commit probes scaled with node count: " << small << " at n=64 vs "
-      << large << " at n=4096";
-  // And the absolute count is exactly #candidates (16): the single walk
-  // visits each candidate once.
-  EXPECT_EQ(large, 16u);
-}
-
-TEST(HotPathAllocations, QuiescentCommitIsFree) {
-  // No candidates decided anywhere: the commit must return without
-  // probing at all (the empty-list fast path).
-  const graph::Graph graph = graph::make_cycle(32);
-  sim::TickConcurrency tick;
-  tick.threads = 1;
-  sim::NetworkState state(graph, 1, tick);
-  state.decide_swaps([](core::NodeId, core::MaxMinBalancer::Scratch&)
-                         -> std::optional<core::SwapCandidate> {
-    return std::nullopt;
-  });
-  const auto stats = state.commit_swaps(
-      core::MaxMinBalancer(1.0), 0, 0, 0,
-      [](core::NodeId, const core::SwapCandidate&) { return true; });
-  EXPECT_EQ(stats.swaps, 0u);
-  EXPECT_EQ(state.last_commit_probes(), 0u);
-}
-
 }  // namespace
 }  // namespace poq::scenario

@@ -142,9 +142,10 @@ void ledger_fuzz_against_dense(std::size_t nodes) {
       for (std::size_t y = 0; y < kActive; ++y) {
         if (dense[x][y] > 0) expected.push_back(id(y));
       }
-      const std::span<const core::NodeId> row = ledger.partners(id(x));
-      ASSERT_EQ(std::vector<core::NodeId>(row.begin(), row.end()), expected)
-          << "batch " << batch << " row " << x;
+      std::vector<core::NodeId> row;
+      ledger.row(id(x)).for_each(
+          [&row](core::NodeId y, std::uint32_t) { row.push_back(y); });
+      ASSERT_EQ(row, expected) << "batch " << batch << " row " << x;
     }
     const graph::Graph entanglement = ledger.entanglement_graph(2);
     std::size_t expected_edges = 0;

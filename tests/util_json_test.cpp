@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -85,6 +87,32 @@ TEST(Json, ParseErrorsAreActionable) {
     FAIL() << "expected parse failure";
   } catch (const PreconditionError& error) {
     EXPECT_NE(std::string(error.what()).find("byte"), std::string::npos);
+  }
+  // Nesting is bounded: kMaxParseDepth levels parse, one more is refused
+  // with a message naming the depth, and a 200 000-deep document (which
+  // used to overflow the stack) is refused the same way.
+  const auto nested = [](std::size_t depth, const std::string& open,
+                         const std::string& close) {
+    std::string text;
+    for (std::size_t i = 0; i < depth; ++i) text += open;
+    text += "1";
+    for (std::size_t i = 0; i < depth; ++i) text += close;
+    return text;
+  };
+  EXPECT_NO_THROW((void)Value::parse(nested(kMaxParseDepth, "[", "]")));
+  EXPECT_NO_THROW((void)Value::parse(nested(kMaxParseDepth, "{\"k\":", "}")));
+  for (const auto& [open, close] : {std::pair<std::string, std::string>{"[", "]"},
+                                    std::pair<std::string, std::string>{"{\"k\":", "}"}}) {
+    try {
+      (void)Value::parse(nested(kMaxParseDepth + 1, open, close));
+      FAIL() << "expected a depth error for " << open;
+    } catch (const PreconditionError& error) {
+      const std::string depth = "nesting depth " + std::to_string(kMaxParseDepth + 1);
+      EXPECT_NE(std::string(error.what()).find(depth), std::string::npos)
+          << error.what();
+    }
+    EXPECT_THROW((void)Value::parse(nested(200000, open, close)), PreconditionError);
+    EXPECT_THROW((void)Value::parse(std::string(200000, open[0])), PreconditionError);
   }
 }
 
