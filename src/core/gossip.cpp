@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "net/message.hpp"
@@ -14,91 +15,113 @@ namespace poq::core {
 
 namespace {
 
-/// Per-node stale views of everyone else's count rows, each stored with
-/// the live bitset it was reported with (MaxMinBalancer::ReportView's
-/// block layout).
+/// Per-node stale views of everyone else's count rows. A view is a
+/// reference into the delivery ring's snapshot of the round the report
+/// was sent in, so an install writes one reference and one round. A
+/// reporter never heard from points at one shared all-zero row and
+/// bitset.
 class KnowledgeBase {
  public:
-  KnowledgeBase(std::size_t node_count, std::size_t words)
+  /// Every report held is from the last `depth` rounds (the delivery
+  /// ring's depth).
+  KnowledgeBase(std::size_t node_count, std::size_t words, std::uint32_t depth)
       : node_count_(node_count),
         words_(words),
-        block_(MaxMinBalancer::ReportView::block_size(node_count, words)),
-        blocks_(node_count * node_count * block_, 0),
-        age_(node_count * node_count, 0) {}
+        depth_(depth),
+        zero_row_(node_count, 0),
+        zero_live_(words, 0),
+        last_(node_count * node_count,
+              MaxMinBalancer::Report{zero_row_.data(), zero_live_.data()}),
+        rounds_(node_count * node_count, 0) {}
+  KnowledgeBase(const KnowledgeBase&) = delete;
+  KnowledgeBase& operator=(const KnowledgeBase&) = delete;
 
-  /// Install reporter's dense row and live bitset as seen by `owner` at
-  /// `round`.
-  void install(NodeId owner, NodeId reporter, const std::uint32_t* row,
-               const std::uint64_t* live, std::uint32_t round) {
+  /// Make `report`, sent at `round`, owner's view of reporter; returns
+  /// the send round of the report it replaces (0: none).
+  std::uint32_t install(NodeId owner, NodeId reporter, MaxMinBalancer::Report report,
+                        std::uint32_t round) {
     const std::size_t slot = static_cast<std::size_t>(owner) * node_count_ + reporter;
-    std::uint32_t* block = blocks_.data() + slot * block_;
-    std::copy(row, row + node_count_, block);
-    MaxMinBalancer::ReportView::store_live(block, node_count_, live, words_);
-    age_[slot] = round;
+    last_[slot] = report;
+    return std::exchange(rounds_[slot], round);
   }
 
-  /// Everything `owner` has been told, as the balancer reads it.
+  /// Every report due by round `now` is installed.
+  void advance(std::uint32_t now) { now_ = now; }
+
+  /// Everything `owner` has been told, as the balancer reads it; every
+  /// report held is from (now - depth, now].
   [[nodiscard]] MaxMinBalancer::ReportView reports(NodeId owner) const {
     const std::size_t first = static_cast<std::size_t>(owner) * node_count_;
-    return {blocks_.data() + first * block_, age_.data() + first, node_count_, words_};
+    return {last_.data() + first, rounds_.data() + first, words_, now_, depth_};
   }
 
   [[nodiscard]] std::uint32_t report_round(NodeId owner, NodeId reporter) const {
-    return age_[static_cast<std::size_t>(owner) * node_count_ + reporter];
+    return rounds_[static_cast<std::size_t>(owner) * node_count_ + reporter];
   }
 
  private:
   std::size_t node_count_;
   std::size_t words_;
-  std::size_t block_;  // uint32 slots per (owner, reporter) report
-  std::vector<std::uint32_t> blocks_;
-  std::vector<std::uint32_t> age_;  // round of last report, per (owner, reporter)
+  std::uint32_t depth_;
+  std::uint32_t now_ = 0;
+  std::vector<std::uint32_t> zero_row_;
+  std::vector<std::uint64_t> zero_live_;
+  std::vector<MaxMinBalancer::Report> last_;  // per (owner, reporter)
+  std::vector<std::uint32_t> rounds_;         // send round of last_, per (owner, reporter)
 };
 
-/// Count reports in flight, as a ring of per-round slots `depth` rounds
-/// deep. Each send round owns one slot: the n x n snapshot of the rows
-/// sent that round (one copy of the ledger's dense count mirror and of
-/// its live bitsets) plus that round's messages. Each message also
-/// joins the delivery list of its due round, a chain through the slots
-/// appended in send order, so the merge walks exactly the messages due
-/// now in (send round, sender, target) order. Every queued delay is
-/// below `depth`, so a slot is reused only after everything sent from it
-/// has been installed. A slot's storage is sized on its first use and
-/// reused after, so the ring stops allocating once it has wrapped.
+/// Count reports in flight and held. Each send round's snapshot of the
+/// rows sent that round (one n x n copy of the ledger's dense count
+/// mirror and of its live bitsets) lives in a ring `depth` rounds deep,
+/// and the round's messages in an outbox ring `delays` rounds deep:
+/// every queued delay is below `delays`, so a message is installed
+/// before its outbox is reused. Each message also joins the delivery
+/// list of its due round, a chain through the outboxes appended in send
+/// order, so the merge walks exactly the messages due now in (send
+/// round, sender, target) order. An installed report stays a reference
+/// into its snapshot, and each snapshot counts the references to it;
+/// reopening one that is still referenced is an InvariantError (the
+/// depth bound is checked, not assumed). Storage is sized on first use
+/// and reused after, so the ring stops allocating once it has wrapped.
 class DeliveryRing {
  public:
   DeliveryRing(std::size_t node_count, std::size_t words,
-               std::size_t messages_per_round, std::size_t depth)
+               std::size_t messages_per_round, std::size_t delays, std::size_t depth)
       : node_count_(node_count),
         words_(words),
         per_round_(messages_per_round),
-        slots_(depth) {}
+        snapshots_(depth),
+        outboxes_(delays) {}
 
-  /// Open `round`'s send slot with `counts` (the row-major n x n dense
-  /// count mirror) and `live` (the ledger's live bitsets) as the
-  /// snapshot every report sent this round carries.
+  /// Open `round`'s snapshot with `counts` (the row-major n x n dense
+  /// count mirror) and `live` (the ledger's live bitsets), which every
+  /// report sent this round carries, and its empty outbox.
   void open(std::uint32_t round, std::span<const std::uint32_t> counts,
             std::span<const std::uint64_t> live) {
-    sending_ = round % slots_.size();
-    Slot& slot = slots_[sending_];
-    if (slot.rows.empty()) {
-      slot.rows.resize(node_count_ * node_count_);
-      slot.live.resize(node_count_ * words_);
-      slot.messages.reserve(per_round_);
+    Snapshot& snapshot = snapshots_[round % snapshots_.size()];
+    ensure(snapshot.references == 0,
+           "gossip: a report snapshot was reused while a node still holds it");
+    if (snapshot.rows.empty()) {
+      snapshot.rows.resize(node_count_ * node_count_);
+      snapshot.live.resize(node_count_ * words_);
     }
-    std::copy(counts.begin(), counts.end(), slot.rows.begin());
-    std::copy(live.begin(), live.end(), slot.live.begin());
-    slot.round = round;
-    slot.messages.clear();
+    std::copy(counts.begin(), counts.end(), snapshot.rows.begin());
+    std::copy(live.begin(), live.end(), snapshot.live.begin());
+    snapshot.round = round;
+    sending_ = round % outboxes_.size();
+    Outbox& outbox = outboxes_[sending_];
+    outbox.round = round;
+    outbox.messages.clear();
+    outbox.messages.reserve(per_round_);
   }
 
-  /// Queue sender's row from the open slot for `target` at `due_round`
-  /// (the open round + a delay below the ring depth).
+  /// Queue sender's row from the open snapshot for `target` at
+  /// `due_round` (the open round + a delay below `delays`).
   void post(NodeId sender, NodeId target, std::uint32_t due_round) {
-    Slot& slot = slots_[sending_];
-    const std::size_t id = sending_ * per_round_ + slot.messages.size();
-    slot.messages.push_back(Message{sender, target, kNone});
-    Slot& due = slots_[due_round % slots_.size()];
+    Outbox& outbox = outboxes_[sending_];
+    const std::size_t id = sending_ * per_round_ + outbox.messages.size();
+    outbox.messages.push_back(Message{sender, target, kNone});
+    Outbox& due = outboxes_[due_round % outboxes_.size()];
     if (due.tail == kNone) {
       due.head = id;
     } else {
@@ -107,21 +130,28 @@ class DeliveryRing {
     due.tail = id;
   }
 
-  /// Hand every message due at `round` to
-  /// install(target, sender, row, live, send_round), in send order, and
-  /// empty the round's delivery list.
-  template <typename Install>
-  void deliver(std::uint32_t round, Install&& install) {
-    Slot& due = slots_[round % slots_.size()];
+  /// Install every message due at `round` into `knowledge`, in send
+  /// order, moving each report's reference from the snapshot of the
+  /// report it replaces to its own; then empty the round's delivery list
+  /// and advance `knowledge` to `round`.
+  void deliver(std::uint32_t round, KnowledgeBase& knowledge) {
+    Outbox& due = outboxes_[round % outboxes_.size()];
     for (std::size_t id = due.head; id != kNone;) {
-      const Slot& from = slots_[id / per_round_];
+      const Outbox& from = outboxes_[id / per_round_];
       const Message& m = from.messages[id % per_round_];
-      install(m.target, m.sender, from.rows.data() + m.sender * node_count_,
-              from.live.data() + m.sender * words_, from.round);
+      Snapshot& snapshot = snapshots_[from.round % snapshots_.size()];
+      const std::uint32_t replaced = knowledge.install(
+          m.target, m.sender,
+          {snapshot.rows.data() + m.sender * node_count_,
+           snapshot.live.data() + m.sender * words_},
+          from.round);
+      ++snapshot.references;
+      if (replaced != 0) --snapshots_[replaced % snapshots_.size()].references;
       id = m.next;
     }
     due.head = kNone;
     due.tail = kNone;
+    knowledge.advance(round);
   }
 
  private:
@@ -132,28 +162,33 @@ class DeliveryRing {
     NodeId target = 0;
     std::size_t next = kNone;  // next message due the same round
   };
-  struct Slot {
-    std::uint32_t round = 0;  // send round of rows/messages
+  struct Snapshot {
+    std::uint32_t round = 0;       // send round of rows/live
+    std::uint32_t references = 0;  // installed reports that point here
     std::vector<std::uint32_t> rows;
     std::vector<std::uint64_t> live;
+  };
+  struct Outbox {
+    std::uint32_t round = 0;  // send round of messages
     std::vector<Message> messages;
-    // Delivery list of the due round that maps to this slot.
+    // Delivery list of the due round that maps to this outbox.
     std::size_t head = kNone;
     std::size_t tail = kNone;
   };
 
   Message& message(std::size_t id) {
-    return slots_[id / per_round_].messages[id % per_round_];
+    return outboxes_[id / per_round_].messages[id % per_round_];
   }
 
   std::size_t node_count_;
   std::size_t words_;
   std::size_t per_round_;
-  std::vector<Slot> slots_;
-  std::size_t sending_ = 0;
+  std::vector<Snapshot> snapshots_;
+  std::vector<Outbox> outboxes_;
+  std::size_t sending_ = 0;  // outbox of the open round
 };
 
-/// Ring depth: 1 + the longest delay ceil(latency * hops) of a message
+/// Outbox ring depth: 1 + the longest delay ceil(latency * hops) of a message
 /// that can still arrive within max_rounds (rounds start at 1, so a
 /// longer one never does and is not queued).
 std::size_t delivery_depth(const std::vector<std::vector<std::uint32_t>>& distances,
@@ -186,25 +221,37 @@ GossipResult run_gossip(const graph::Graph& generation_graph, const Workload& wo
   require(config.fanout >= 1, "GossipConfig: fanout must be >= 1");
   require(std::isfinite(config.latency_per_hop) && config.latency_per_hop >= 0.0,
           "run_gossip: latency must be finite and non-negative");
-  // Reports are snapshots of the ledger's dense count mirror, and every
-  // node keeps a view of every report: 4 n^3 bytes of counts (its
-  // bitsets add 8 n^2 ceil(n/64) bytes, 1/32 of that at the limit).
+  // Reports are snapshots of the ledger's dense count mirror, held in
+  // the delivery ring: 4n^2 bytes of counts per round of its depth (its
+  // bitsets add 8n ceil(n/64) bytes per round, 1/32 of that at the
+  // limit), and the depth reaches n + the longest delay at fanout 1.
   static_assert(PairLedger::kFullReserveNodeLimit == 1024,
-                "the message below names the limit and its knowledge-base size");
+                "the message below names the limit and the ring's size there");
   require(generation_graph.node_count() <= PairLedger::kFullReserveNodeLimit,
           "run_gossip: at most 1024 nodes (the dense count mirror's limit); "
-          "the knowledge base holds 4n^3 bytes, 4.3 GB at 1024 nodes");
+          "the delivery ring holds 4n^2*depth bytes, where the depth is the "
+          "longest delay + ceil((n-1)/fanout) + 2 rounds (4.3 GB at 1024 nodes "
+          "and fanout 1)");
   BalancingSimulation sim(generation_graph, workload, config.base);
   const auto node_count = static_cast<NodeId>(generation_graph.node_count());
 
   const std::size_t words = sim.ledger().live_words();
-  KnowledgeBase knowledge(node_count, words);
   const auto& distances = sim.distances();
   const std::size_t per_sender = config.fanout + (config.optimistic_peer ? 1 : 0);
   const auto max_rounds = static_cast<double>(config.base.max_rounds);
-  DeliveryRing ring(node_count, words, per_sender * node_count,
-                    delivery_depth(distances, config.latency_per_hop,
-                                   config.base.max_rounds));
+  // The rotating window reaches every other node within any L
+  // consecutive rounds (L rounds of `fanout` consecutive offsets cover
+  // all n - 1), and no delay exceeds delivery_depth - 1. So the report
+  // an owner holds from a reporter after round t was sent after
+  // t - L - delivery_depth, and a snapshot ring of delivery_depth + L + 1
+  // slots reopens a slot only once no node holds a report from it.
+  const std::size_t refresh_rounds =
+      (std::size_t{node_count} - 1 + config.fanout - 1) / config.fanout;
+  const std::size_t delays =
+      delivery_depth(distances, config.latency_per_hop, config.base.max_rounds);
+  const std::size_t depth = delays + refresh_rounds + 1;
+  DeliveryRing ring(node_count, words, per_sender * node_count, delays, depth);
+  KnowledgeBase knowledge(node_count, words, static_cast<std::uint32_t>(depth));
 
   GossipResult result;
   // Ages of the views behind committed swaps. The commit observer
@@ -271,10 +318,7 @@ GossipResult run_gossip(const graph::Graph& generation_graph, const Workload& wo
       // report's latency to a fixed target never varies, so per (owner,
       // reporter) installs are already in send order; the canonical order
       // fixes the rest deterministically.
-      ring.deliver(round, [&](NodeId owner, NodeId reporter, const std::uint32_t* row,
-                              const std::uint64_t* live, std::uint32_t version) {
-        knowledge.install(owner, reporter, row, live, version);
-      });
+      ring.deliver(round, knowledge);
     }
 
     // 3. Decide + serial commit under stale beneficiary views. The

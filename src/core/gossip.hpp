@@ -15,11 +15,15 @@
 // that snapshot), and each report's wire size comes from
 // net::count_report_size in closed form from the sender's mirror row.
 // Gossip therefore runs only where the mirror exists, at most
-// PairLedger::kFullReserveNodeLimit nodes; every node's views of every
-// report hold 4n^3 bytes of counts there (4.3 GB at the limit) plus
-// 8n^2 ceil(n/64) bytes of bitsets. A beneficiary view is the fresher of
-// the two endpoints' reports, picked by a select on their report rounds;
-// the decide finds zero views from the reported bitsets first
+// PairLedger::kFullReserveNodeLimit nodes. A node's view of a report is
+// a reference into the delivery ring's snapshot of its send round, so
+// the ring keeps each round's snapshot until every node holding it has
+// heard from that reporter again: its depth is the longest delay +
+// ceil((n-1)/fanout) + 2 rounds, and it holds 4n^2*depth bytes of counts
+// (4.3 GB at the limit with fanout 1) plus 8n ceil(n/64) bytes of
+// bitsets per round. A beneficiary view is the fresher of the two
+// endpoints' reports, picked by a select on their report rounds; the
+// decide finds zero views from the reported bitsets first
 // (MaxMinBalancer::best_swap_with_reports).
 //
 // The round runs as phase kernels on the tick engine: a deterministic

@@ -46,15 +46,15 @@
 // A stale view (gossip's reports, ReportView) gets the same two tiers:
 // the view of a pair is the fresher endpoint's report, so a reporter
 // decides exactly the pairs it shares with the partners it precedes in
-// (report round descending, id ascending) order, and
-// first_zero_view_pair finds the lexicographically first zero view pair
-// from each reporter's reported live bitset.
+// (report round descending, id ascending) order (a counting sort on the
+// report age, report_order), and first_zero_view_pair finds the
+// lexicographically first zero view pair from each reporter's reported
+// live bitset.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <cstring>
 #include <optional>
 #include <span>
 #include <utility>
@@ -127,8 +127,13 @@ class MaxMinBalancer {
     std::vector<Eligible> roomy;
     /// Tier 1's node bitset (ceil(n/64) words).
     std::vector<std::uint64_t> mask;
-    /// The stale-view tier 1's (report round, id) order of `eligible`.
-    std::vector<std::uint64_t> order;
+    /// The stale-view tier 1's (report round, id) order of `eligible`
+    /// (report_order), sized like it.
+    std::vector<NodeId> order;
+    /// report_order's bucket starts, one per report age plus one for
+    /// reporters never heard from (sized on first use to the view's
+    /// depth + 1).
+    std::vector<std::uint32_t> buckets;
 
     /// Pre-size for networks of `node_count` nodes (a row holds at most
     /// node_count-1 partners), so the per-node scan never allocates.
@@ -141,42 +146,35 @@ class MaxMinBalancer {
     }
   };
 
+  /// One report as a node holds it, read in place from the snapshot it
+  /// was sent from: the reporter r's count row (C_r(p) at row[p]) and
+  /// its live bitset (`words` 64-bit words; bit p set exactly when
+  /// C_r(p) > 0).
+  struct Report {
+    const std::uint32_t* row;
+    const std::uint64_t* live;
+  };
+
   /// What one node knows of every other node's count row (gossip's
-  /// knowledge base, per owner). Reporter r's last report, sent at round
-  /// rounds[r] (0: never heard from, and then all zero), is one block of
-  /// block_size() uint32 slots at blocks + r * block_size(): C_r(p) at
-  /// slot p, then the report's live bitset, whose bit p is set exactly
-  /// when C_r(p) > 0, as `words` 64-bit words (store_live, live_word).
-  /// Keeping a report's bitset next to its counts lets one install write
-  /// one contiguous block. The view of C_a(b) is the fresher of a's and
-  /// b's reports, a's on a tie.
+  /// knowledge base, per owner): last[r] is reporter r's last report,
+  /// sent at round rounds[r]. A reporter never heard from has round 0
+  /// and an all-zero row and bitset. Every other round lies in
+  /// (now - depth, now], which makes the tier-1 order a counting sort
+  /// (report_order). The view of C_a(b) is the fresher of a's and b's
+  /// reports, a's on a tie.
   struct ReportView {
-    const std::uint32_t* blocks;
+    const Report* last;
     const std::uint32_t* rounds;
-    std::size_t node_count;
     std::size_t words;
-
-    [[nodiscard]] static std::size_t block_size(std::size_t node_count,
-                                                std::size_t words) {
-      return node_count + 2 * words;
-    }
-
-    /// Write a report's live bitset into its block.
-    static void store_live(std::uint32_t* block, std::size_t node_count,
-                           const std::uint64_t* live, std::size_t words) {
-      std::memcpy(block + node_count, live, words * sizeof(std::uint64_t));
-    }
+    std::uint32_t now;
+    std::uint32_t depth;
 
     [[nodiscard]] std::uint32_t count(NodeId reporter, NodeId peer) const {
-      return blocks[reporter * block_size(node_count, words) + peer];
+      return last[reporter].row[peer];
     }
 
     [[nodiscard]] std::uint64_t live_word(NodeId reporter, std::size_t w) const {
-      std::uint64_t word;
-      std::memcpy(&word,
-                  blocks + reporter * block_size(node_count, words) + node_count + 2 * w,
-                  sizeof word);
-      return word;
+      return last[reporter].live[w];
     }
 
     [[nodiscard]] std::uint32_t view(NodeId a, NodeId b) const {
@@ -311,30 +309,35 @@ class MaxMinBalancer {
   const std::vector<std::vector<std::uint32_t>>* generation_distances_;
 };
 
+/// The stale-view tier 1's order of `eligible` (ascending by id): report
+/// round descending, then id ascending, written to scratch.order. Every
+/// round held is 0 (never heard from) or in (now - depth, now], so the
+/// order is a stable counting sort on the bucket now - round, with the
+/// reporters never heard from in a last bucket `depth`; E ascends, so
+/// each bucket keeps id order. O(|E| + depth), and it allocates only
+/// when scratch is smaller than E or the depth.
+[[nodiscard]] std::span<const NodeId> report_order(
+    std::span<const MaxMinBalancer::Eligible> eligible,
+    const MaxMinBalancer::ReportView& reports, MaxMinBalancer::Scratch& scratch);
+
 /// Tier 1 of the stale-view decide: the lexicographically first pair
 /// (a, b), a < b, of `eligible` (ascending) whose view count
 /// reports.view(a, b) is 0 and for which allowed(a, b) holds; nullopt
 /// when there is none. It reads only the report rounds and live
 /// bitsets. The view of {u, v} is the report of whichever comes first
-/// in (round descending, id ascending) order, so after sorting E that
-/// way, a reverse walk keeps the set S of partners after u, and the bits
-/// of S & ~live(u) are exactly the zero view pairs u decides: every zero
-/// pair turns up once, and the lexicographic minimum of the allowed ones
-/// is kept. Uses scratch.order and scratch.mask.
+/// in report_order, so a reverse walk of that order keeps the set S of
+/// partners after u, and the bits of S & ~live(u) are exactly the zero
+/// view pairs u decides: every zero pair turns up once, and the
+/// lexicographic minimum of the allowed ones is kept. Uses
+/// scratch.order, scratch.buckets and scratch.mask.
 template <typename Allowed>
 [[nodiscard]] std::optional<std::pair<NodeId, NodeId>> first_zero_view_pair(
     std::span<const MaxMinBalancer::Eligible> eligible,
     const MaxMinBalancer::ReportView& reports, Allowed&& allowed,
     MaxMinBalancer::Scratch& scratch) {
   const std::size_t words = reports.words;
-  if (scratch.order.size() < eligible.size()) scratch.order.resize(eligible.size());
+  const std::span<const NodeId> order = report_order(eligible, reports, scratch);
   if (scratch.mask.size() < words) scratch.mask.resize(words);
-  std::uint64_t* const order = scratch.order.data();
-  for (std::size_t k = 0; k < eligible.size(); ++k) {
-    const NodeId u = eligible[k].node;
-    order[k] = (static_cast<std::uint64_t>(UINT32_MAX - reports.rounds[u]) << 32) | u;
-  }
-  std::sort(order, order + eligible.size());
   std::uint64_t* const after = scratch.mask.data();
   std::fill_n(after, words, std::uint64_t{0});
   std::optional<std::pair<NodeId, NodeId>> best;
@@ -356,8 +359,8 @@ template <typename Allowed>
       }
     }
   };
-  for (std::size_t k = eligible.size(); k-- > 0;) {
-    const auto u = static_cast<NodeId>(order[k]);
+  for (std::size_t k = order.size(); k-- > 0;) {
+    const NodeId u = order[k];
     improve(u);
     after[u / 64] |= std::uint64_t{1} << (u % 64);
   }

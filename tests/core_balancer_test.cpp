@@ -593,14 +593,18 @@ TEST(BestSwapKernel, IntegerRoomMatchesPairwiseOracleAtZeroDAndNear2To31) {
 // reading the same stale view. Node x holds a report row from every other
 // node with a report round and the row's live bitset; the view of C_a(b)
 // is the fresher of a's and b's reports, a's on a tie, which is the rule
-// gossip's knowledge base uses. Report rounds come from a small range so
-// equal ages are common, and the reports disagree with the ledger and
-// with each other.
+// gossip's knowledge base uses. Report rounds lie in (now - depth, now]
+// with a small depth (1-4), so equal ages are common and the oldest age
+// depth - 1 occurs; a fifth of the reporters were never heard from
+// (round 0, all-zero row). The reports disagree with the ledger and with
+// each other.
 TEST(BestSwapKernel, StaleViewMatchesPairwiseOracle) {
   util::Rng rng(0x57A1E);
   ScanShape covered;
   std::uint64_t decisions = 0;
   std::uint64_t equal_age_reads = 0;
+  std::uint64_t oldest_reports = 0;
+  std::uint64_t unheard_reporters = 0;
   for (int trial = 0; trial < 300; ++trial) {
     const std::size_t n = 4 + rng.uniform_index(29);
     const double density = 0.05 + 0.95 * static_cast<double>(rng.uniform_index(101)) / 100.0;
@@ -612,13 +616,15 @@ TEST(BestSwapKernel, StaleViewMatchesPairwiseOracle) {
         }
       }
     }
-    // reports[reporter][peer] and rounds[reporter], as node x holds them.
+    // reports[reporter][peer] and rounds[reporter], as node x holds them,
+    // with each report's live bitset, read through per-reporter
+    // references.
     std::vector<std::vector<std::uint32_t>> reports(n, std::vector<std::uint32_t>(n, 0));
     std::vector<std::uint32_t> rounds(n, 0);
     const std::size_t words = (n + 63) / 64;
-    const std::size_t block = MaxMinBalancer::ReportView::block_size(n, words);
-    std::vector<std::uint32_t> blocks(n * block);
-    std::vector<std::uint64_t> live(words);
+    std::vector<std::vector<std::uint64_t>> live(n, std::vector<std::uint64_t>(words, 0));
+    std::vector<MaxMinBalancer::Report> last(n);
+    for (NodeId r = 0; r < n; ++r) last[r] = {reports[r].data(), live[r].data()};
     const double distillation = std::vector<double>{0.0, 1.0, 1.5}[rng.uniform_index(3)];
     const auto distances = graph::all_pairs_distances(
         rng.bernoulli(0.5) ? graph::make_cycle(n) : graph::make_star(n));
@@ -630,22 +636,22 @@ TEST(BestSwapKernel, StaleViewMatchesPairwiseOracle) {
 
     MaxMinBalancer::Scratch scratch;
     for (NodeId x = 0; x < n; ++x) {
+      const auto depth = static_cast<std::uint32_t>(1 + rng.uniform_index(4));
+      const auto now = static_cast<std::uint32_t>(1 + rng.uniform_index(2 * depth));
       for (NodeId r = 0; r < n; ++r) {
-        rounds[r] = static_cast<std::uint32_t>(rng.uniform_index(3));
+        const bool heard = !rng.bernoulli(0.2);
+        rounds[r] = heard ? now - static_cast<std::uint32_t>(
+                                      rng.uniform_index(std::min(depth, now)))
+                          : 0;
+        oldest_reports += heard && now - rounds[r] == depth - 1 ? 1 : 0;
+        unheard_reporters += heard ? 0 : 1;
+        std::fill(live[r].begin(), live[r].end(), 0);
         for (NodeId p = 0; p < n; ++p) {
-          reports[r][p] = p == r || rng.bernoulli(0.3)
+          reports[r][p] = !heard || p == r || rng.bernoulli(0.3)
                               ? 0
                               : static_cast<std::uint32_t>(rng.uniform_index(5));
+          if (reports[r][p] > 0) live[r][p / 64] |= std::uint64_t{1} << (p % 64);
         }
-      }
-      for (NodeId r = 0; r < n; ++r) {
-        std::fill(live.begin(), live.end(), 0);
-        for (NodeId p = 0; p < n; ++p) {
-          blocks[r * block + p] = reports[r][p];
-          if (reports[r][p] > 0) live[p / 64] |= std::uint64_t{1} << (p % 64);
-        }
-        MaxMinBalancer::ReportView::store_live(blocks.data() + r * block, n, live.data(),
-                                               words);
       }
       const auto oracle_view = [&](NodeId a, NodeId b) -> std::uint32_t {
         if (rounds[a] == rounds[b]) {
@@ -660,7 +666,7 @@ TEST(BestSwapKernel, StaleViewMatchesPairwiseOracle) {
       if (expected) ++decisions;
       const auto actual = balancer.best_swap_with_reports(
           ledger, x,
-          MaxMinBalancer::ReportView{blocks.data(), rounds.data(), n, words},
+          MaxMinBalancer::ReportView{last.data(), rounds.data(), words, now, depth},
           scratch);
       expect_same_swap(actual, expected,
                        "trial " + std::to_string(trial) + " node " + std::to_string(x));
@@ -670,6 +676,8 @@ TEST(BestSwapKernel, StaleViewMatchesPairwiseOracle) {
   }
   EXPECT_GT(decisions, 0u);
   EXPECT_GT(equal_age_reads, 0u);
+  EXPECT_GT(oldest_reports, 0u);
+  EXPECT_GT(unheard_reporters, 0u);
   EXPECT_TRUE(covered.tie_at_minimum);
   EXPECT_TRUE(covered.forbidden_zero_first);
 }

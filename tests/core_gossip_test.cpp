@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -12,6 +16,7 @@
 #include "core/workload.hpp"
 #include "graph/shortest_path.hpp"
 #include "graph/topology.hpp"
+#include "sim/fault_plan.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -188,48 +193,61 @@ TEST(GossipGolden, RandomGridZeroLatencyTiedReports) {
 
 // --- the two exact tiers of the stale-view decide ----------------------
 
-/// What one node holds of every reporter — report rows, report rounds
-/// and the rows' live bitsets — laid out as MaxMinBalancer::ReportView
-/// reads them. A reporter never heard from has round 0 and an all-zero
-/// row.
+/// What one node holds of every reporter — report rows, their live
+/// bitsets and report rounds — read through MaxMinBalancer::ReportView's
+/// per-reporter references at round `now`, every heard round in
+/// (now - depth, now]. A reporter never heard from has round 0 and an
+/// all-zero row.
 struct Reports {
-  explicit Reports(std::size_t nodes)
+  Reports(std::size_t nodes, std::uint32_t now_round, std::uint32_t ring_depth)
       : n(nodes),
         words((nodes + 63) / 64),
-        block(MaxMinBalancer::ReportView::block_size(n, words)),
-        blocks(n * block, 0),
+        now(now_round),
+        depth(ring_depth),
+        rows(n * n, 0),
         rounds(n, 0),
-        live(n * words, 0) {}
+        live(n * words, 0),
+        last(n) {
+    for (NodeId r = 0; r < n; ++r) last[r] = {rows.data() + r * n, live.data() + r * words};
+  }
+  // A copy's references would point into the original; a move keeps the
+  // vectors' storage, so they stay valid.
+  Reports(const Reports&) = delete;
+  Reports(Reports&&) = default;
 
   void set(NodeId reporter, NodeId peer, std::uint32_t count) {
-    blocks[reporter * block + peer] = count;
+    rows[reporter * n + peer] = count;
     std::uint64_t& word = live[reporter * words + peer / 64];
     const std::uint64_t bit = std::uint64_t{1} << (peer % 64);
     word = count > 0 ? word | bit : word & ~bit;
-    MaxMinBalancer::ReportView::store_live(blocks.data() + reporter * block, n,
-                                           live.data() + reporter * words, words);
   }
 
   [[nodiscard]] MaxMinBalancer::ReportView view() const {
-    return {blocks.data(), rounds.data(), n, words};
+    return {last.data(), rounds.data(), words, now, depth};
   }
 
   std::size_t n;
   std::size_t words;
-  std::size_t block;
-  std::vector<std::uint32_t> blocks;
+  std::uint32_t now;
+  std::uint32_t depth;
+  std::vector<std::uint32_t> rows;
   std::vector<std::uint32_t> rounds;
   std::vector<std::uint64_t> live;
+  std::vector<MaxMinBalancer::Report> last;
 };
 
 /// A quarter of the reporters never heard from (unless `all_heard`), the
-/// rest from rounds 1-3, so equal rounds are common; each reported count
-/// is 0 with probability `zero`.
+/// rest from rounds in (now - depth, now] with a depth of 1-4, so equal
+/// rounds are common and the oldest age, depth - 1, occurs; each
+/// reported count is 0 with probability `zero`.
 Reports random_reports(std::size_t n, double zero, bool all_heard, util::Rng& rng) {
-  Reports reports(n);
+  const auto depth = static_cast<std::uint32_t>(1 + rng.uniform_index(4));
+  const auto now = static_cast<std::uint32_t>(1 + rng.uniform_index(2 * depth));
+  Reports reports(n, now, depth);
   for (NodeId r = 0; r < n; ++r) {
     if (!all_heard && rng.bernoulli(0.25)) continue;
-    reports.rounds[r] = 1 + static_cast<std::uint32_t>(rng.uniform_index(3));
+    reports.rounds[r] =
+        now - static_cast<std::uint32_t>(rng.uniform_index(std::min(depth, now)));
     for (NodeId p = 0; p < n; ++p) {
       if (p != r && !rng.bernoulli(zero)) {
         reports.set(r, p, 1 + static_cast<std::uint32_t>(rng.uniform_index(4)));
@@ -267,6 +285,7 @@ TEST(GossipZeroTier, FirstZeroViewPairMatchesPairwiseOracle) {
   std::uint64_t none = 0;
   std::uint64_t tied_reporters = 0;
   std::uint64_t unheard_answers = 0;
+  std::uint64_t oldest_answers = 0;
   std::uint64_t last_word_answers = 0;
   MaxMinBalancer::Scratch scratch;
   for (int trial = 0; trial < 600; ++trial) {
@@ -304,6 +323,10 @@ TEST(GossipZeroTier, FirstZeroViewPairMatchesPairwiseOracle) {
       const NodeId b = expected->second;
       unheard_answers += reports.rounds[a] == 0 || reports.rounds[b] == 0 ? 1 : 0;
       tied_reporters += reports.rounds[a] == reports.rounds[b] ? 1 : 0;
+      const auto oldest = [&](NodeId u) {
+        return reports.rounds[u] != 0 && reports.now - reports.rounds[u] == reports.depth - 1;
+      };
+      oldest_answers += oldest(a) || oldest(b) ? 1 : 0;
       last_word_answers += b >= 128 ? 1 : 0;
     } else {
       ++none;
@@ -313,7 +336,67 @@ TEST(GossipZeroTier, FirstZeroViewPairMatchesPairwiseOracle) {
   EXPECT_GT(none, 0u);
   EXPECT_GT(tied_reporters, 0u);
   EXPECT_GT(unheard_answers, 0u);
+  EXPECT_GT(oldest_answers, 0u);
   EXPECT_GT(last_word_answers, 0u);
+}
+
+// report_order is a counting sort on the report age; it must equal a
+// comparison sort of E by (round descending, id ascending). Depths up to
+// 130 rounds, rounds across the whole window (the oldest age included),
+// early rounds where now < depth, and reporters never heard from.
+TEST(GossipZeroTier, ReportOrderMatchesStdSort) {
+  util::Rng rng(0x2E53);
+  MaxMinBalancer::Scratch scratch;
+  std::uint64_t oldest = 0;
+  std::uint64_t unheard = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    const std::size_t n = 3 + rng.uniform_index(140);
+    const auto depth = static_cast<std::uint32_t>(1 + rng.uniform_index(130));
+    const auto now = static_cast<std::uint32_t>(1 + rng.uniform_index(3 * depth));
+    std::vector<std::uint32_t> rounds(n, 0);
+    for (NodeId r = 0; r < n; ++r) {
+      if (rng.bernoulli(0.2)) continue;
+      rounds[r] = now - static_cast<std::uint32_t>(rng.uniform_index(std::min(depth, now)));
+    }
+    std::vector<MaxMinBalancer::Eligible> eligible;
+    for (NodeId y = 0; y < n; ++y) {
+      if (rng.bernoulli(0.5)) eligible.push_back({y, 1});
+    }
+    const MaxMinBalancer::ReportView reports{nullptr, rounds.data(), (n + 63) / 64, now,
+                                             depth};
+    const std::span<const NodeId> actual = report_order(eligible, reports, scratch);
+    std::vector<NodeId> expected;
+    for (const MaxMinBalancer::Eligible& e : eligible) expected.push_back(e.node);
+    std::sort(expected.begin(), expected.end(), [&](NodeId u, NodeId v) {
+      return rounds[u] != rounds[v] ? rounds[u] > rounds[v] : u < v;
+    });
+    ASSERT_EQ(std::vector<NodeId>(actual.begin(), actual.end()), expected)
+        << "trial " << trial << " now " << now << " depth " << depth;
+    for (const NodeId u : expected) {
+      oldest += rounds[u] != 0 && now - rounds[u] == depth - 1 ? 1 : 0;
+      unheard += rounds[u] == 0 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(oldest, 0u);
+  EXPECT_GT(unheard, 0u);
+}
+
+// A heard round after `now`, or at now - depth or older, has no bucket:
+// report_order refuses it instead of writing past its bucket array or
+// misplacing it among the reporters never heard from.
+TEST(GossipZeroTier, ReportOrderRejectsRoundsOutsideTheWindow) {
+  MaxMinBalancer::Scratch scratch;
+  const std::vector<MaxMinBalancer::Eligible> eligible{{0, 1}, {1, 1}, {2, 1}};
+  for (const std::uint32_t stray : {11u, 6u, 1u}) {
+    std::vector<std::uint32_t> rounds{10, stray, 0};
+    const MaxMinBalancer::ReportView reports{nullptr, rounds.data(), 1, 10, 4};
+    EXPECT_THROW((void)report_order(eligible, reports, scratch), InvariantError)
+        << "round " << stray;
+  }
+  std::vector<std::uint32_t> rounds{10, 7, 0};
+  const MaxMinBalancer::ReportView reports{nullptr, rounds.data(), 1, 10, 4};
+  const std::span<const NodeId> order = report_order(eligible, reports, scratch);
+  EXPECT_EQ(std::vector<NodeId>(order.begin(), order.end()), (std::vector<NodeId>{0, 1, 2}));
 }
 
 // best_swap_with_reports, both tiers, against the §4 rule as a literal
@@ -374,6 +457,82 @@ TEST(GossipZeroTier, ReportDecideMatchesPairwiseOracle) {
   }
   EXPECT_GT(zero_answers, 0u);
   EXPECT_GT(scan_answers, 0u);
+}
+
+// --- the ring's retention bound ------------------------------------------
+
+// Every node's view of a report references the delivery ring's snapshot
+// of its send round, so the ring must keep a snapshot until each holder
+// has heard from that reporter again: its depth is the longest delay +
+// ceil((n-1)/fanout) + 2, and reopening a slot still referenced throws
+// InvariantError. Fanout 1 (the slowest refresh), 2 and n-1 (everyone
+// every round), latencies 0-3 rounds per hop, with and without the
+// optimistic peer, and a run under crash and link faults: each finishes
+// without tripping that check, and gives the same result at 1 and 4
+// threads.
+TEST(GossipRetention, EverySettingKeepsItsReportsAndStaysDeterministic) {
+  util::Rng workload_rng(21);
+  const std::size_t n = 14;
+  const Workload workload = make_uniform_workload(n, 8, 40, workload_rng);
+  const graph::Graph graph = graph::make_cycle(n);
+  const auto run = [&](GossipConfig config) {
+    std::vector<GossipResult> results;
+    for (const unsigned threads : {1u, 4u}) {
+      config.base.tick.threads = threads;
+      results.push_back(run_gossip(graph, workload, config));
+    }
+    return results;
+  };
+  const auto expect_same = [](const std::vector<GossipResult>& results,
+                              const std::string& label) {
+    const GossipResult& one = results[0];
+    const GossipResult& four = results[1];
+    EXPECT_TRUE(one.base.completed) << label;
+    EXPECT_EQ(one.base.rounds, four.base.rounds) << label;
+    EXPECT_EQ(one.base.swaps_performed, four.base.swaps_performed) << label;
+    EXPECT_EQ(one.base.pairs_generated, four.base.pairs_generated) << label;
+    EXPECT_EQ(one.base.pairs_consumed, four.base.pairs_consumed) << label;
+    EXPECT_EQ(one.control_messages, four.control_messages) << label;
+    EXPECT_EQ(one.control_bytes, four.control_bytes) << label;
+    EXPECT_EQ(one.mean_view_age, four.mean_view_age) << label;
+  };
+  for (const std::uint32_t fanout : {1u, 2u, static_cast<std::uint32_t>(n - 1)}) {
+    for (const double latency : {0.0, 0.5, 1.0, 3.0}) {
+      for (const bool optimistic : {true, false}) {
+        GossipConfig config;
+        config.base.seed = 5;
+        config.fanout = fanout;
+        config.latency_per_hop = latency;
+        config.optimistic_peer = optimistic;
+        const std::string label = "fanout " + std::to_string(fanout) + " latency " +
+                                  std::to_string(latency) + " optimistic " +
+                                  std::to_string(optimistic);
+        std::vector<GossipResult> results;
+        ASSERT_NO_THROW(results = run(config)) << label;
+        expect_same(results, label);
+        // The run outlasts the ring (the cycle's longest path is n/2
+        // hops), so every slot is reopened at least once.
+        const double longest_delay = std::ceil(latency * static_cast<double>(n / 2));
+        EXPECT_GT(results[0].base.rounds,
+                  longest_delay + 1 + static_cast<double>((n - 2 + fanout) / fanout) + 1)
+            << label;
+      }
+    }
+  }
+  GossipConfig faulty;
+  faulty.base.seed = 5;
+  faulty.fanout = 1;
+  faulty.latency_per_hop = 1.0;
+  faulty.base.faults.node_mtbf = 40.0;
+  faulty.base.faults.node_mttr = 5.0;
+  faulty.base.faults.link_mtbf = 30.0;
+  faulty.base.faults.link_mttr = 4.0;
+  faulty.base.faults.script.push_back({3, sim::FaultEventKind::kNodeDown, 2, 0, 0, 1.0});
+  faulty.base.faults.script.push_back({12, sim::FaultEventKind::kNodeUp, 2, 0, 0, 1.0});
+  std::vector<GossipResult> results;
+  ASSERT_NO_THROW(results = run(faulty));
+  EXPECT_GT(results[0].base.faults.node_crashes, 0u);
+  expect_same(results, "faults");
 }
 
 }  // namespace

@@ -192,8 +192,8 @@ TEST(Registry, GossipRejectsNegativeOrNonFiniteLatency) {
 }
 
 // Gossip's reports are snapshots of the ledger's dense count mirror,
-// which exists only up to PairLedger::kFullReserveNodeLimit nodes, and
-// its knowledge base holds 4n^3 bytes. A larger run is refused before
+// which exists only up to PairLedger::kFullReserveNodeLimit nodes, held
+// in a delivery ring of 4n^2*depth bytes. A larger run is refused before
 // anything is allocated, with a message naming both.
 TEST(Registry, GossipRejectsNetworksAboveTheDenseMirrorLimit) {
   ScenarioSpec spec = small_spec("gossip");
@@ -205,7 +205,7 @@ TEST(Registry, GossipRejectsNetworksAboveTheDenseMirrorLimit) {
   } catch (const PreconditionError& error) {
     const std::string what = error.what();
     EXPECT_NE(what.find("1024 nodes"), std::string::npos) << what;
-    EXPECT_NE(what.find("4n^3 bytes"), std::string::npos) << what;
+    EXPECT_NE(what.find("4n^2*depth bytes"), std::string::npos) << what;
   }
 }
 
