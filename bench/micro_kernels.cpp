@@ -5,6 +5,7 @@
 // and the simplex solver.
 #include <benchmark/benchmark.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <utility>
@@ -147,14 +148,35 @@ core::PairLedger deck_shaped_ledger(std::size_t n, std::uint64_t seed, double li
   return ledger;
 }
 
+/// A ledger whose rows hold at most 8 live partners in any bitset word,
+/// as on hotpath's sparse random-grid 225 cell: room_masks reads such
+/// words bit by bit instead of comparing all 64 counts.
+core::PairLedger sparse_ledger(std::size_t n, std::uint64_t seed) {
+  core::PairLedger ledger(n);
+  util::Rng rng(seed);
+  const auto room_in_word = [&ledger](core::NodeId x, core::NodeId y) {
+    return std::popcount(ledger.live_row(x)[y / 64]) < 8;
+  };
+  for (core::NodeId x = 0; x < n; ++x) {
+    for (core::NodeId y = x + 1; y < n; ++y) {
+      if (rng.bernoulli(0.06) && room_in_word(x, y) && room_in_word(y, x)) {
+        ledger.add(x, y, 1 + static_cast<std::uint32_t>(rng.uniform_index(4)));
+      }
+    }
+  }
+  return ledger;
+}
+
 /// One §4 decide per iteration, cycling over the nodes. On deck-shaped
-/// rows (zero_free = 0) most decides end in tier 1, at a zero pair; with
-/// every pair live (zero_free = 1) there is none, and every decide runs
-/// tier 2's scan over the room >= 2 partners.
+/// rows (rows = 0) most decides end in tier 1, at a zero pair; with
+/// every pair live (rows = 1) there is none, and every decide runs tier
+/// 2's scan over the room >= 2 partners; sparse rows (rows = 2, at most
+/// 8 live partners a word) take room_masks' bit walk.
 void BM_BestSwapScan(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const bool zero_free = state.range(1) != 0;
-  const core::PairLedger ledger = deck_shaped_ledger(n, 7, zero_free ? 1.0 : 0.7);
+  const std::int64_t rows = state.range(1);
+  const core::PairLedger ledger = rows == 2 ? sparse_ledger(n, 7)
+                                  : deck_shaped_ledger(n, 7, rows == 1 ? 1.0 : 0.7);
   const core::MaxMinBalancer balancer(1.0);
   core::MaxMinBalancer::Scratch scratch;
   scratch.reserve(n);
@@ -165,12 +187,13 @@ void BM_BestSwapScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BestSwapScan)
-    ->ArgNames({"n", "zero_free"})
+    ->ArgNames({"n", "rows"})
     ->Args({49, 0})
     ->Args({81, 0})
     ->Args({100, 0})
     ->Args({81, 1})
-    ->Args({100, 1});
+    ->Args({100, 1})
+    ->Args({225, 2});
 
 /// One gossip round's report sizing over every sender of a deck-shaped
 /// 81-node ledger: the closed form over each row's live counts (encode =

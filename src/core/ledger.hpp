@@ -18,9 +18,10 @@
 //     bit flips when the pair is born or dies: nothing is searched,
 //     shifted or allocated (the zero-allocation hot-path contract).
 //     count() and the §4 decide's beneficiary reads are one load
-//     (dense_row), the decide finds zero-count pairs a word at a time
-//     (live_row), and gossip copies both arrays once per round as its
-//     report snapshot (dense_counts, live_bits).
+//     (dense_row), the decide takes x's eligible partners from one
+//     compare pass over x's mirror row and finds zero-count pairs a word
+//     at a time (live_row), and gossip copies both arrays once per round
+//     as its report snapshot (dense_counts, live_bits).
 //   * Above it (the megascale regime) there is no mirror: each node has
 //     a sparse row, sorted partner ids with parallel counts, so memory is
 //     O(nodes + live pair types), never O(n^2). Rows grow amortized, and

@@ -20,36 +20,40 @@
 //     instead of ground truth.
 //
 // Every decide picks what one candidate scan (scan_pairs) would pick:
-// the eligible partners E come from one walk of x's ledger row, and the
-// pairs are visited in lexicographic (i, j) order keeping the first
-// strict minimum. The rule is integer-only, and this class is its one
-// home: for an integer count c, floor(c - D) = c - k with k = ceil(D),
-// so partner y's room is C_x(y) - k (0 when C_x(y) <= k), and since
-// C_y(y') is an integer, C_y(y') + 1 <= min(caps) exactly when
-// C_y(y') < min(rooms). The scan and the commit recheck both test that.
+// the pairs of x's eligible partners E are visited in lexicographic
+// (i, j) order keeping the first strict minimum. The rule is
+// integer-only, and this class is its one home: for an integer count c,
+// floor(c - D) = c - k with k = ceil(D), so partner y's room is
+// C_x(y) - k (0 when C_x(y) <= k), and since C_y(y') is an integer,
+// C_y(y') + 1 <= min(caps) exactly when C_y(y') < min(rooms). The scan
+// and the commit recheck both test that.
 //
-// Below PairLedger::kFullReserveNodeLimit the decide runs in two exact
+// Below PairLedger::kFullReserveNodeLimit every decide starts with one
+// pass over x's dense mirror row (room_masks), which compares the counts
+// four lanes at a time against k and k + 1 and yields two bitsets: E
+// (room >= 1) and R (room >= 2). The decide then runs in two exact
 // tiers. Every eligible room is >= 1, so a beneficiary count of 0 is
 // preferable for any eligible pair (detour test permitting), nothing
 // beats it, and the scan's answer is then the lexicographically first
 // allowed zero pair. Tier 1 finds that pair with the ledger's
-// live-partner bitsets: for donors a in ascending order, the set bits
-// of E & ~live(a) above a are a's zero pairs, a word at a time. Only
-// when there is none does tier 2 run the scan, and then every count is
-// >= 1, so a pair with a room-1 partner can never be preferable: the
-// scan runs over the room >= 2 sub-list, a subsequence of E, which keeps
-// the lexicographic order and the first strict minimum. Beneficiary
-// counts are read from the dense count mirror there (one load per pair).
-// Above the limit there are no bitsets, and the scan merges each
-// donor's sorted row against the whole eligible list.
+// live-partner bitsets: for donors a taken from E's bits in ascending
+// order, the set bits of E & ~live(a) above a are a's zero pairs, a word
+// at a time. Only when there is none does tier 2 run the scan, and then
+// every count is >= 1, so a pair with a room-1 partner can never be
+// preferable: the scan runs over the partners listed from R's bits, a
+// subsequence of E, which keeps the lexicographic order and the first
+// strict minimum. Beneficiary counts are read from the dense count
+// mirror there (one load per pair). Above the limit there are no
+// bitsets: E is gathered from x's sorted row, and the scan merges each
+// donor's sorted row against the whole of it.
 //
-// A stale view (gossip's reports, ReportView) gets the same two tiers:
-// the view of a pair is the fresher endpoint's report, so a reporter
-// decides exactly the pairs it shares with the partners it precedes in
-// (report round descending, id ascending) order (a counting sort on the
-// report age, report_order), and first_zero_view_pair finds the
-// lexicographically first zero view pair from each reporter's reported
-// live bitset.
+// A stale view (gossip's reports, ReportView) gets the same mask pass
+// and the same two tiers: the view of a pair is the fresher endpoint's
+// report, so a reporter decides exactly the pairs it shares with the
+// partners it precedes in (report round descending, id ascending) order
+// (a counting sort on the report age of E's partners, report_order),
+// and first_zero_view_pair finds the lexicographically first zero view
+// pair from each reporter's reported live bitset.
 #pragma once
 
 #include <algorithm>
@@ -119,13 +123,16 @@ class MaxMinBalancer {
   /// sharded decide phase) are safe as long as each brings its own
   /// Scratch.
   struct Scratch {
-    /// Sized, not just reserved: the eligibility walk writes every
-    /// partner's slot and advances past the eligible ones only, so it
-    /// needs one slot per partner of the scanned row.
+    /// E as a list: listed from E's bits below the mirror limit (for the
+    /// stale-view tier 1), gathered from x's sorted row above it.
     std::vector<Eligible> eligible;
-    /// Tier 2's room >= 2 sub-list of `eligible` (sized like it).
+    /// Tier 2's candidates, listed from R's bits.
     std::vector<Eligible> roomy;
-    /// Tier 1's node bitset (ceil(n/64) words).
+    /// E and R as node bitsets (ceil(n/64) words each), from room_masks.
+    std::vector<std::uint64_t> eligible_bits;
+    std::vector<std::uint64_t> roomy_bits;
+    /// The stale-view tier 1's set of partners after the reporter
+    /// (ceil(n/64) words).
     std::vector<std::uint64_t> mask;
     /// The stale-view tier 1's (report round, id) order of `eligible`
     /// (report_order), sized like it.
@@ -136,13 +143,15 @@ class MaxMinBalancer {
     std::vector<std::uint32_t> buckets;
 
     /// Pre-size for networks of `node_count` nodes (a row holds at most
-    /// node_count-1 partners), so the per-node scan never allocates.
+    /// node_count-1 partners), so the per-node decide never allocates.
     void reserve(std::size_t node_count) {
-      const std::size_t partners = node_count > 0 ? node_count - 1 : 0;
-      eligible.resize(partners);
-      roomy.resize(partners);
-      order.resize(partners);
-      mask.resize((node_count + 63) / 64);
+      const std::size_t words = (node_count + 63) / 64;
+      eligible.resize(node_count);
+      roomy.resize(node_count);
+      order.resize(node_count);
+      eligible_bits.resize(words);
+      roomy_bits.resize(words);
+      mask.resize(words);
     }
   };
 
@@ -188,11 +197,11 @@ class MaxMinBalancer {
 
   /// Best preferable swap at x under true (global) knowledge; nullopt
   /// when no candidate is preferable. Thread-safe: caller-owned scratch.
-  /// Ledgers with a dense count mirror (PairLedger::dense_row) decide in
-  /// the two tiers: first_zero_pair, then the room >= 2 scan reading
-  /// each C_a(b) as dense_row(a)[b]. Larger ledgers run the merge
-  /// decide: both the eligible list E and every ledger row are
-  /// ascending, so for each donor a = E[i] one forward walk of
+  /// Ledgers with a dense count mirror (PairLedger::dense_row) decide
+  /// from room_masks in the two tiers: first_zero_pair, then the room
+  /// >= 2 scan reading each C_a(b) as dense_row(a)[b]. Larger ledgers
+  /// run the merge decide: both the eligible list E and every ledger
+  /// row are ascending, so for each donor a = E[i] one forward walk of
   /// sparse_row(a) alongside E[i+1..] yields every C_a(b) (the cursor
   /// entry, or 0 when b is absent) — O(|row(a)| + |E|) per donor rather
   /// than a count() binary search per candidate pair.
@@ -202,8 +211,10 @@ class MaxMinBalancer {
 
   /// Best preferable swap where the *beneficiary* count C_y(y') is read
   /// through x's stale `reports`; x's own counts are always ground truth
-  /// (x owns them). Two tiers: first_zero_view_pair, then the room >= 2
-  /// scan reading reports.view. Thread-safe: caller-owned scratch.
+  /// (x owns them). Needs a ledger with a dense count mirror (gossip's
+  /// reports are snapshots of it). Two tiers from room_masks:
+  /// first_zero_view_pair, then the room >= 2 scan reading reports.view.
+  /// Thread-safe: caller-owned scratch.
   [[nodiscard]] std::optional<SwapCandidate> best_swap_with_reports(
       const PairLedger& ledger, NodeId x, const ReportView& reports,
       Scratch& scratch) const;
@@ -284,22 +295,31 @@ class MaxMinBalancer {
   }
 
   /// x's eligible partners (room(C_x(y)) >= 1), ascending, read in one
-  /// walk of x's ledger row into scratch.eligible.
+  /// walk of x's ledger row into scratch.eligible (the decide uses it
+  /// above the mirror limit only).
   [[nodiscard]] std::span<const Eligible> collect_eligible(const PairLedger& ledger,
                                                            NodeId x,
                                                            Scratch& scratch) const;
 
-  /// Tier 1 under true knowledge: the lexicographically first pair
-  /// (a, b), a < b, of `eligible` with C_a(b) = 0 that passes the detour
-  /// test, read from the ledger's live bitsets; nullopt when none.
-  [[nodiscard]] std::optional<std::pair<NodeId, NodeId>> first_zero_pair(
-      const PairLedger& ledger, NodeId x, std::span<const Eligible> eligible,
-      Scratch& scratch) const;
+  /// Below the mirror limit: E and R of x (x's mirror row `row`) into
+  /// scratch.eligible_bits and scratch.roomy_bits (room_masks); returns
+  /// |E|.
+  std::size_t eligibility_masks(const PairLedger& ledger, NodeId x,
+                                const std::uint32_t* row, Scratch& scratch) const;
 
-  /// Tier 2's candidates: the partners of `eligible` with room >= 2, in
-  /// order, compacted into scratch.roomy.
-  [[nodiscard]] static std::span<const Eligible> roomy(
-      std::span<const Eligible> eligible, Scratch& scratch);
+  /// The partners whose bits are set in `bits` (ceil(n/64) words),
+  /// ascending, each with its room read from x's mirror row `row`,
+  /// written to `out`.
+  [[nodiscard]] std::span<const Eligible> listed(const PairLedger& ledger,
+                                                 const std::uint64_t* bits,
+                                                 const std::uint32_t* row,
+                                                 std::vector<Eligible>& out) const;
+
+  /// Tier 1 under true knowledge: the lexicographically first pair
+  /// (a, b), a < b, of E (bitset `in_e`) with C_a(b) = 0 that passes the
+  /// detour test, read from the ledger's live bitsets; nullopt when none.
+  [[nodiscard]] std::optional<std::pair<NodeId, NodeId>> first_zero_pair(
+      const PairLedger& ledger, NodeId x, const std::uint64_t* in_e) const;
 
   double distillation_;
   /// ceil(D), saturated at UINT32_MAX (no count exceeds it, so a huge or
@@ -308,6 +328,17 @@ class MaxMinBalancer {
   BalancerPolicy policy_;
   const std::vector<std::vector<std::uint32_t>>* generation_distances_;
 };
+
+/// The eligibility pass over one mirror row (`row`, C_x(y) at row[y],
+/// with x's live bitset `live`, ceil(n/64) words): bit y of `eligible`
+/// is set when row[y] > k (room >= 1 at k = ceil(D)), bit y of `roomy`
+/// when row[y] > k + 1 (room >= 2); padding bits past n are clear. A
+/// word with at most 8 live partners reads just those counts; a denser
+/// one compares all its counts, four lanes at a time with SSE2 (an
+/// unsigned compare, by flipping the sign bit of both sides), one at a
+/// time elsewhere. Reads only row[0, n).
+void room_masks(std::span<const std::uint32_t> row, const std::uint64_t* live,
+                std::uint32_t k, std::uint64_t* eligible, std::uint64_t* roomy);
 
 /// The stale-view tier 1's order of `eligible` (ascending by id): report
 /// round descending, then id ascending, written to scratch.order. Every

@@ -11,6 +11,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <deque>
+#include <list>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -72,10 +73,19 @@ struct Server::Impl {
   bool shutdown_requested = false;
   std::vector<int> conn_fds;
 
+  /// One accepted connection's thread. The loop sets `done` (under mu)
+  /// as its last step, and the listener joins and drops finished ones
+  /// before it starts another, so a finished connection's stack is
+  /// unmapped by the next accept rather than kept until stop().
+  struct Connection {
+    std::thread thread;
+    bool done = false;
+  };
+
   std::thread listener;
   std::thread reaper;
   std::vector<std::thread> workers;
-  std::vector<std::thread> connections;
+  std::list<Connection> connections;
 
   // --- socket helpers -----------------------------------------------------
 
@@ -481,7 +491,7 @@ struct Server::Impl {
     return true;
   }
 
-  void connection_loop(int fd) {
+  void connection_loop(int fd, Connection& connection) {
     FrameReader reader;
     char buffer[4096];
     while (!stopping.load()) {
@@ -511,6 +521,21 @@ struct Server::Impl {
         break;
       }
     }
+    connection.done = true;
+  }
+
+  /// Join and drop the connections whose loop has returned. A done loop
+  /// only has to leave its (already released) lock scope, so the join
+  /// does not wait on mu.
+  void reap_connections_locked() {
+    for (auto it = connections.begin(); it != connections.end();) {
+      if (!it->done) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      it = connections.erase(it);
+    }
   }
 
   void listen_loop() {
@@ -529,8 +554,11 @@ struct Server::Impl {
         ::close(fd);
         return;
       }
+      reap_connections_locked();
       conn_fds.push_back(fd);
-      connections.emplace_back([this, fd] { connection_loop(fd); });
+      Connection& connection = connections.emplace_back();
+      connection.thread =
+          std::thread([this, fd, &connection] { connection_loop(fd, connection); });
     }
   }
 };
@@ -612,8 +640,8 @@ void Server::stop() {
     const std::lock_guard<std::mutex> lock(impl.mu);
     for (const int fd : impl.conn_fds) ::shutdown(fd, SHUT_RDWR);
   }
-  for (std::thread& connection : impl.connections) {
-    if (connection.joinable()) connection.join();
+  for (Impl::Connection& connection : impl.connections) {
+    if (connection.thread.joinable()) connection.thread.join();
   }
   for (std::thread& worker : impl.workers) {
     if (worker.joinable()) worker.join();

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -788,6 +791,165 @@ TEST(BestSwapZeroTier, DetourForbiddenZerosFallThroughInOrder) {
   expect_same_swap(best, pairwise_best_swap(ledger, 1.0, distances, 0u, 0, shape),
                    "all zeros forbidden");
   EXPECT_TRUE(shape.forbidden_zero_first);
+}
+
+// --- the eligibility pass (room_masks) ----------------------------------
+
+/// room_masks' oracle: one scalar compare per count of the row, no gate.
+void scalar_room_masks(std::span<const std::uint32_t> row, std::uint32_t k,
+                       std::vector<std::uint64_t>& eligible,
+                       std::vector<std::uint64_t>& roomy) {
+  const std::size_t words = (row.size() + 63) / 64;
+  eligible.assign(words, 0);
+  roomy.assign(words, 0);
+  for (std::size_t y = 0; y < row.size(); ++y) {
+    if (row[y] <= k) continue;
+    eligible[y / 64] |= std::uint64_t{1} << (y % 64);
+    if (row[y] - k >= 2) roomy[y / 64] |= std::uint64_t{1} << (y % 64);
+  }
+}
+
+/// k = ceil(D) saturated at UINT32_MAX, as MaxMinBalancer computes it.
+std::uint32_t ceil_distillation(double d) {
+  const double whole = std::ceil(d);
+  return whole < static_cast<double>(UINT32_MAX) ? static_cast<std::uint32_t>(whole)
+                                                 : UINT32_MAX;
+}
+
+/// Counts around the signed-compare trap (2^31 - 1, 2^31, 2^31 + 1, the
+/// top of the range) mixed with small ones.
+const std::vector<std::uint32_t> kTrapCounts{1,
+                                             2,
+                                             3,
+                                             4,
+                                             5,
+                                             (1u << 31) - 1,
+                                             1u << 31,
+                                             (1u << 31) + 1,
+                                             UINT32_MAX - 1,
+                                             UINT32_MAX};
+
+// The mask pass against the scalar oracle, on every row of ledgers whose
+// bitsets end at, just before and just past a word boundary (n = 63, 64,
+// 65) or span 2 and 3 words, for every x: x = n - 1 reads the last row of
+// the mirror, so a tail read past row[n - 1] leaves the allocation (a
+// heap overflow under ASan). Sparse ledgers take the bit walk (<= 8 live
+// partners in a word), dense ones the compare; k runs from 0 to the
+// UINT32_MAX saturation, and counts straddle 2^31, where a signed compare
+// would put them below a small k.
+TEST(BestSwapMask, VectorPassMatchesScalarOracle) {
+  util::Rng rng(0x3A5C);
+  std::uint64_t walked_words = 0;
+  std::uint64_t compared_words = 0;
+  std::uint64_t trap_bits = 0;
+  for (const std::size_t n : {3u, 4u, 5u, 63u, 64u, 65u, 100u, 130u}) {
+    for (const double density : {0.08, 0.9}) {
+      PairLedger ledger(n);
+      for (NodeId a = 0; a < n; ++a) {
+        for (NodeId b = a + 1; b < n; ++b) {
+          if (rng.bernoulli(density)) {
+            ledger.add(a, b, kTrapCounts[rng.uniform_index(kTrapCounts.size())]);
+          }
+        }
+      }
+      const std::size_t words = ledger.live_words();
+      std::vector<std::uint64_t> eligible(words);
+      std::vector<std::uint64_t> roomy(words);
+      std::vector<std::uint64_t> want_eligible;
+      std::vector<std::uint64_t> want_roomy;
+      for (const double d : {0.0, 0.5, 1.0, 2.75, 2147483647.0, 2147483648.0, 4e9,
+                             std::numeric_limits<double>::infinity()}) {
+        const std::uint32_t k = ceil_distillation(d);
+        for (NodeId x = 0; x < n; ++x) {
+          const std::span<const std::uint32_t> row{ledger.dense_row(x), n};
+          room_masks(row, ledger.live_row(x), k, eligible.data(), roomy.data());
+          scalar_room_masks(row, k, want_eligible, want_roomy);
+          for (std::size_t w = 0; w < words; ++w) {
+            const std::string where = "n " + std::to_string(n) + " D " +
+                                      std::to_string(d) + " x " + std::to_string(x) +
+                                      " word " + std::to_string(w);
+            EXPECT_EQ(eligible[w], want_eligible[w]) << where;
+            EXPECT_EQ(roomy[w], want_roomy[w]) << where;
+            const int live = std::popcount(ledger.live_row(x)[w]);
+            walked_words += live > 0 && live <= 8 ? 1 : 0;
+            compared_words += live > 8 ? 1 : 0;
+          }
+          if (k < 8) {
+            for (std::size_t y = 0; y < n; ++y) trap_bits += row[y] >= (1u << 31) ? 1 : 0;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(walked_words, 0u);
+  EXPECT_GT(compared_words, 0u);
+  EXPECT_GT(trap_bits, 0u);
+}
+
+// best_swap and best_swap_with_reports on own counts and reports that
+// straddle 2^31 (where a signed compare in the mask pass would drop an
+// eligible partner) and reach UINT32_MAX, against the pairwise oracles.
+// The 100-node ledgers have dense words, so their rows go through the
+// compare rather than the bit walk.
+TEST(BestSwapMask, CountsAbove2To31MatchPairwiseOracles) {
+  util::Rng rng(0xB16);
+  std::uint64_t decisions = 0;
+  std::uint64_t stale_decisions = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    const std::size_t n = trial % 3 == 0 ? 100 : 4 + rng.uniform_index(30);
+    const double density = trial % 2 == 0 ? 0.9 : 0.3;
+    PairLedger ledger(n);
+    for (NodeId a = 0; a < n; ++a) {
+      for (NodeId b = a + 1; b < n; ++b) {
+        if (rng.bernoulli(density)) {
+          ledger.add(a, b, kTrapCounts[rng.uniform_index(kTrapCounts.size())]);
+        }
+      }
+    }
+    const double d = std::vector<double>{0.0, 0.5, 2.75, 4e9}[rng.uniform_index(4)];
+    const auto distances = graph::all_pairs_distances(graph::make_cycle(n));
+    const MaxMinBalancer balancer(d, {}, &distances);
+
+    // Every reporter heard in round 1 or never (round 0), with rows of
+    // the same counts and zeros.
+    std::vector<std::vector<std::uint32_t>> reports(n, std::vector<std::uint32_t>(n, 0));
+    std::vector<std::uint32_t> rounds(n, 0);
+    const std::size_t words = (n + 63) / 64;
+    std::vector<std::vector<std::uint64_t>> live(n, std::vector<std::uint64_t>(words, 0));
+    std::vector<MaxMinBalancer::Report> last(n);
+    for (NodeId r = 0; r < n; ++r) {
+      last[r] = {reports[r].data(), live[r].data()};
+      rounds[r] = rng.bernoulli(0.9) ? 1 : 0;
+      for (NodeId p = 0; p < n; ++p) {
+        if (rounds[r] == 0 || p == r || rng.bernoulli(0.4)) continue;
+        reports[r][p] = kTrapCounts[rng.uniform_index(kTrapCounts.size())];
+        live[r][p / 64] |= std::uint64_t{1} << (p % 64);
+      }
+    }
+    const auto oracle_view = [&](NodeId a, NodeId b) {
+      return rounds[a] >= rounds[b] ? reports[a][b] : reports[b][a];
+    };
+
+    MaxMinBalancer::Scratch scratch;
+    for (NodeId x = 0; x < n; x += n == 100 ? 9 : 1) {
+      const std::string where = "trial " + std::to_string(trial) + " D " +
+                                std::to_string(d) + " node " + std::to_string(x);
+      ScanShape shape;
+      const auto expected = pairwise_best_swap(ledger, d, distances, std::nullopt, x, shape);
+      decisions += expected ? 1 : 0;
+      expect_same_swap(balancer.best_swap(ledger, x, scratch), expected, where);
+      const auto expected_stale =
+          pairwise_best_swap(ledger, d, distances, std::nullopt, x, shape, oracle_view);
+      stale_decisions += expected_stale ? 1 : 0;
+      expect_same_swap(
+          balancer.best_swap_with_reports(
+              ledger, x, MaxMinBalancer::ReportView{last.data(), rounds.data(), words, 1, 1},
+              scratch),
+          expected_stale, "stale " + where);
+    }
+  }
+  EXPECT_GT(decisions, 0u);
+  EXPECT_GT(stale_decisions, 0u);
 }
 
 }  // namespace
