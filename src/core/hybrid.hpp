@@ -26,9 +26,9 @@ namespace poq::core {
 /// The assist's route search: breadth-first over the live entanglement
 /// graph, walking the ledger's partner rows directly. Rows ascend like
 /// graph::Graph's sorted adjacency and the target is tested on discovery,
-/// so the path is exactly graph::shortest_path's over
-/// ledger.entanglement_graph(1) with the direct pair removed, whenever
-/// that path has at most max_hops edges. Every buffer is sized once and
+/// so the path is exactly graph::shortest_path's over the graph of live
+/// pairs (count >= 1) with the direct pair removed, whenever that path
+/// has at most max_hops edges. Every buffer is sized once and
 /// reused, so a round's search never allocates.
 class AssistRouter {
  public:

@@ -130,16 +130,6 @@ std::uint64_t PairLedger::remove_node(NodeId x) {
   return before - total_;
 }
 
-graph::Graph PairLedger::entanglement_graph(std::uint32_t threshold) const {
-  graph::Graph result(node_count_);
-  for (NodeId x = 0; x < node_count_; ++x) {
-    row(x).for_each([&](NodeId y, std::uint32_t count) {
-      if (y > x && count >= threshold) result.add_edge(x, y);
-    });
-  }
-  return result;
-}
-
 std::uint64_t PairLedger::memory_bytes() const {
   // Logical accounting with fixed constants: 48 bytes of row bookkeeping
   // per node, plus, below kFullReserveNodeLimit, the dense count mirror

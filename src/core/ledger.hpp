@@ -47,7 +47,6 @@
 #include <vector>
 
 #include "core/types.hpp"
-#include "graph/graph.hpp"
 #include "util/error.hpp"
 
 namespace poq::core {
@@ -169,10 +168,6 @@ class PairLedger {
   /// Every row's bitset, row-major n x live_words(): row x is
   /// live_row(x). Empty above kFullReserveNodeLimit nodes.
   [[nodiscard]] std::span<const std::uint64_t> live_bits() const { return live_; }
-
-  /// Snapshot of pairs with count >= threshold as an undirected graph
-  /// (the entanglement graph the hybrid protocol routes over, §6).
-  [[nodiscard]] graph::Graph entanglement_graph(std::uint32_t threshold = 1) const;
 
   /// Up to this node count the dense count mirror (<= 4 MB) and the
   /// live bitsets (<= 128 KB) hold every count and partner set, sized

@@ -2,7 +2,6 @@
 
 #include <unordered_set>
 
-#include "graph/shortest_path.hpp"
 #include "util/error.hpp"
 
 namespace poq::core {
@@ -51,25 +50,6 @@ Workload make_uniform_workload(std::size_t node_count, std::size_t pair_count,
         static_cast<std::uint32_t>(rng.uniform_index(pair_count)));
   }
   return workload;
-}
-
-std::vector<std::uint32_t> request_hop_counts(const Workload& workload,
-                                              const graph::Graph& generation_graph) {
-  // BFS once per distinct source node among the consumer pairs.
-  std::vector<std::vector<std::uint32_t>> cache(generation_graph.node_count());
-  std::vector<std::uint32_t> hops;
-  hops.reserve(workload.request_count());
-  for (std::size_t i = 0; i < workload.request_count(); ++i) {
-    const NodePair& pair = workload.request(i);
-    if (cache[pair.first].empty()) {
-      cache[pair.first] = graph::bfs_distances(generation_graph, pair.first);
-    }
-    const std::uint32_t distance = cache[pair.first][pair.second];
-    require(distance != graph::kUnreachable,
-            "request_hop_counts: consumer pair disconnected in generation graph");
-    hops.push_back(distance);
-  }
-  return hops;
 }
 
 }  // namespace poq::core

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/types.hpp"
-#include "graph/graph.hpp"
 #include "util/rng.hpp"
 
 namespace poq::core {
@@ -35,11 +34,5 @@ struct Workload {
                                              std::size_t pair_count,
                                              std::size_t request_count,
                                              util::Rng& rng);
-
-/// Shortest-path hop count in `generation_graph` for every request;
-/// the l(c) of the paper's overhead denominator. Throws if any consumer
-/// pair is disconnected.
-[[nodiscard]] std::vector<std::uint32_t> request_hop_counts(
-    const Workload& workload, const graph::Graph& generation_graph);
 
 }  // namespace poq::core

@@ -29,29 +29,11 @@ bool DisjointSets::unite(std::size_t a, std::size_t b) {
   return true;
 }
 
-bool DisjointSets::same(std::size_t a, std::size_t b) { return find(a) == find(b); }
-
-std::size_t DisjointSets::set_size(std::size_t x) { return size_[find(x)]; }
-
 bool is_connected(const Graph& graph) {
   if (graph.node_count() <= 1) return true;
   DisjointSets sets(graph.node_count());
   for (const Edge& e : graph.edges()) sets.unite(e.a(), e.b());
   return sets.set_count() == 1;
-}
-
-std::vector<std::size_t> connected_components(const Graph& graph) {
-  DisjointSets sets(graph.node_count());
-  for (const Edge& e : graph.edges()) sets.unite(e.a(), e.b());
-  std::vector<std::size_t> labels(graph.node_count());
-  std::vector<std::size_t> remap(graph.node_count(), SIZE_MAX);
-  std::size_t next = 0;
-  for (std::size_t v = 0; v < graph.node_count(); ++v) {
-    const std::size_t root = sets.find(v);
-    if (remap[root] == SIZE_MAX) remap[root] = next++;
-    labels[v] = remap[root];
-  }
-  return labels;
 }
 
 }  // namespace poq::graph

@@ -1,4 +1,4 @@
-// Connectivity queries: union-find and component labelling.
+// Connectivity queries: union-find and a whole-graph connectivity test.
 //
 // The paper's grid topology construction ("generation edges are added
 // uniformly at random on the grid until the underlying generation graph
@@ -24,13 +24,8 @@ class DisjointSets {
   /// Merge the sets of a and b; returns false if already joined.
   bool unite(std::size_t a, std::size_t b);
 
-  [[nodiscard]] bool same(std::size_t a, std::size_t b);
-
   /// Number of disjoint sets remaining.
   [[nodiscard]] std::size_t set_count() const { return sets_; }
-
-  /// Size of the set containing x.
-  [[nodiscard]] std::size_t set_size(std::size_t x);
 
  private:
   std::vector<std::size_t> parent_;
@@ -41,8 +36,5 @@ class DisjointSets {
 /// True when every node is reachable from every other (the paper's
 /// prerequisite for network-wide Bell-pair construction, §3).
 [[nodiscard]] bool is_connected(const Graph& graph);
-
-/// Component label per node, labels dense from 0.
-[[nodiscard]] std::vector<std::size_t> connected_components(const Graph& graph);
 
 }  // namespace poq::graph

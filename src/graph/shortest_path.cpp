@@ -57,11 +57,6 @@ std::optional<std::vector<NodeId>> shortest_path(const Graph& graph, NodeId sour
   return std::nullopt;
 }
 
-std::uint32_t hop_distance(const Graph& graph, NodeId source, NodeId target) {
-  const auto dist = bfs_distances(graph, source);
-  return dist[target];
-}
-
 std::vector<std::vector<std::uint32_t>> all_pairs_distances(const Graph& graph) {
   std::vector<std::vector<std::uint32_t>> result;
   result.reserve(graph.node_count());

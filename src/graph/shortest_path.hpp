@@ -32,10 +32,6 @@ inline constexpr std::uint32_t kUnreachable = std::numeric_limits<std::uint32_t>
                                                                NodeId source,
                                                                NodeId target);
 
-/// Hop count of the shortest path, or kUnreachable.
-[[nodiscard]] std::uint32_t hop_distance(const Graph& graph, NodeId source,
-                                         NodeId target);
-
 /// All-pairs hop distances via repeated BFS: result[u][v].
 [[nodiscard]] std::vector<std::vector<std::uint32_t>> all_pairs_distances(
     const Graph& graph);

@@ -1,6 +1,7 @@
 #include "net/message.hpp"
 
 #include <bit>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -27,8 +28,22 @@ std::size_t varint_size(std::uint64_t value) {
   return (static_cast<std::size_t>(std::bit_width(value | 1)) + 6) / 7;
 }
 
-/// Counts the bytes the ByteWriter calls in encode_body would append, so
-/// a message can be sized without building its buffer.
+/// Appends encode_body's fields to a buffer: a raw byte, or an LEB128
+/// varint (seven bits a byte, low group first, high bit = more follow).
+struct ByteWriter {
+  std::vector<std::uint8_t> bytes;
+
+  void write_u8(std::uint8_t value) { bytes.push_back(value); }
+  void write_varint(std::uint64_t value) {
+    for (; value >= 0x80; value >>= 7) {
+      bytes.push_back(static_cast<std::uint8_t>(value) | 0x80);
+    }
+    bytes.push_back(static_cast<std::uint8_t>(value));
+  }
+};
+
+/// Counts the bytes ByteWriter would append, so a message can be sized
+/// without building its buffer.
 struct SizeCounter {
   std::size_t size = 0;
 
@@ -79,57 +94,7 @@ std::vector<std::uint8_t> encode(const Message& message) {
   ByteWriter out;
   out.write_u8(static_cast<std::uint8_t>(message_type(message)));
   std::visit([&out](const auto& body) { encode_body(out, body); }, message);
-  return out.bytes();
-}
-
-Message decode(std::span<const std::uint8_t> bytes) {
-  ByteReader in(bytes);
-  const auto type = static_cast<MessageType>(in.read_u8());
-  switch (type) {
-    case MessageType::kCountUpdate: {
-      CountUpdate m;
-      m.reporter = static_cast<NodeId>(in.read_varint());
-      m.version = in.read_varint();
-      const std::uint64_t count = in.read_varint();
-      m.entries.reserve(count);
-      for (std::uint64_t i = 0; i < count; ++i) {
-        CountUpdate::Entry entry;
-        entry.peer = static_cast<NodeId>(in.read_varint());
-        entry.count = static_cast<std::uint32_t>(in.read_varint());
-        m.entries.push_back(entry);
-      }
-      return m;
-    }
-    case MessageType::kPairUpdate: {
-      PairUpdate m;
-      m.to = static_cast<NodeId>(in.read_varint());
-      m.new_partner = static_cast<NodeId>(in.read_varint());
-      m.qubit = in.read_varint();
-      m.new_partner_qubit = in.read_varint();
-      const std::uint8_t bits = in.read_u8();
-      m.z_bit = (bits & 1) != 0;
-      m.x_bit = (bits & 2) != 0;
-      return m;
-    }
-    case MessageType::kConsumeOffer: {
-      ConsumeOffer m;
-      m.from = static_cast<NodeId>(in.read_varint());
-      m.to = static_cast<NodeId>(in.read_varint());
-      m.request_id = in.read_varint();
-      m.initiator_qubit = in.read_varint();
-      m.responder_qubit = in.read_varint();
-      return m;
-    }
-    case MessageType::kConsumeReply: {
-      ConsumeReply m;
-      m.from = static_cast<NodeId>(in.read_varint());
-      m.to = static_cast<NodeId>(in.read_varint());
-      m.request_id = in.read_varint();
-      m.accept = in.read_u8() != 0;
-      return m;
-    }
-  }
-  throw PreconditionError("decode: unknown message type tag");
+  return std::move(out.bytes);
 }
 
 std::size_t encoded_size(const Message& message) {

@@ -3,16 +3,19 @@
 // The simulated protocols exchange: buffer-count state for the balancer
 // (§4 assumes global knowledge; §6 relaxes it to gossip), the repointing
 // notice carrying the 2 bits that complete each swap (Fig. 2), and the
-// consumption handshake. Each message encodes to a deterministic byte
-// string so classical overhead is measured, not estimated.
+// consumption handshake. No protocol sends real bytes: distributed and
+// gossip only need each message's size, which fills control_bytes. That
+// size comes from one size-only pass over the wire layout (a tag byte,
+// then LEB128 varint fields), and encode() writes the same layout so
+// tests can pin every size to real bytes; classical overhead is thus
+// measured, not estimated.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <variant>
 #include <vector>
-
-#include "net/bytes.hpp"
 
 namespace poq::net {
 
@@ -73,11 +76,9 @@ enum class MessageType : std::uint8_t {
 
 [[nodiscard]] MessageType message_type(const Message& message);
 
-/// Serialize with a leading type tag.
+/// Serialize with a leading type tag. No run calls it: it is the byte
+/// oracle that tests check encoded_size and count_report_size against.
 [[nodiscard]] std::vector<std::uint8_t> encode(const Message& message);
-
-/// Parse a message; throws PreconditionError on malformed input.
-[[nodiscard]] Message decode(std::span<const std::uint8_t> bytes);
 
 /// encode(message).size(), computed by a size-only pass over the same
 /// fields (summed varint lengths); allocates nothing.

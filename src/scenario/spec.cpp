@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -50,6 +51,21 @@ sim::FaultEventKind parse_fault_event(const std::string& name) {
   throw PreconditionError(util::str_cat(
       "unknown fault event '", name,
       "' (valid: node-down, node-up, link-down, link-up, rate-factor)"));
+}
+
+/// A spec field's JSON number as an unsigned T, truncated. Casting a
+/// negative or too large double to an unsigned type is undefined, so
+/// such values are refused.
+template <typename T>
+T unsigned_field(const util::json::Value& value, const char* field) {
+  const double number = value.as_number();
+  if (!(number >= 0.0 &&
+        number < static_cast<double>(std::numeric_limits<T>::max()) + 1.0)) {
+    throw PreconditionError(util::str_cat("spec: '", field, "' must be in [0, ",
+                                          std::numeric_limits<T>::max(), "] (got ",
+                                          util::json::dump_number(number), ")"));
+  }
+  return static_cast<T>(number);
 }
 
 }  // namespace
@@ -191,11 +207,11 @@ ScenarioSpec ScenarioSpec::from_json(const util::json::Value& value) {
       spec.topology_params.emplace(name, param.as_number());
     }
   }
-  spec.nodes = static_cast<std::size_t>(value.at("nodes").as_number());
+  spec.nodes = unsigned_field<std::size_t>(value.at("nodes"), "nodes");
   spec.consumer_pairs =
-      static_cast<std::size_t>(value.at("consumer_pairs").as_number());
-  spec.requests = static_cast<std::size_t>(value.at("requests").as_number());
-  spec.seed = static_cast<std::uint64_t>(value.at("seed").as_number());
+      unsigned_field<std::size_t>(value.at("consumer_pairs"), "consumer_pairs");
+  spec.requests = unsigned_field<std::size_t>(value.at("requests"), "requests");
+  spec.seed = unsigned_field<std::uint64_t>(value.at("seed"), "seed");
   // "knobs" is optional so hand-written spec files (poqsim run --spec,
   // serve submits) can omit the empty overlay.
   if (value.contains("knobs")) {
@@ -219,21 +235,20 @@ ScenarioSpec ScenarioSpec::from_json(const util::json::Value& value) {
   if (value.contains("faults")) {
     for (const util::json::Value& entry : value.at("faults").items()) {
       sim::FaultEvent event;
-      event.round = static_cast<std::uint64_t>(entry.at("round").as_number());
+      event.round = unsigned_field<std::uint64_t>(entry.at("round"), "round");
       event.kind = parse_fault_event(entry.at("event").as_string());
       switch (event.kind) {
         case sim::FaultEventKind::kNodeDown:
         case sim::FaultEventKind::kNodeUp:
-          event.node =
-              static_cast<core::NodeId>(entry.at("node").as_number());
+          event.node = unsigned_field<core::NodeId>(entry.at("node"), "node");
           break;
         case sim::FaultEventKind::kLinkDown:
         case sim::FaultEventKind::kLinkUp: {
           const util::json::Value& edge = entry.at("edge");
           require(edge.is_array() && edge.size() == 2,
                   "fault event: 'edge' must be a [a, b] pair");
-          event.a = static_cast<core::NodeId>(edge.at(0).as_number());
-          event.b = static_cast<core::NodeId>(edge.at(1).as_number());
+          event.a = unsigned_field<core::NodeId>(edge.at(0), "edge");
+          event.b = unsigned_field<core::NodeId>(edge.at(1), "edge");
           break;
         }
         case sim::FaultEventKind::kRateFactor:

@@ -78,8 +78,9 @@ std::uint64_t parse_uint(const Value& value, const char* field) {
   require(value.is_number(), util::str_cat("serve: '", field,
                                            "' must be a number"));
   const double number = value.as_number();
-  require(number >= 0 && number == static_cast<double>(
-                                       static_cast<std::uint64_t>(number)),
+  // 2^64 and above would make the cast undefined.
+  require(number >= 0 && number < 0x1p64 &&
+              number == static_cast<double>(static_cast<std::uint64_t>(number)),
           util::str_cat("serve: '", field,
                         "' must be a non-negative integer"));
   return static_cast<std::uint64_t>(number);

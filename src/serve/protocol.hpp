@@ -107,8 +107,9 @@ enum class JobState { kQueued, kRunning, kDone, kFailed, kCancelled };
 
 /// {"ok": false, "id": ..., "code": ..., "error": ...}. Codes the server
 /// uses: "bad_request" (unparseable/invalid frame), "queue_full"
-/// (admission control rejected the submit), "unknown_job", and
-/// "shutting_down".
+/// (admission control rejected the submit), "unknown_job",
+/// "shutting_down", and "too_many_connections" (sent unasked to a
+/// connection the listener refuses, which it then closes).
 [[nodiscard]] util::json::Value error_response(const std::string& id,
                                                const std::string& code,
                                                const std::string& error);

@@ -15,6 +15,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -86,6 +87,12 @@ struct Server::Impl {
   std::thread reaper;
   std::vector<std::thread> workers;
   std::list<Connection> connections;
+
+  /// The most connections served at once, each on its own thread; the
+  /// same as the listen backlog. The listener refuses one more with a
+  /// too_many_connections error frame, as it does one whose thread
+  /// cannot be started.
+  static constexpr std::size_t kMaxConnections = 64;
 
   // --- socket helpers -----------------------------------------------------
 
@@ -555,10 +562,25 @@ struct Server::Impl {
         return;
       }
       reap_connections_locked();
-      conn_fds.push_back(fd);
-      Connection& connection = connections.emplace_back();
-      connection.thread =
-          std::thread([this, fd, &connection] { connection_loop(fd, connection); });
+      if (connections.size() < kMaxConnections) {
+        conn_fds.push_back(fd);
+        Connection& connection = connections.emplace_back();
+        try {
+          connection.thread =
+              std::thread([this, fd, &connection] { connection_loop(fd, connection); });
+          continue;
+        } catch (const std::system_error&) {
+          connections.pop_back();
+          conn_fds.pop_back();
+        }
+      }
+      // A fresh socket's send buffer is empty, so this one short frame
+      // does not block the listener.
+      write_all(fd, encode_frame(error_response(
+                        "", "too_many_connections",
+                        util::str_cat("the daemon serves at most ", kMaxConnections,
+                                      " connections at once; retry after one closes"))));
+      ::close(fd);
     }
   }
 };
@@ -597,7 +619,7 @@ void Server::start() {
                                           impl.options.socket_path,
                                           "') failed: ", reason));
   }
-  if (::listen(impl.listen_fd, 64) != 0) {
+  if (::listen(impl.listen_fd, static_cast<int>(Impl::kMaxConnections)) != 0) {
     const std::string reason = std::strerror(errno);
     ::close(impl.listen_fd);
     impl.listen_fd = -1;

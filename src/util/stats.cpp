@@ -20,23 +20,6 @@ void RunningStats::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 RunningStats RunningStats::from_moments(std::size_t count, double mean,
                                         double variance, double min, double max) {
   require(variance >= 0.0, "RunningStats::from_moments: variance must be >= 0");
@@ -54,10 +37,6 @@ double RunningStats::mean() const { return count_ == 0 ? 0.0 : mean_; }
 
 double RunningStats::variance() const {
   return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_);
-}
-
-double RunningStats::sample_variance() const {
-  return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
@@ -103,17 +82,6 @@ double Histogram::quantile(double q) const {
     cumulative = next;
   }
   return bucket_hi(counts_.size() - 1);
-}
-
-double percentile(std::vector<double> samples, double q) {
-  require(!samples.empty(), "percentile: empty sample set");
-  require(q >= 0.0 && q <= 1.0, "percentile: q must be in [0,1]");
-  std::sort(samples.begin(), samples.end());
-  const double pos = q * static_cast<double>(samples.size() - 1);
-  const auto lower = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(lower);
-  if (lower + 1 >= samples.size()) return samples.back();
-  return samples[lower] * (1.0 - frac) + samples[lower + 1] * frac;
 }
 
 }  // namespace poq::util

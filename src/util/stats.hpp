@@ -13,12 +13,9 @@ class RunningStats {
  public:
   void add(double x);
 
-  /// Merge another accumulator (parallel Welford / Chan et al.).
-  void merge(const RunningStats& other);
-
   /// Reconstruct an accumulator from its summary moments (population
-  /// variance). Used when deserializing persisted metrics; merging such a
-  /// reconstruction behaves exactly like the original accumulator.
+  /// variance). Used when deserializing persisted metrics; the
+  /// reconstruction reports the same moments as the original accumulator.
   [[nodiscard]] static RunningStats from_moments(std::size_t count, double mean,
                                                  double variance, double min,
                                                  double max);
@@ -27,8 +24,6 @@ class RunningStats {
   [[nodiscard]] double mean() const;
   /// Population variance; 0 for fewer than 2 samples.
   [[nodiscard]] double variance() const;
-  /// Sample (Bessel-corrected) variance; 0 for fewer than 2 samples.
-  [[nodiscard]] double sample_variance() const;
   [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
@@ -65,9 +60,5 @@ class Histogram {
   std::vector<std::uint64_t> counts_;
   std::uint64_t total_ = 0;
 };
-
-/// Exact percentile of a sample vector (copies and sorts; for small data).
-/// q in [0,1]; linear interpolation between order statistics.
-double percentile(std::vector<double> samples, double q);
 
 }  // namespace poq::util

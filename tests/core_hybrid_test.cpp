@@ -98,8 +98,8 @@ TEST(Hybrid, WithDistillation) {
 
 // --- pinned trajectories -----------------------------------------------
 // Exact values recorded from the implementation that routed every assist
-// through ledger.entanglement_graph(1) + graph::shortest_path. The assist
-// search may change shape, never these numbers.
+// through graph::shortest_path over the live-pair graph (live_pair_graph
+// below). The assist search may change shape, never these numbers.
 
 struct HybridGolden {
   std::uint32_t rounds;
@@ -151,6 +151,17 @@ TEST(HybridGolden, CycleTwelveHopAssists) {
 
 // --- assist route search -------------------------------------------------
 
+/// The live entanglement graph: one edge per pair with count >= 1.
+graph::Graph live_pair_graph(const PairLedger& ledger) {
+  graph::Graph result(ledger.node_count());
+  for (NodeId x = 0; x < ledger.node_count(); ++x) {
+    ledger.row(x).for_each([&](NodeId y, std::uint32_t) {
+      if (y > x) result.add_edge(x, y);
+    });
+  }
+  return result;
+}
+
 TEST(AssistRouter, MatchesShortestPathOnRandomLedgers) {
   // The reference: graph::shortest_path over the entanglement graph with
   // the direct pair removed, kept only when it has 2..max_hops edges.
@@ -166,7 +177,7 @@ TEST(AssistRouter, MatchesShortestPathOnRandomLedgers) {
       const auto b = static_cast<NodeId>(rng.uniform_index(n));
       if (a != b) ledger.add(a, b, 1 + static_cast<std::uint32_t>(rng.uniform_index(3)));
     }
-    const graph::Graph live = ledger.entanglement_graph(1);
+    const graph::Graph live = live_pair_graph(ledger);
     for (const std::uint32_t max_hops :
          {0u, 1u, 2u, 3u, 5u, 8u, static_cast<std::uint32_t>(n)}) {
       AssistRouter router(n, max_hops);

@@ -90,20 +90,6 @@ TEST(PairLedger, ZeroAmountIsNoop) {
   EXPECT_EQ(ledger.count(0, 1), 2u);
 }
 
-TEST(PairLedger, EntanglementGraphThreshold) {
-  PairLedger ledger(4);
-  ledger.add(0, 1, 1);
-  ledger.add(1, 2, 3);
-  ledger.add(2, 3, 5);
-  const auto any = ledger.entanglement_graph(1);
-  EXPECT_EQ(any.edge_count(), 3u);
-  const auto strong = ledger.entanglement_graph(3);
-  EXPECT_EQ(strong.edge_count(), 2u);
-  EXPECT_TRUE(strong.has_edge(1, 2));
-  EXPECT_TRUE(strong.has_edge(2, 3));
-  EXPECT_FALSE(strong.has_edge(0, 1));
-}
-
 TEST(PairLedger, TotalPairsAccumulates) {
   PairLedger ledger(5);
   ledger.add(0, 1, 10);

@@ -5,7 +5,6 @@
 #include <map>
 #include <set>
 
-#include "graph/topology.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -69,29 +68,6 @@ TEST(Workload, RejectsBadArguments) {
   EXPECT_THROW(make_uniform_workload(1, 1, 1, rng), PreconditionError);
   EXPECT_THROW(make_uniform_workload(5, 0, 1, rng), PreconditionError);
   EXPECT_THROW(make_uniform_workload(5, 11, 1, rng), PreconditionError);  // > C(5,2)
-}
-
-TEST(Workload, HopCountsMatchBfs) {
-  util::Rng rng(7);
-  const graph::Graph graph = graph::make_cycle(12);
-  Workload workload;
-  workload.pairs = {NodePair(0, 6), NodePair(0, 1), NodePair(2, 11)};
-  workload.sequence = {0, 1, 2, 0};
-  const auto hops = request_hop_counts(workload, graph);
-  ASSERT_EQ(hops.size(), 4u);
-  EXPECT_EQ(hops[0], 6u);
-  EXPECT_EQ(hops[1], 1u);
-  EXPECT_EQ(hops[2], 3u);  // 11 -> 0 -> 1 -> 2 via wraparound
-  EXPECT_EQ(hops[3], 6u);
-}
-
-TEST(Workload, HopCountsRejectDisconnected) {
-  graph::Graph graph(4);
-  graph.add_edge(0, 1);
-  Workload workload;
-  workload.pairs = {NodePair(0, 3)};
-  workload.sequence = {0};
-  EXPECT_THROW(request_hop_counts(workload, graph), PreconditionError);
 }
 
 TEST(Workload, DeterministicGivenRng) {

@@ -25,87 +25,40 @@ TEST(Message, PairUpdateIsCompact) {
 }
 
 TEST(Message, AllFourBitCombinationsSurvive) {
+  // The Bell-measurement bits travel in the notice's last byte: z is bit
+  // 0, x is bit 1.
   for (bool z : {false, true}) {
     for (bool x : {false, true}) {
       PairUpdate m;
       m.z_bit = z;
       m.x_bit = x;
-      const Message decoded = decode(encode(m));
-      const auto& round = std::get<PairUpdate>(decoded);
-      EXPECT_EQ(round.z_bit, z);
-      EXPECT_EQ(round.x_bit, x);
+      EXPECT_EQ(encode(m).back(), (z ? 1u : 0u) | (x ? 2u : 0u)) << z << x;
     }
   }
 }
 
-TEST(Message, CountUpdateRoundTrip) {
-  CountUpdate original;
-  original.reporter = 4;
-  original.version = 123456;
-  original.entries = {{0, 3}, {2, 0}, {9, 77}};
-  const Message decoded = decode(encode(original));
-  const auto& m = std::get<CountUpdate>(decoded);
-  EXPECT_EQ(m.reporter, 4u);
-  EXPECT_EQ(m.version, 123456u);
-  ASSERT_EQ(m.entries.size(), 3u);
-  EXPECT_EQ(m.entries[2].peer, 9u);
-  EXPECT_EQ(m.entries[2].count, 77u);
-}
+// The wire layout byte for byte, one message of each kind: the tag, then
+// the fields in declaration order as LEB128 varints (seven bits a byte,
+// low group first, high bit set while more follow), with the z/x bits and
+// the accept flag as one raw byte. Values straddle the one-, two- and
+// three-byte varint lengths, so a reordered field or a changed varint
+// shows here before it moves any control_bytes.
+TEST(Message, EncodeGoldenBytes) {
+  using Bytes = std::vector<std::uint8_t>;
+  CountUpdate count;
+  count.reporter = 4;
+  count.version = 300;
+  count.entries = {{0, 3}, {9, 128}};
+  EXPECT_EQ(encode(count), (Bytes{2, 4, 0xAC, 0x02, 2, 0, 3, 9, 0x80, 0x01}));
 
-TEST(Message, CountUpdateEmptyEntries) {
-  CountUpdate original;
-  original.reporter = 1;
-  const Message decoded = decode(encode(original));
-  const auto& m = std::get<CountUpdate>(decoded);
-  EXPECT_TRUE(m.entries.empty());
-}
+  const PairUpdate notice{3, 1, 5, 16384, true, false};
+  EXPECT_EQ(encode(notice), (Bytes{6, 3, 1, 5, 0x80, 0x80, 0x01, 0x01}));
 
-TEST(Message, PairUpdateRoundTrip) {
-  PairUpdate original;
-  original.to = 6;
-  original.new_partner = 14;
-  original.qubit = 9001;
-  original.new_partner_qubit = 9002;
-  original.z_bit = true;
-  original.x_bit = true;
-  const Message decoded = decode(encode(original));
-  const auto& m = std::get<PairUpdate>(decoded);
-  EXPECT_EQ(m.to, 6u);
-  EXPECT_EQ(m.new_partner, 14u);
-  EXPECT_EQ(m.qubit, 9001u);
-  EXPECT_EQ(m.new_partner_qubit, 9002u);
-  EXPECT_TRUE(m.z_bit);
-  EXPECT_TRUE(m.x_bit);
-}
+  const ConsumeOffer offer{2, 9, 555, 127, 128};
+  EXPECT_EQ(encode(offer), (Bytes{7, 2, 9, 0xAB, 0x04, 0x7F, 0x80, 0x01}));
 
-TEST(Message, ConsumeOfferRoundTrip) {
-  ConsumeOffer original;
-  original.from = 2;
-  original.to = 9;
-  original.request_id = 555;
-  original.initiator_qubit = 1234567;
-  original.responder_qubit = 7654321;
-  const Message decoded = decode(encode(original));
-  const auto& m = std::get<ConsumeOffer>(decoded);
-  EXPECT_EQ(m.from, 2u);
-  EXPECT_EQ(m.to, 9u);
-  EXPECT_EQ(m.request_id, 555u);
-  EXPECT_EQ(m.initiator_qubit, 1234567u);
-  EXPECT_EQ(m.responder_qubit, 7654321u);
-}
-
-TEST(Message, ConsumeReplyRoundTrip) {
-  ConsumeReply original;
-  original.from = 9;
-  original.to = 2;
-  original.request_id = 555;
-  original.accept = true;
-  const Message decoded = decode(encode(original));
-  const auto& m = std::get<ConsumeReply>(decoded);
-  EXPECT_EQ(m.from, 9u);
-  EXPECT_EQ(m.to, 2u);
-  EXPECT_EQ(m.request_id, 555u);
-  EXPECT_TRUE(m.accept);
+  const ConsumeReply reply{9, 2, 1, true};
+  EXPECT_EQ(encode(reply), (Bytes{8, 9, 2, 1, 1}));
 }
 
 TEST(Message, TypeTagsStable) {
@@ -118,21 +71,6 @@ TEST(Message, TypeTagsStable) {
   EXPECT_EQ(encode(PairUpdate{}).front(), 6u);
   EXPECT_EQ(encode(ConsumeOffer{}).front(), 7u);
   EXPECT_EQ(encode(ConsumeReply{}).front(), 8u);
-}
-
-TEST(Message, DecodeRejectsUnknownTag) {
-  const std::vector<std::uint8_t> junk{200, 0, 0};
-  EXPECT_THROW((void)decode(junk), PreconditionError);
-}
-
-TEST(Message, DecodeRejectsTruncatedBody) {
-  CountUpdate update;
-  update.reporter = 42;
-  update.entries = {{1, 2}, {3, 4}};
-  auto bytes = encode(update);
-  bytes.pop_back();  // cut the last entry short
-  bytes.pop_back();
-  EXPECT_THROW((void)decode(bytes), PreconditionError);
 }
 
 TEST(Message, EncodedSizeMatchesEncodeLength) {

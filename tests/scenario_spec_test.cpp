@@ -5,6 +5,7 @@
 #include <functional>
 #include <string>
 
+#include "mutation_fuzz.hpp"
 #include "scenario/protocol.hpp"
 #include "util/error.hpp"
 
@@ -246,6 +247,40 @@ TEST(ScenarioSpec, InstantiateIsDeterministic) {
   for (std::size_t i = 0; i < a.workload.pairs.size(); ++i) {
     EXPECT_EQ(a.workload.pairs[i], b.workload.pairs[i]);
   }
+}
+
+// The fuzzer's first find: `"requests": -1` was cast to size_t, which is
+// undefined (UBSan's float-cast-overflow stops there). Every unsigned
+// field now refuses values it cannot hold.
+TEST(ScenarioSpecFuzz, OutOfRangeCountsAreRefused) {
+  const std::string frame =
+      R"("protocol":"balancing","topology":"cycle","consumer_pairs":2,"seed":1,)";
+  const auto parse = [&frame](const std::string& rest) {
+    return ScenarioSpec::from_json(util::json::Value::parse("{" + frame + rest + "}"));
+  };
+  EXPECT_EQ(parse(R"("nodes":9,"requests":3)").requests, 3u);
+  EXPECT_THROW((void)parse(R"("nodes":9,"requests":-1)"), PreconditionError);
+  EXPECT_THROW((void)parse(R"("nodes":1e30,"requests":3)"), PreconditionError);
+  EXPECT_THROW(
+      (void)parse(R"("nodes":9,"requests":3,"faults":[{"round":1,"event":"node-down","node":-2}])"),
+      PreconditionError);
+  EXPECT_THROW((void)parse(R"("nodes":9,"requests":3,)"
+                           R"("faults":[{"round":1,"event":"link-up","edge":[0,4294967296]}])"),
+               PreconditionError);
+}
+
+// Mutants of the example spec files, faults arrays and topology_params
+// included, through what the daemon does to a submitted spec: from_json,
+// then the frame and knob checks. Each is accepted or throws.
+TEST(ScenarioSpecFuzz, MutatedSpecFilesParseOrThrow) {
+  const fuzz::FuzzTally tally =
+      fuzz::fuzz_inputs(fuzz::example_specs(), 0x5EED3, 5000, [](const std::string& text) {
+        const ScenarioSpec spec = ScenarioSpec::from_json(util::json::Value::parse(text));
+        validate_frame(spec);
+        registry().validate_knobs(registry().find(spec.protocol), spec);
+      });
+  EXPECT_GT(tally.parsed, 0u);
+  EXPECT_GT(tally.refused, 0u);
 }
 
 }  // namespace

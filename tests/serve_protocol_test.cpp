@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
+#include "mutation_fuzz.hpp"
 #include "scenario/protocol.hpp"
 #include "util/error.hpp"
 
@@ -75,6 +79,9 @@ TEST(ServeProtocol, ParseRequestValidatesPerOpFields) {
   EXPECT_THROW((void)parse_request("{\"op\":\"cancel\",\"job\":-1}"),
                PreconditionError);
   EXPECT_THROW((void)parse_request("{\"op\":\"cancel\",\"job\":1.5}"),
+               PreconditionError);
+  // 2^64 does not fit the job id; casting it would be undefined.
+  EXPECT_THROW((void)parse_request("{\"op\":\"cancel\",\"job\":18446744073709551616}"),
                PreconditionError);
 }
 
@@ -155,6 +162,33 @@ TEST(ServeProtocol, RegistryToJsonListsProtocolsAndKnobs) {
     EXPECT_TRUE(saw_distillation);
   }
   EXPECT_TRUE(saw_balancing);
+}
+
+// Mutants of each request frame, and of one connection's whole stream of
+// them, fed to a FrameReader in small chunks as the daemon's connection
+// loop does: every frame it yields goes through parse_request, and each
+// mutant either parses throughout or throws.
+TEST(ServeProtocolFuzz, MutatedStreamsParseOrThrow) {
+  std::vector<std::string> inputs;
+  std::string stream;
+  for (const std::string& frame : fuzz::serve_frames()) {
+    inputs.push_back(frame + "\n");
+    stream += frame + "\n";
+  }
+  inputs.push_back(stream);
+  const fuzz::FuzzTally tally =
+      fuzz::fuzz_inputs(inputs, 0x5EED2, 600, [](const std::string& bytes) {
+        FrameReader reader;
+        const std::size_t chunk = 1 + bytes.size() % 61;
+        for (std::size_t at = 0; at < bytes.size(); at += chunk) {
+          reader.feed(std::string_view(bytes).substr(at, chunk));
+          while (const std::optional<std::string> frame = reader.next()) {
+            (void)parse_request(*frame);
+          }
+        }
+      });
+  EXPECT_GT(tally.parsed, 0u);
+  EXPECT_GT(tally.refused, 0u);
 }
 
 }  // namespace

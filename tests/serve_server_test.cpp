@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -549,6 +550,43 @@ TEST(ServeServer, SequentialConnectionsDoNotKeepTheirThreadStacks) {
   const std::uint64_t after = vm_size_kib();
   EXPECT_LT(after, before + 256 * 1024)
       << "VmSize grew " << (after - before) / 1024 << " MiB over 300 connections";
+}
+
+// The daemon serves at most 64 connections at once, one thread each: the
+// 65th reads one too_many_connections frame and is closed, and once a
+// held client closes, its slot serves a new one.
+TEST(ServeServer, ConnectionsOverTheCapGetAnErrorFrame) {
+  const std::string socket = unique_socket_path();
+  ServerFixture fixture(options_with(socket, 1, 4));
+  std::vector<std::unique_ptr<Client>> held;
+  for (int i = 0; i < 64; ++i) {
+    held.push_back(std::make_unique<Client>(socket));
+    held.back()->connect();
+    // A reply shows that the listener gave this one a thread.
+    ASSERT_TRUE(held.back()->request(op_request("status")).at("ok").as_bool()) << i;
+  }
+  Client extra(socket);
+  extra.connect();
+  const Value refused = extra.read_frame();
+  ASSERT_FALSE(refused.at("ok").as_bool()) << refused.dump();
+  EXPECT_EQ(refused.at("code").as_string(), "too_many_connections");
+  EXPECT_THROW((void)extra.read_frame(), PreconditionError);  // closed
+
+  // The freed slot is reaped at the first accept after its loop ends,
+  // which may come after the next connect, so that one may be refused.
+  held.pop_back();
+  bool served = false;
+  for (int attempt = 0; attempt < 200 && !served; ++attempt) {
+    Client next(socket);
+    next.connect();
+    try {
+      served = next.request(op_request("list")).at("ok").as_bool();
+    } catch (const PreconditionError&) {
+      // Refused and closed before the request was sent.
+    }
+    if (!served) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(served);
 }
 
 }  // namespace

@@ -91,8 +91,7 @@ namespace {
 
 // Random add/remove churn on the sparse partner rows vs a dense count
 // matrix over `kActive` nodes spread evenly over a ledger of `nodes`:
-// counts, totals and the thresholded entanglement graph must agree after
-// every operation batch, and check_invariants() must hold after every
+// counts, totals and partner rows must agree after every operation batch, and check_invariants() must hold after every
 // operation. Erasing rows to zero and re-inserting them exercises the
 // partner-slot insert/erase paths (and, below the mirror limit, the
 // mirror's zero for an erased pair) that the dense array never had.
@@ -147,14 +146,6 @@ void ledger_fuzz_against_dense(std::size_t nodes) {
           [&row](core::NodeId y, std::uint32_t) { row.push_back(y); });
       ASSERT_EQ(row, expected) << "batch " << batch << " row " << x;
     }
-    const graph::Graph entanglement = ledger.entanglement_graph(2);
-    std::size_t expected_edges = 0;
-    for (std::size_t x = 0; x < kActive; ++x) {
-      for (std::size_t y = x + 1; y < kActive; ++y) {
-        if (dense[x][y] >= 2) ++expected_edges;
-      }
-    }
-    ASSERT_EQ(entanglement.edge_count(), expected_edges) << "batch " << batch;
   }
 }
 

@@ -22,8 +22,8 @@ TEST(Topology, CycleStructure) {
 
 TEST(Topology, CycleDiameterIsHalf) {
   const Graph graph = make_cycle(10);
-  EXPECT_EQ(hop_distance(graph, 0, 5), 5u);
-  EXPECT_EQ(hop_distance(graph, 0, 7), 3u);
+  EXPECT_EQ(bfs_distances(graph, 0)[5], 5u);
+  EXPECT_EQ(bfs_distances(graph, 0)[7], 3u);
 }
 
 TEST(Topology, PathStructure) {
@@ -31,7 +31,7 @@ TEST(Topology, PathStructure) {
   EXPECT_EQ(graph.edge_count(), 4u);
   EXPECT_EQ(graph.degree(0), 1u);
   EXPECT_EQ(graph.degree(2), 2u);
-  EXPECT_EQ(hop_distance(graph, 0, 4), 4u);
+  EXPECT_EQ(bfs_distances(graph, 0)[4], 4u);
 }
 
 TEST(Topology, StarStructure) {

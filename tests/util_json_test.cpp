@@ -6,7 +6,9 @@
 #include <limits>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "mutation_fuzz.hpp"
 #include "util/error.hpp"
 
 namespace poq::util::json {
@@ -175,6 +177,20 @@ TEST(Json, ParseErrorExcerptClampsToTheOffendingLine) {
     ASSERT_NE(caret_line, std::string::npos);
     EXPECT_LE(caret - caret_line, 64u);
   }
+}
+
+// Mutants of the spec files and serve frames: each parses or throws, and
+// whatever parses dumps to text that parses back to the same document.
+TEST(JsonFuzz, MutantsParseOrThrow) {
+  std::vector<std::string> inputs = fuzz::example_specs();
+  for (std::string& frame : fuzz::serve_frames()) inputs.push_back(std::move(frame));
+  const fuzz::FuzzTally tally =
+      fuzz::fuzz_inputs(inputs, 0x5EED1, 2000, [](const std::string& text) {
+        const Value value = Value::parse(text);
+        ASSERT_EQ(Value::parse(value.dump()), value) << text;
+      });
+  EXPECT_GT(tally.parsed, 0u);
+  EXPECT_GT(tally.refused, 0u);
 }
 
 }  // namespace

@@ -43,41 +43,9 @@ TEST(RunningStats, MatchesDirectComputation) {
   for (double x : data) ss += (x - mean) * (x - mean);
   EXPECT_NEAR(stats.mean(), mean, 1e-12);
   EXPECT_NEAR(stats.variance(), ss / static_cast<double>(data.size()), 1e-12);
-  EXPECT_NEAR(stats.sample_variance(), ss / static_cast<double>(data.size() - 1),
-              1e-12);
   EXPECT_DOUBLE_EQ(stats.min(), -1.0);
   EXPECT_DOUBLE_EQ(stats.max(), 7.5);
   EXPECT_NEAR(stats.sum(), sum, 1e-12);
-}
-
-TEST(RunningStats, MergeEqualsSequential) {
-  Rng rng(5);
-  RunningStats combined;
-  RunningStats left;
-  RunningStats right;
-  for (int i = 0; i < 500; ++i) {
-    const double v = rng.normal(3.0, 1.5);
-    combined.add(v);
-    (i % 2 == 0 ? left : right).add(v);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), combined.count());
-  EXPECT_NEAR(left.mean(), combined.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), combined.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), combined.min());
-  EXPECT_DOUBLE_EQ(left.max(), combined.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats stats;
-  stats.add(1.0);
-  stats.add(2.0);
-  RunningStats empty;
-  stats.merge(empty);
-  EXPECT_EQ(stats.count(), 2u);
-  empty.merge(stats);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_NEAR(empty.mean(), 1.5, 1e-12);
 }
 
 TEST(Histogram, CountsAndClamping) {
@@ -113,24 +81,6 @@ TEST(Histogram, QuantileApproximatesUniform) {
 TEST(Histogram, RejectsBadConstruction) {
   EXPECT_THROW(Histogram(1.0, 1.0, 4), PreconditionError);
   EXPECT_THROW(Histogram(0.0, 1.0, 0), PreconditionError);
-}
-
-TEST(Percentile, ExactValues) {
-  std::vector<double> data{5.0, 1.0, 3.0, 2.0, 4.0};
-  EXPECT_DOUBLE_EQ(percentile(data, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(data, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(percentile(data, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(percentile(data, 0.25), 2.0);
-}
-
-TEST(Percentile, Interpolates) {
-  std::vector<double> data{0.0, 10.0};
-  EXPECT_DOUBLE_EQ(percentile(data, 0.5), 5.0);
-  EXPECT_DOUBLE_EQ(percentile(data, 0.75), 7.5);
-}
-
-TEST(Percentile, RejectsEmpty) {
-  EXPECT_THROW(percentile({}, 0.5), PreconditionError);
 }
 
 }  // namespace
