@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -59,6 +61,157 @@ TEST(Message, EncodeGoldenBytes) {
 
   const ConsumeReply reply{9, 2, 1, true};
   EXPECT_EQ(encode(reply), (Bytes{8, 9, 2, 1, 1}));
+}
+
+/// Reads encode()'s layout back in the tests: a raw byte, or an LEB128
+/// varint. The library has no decoder (no run reads bytes), so the round
+/// trips below check encode against this reader of the documented layout.
+class WireReader {
+ public:
+  explicit WireReader(std::vector<std::uint8_t> bytes) : bytes_(std::move(bytes)) {}
+
+  std::uint8_t read_u8() {
+    EXPECT_LT(pos_, bytes_.size()) << "read past the end";
+    return pos_ < bytes_.size() ? bytes_[pos_++] : 0;
+  }
+  std::uint64_t read_varint() {
+    std::uint64_t value = 0;
+    for (int shift = 0; shift < 64; shift += 7) {
+      const std::uint8_t byte = read_u8();
+      value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
+      if ((byte & 0x80) == 0) return value;
+    }
+    ADD_FAILURE() << "varint longer than ten bytes";
+    return value;
+  }
+  bool exhausted() const { return pos_ == bytes_.size(); }
+
+ private:
+  std::vector<std::uint8_t> bytes_;
+  std::size_t pos_ = 0;
+};
+
+/// The count report carrying `value` as its version: the one field that
+/// holds any 64-bit value, so the varint tests write through it.
+std::vector<std::uint8_t> version_bytes(std::uint64_t value) {
+  CountUpdate m;
+  m.version = value;
+  return encode(m);
+}
+
+/// The varint `version_bytes(value)` holds, read back; the whole message
+/// must be consumed.
+std::uint64_t read_version(const std::vector<std::uint8_t>& bytes) {
+  WireReader reader(bytes);
+  EXPECT_EQ(reader.read_u8(), static_cast<std::uint8_t>(MessageType::kCountUpdate));
+  EXPECT_EQ(reader.read_varint(), 0u);  // reporter
+  const std::uint64_t version = reader.read_varint();
+  EXPECT_EQ(reader.read_varint(), 0u);  // entry count
+  EXPECT_TRUE(reader.exhausted());
+  return version;
+}
+
+TEST(Bytes, VarintSmallValuesOneByte) {
+  const std::size_t empty = encode(CountUpdate{}).size();
+  for (std::uint64_t v : {0ULL, 1ULL, 127ULL}) {
+    const auto bytes = version_bytes(v);
+    EXPECT_EQ(bytes.size(), empty) << v;
+    EXPECT_EQ(read_version(bytes), v);
+  }
+}
+
+TEST(Bytes, VarintBoundaries) {
+  const std::size_t empty = encode(CountUpdate{}).size();
+  const std::vector<std::pair<std::uint64_t, std::size_t>> cases = {
+      {128, 2},
+      {16383, 2},
+      {16384, 3},
+      {std::uint64_t{1} << 32, 5},
+      {std::numeric_limits<std::uint64_t>::max(), 10},
+  };
+  for (const auto& [v, length] : cases) {
+    const auto bytes = version_bytes(v);
+    EXPECT_EQ(bytes.size(), empty - 1 + length) << v;
+    EXPECT_EQ(read_version(bytes), v);
+  }
+}
+
+TEST(Message, CountUpdateRoundTrip) {
+  CountUpdate original;
+  original.reporter = 4;
+  original.version = 123456;
+  original.entries = {{0, 3}, {2, 0}, {9, 77}};
+  WireReader reader(encode(original));
+  EXPECT_EQ(reader.read_u8(), static_cast<std::uint8_t>(MessageType::kCountUpdate));
+  EXPECT_EQ(reader.read_varint(), 4u);
+  EXPECT_EQ(reader.read_varint(), 123456u);
+  ASSERT_EQ(reader.read_varint(), 3u);
+  for (const CountUpdate::Entry& entry : original.entries) {
+    EXPECT_EQ(reader.read_varint(), entry.peer);
+    EXPECT_EQ(reader.read_varint(), entry.count);
+  }
+  EXPECT_TRUE(reader.exhausted());
+}
+
+TEST(Message, CountUpdateEmptyEntries) {
+  CountUpdate original;
+  original.reporter = 1;
+  WireReader reader(encode(original));
+  EXPECT_EQ(reader.read_u8(), static_cast<std::uint8_t>(MessageType::kCountUpdate));
+  EXPECT_EQ(reader.read_varint(), 1u);
+  EXPECT_EQ(reader.read_varint(), 0u);
+  EXPECT_EQ(reader.read_varint(), 0u);
+  EXPECT_TRUE(reader.exhausted());
+}
+
+TEST(Message, PairUpdateRoundTrip) {
+  PairUpdate original;
+  original.to = 6;
+  original.new_partner = 14;
+  original.qubit = 9001;
+  original.new_partner_qubit = 9002;
+  original.z_bit = true;
+  original.x_bit = true;
+  WireReader reader(encode(original));
+  EXPECT_EQ(reader.read_u8(), static_cast<std::uint8_t>(MessageType::kPairUpdate));
+  EXPECT_EQ(reader.read_varint(), 6u);
+  EXPECT_EQ(reader.read_varint(), 14u);
+  EXPECT_EQ(reader.read_varint(), 9001u);
+  EXPECT_EQ(reader.read_varint(), 9002u);
+  EXPECT_EQ(reader.read_u8(), 3u);  // z_bit | x_bit << 1
+  EXPECT_TRUE(reader.exhausted());
+}
+
+TEST(Message, ConsumeOfferRoundTrip) {
+  ConsumeOffer original;
+  original.from = 2;
+  original.to = 9;
+  original.request_id = 555;
+  original.initiator_qubit = 1234567;
+  original.responder_qubit = 7654321;
+  WireReader reader(encode(original));
+  EXPECT_EQ(reader.read_u8(), static_cast<std::uint8_t>(MessageType::kConsumeOffer));
+  EXPECT_EQ(reader.read_varint(), 2u);
+  EXPECT_EQ(reader.read_varint(), 9u);
+  EXPECT_EQ(reader.read_varint(), 555u);
+  EXPECT_EQ(reader.read_varint(), 1234567u);
+  EXPECT_EQ(reader.read_varint(), 7654321u);
+  EXPECT_TRUE(reader.exhausted());
+}
+
+TEST(Message, ConsumeReplyRoundTrip) {
+  ConsumeReply original;
+  original.from = 9;
+  original.to = 2;
+  original.request_id = 555;
+  original.accept = true;
+  WireReader reader(encode(original));
+  EXPECT_EQ(reader.read_u8(), static_cast<std::uint8_t>(MessageType::kConsumeReply));
+  EXPECT_EQ(reader.read_varint(), 9u);
+  EXPECT_EQ(reader.read_varint(), 2u);
+  EXPECT_EQ(reader.read_varint(), 555u);
+  EXPECT_EQ(reader.read_u8(), 1u);
+  EXPECT_TRUE(reader.exhausted());
 }
 
 TEST(Message, TypeTagsStable) {
