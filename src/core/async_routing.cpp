@@ -40,7 +40,7 @@ class Driver {
         ledger_(n_),
         waiting_(n_),
         pool_(config.tick.threads),
-        vp_(n_, pool_, config.tick.shards) {
+        vp_(n_, pool_) {
     timeout_epochs_ = std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(std::ceil(config.timeout / config.dt)));
     if (config.faults.enabled()) {

@@ -46,8 +46,8 @@ struct AsyncRoutingConfig {
   double dt = 0.25;
   double duration = 400.0;
   std::uint64_t seed = 1;
-  /// Intra-run engine knobs (vertex-program substrate; results are
-  /// bit-identical for every threads/shards setting).
+  /// Intra-run engine knob (vertex-program substrate; results are
+  /// bit-identical for every threads setting).
   sim::TickConcurrency tick;
 
   /// Fault-injection plan (one fault round per epoch). A crash destroys

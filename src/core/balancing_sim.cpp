@@ -74,7 +74,7 @@ void BalancingSimulation::fault_phase() {
   if (!fault_plan_) return;
   // Serial phase between the round boundary and the generation kernel:
   // the plan's keyed streams make the trajectory identical at every
-  // threads/shards setting, and each crashed node's pairs leave the
+  // threads setting, and each crashed node's pairs leave the
   // ledger in one PairLedger::remove_node.
   const std::vector<NodeId>& crashed = fault_plan_->advance(result_.rounds);
   for (const NodeId x : crashed) {
@@ -106,7 +106,7 @@ void BalancingSimulation::swap_phase(const sim::NetworkState::DecideFn& decide,
                                      const sim::NetworkState::ObserveFn& observe) {
   // Synchronous-round semantics: every node picks its best preferable swap
   // against the frozen post-generation ledger (the expensive O(P^2) scan,
-  // fanned across node shards), then the choices commit serially in
+  // fanned across node chunks), then the choices commit serially in
   // canonical rotating order with preferability re-checks — so the
   // commit order, not the worker schedule, decides every conflict.
   // Fractional-D rounding draws come from per-(round, node, attempt)
@@ -149,7 +149,7 @@ std::optional<NodePair> BalancingSimulation::head_pair() const {
 
 void BalancingSimulation::arrival_phase() {
   // Serial phase, one keyed stream per round: arrivals are deterministic
-  // at every threads/shards setting and independent of the round's other
+  // at every threads setting and independent of the round's other
   // draws.
   util::Rng rng = util::Rng::keyed(config_.seed,
                                    sim::stream_tag::kConsumerArrival,

@@ -15,7 +15,7 @@
 // The round runs on the tick engine (sim::ParallelTickEngine): its
 // generation/swap phases fan across a worker pool with counter-based
 // per-entity RNG streams, so results are bit-identical for every
-// threads/shards setting (see docs/ARCHITECTURE.md for the determinism
+// threads setting (see docs/ARCHITECTURE.md for the determinism
 // contract).
 #pragma once
 
@@ -51,7 +51,7 @@ struct BalancingConfig {
   std::uint64_t seed = 1;
   /// §6 policy knobs (distance-penalized swapping).
   BalancerPolicy policy;
-  /// Intra-run threads/shards/decide knobs of the tick engine.
+  /// Intra-run threads knob of the tick engine.
   sim::TickConcurrency tick;
 
   // --- streaming workload (0 = fixed-sequence mode) --------------------

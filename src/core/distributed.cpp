@@ -199,7 +199,7 @@ class Driver {
         scanned_(n_, 0),
         mutated_epoch_(n_, kNever),
         pool_(config.tick.threads),
-        vp_(n_, pool_, config.tick.shards),
+        vp_(n_, pool_),
         report_cost_(n_) {
     if (config.faults.enabled()) {
       fault_plan_ =

@@ -17,8 +17,8 @@
 // CountUpdate messages to a node's current believed partners instead of
 // dense n-squared view matrices rebroadcast to all, and the per-epoch
 // apply/report/decide kernels fan across the ParallelTickEngine pool
-// under the canonical message-merge order, so threads/shards are real —
-// and result-invariant — knobs. Every scanning node decides from
+// under the canonical message-merge order, so threads is a real —
+// and result-invariant — knob. Every scanning node decides from
 // scratch.
 //
 // Distillation is out of scope here (D = 1): the consistency questions
@@ -55,9 +55,9 @@ struct DistributedConfig {
   /// (sub-epoch latency resolves within the sending epoch's serial phase).
   double dt = 0.25;
   std::uint64_t seed = 1;
-  /// Intra-run engine knobs: the apply and report/decide kernels fan
+  /// Intra-run engine knob: the apply and report/decide kernels fan
   /// across a worker pool; results are bit-identical for every
-  /// threads/shards setting (vertex-program canonical merge).
+  /// threads setting (vertex-program canonical merge).
   sim::TickConcurrency tick;
 
   /// Fault-injection plan (one fault round per epoch). A crash measures

@@ -92,7 +92,7 @@ NodeId pick_distill_peer(const sim::NetworkState& state,
 /// (timestamp, node id) order, each re-validated against the live state)
 /// -> consume (head-of-line at the slice boundary). Every draw is keyed
 /// per (slice, entity[, event]) so results are bit-identical for every
-/// threads/shards setting.
+/// threads setting.
 FidelitySimResult run_fidelity_sim(const graph::Graph& generation_graph,
                                    const Workload& workload,
                                    const FidelitySimConfig& config) {
@@ -155,10 +155,6 @@ FidelitySimResult run_fidelity_sim(const graph::Graph& generation_graph,
   std::vector<MaxMinBalancer::Scratch> worker_scratch(
       state.pool().thread_count());
   for (MaxMinBalancer::Scratch& scratch : worker_scratch) scratch.reserve(n);
-  const std::size_t generate_grain = sim::ParallelTickEngine::resolve_grain(
-      config.tick.shards, edge_count, sim::grain::kGenerate);
-  const std::size_t decide_grain = sim::ParallelTickEngine::resolve_grain(
-      config.tick.shards, n, sim::grain::kDecide);
   std::vector<NodeId> purge_partners;  // commit's lazy-purge row copy
   purge_partners.reserve(n);
 
@@ -196,7 +192,7 @@ FidelitySimResult run_fidelity_sim(const graph::Graph& generation_graph,
     {
       const sim::PhaseStopwatch stopwatch(state.timers().generate_ns);
       state.pool().run_chunks(
-          edge_count, generate_grain, &state.timers().generate_load,
+          edge_count, sim::grain::kGenerate, &state.timers().generate_load,
           [&](std::size_t begin, std::size_t end, unsigned) {
         util::Rng::keyed_batch(
             config.seed, sim::stream_tag::kGeneration, s, begin,
@@ -230,7 +226,7 @@ FidelitySimResult run_fidelity_sim(const graph::Graph& generation_graph,
     {
       const sim::PhaseStopwatch stopwatch(state.timers().decide_ns);
       state.pool().run_chunks(
-          n, decide_grain, &state.timers().decide_load,
+          n, sim::grain::kDecide, &state.timers().decide_load,
           [&](std::size_t begin, std::size_t end, unsigned worker) {
         MaxMinBalancer::Scratch& scratch = worker_scratch[worker];
         util::Rng::keyed_batch(

@@ -18,7 +18,7 @@
 // each entity's Poisson event times from counter-based keyed streams,
 // decisions are computed against the slice snapshot in parallel, and
 // commits execute in canonical (timestamp, node id) order — so results
-// are bit-identical for every threads/shards setting.
+// are bit-identical for every threads setting.
 #pragma once
 
 #include <cstdint>
@@ -59,7 +59,7 @@ struct FidelitySimConfig {
   /// Simulated duration.
   double duration = 500.0;
   std::uint64_t seed = 1;
-  /// Intra-run threads/shards of the slice-kernel engine.
+  /// Intra-run threads of the slice-kernel engine.
   sim::TickConcurrency tick;
 
   /// Fault-injection plan. A fault "round" here is one slice of width

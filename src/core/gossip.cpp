@@ -213,9 +213,9 @@ std::size_t delivery_depth(const std::vector<std::vector<std::uint32_t>>& distan
 /// a per-(round, node) keyed stream) -> message-merge kernel
 /// (deliveries applied in canonical (send round, sender, target) order)
 /// -> decide kernel (best preferable swap under stale views, fanned over
-/// node shards against the frozen ledger) -> serial commit (re-checked
+/// node chunks against the frozen ledger) -> serial commit (re-checked
 /// against live own counts and the frozen view). Results are
-/// bit-identical for every threads/shards setting.
+/// bit-identical for every threads setting.
 GossipResult run_gossip(const graph::Graph& generation_graph, const Workload& workload,
                         const GossipConfig& config) {
   require(config.fanout >= 1, "GossipConfig: fanout must be >= 1");

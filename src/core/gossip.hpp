@@ -28,9 +28,9 @@
 //
 // The round runs as phase kernels on the tick engine: a deterministic
 // per-round message merge in canonical sender order, swap decisions
-// fanned over node shards against the frozen ledger, and the serial
+// fanned over node chunks against the frozen ledger, and the serial
 // commit in canonical rotating order — so results are bit-identical for
-// every threads/shards setting (see docs/ARCHITECTURE.md).
+// every threads setting (see docs/ARCHITECTURE.md).
 #pragma once
 
 #include <cstdint>

@@ -78,8 +78,7 @@ PlannedPathResult run_planned_path(const graph::Graph& generation_graph,
   }
 
   sim::ParallelTickEngine pool(config.tick.threads);
-  const std::size_t grain = sim::ParallelTickEngine::resolve_grain(
-      config.tick.shards, generation_graph.edge_count(), sim::grain::kGenerate);
+  constexpr std::size_t grain = sim::grain::kGenerate;
   std::vector<std::uint64_t> chunk_generated(
       (generation_graph.edge_count() + grain - 1) / grain, 0);
 
@@ -145,7 +144,7 @@ PlannedPathResult run_planned_path(const graph::Graph& generation_graph,
     // 0. Fault phase: advance the plan, destroy the raw pairs buffered at
     //    a crashed node's links (claimed pairs included — the in-flight
     //    demand resets). Serial, keyed streams: the trajectory is
-    //    identical at every threads/shards setting.
+    //    identical at every threads setting.
     if (fault_plan) {
       const std::vector<NodeId>& crashed = fault_plan->advance(result.rounds);
       for (const NodeId x : crashed) {
@@ -172,7 +171,7 @@ PlannedPathResult run_planned_path(const graph::Graph& generation_graph,
     const double whole = std::floor(rate);
     const double frac = rate - whole;
     // Per-(round, edge) streams + disjoint buffer slices per chunk; the
-    // per-chunk totals merge in chunk order, so any threads/shards setting
+    // per-chunk totals merge in chunk order, so any threads setting
     // produces the same result bit for bit. Masked edges skip their draw —
     // each edge's stream is keyed, so no other stream shifts.
     pool.run_chunks(buffer.size(), grain, nullptr,

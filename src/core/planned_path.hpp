@@ -56,9 +56,9 @@ struct PlannedPathConfig {
   std::uint32_t max_rounds = 200000;
   std::uint64_t seed = 1;
   PlannedPathMode mode = PlannedPathMode::kConnectionOriented;
-  /// Intra-run engine knobs: the per-round generation fill is chunked
+  /// Intra-run engine knob: the per-round generation fill is chunked
   /// across a worker pool (per-(round, edge) RNG streams, so results are
-  /// bit-identical for any threads/shards). Admission/allocation stay
+  /// bit-identical for any threads). Admission/allocation stay
   /// serial — they are head-of-line by definition.
   sim::TickConcurrency tick;
 

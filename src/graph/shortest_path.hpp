@@ -48,14 +48,14 @@ inline constexpr std::uint32_t kUnreachable = std::numeric_limits<std::uint32_t>
 ///   * `dense()`: materialize the full matrix once and serve everything
 ///     from it. Gossip latencies and the detour-slack decide read
 ///     distances per pair per round (and concurrently, from decide
-///     shards), so they opt into the O(n^2) deliberately — megascale
+///     chunks), so they opt into the O(n^2) deliberately — megascale
 ///     paths simply never call it.
 ///
 /// Values are pure BFS results: caching/eviction can never change what a
 /// query returns, so the oracle is transparent to the determinism
 /// contract. Point queries mutate the cache and are serial-context only;
 /// once dense() has been called, reads are lock-free and safe from
-/// concurrent decide shards.
+/// concurrent decide chunks.
 class DistanceOracle {
  public:
   explicit DistanceOracle(const Graph& graph,

@@ -33,18 +33,16 @@ namespace poq::scenario {
 
 namespace {
 
-/// Intra-run concurrency knobs shared by every protocol on the
+/// Intra-run concurrency knob shared by every protocol on the
 /// phase-kernel engine (balancing, planned, hybrid, gossip, fidelity) or
 /// the vertex-program substrate (distributed, async_routing). Results are
-/// bit-identical for every threads/shards setting, so parallelism is
+/// bit-identical for every threads setting, so parallelism is
 /// purely a performance decision. Protocols with no engine at all (lp)
-/// do not declare these knobs and the registry rejects them outright.
+/// do not declare it and the registry rejects it outright.
 std::vector<KnobSpec> tick_knobs() {
   return {
       {"threads", KnobType::kInt, std::int64_t{1},
        "intra-run worker threads (0 = hardware; never changes results)"},
-      {"shards", KnobType::kInt, std::int64_t{0},
-       "work shards per phase (0 = auto; never changes results)"},
   };
 }
 
@@ -64,7 +62,6 @@ std::uint32_t knob_u32(const ScenarioSpec& spec, const std::string& name,
 sim::TickConcurrency tick_from_spec(const ScenarioSpec& spec) {
   sim::TickConcurrency tick;
   tick.threads = knob_u32(spec, "threads", 1, 0, 4096);
-  tick.shards = knob_u32(spec, "shards", 0, 0, 1 << 20);
   return tick;
 }
 
@@ -257,7 +254,7 @@ class BalancingProtocol final : public Protocol {
     add_balancing_metrics(metrics, result);
     add_balancing_fault_metrics(metrics, config.faults, result);
     // Streaming (megascale) runs report the deterministic logical memory
-    // footprint; the scalar is identical for every threads/shards
+    // footprint; the scalar is identical for every threads
     // setting, so the BENCH_megascale gate holds it to
     // 1e-9. Fixed-sequence runs keep their historical metric set.
     if (simulation.streaming()) {
@@ -611,7 +608,7 @@ class LpProtocol final : public Protocol {
          "max-min-consumption|max-scale"},
     };
     // No tick knobs: the steady-state solve has no engine to select, and
-    // accepting-then-ignoring threads/shards would misrepresent the run.
+    // accepting-then-ignoring threads would misrepresent the run.
     // The registry's knob validation rejects them with a clear error.
     for (KnobSpec& knob : fault_knobs()) knobs.push_back(std::move(knob));
     return knobs;

@@ -35,20 +35,6 @@ std::optional<std::string> FrameReader::next() {
   return frame;
 }
 
-std::string op_name(Op op) {
-  switch (op) {
-    case Op::kSubmitRun: return "submit_run";
-    case Op::kSubmitSweep: return "submit_sweep";
-    case Op::kStatus: return "status";
-    case Op::kWatch: return "watch";
-    case Op::kCancel: return "cancel";
-    case Op::kReset: return "reset";
-    case Op::kShutdown: return "shutdown";
-    case Op::kList: return "list";
-  }
-  return "?";
-}
-
 std::string job_state_name(JobState state) {
   switch (state) {
     case JobState::kQueued: return "queued";

@@ -62,8 +62,6 @@ enum class Op {
   kList,         // protocol/knob registry listing
 };
 
-[[nodiscard]] std::string op_name(Op op);
-
 /// A parsed, validated client request. Parsing throws PreconditionError
 /// on anything malformed — unknown op, missing/mistyped fields, specs that
 /// fail ScenarioSpec::from_json — with the json parser's located messages

@@ -147,7 +147,6 @@ struct Server::Impl {
       scenario::SweepOptions sweep_options;
       sweep_options.seeds_per_cell = job.seeds_per_cell;
       sweep_options.threads = options.sweep_threads;
-      sweep_options.intra_run_threads = options.intra_run_threads;
       const scenario::SweepRunner runner(sweep_options);
       const auto observe = [&](const scenario::SweepEvent& task) {
         Value event = event_frame("task_done", job.id);

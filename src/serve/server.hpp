@@ -42,8 +42,6 @@ struct ServerOptions {
   std::size_t queue_depth = 8;
   /// SweepOptions::threads for sweep jobs (0 = auto from hardware).
   unsigned sweep_threads = 1;
-  /// SweepOptions::intra_run_threads for sweep jobs.
-  unsigned intra_run_threads = 1;
   /// Per-job wall-clock budget in seconds (0 = no deadline). A job still
   /// running this long after it was dequeued is cancelled through its
   /// CancelToken and fails with error "timeout" — distinguishing the

@@ -13,7 +13,7 @@
 //
 // advance(round) is a serial phase: every draw comes from its own keyed
 // stream and no kernel consumes them, so the fault trajectory is
-// bit-identical for every threads/shards setting and never perturbs the
+// bit-identical for every threads setting and never perturbs the
 // generation/swap/decide streams of the fault-free run.
 //
 // Modeled semantics (the drivers enforce them):

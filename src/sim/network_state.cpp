@@ -33,23 +33,13 @@ NetworkState::NetworkState(const graph::Graph& generation_graph,
     scratch.reserve(scratch_nodes);
   }
   generation_flags_.assign(graph_.edge_count(), 0);
-  // Chunk grains for the dynamically scheduled kernels, resolved once
-  // over their fixed ranges (edges, all nodes). Grain is a pure
-  // performance knob — chunk boundaries are canonical, results never
-  // move.
-  generate_grain_ = ParallelTickEngine::resolve_grain(
-      tick.shards, graph_.edge_count(), grain::kGenerate);
-  decide_grain_ =
-      ParallelTickEngine::resolve_grain(tick.shards, n, grain::kDecide);
-  decohere_grain_ =
-      ParallelTickEngine::resolve_grain(tick.shards, n, grain::kDecohere);
   candidates_.assign(n, std::nullopt);
   if (decay_) {
     pair_store_.emplace(graph_.node_count());
     // One drop list per decohere chunk (the chunk count is fixed: nodes
     // and grain never change after construction).
-    purge_entries_.resize((graph_.node_count() + decohere_grain_ - 1) /
-                          decohere_grain_);
+    purge_entries_.resize((graph_.node_count() + grain::kDecohere - 1) /
+                          grain::kDecohere);
   }
 }
 
@@ -82,7 +72,7 @@ std::uint64_t NetworkState::generate(std::uint32_t round, double rate) {
     // edge's stream); the merge below skips them.
     gen_round_ = round;
     gen_frac_ = frac;
-    pool_->run_chunks(edges.size(), generate_grain_, &timers_.generate_load,
+    pool_->run_chunks(edges.size(), grain::kGenerate, &timers_.generate_load,
                       [this](std::size_t begin, std::size_t end, unsigned) {
                         generate_chunk(begin, end);
                       });
@@ -127,7 +117,7 @@ void NetworkState::decide_chunk(std::size_t begin, std::size_t end,
 void NetworkState::decide_swaps(const DecideFn& decide) {
   const PhaseStopwatch stopwatch(timers_.decide_ns);
   decide_fn_ = &decide;
-  pool_->run_chunks(graph_.node_count(), decide_grain_, &timers_.decide_load,
+  pool_->run_chunks(graph_.node_count(), grain::kDecide, &timers_.decide_load,
                     [this](std::size_t begin, std::size_t end,
                            unsigned worker) {
                       decide_chunk(begin, end, worker);
@@ -238,7 +228,7 @@ void NetworkState::decohere_chunk(std::size_t begin, std::size_t end) {
   // of a node come from its ledger partner row (read-only here), so the
   // scan touches exactly the live buckets — never n^2 of them. Buckets of
   // different chunks are disjoint, so compaction is race-free.
-  std::vector<PurgeEntry>& drops = purge_entries_[begin / decohere_grain_];
+  std::vector<PurgeEntry>& drops = purge_entries_[begin / grain::kDecohere];
   drops.clear();
   for (auto x = static_cast<core::NodeId>(begin); x < end; ++x) {
     ledger_.row(x).for_each([&](core::NodeId y, std::uint32_t) {
@@ -257,7 +247,7 @@ std::uint64_t NetworkState::decohere_all(double now) {
   // Phase 1 (chunked over nodes): the exp()-heavy fidelity scan; each
   // bucket compacts its own metadata vector, a bucket-local effect.
   decohere_now_ = now;
-  pool_->run_chunks(graph_.node_count(), decohere_grain_,
+  pool_->run_chunks(graph_.node_count(), grain::kDecohere,
                     &timers_.decohere_load,
                     [this](std::size_t begin, std::size_t end, unsigned) {
                       decohere_chunk(begin, end);
@@ -268,7 +258,7 @@ std::uint64_t NetworkState::decohere_all(double now) {
   // chunk's drop list ascends in (x, y), so concatenating the lists in
   // chunk order replays exactly the ascending-(x, y) walk the dense
   // triangle produced — bit-identical remove sequence at every
-  // threads/shards setting.
+  // threads setting.
   std::uint64_t total_dropped = 0;
   for (const std::vector<PurgeEntry>& drops : purge_entries_) {
     for (const PurgeEntry& entry : drops) {

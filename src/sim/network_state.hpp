@@ -18,7 +18,7 @@
 // Determinism contract: kernels draw
 // randomness from streams keyed per (phase-tag, round, entity), split
 // work into canonical contiguous chunks, and merge all effects in
-// canonical entity order — so results are bit-identical for every threads/shards
+// canonical entity order — so results are bit-identical for every threads
 // setting. The swap commit is serial: it executes decided swaps one at
 // a time in canonical rotating order, each re-checked against the live
 // ledger, so it needs no merge at all.
@@ -55,8 +55,8 @@ struct DecayModel {
 
 class NetworkState {
  public:
-  /// `tick` sizes the worker pool and the kernels' chunking. Pass `decay`
-  /// to track per-pair creation time/fidelity (the decohere kernel).
+  /// `tick` sizes the worker pool. Pass `decay` to track per-pair
+  /// creation time/fidelity (the decohere kernel).
   NetworkState(const graph::Graph& generation_graph, std::uint64_t seed,
                const TickConcurrency& tick,
                std::optional<DecayModel> decay = std::nullopt);
@@ -96,7 +96,7 @@ class NetworkState {
   /// shifts another edge's keyed stream: the kernel still derives the
   /// per-(round, edge) rounding flag for every edge and only skips the
   /// masked edge's add, so the same plan trajectory yields bit-identical
-  /// results at every threads/shards setting.
+  /// results at every threads setting.
   void set_fault_plan(const FaultPlan* plan) { fault_plan_ = plan; }
   [[nodiscard]] const FaultPlan* fault_plan() const { return fault_plan_; }
   /// Crash purge: remove every stored pair the node shares — the decay
@@ -142,7 +142,7 @@ class NetworkState {
   /// via `recheck` against the live ledger, executed, added to the stats
   /// and reported to `observe`. Fractional-D rounding draws come from
   /// streams keyed (seed, swap-tag, attempt|round, node), so the outcome
-  /// is bit-identical for every threads/shards setting.
+  /// is bit-identical for every threads setting.
   CommitStats commit_swaps(const core::MaxMinBalancer& balancer,
                            core::NodeId first, std::uint32_t round,
                            std::uint32_t attempt, const RecheckFn& recheck,
@@ -213,13 +213,7 @@ class NetworkState {
   std::vector<std::uint8_t> generation_flags_;
   const FaultPlan* fault_plan_ = nullptr;
   std::vector<std::optional<core::SwapCandidate>> candidates_;  // per node
-  // Per-kernel contexts (see the chunk bodies above), plus the fixed
-  // chunk grains the kernels resolved at construction (grain is a pure
-  // performance knob, and an explicit shards setting keeps its
-  // partitioning meaning through ParallelTickEngine::resolve_grain).
-  std::size_t generate_grain_ = 1;
-  std::size_t decide_grain_ = 1;
-  std::size_t decohere_grain_ = 1;
+  // Per-kernel contexts (see the chunk bodies above).
   std::uint32_t gen_round_ = 0;
   double gen_frac_ = 0.0;
   const DecideFn* decide_fn_ = nullptr;

@@ -9,7 +9,7 @@
 // + bucket capacity high-water mark), independent of n^2.
 //
 // Concurrency contract (mirrors PairLedger's rows): a bucket is touched
-// only by the owner of both its endpoints — the decohere kernel shards
+// only by the owner of both its endpoints — the decohere kernel chunks
 // buckets by their smaller endpoint, and the slice kernels touch only
 // their own component's pairs — so bucket mutation never races. Slot
 // *creation* (the map insert) happens only on serial paths (add_pair on

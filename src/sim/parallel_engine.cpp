@@ -12,16 +12,6 @@ unsigned ParallelTickEngine::resolve_threads(unsigned requested) {
   return hardware == 0 ? 1 : hardware;
 }
 
-std::size_t ParallelTickEngine::resolve_grain(std::uint32_t requested_shards,
-                                              std::size_t items,
-                                              std::size_t default_grain) {
-  if (requested_shards == 0) return std::max<std::size_t>(1, default_grain);
-  // An explicit shards knob keeps its pre-chunking meaning: partition the
-  // range into that many near-equal chunks.
-  return std::max<std::size_t>(1,
-                               (items + requested_shards - 1) / requested_shards);
-}
-
 ParallelTickEngine::ParallelTickEngine(unsigned threads)
     : threads_(resolve_threads(threads)) {
   if (threads_ > 1) {

@@ -16,8 +16,8 @@
 // randomness comes from counter-based streams keyed per entity
 // (util::Rng::keyed), and callers merge per-chunk effects in ascending
 // chunk order — so a run's results are bit-identical for every thread
-// count and every shards setting. Threads and shards are pure performance
-// knobs.
+// count. Threads are a pure performance knob; each kernel's chunk grain
+// is a constant (sim::grain), not a knob.
 //
 // The pool threads are created once and parked on a condition variable
 // between phases, so driving ~10^4 rounds × 2 phases through the engine
@@ -70,8 +70,8 @@ inline constexpr std::uint64_t kFaultLink = 0x666C746CULL;  // "fltl"
 inline constexpr std::uint64_t kFaultRate = 0x666C7472ULL;  // "fltr"
 }  // namespace stream_tag
 
-/// Default chunk grains (entities per chunk) a kernel passes to
-/// ParallelTickEngine::resolve_grain for shards = 0, tuned for
+/// Chunk grains (entities per chunk) each kernel passes to
+/// ParallelTickEngine::run_chunks, tuned for
 /// cheap-per-entity generation draws vs the partner-scan-heavy decides,
 /// the exp()-heavy decohere sweep and distributed's belief kernels
 /// (view maps, report building). Pure performance constants — never
@@ -83,15 +83,11 @@ inline constexpr std::size_t kDecohere = 256;   // per-node bucket sweep
 inline constexpr std::size_t kBelief = 4;       // per-node belief kernels
 }  // namespace grain
 
-/// The intra-run concurrency knobs every simulating protocol carries.
+/// The intra-run concurrency knob every simulating protocol carries.
 struct TickConcurrency {
   /// Worker threads for the tick engine (0 = hardware). Never affects
   /// results.
   std::uint32_t threads = 1;
-  /// Chunks per parallel kernel: an explicit k splits each kernel's range
-  /// into k near-equal chunks; 0 = the kernel's default grain (sim::grain).
-  /// Never affects results.
-  std::uint32_t shards = 0;
 };
 
 /// Per-phase chunk-load accounting from the dynamic chunk scheduler,
@@ -189,14 +185,6 @@ class ParallelTickEngine {
 
   /// Resolve a threads knob: 0 = hardware concurrency (minimum 1).
   [[nodiscard]] static unsigned resolve_threads(unsigned requested);
-
-  /// Resolve the chunk grain for `items` entities: an explicit shards
-  /// knob partitions the range into that many near-equal chunks (its
-  /// pre-chunking meaning); 0 = auto, the kernel's default grain. Pure
-  /// performance knob — grain never affects results.
-  [[nodiscard]] static std::size_t resolve_grain(std::uint32_t requested_shards,
-                                                 std::size_t items,
-                                                 std::size_t default_grain);
 
  private:
   /// One run_chunks call. Heap-allocated and shared so a worker waking

@@ -20,7 +20,7 @@
 //
 // Determinism contract — canonical message merge: every message has a
 // canonical position (deliver epoch, send phase, sender, per-sender send
-// index), independent of the threads/shards setting:
+// index), independent of the threads setting:
 //   * run_kernel splits an ascending entity list into the engine's
 //     canonical contiguous chunks and hands each chunk its own context,
 //     so concatenating the per-chunk outboxes in ascending chunk order
@@ -34,7 +34,7 @@
 //     carried the messages.
 // With all randomness drawn from counter-based keyed streams
 // (util::Rng::keyed per (tag, epoch, entity)), a vertex program's results
-// are bit-identical for every threads/shards setting; a 1-thread pool
+// are bit-identical for every threads setting; a 1-thread pool
 // runs the same chunks inline.
 #pragma once
 
@@ -80,14 +80,8 @@ class VertexProgram {
     std::vector<Pending> outbox_;
   };
 
-  /// `shards` is the protocol's shards knob: an explicit k splits each
-  /// kernel's range into k near-equal chunks, 0 = the kernel's grain.
-  VertexProgram(std::size_t vertex_count, ParallelTickEngine& pool,
-                std::uint32_t shards)
-      : vertex_count_(vertex_count),
-        pool_(pool),
-        shards_(shards),
-        inboxes_(vertex_count) {}
+  VertexProgram(std::size_t vertex_count, ParallelTickEngine& pool)
+      : vertex_count_(vertex_count), pool_(pool), inboxes_(vertex_count) {}
 
   [[nodiscard]] std::size_t vertex_count() const { return vertex_count_; }
   [[nodiscard]] std::uint64_t messages_sent() const { return messages_sent_; }
@@ -125,22 +119,20 @@ class VertexProgram {
   }
 
   /// Run `kernel(begin, end, context)` over [0, items) in the engine's
-  /// canonical chunks (`default_grain` entities each when the shards knob
-  /// is 0), fanned across the pool, each chunk with its own context; the
-  /// kernel walks its ascending slice of the caller's entity list.
+  /// canonical chunks of `grain` entities, fanned across the pool, each
+  /// chunk with its own context; the kernel walks its ascending slice of
+  /// the caller's entity list.
   /// seal() then merges the contexts in ascending chunk order, which is
   /// what makes the merge canonical.
   template <typename Kernel>
-  void run_kernel(std::size_t items, std::size_t default_grain,
-                  Kernel&& kernel) {
+  void run_kernel(std::size_t items, std::size_t grain, Kernel&& kernel) {
     if (items == 0) return;
-    grain_ = ParallelTickEngine::resolve_grain(shards_, items, default_grain);
-    const std::size_t chunks = (items + grain_ - 1) / grain_;
+    const std::size_t chunks = (items + grain - 1) / grain;
     if (contexts_.size() < chunks) contexts_.resize(chunks);
-    pool_.run_chunks(items, grain_, nullptr,
-                     [this, &kernel](std::size_t begin, std::size_t end,
-                                     unsigned) {
-                       kernel(begin, end, contexts_[begin / grain_]);
+    pool_.run_chunks(items, grain, nullptr,
+                     [this, grain, &kernel](std::size_t begin, std::size_t end,
+                                            unsigned) {
+                       kernel(begin, end, contexts_[begin / grain]);
                      });
     seal();
   }
@@ -185,8 +177,6 @@ class VertexProgram {
 
   std::size_t vertex_count_;
   ParallelTickEngine& pool_;
-  std::uint32_t shards_;
-  std::size_t grain_ = 1;  // the running kernel's chunk grain
   std::vector<Context> contexts_;
   std::uint64_t epoch_ = 0;
   /// deliver_epoch -> envelopes in canonical order. Keyed lookups only;

@@ -8,21 +8,6 @@
 
 namespace poq::util {
 
-namespace {
-
-std::string csv_escape(const std::string& field) {
-  if (field.find_first_of(",\"\n") == std::string::npos) return field;
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
-
 Table::Table(std::vector<std::string> header) : header_(std::move(header)) {
   require(!header_.empty(), "Table: header must not be empty");
 }
@@ -53,20 +38,6 @@ void Table::print(std::ostream& out) const {
   }
   out << std::string(total, '-') << '\n';
   for (const auto& row : rows_) emit(row);
-}
-
-std::string Table::to_csv() const {
-  std::string out;
-  const auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c != 0) out += ',';
-      out += csv_escape(row[c]);
-    }
-    out += '\n';
-  };
-  emit(header_);
-  for (const auto& row : rows_) emit(row);
-  return out;
 }
 
 }  // namespace poq::util

@@ -1,8 +1,7 @@
-// Console tables and CSV emission for experiment harnesses.
+// Console tables for experiment harnesses.
 //
 // Every bench binary prints the same rows/series the paper's figures report;
-// `Table` renders them aligned for humans and `to_csv` emits the same data
-// for plotting.
+// `Table` renders them aligned for humans.
 #pragma once
 
 #include <iosfwd>
@@ -24,9 +23,6 @@ class Table {
 
   /// Render with column alignment and a separator under the header.
   void print(std::ostream& out) const;
-
-  /// Render as RFC-4180-ish CSV (fields containing commas/quotes get quoted).
-  [[nodiscard]] std::string to_csv() const;
 
  private:
   std::vector<std::string> header_;

@@ -7,6 +7,7 @@
 
 #include "core/workload.hpp"
 #include "graph/topology.hpp"
+#include "sim/parallel_engine.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -247,6 +248,44 @@ TEST(FidelitySim, ConservationLaw) {
       run_fidelity_sim(graph, near_and_far_workload(), config);
   EXPECT_GT(faulty.faults.pairs_purged_by_faults, 0u);
   expect_conserved(faulty);
+}
+
+// The 33x33 torus splits all three of fidelity's chunked kernels at
+// their grains: 2112 edges make two generate chunks, 1089 nodes make 18
+// decide and 5 decohere chunks. Each kernel dispatches once per slice,
+// so the three load records must count the same number of dispatches —
+// and four threads must reproduce the one-thread run.
+TEST(FidelitySim, ChunkedKernelsSplitAndMatchOneThread) {
+  const graph::Graph graph = graph::make_torus_grid(1089);
+  const auto chunks_of = [](std::size_t items, std::size_t grain) {
+    return (items + grain - 1) / grain;
+  };
+  const std::size_t generate_chunks =
+      chunks_of(graph.edge_count(), sim::grain::kGenerate);
+  const std::size_t decide_chunks = chunks_of(1089, sim::grain::kDecide);
+  const std::size_t decohere_chunks = chunks_of(1089, sim::grain::kDecohere);
+  ASSERT_GT(generate_chunks, 1u);
+  util::Rng rng(4);
+  const Workload workload = make_uniform_workload(1089, 20, 200, rng);
+  FidelitySimConfig config = base_config();
+  config.duration = 8.0;
+  const FidelitySimResult serial = run_fidelity_sim(graph, workload, config);
+  config.tick.threads = 4;
+  const FidelitySimResult chunked = run_fidelity_sim(graph, workload, config);
+  const sim::PhaseTimers& phase = chunked.phase;
+  const std::uint64_t dispatches = phase.generate_load.chunks / generate_chunks;
+  EXPECT_GT(dispatches, 0u);
+  EXPECT_EQ(phase.generate_load.chunks, dispatches * generate_chunks);
+  EXPECT_EQ(phase.decide_load.chunks, dispatches * decide_chunks);
+  EXPECT_EQ(phase.decohere_load.chunks, dispatches * decohere_chunks);
+  EXPECT_GT(serial.swaps, 0u);
+  EXPECT_EQ(chunked.pairs_generated, serial.pairs_generated);
+  EXPECT_EQ(chunked.pairs_decayed, serial.pairs_decayed);
+  EXPECT_EQ(chunked.swaps, serial.swaps);
+  EXPECT_EQ(chunked.distillations, serial.distillations);
+  EXPECT_EQ(chunked.requests_satisfied, serial.requests_satisfied);
+  EXPECT_EQ(chunked.pairs_stored, serial.pairs_stored);
+  EXPECT_EQ(chunked.consumed_fidelity.mean(), serial.consumed_fidelity.mean());
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "core/nested.hpp"
 #include "core/workload.hpp"
 #include "graph/topology.hpp"
+#include "sim/parallel_engine.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -198,6 +199,27 @@ TEST(PlannedPath, RejectsBadConfig) {
                  PreconditionError)
         << "D " << d;
   }
+}
+
+// The 33x33 torus has 2112 edges, so every round's generate dispatch
+// splits at the generation grain; four threads must reproduce the
+// one-thread run.
+TEST(PlannedPath, ChunkedGenerationMatchesOneThread) {
+  const graph::Graph graph = graph::make_torus_grid(1089);
+  ASSERT_GT(graph.edge_count(), sim::grain::kGenerate);
+  const Workload workload = cycle_workload(1089, 60, 7);
+  PlannedPathConfig config;
+  config.mode = PlannedPathMode::kConnectionless;
+  config.window = 4;
+  const PlannedPathResult serial = run_planned_path(graph, workload, config);
+  config.tick.threads = 4;
+  const PlannedPathResult chunked = run_planned_path(graph, workload, config);
+  ASSERT_TRUE(serial.completed);
+  EXPECT_EQ(chunked.completed, serial.completed);
+  EXPECT_EQ(chunked.rounds, serial.rounds);
+  EXPECT_EQ(chunked.requests_satisfied, serial.requests_satisfied);
+  EXPECT_EQ(chunked.pairs_generated, serial.pairs_generated);
+  EXPECT_EQ(chunked.swaps_performed, serial.swaps_performed);
 }
 
 }  // namespace

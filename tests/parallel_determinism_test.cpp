@@ -1,12 +1,12 @@
 // The intra-run determinism contract (docs/ARCHITECTURE.md): for every
 // tick-driven protocol in the registry, RunMetrics are bit-identical
-// across intra-run thread counts and shard counts — threads and shards
-// are pure performance knobs. These tests compare full RunMetrics JSON
-// dumps (labels, scalars, stats) for exact equality: the phase-kernel
-// protocols (balancing, planned, hybrid, gossip, fidelity) exercise the
-// sharded NetworkState engine, the message-driven ones (distributed,
-// async_routing) the vertex-program substrate. lp has no tick engine at
-// all and must *reject* the knobs with a clear error.
+// across intra-run thread counts — threads are a pure performance knob,
+// and each kernel's chunk grain is a constant. These tests compare full
+// RunMetrics JSON dumps (labels, scalars, stats) for exact equality: the
+// phase-kernel protocols (balancing, planned, hybrid, gossip, fidelity)
+// exercise the chunked NetworkState engine, the message-driven ones
+// (distributed, async_routing) the vertex-program substrate. lp has no
+// tick engine at all and must *reject* the knobs with a clear error.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -14,6 +14,7 @@
 
 #include "scenario/protocol.hpp"
 #include "sim/fault_plan.hpp"
+#include "sim/parallel_engine.hpp"
 #include "scenario/sweep.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
@@ -22,9 +23,9 @@ namespace poq::scenario {
 namespace {
 
 /// Every protocol with a tick engine: the phase-kernel family runs on the
-/// sharded NetworkState, the message-driven family (distributed,
+/// chunked NetworkState, the message-driven family (distributed,
 /// async_routing) on the vertex-program substrate. All of them must be
-/// threads/shards-invariant. lp is deliberately absent: it has no engine
+/// threads-invariant. lp is deliberately absent: it has no engine
 /// and rejects the knobs (LpRejectsEngineKnobs below).
 const std::vector<std::string> kPortedProtocols = {
     "balancing", "planned",  "hybrid",        "gossip",
@@ -43,7 +44,7 @@ ScenarioSpec base_spec(const std::string& protocol, std::size_t nodes = 25) {
   if (protocol == "fidelity" || protocol == "distributed" ||
       protocol == "async_routing") {
     // Event-driven protocols take a duration, not a round budget; keep it
-    // short enough for the full threads x shards cross product.
+    // short enough for the full threads cross product.
     spec.knobs.erase("max-rounds");
     spec.knobs["duration"] = 60.0;
   }
@@ -81,22 +82,27 @@ TEST(ParallelDeterminism, AutoThreadsMatchExplicit) {
 }
 
 TEST(ParallelDeterminism, ShardCountNeverChangesResults) {
+  // The chunk count follows from the input: 81 nodes split the decide
+  // kernel (grain 64) in two and the belief kernels (grain 4) in 21, so
+  // here the workers really share each dispatch, unlike at 25 nodes.
+  // Short horizons keep the larger runs cheap.
   for (const std::string& protocol : kPortedProtocols) {
-    ScenarioSpec spec = base_spec(protocol);
-    spec.knobs["threads"] = std::int64_t{2};
-    spec.knobs["shards"] = std::int64_t{1};
-    const std::string reference = run_dump(spec);
-    for (const std::int64_t shards : {3, 16}) {
-      spec.knobs["shards"] = shards;
-      EXPECT_EQ(run_dump(spec), reference)
-          << protocol << " drifted at shards=" << shards;
+    ScenarioSpec spec = base_spec(protocol, 81);
+    ASSERT_GT(spec.nodes, sim::grain::kDecide);
+    if (spec.knobs.count("max-rounds") != 0) {
+      spec.knobs["max-rounds"] = std::int64_t{300};
     }
+    if (spec.knobs.count("duration") != 0) spec.knobs["duration"] = 20.0;
+    spec.knobs["threads"] = std::int64_t{1};
+    const std::string reference = run_dump(spec);
+    spec.knobs["threads"] = std::int64_t{4};
+    EXPECT_EQ(run_dump(spec), reference) << protocol << " drifted at 81 nodes";
   }
 }
 
 TEST(ParallelDeterminism, FullThreadShardCrossProduct) {
-  // The acceptance grid: threads {1,2,8} x shards {1,3,16} must agree on
-  // every ported protocol (smaller spec to keep the 9-way product cheap).
+  // The acceptance grid: threads {1,2,8} must agree on every ported
+  // protocol (smaller spec to keep the product cheap).
   for (const std::string& protocol : kPortedProtocols) {
     ScenarioSpec spec = base_spec(protocol, 16);
     spec.consumer_pairs = 10;
@@ -104,35 +110,14 @@ TEST(ParallelDeterminism, FullThreadShardCrossProduct) {
     if (protocol == "fidelity") spec.knobs["duration"] = 40.0;
     std::string reference;
     for (const std::int64_t threads : {1, 2, 8}) {
-      for (const std::int64_t shards : {1, 3, 16}) {
-        spec.knobs["threads"] = threads;
-        spec.knobs["shards"] = shards;
-        const std::string dump = run_dump(spec);
-        if (reference.empty()) {
-          reference = dump;
-        } else {
-          EXPECT_EQ(dump, reference) << protocol << " drifted at threads="
-                                     << threads << " shards=" << shards;
-        }
-      }
-    }
-  }
-}
-
-TEST(ParallelDeterminism, MoreShardsThanNodesIsLegalAndIdentical) {
-  // n = 9 nodes with 32 shards: trailing shards are empty ranges.
-  for (const std::string& protocol : kPortedProtocols) {
-    ScenarioSpec spec = base_spec(protocol, 9);
-    spec.consumer_pairs = 8;
-    spec.requests = 10;
-    if (protocol == "fidelity") spec.knobs["duration"] = 40.0;
-    spec.knobs["shards"] = std::int64_t{1};
-    const std::string reference = run_dump(spec);
-    spec.knobs["shards"] = std::int64_t{32};
-    for (const std::int64_t threads : {1, 4}) {
       spec.knobs["threads"] = threads;
-      EXPECT_EQ(run_dump(spec), reference)
-          << protocol << " drifted with 32 shards, threads=" << threads;
+      const std::string dump = run_dump(spec);
+      if (reference.empty()) {
+        reference = dump;
+      } else {
+        EXPECT_EQ(dump, reference)
+            << protocol << " drifted at threads=" << threads;
+      }
     }
   }
 }
@@ -164,12 +149,8 @@ TEST(ParallelDeterminism, GossipStaleViewRoundsStayDeterministic) {
   EXPECT_GT(reference_metrics.scalar("view_age"), 0.0)
       << "spec too easy: views never went stale";
   for (const std::int64_t threads : {2, 8}) {
-    for (const std::int64_t shards : {3, 16}) {
-      spec.knobs["threads"] = threads;
-      spec.knobs["shards"] = shards;
-      EXPECT_EQ(run_dump(spec), reference)
-          << "threads=" << threads << " shards=" << shards;
-    }
+    spec.knobs["threads"] = threads;
+    EXPECT_EQ(run_dump(spec), reference) << "threads=" << threads;
   }
 }
 
@@ -187,12 +168,8 @@ TEST(ParallelDeterminism, FidelityEventOrderingStaysDeterministic) {
   EXPECT_GT(reference_metrics.scalar("swaps"), 0.0);
   EXPECT_GT(reference_metrics.scalar("pairs_decayed"), 0.0);
   for (const std::int64_t threads : {2, 8}) {
-    for (const std::int64_t shards : {3, 16}) {
-      spec.knobs["threads"] = threads;
-      spec.knobs["shards"] = shards;
-      EXPECT_EQ(run_dump(spec), reference)
-          << "threads=" << threads << " shards=" << shards;
-    }
+    spec.knobs["threads"] = threads;
+    EXPECT_EQ(run_dump(spec), reference) << "threads=" << threads;
   }
 }
 
@@ -201,7 +178,7 @@ TEST(ParallelDeterminism, MegascaleSparseCellStaysDeterministic) {
   // regime the BENCH_megascale gate runs at. Everything the round loop
   // touches at this scale is sparse (partner rows, live-pair buckets,
   // lazy distance rows), so this cell pins the whole sparse path to the
-  // determinism contract: threads {1,8} x shards {1,16} bit-identical,
+  // determinism contract: threads {1,8} bit-identical,
   // including the memory_bytes_per_node scalar.
   ScenarioSpec spec;
   spec.protocol = "balancing";
@@ -215,18 +192,15 @@ TEST(ParallelDeterminism, MegascaleSparseCellStaysDeterministic) {
   spec.knobs["max-rounds"] = std::int64_t{40};
   std::string reference;
   for (const std::int64_t threads : {1, 8}) {
-    for (const std::int64_t shards : {1, 16}) {
-      ScenarioSpec cell = spec;
-      cell.knobs["threads"] = threads;
-      cell.knobs["shards"] = shards;
-      const std::string dump = run_dump(cell);
-      if (reference.empty()) {
-        reference = dump;
-        EXPECT_NE(dump.find("memory_bytes_per_node"), std::string::npos);
-      } else {
-        EXPECT_EQ(dump, reference) << "megascale cell drifted at threads="
-                                   << threads << " shards=" << shards;
-      }
+    ScenarioSpec cell = spec;
+    cell.knobs["threads"] = threads;
+    const std::string dump = run_dump(cell);
+    if (reference.empty()) {
+      reference = dump;
+      EXPECT_NE(dump.find("memory_bytes_per_node"), std::string::npos);
+    } else {
+      EXPECT_EQ(dump, reference)
+          << "megascale cell drifted at threads=" << threads;
     }
   }
 }
@@ -253,12 +227,8 @@ TEST(ParallelDeterminism, StreamingArrivalsStayDeterministic) {
   EXPECT_EQ(reference_metrics.scalar("satisfied"), 100.0);
   EXPECT_GT(reference_metrics.scalar("arrivals"), 0.0);
   for (const std::int64_t threads : {2, 8}) {
-    for (const std::int64_t shards : {3, 16}) {
-      spec.knobs["threads"] = threads;
-      spec.knobs["shards"] = shards;
-      EXPECT_EQ(run_dump(spec), reference)
-          << "threads=" << threads << " shards=" << shards;
-    }
+    spec.knobs["threads"] = threads;
+    EXPECT_EQ(run_dump(spec), reference) << "threads=" << threads;
   }
 }
 
@@ -269,7 +239,7 @@ TEST(ParallelDeterminism, FaultChurnStaysDeterministic) {
   // drivers): the fault trajectory comes from its own keyed streams, so
   // the full resilience metric set — crashes, purges, availability,
   // recovery timings in rounds or simulated time — must be bit-identical
-  // across the acceptance grid threads {1,2,8} x shards {1,3,16}.
+  // across the acceptance grid threads {1,2,8}.
   for (const std::string& protocol : kPortedProtocols) {
     ScenarioSpec spec = base_spec(protocol, 16);
     spec.consumer_pairs = 10;
@@ -289,19 +259,16 @@ TEST(ParallelDeterminism, FaultChurnStaysDeterministic) {
     spec.faults.push_back({9, sim::FaultEventKind::kNodeUp, 2, 0, 0, 1.0});
     std::string reference;
     for (const std::int64_t threads : {1, 2, 8}) {
-      for (const std::int64_t shards : {1, 3, 16}) {
-        spec.knobs["threads"] = threads;
-        spec.knobs["shards"] = shards;
-        const std::string dump = run_dump(spec);
-        if (reference.empty()) {
-          reference = dump;
-          EXPECT_NE(dump.find("node_crashes"), std::string::npos)
-              << protocol << ": resilience metrics missing under faults";
-          EXPECT_NE(dump.find("availability"), std::string::npos);
-        } else {
-          EXPECT_EQ(dump, reference) << protocol << " drifted at threads="
-                                     << threads << " shards=" << shards;
-        }
+      spec.knobs["threads"] = threads;
+      const std::string dump = run_dump(spec);
+      if (reference.empty()) {
+        reference = dump;
+        EXPECT_NE(dump.find("node_crashes"), std::string::npos)
+            << protocol << ": resilience metrics missing under faults";
+        EXPECT_NE(dump.find("availability"), std::string::npos);
+      } else {
+        EXPECT_EQ(dump, reference)
+            << protocol << " drifted at threads=" << threads;
       }
     }
     const RunMetrics metrics = registry().run(protocol, spec);
@@ -401,19 +368,23 @@ TEST(ParallelDeterminism, LpRejectsEngineKnobs) {
 }
 
 TEST(ParallelDeterminism, NoProtocolHasADecideKnob) {
-  // Every swap decide is computed from scratch; there is no second decide
-  // path to select, so every protocol (lp included) rejects the knob
-  // instead of accepting and ignoring it.
+  // Every swap decide is computed from scratch, so there is no second
+  // decide path to select; each kernel's chunk grain is a constant, so
+  // there is no shard count to set. Every protocol (lp included) rejects
+  // both knobs instead of accepting and ignoring them.
   for (const std::string& protocol : registry().names()) {
-    ScenarioSpec spec = base_spec(protocol);
-    spec.knobs["decide"] = std::string("full");
-    try {
-      (void)registry().run(protocol, spec);
-      ADD_FAILURE() << protocol << " accepted the decide knob";
-    } catch (const PreconditionError& error) {
-      EXPECT_NE(std::string(error.what()).find("has no knob 'decide'"),
-                std::string::npos)
-          << protocol << ": unhelpful error: " << error.what();
+    for (const char* knob : {"decide", "shards"}) {
+      ScenarioSpec spec = base_spec(protocol);
+      spec.knobs[knob] = std::string("full");
+      try {
+        (void)registry().run(protocol, spec);
+        ADD_FAILURE() << protocol << " accepted the " << knob << " knob";
+      } catch (const PreconditionError& error) {
+        EXPECT_NE(std::string(error.what())
+                      .find("has no knob '" + std::string(knob) + "'"),
+                  std::string::npos)
+            << protocol << ": unhelpful error: " << error.what();
+      }
     }
   }
 }

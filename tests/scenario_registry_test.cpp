@@ -128,7 +128,7 @@ TEST(Registry, UnsignedKnobsRejectNegativeAndOversizedValues) {
       {"balancing", "max-rounds"},  {"balancing", "swap-rate"},
       {"planned", "max-rounds"},    {"planned", "window"},
       {"hybrid", "max-assist-hops"}, {"gossip", "fanout"},
-      {"balancing", "threads"},     {"balancing", "shards"},
+      {"balancing", "threads"},
   };
   for (const auto& [protocol, knob] : knobs) {
     EXPECT_TRUE(knob_rejected(protocol, knob, std::int64_t{-1}))
@@ -209,18 +209,6 @@ TEST(Registry, GossipRejectsNetworksAboveTheDenseMirrorLimit) {
   }
 }
 
-TEST(Registry, ShardsMessageNamesItsRange) {
-  ScenarioSpec spec = small_spec("balancing");
-  spec.knobs["shards"] = std::int64_t{(1 << 20) + 1};
-  try {
-    (void)registry().run("balancing", spec);
-    FAIL() << "shards above 2^20 was accepted";
-  } catch (const PreconditionError& error) {
-    EXPECT_NE(std::string(error.what()).find("[0, 1048576]"), std::string::npos)
-        << error.what();
-  }
-}
-
 // Fidelity's generate and decide kernels dispatch through the chunk
 // scheduler with its phase timers' load records, so its timings carry
 // the chunk-imbalance signal like every NetworkState kernel's. The mean
@@ -230,7 +218,6 @@ TEST(Registry, FidelityTimingsCarryChunkImbalance) {
   ScenarioSpec spec = small_spec("fidelity");
   spec.knobs["duration"] = 30.0;
   spec.knobs["threads"] = std::int64_t{2};
-  spec.knobs["shards"] = std::int64_t{4};
   const RunMetrics metrics = registry().run("fidelity", spec);
   for (const char* name :
        {"shard_imbalance.generate", "shard_imbalance.decide"}) {

@@ -1,8 +1,8 @@
 // The swap hot path: every decide is computed from scratch, so round
 // trajectories are a pure function of the spec — bit-identical at every
-// threads/shards setting, checked against threads 1 / shards 1 on
-// randomized frames and round by round — and the steady-state round
-// allocates nothing on the heap after warm-up.
+// threads setting, checked against threads 1 on randomized frames and
+// round by round — and the steady-state round allocates nothing on the
+// heap after warm-up.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -84,26 +84,26 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace poq::scenario {
 namespace {
 
-std::string run_dump(ScenarioSpec spec, std::int64_t threads,
-                     std::int64_t shards) {
+std::string run_dump(ScenarioSpec spec, std::int64_t threads) {
   spec.knobs["threads"] = threads;
-  spec.knobs["shards"] = shards;
   // to_json(false): phase_ms.* wall-clock is outside the contract.
   return registry().run(spec.protocol, spec).to_json(false).dump(2);
 }
 
 /// Randomized scenario frames drawn from a fixed meta-seed: topology
 /// family, size, rates, distillation, and per-protocol knobs all vary.
+/// Every size is above the decide grain (64 nodes), so the decide kernel
+/// runs in more than one chunk.
 ScenarioSpec fuzz_spec(const std::string& protocol, util::Rng& fuzz) {
   ScenarioSpec spec;
   spec.protocol = protocol;
   spec.topology = fuzz.bernoulli(0.5) ? "random-grid" : "cycle";
-  const std::size_t sizes[] = {9, 16, 25};
+  const std::size_t sizes[] = {81, 100, 121};
   spec.nodes = sizes[fuzz.uniform_index(3)];
   spec.consumer_pairs = 6 + fuzz.uniform_index(10);
   spec.requests = 20 + fuzz.uniform_index(30);
   spec.seed = 1 + fuzz.uniform_index(1000);
-  spec.knobs["max-rounds"] = std::int64_t{2000};
+  spec.knobs["max-rounds"] = std::int64_t{500};
   const double rates[] = {0.05, 0.3, 1.0, 1.6};
   spec.knobs["generation-rate"] = rates[fuzz.uniform_index(4)];
   const double distillations[] = {1.0, 1.5, 2.0};
@@ -116,25 +116,20 @@ ScenarioSpec fuzz_spec(const std::string& protocol, util::Rng& fuzz) {
 }
 
 TEST(HotPathDeterminism, FuzzFramesMatchSerialReference) {
-  // protocols {balancing, gossip, hybrid} x threads {1,8} x shards
-  // {1,16} on randomized frames: every setting must reproduce the
-  // threads 1 / shards 1 run bit for bit (for hybrid, with the assist's
-  // ledger mutations between decides).
+  // protocols {balancing, gossip, hybrid} x threads {2,8} on randomized
+  // frames: every setting must reproduce the threads 1 run bit for bit
+  // (for hybrid, with the assist's ledger mutations between decides).
   util::Rng fuzz(0xD1E7);
   const std::vector<std::string> protocols = {"balancing", "gossip",
                                               "hybrid"};
   for (int trial = 0; trial < 3; ++trial) {
     for (const std::string& protocol : protocols) {
       const ScenarioSpec spec = fuzz_spec(protocol, fuzz);
-      const std::string reference = run_dump(spec, 1, 1);
-      for (const std::int64_t threads : {1, 8}) {
-        for (const std::int64_t shards : {1, 16}) {
-          if (threads == 1 && shards == 1) continue;
-          EXPECT_EQ(run_dump(spec, threads, shards), reference)
-              << protocol << " trial " << trial << " diverged at threads="
-              << threads << " shards=" << shards << "\nspec: "
-              << spec.to_json().dump(2);
-        }
+      const std::string reference = run_dump(spec, 1);
+      for (const std::int64_t threads : {2, 8}) {
+        EXPECT_EQ(run_dump(spec, threads), reference)
+            << protocol << " trial " << trial << " diverged at threads="
+            << threads << "\nspec: " << spec.to_json().dump(2);
       }
     }
   }
@@ -154,39 +149,39 @@ TEST(HotPathDeterminism, SparseSteadyStateMatchesSerialReference) {
   spec.knobs["max-rounds"] = std::int64_t{4000};
   spec.knobs["generation-rate"] = 0.02;
   spec.knobs["distillation"] = 1.5;
-  EXPECT_EQ(run_dump(spec, 8, 16), run_dump(spec, 1, 1));
+  EXPECT_EQ(run_dump(spec, 8), run_dump(spec, 1));
 }
 
 // --- lockstep round trajectories --------------------------------------
 
+/// The nonzero entries of the count matrix.
 std::string ledger_dump(const core::PairLedger& ledger) {
   std::string out;
   const auto n = static_cast<core::NodeId>(ledger.node_count());
   for (core::NodeId x = 0; x < n; ++x) {
-    for (core::NodeId y = x + 1; y < n; ++y) {
-      out += std::to_string(ledger.count(x, y)) + ",";
-    }
+    ledger.row(x).for_each([&](core::NodeId y, std::uint32_t count) {
+      if (y > x) out += std::to_string(y) + ":" + std::to_string(count) + ",";
+    });
+    out += ';';
   }
   return out;
 }
 
 TEST(HotPathDeterminism, RoundTrajectoriesMatchSerialReference) {
   // Stronger than end-metrics equality: the full count matrix must match
-  // the threads 1 / shards 1 run after every single round, so a
-  // divergence cannot cancel out later.
+  // the threads 1 run after every single round, so a divergence cannot
+  // cancel out later. 81 nodes split the decide kernel in two.
   util::Rng topology_rng(3);
-  const graph::Graph graph = graph::make_random_connected_grid(49, topology_rng);
+  const graph::Graph graph = graph::make_random_connected_grid(81, topology_rng);
   util::Rng workload_rng(5);
   const core::Workload workload =
-      core::make_uniform_workload(49, 20, 100000, workload_rng);
+      core::make_uniform_workload(81, 20, 100000, workload_rng);
   core::BalancingConfig config;
   config.generation_per_edge_per_round = 0.4;
   config.seed = 11;
   config.tick.threads = 2;
-  config.tick.shards = 8;
   core::BalancingConfig serial_config = config;
   serial_config.tick.threads = 1;
-  serial_config.tick.shards = 1;
   core::BalancingSimulation sharded(graph, workload, config);
   core::BalancingSimulation serial(graph, workload, serial_config);
   for (int round = 0; round < 400; ++round) {
@@ -207,28 +202,27 @@ TEST(HotPathAllocations, SteadyStateRoundAllocatesNothing) {
   // (fractional rate: batched keyed streams exercised), decide, serial
   // commit, consumption — must not touch the heap: all
   // per-round scratch is pre-sized, the CSR partner arena mutates in
-  // place, and the pool recycles its job allocation. shards=8 forces the
-  // chunk grain small enough that every phase goes through the dynamic
-  // work-stealing dispatch (multiple chunks claimed off the atomic
-  // cursor), so the chunked scheduler path is held to the same
-  // zero-allocation contract as the inline path.
+  // place, and the pool recycles its job allocation. 49 nodes make one
+  // decide chunk (the inline path); 81 nodes split the decide kernel, so
+  // at two threads it goes through the dynamic work-stealing dispatch
+  // (chunks claimed off the atomic cursor) and that path is held to the
+  // same zero-allocation contract.
 #ifdef POQ_UNDER_TSAN
   GTEST_SKIP() << "the TSan runtime allocates behind the program's back, "
                   "so a heap-silence assertion is meaningless under it";
 #endif
   for (const unsigned threads : {1u, 2u}) {
-    for (const unsigned shards : {0u, 8u}) {
+    for (const std::size_t nodes : {49u, 81u}) {
       util::Rng topology_rng(3);
       const graph::Graph graph =
-          graph::make_random_connected_grid(49, topology_rng);
+          graph::make_random_connected_grid(nodes, topology_rng);
       util::Rng workload_rng(5);
       const core::Workload workload =
-          core::make_uniform_workload(49, 20, 100000, workload_rng);
+          core::make_uniform_workload(nodes, 20, 100000, workload_rng);
       core::BalancingConfig config;
       config.generation_per_edge_per_round = 0.5;
       config.seed = 9;
       config.tick.threads = threads;
-      config.tick.shards = shards;
       core::BalancingSimulation sim(graph, workload, config);
       for (int round = 0; round < 300; ++round) sim.step_round();
       const std::uint64_t before =
@@ -238,7 +232,7 @@ TEST(HotPathAllocations, SteadyStateRoundAllocatesNothing) {
           g_allocation_count.load(std::memory_order_relaxed);
       EXPECT_EQ(after - before, 0u)
           << (after - before) << " allocations in 200 steady-state rounds at "
-          << "threads=" << threads << " shards=" << shards;
+          << "threads=" << threads << " nodes=" << nodes;
     }
   }
 }

@@ -2,8 +2,9 @@
 // and its merge (one canonical-order add per edge), the decay/decohere
 // kernels, and above all the swap commit — its walk over the candidate
 // table from `first` modulo n must equal the hand-written rotated,
-// filtered 0..n scan below, for every threads/shards setting, even on a
-// dense round where every node has a candidate.
+// filtered 0..n scan below, for every threads setting, even on a dense
+// round where every node has a candidate. Each chunked kernel is run on
+// a range its constant grain splits, and the tests check that it did.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -47,20 +48,24 @@ static_assert(!std::is_constructible_v<NetworkState, graph::Graph&&, std::uint64
 static_assert(!std::is_constructible_v<NetworkState, graph::Graph&&, std::uint64_t,
                                        const TickConcurrency&, std::optional<DecayModel>>);
 
-TickConcurrency sharded(std::uint32_t threads, std::uint32_t shards = 0) {
+TickConcurrency with_threads(std::uint32_t threads) {
   TickConcurrency tick;
   tick.threads = threads;
-  tick.shards = shards;
   return tick;
 }
 
-/// Text fingerprint of the full count matrix.
+/// Chunks one dispatch of a kernel with `grain` makes over `items`.
+std::size_t chunks_per_dispatch(std::size_t items, std::size_t grain) {
+  return (items + grain - 1) / grain;
+}
+
+/// Text fingerprint of the full count matrix (its nonzero entries).
 std::string ledger_dump(const PairLedger& ledger) {
   std::string out;
   const auto n = static_cast<NodeId>(ledger.node_count());
   for (NodeId x = 0; x < n; ++x) {
-    for (NodeId y = x + 1; y < n; ++y) {
-      out += std::to_string(ledger.count(x, y)) + ",";
+    for (const auto& [y, count] : row_entries(ledger, x)) {
+      if (y > x) out += std::to_string(y) + ":" + std::to_string(count) + ",";
     }
     out += "\n";
   }
@@ -114,59 +119,63 @@ SerialOutcome serial_commit(
 TEST(NetworkStateCommit, DenseConflictRoundMatchesSerialCommit) {
   // Dense round: chords guarantee overlapping triples, so most of the
   // network collapses into a few conflict components, with a handful of
-  // disjoint ones. Every (threads, shards) setting must reproduce the
-  // serial canonical commit bit for bit — counts, stats, and order.
-  const graph::Graph graph = graph::make_cycle(24);
+  // disjoint ones. Every threads setting must reproduce the serial
+  // canonical commit bit for bit — counts, stats, and order. 80 nodes
+  // split the decide kernel at its grain.
+  constexpr NodeId kNodes = 80;
+  const std::size_t decide_chunks = chunks_per_dispatch(kNodes, grain::kDecide);
+  ASSERT_GT(decide_chunks, 1u);
+  const graph::Graph graph = graph::make_cycle(kNodes);
   const MaxMinBalancer balancer{1.0};
   const std::uint64_t seed = 99;
   const std::uint32_t round = 17;
 
   // Reference: serial commit on an identically prepared ledger.
-  PairLedger reference(24);
+  PairLedger reference(kNodes);
   fill_dense(reference, 6);
-  std::vector<std::optional<SwapCandidate>> decided(24);
+  std::vector<std::optional<SwapCandidate>> decided(kNodes);
   std::size_t with_candidate = 0;
   {
     MaxMinBalancer::Scratch scratch;
-    for (NodeId x = 0; x < 24; ++x) {
+    for (NodeId x = 0; x < kNodes; ++x) {
       decided[x] = balancer.best_swap(reference, x, scratch);
       if (decided[x]) ++with_candidate;
     }
   }
-  ASSERT_GT(with_candidate, 20u) << "dense setup should decide nearly everywhere";
-  const auto first = static_cast<NodeId>(round % 24);
+  ASSERT_GT(with_candidate, kNodes * 5 / 6)
+      << "dense setup should decide nearly everywhere";
+  const auto first = static_cast<NodeId>(round % kNodes);
   const SerialOutcome expected =
       serial_commit(balancer, reference, decided, first, seed, round, 0);
   ASSERT_GT(expected.swaps, 0u);
 
   for (const std::uint32_t threads : {1u, 2u, 8u}) {
-    for (const std::uint32_t shards : {1u, 3u, 16u}) {
-      NetworkState state(graph, seed, sharded(threads, shards));
-      fill_dense(state.ledger(), 6);
-      state.decide_swaps([&](NodeId x, MaxMinBalancer::Scratch& scratch) {
-        return balancer.best_swap(state.ledger(), x, scratch);
-      });
-      for (NodeId x = 0; x < 24; ++x) {
-        ASSERT_EQ(state.candidates()[x].has_value(), decided[x].has_value());
-      }
-      std::vector<NodeId> observed_order;
-      const NetworkState::CommitStats stats = state.commit_swaps(
-          balancer, first, round, 0,
-          [&](NodeId x, const SwapCandidate& candidate) {
-            return balancer.is_preferable(state.ledger(), x, candidate.left,
-                                          candidate.right);
-          },
-          [&](const NetworkState::CommittedSwap& swap) {
-            observed_order.push_back(swap.node);
-          });
-      EXPECT_EQ(stats.swaps, expected.swaps)
-          << "threads=" << threads << " shards=" << shards;
-      EXPECT_EQ(stats.pairs_consumed, expected.consumed);
-      EXPECT_EQ(stats.pairs_produced, expected.swaps);
-      EXPECT_EQ(observed_order, expected.commit_order);
-      EXPECT_EQ(ledger_dump(state.ledger()), ledger_dump(reference))
-          << "threads=" << threads << " shards=" << shards;
+    NetworkState state(graph, seed, with_threads(threads));
+    fill_dense(state.ledger(), 6);
+    state.decide_swaps([&](NodeId x, MaxMinBalancer::Scratch& scratch) {
+      return balancer.best_swap(state.ledger(), x, scratch);
+    });
+    EXPECT_EQ(state.timers().decide_load.chunks, decide_chunks)
+        << "threads=" << threads;
+    for (NodeId x = 0; x < kNodes; ++x) {
+      ASSERT_EQ(state.candidates()[x].has_value(), decided[x].has_value());
     }
+    std::vector<NodeId> observed_order;
+    const NetworkState::CommitStats stats = state.commit_swaps(
+        balancer, first, round, 0,
+        [&](NodeId x, const SwapCandidate& candidate) {
+          return balancer.is_preferable(state.ledger(), x, candidate.left,
+                                        candidate.right);
+        },
+        [&](const NetworkState::CommittedSwap& swap) {
+          observed_order.push_back(swap.node);
+        });
+    EXPECT_EQ(stats.swaps, expected.swaps) << "threads=" << threads;
+    EXPECT_EQ(stats.pairs_consumed, expected.consumed);
+    EXPECT_EQ(stats.pairs_produced, expected.swaps);
+    EXPECT_EQ(observed_order, expected.commit_order);
+    EXPECT_EQ(ledger_dump(state.ledger()), ledger_dump(reference))
+        << "threads=" << threads;
   }
 }
 
@@ -175,7 +184,7 @@ TEST(NetworkStateCommit, ConflictingCandidatesSerializeInCanonicalOrder) {
   // in rotating order can win; the others must fail the re-check.
   const graph::Graph graph = graph::make_path(5);
   const MaxMinBalancer balancer{1.0};
-  NetworkState state(graph, 1, sharded(4, 8));
+  NetworkState state(graph, 1, with_threads(4));
   // One chain 0-1-2-3-4 with exactly two pairs per link: nodes 1, 2, 3
   // each decide a swap, every pair of them conflicts (shared links).
   for (NodeId x = 0; x + 1 < 5; ++x) state.ledger().add(x, x + 1, 2);
@@ -202,21 +211,29 @@ TEST(NetworkStateCommit, ConflictingCandidatesSerializeInCanonicalOrder) {
 }
 
 TEST(NetworkStateGeneration, KeyedStreamsAreShardInvariant) {
-  const graph::Graph graph = graph::make_cycle(12);
+  // The 33x33 torus has 2112 edges, so every generate dispatch splits at
+  // the generation grain.
+  const graph::Graph graph = graph::make_torus_grid(1089);
+  const std::size_t generate_chunks =
+      chunks_per_dispatch(graph.edge_count(), grain::kGenerate);
+  ASSERT_GT(generate_chunks, 1u);
+  constexpr std::uint32_t kRounds = 10;
   std::string reference;
-  for (const std::uint32_t shards : {1u, 5u, 64u}) {
-    NetworkState state(graph, 7, sharded(2, shards));
+  for (const std::uint32_t threads : {1u, 2u, 8u}) {
+    NetworkState state(graph, 7, with_threads(threads));
     std::uint64_t generated = 0;
-    for (std::uint32_t round = 1; round <= 20; ++round) {
+    for (std::uint32_t round = 1; round <= kRounds; ++round) {
       generated += state.generate(round, 0.6);
     }
+    EXPECT_EQ(state.timers().generate_load.chunks, kRounds * generate_chunks)
+        << "threads=" << threads;
     const std::string dump =
         ledger_dump(state.ledger()) + "#" + std::to_string(generated);
     if (reference.empty()) {
       reference = dump;
       EXPECT_GT(generated, 0u);
     } else {
-      EXPECT_EQ(dump, reference) << "shards=" << shards;
+      EXPECT_EQ(dump, reference) << "threads=" << threads;
     }
   }
 }
@@ -225,7 +242,7 @@ TEST(NetworkStateGeneration, KeyedStreamsAreShardInvariant) {
 // PairLedger::add. Rebuild it per edge from the scalar keyed draw, the
 // fault plan's edge_up and add, and require the same rows, the same
 // total and the same returned count, for integral and fractional rates, with and without a churning link mask,
-// at every chunking.
+// at one and two threads.
 TEST(NetworkStateGeneration, MergeMatchesScalarReference) {
   util::Rng topo_rng(5);
   const graph::Graph graph = graph::make_random_connected_grid(25, topo_rng);
@@ -236,10 +253,10 @@ TEST(NetworkStateGeneration, MergeMatchesScalarReference) {
   constexpr std::uint64_t kSeed = 11;
   for (const double rate : {2.0, 1.6}) {
     for (const bool masked : {false, true}) {
-      for (const std::uint32_t shards : {1u, 5u}) {
+      for (const std::uint32_t threads : {1u, 2u}) {
         SCOPED_TRACE("rate " + std::to_string(rate) + " masked " +
-                     std::to_string(masked) + " shards " + std::to_string(shards));
-        NetworkState state(graph, kSeed, sharded(2, shards));
+                     std::to_string(masked) + " threads " + std::to_string(threads));
+        NetworkState state(graph, kSeed, with_threads(threads));
         FaultPlan plan(graph, churn, kSeed);
         if (masked) state.set_fault_plan(&plan);
         PairLedger reference(graph.node_count());
@@ -274,7 +291,7 @@ TEST(NetworkStateGeneration, MergeMatchesScalarReference) {
 
 TEST(NetworkStateDecay, TrackedPairsPurgeAndDecohere) {
   const graph::Graph graph = graph::make_cycle(6);
-  NetworkState state(graph, 1, sharded(2, 4), DecayModel{50.0, 0.70});
+  NetworkState state(graph, 1, with_threads(2), DecayModel{50.0, 0.70});
   state.add_pair(0, 1, 0.0, 0.95);
   state.add_pair(0, 1, 5.0, 0.95);
   state.add_pair(2, 3, 0.0, 0.72);  // barely usable, dies quickly
@@ -291,6 +308,34 @@ TEST(NetworkStateDecay, TrackedPairsPurgeAndDecohere) {
   const TrackedPair oldest = state.take_pair(0, 1, 6.0, /*freshest=*/false);
   EXPECT_EQ(oldest.created, 0.0);
   EXPECT_EQ(state.ledger().total_pairs(), 0u);
+}
+
+// 300 nodes split the decohere sweep at its grain: the weak pair on
+// every third link decays below the usable threshold, in both chunks,
+// and every threads setting drops the same pairs.
+TEST(NetworkStateDecay, DecohereSplitsAtItsGrain) {
+  constexpr NodeId kNodes = 300;
+  const std::size_t decohere_chunks =
+      chunks_per_dispatch(kNodes, grain::kDecohere);
+  ASSERT_GT(decohere_chunks, 1u);
+  const graph::Graph graph = graph::make_cycle(kNodes);
+  std::string reference;
+  for (const std::uint32_t threads : {1u, 4u}) {
+    NetworkState state(graph, 1, with_threads(threads), DecayModel{50.0, 0.70});
+    for (NodeId x = 0; x < kNodes; ++x) {
+      const auto y = static_cast<NodeId>((x + 1) % kNodes);
+      state.add_pair(x, y, 0.0, x % 3 == 0 ? 0.72 : 0.95);
+    }
+    EXPECT_EQ(state.decohere_all(6.0), kNodes / 3) << "threads=" << threads;
+    EXPECT_EQ(state.timers().decohere_load.chunks, decohere_chunks)
+        << "threads=" << threads;
+    const std::string dump = ledger_dump(state.ledger());
+    if (reference.empty()) {
+      reference = dump;
+    } else {
+      EXPECT_EQ(dump, reference) << "threads=" << threads;
+    }
+  }
 }
 
 }  // namespace

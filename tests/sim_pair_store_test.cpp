@@ -1,11 +1,12 @@
 // The sparse pair-metadata stores (core::PairLedger's per-node partner
 // rows, sim::PairStore's live-bucket map) must be observationally
 // identical to the dense structures they replaced — under arbitrary
-// insert/swap/decohere/erase churn, at every threads/shards setting, and
+// insert/swap/decohere/erase churn, at every threads setting, and
 // without the O(n^2) footprint ever creeping back. The fuzz tests here
 // drive both stores against brute-force dense reference models; the
 // lockstep test cross-checks the protocols that own the churn
-// ({balancing, fidelity} x threads {1,8} x shards {1,16}); the megascale
+// ({balancing, fidelity} x threads {1,2,8}, on networks the decide
+// kernel splits); the megascale
 // test holds the real heap footprint at n ~ 10^5 to a fixed per-node
 // byte bound, so a dense n(n-1)/2 array returning anywhere in the
 // construction or round path fails loudly.
@@ -168,7 +169,6 @@ TEST(PairStoreChurn, TrackedPairFuzzMatchesDenseReference) {
   const graph::Graph graph = graph::make_random_connected_grid(kNodes, topology_rng);
   sim::TickConcurrency tick;
   tick.threads = 2;
-  tick.shards = 5;  // deliberately uneven node ranges
   sim::DecayModel decay;
   decay.memory_time_constant = 12.0;
   decay.usable_fidelity = 0.75;
@@ -255,10 +255,8 @@ TEST(PairStoreChurn, TrackedPairFuzzMatchesDenseReference) {
 
 // --- protocol lockstep across the concurrency grid --------------------
 
-std::string run_dump(scenario::ScenarioSpec spec, std::int64_t threads,
-                     std::int64_t shards) {
+std::string run_dump(scenario::ScenarioSpec spec, std::int64_t threads) {
   spec.knobs["threads"] = threads;
-  spec.knobs["shards"] = shards;
   // to_json(false): phase_ms.* wall-clock is outside the contract.
   return scenario::registry().run(spec.protocol, spec).to_json(false).dump(2);
 }
@@ -266,9 +264,10 @@ std::string run_dump(scenario::ScenarioSpec spec, std::int64_t threads,
 TEST(PairStoreChurn, ProtocolLockstepAcrossThreadsAndShards) {
   // The protocols that own the churn — balancing (ledger rows under
   // generate/swap/consume) and fidelity (tracked buckets under
-  // add/take/decohere) — on randomized frames, across threads {1,8} x
-  // shards {1,16}: the sparse stores must never let a worker schedule
-  // leak into results.
+  // add/take/decohere) — on randomized frames, across threads {1,2,8}:
+  // the sparse stores must never let a worker schedule leak into
+  // results. Every size is above the decide grain (64 nodes), so the
+  // decide kernel always runs in more than one chunk.
   util::Rng fuzz(0xC4A2);
   for (int trial = 0; trial < 3; ++trial) {
     for (const std::string& protocol : {std::string("balancing"),
@@ -276,7 +275,7 @@ TEST(PairStoreChurn, ProtocolLockstepAcrossThreadsAndShards) {
       scenario::ScenarioSpec spec;
       spec.protocol = protocol;
       spec.topology = fuzz.bernoulli(0.5) ? "random-grid" : "cycle";
-      const std::size_t sizes[] = {9, 16, 25};
+      const std::size_t sizes[] = {81, 100, 144};
       spec.nodes = sizes[fuzz.uniform_index(3)];
       spec.consumer_pairs = 6 + fuzz.uniform_index(8);
       spec.requests = 20 + fuzz.uniform_index(20);
@@ -285,18 +284,15 @@ TEST(PairStoreChurn, ProtocolLockstepAcrossThreadsAndShards) {
         spec.knobs["duration"] = 40.0;
         spec.knobs["memory-T"] = 15.0;  // fast decay: decohere churn heavy
       } else {
-        spec.knobs["max-rounds"] = std::int64_t{2000};
+        spec.knobs["max-rounds"] = std::int64_t{500};
         spec.knobs["generation-rate"] = fuzz.bernoulli(0.5) ? 0.3 : 1.0;
         spec.knobs["distillation"] = 1.5;  // fractional rounding draws
       }
-      const std::string reference = run_dump(spec, 1, 1);
-      for (const std::int64_t threads : {1, 8}) {
-        for (const std::int64_t shards : {1, 16}) {
-          EXPECT_EQ(run_dump(spec, threads, shards), reference)
-              << protocol << " trial " << trial << " diverged at threads="
-              << threads << " shards=" << shards << "\nspec: "
-              << spec.to_json().dump(2);
-        }
+      const std::string reference = run_dump(spec, 1);
+      for (const std::int64_t threads : {2, 8}) {
+        EXPECT_EQ(run_dump(spec, threads), reference)
+            << protocol << " trial " << trial << " diverged at threads="
+            << threads << "\nspec: " << spec.to_json().dump(2);
       }
     }
   }
@@ -304,13 +300,13 @@ TEST(PairStoreChurn, ProtocolLockstepAcrossThreadsAndShards) {
 
 TEST(PairStoreChurn, StreamingWorkloadLockstep) {
   // Streaming arrivals ride the same sparse stores; the Poisson arrival
-  // stream and the lazily derived pool pairs must be threads/shards
+  // stream and the lazily derived pool pairs must be threads
   // invariant, and the run must actually serve requests (satisfied > 0)
   // so the consumption path is exercised, not vacuously equal.
   scenario::ScenarioSpec spec;
   spec.protocol = "balancing";
   spec.topology = "full-grid";
-  spec.nodes = 49;
+  spec.nodes = 81;  // above the decide grain: the decide kernel splits
   spec.consumer_pairs = 4;
   spec.requests = 1;
   spec.seed = 41;
@@ -318,17 +314,14 @@ TEST(PairStoreChurn, StreamingWorkloadLockstep) {
   spec.knobs["consumer-pool"] = std::int64_t{2000000};
   spec.knobs["max-rounds"] = std::int64_t{2000};
   spec.knobs["max-requests"] = std::int64_t{200};
-  const std::string reference = run_dump(spec, 1, 1);
+  const std::string reference = run_dump(spec, 1);
   const scenario::RunMetrics metrics = scenario::registry().run("balancing", spec);
   EXPECT_GT(metrics.scalar("satisfied"), 0.0) << "spec never served a request";
   EXPECT_GT(metrics.scalar("arrivals"), 0.0);
   EXPECT_GT(metrics.scalar("memory_bytes_per_node"), 0.0);
-  for (const std::int64_t threads : {1, 8}) {
-    for (const std::int64_t shards : {1, 16}) {
-      EXPECT_EQ(run_dump(spec, threads, shards), reference)
-          << "streaming run diverged at threads=" << threads
-          << " shards=" << shards;
-    }
+  for (const std::int64_t threads : {2, 8}) {
+    EXPECT_EQ(run_dump(spec, threads), reference)
+        << "streaming run diverged at threads=" << threads;
   }
 }
 

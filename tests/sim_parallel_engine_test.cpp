@@ -13,15 +13,13 @@
 namespace poq::sim {
 namespace {
 
-// An explicit shards knob k splits the range into at most k near-equal
-// chunks, and every chunk runs exactly once at every thread count.
+// A grain g splits the range into ceil(items / g) chunks, and every chunk
+// runs exactly once at every thread count.
 TEST(ParallelTickEngine, RunsEveryShardExactlyOnce) {
   for (const unsigned threads : {1u, 2u, 8u}) {
     ParallelTickEngine engine(threads);
-    for (const std::uint32_t shards : {1u, 4u, 7u, 23u, 40u}) {
+    for (const std::size_t grain : {1u, 4u, 7u, 23u, 2048u}) {
       const std::size_t items = 23;
-      const std::size_t grain =
-          ParallelTickEngine::resolve_grain(shards, items, 2048);
       std::vector<std::atomic<int>> hits(items);
       std::atomic<std::size_t> chunks{0};
       engine.run_chunks(items, grain, nullptr,
@@ -29,9 +27,9 @@ TEST(ParallelTickEngine, RunsEveryShardExactlyOnce) {
                           ++chunks;
                           for (std::size_t i = begin; i < end; ++i) ++hits[i];
                         });
-      EXPECT_LE(chunks.load(), std::size_t{shards});
+      EXPECT_EQ(chunks.load(), (items + grain - 1) / grain);
       for (const auto& hit : hits) {
-        EXPECT_EQ(hit.load(), 1) << threads << " threads, shards " << shards;
+        EXPECT_EQ(hit.load(), 1) << threads << " threads, grain " << grain;
       }
     }
   }
@@ -95,17 +93,15 @@ TEST(ParallelTickEngine, RunChunksZeroItemsIsANoop) {
   EXPECT_FALSE(touched);
 }
 
-// An empty range resolves to a valid grain under every shards knob and
-// runs no chunk.
+// An empty range runs no chunk at any of the kernels' grains.
 TEST(ParallelTickEngine, ZeroShardsIsANoop) {
   ParallelTickEngine engine(2);
-  for (const std::uint32_t shards : {0u, 3u}) {
-    const std::size_t grain = ParallelTickEngine::resolve_grain(shards, 0, 2048);
-    EXPECT_GE(grain, 1u);
+  for (const std::size_t grain : {grain::kGenerate, grain::kDecide,
+                                  grain::kDecohere, grain::kBelief}) {
     bool touched = false;
     engine.run_chunks(0, grain, nullptr,
                       [&](std::size_t, std::size_t, unsigned) { touched = true; });
-    EXPECT_FALSE(touched) << "shards " << shards;
+    EXPECT_FALSE(touched) << "grain " << grain;
   }
 }
 
@@ -114,9 +110,8 @@ TEST(ParallelTickEngine, ZeroShardsIsANoop) {
 TEST(ParallelTickEngine, ShardExceptionsPropagateAfterDraining) {
   for (const unsigned threads : {1u, 4u}) {
     ParallelTickEngine engine(threads);
-    const std::size_t grain = ParallelTickEngine::resolve_grain(9, 9, 2048);
     std::atomic<int> ran{0};
-    EXPECT_THROW(engine.run_chunks(9, grain, nullptr,
+    EXPECT_THROW(engine.run_chunks(9, 1, nullptr,
                                    [&](std::size_t begin, std::size_t,
                                        unsigned) {
                                      if (begin == 4) {
@@ -199,35 +194,6 @@ TEST(ChunkLoad, SingleChunkDispatchesReportNoImbalance) {
 TEST(ChunkLoad, EmptyLoadReportsZeroImbalance) {
   const ChunkLoad load;
   EXPECT_EQ(load.imbalance(), 0.0);
-}
-
-TEST(ParallelTickEngine, ResolveGrainDefaultsAndExplicitShardSplit) {
-  // shards == 0 (auto): the kernel's default grain wins.
-  EXPECT_EQ(ParallelTickEngine::resolve_grain(0, 100000, 2048), 2048u);
-  EXPECT_EQ(ParallelTickEngine::resolve_grain(0, 5, 256), 256u);
-  // Explicit shard counts keep their meaning: grain = ceil(items / shards).
-  EXPECT_EQ(ParallelTickEngine::resolve_grain(4, 100, 2048), 25u);
-  EXPECT_EQ(ParallelTickEngine::resolve_grain(3, 100, 2048), 34u);
-  // Never rounds down to a zero grain.
-  EXPECT_EQ(ParallelTickEngine::resolve_grain(16, 3, 2048), 1u);
-  EXPECT_GE(ParallelTickEngine::resolve_grain(0, 10, 0), 1u);
-}
-
-// The shards knob read as a chunk count: an explicit k that divides the
-// range passes through exactly; auto stays within [1, items].
-TEST(ParallelTickEngine, ResolveShardsAutoIsBoundedAndExplicitPassesThrough) {
-  const auto chunks = [](std::uint32_t shards, std::size_t items) {
-    const std::size_t grain =
-        ParallelTickEngine::resolve_grain(shards, items, 2048);
-    return (items + grain - 1) / grain;
-  };
-  EXPECT_EQ(chunks(5, 100), 5u);
-  const std::size_t auto_chunks = chunks(0, 100);
-  EXPECT_GE(auto_chunks, 1u);
-  EXPECT_LE(auto_chunks, 100u);
-  // Tiny inputs never get more chunks than items.
-  EXPECT_LE(chunks(0, 3), 3u);
-  EXPECT_LE(chunks(16, 3), 3u);
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // The vertex-program substrate contract (docs/ARCHITECTURE.md): the
 // canonical message merge makes every inbox fold in a fixed order —
 // (deliver epoch, send phase, sender, per-sender send index) — for every
-// threads/shards setting. The claim is checked with deliberately
+// threads setting and chunk grain. The claim is checked with deliberately
 // order-sensitive folds, so a merge-order slip cannot cancel out.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -23,11 +24,13 @@ namespace {
 /// One epoch's order-sensitive message workload: every vertex mails a
 /// keyed pseudo-random batch to scattered targets at mixed delays, then a
 /// serial phase mails a couple more. Receivers fold their inboxes with a
-/// non-commutative hash, so any reordering changes the digest.
+/// non-commutative hash, so any reordering changes the digest. Each
+/// kernel callback (one per chunk) bumps `*chunks` when it is given.
 std::uint64_t run_digest(std::size_t vertex_count, unsigned threads,
-                         std::uint32_t shards) {
+                         std::size_t grain,
+                         std::atomic<std::size_t>* chunks = nullptr) {
   ParallelTickEngine pool(threads);
-  VertexProgram<std::uint32_t> program(vertex_count, pool, shards);
+  VertexProgram<std::uint32_t> program(vertex_count, pool);
   std::vector<std::uint64_t> fold(vertex_count, 1469598103934665603ull);
   const auto n = static_cast<std::uint32_t>(vertex_count);
   for (std::uint64_t epoch = 0; epoch < 8; ++epoch) {
@@ -36,9 +39,10 @@ std::uint64_t run_digest(std::size_t vertex_count, unsigned threads,
         fold[v] = fold[v] * 31 + payload;  // deliberately non-commutative
       }
     }
-    program.run_kernel(vertex_count, grain::kDecide,
+    program.run_kernel(vertex_count, grain,
                        [&](std::size_t begin, std::size_t end,
                            VertexProgram<std::uint32_t>::Context& ctx) {
+      if (chunks != nullptr) ++*chunks;
       for (std::size_t i = begin; i < end; ++i) {
         const auto v = static_cast<std::uint32_t>(i);
         util::Rng rng = util::Rng::keyed(41, 0x766d7478, epoch, v);
@@ -62,15 +66,20 @@ std::uint64_t run_digest(std::size_t vertex_count, unsigned threads,
 }
 
 TEST(VertexProgram, MergeOrderIsCanonicalAcrossThreadsAndShards) {
-  // 200 vertices: the auto grain (shards 0) splits them into several
-  // chunks too.
+  // The reference is one chunk on one thread; 200 vertices split at the
+  // decide grain too.
+  // The kernel callbacks are counted: 8 epochs of ceil(vertices / grain)
+  // chunks each.
   for (const std::size_t vertices : {24u, 200u}) {
-    const std::uint64_t reference = run_digest(vertices, 1, 1);
+    const std::uint64_t reference = run_digest(vertices, 1, vertices);
     for (const unsigned threads : {1u, 2u, 8u}) {
-      for (const std::uint32_t shards : {0u, 1u, 3u, 16u}) {
-        EXPECT_EQ(run_digest(vertices, threads, shards), reference)
+      for (const std::size_t grain : {std::size_t{1}, std::size_t{3},
+                                      grain::kBelief, grain::kDecide}) {
+        std::atomic<std::size_t> chunks{0};
+        EXPECT_EQ(run_digest(vertices, threads, grain, &chunks), reference)
             << "digest drifted at vertices=" << vertices
-            << " threads=" << threads << " shards=" << shards;
+            << " threads=" << threads << " grain=" << grain;
+        EXPECT_EQ(chunks.load(), 8 * ((vertices + grain - 1) / grain));
       }
     }
   }
@@ -79,12 +88,12 @@ TEST(VertexProgram, MergeOrderIsCanonicalAcrossThreadsAndShards) {
 // A 1-thread pool runs every chunk inline on the caller: the sequential
 // engine is the same code, not a separate path.
 TEST(VertexProgram, SequentialEngineIsTheOneShardSpecialCase) {
-  EXPECT_EQ(run_digest(24, 1, 1), run_digest(24, 4, 7));
+  EXPECT_EQ(run_digest(24, 1, 24), run_digest(24, 4, 4));
 }
 
 TEST(VertexProgram, SerialSendRejectsSameEpochDelivery) {
   ParallelTickEngine pool(1);
-  VertexProgram<int> program(4, pool, 1);
+  VertexProgram<int> program(4, pool);
   (void)program.deliver(0);
   EXPECT_THROW(program.send(2, 0, 7), PreconditionError);
   program.send(2, 1, 7);  // >= 1 is fine
@@ -93,7 +102,7 @@ TEST(VertexProgram, SerialSendRejectsSameEpochDelivery) {
 
 TEST(VertexProgram, ParallelSendClampsToNextEpoch) {
   ParallelTickEngine pool(2);
-  VertexProgram<int> program(4, pool, 2);
+  VertexProgram<int> program(4, pool);
   (void)program.deliver(0);
   program.run_kernel(4, 1, [&](std::size_t begin, std::size_t,
                                VertexProgram<int>::Context& ctx) {

@@ -20,21 +20,6 @@ TEST(Table, PrintAlignsColumns) {
   EXPECT_NE(text.find("10    123.45"), std::string::npos);
 }
 
-TEST(Table, CsvRoundTripSimple) {
-  Table table({"a", "b"});
-  table.add_row({"1", "2"});
-  EXPECT_EQ(table.to_csv(), "a,b\n1,2\n");
-}
-
-TEST(Table, CsvEscapesSpecialCharacters) {
-  Table table({"name"});
-  table.add_row({"has,comma"});
-  table.add_row({"has\"quote"});
-  const std::string csv = table.to_csv();
-  EXPECT_NE(csv.find("\"has,comma\""), std::string::npos);
-  EXPECT_NE(csv.find("\"has\"\"quote\""), std::string::npos);
-}
-
 TEST(Table, RejectsMismatchedRow) {
   Table table({"a", "b"});
   EXPECT_THROW(table.add_row({"only one"}), PreconditionError);

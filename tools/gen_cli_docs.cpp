@@ -107,8 +107,8 @@ std::string render() {
          "Aggregation order is fixed by (cell, replication), so sweep\n"
          "results are bit-identical for any `--threads`/`--intra-threads`\n"
          "setting. `0` always means \"resolve to the hardware thread\n"
-         "count\" — for the sweep pool, for the per-run `--threads` knob,\n"
-         "and for `poqsim serve --intra-threads`; negative values are\n"
+         "count\" — for the sweep pool, for the per-run `--threads` knob\n"
+         "and for `poqsim serve --sweep-threads`; negative values are\n"
          "rejected everywhere.\n"
          "\n"
          "## Other subcommands\n"

@@ -599,8 +599,7 @@ int cmd_serve(const util::ArgParser& args) {
   if (args.has("help")) {
     std::cout <<
         "usage: poqsim serve [--socket PATH] [--workers N] [--queue-depth D]\n"
-        "                    [--sweep-threads T] [--intra-threads K]\n"
-        "                    [--job-timeout SECS]\n"
+        "                    [--sweep-threads T] [--job-timeout SECS]\n"
         "Long-running simulation server: accepts jobs over a local AF_UNIX\n"
         "socket speaking newline-delimited JSON (see `poqsim client`), with a\n"
         "bounded job queue, cooperative cancellation and live per-task\n"
@@ -610,9 +609,9 @@ int cmd_serve(const util::ArgParser& args) {
         "  --queue-depth D    queued jobs before submits are rejected with\n"
         "                     code queue_full (default 8)\n"
         "  --sweep-threads T  sweep pool threads per sweep job (default 1;\n"
-        "                     0 = hardware)\n"
-        "  --intra-threads K  intra-run threads per sweep cell (default 1;\n"
-        "                     0 = hardware)\n"
+        "                     0 = hardware); each cell's intra-run threads\n"
+        "                     are its own 'threads' knob, set by the client\n"
+        "                     (`poqsim client sweep --threads K`)\n"
         "  --job-timeout SECS per-job wall-clock budget; a job running past\n"
         "                     it is cancelled and fails with error \"timeout\"\n"
         "                     (default 0 = no deadline)\n";
@@ -635,11 +634,6 @@ int cmd_serve(const util::ArgParser& args) {
     throw PreconditionError("--sweep-threads must be in [0, 4096]");
   }
   options.sweep_threads = static_cast<unsigned>(sweep_threads);
-  const std::int64_t intra = args.get_int("intra-threads", 1);
-  if (intra < 0 || intra > 4096) {
-    throw PreconditionError("--intra-threads must be in [0, 4096]");
-  }
-  options.intra_run_threads = static_cast<unsigned>(intra);
   const double job_timeout = args.get_double("job-timeout", 0.0);
   if (job_timeout < 0.0 || job_timeout > 1.0e6) {
     throw PreconditionError("--job-timeout must be in [0, 1e6] seconds");

@@ -23,7 +23,7 @@
 //   --check     after running, diff the matching suite's cells against a
 //               committed baseline JSON with a relative tolerance; exits
 //               nonzero on regression (the CI perf/correctness gate).
-//               Cell specs match with their threads/shards knobs ignored,
+//               Cell specs match with their threads knob ignored,
 //               so any --intra-threads run checks against the baseline
 //   --rel-tol   relative tolerance for --check (default 1e-9: every suite
 //               is deterministic; loosen it only to compare full-scale
@@ -373,14 +373,16 @@ SuiteRun suite_lp_steady_state(const Options& options) {
 }
 
 SuiteRun suite_parallel_scaling(const Options& options) {
-  // Intra-run scaling on the largest Fig. 5 cell: the physics is fixed
-  // and only the tick engine's `threads` knob sweeps, so per-cell
-  // wall_ms isolates the intra-run speedup while the metrics double as a
-  // cross-thread determinism gate (they must not move at all). The sweep
-  // pool is pinned to one task at a time for honest wall-clock numbers.
-  // Gossip and fidelity cells extend the gate to the full phase-kernel
-  // registry: their sharded paths (canonical message merge, per-node
-  // event sharding) must be thread-invariant too.
+  // Intra-run threads on the largest Fig. 5 cell: the physics is fixed
+  // and only the tick engine's `threads` knob sweeps, so the metrics are
+  // a cross-thread determinism gate (they must not move at all). Gossip
+  // and fidelity cells extend the gate to the full phase-kernel
+  // registry. The wall_ms column is not a speedup curve: every kernel
+  // range here is below its sim::grain (quick: balancing 49, gossip 25,
+  // fidelity 16 nodes; full mode splits only balancing's decide, at
+  // n = 100, in two), so each dispatch is one chunk and the extra threads
+  // only add worker start-up and parking. The sweep pool is pinned to
+  // one task at a time.
   const std::int64_t round_budget = options.quick ? 300 : 1500;
   const std::size_t nodes = options.quick ? 49 : 100;
   std::vector<scenario::ScenarioSpec> grid;
@@ -905,8 +907,8 @@ const std::vector<std::pair<std::string, SuiteFn>> kSuites = {
 // Regression check (--check)
 // ---------------------------------------------------------------------------
 
-/// A cell spec without its execution knobs (`threads`, `shards`). Those
-/// never change results (the determinism contract), so a run at
+/// A cell spec without its execution knob (`threads`), which
+/// never changes results (the determinism contract), so a run at
 /// --intra-threads K is checked against a baseline recorded at 1.
 util::json::Value without_execution_knobs(const util::json::Value& spec) {
   util::json::Value out = util::json::Value::object();
@@ -917,7 +919,7 @@ util::json::Value without_execution_knobs(const util::json::Value& spec) {
     }
     util::json::Value knobs = util::json::Value::object();
     for (const auto& [knob, knob_value] : value.members()) {
-      if (knob != "threads" && knob != "shards") knobs.set(knob, knob_value);
+      if (knob != "threads") knobs.set(knob, knob_value);
     }
     out.set(name, std::move(knobs));
   }
