@@ -85,11 +85,11 @@ class Driver {
   }
 
   /// Deliver token handoffs: the apply kernel appends each arriving token
-  /// to its junction's waiting queue.
+  /// to its junction's waiting queue. Like the belief kernels, each item
+  /// walks one vertex's inbox, so it takes their grain.
   void apply_phase() {
     const std::vector<std::uint32_t>& active = vp_.deliver(epoch_);
-    // O(1) per delivered token: the generation-draw grain.
-    vp_.run_kernel(active.size(), sim::grain::kGenerate,
+    vp_.run_kernel(active.size(), sim::grain::kBelief, &result_.apply_load,
                    [&](std::size_t begin, std::size_t end, Program::Context&) {
       for (std::size_t i = begin; i < end; ++i) {
         const NodeId v = active[i];

@@ -78,6 +78,9 @@ struct AsyncRoutingResult {
   /// Fault-injection resilience record, in simulated time (empty when
   /// faults are disabled — the historical metric set is untouched).
   sim::FaultStats faults;
+  /// Chunk accounting of the handoff apply kernel (observability only,
+  /// surfaced as the shard_imbalance.apply timing).
+  sim::ChunkLoad apply_load;
 
   [[nodiscard]] double satisfied_fraction() const {
     return requests_arrived == 0

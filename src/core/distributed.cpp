@@ -284,7 +284,7 @@ class Driver {
 
   void apply_phase() {
     const std::vector<std::uint32_t>& active = vp_.deliver(epoch_);
-    vp_.run_kernel(active.size(), sim::grain::kBelief,
+    vp_.run_kernel(active.size(), sim::grain::kBelief, nullptr,
                    [&](std::size_t begin, std::size_t end, Program::Context&) {
       for (std::size_t i = begin; i < end; ++i) {
         const NodeId x = active[i];
@@ -438,7 +438,7 @@ class Driver {
   // --- phase 4: report + decide (parallel kernel) ---------------------
 
   void report_and_decide() {
-    vp_.run_kernel(n_, sim::grain::kBelief,
+    vp_.run_kernel(n_, sim::grain::kBelief, nullptr,
                    [&](std::size_t begin, std::size_t end,
                        Program::Context& ctx) {
       for (NodeId x = static_cast<NodeId>(begin); x < end; ++x) {

@@ -510,6 +510,9 @@ class AsyncRoutingProtocol final : public Protocol {
     }
     metrics.set_stats("request_latency", result.request_latency);
     metrics.set_stats("request_hops", result.request_hops);
+    if (result.apply_load.chunks > 0) {
+      metrics.set_timing("shard_imbalance.apply", result.apply_load.imbalance());
+    }
     add_fault_metrics(metrics, config.faults, result.faults);
     return metrics;
   }

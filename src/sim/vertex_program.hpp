@@ -121,15 +121,17 @@ class VertexProgram {
   /// Run `kernel(begin, end, context)` over [0, items) in the engine's
   /// canonical chunks of `grain` entities, fanned across the pool, each
   /// chunk with its own context; the kernel walks its ascending slice of
-  /// the caller's entity list.
+  /// the caller's entity list; `load` (may be null) records the chunks as
+  /// in run_chunks.
   /// seal() then merges the contexts in ascending chunk order, which is
   /// what makes the merge canonical.
   template <typename Kernel>
-  void run_kernel(std::size_t items, std::size_t grain, Kernel&& kernel) {
+  void run_kernel(std::size_t items, std::size_t grain, ChunkLoad* load,
+                  Kernel&& kernel) {
     if (items == 0) return;
     const std::size_t chunks = (items + grain - 1) / grain;
     if (contexts_.size() < chunks) contexts_.resize(chunks);
-    pool_.run_chunks(items, grain, nullptr,
+    pool_.run_chunks(items, grain, load,
                      [this, grain, &kernel](std::size_t begin, std::size_t end,
                                             unsigned) {
                        kernel(begin, end, contexts_[begin / grain]);

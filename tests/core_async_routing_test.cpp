@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 
 #include "core/workload.hpp"
@@ -105,6 +106,33 @@ TEST(AsyncRouting, SwapsAndHandoffsAreConsistent) {
   EXPECT_LE(result.swaps, result.pairs_consumed);
   EXPECT_LE(result.control_messages, result.pairs_consumed);
   EXPECT_GT(result.swaps, 0u);
+}
+
+TEST(AsyncRouting, ChunkedApplyKernelMatchesOneThread) {
+  // A busy request stream keeps more junctions receiving handoffs in an
+  // epoch than the belief grain, so the apply kernel splits. It dispatches
+  // at most once an epoch: more chunks than epochs means that some
+  // dispatch ran in several.
+  const graph::Graph graph = graph::make_torus_grid(64);
+  AsyncRoutingConfig config = base_config();
+  config.arrival_rate = 20.0;
+  config.generation_rate = 2.0;
+  config.duration = 50.0;
+  const AsyncRoutingResult serial =
+      run_async_routing(graph, grid_workload(64, 5), config);
+  config.tick.threads = 4;
+  const AsyncRoutingResult chunked =
+      run_async_routing(graph, grid_workload(64, 5), config);
+  const auto epochs = static_cast<std::uint64_t>(config.duration / config.dt);
+  EXPECT_GT(chunked.apply_load.chunks, epochs);
+  EXPECT_EQ(chunked.apply_load.chunks, serial.apply_load.chunks);
+  EXPECT_GT(serial.control_messages, 0u);
+  EXPECT_EQ(chunked.requests_satisfied, serial.requests_satisfied);
+  EXPECT_EQ(chunked.requests_dropped, serial.requests_dropped);
+  EXPECT_EQ(chunked.swaps, serial.swaps);
+  EXPECT_EQ(chunked.pairs_consumed, serial.pairs_consumed);
+  EXPECT_EQ(chunked.control_messages, serial.control_messages);
+  EXPECT_EQ(chunked.request_latency.mean(), serial.request_latency.mean());
 }
 
 TEST(AsyncRouting, RejectsBadInputs) {

@@ -6,7 +6,6 @@
 
 #include "core/workload.hpp"
 #include "graph/topology.hpp"
-#include "sim/parallel_engine.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -163,28 +162,6 @@ TEST(Distributed, RejectsNanDuration) {
 
 TEST(Distributed, RejectsInfiniteDuration) {
   expect_duration_rejected(std::numeric_limits<double>::infinity());
-}
-
-// Every epoch's report/decide kernel runs over all n nodes at the belief
-// grain, so 16 nodes split it into four chunks; four threads must
-// reproduce the one-thread run.
-TEST(Distributed, ChunkedKernelsMatchOneThread) {
-  const graph::Graph graph = graph::make_torus_grid(16);
-  ASSERT_GT(graph.node_count(), sim::grain::kBelief);
-  DistributedConfig config = base_config();
-  const DistributedResult serial =
-      run_distributed(graph, grid_workload(16, 1), config);
-  config.tick.threads = 4;
-  const DistributedResult chunked =
-      run_distributed(graph, grid_workload(16, 1), config);
-  EXPECT_GT(serial.swaps, 0u);
-  EXPECT_EQ(chunked.pairs_generated, serial.pairs_generated);
-  EXPECT_EQ(chunked.swaps, serial.swaps);
-  EXPECT_EQ(chunked.stale_swaps, serial.stale_swaps);
-  EXPECT_EQ(chunked.requests_satisfied, serial.requests_satisfied);
-  EXPECT_EQ(chunked.consume_conflicts, serial.consume_conflicts);
-  EXPECT_EQ(chunked.control_bytes, serial.control_bytes);
-  EXPECT_EQ(chunked.decision_view_age.mean(), serial.decision_view_age.mean());
 }
 
 }  // namespace

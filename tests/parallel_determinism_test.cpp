@@ -102,9 +102,12 @@ TEST(ParallelDeterminism, ShardCountNeverChangesResults) {
 
 TEST(ParallelDeterminism, FullThreadShardCrossProduct) {
   // The acceptance grid: threads {1,2,8} must agree on every ported
-  // protocol (smaller spec to keep the product cheap).
+  // protocol (smaller spec to keep the product cheap). Distributed's
+  // report/decide kernel runs over all n nodes every epoch, so 16 nodes
+  // split it at the belief grain.
   for (const std::string& protocol : kPortedProtocols) {
     ScenarioSpec spec = base_spec(protocol, 16);
+    ASSERT_GT(spec.nodes, sim::grain::kBelief);
     spec.consumer_pairs = 10;
     spec.requests = 20;
     if (protocol == "fidelity") spec.knobs["duration"] = 40.0;

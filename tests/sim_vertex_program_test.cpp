@@ -39,7 +39,7 @@ std::uint64_t run_digest(std::size_t vertex_count, unsigned threads,
         fold[v] = fold[v] * 31 + payload;  // deliberately non-commutative
       }
     }
-    program.run_kernel(vertex_count, grain,
+    program.run_kernel(vertex_count, grain, nullptr,
                        [&](std::size_t begin, std::size_t end,
                            VertexProgram<std::uint32_t>::Context& ctx) {
       if (chunks != nullptr) ++*chunks;
@@ -104,7 +104,7 @@ TEST(VertexProgram, ParallelSendClampsToNextEpoch) {
   ParallelTickEngine pool(2);
   VertexProgram<int> program(4, pool);
   (void)program.deliver(0);
-  program.run_kernel(4, 1, [&](std::size_t begin, std::size_t,
+  program.run_kernel(4, 1, nullptr, [&](std::size_t begin, std::size_t,
                                VertexProgram<int>::Context& ctx) {
     if (begin == 0) ctx.send(3, 0, 42);  // clamped to delay 1
   });
