@@ -161,8 +161,8 @@ std::optional<SwapCandidate> MaxMinBalancer::best_swap_with_reports(
           "best_swap_with_reports: needs a ledger with the dense count mirror");
   if (eligibility_masks(ledger, x, row, scratch) < 2) return std::nullopt;  // no pair to swap
   if (const auto zero = first_zero_view_pair(
-          listed(ledger, scratch.eligible_bits.data(), row, scratch.eligible), reports,
-          [this, x](NodeId a, NodeId b) { return detour_allowed(x, a, b); }, scratch)) {
+          scratch.eligible_bits.data(), reports,
+          [this, x](NodeId a, NodeId b) { return detour_allowed(x, a, b); })) {
     return SwapCandidate{zero->first, zero->second, 0};
   }
   return scan_pairs(x, listed(ledger, scratch.roomy_bits.data(), row, scratch.roomy),
@@ -223,39 +223,6 @@ void room_masks(std::span<const std::uint32_t> row, const std::uint64_t* live,
   }
 }
 
-std::span<const NodeId> report_order(std::span<const MaxMinBalancer::Eligible> eligible,
-                                     const MaxMinBalancer::ReportView& reports,
-                                     MaxMinBalancer::Scratch& scratch) {
-  const std::uint32_t depth = reports.depth;
-  // Bucket now - round for a heard reporter, `depth` for one never heard
-  // from (round 0).
-  const auto bucket_of = [&reports, depth](NodeId u) {
-    const std::uint32_t round = reports.rounds[u];
-    return round == 0 ? depth : reports.now - round;
-  };
-  const std::size_t buckets = std::size_t{depth} + 1;
-  if (scratch.order.size() < eligible.size()) scratch.order.resize(eligible.size());
-  if (scratch.buckets.size() < buckets + 1) scratch.buckets.resize(buckets + 1);
-  // start[b + 1] counts bucket b; the prefix sum turns start[b] into
-  // bucket b's first index.
-  std::uint32_t* const start = scratch.buckets.data();
-  std::fill_n(start, buckets + 1, 0u);
-  for (const MaxMinBalancer::Eligible& e : eligible) {
-    const std::uint32_t bucket = bucket_of(e.node);
-    // A heard round must be in (now - depth, now]: one after `now` wraps
-    // to a huge bucket, one too old would share the never-heard bucket.
-    ensure(bucket < depth || reports.rounds[e.node] == 0,
-           "report_order: a report round outside (now - depth, now]");
-    ++start[bucket + 1];
-  }
-  for (std::size_t b = 1; b < buckets; ++b) start[b] += start[b - 1];
-  NodeId* const order = scratch.order.data();
-  for (const MaxMinBalancer::Eligible& e : eligible) {
-    order[start[bucket_of(e.node)]++] = e.node;
-  }
-  return {order, eligible.size()};
-}
-
 MaxMinBalancer::Execution MaxMinBalancer::execute_swap(PairLedger& ledger, NodeId x,
                                                        NodeId left, NodeId right,
                                                        util::Rng& rng) const {
@@ -273,6 +240,10 @@ std::uint32_t MaxMinBalancer::spend(util::Rng& rng) const {
   const double fraction = distillation_ - whole;
   // With a fraction, ceil(D) = floor(D) + 1.
   return fraction > 0.0 && rng.bernoulli(fraction) ? ceil_d_ : saturated(whole);
+}
+
+bool MaxMinBalancer::spend_draws() const {
+  return distillation_ - std::floor(distillation_) > 0.0;
 }
 
 }  // namespace poq::core

@@ -48,12 +48,12 @@
 // donor's sorted row against the whole of it.
 //
 // A stale view (gossip's reports, ReportView) gets the same mask pass
-// and the same two tiers: the view of a pair is the fresher endpoint's
-// report, so a reporter decides exactly the pairs it shares with the
-// partners it precedes in (report round descending, id ascending) order
-// (a counting sort on the report age of E's partners, report_order),
-// and first_zero_view_pair finds the lexicographically first zero view
-// pair from each reporter's reported live bitset.
+// and the same two tiers. The view of a pair is the fresher endpoint's
+// report (the lower id's on a tie), so first_zero_view_pair takes the
+// reporters u from E's bits in ascending order and reads u's zero pairs
+// from E & ~live(u), keeping those u's report decides: every zero view
+// pair turns up once, from the endpoint whose report is fresher, with
+// no sort on the report rounds.
 #pragma once
 
 #include <algorithm>
@@ -123,24 +123,13 @@ class MaxMinBalancer {
   /// sharded decide phase) are safe as long as each brings its own
   /// Scratch.
   struct Scratch {
-    /// E as a list: listed from E's bits below the mirror limit (for the
-    /// stale-view tier 1), gathered from x's sorted row above it.
+    /// E as a list, gathered from x's sorted row above the mirror limit.
     std::vector<Eligible> eligible;
     /// Tier 2's candidates, listed from R's bits.
     std::vector<Eligible> roomy;
     /// E and R as node bitsets (ceil(n/64) words each), from room_masks.
     std::vector<std::uint64_t> eligible_bits;
     std::vector<std::uint64_t> roomy_bits;
-    /// The stale-view tier 1's set of partners after the reporter
-    /// (ceil(n/64) words).
-    std::vector<std::uint64_t> mask;
-    /// The stale-view tier 1's (report round, id) order of `eligible`
-    /// (report_order), sized like it.
-    std::vector<NodeId> order;
-    /// report_order's bucket starts, one per report age plus one for
-    /// reporters never heard from (sized on first use to the view's
-    /// depth + 1).
-    std::vector<std::uint32_t> buckets;
 
     /// Pre-size for networks of `node_count` nodes (a row holds at most
     /// node_count-1 partners), so the per-node decide never allocates.
@@ -148,10 +137,8 @@ class MaxMinBalancer {
       const std::size_t words = (node_count + 63) / 64;
       eligible.resize(node_count);
       roomy.resize(node_count);
-      order.resize(node_count);
       eligible_bits.resize(words);
       roomy_bits.resize(words);
-      mask.resize(words);
     }
   };
 
@@ -167,16 +154,12 @@ class MaxMinBalancer {
   /// What one node knows of every other node's count row (gossip's
   /// knowledge base, per owner): last[r] is reporter r's last report,
   /// sent at round rounds[r]. A reporter never heard from has round 0
-  /// and an all-zero row and bitset. Every other round lies in
-  /// (now - depth, now], which makes the tier-1 order a counting sort
-  /// (report_order). The view of C_a(b) is the fresher of a's and b's
-  /// reports, a's on a tie.
+  /// and an all-zero row and bitset. The view of C_a(b) is the fresher of
+  /// a's and b's reports, a's on a tie.
   struct ReportView {
     const Report* last;
     const std::uint32_t* rounds;
     std::size_t words;
-    std::uint32_t now;
-    std::uint32_t depth;
 
     [[nodiscard]] std::uint32_t count(NodeId reporter, NodeId peer) const {
       return last[reporter].row[peer];
@@ -213,7 +196,8 @@ class MaxMinBalancer {
   /// through x's stale `reports`; x's own counts are always ground truth
   /// (x owns them). Needs a ledger with a dense count mirror (gossip's
   /// reports are snapshots of it). Two tiers from room_masks:
-  /// first_zero_view_pair, then the room >= 2 scan reading reports.view.
+  /// first_zero_view_pair on E's bits, then the room >= 2 scan reading
+  /// reports.view.
   /// Thread-safe: caller-owned scratch.
   [[nodiscard]] std::optional<SwapCandidate> best_swap_with_reports(
       const PairLedger& ledger, NodeId x, const ReportView& reports,
@@ -233,6 +217,10 @@ class MaxMinBalancer {
   /// probability D - floor(D) (a Bernoulli draw from `rng` only when
   /// that fraction is positive). Shared by swaps and consumption.
   [[nodiscard]] std::uint32_t spend(util::Rng& rng) const;
+
+  /// Whether spend draws from its stream at all (D has a fraction); at a
+  /// whole D a caller may pass a stream it never derived.
+  [[nodiscard]] bool spend_draws() const;
 
   /// Pairs a consumer pair must hold to be consumed, and the pairs a
   /// hybrid assist manufactures for it: max(1, ceil(D)).
@@ -340,60 +328,47 @@ class MaxMinBalancer {
 void room_masks(std::span<const std::uint32_t> row, const std::uint64_t* live,
                 std::uint32_t k, std::uint64_t* eligible, std::uint64_t* roomy);
 
-/// The stale-view tier 1's order of `eligible` (ascending by id): report
-/// round descending, then id ascending, written to scratch.order. Every
-/// round held is 0 (never heard from) or in (now - depth, now], so the
-/// order is a stable counting sort on the bucket now - round, with the
-/// reporters never heard from in a last bucket `depth`; E ascends, so
-/// each bucket keeps id order. O(|E| + depth), and it allocates only
-/// when scratch is smaller than E or the depth.
-[[nodiscard]] std::span<const NodeId> report_order(
-    std::span<const MaxMinBalancer::Eligible> eligible,
-    const MaxMinBalancer::ReportView& reports, MaxMinBalancer::Scratch& scratch);
-
 /// Tier 1 of the stale-view decide: the lexicographically first pair
-/// (a, b), a < b, of `eligible` (ascending) whose view count
-/// reports.view(a, b) is 0 and for which allowed(a, b) holds; nullopt
-/// when there is none. It reads only the report rounds and live
-/// bitsets. The view of {u, v} is the report of whichever comes first
-/// in report_order, so a reverse walk of that order keeps the set S of
-/// partners after u, and the bits of S & ~live(u) are exactly the zero
-/// view pairs u decides: every zero pair turns up once, and the
-/// lexicographic minimum of the allowed ones is kept. Uses
-/// scratch.order, scratch.buckets and scratch.mask.
+/// (a, b), a < b, of E (bitset `in_e`, reports.words words) whose view
+/// count reports.view(a, b) is 0 and for which allowed(a, b) holds;
+/// nullopt when there is none. It reads only the report rounds and live
+/// bitsets. For each reporter u of E, ascending, the bits of
+/// E & ~live(u) are the pairs u's report says are zero, and u decides
+/// those whose view is its report: rounds[u] > rounds[v], or equal
+/// rounds and u < v (so never v = u). Every zero view pair turns up
+/// once, and the lexicographic minimum of the allowed ones is kept. Any
+/// rounds work; nothing is sorted.
 template <typename Allowed>
 [[nodiscard]] std::optional<std::pair<NodeId, NodeId>> first_zero_view_pair(
-    std::span<const MaxMinBalancer::Eligible> eligible,
-    const MaxMinBalancer::ReportView& reports, Allowed&& allowed,
-    MaxMinBalancer::Scratch& scratch) {
+    const std::uint64_t* in_e, const MaxMinBalancer::ReportView& reports,
+    Allowed&& allowed) {
   const std::size_t words = reports.words;
-  const std::span<const NodeId> order = report_order(eligible, reports, scratch);
-  if (scratch.mask.size() < words) scratch.mask.resize(words);
-  std::uint64_t* const after = scratch.mask.data();
-  std::fill_n(after, words, std::uint64_t{0});
   std::optional<std::pair<NodeId, NodeId>> best;
   // Keep the first of u's zero pairs that beats `best` and is allowed,
   // if any. As v ascends, {min(u, v), max(u, v)} ascends
   // lexicographically, so the walk stops at the first pair not below
   // `best`.
   const auto improve = [&](NodeId u) {
+    const std::uint32_t round_u = reports.rounds[u];
     for (std::size_t w = 0; w < words; ++w) {
-      for (std::uint64_t zero = after[w] & ~reports.live_word(u, w); zero != 0;
+      for (std::uint64_t zero = in_e[w] & ~reports.live_word(u, w); zero != 0;
            zero &= zero - 1) {
         const auto v = static_cast<NodeId>(w * 64 + std::countr_zero(zero));
         const std::pair<NodeId, NodeId> pair{std::min(u, v), std::max(u, v)};
         if (best && pair >= *best) return;
-        if (allowed(pair.first, pair.second)) {
+        const std::uint32_t round_v = reports.rounds[v];
+        const bool decides = round_u > round_v || (round_u == round_v && u < v);
+        if (decides && allowed(pair.first, pair.second)) {
           best = pair;
           return;
         }
       }
     }
   };
-  for (std::size_t k = order.size(); k-- > 0;) {
-    const NodeId u = order[k];
-    improve(u);
-    after[u / 64] |= std::uint64_t{1} << (u % 64);
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::uint64_t reporters = in_e[w]; reporters != 0; reporters &= reporters - 1) {
+      improve(static_cast<NodeId>(w * 64 + std::countr_zero(reporters)));
+    }
   }
   return best;
 }

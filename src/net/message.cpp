@@ -125,11 +125,16 @@ std::size_t count_report_size(NodeId reporter, std::uint64_t version,
     peer_bytes += node_count - boundary;
   }
   // Every count takes one byte, plus one more per 7-bit boundary it
-  // reaches; zeros (absent peers) take just the one.
+  // reaches; zeros (absent peers) take just the one. A row whose OR is
+  // below 2^7 reaches none, so only a row with a large count is tallied.
   std::size_t count_bytes = node_count - 1;
-  for (const std::uint32_t count : counts) {
-    count_bytes += static_cast<std::size_t>(count >= (1u << 7)) + (count >= (1u << 14)) +
-                   (count >= (1u << 21)) + (count >= (1u << 28));
+  std::uint32_t any = 0;
+  for (const std::uint32_t count : counts) any |= count;
+  if (any >= (1u << 7)) {
+    for (const std::uint32_t count : counts) {
+      count_bytes += static_cast<std::size_t>(count >= (1u << 7)) + (count >= (1u << 14)) +
+                     (count >= (1u << 21)) + (count >= (1u << 28));
+    }
   }
   // The type tag, then encode_body's fields in order.
   return 1 + varint_size(reporter) + varint_size(version) +

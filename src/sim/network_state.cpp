@@ -135,13 +135,17 @@ NetworkState::CommitStats NetworkState::commit_swaps(
   const std::uint64_t key = (static_cast<std::uint64_t>(attempt) << 32) | round;
   const std::size_t n = candidates_.size();
   require(first < n, "NetworkState::commit_swaps: first node out of range");
+  // spend draws only at a fractional D, so at a whole D the swap's keyed
+  // stream would go unread and is not derived.
+  const bool draws = balancer.spend_draws();
+  util::Rng commit_rng;
   for (std::size_t offset = 0; offset < n; ++offset) {
     const std::size_t at = first + offset;
     const auto x = static_cast<core::NodeId>(at < n ? at : at - n);
     if (!candidates_[x].has_value()) continue;
     const core::SwapCandidate& candidate = *candidates_[x];
     if (!recheck(x, candidate)) continue;
-    util::Rng commit_rng = util::Rng::keyed(seed_, stream_tag::kSwap, key, x);
+    if (draws) commit_rng = util::Rng::keyed(seed_, stream_tag::kSwap, key, x);
     const core::MaxMinBalancer::Execution execution = balancer.execute_swap(
         ledger_, x, candidate.left, candidate.right, commit_rng);
     ++stats.swaps;

@@ -669,7 +669,7 @@ TEST(BestSwapKernel, StaleViewMatchesPairwiseOracle) {
       if (expected) ++decisions;
       const auto actual = balancer.best_swap_with_reports(
           ledger, x,
-          MaxMinBalancer::ReportView{last.data(), rounds.data(), words, now, depth},
+          MaxMinBalancer::ReportView{last.data(), rounds.data(), words},
           scratch);
       expect_same_swap(actual, expected,
                        "trial " + std::to_string(trial) + " node " + std::to_string(x));
@@ -943,7 +943,7 @@ TEST(BestSwapMask, CountsAbove2To31MatchPairwiseOracles) {
       stale_decisions += expected_stale ? 1 : 0;
       expect_same_swap(
           balancer.best_swap_with_reports(
-              ledger, x, MaxMinBalancer::ReportView{last.data(), rounds.data(), words, 1, 1},
+              ledger, x, MaxMinBalancer::ReportView{last.data(), rounds.data(), words},
               scratch),
           expected_stale, "stale " + where);
     }

@@ -143,6 +143,28 @@ TEST(BalancingSim, HigherDistillationCostsMoreSwaps) {
   EXPECT_GT(d2.swaps_performed, d1.swaps_performed);
 }
 
+// A fractional D makes every swap and consumption draw its rounding.
+// Values recorded while the commit derived its keyed swap stream for
+// every executed swap; it now derives it only when spend draws from it,
+// with the same key, so these must not move. Threads 1 and 4 agree.
+TEST(BalancingGolden, TorusFractionalDistillation) {
+  for (const unsigned threads : {1u, 4u}) {
+    util::Rng workload_rng(2);
+    const Workload workload = make_uniform_workload(81, 20, 120, workload_rng);
+    BalancingConfig config;
+    config.seed = 11;
+    config.distillation = 1.5;
+    config.tick.threads = threads;
+    const BalancingResult result =
+        run_balancing(graph::make_torus_grid(81), workload, config);
+    EXPECT_TRUE(result.completed) << "threads " << threads;
+    EXPECT_EQ(result.rounds, 682u) << "threads " << threads;
+    EXPECT_EQ(result.swaps_performed, 44899u) << "threads " << threads;
+    EXPECT_EQ(result.pairs_generated, 110484u) << "threads " << threads;
+    EXPECT_EQ(result.pairs_spent_on_swaps, 134412u) << "threads " << threads;
+  }
+}
+
 TEST(BalancingSim, MaxRoundsGuardsStarvation) {
   // A star graph with tiny generation makes long requests starve; the
   // simulation must stop at max_rounds and report incomplete.

@@ -191,19 +191,59 @@ TEST(GossipGolden, RandomGridZeroLatencyTiedReports) {
                 {156, 4.5594248483486854, 16848, 1249884});
 }
 
+/// expect_golden at threads 1 and 4.
+void expect_golden_at_1_and_4_threads(const graph::Graph& graph, const Workload& workload,
+                                      GossipConfig config, const GossipGolden& golden) {
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    config.base.tick.threads = threads;
+    expect_golden(run_gossip(graph, workload, config), golden);
+  }
+}
+
+// Delays ceil(0.7 * hops) take 17 values on the 49-cycle, so the reports
+// a node installs in one round come from up to 17 send rounds: the merge
+// must take each from the right send round's outbox and snapshot. Values
+// recorded from the exchange that chained each round's outbox into its
+// due round's delivery list. (A pair's delay is fixed here, so one
+// round never brings two reports of different send rounds from the same
+// reporter to the same node, and the order among send rounds does not
+// show in these numbers; GossipDelivery pins it.)
+TEST(GossipGolden, CycleSubRoundLatencyManySendRounds) {
+  util::Rng workload_rng(6);
+  const Workload workload = make_uniform_workload(49, 16, 120, workload_rng);
+  GossipConfig config;
+  config.base.seed = 19;
+  config.latency_per_hop = 0.7;
+  config.fanout = 3;
+  expect_golden_at_1_and_4_threads(graph::make_cycle(49), workload, config,
+                                   {600, 7.147237621869623, 117600, 11852708});
+}
+
+// A fractional D makes every swap and consumption draw its rounding.
+// Values recorded while the commit derived its keyed swap stream for
+// every executed swap; it now derives it only when spend draws from it,
+// with the same key.
+TEST(GossipGolden, TorusFractionalDistillation) {
+  util::Rng workload_rng(2);
+  const Workload workload = make_uniform_workload(81, 20, 120, workload_rng);
+  GossipConfig config;
+  config.base.seed = 11;
+  config.base.distillation = 1.5;
+  expect_golden_at_1_and_4_threads(graph::make_torus_grid(81), workload, config,
+                                   {713, 12.812162002131608, 173259, 28556874});
+}
+
 // --- the two exact tiers of the stale-view decide ----------------------
 
 /// What one node holds of every reporter — report rows, their live
 /// bitsets and report rounds — read through MaxMinBalancer::ReportView's
-/// per-reporter references at round `now`, every heard round in
-/// (now - depth, now]. A reporter never heard from has round 0 and an
-/// all-zero row.
+/// per-reporter references. A reporter never heard from has round 0 and
+/// an all-zero row.
 struct Reports {
-  Reports(std::size_t nodes, std::uint32_t now_round, std::uint32_t ring_depth)
+  explicit Reports(std::size_t nodes)
       : n(nodes),
         words((nodes + 63) / 64),
-        now(now_round),
-        depth(ring_depth),
         rows(n * n, 0),
         rounds(n, 0),
         live(n * words, 0),
@@ -223,13 +263,11 @@ struct Reports {
   }
 
   [[nodiscard]] MaxMinBalancer::ReportView view() const {
-    return {last.data(), rounds.data(), words, now, depth};
+    return {last.data(), rounds.data(), words};
   }
 
   std::size_t n;
   std::size_t words;
-  std::uint32_t now;
-  std::uint32_t depth;
   std::vector<std::uint32_t> rows;
   std::vector<std::uint32_t> rounds;
   std::vector<std::uint64_t> live;
@@ -237,17 +275,15 @@ struct Reports {
 };
 
 /// A quarter of the reporters never heard from (unless `all_heard`), the
-/// rest from rounds in (now - depth, now] with a depth of 1-4, so equal
-/// rounds are common and the oldest age, depth - 1, occurs; each
+/// rest from rounds 1-4 (so equal rounds are common) or, half the time,
+/// from rounds spread over [1, 2^31], far beyond any ring's depth; each
 /// reported count is 0 with probability `zero`.
 Reports random_reports(std::size_t n, double zero, bool all_heard, util::Rng& rng) {
-  const auto depth = static_cast<std::uint32_t>(1 + rng.uniform_index(4));
-  const auto now = static_cast<std::uint32_t>(1 + rng.uniform_index(2 * depth));
-  Reports reports(n, now, depth);
+  const std::size_t spread = rng.bernoulli(0.5) ? 4 : std::size_t{1} << 31;
+  Reports reports(n);
   for (NodeId r = 0; r < n; ++r) {
     if (!all_heard && rng.bernoulli(0.25)) continue;
-    reports.rounds[r] =
-        now - static_cast<std::uint32_t>(rng.uniform_index(std::min(depth, now)));
+    reports.rounds[r] = 1 + static_cast<std::uint32_t>(rng.uniform_index(spread));
     for (NodeId p = 0; p < n; ++p) {
       if (p != r && !rng.bernoulli(zero)) {
         reports.set(r, p, 1 + static_cast<std::uint32_t>(rng.uniform_index(4)));
@@ -273,31 +309,32 @@ std::optional<std::pair<NodeId, NodeId>> pairwise_first_zero_view(
   return std::nullopt;
 }
 
-// first_zero_view_pair (gossip's tier 1) reads only report rounds and
-// live bitsets; the oracle probes the view of every eligible pair in
-// order. Eligible sets up to 130 nodes (3 bitset words), zero-heavy and
-// zero-free reports, reporters never heard from, many equal rounds, and
-// three `allowed` rules: everything, a random half, and everything but
-// the first zero pair.
+// first_zero_view_pair (gossip's tier 1) reads only E's bits, report
+// rounds and live bitsets; the oracle probes the view of every eligible
+// pair in order. Eligible sets up to 130 nodes (3 bitset words),
+// zero-heavy and zero-free reports, reporters never heard from, many
+// equal rounds, rounds billions apart, and three `allowed` rules:
+// everything, a random half, and everything but the first zero pair.
 TEST(GossipZeroTier, FirstZeroViewPairMatchesPairwiseOracle) {
   util::Rng rng(0x2E51);
   std::uint64_t found = 0;
   std::uint64_t none = 0;
   std::uint64_t tied_reporters = 0;
   std::uint64_t unheard_answers = 0;
-  std::uint64_t oldest_answers = 0;
+  std::uint64_t far_answers = 0;
   std::uint64_t last_word_answers = 0;
-  MaxMinBalancer::Scratch scratch;
   for (int trial = 0; trial < 600; ++trial) {
     const std::size_t n = trial % 4 == 0 ? 130 : 4 + rng.uniform_index(60);
     const double zero = std::vector<double>{0.0, 0.1, 0.5, 0.9}[rng.uniform_index(4)];
     const Reports reports = random_reports(n, zero, /*all_heard=*/zero == 0.0, rng);
     std::vector<MaxMinBalancer::Eligible> eligible;
+    std::vector<std::uint64_t> in_e(reports.words, 0);
     const double pick = 0.2 + 0.8 * static_cast<double>(rng.uniform_index(101)) / 100.0;
     // Every eighth set holds only nodes 120-129, in the last two words.
     for (NodeId y = trial % 8 == 0 ? 120 : 0; y < n; ++y) {
       if (rng.bernoulli(pick)) {
         eligible.push_back({y, 1 + static_cast<std::uint32_t>(rng.uniform_index(3))});
+        in_e[y / 64] |= std::uint64_t{1} << (y % 64);
       }
     }
     std::vector<std::uint8_t> forbidden(n * n, 0);
@@ -315,19 +352,16 @@ TEST(GossipZeroTier, FirstZeroViewPairMatchesPairwiseOracle) {
         break;
     }
     const auto expected = pairwise_first_zero_view(eligible, reports.view(), allowed);
-    const auto actual = first_zero_view_pair(eligible, reports.view(), allowed, scratch);
+    const auto actual = first_zero_view_pair(in_e.data(), reports.view(), allowed);
     ASSERT_EQ(actual, expected) << "trial " << trial << " n " << n;
     if (expected) {
       ++found;
-      const NodeId a = expected->first;
-      const NodeId b = expected->second;
-      unheard_answers += reports.rounds[a] == 0 || reports.rounds[b] == 0 ? 1 : 0;
-      tied_reporters += reports.rounds[a] == reports.rounds[b] ? 1 : 0;
-      const auto oldest = [&](NodeId u) {
-        return reports.rounds[u] != 0 && reports.now - reports.rounds[u] == reports.depth - 1;
-      };
-      oldest_answers += oldest(a) || oldest(b) ? 1 : 0;
-      last_word_answers += b >= 128 ? 1 : 0;
+      const std::uint32_t round_a = reports.rounds[expected->first];
+      const std::uint32_t round_b = reports.rounds[expected->second];
+      unheard_answers += round_a == 0 || round_b == 0 ? 1 : 0;
+      tied_reporters += round_a == round_b ? 1 : 0;
+      far_answers += std::max(round_a, round_b) - std::min(round_a, round_b) > (1u << 20) ? 1 : 0;
+      last_word_answers += expected->second >= 128 ? 1 : 0;
     } else {
       ++none;
     }
@@ -336,67 +370,8 @@ TEST(GossipZeroTier, FirstZeroViewPairMatchesPairwiseOracle) {
   EXPECT_GT(none, 0u);
   EXPECT_GT(tied_reporters, 0u);
   EXPECT_GT(unheard_answers, 0u);
-  EXPECT_GT(oldest_answers, 0u);
+  EXPECT_GT(far_answers, 0u);
   EXPECT_GT(last_word_answers, 0u);
-}
-
-// report_order is a counting sort on the report age; it must equal a
-// comparison sort of E by (round descending, id ascending). Depths up to
-// 130 rounds, rounds across the whole window (the oldest age included),
-// early rounds where now < depth, and reporters never heard from.
-TEST(GossipZeroTier, ReportOrderMatchesStdSort) {
-  util::Rng rng(0x2E53);
-  MaxMinBalancer::Scratch scratch;
-  std::uint64_t oldest = 0;
-  std::uint64_t unheard = 0;
-  for (int trial = 0; trial < 500; ++trial) {
-    const std::size_t n = 3 + rng.uniform_index(140);
-    const auto depth = static_cast<std::uint32_t>(1 + rng.uniform_index(130));
-    const auto now = static_cast<std::uint32_t>(1 + rng.uniform_index(3 * depth));
-    std::vector<std::uint32_t> rounds(n, 0);
-    for (NodeId r = 0; r < n; ++r) {
-      if (rng.bernoulli(0.2)) continue;
-      rounds[r] = now - static_cast<std::uint32_t>(rng.uniform_index(std::min(depth, now)));
-    }
-    std::vector<MaxMinBalancer::Eligible> eligible;
-    for (NodeId y = 0; y < n; ++y) {
-      if (rng.bernoulli(0.5)) eligible.push_back({y, 1});
-    }
-    const MaxMinBalancer::ReportView reports{nullptr, rounds.data(), (n + 63) / 64, now,
-                                             depth};
-    const std::span<const NodeId> actual = report_order(eligible, reports, scratch);
-    std::vector<NodeId> expected;
-    for (const MaxMinBalancer::Eligible& e : eligible) expected.push_back(e.node);
-    std::sort(expected.begin(), expected.end(), [&](NodeId u, NodeId v) {
-      return rounds[u] != rounds[v] ? rounds[u] > rounds[v] : u < v;
-    });
-    ASSERT_EQ(std::vector<NodeId>(actual.begin(), actual.end()), expected)
-        << "trial " << trial << " now " << now << " depth " << depth;
-    for (const NodeId u : expected) {
-      oldest += rounds[u] != 0 && now - rounds[u] == depth - 1 ? 1 : 0;
-      unheard += rounds[u] == 0 ? 1 : 0;
-    }
-  }
-  EXPECT_GT(oldest, 0u);
-  EXPECT_GT(unheard, 0u);
-}
-
-// A heard round after `now`, or at now - depth or older, has no bucket:
-// report_order refuses it instead of writing past its bucket array or
-// misplacing it among the reporters never heard from.
-TEST(GossipZeroTier, ReportOrderRejectsRoundsOutsideTheWindow) {
-  MaxMinBalancer::Scratch scratch;
-  const std::vector<MaxMinBalancer::Eligible> eligible{{0, 1}, {1, 1}, {2, 1}};
-  for (const std::uint32_t stray : {11u, 6u, 1u}) {
-    std::vector<std::uint32_t> rounds{10, stray, 0};
-    const MaxMinBalancer::ReportView reports{nullptr, rounds.data(), 1, 10, 4};
-    EXPECT_THROW((void)report_order(eligible, reports, scratch), InvariantError)
-        << "round " << stray;
-  }
-  std::vector<std::uint32_t> rounds{10, 7, 0};
-  const MaxMinBalancer::ReportView reports{nullptr, rounds.data(), 1, 10, 4};
-  const std::span<const NodeId> order = report_order(eligible, reports, scratch);
-  EXPECT_EQ(std::vector<NodeId>(order.begin(), order.end()), (std::vector<NodeId>{0, 1, 2}));
 }
 
 // best_swap_with_reports, both tiers, against the §4 rule as a literal
@@ -533,6 +508,63 @@ TEST(GossipRetention, EverySettingKeepsItsReportsAndStaysDeterministic) {
   ASSERT_NO_THROW(results = run(faulty));
   EXPECT_GT(results[0].base.faults.node_crashes, 0u);
   expect_same(results, "faults");
+}
+
+// A pair's delay ceil(round + latency * hops) - round can shrink by one
+// round mid-run when the sum rounds down to a whole round, and then the
+// reports one sender sent one target in two consecutive send rounds
+// arrive in the same round. The merge installs in send order, so the
+// newer one is held; the older one's snapshot is then free to reopen,
+// and the held one's is not.
+TEST(GossipDelivery, NewerSendRoundIsHeldWhenTwoArriveTogether) {
+  const std::size_t n = 3;
+  const std::size_t depth = 4;
+  DeliveryRing ring(n, /*words=*/1, /*messages_per_round=*/2, /*delays=*/3, depth);
+  KnowledgeBase knowledge(n, 1, depth);
+  std::vector<std::uint32_t> counts(n * n, 0);
+  std::vector<std::uint64_t> live(n, 0);
+  // Open `round`'s snapshot with `count` pairs between nodes 0 and 2.
+  const auto open = [&](std::uint32_t round, std::uint32_t count) {
+    counts[0 * n + 2] = counts[2 * n + 0] = count;
+    live[0] = count > 0 ? std::uint64_t{1} << 2 : 0;
+    live[2] = count > 0 ? 1 : 0;
+    ring.open(round, counts, live);
+  };
+  open(1, 5);
+  ring.post(0, 1, /*delay=*/2);  // due at round 3
+  ring.deliver(knowledge);
+  open(2, 7);
+  ring.post(0, 1, /*delay=*/1);  // due at round 3 too
+  ring.deliver(knowledge);
+  EXPECT_EQ(knowledge.report_round(1, 0), 0u);
+  open(3, 9);
+  ring.deliver(knowledge);
+  EXPECT_EQ(knowledge.report_round(1, 0), 2u);
+  EXPECT_EQ(knowledge.reports(1).count(0, 2), 7u);
+  open(4, 0);
+  ring.deliver(knowledge);
+  ASSERT_NO_THROW(open(5, 0));                  // round 1's slot
+  ring.deliver(knowledge);
+  EXPECT_THROW(open(6, 0), InvariantError);     // round 2's slot, still held
+}
+
+// The knowledge base takes a report only within the ring's depth of its
+// send round: one from after `now`, one `depth` rounds old or older, and
+// round 0 (which reads as never heard from) throw InvariantError; the
+// window's two ends install.
+TEST(GossipRetention, InstallOutsideTheWindowThrows) {
+  const std::vector<std::uint32_t> row(3, 0);
+  const std::vector<std::uint64_t> live(1, 0);
+  const MaxMinBalancer::Report report{row.data(), live.data()};
+  KnowledgeBase knowledge(3, 1, /*depth=*/4);
+  for (const std::uint32_t stray : {11u, 6u, 1u, 0u}) {
+    EXPECT_THROW((void)knowledge.install(0, 1, report, stray, /*now=*/10), InvariantError)
+        << "round " << stray;
+  }
+  EXPECT_EQ(knowledge.install(0, 1, report, 7, 10), 0u);
+  EXPECT_EQ(knowledge.install(0, 1, report, 10, 10), 7u);
+  EXPECT_EQ(knowledge.report_round(0, 1), 10u);
+  EXPECT_EQ(knowledge.install(2, 1, report, 1, 1), 0u);
 }
 
 }  // namespace
