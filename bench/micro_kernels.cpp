@@ -171,7 +171,9 @@ core::PairLedger sparse_ledger(std::size_t n, std::uint64_t seed) {
 /// rows (rows = 0) most decides end in tier 1, at a zero pair; with
 /// every pair live (rows = 1) there is none, and every decide runs tier
 /// 2's scan over the room >= 2 partners; sparse rows (rows = 2, at most
-/// 8 live partners a word) take room_masks' bit walk.
+/// 8 live partners a word) take room_masks' bit walk, at 64 and 128
+/// nodes through the 1- and 2-word decide bodies and at 225 through the
+/// runtime-width one.
 void BM_BestSwapScan(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::int64_t rows = state.range(1);
@@ -193,6 +195,8 @@ BENCHMARK(BM_BestSwapScan)
     ->Args({100, 0})
     ->Args({81, 1})
     ->Args({100, 1})
+    ->Args({64, 2})
+    ->Args({128, 2})
     ->Args({225, 2});
 
 /// One gossip round's report sizing over every sender of a deck-shaped

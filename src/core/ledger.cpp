@@ -42,7 +42,6 @@ void PairLedger::check(NodeId x, NodeId y) const {
 }
 
 std::uint32_t PairLedger::row_count(NodeId x, NodeId y) const {
-  if (!dense_.empty()) return dense_[x * node_count_ + y];
   const SparseRow& row = rows_[x];
   const std::size_t slot = partner_slot(row.partners, y);
   return slot == static_cast<std::size_t>(-1) ? 0 : row.counts[slot];
@@ -50,23 +49,16 @@ std::uint32_t PairLedger::row_count(NodeId x, NodeId y) const {
 
 std::uint32_t PairLedger::count(NodeId x, NodeId y) const {
   check(x, y);
-  // Sparse ledgers probe the shorter row; the mirror is O(1) either way.
-  return dense_.empty() &&
-                 rows_[y].partners.size() < rows_[x].partners.size()
-             ? row_count(y, x)
-             : row_count(x, y);
+  return pair_count(x, y);
 }
 
 void PairLedger::add(NodeId x, NodeId y, std::uint32_t amount) {
   check(x, y);
   if (amount == 0) return;
   if (!dense_.empty()) {
-    std::uint32_t& mirror_xy = dense_[x * node_count_ + y];
-    const std::uint32_t before = mirror_xy;
+    const std::uint32_t before = dense_[x * node_count_ + y];
     require(before + amount > before, "PairLedger::add: count overflow");
-    if (before == 0) flip_live(x, y);
-    mirror_xy = before + amount;
-    dense_[y * node_count_ + x] = before + amount;
+    set_mirror(x, y, before, before + amount);
   } else {
     SparseRow& row_x = rows_[x];
     const std::size_t slot_x = lower_slot(row_x.partners, y);
@@ -93,9 +85,7 @@ void PairLedger::remove(NodeId x, NodeId y, std::uint32_t amount) {
   if (!dense_.empty()) {
     const std::uint32_t before = dense_[x * node_count_ + y];
     require(before >= amount, "PairLedger::remove: count underflow");
-    dense_[x * node_count_ + y] = before - amount;
-    dense_[y * node_count_ + x] = before - amount;
-    if (before == amount) flip_live(x, y);
+    set_mirror(x, y, before, before - amount);
   } else {
     SparseRow& row_x = rows_[x];
     SparseRow& row_y = rows_[y];
@@ -115,6 +105,39 @@ void PairLedger::remove(NodeId x, NodeId y, std::uint32_t amount) {
     }
   }
   total_ -= amount;
+}
+
+void PairLedger::apply_swap(NodeId x, NodeId left, NodeId right,
+                            std::uint32_t spend_left, std::uint32_t spend_right) {
+  if (dense_.empty()) {
+    check_swap(x, left, right);
+    // Each step checks itself; a refused step puts back the ones before
+    // it (re-adding restores a sorted row exactly), so a swap that goes
+    // through probes each row once, as remove, remove, add always did.
+    remove(x, left, spend_left);
+    try {
+      remove(x, right, spend_right);
+    } catch (const PreconditionError&) {
+      add(x, left, spend_left);
+      throw;
+    }
+    try {
+      add(left, right, 1);
+    } catch (const PreconditionError&) {
+      add(x, right, spend_right);
+      add(x, left, spend_left);
+      throw;
+    }
+    return;
+  }
+  const SwapCounts before = swap_counts(x, left, right);
+  require(before.left >= spend_left && before.right >= spend_right,
+          "PairLedger::apply_swap: count underflow");
+  require(before.beneficiary != UINT32_MAX, "PairLedger::apply_swap: count overflow");
+  set_mirror(x, left, before.left, before.left - spend_left);
+  set_mirror(x, right, before.right, before.right - spend_right);
+  set_mirror(left, right, before.beneficiary, before.beneficiary + 1);
+  total_ = total_ + 1 - spend_left - spend_right;
 }
 
 std::uint64_t PairLedger::remove_node(NodeId x) {

@@ -30,11 +30,17 @@
 //
 // row(x).for_each is the one row reader in both regimes: it visits x's
 // partners ascending with their counts, testing the regime once per row,
-// while count() stays the checked single-pair probe.
+// while count() stays the checked single-pair probe and swap_counts()
+// the checked probe of a swap's three counts.
 //
-// add and remove are the only mutation paths (remove_node, the crash
-// purge, is a loop of remove); the generation merge is a
-// canonical-edge-order loop of add (sim::NetworkState::generate).
+// add, remove and apply_swap are the only mutation paths (remove_node,
+// the crash purge, is a loop of remove); the generation merge is a
+// canonical-edge-order loop of add (sim::NetworkState::generate), and a
+// committed §4 swap is one apply_swap: below the limit it validates the
+// triple and the three amounts once, then makes the three symmetric
+// mirror updates and flips the live bits of the pairs born or dead;
+// above it, it runs remove, remove, add, undoing the earlier steps if a
+// later one is refused.
 // Nothing in the protocol reads a network-wide minimum — §4 swap
 // decisions read a node's own row and its partners' counts — so the
 // ledger keeps no minimum tracker, and no record of which nodes a
@@ -66,6 +72,32 @@ class PairLedger {
 
   /// Remove `amount` pairs; requires count(x, y) >= amount.
   void remove(NodeId x, NodeId y, std::uint32_t amount = 1);
+
+  /// The three counts of the swap left <- x -> right.
+  struct SwapCounts {
+    std::uint32_t left = 0;         ///< C_x(left)
+    std::uint32_t right = 0;        ///< C_x(right)
+    std::uint32_t beneficiary = 0;  ///< C_left(right)
+  };
+
+  /// The counts of the swap left <- x -> right, with the triple checked
+  /// once: throws PreconditionError unless x, left and right are three
+  /// distinct nodes in range.
+  [[nodiscard]] SwapCounts swap_counts(NodeId x, NodeId left, NodeId right) const {
+    check_swap(x, left, right);
+    return {pair_count(x, left), pair_count(x, right), pair_count(left, right)};
+  }
+
+  /// Commit the swap left <- x -> right: remove spend_left pairs of
+  /// (x, left) and spend_right of (x, right), and add one (left, right)
+  /// pair. The triple and all three amounts are checked before anything
+  /// changes, so a refusal (PreconditionError: a spend above its count,
+  /// or C_left(right) at the uint32 limit) leaves the ledger untouched.
+  /// Below kFullReserveNodeLimit that is three symmetric mirror updates
+  /// and the live-bit flips of the pairs born or dead; above it, remove,
+  /// remove, add, where a refused step undoes the steps before it.
+  void apply_swap(NodeId x, NodeId left, NodeId right, std::uint32_t spend_left,
+                  std::uint32_t spend_right);
 
   /// Total pairs currently stored (each pair counted once).
   [[nodiscard]] std::uint64_t total_pairs() const { return total_; }
@@ -193,9 +225,30 @@ class PairLedger {
 
  private:
   void check(NodeId x, NodeId y) const;
-  /// Count of (x, y) read from the mirror, or from x's row above the
-  /// limit (0 when absent).
+  /// Throws PreconditionError unless x, left and right are three
+  /// distinct nodes in range.
+  void check_swap(NodeId x, NodeId left, NodeId right) const {
+    require(x < node_count_ && left < node_count_ && right < node_count_ && x != left &&
+                x != right && left != right,
+            "PairLedger: a swap needs three distinct nodes in range");
+  }
+  /// Count of (x, y) read from x's sparse row above the limit (0 when
+  /// absent).
   [[nodiscard]] std::uint32_t row_count(NodeId x, NodeId y) const;
+  /// count(x, y) without the range checks: one mirror load, or a probe
+  /// of the shorter sparse row.
+  [[nodiscard]] std::uint32_t pair_count(NodeId x, NodeId y) const {
+    if (!dense_.empty()) return dense_[x * node_count_ + y];
+    return rows_[y].partners.size() < rows_[x].partners.size() ? row_count(y, x)
+                                                                : row_count(x, y);
+  }
+  /// Set both mirror entries of (x, y) to `count`, flipping the pair's
+  /// live bits when it is born or dies (below the limit).
+  void set_mirror(NodeId x, NodeId y, std::uint32_t before, std::uint32_t count) {
+    dense_[x * node_count_ + y] = count;
+    dense_[y * node_count_ + x] = count;
+    if ((before == 0) != (count == 0)) flip_live(x, y);
+  }
   /// Flip the pair's bit in both live bitsets (below the limit): set
   /// when the pair is born, cleared when it dies.
   void flip_live(NodeId x, NodeId y) {

@@ -28,15 +28,22 @@
 // C_y(y') + 1 <= min(caps) exactly when C_y(y') < min(rooms). The scan
 // and the commit recheck both test that.
 //
-// Below PairLedger::kFullReserveNodeLimit every decide starts with one
-// pass over x's dense mirror row (room_masks), which compares the counts
-// four lanes at a time against k and k + 1 and yields two bitsets: E
-// (room >= 1) and R (room >= 2). The decide then runs in two exact
-// tiers. Every eligible room is >= 1, so a beneficiary count of 0 is
-// preferable for any eligible pair (detour test permitting), nothing
-// beats it, and the scan's answer is then the lexicographically first
-// allowed zero pair. Tier 1 finds that pair with the ledger's
-// live-partner bitsets: for donors a taken from E's bits in ascending
+// Below PairLedger::kFullReserveNodeLimit both decides share one body
+// (decide<W>), templated on the bitset width W: W = 1 and W = 2 cover
+// n <= 128 (every paper figure and benchmark cell) with the word loops
+// unrolled, and a runtime width of at most kMaxWords = 16 words serves
+// 129-1024 nodes. It starts with one pass over x's dense mirror row
+// (room_masks), which compares the counts sixteen at a time against k
+// and k + 1 and yields two bitsets, held in local arrays: E (room >= 1)
+// and R (room >= 2). "At least two eligible partners" is a bit test on
+// E. The decide then runs in two exact tiers. Every eligible room is
+// >= 1, so a beneficiary count of 0 is preferable for any eligible pair
+// (detour test permitting), nothing beats it, and the scan's answer is
+// then the lexicographically first allowed zero pair. Tier 1 finds that
+// pair with the ledger's live-partner bitsets. It first ANDs
+// live(a) | {a} over the donors a of E: E inside that AND means every
+// pair of E is live, and tier 1 ends there (most decides on the deck's
+// cells). Otherwise, for donors a taken from E's bits in ascending
 // order, the set bits of E & ~live(a) above a are a's zero pairs, a word
 // at a time. Only when there is none does tier 2 run the scan, and then
 // every count is >= 1, so a pair with a room-1 partner can never be
@@ -47,13 +54,19 @@
 // bitsets: E is gathered from x's sorted row, and the scan merges each
 // donor's sorted row against the whole of it.
 //
-// A stale view (gossip's reports, ReportView) gets the same mask pass
-// and the same two tiers. The view of a pair is the fresher endpoint's
+// A stale view (gossip's reports, ReportView) gets the same body: the
+// same mask pass and the same two tiers, without the AND (reports are
+// not symmetric). The view of a pair is the fresher endpoint's
 // report (the lower id's on a tie), so first_zero_view_pair takes the
 // reporters u from E's bits in ascending order and reads u's zero pairs
 // from E & ~live(u), keeping those u's report decides: every zero view
 // pair turns up once, from the endpoint whose report is fresher, with
 // no sort on the report rounds.
+//
+// A committed swap is one PairLedger::apply_swap (execute_swap), and the
+// commit recheck (is_preferable, is_preferable_given_beneficiary) reads
+// its counts through one PairLedger::swap_counts: the triple is checked
+// once per call, not once per count.
 #pragma once
 
 #include <algorithm>
@@ -127,18 +140,12 @@ class MaxMinBalancer {
     std::vector<Eligible> eligible;
     /// Tier 2's candidates, listed from R's bits.
     std::vector<Eligible> roomy;
-    /// E and R as node bitsets (ceil(n/64) words each), from room_masks.
-    std::vector<std::uint64_t> eligible_bits;
-    std::vector<std::uint64_t> roomy_bits;
 
     /// Pre-size for networks of `node_count` nodes (a row holds at most
     /// node_count-1 partners), so the per-node decide never allocates.
     void reserve(std::size_t node_count) {
-      const std::size_t words = (node_count + 63) / 64;
       eligible.resize(node_count);
       roomy.resize(node_count);
-      eligible_bits.resize(words);
-      roomy_bits.resize(words);
     }
   };
 
@@ -181,8 +188,8 @@ class MaxMinBalancer {
   /// Best preferable swap at x under true (global) knowledge; nullopt
   /// when no candidate is preferable. Thread-safe: caller-owned scratch.
   /// Ledgers with a dense count mirror (PairLedger::dense_row) decide
-  /// from room_masks in the two tiers: first_zero_pair, then the room
-  /// >= 2 scan reading each C_a(b) as dense_row(a)[b]. Larger ledgers
+  /// in decide<W>: first_zero_pair, then the room >= 2 scan reading
+  /// each C_a(b) as dense_row(a)[b]. Larger ledgers
   /// run the merge decide: both the eligible list E and every ledger
   /// row are ascending, so for each donor a = E[i] one forward walk of
   /// sparse_row(a) alongside E[i+1..] yields every C_a(b) (the cursor
@@ -195,7 +202,7 @@ class MaxMinBalancer {
   /// Best preferable swap where the *beneficiary* count C_y(y') is read
   /// through x's stale `reports`; x's own counts are always ground truth
   /// (x owns them). Needs a ledger with a dense count mirror (gossip's
-  /// reports are snapshots of it). Two tiers from room_masks:
+  /// reports are snapshots of it). decide<W>'s two tiers:
   /// first_zero_view_pair on E's bits, then the room >= 2 scan reading
   /// reports.view.
   /// Thread-safe: caller-owned scratch.
@@ -203,9 +210,10 @@ class MaxMinBalancer {
       const PairLedger& ledger, NodeId x, const ReportView& reports,
       Scratch& scratch) const;
 
-  /// Execute left <- x -> right on the ledger: consumes spend(rng) pairs
-  /// of (x,left), then spend(rng) of (x,right), and produces one
-  /// (left,right) pair. Returns the amounts actually consumed.
+  /// Execute left <- x -> right on the ledger: draws spend(rng) for
+  /// (x,left), then for (x,right), and commits them with one
+  /// PairLedger::apply_swap, which also produces the (left,right) pair.
+  /// Returns the amounts actually consumed.
   struct Execution {
     std::uint32_t consumed_left = 0;
     std::uint32_t consumed_right = 0;
@@ -289,29 +297,44 @@ class MaxMinBalancer {
                                                            NodeId x,
                                                            Scratch& scratch) const;
 
-  /// Below the mirror limit: E and R of x (x's mirror row `row`) into
-  /// scratch.eligible_bits and scratch.roomy_bits (room_masks); returns
-  /// |E|.
-  std::size_t eligibility_masks(const PairLedger& ledger, NodeId x,
-                                const std::uint32_t* row, Scratch& scratch) const;
+  /// Bitset words of the widest mirrored ledger.
+  static constexpr std::size_t kMaxWords = PairLedger::kFullReserveNodeLimit / 64;
 
-  /// The partners whose bits are set in `bits` (ceil(n/64) words),
-  /// ascending, each with its room read from x's mirror row `row`,
-  /// written to `out`.
-  [[nodiscard]] std::span<const Eligible> listed(const PairLedger& ledger,
-                                                 const std::uint64_t* bits,
-                                                 const std::uint32_t* row,
-                                                 std::vector<Eligible>& out) const;
+  /// The decide below the mirror limit: picks the body for the ledger's
+  /// bitset width (1 or 2 words, else the runtime width). `reports` is
+  /// null under true knowledge.
+  [[nodiscard]] std::optional<SwapCandidate> decide_dense(const PairLedger& ledger,
+                                                          NodeId x,
+                                                          const ReportView* reports,
+                                                          Scratch& scratch) const;
+
+  /// The one decide body below the mirror limit, for bitsets of W words
+  /// (W = 0: ledger.live_words(), at most kMaxWords). E and R are local
+  /// arrays from room_masks; tier 1 is first_zero_pair, or
+  /// first_zero_view_pair through `reports`; tier 2 scans the partners
+  /// listed from R.
+  template <std::size_t W>
+  [[nodiscard]] std::optional<SwapCandidate> decide(const PairLedger& ledger, NodeId x,
+                                                    const ReportView* reports,
+                                                    Scratch& scratch) const;
 
   /// Tier 1 under true knowledge: the lexicographically first pair
-  /// (a, b), a < b, of E (bitset `in_e`) with C_a(b) = 0 that passes the
-  /// detour test, read from the ledger's live bitsets; nullopt when none.
+  /// (a, b), a < b, of E (bitset `in_e`, W words as in decide) with
+  /// C_a(b) = 0 that passes the detour test, read from the ledger's live
+  /// bitsets; nullopt when none. It first ANDs live(a) | {a} over the
+  /// donors a of E and walks the donors only when E is not inside that
+  /// AND, i.e. when some pair of E has a zero count.
+  template <std::size_t W>
   [[nodiscard]] std::optional<std::pair<NodeId, NodeId>> first_zero_pair(
       const PairLedger& ledger, NodeId x, const std::uint64_t* in_e) const;
 
-  double distillation_;
-  /// ceil(D), saturated at UINT32_MAX (no count exceeds it, so a huge or
-  /// infinite D leaves every room 0 without overflowing a cast).
+  /// D - floor(D): spend's Bernoulli probability (NaN at an infinite D,
+  /// so it never draws).
+  double fraction_;
+  /// floor(D) and ceil(D), saturated at UINT32_MAX (no count exceeds
+  /// it, so a huge or infinite D leaves every room 0 without overflowing
+  /// a cast).
+  std::uint32_t floor_d_;
   std::uint32_t ceil_d_;
   BalancerPolicy policy_;
   const std::vector<std::vector<std::uint32_t>>* generation_distances_;
@@ -321,10 +344,13 @@ class MaxMinBalancer {
 /// with x's live bitset `live`, ceil(n/64) words): bit y of `eligible`
 /// is set when row[y] > k (room >= 1 at k = ceil(D)), bit y of `roomy`
 /// when row[y] > k + 1 (room >= 2); padding bits past n are clear. A
-/// word with at most 8 live partners reads just those counts; a denser
-/// one compares all its counts, four lanes at a time with SSE2 (an
-/// unsigned compare, by flipping the sign bit of both sides), one at a
-/// time elsewhere. Reads only row[0, n).
+/// word with at most 8 live partners (counted in registers, with no
+/// popcount call) reads just those counts; a denser one compares all its
+/// counts with SSE2 (an unsigned compare, by flipping the sign bit of
+/// both sides), sixteen at a time with the four compares' lane masks
+/// packed into one movemask, then four at a time; one at a time
+/// elsewhere. Reads only row[0, n). The decide runs the same pass at its
+/// fixed width.
 void room_masks(std::span<const std::uint32_t> row, const std::uint64_t* live,
                 std::uint32_t k, std::uint64_t* eligible, std::uint64_t* roomy);
 
@@ -338,11 +364,12 @@ void room_masks(std::span<const std::uint32_t> row, const std::uint64_t* live,
 /// rounds and u < v (so never v = u). Every zero view pair turns up
 /// once, and the lexicographic minimum of the allowed ones is kept. Any
 /// rounds work; nothing is sorted.
-template <typename Allowed>
+template <std::size_t W = 0, typename Allowed>
 [[nodiscard]] std::optional<std::pair<NodeId, NodeId>> first_zero_view_pair(
     const std::uint64_t* in_e, const MaxMinBalancer::ReportView& reports,
     Allowed&& allowed) {
-  const std::size_t words = reports.words;
+  // A fixed W (= reports.words) lets the decide unroll the word loops.
+  const std::size_t words = W != 0 ? W : reports.words;
   std::optional<std::pair<NodeId, NodeId>> best;
   // Keep the first of u's zero pairs that beats `best` and is allowed,
   // if any. As v ascends, {min(u, v), max(u, v)} ascends

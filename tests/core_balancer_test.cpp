@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -21,6 +22,10 @@
 
 namespace poq::core {
 namespace {
+
+/// Node counts either side of a bitset word's end: the decide's 1-, 2-
+/// and runtime-width (3-word) bodies.
+constexpr std::array<std::size_t, 6> kWordEdgeSizes = {63, 64, 65, 127, 128, 129};
 
 MaxMinBalancer unit_balancer(double distillation = 1.0) {
   return MaxMinBalancer(distillation);
@@ -600,7 +605,9 @@ TEST(BestSwapKernel, IntegerRoomMatchesPairwiseOracleAtZeroDAndNear2To31) {
 // with a small depth (1-4), so equal ages are common and the oldest age
 // depth - 1 occurs; a fifth of the reporters were never heard from
 // (round 0, all-zero row). The reports disagree with the ledger and with
-// each other.
+// each other. Every tenth ledger has 63, 64, 65, 127, 128 or 129 nodes,
+// either side of the decide's 1-, 2- and 3-word bitset widths (a spread
+// of its nodes decides).
 TEST(BestSwapKernel, StaleViewMatchesPairwiseOracle) {
   util::Rng rng(0x57A1E);
   ScanShape covered;
@@ -608,8 +615,10 @@ TEST(BestSwapKernel, StaleViewMatchesPairwiseOracle) {
   std::uint64_t equal_age_reads = 0;
   std::uint64_t oldest_reports = 0;
   std::uint64_t unheard_reporters = 0;
+  std::vector<std::size_t> wide_decisions(3, 0);
   for (int trial = 0; trial < 300; ++trial) {
-    const std::size_t n = 4 + rng.uniform_index(29);
+    const std::size_t n = trial % 10 == 0 ? kWordEdgeSizes[(trial / 10) % kWordEdgeSizes.size()]
+                                          : 4 + rng.uniform_index(29);
     const double density = 0.05 + 0.95 * static_cast<double>(rng.uniform_index(101)) / 100.0;
     PairLedger ledger(n);
     for (NodeId a = 0; a < n; ++a) {
@@ -638,7 +647,7 @@ TEST(BestSwapKernel, StaleViewMatchesPairwiseOracle) {
     const MaxMinBalancer balancer(distillation, policy, &distances);
 
     MaxMinBalancer::Scratch scratch;
-    for (NodeId x = 0; x < n; ++x) {
+    for (NodeId x = 0; x < n; x += n > 32 ? 5 : 1) {
       const auto depth = static_cast<std::uint32_t>(1 + rng.uniform_index(4));
       const auto now = static_cast<std::uint32_t>(1 + rng.uniform_index(2 * depth));
       for (NodeId r = 0; r < n; ++r) {
@@ -673,11 +682,13 @@ TEST(BestSwapKernel, StaleViewMatchesPairwiseOracle) {
           scratch);
       expect_same_swap(actual, expected,
                        "trial " + std::to_string(trial) + " node " + std::to_string(x));
+      if (expected && n > 32) ++wide_decisions[(n - 1) / 64];
       covered.tie_at_minimum |= shape.tie_at_minimum;
       covered.forbidden_zero_first |= shape.forbidden_zero_first;
     }
   }
   EXPECT_GT(decisions, 0u);
+  for (const std::size_t wide : wide_decisions) EXPECT_GT(wide, 0u);
   EXPECT_GT(equal_age_reads, 0u);
   EXPECT_GT(oldest_reports, 0u);
   EXPECT_GT(unheard_reporters, 0u);
@@ -692,18 +703,28 @@ TEST(BestSwapKernel, StaleViewMatchesPairwiseOracle) {
 // room >= 2 partners. Both tiers against the pairwise loop: zero-heavy
 // ledgers (most answers come from tier 1) and zero-free ones (every pair
 // live, so tier 1 finds nothing and tier 2 decides), D in {0, 1, 1.5,
-// 2.75}, detour policies (some forbidding the first zero), and 130-node
-// ledgers whose bitsets span 3 words (zero pairs in the last word).
+// 2.75}, detour policies (some forbidding the first zero), 130-node
+// ledgers whose bitsets span 3 words (zero pairs in the last word), and
+// 63-65 and 127-129 nodes, either side of the decide's 1-, 2- and 3-word
+// widths.
 TEST(BestSwapZeroTier, TiersMatchPairwiseOracle) {
   util::Rng rng(0x2E50);
   ScanShape covered;
   std::uint64_t zero_answers = 0;
   std::uint64_t scan_answers = 0;
   std::uint64_t last_word_zero_answers = 0;
-  for (int trial = 0; trial < 90; ++trial) {
+  // Zero and scan answers per node count at a word edge.
+  std::vector<std::uint64_t> edge_zero_answers(kWordEdgeSizes.size(), 0);
+  std::vector<std::uint64_t> edge_scan_answers(kWordEdgeSizes.size(), 0);
+  for (int trial = 0; trial < 108; ++trial) {
     const bool zero_free = trial % 2 == 1;
     const bool three_words = trial % 3 == 0;
-    const std::size_t n = three_words ? 130 : 4 + rng.uniform_index(40);
+    // Trials 3m + 1 take the word edges in turn, each zero-heavy and
+    // zero-free.
+    const std::size_t edge = static_cast<std::size_t>(trial / 6) % kWordEdgeSizes.size();
+    const std::size_t n = three_words      ? 130
+                          : trial % 3 == 1 ? kWordEdgeSizes[edge]
+                                           : 4 + rng.uniform_index(40);
     const double density =
         zero_free ? 1.0 : 0.1 + 0.5 * static_cast<double>(rng.uniform_index(101)) / 100.0;
     // Every sixth ledger has no zero pair touching nodes 0-119, so its
@@ -726,19 +747,22 @@ TEST(BestSwapZeroTier, TiersMatchPairwiseOracle) {
     const MaxMinBalancer balancer(d, policy, &distances);
     MaxMinBalancer::Scratch scratch;
     scratch.reserve(n);
-    // Every node of the small ledgers, a spread of the 130-node ones (the
+    // Every node of the small ledgers, a spread of the larger ones (the
     // pairwise loop is quadratic in their ~100 eligible partners).
-    for (NodeId x = 0; x < n; x += three_words ? 7 : 1) {
+    for (NodeId x = 0; x < n; x += n > 100 ? 7 : n > 43 ? 3 : 1) {
       ScanShape shape;
       const auto expected = pairwise_best_swap(ledger, d, distances, detour_slack, x, shape);
       expect_same_swap(balancer.best_swap(ledger, x, scratch), expected,
                        "n " + std::to_string(n) + " D " + std::to_string(d) + " trial " +
                            std::to_string(trial) + " node " + std::to_string(x));
+      const bool at_edge = trial % 3 == 1;
       if (expected && expected->beneficiary_count == 0) {
         ++zero_answers;
         last_word_zero_answers += expected->right >= 128 ? 1 : 0;
+        edge_zero_answers[edge] += at_edge ? 1 : 0;
       } else if (expected) {
         ++scan_answers;
+        edge_scan_answers[edge] += at_edge ? 1 : 0;
       }
       covered.forbidden_zero_first |= shape.forbidden_zero_first;
       covered.tie_at_minimum |= shape.tie_at_minimum;
@@ -747,6 +771,10 @@ TEST(BestSwapZeroTier, TiersMatchPairwiseOracle) {
   EXPECT_GT(zero_answers, 0u);
   EXPECT_GT(scan_answers, 0u);
   EXPECT_GT(last_word_zero_answers, 0u);
+  for (std::size_t e = 0; e < kWordEdgeSizes.size(); ++e) {
+    EXPECT_GT(edge_zero_answers[e], 0u) << kWordEdgeSizes[e] << " nodes";
+    EXPECT_GT(edge_scan_answers[e], 0u) << kWordEdgeSizes[e] << " nodes";
+  }
   EXPECT_TRUE(covered.forbidden_zero_first);
   EXPECT_TRUE(covered.tie_at_minimum);
 }

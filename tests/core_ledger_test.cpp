@@ -329,5 +329,107 @@ TEST(PairLedger, AddRejectsCountOverflowAndLeavesLedgerUnchanged) {
   }
 }
 
+// apply_swap against remove, remove, add on a twin ledger, with and
+// without the mirror: random swaps among 7 nodes (spread over the ring
+// above the limit) whose counts of 0-3 and spends of 0-2 give births,
+// deaths and spends of 0 (D = 0). A swap whose spend exceeds a count, or
+// whose (left, right) count is at the uint32 maximum, is refused with
+// PreconditionError and leaves the ledger as it was, the second spend's
+// underflow included (remove, remove, add would have applied the first).
+TEST(PairLedger, ApplySwapMatchesRemoveRemoveAdd) {
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  constexpr std::size_t kActive = 7;
+  for (const std::size_t nodes :
+       {std::size_t{7}, std::size_t{64}, PairLedger::kFullReserveNodeLimit + 1}) {
+    SCOPED_TRACE(testing::Message() << "nodes " << nodes);
+    std::vector<NodeId> active(kActive);
+    for (std::size_t i = 0; i < kActive; ++i) {
+      active[i] = static_cast<NodeId>(i * (nodes / kActive));
+    }
+    PairLedger swapped(nodes);
+    PairLedger reference(nodes);
+    const auto same = [&](const char* when) {
+      SCOPED_TRACE(when);
+      ASSERT_EQ(swapped.total_pairs(), reference.total_pairs());
+      for (const NodeId a : active) {
+        ASSERT_EQ(partners_of(swapped, a), partners_of(reference, a));
+        for (const NodeId b : active) {
+          if (a != b) {
+            ASSERT_EQ(swapped.count(a, b), reference.count(a, b));
+          }
+        }
+      }
+      ASSERT_NO_THROW(swapped.check_invariants());
+    };
+    util::Rng rng(0x5A9);
+    std::uint64_t births = 0;
+    std::uint64_t deaths = 0;
+    std::uint64_t zero_spends = 0;
+    std::uint64_t refusals = 0;
+    for (int step = 0; step < 600; ++step) {
+      const NodeId x = active[rng.uniform_index(kActive)];
+      NodeId left = x;
+      while (left == x) left = active[rng.uniform_index(kActive)];
+      NodeId right = x;
+      while (right == x || right == left) right = active[rng.uniform_index(kActive)];
+      // Top up x's two donor pairs now and then, so that swaps keep going.
+      for (const NodeId y : {left, right}) {
+        const auto amount = static_cast<std::uint32_t>(rng.uniform_index(4));
+        if (rng.bernoulli(0.5)) {
+          swapped.add(x, y, amount);
+          reference.add(x, y, amount);
+        }
+      }
+      const auto spend_left = static_cast<std::uint32_t>(rng.uniform_index(3));
+      const auto spend_right = static_cast<std::uint32_t>(rng.uniform_index(3));
+      const PairLedger::SwapCounts before = swapped.swap_counts(x, left, right);
+      if (spend_left > before.left || spend_right > before.right) {
+        EXPECT_THROW(swapped.apply_swap(x, left, right, spend_left, spend_right),
+                     PreconditionError);
+        ++refusals;
+        same("after a refused swap");
+        continue;
+      }
+      births += before.beneficiary == 0 ? 1 : 0;
+      deaths += (spend_left > 0 && spend_left == before.left) ||
+                        (spend_right > 0 && spend_right == before.right)
+                    ? 1
+                    : 0;
+      zero_spends += spend_left == 0 && spend_right == 0 ? 1 : 0;
+      swapped.apply_swap(x, left, right, spend_left, spend_right);
+      reference.remove(x, left, spend_left);
+      reference.remove(x, right, spend_right);
+      reference.add(left, right, 1);
+      same("after a swap");
+    }
+    EXPECT_GT(births, 0u);
+    EXPECT_GT(deaths, 0u);
+    EXPECT_GT(zero_spends, 0u);
+    EXPECT_GT(refusals, 0u);
+
+    // The second spend's underflow, and a beneficiary count at the uint32
+    // maximum, are refused before anything changes.
+    const NodeId x = active[0];
+    const NodeId left = active[1];
+    const NodeId right = active[2];
+    swapped.add(x, left, 2);
+    reference.add(x, left, 2);
+    const std::uint32_t right_count = swapped.count(x, right);
+    EXPECT_THROW(swapped.apply_swap(x, left, right, 1, right_count + 1), PreconditionError);
+    same("after a second-spend underflow");
+    const std::uint32_t room = kMax - swapped.count(left, right);
+    swapped.add(left, right, room);
+    reference.add(left, right, room);
+    EXPECT_THROW(swapped.apply_swap(x, left, right, 1, 0), PreconditionError);
+    same("after a beneficiary overflow");
+    // A triple that is not three distinct nodes in range.
+    EXPECT_THROW(swapped.apply_swap(x, x, right, 0, 0), PreconditionError);
+    EXPECT_THROW(swapped.apply_swap(x, left, left, 0, 0), PreconditionError);
+    EXPECT_THROW(swapped.apply_swap(x, left, static_cast<NodeId>(nodes), 0, 0),
+                 PreconditionError);
+    same("after refused triples");
+  }
+}
+
 }  // namespace
 }  // namespace poq::core

@@ -52,6 +52,28 @@ TEST(Registry, EveryProtocolRunsASmallScenario) {
   }
 }
 
+// Every knob default is declared in its KnobSpec and again as the
+// fallback the run body reads, so the two could drift apart. Running a
+// protocol with no knobs must equal running it with every declared knob
+// set to its declared default, metric for metric.
+TEST(Registry, DeclaredKnobDefaultsMatchTheRunDefaults) {
+  const std::vector<std::string> names = registry().names();
+  EXPECT_EQ(names.size(), 8u);
+  for (const std::string& name : names) {
+    ScenarioSpec spec;
+    spec.protocol = name;
+    spec.topology = "cycle";
+    spec.nodes = 16;
+    const std::string bare = registry().run(name, spec).to_json(false).dump();
+    for (const KnobSpec& knob : registry().find(name).knobs()) {
+      spec.knobs[knob.name] = knob.default_value;
+    }
+    EXPECT_EQ(registry().run(name, spec).to_json(false).dump(), bare)
+        << "protocol " << name << ": a declared knob default differs from the "
+        << "value its run uses when the knob is absent";
+  }
+}
+
 TEST(Registry, BalancingAdapterMatchesDirectSimulatorCall) {
   const ScenarioSpec spec = [] {
     ScenarioSpec s = small_spec("balancing");
