@@ -13,6 +13,7 @@
 #include "util/cancel.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace poq::core {
 
@@ -256,7 +257,13 @@ AsyncRoutingResult run_async_routing(const graph::Graph& generation_graph,
   require(std::isfinite(config.duration) && config.duration > 0.0,
           "run_async_routing: duration must be finite and positive");
   require(config.timeout > 0.0, "run_async_routing: timeout must be positive");
-  require(config.arrival_rate >= 0.0, "run_async_routing: negative arrival rate");
+  const auto require_rate = [](double rate, const char* knob) {
+    require(std::isfinite(rate) && rate >= 0.0,
+            util::str_cat("run_async_routing: knob '", knob,
+                          "' must be finite and >= 0, got ", rate));
+  };
+  require_rate(config.arrival_rate, "arrival-rate");
+  require_rate(config.generation_rate, "generation-rate");
   return Driver(generation_graph, workload, config).run();
 }
 

@@ -18,6 +18,7 @@
 #include "util/cancel.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace poq::core {
 
@@ -651,6 +652,14 @@ DistributedResult run_distributed(const graph::Graph& generation_graph,
   require(config.dt > 0.0, "run_distributed: dt must be positive");
   require(std::isfinite(config.duration) && config.duration > 0.0,
           "run_distributed: duration must be finite and positive");
+  const auto require_rate = [](double rate, const char* knob) {
+    require(std::isfinite(rate) && rate >= 0.0,
+            util::str_cat("run_distributed: knob '", knob,
+                          "' must be finite and >= 0, got ", rate));
+  };
+  require_rate(config.report_rate, "report-rate");
+  require_rate(config.scan_rate, "scan-rate");
+  require_rate(config.generation_rate, "generation-rate");
   return Driver(generation_graph, workload, config).run();
 }
 

@@ -1,10 +1,16 @@
 // Built-in protocol adapters: the bridge between the unified scenario API
-// and the per-family simulators in core/. Each adapter declares its knob
-// schema (which doubles as the poqsim CLI surface) and maps the family's
-// Result struct onto RunMetrics. All per-protocol Config/Result plumbing
-// in the repo lives here and nowhere else.
+// and the per-family simulators in core/. Each protocol is one Adapter:
+// a knob schema (which doubles as the poqsim CLI surface) and a run body
+// that maps the family's Config/Result structs onto RunMetrics. All
+// per-protocol Config/Result plumbing in the repo lives here and nowhere
+// else.
 //
 // Conventions shared by the adapters:
+//   * the KnobSpec table in register_builtin_protocols is the only place
+//     a knob's name, type, default, int range and help are written: the
+//     registry checks a spec's knob types and ranges against it before
+//     run, and the run body reads every knob through Knobs, which falls
+//     back to the declared default;
 //   * config.seed = spec.seed, topology from Rng(seed), workload from
 //     fork(42) — via scenario::instantiate, matching the historical CLI
 //     seeding so numbers are comparable across the redesign;
@@ -33,45 +39,25 @@ namespace poq::scenario {
 
 namespace {
 
-/// Intra-run concurrency knob shared by every protocol on the
-/// phase-kernel engine (balancing, planned, hybrid, gossip, fidelity) or
-/// the vertex-program substrate (distributed, async_routing). Results are
-/// bit-identical for every threads setting, so parallelism is
-/// purely a performance decision. Protocols with no engine at all (lp)
-/// do not declare it and the registry rejects it outright.
-std::vector<KnobSpec> tick_knobs() {
-  return {
-      {"threads", KnobType::kInt, std::int64_t{1},
-       "intra-run worker threads (0 = hardware; never changes results)"},
-  };
-}
+/// Upper bound of every int knob narrowed to a uint32 config field.
+constexpr std::int64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
 
-/// An integer knob narrowed to uint32 only after checking it lies in
-/// [lo, hi]; a bare cast would wrap -1 to 2^32 - 1 and 2^32 + 1 to 1.
-std::uint32_t knob_u32(const ScenarioSpec& spec, const std::string& name,
-                       std::int64_t fallback, std::int64_t lo,
-                       std::int64_t hi = std::numeric_limits<std::uint32_t>::max()) {
-  const std::int64_t value = spec.knob_int(name, fallback);
-  if (value < lo || value > hi) {
-    throw PreconditionError(util::str_cat("knob '", name, "' must be in [", lo,
-                                          ", ", hi, "], got ", value));
+/// `own` followed by the knobs every protocol shares: `threads` on an
+/// engine, then the fault-injection knobs.
+std::vector<KnobSpec> with_shared_knobs(std::vector<KnobSpec> own,
+                                        bool engine = true) {
+  // Results are bit-identical for every threads setting, so parallelism
+  // is purely a performance decision. lp has no engine, so it does not
+  // declare the knob and the registry rejects it outright.
+  if (engine) {
+    own.push_back({"threads", KnobType::kInt, std::int64_t{1},
+                   "intra-run worker threads (0 = hardware; never changes results)",
+                   0, 4096});
   }
-  return static_cast<std::uint32_t>(value);
-}
-
-sim::TickConcurrency tick_from_spec(const ScenarioSpec& spec) {
-  sim::TickConcurrency tick;
-  tick.threads = knob_u32(spec, "threads", 1, 0, 4096);
-  return tick;
-}
-
-/// Fault-injection knobs shared by every simulator protocol (everything
-/// except lp, which scales capacities by expected availability instead of
-/// simulating churn). Scripted events travel as the spec's `faults` array,
-/// not a knob: they are structured (round, kind, entity) rather than a
-/// scalar.
-std::vector<KnobSpec> fault_knobs() {
-  return {
+  // lp scales capacities by expected availability instead of simulating
+  // churn. Scripted events travel as the spec's `faults` array, not a
+  // knob: they are structured (round, kind, entity) rather than a scalar.
+  own.insert(own.end(), {
       {"fault-node-mtbf", KnobType::kDouble, 0.0,
        "mean rounds between crashes per node (0 = no stochastic node "
        "faults); crash purges the node's stored pairs"},
@@ -84,16 +70,82 @@ std::vector<KnobSpec> fault_knobs() {
        "mean rounds to recover a failed link"},
       {"fault-rate-degradation", KnobType::kDouble, 0.0,
        "per-round generation-rate degradation depth in [0, 1)"},
-  };
+  });
+  return own;
 }
 
-sim::FaultConfig fault_config_from_spec(const ScenarioSpec& spec) {
+/// One run's knob reads: the spec's value, or else the default the
+/// schema declares. The registry has checked the spec's types and ranges
+/// against the same schema, so a ranged int narrows safely. Reading a
+/// name the schema does not declare is an adapter bug and throws.
+class Knobs {
+ public:
+  Knobs(const std::vector<KnobSpec>& schema, const ScenarioSpec& spec)
+      : schema_(schema), spec_(spec) {}
+
+  bool flag(const std::string& name) const {
+    return spec_.knob_bool(name, fallback<bool>(name));
+  }
+  std::int64_t integer(const std::string& name) const {
+    return spec_.knob_int(name, fallback<std::int64_t>(name));
+  }
+  /// An int knob declared within [0, kU32Max].
+  std::uint32_t u32(const std::string& name) const {
+    return static_cast<std::uint32_t>(integer(name));
+  }
+  double real(const std::string& name) const {
+    return spec_.knob_double(name, fallback<double>(name));
+  }
+  std::string text(const std::string& name) const {
+    return spec_.knob_string(name, fallback<std::string>(name));
+  }
+
+ private:
+  template <typename T>
+  const T& fallback(const std::string& name) const {
+    for (const KnobSpec& knob : schema_) {
+      if (knob.name == name) return std::get<T>(knob.default_value);
+    }
+    throw InvariantError(util::str_cat("adapter reads undeclared knob '", name, "'"));
+  }
+
+  const std::vector<KnobSpec>& schema_;
+  const ScenarioSpec& spec_;
+};
+
+/// A built-in protocol: name, description and knob schema are fixed at
+/// registration, and the run body reads its knobs through the schema.
+class Adapter final : public Protocol {
+ public:
+  using Body = RunMetrics (*)(const Knobs& knob, const ScenarioSpec& spec);
+
+  Adapter(std::string name, std::string description,
+          std::vector<KnobSpec> schema, Body body)
+      : name_(std::move(name)),
+        description_(std::move(description)),
+        schema_(std::move(schema)),
+        body_(body) {}
+  std::string name() const override { return name_; }
+  std::string describe() const override { return description_; }
+  std::vector<KnobSpec> knobs() const override { return schema_; }
+  RunMetrics run(const ScenarioSpec& spec) const override {
+    return body_(Knobs(schema_, spec), spec);
+  }
+
+ private:
+  std::string name_;
+  std::string description_;
+  std::vector<KnobSpec> schema_;
+  Body body_;
+};
+
+sim::FaultConfig fault_config(const Knobs& knob, const ScenarioSpec& spec) {
   sim::FaultConfig config;
-  config.node_mtbf = spec.knob_double("fault-node-mtbf", 0.0);
-  config.node_mttr = spec.knob_double("fault-node-mttr", 10.0);
-  config.link_mtbf = spec.knob_double("fault-link-mtbf", 0.0);
-  config.link_mttr = spec.knob_double("fault-link-mttr", 10.0);
-  config.rate_degradation = spec.knob_double("fault-rate-degradation", 0.0);
+  config.node_mtbf = knob.real("fault-node-mtbf");
+  config.node_mttr = knob.real("fault-node-mttr");
+  config.link_mtbf = knob.real("fault-link-mtbf");
+  config.link_mttr = knob.real("fault-link-mttr");
+  config.rate_degradation = knob.real("fault-rate-degradation");
   config.script = spec.faults;
   // Checked whatever enabled() says: a negative or NaN knob would
   // otherwise read as "faults off" and run silently.
@@ -185,527 +237,442 @@ void add_balancing_fault_metrics(RunMetrics& metrics,
   }
 }
 
-core::BalancingConfig balancing_config(const ScenarioSpec& spec) {
+core::BalancingConfig balancing_config(const Knobs& knob,
+                                       const ScenarioSpec& spec) {
   core::BalancingConfig config;
-  config.distillation = spec.knob_double("distillation", 1.0);
-  config.max_rounds = knob_u32(spec, "max-rounds", 50000, 0);
-  config.swaps_per_node_per_round = knob_u32(spec, "swap-rate", 1, 0);
-  config.generation_per_edge_per_round = spec.knob_double("generation-rate", 1.0);
+  config.distillation = knob.real("distillation");
+  config.max_rounds = knob.u32("max-rounds");
+  config.swaps_per_node_per_round = knob.u32("swap-rate");
+  config.generation_per_edge_per_round = knob.real("generation-rate");
   config.seed = spec.seed;
-  if (spec.knob_int("detour-slack", -1) != -1) {  // -1 = unrestricted
-    config.policy.detour_slack = knob_u32(spec, "detour-slack", -1, 0);
+  const std::int64_t detour_slack = knob.integer("detour-slack");
+  if (detour_slack != -1) {  // -1 = unrestricted
+    config.policy.detour_slack = static_cast<std::uint32_t>(detour_slack);
   }
-  config.arrival_rate = spec.knob_double("arrival-rate", 0.0);
-  const std::int64_t consumer_pool = spec.knob_int("consumer-pool", 0);
-  require(consumer_pool >= 0, "knob 'consumer-pool' must be >= 0");
-  config.consumer_pool = static_cast<std::uint64_t>(consumer_pool);
-  const std::int64_t max_requests = spec.knob_int("max-requests", 0);
-  require(max_requests >= 0, "knob 'max-requests' must be >= 0");
-  config.max_requests = static_cast<std::uint64_t>(max_requests);
-  config.faults = fault_config_from_spec(spec);
+  config.arrival_rate = knob.real("arrival-rate");
+  config.consumer_pool = static_cast<std::uint64_t>(knob.integer("consumer-pool"));
+  config.max_requests = static_cast<std::uint64_t>(knob.integer("max-requests"));
+  config.tick.threads = knob.u32("threads");
+  config.faults = fault_config(knob, spec);
   return config;
 }
 
-/// Knobs of the round-based core, without the tick-engine knobs.
-std::vector<KnobSpec> balancing_knobs() {
-  return {
+/// The balancing family's schema: the round-based core's knobs, the
+/// shared knobs, then `extra` (hybrid's and gossip's own).
+std::vector<KnobSpec> balancing_schema(std::vector<KnobSpec> extra = {}) {
+  std::vector<KnobSpec> knobs = with_shared_knobs({
       {"distillation", KnobType::kDouble, 1.0, "distillation overhead D"},
-      {"max-rounds", KnobType::kInt, std::int64_t{50000}, "round budget"},
-      {"swap-rate", KnobType::kInt, std::int64_t{1}, "swaps per node per round"},
+      {"max-rounds", KnobType::kInt, std::int64_t{50000}, "round budget", 0,
+       kU32Max},
+      {"swap-rate", KnobType::kInt, std::int64_t{1}, "swaps per node per round",
+       0, kU32Max},
       {"generation-rate", KnobType::kDouble, 1.0, "pairs per edge per round"},
       {"detour-slack", KnobType::kInt, std::int64_t{-1},
-       "extra hops the swap policy tolerates (-1 = unrestricted)"},
+       "extra hops the swap policy tolerates (-1 = unrestricted)", -1, kU32Max},
       {"arrival-rate", KnobType::kDouble, 0.0,
        "streaming workload: Poisson request arrivals per round "
        "(0 = fixed request sequence)"},
       {"consumer-pool", KnobType::kInt, std::int64_t{0},
        "virtual consumer-pair pool for streaming arrivals (0 = C(n,2); "
-       "pairs are derived lazily, the pool is never materialized)"},
+       "pairs are derived lazily, the pool is never materialized)", 0},
       {"max-requests", KnobType::kInt, std::int64_t{0},
        "streaming stop: finish after satisfying this many requests "
-       "(0 = run until max-rounds)"},
-  };
-}
-
-std::vector<KnobSpec> balancing_knobs_with_tick() {
-  std::vector<KnobSpec> knobs = balancing_knobs();
-  for (KnobSpec& knob : tick_knobs()) knobs.push_back(std::move(knob));
-  for (KnobSpec& knob : fault_knobs()) knobs.push_back(std::move(knob));
+       "(0 = run until max-rounds)", 0},
+  });
+  knobs.insert(knobs.end(), extra.begin(), extra.end());
   return knobs;
 }
 
-class BalancingProtocol final : public Protocol {
- public:
-  std::string name() const override { return "balancing"; }
-  std::string describe() const override {
-    return "round-based max-min balancing (paper Sections 4-5)";
+RunMetrics run_balancing(const Knobs& knob, const ScenarioSpec& spec) {
+  const ScenarioInstance instance = instantiate(spec);
+  const core::BalancingConfig config = balancing_config(knob, spec);
+  core::BalancingSimulation simulation(instance.graph, instance.workload,
+                                       config);
+  const core::BalancingResult result = simulation.run();
+  RunMetrics metrics;
+  add_balancing_metrics(metrics, result);
+  add_balancing_fault_metrics(metrics, config.faults, result);
+  // Streaming (megascale) runs report the deterministic logical memory
+  // footprint; the scalar is identical for every threads
+  // setting, so the BENCH_megascale gate holds it to
+  // 1e-9. Fixed-sequence runs keep their historical metric set.
+  if (simulation.streaming()) {
+    metrics.set_scalar("memory_bytes_per_node",
+                       static_cast<double>(simulation.memory_bytes()) /
+                           static_cast<double>(instance.graph.node_count()));
   }
-  std::vector<KnobSpec> knobs() const override {
-    return balancing_knobs_with_tick();
-  }
-  RunMetrics run(const ScenarioSpec& spec) const override {
-    const ScenarioInstance instance = instantiate(spec);
-    core::BalancingConfig config = balancing_config(spec);
-    config.tick = tick_from_spec(spec);
-    core::BalancingSimulation simulation(instance.graph, instance.workload,
-                                         config);
-    const core::BalancingResult result = simulation.run();
-    RunMetrics metrics;
-    add_balancing_metrics(metrics, result);
-    add_balancing_fault_metrics(metrics, config.faults, result);
-    // Streaming (megascale) runs report the deterministic logical memory
-    // footprint; the scalar is identical for every threads
-    // setting, so the BENCH_megascale gate holds it to
-    // 1e-9. Fixed-sequence runs keep their historical metric set.
-    if (simulation.streaming()) {
-      metrics.set_scalar("memory_bytes_per_node",
-                         static_cast<double>(simulation.memory_bytes()) /
-                             static_cast<double>(instance.graph.node_count()));
-    }
-    return metrics;
-  }
-};
+  return metrics;
+}
 
-class PlannedProtocol final : public Protocol {
- public:
-  std::string name() const override { return "planned"; }
-  std::string describe() const override {
-    return "planned-path baselines (connection-oriented / connectionless)";
+RunMetrics run_planned(const Knobs& knob, const ScenarioSpec& spec) {
+  core::PlannedPathConfig config;
+  config.distillation = knob.real("distillation");
+  config.window = knob.u32("window");
+  config.max_rounds = knob.u32("max-rounds");
+  config.seed = spec.seed;
+  config.tick.threads = knob.u32("threads");
+  config.faults = fault_config(knob, spec);
+  const std::string mode = knob.text("mode");
+  if (mode == "connectionless") {
+    config.mode = core::PlannedPathMode::kConnectionless;
+  } else if (mode == "oriented") {
+    config.mode = core::PlannedPathMode::kConnectionOriented;
+  } else {
+    throw PreconditionError(util::str_cat(
+        "planned: knob 'mode' must be oriented or connectionless, got '", mode,
+        "'"));
   }
-  std::vector<KnobSpec> knobs() const override {
-    std::vector<KnobSpec> knobs = {
-        {"distillation", KnobType::kDouble, 1.0, "distillation overhead D"},
-        {"mode", KnobType::kString, std::string("oriented"),
-         "oriented|connectionless"},
-        {"window", KnobType::kInt, std::int64_t{4},
-         "concurrent connections window"},
-        {"max-rounds", KnobType::kInt, std::int64_t{200000}, "round budget"},
-    };
-    for (KnobSpec& knob : tick_knobs()) knobs.push_back(std::move(knob));
-    for (KnobSpec& knob : fault_knobs()) knobs.push_back(std::move(knob));
-    return knobs;
-  }
-  RunMetrics run(const ScenarioSpec& spec) const override {
-    core::PlannedPathConfig config;
-    config.distillation = spec.knob_double("distillation", 1.0);
-    config.window = knob_u32(spec, "window", 4, 1);
-    config.max_rounds = knob_u32(spec, "max-rounds", 200000, 0);
-    config.seed = spec.seed;
-    config.tick = tick_from_spec(spec);
-    config.faults = fault_config_from_spec(spec);
-    const std::string mode = spec.knob_string("mode", "oriented");
-    if (mode == "connectionless") {
-      config.mode = core::PlannedPathMode::kConnectionless;
-    } else if (mode == "oriented") {
-      config.mode = core::PlannedPathMode::kConnectionOriented;
-    } else {
-      throw PreconditionError(util::str_cat(
-          "planned: knob 'mode' must be oriented or connectionless, got '", mode,
-          "'"));
-    }
-    const ScenarioInstance instance = instantiate(spec);
-    const core::PlannedPathResult result =
-        core::run_planned_path(instance.graph, instance.workload, config);
-    RunMetrics metrics;
-    metrics.set_label("completed", result.completed ? "yes" : "no");
-    metrics.set_label("mode", mode);
-    metrics.set_scalar("rounds", static_cast<double>(result.rounds));
-    metrics.set_scalar("satisfied", static_cast<double>(result.requests_satisfied));
-    metrics.set_scalar("swaps", result.swaps_performed);
-    metrics.set_scalar("pairs_generated",
-                       static_cast<double>(result.pairs_generated));
-    add_overhead_metrics(metrics, result.swaps_performed, result.denominator_paper,
-                         result.denominator_exact);
-    metrics.set_scalar("mean_service", result.service_rounds.mean());
-    metrics.set_stats("service_rounds", result.service_rounds);
-    add_fault_metrics(metrics, config.faults, result.faults);
-    return metrics;
-  }
-};
+  const ScenarioInstance instance = instantiate(spec);
+  const core::PlannedPathResult result =
+      core::run_planned_path(instance.graph, instance.workload, config);
+  RunMetrics metrics;
+  metrics.set_label("completed", result.completed ? "yes" : "no");
+  metrics.set_label("mode", mode);
+  metrics.set_scalar("rounds", static_cast<double>(result.rounds));
+  metrics.set_scalar("satisfied", static_cast<double>(result.requests_satisfied));
+  metrics.set_scalar("swaps", result.swaps_performed);
+  metrics.set_scalar("pairs_generated", static_cast<double>(result.pairs_generated));
+  add_overhead_metrics(metrics, result.swaps_performed, result.denominator_paper,
+                       result.denominator_exact);
+  metrics.set_scalar("mean_service", result.service_rounds.mean());
+  metrics.set_stats("service_rounds", result.service_rounds);
+  add_fault_metrics(metrics, config.faults, result.faults);
+  return metrics;
+}
 
-class HybridProtocol final : public Protocol {
- public:
-  std::string name() const override { return "hybrid"; }
-  std::string describe() const override {
-    return "balancing + entanglement-path assist (Section 6)";
-  }
-  std::vector<KnobSpec> knobs() const override {
-    std::vector<KnobSpec> knobs = balancing_knobs_with_tick();
-    knobs.push_back({"max-assist-hops", KnobType::kInt, std::int64_t{8},
-                     "assist search radius in the entanglement graph"});
-    return knobs;
-  }
-  RunMetrics run(const ScenarioSpec& spec) const override {
-    core::HybridConfig config;
-    config.base = balancing_config(spec);
-    config.base.tick = tick_from_spec(spec);
-    config.max_assist_hops = knob_u32(spec, "max-assist-hops", 8, 0);
-    const ScenarioInstance instance = instantiate(spec);
-    const core::HybridResult result =
-        core::run_hybrid(instance.graph, instance.workload, config);
-    RunMetrics metrics;
-    add_balancing_metrics(metrics, result.base);
-    add_balancing_fault_metrics(metrics, config.base.faults, result.base);
-    metrics.set_scalar("assists_attempted",
-                       static_cast<double>(result.assists_attempted));
-    metrics.set_scalar("assists_succeeded",
-                       static_cast<double>(result.assists_succeeded));
-    metrics.set_scalar("assist_swaps", result.assist_swaps);
-    metrics.set_timing("phase_ms.assist",
-                       static_cast<double>(result.base.phase.assist_ns) / 1e6);
-    return metrics;
-  }
-};
+RunMetrics run_hybrid(const Knobs& knob, const ScenarioSpec& spec) {
+  core::HybridConfig config;
+  config.base = balancing_config(knob, spec);
+  config.max_assist_hops = knob.u32("max-assist-hops");
+  const ScenarioInstance instance = instantiate(spec);
+  const core::HybridResult result =
+      core::run_hybrid(instance.graph, instance.workload, config);
+  RunMetrics metrics;
+  add_balancing_metrics(metrics, result.base);
+  add_balancing_fault_metrics(metrics, config.base.faults, result.base);
+  metrics.set_scalar("assists_attempted",
+                     static_cast<double>(result.assists_attempted));
+  metrics.set_scalar("assists_succeeded",
+                     static_cast<double>(result.assists_succeeded));
+  metrics.set_scalar("assist_swaps", result.assist_swaps);
+  metrics.set_timing("phase_ms.assist",
+                     static_cast<double>(result.base.phase.assist_ns) / 1e6);
+  return metrics;
+}
 
-class GossipProtocol final : public Protocol {
- public:
-  std::string name() const override { return "gossip"; }
-  std::string describe() const override {
-    return "partial-knowledge balancing via count gossip (Section 6)";
-  }
-  std::vector<KnobSpec> knobs() const override {
-    std::vector<KnobSpec> knobs = balancing_knobs_with_tick();
-    knobs.push_back({"fanout", KnobType::kInt, std::int64_t{2},
-                     "rotating peers contacted per round"});
-    knobs.push_back({"optimistic-peer", KnobType::kBool, true,
-                     "also contact one random peer per round"});
-    knobs.push_back({"latency", KnobType::kDouble, 1.0,
-                     "classical latency per hop (rounds)"});
-    return knobs;
-  }
-  RunMetrics run(const ScenarioSpec& spec) const override {
-    core::GossipConfig config;
-    config.base = balancing_config(spec);
-    config.base.tick = tick_from_spec(spec);
-    config.fanout = knob_u32(spec, "fanout", 2, 1);
-    config.optimistic_peer = spec.knob_bool("optimistic-peer", true);
-    config.latency_per_hop = spec.knob_double("latency", 1.0);
-    const ScenarioInstance instance = instantiate(spec);
-    const core::GossipResult result =
-        core::run_gossip(instance.graph, instance.workload, config);
-    RunMetrics metrics;
-    add_balancing_metrics(metrics, result.base);
-    add_balancing_fault_metrics(metrics, config.base.faults, result.base);
-    metrics.set_scalar("view_age", result.mean_view_age);
-    metrics.set_scalar("control_messages",
-                       static_cast<double>(result.control_messages));
-    metrics.set_scalar("control_bytes", static_cast<double>(result.control_bytes));
-    metrics.set_timing("phase_ms.exchange",
-                       static_cast<double>(result.base.phase.exchange_ns) / 1e6);
-    return metrics;
-  }
-};
+RunMetrics run_gossip(const Knobs& knob, const ScenarioSpec& spec) {
+  core::GossipConfig config;
+  config.base = balancing_config(knob, spec);
+  config.fanout = knob.u32("fanout");
+  config.optimistic_peer = knob.flag("optimistic-peer");
+  config.latency_per_hop = knob.real("latency");
+  const ScenarioInstance instance = instantiate(spec);
+  const core::GossipResult result =
+      core::run_gossip(instance.graph, instance.workload, config);
+  RunMetrics metrics;
+  add_balancing_metrics(metrics, result.base);
+  add_balancing_fault_metrics(metrics, config.base.faults, result.base);
+  metrics.set_scalar("view_age", result.mean_view_age);
+  metrics.set_scalar("control_messages", static_cast<double>(result.control_messages));
+  metrics.set_scalar("control_bytes", static_cast<double>(result.control_bytes));
+  metrics.set_timing("phase_ms.exchange",
+                     static_cast<double>(result.base.phase.exchange_ns) / 1e6);
+  return metrics;
+}
 
-class DistributedProtocol final : public Protocol {
- public:
-  std::string name() const override { return "distributed"; }
-  std::string describe() const override {
-    return "belief-based protocol with classical latency (Section 2)";
+RunMetrics run_distributed(const Knobs& knob, const ScenarioSpec& spec) {
+  core::DistributedConfig config;
+  config.latency_per_hop = knob.real("latency");
+  config.duration = knob.real("duration");
+  config.report_rate = knob.real("report-rate");
+  config.generation_rate = knob.real("generation-rate");
+  config.scan_rate = knob.real("scan-rate");
+  config.dt = knob.real("dt");
+  config.seed = spec.seed;
+  config.tick.threads = knob.u32("threads");
+  config.faults = fault_config(knob, spec);
+  const ScenarioInstance instance = instantiate(spec);
+  const core::DistributedResult result =
+      core::run_distributed(instance.graph, instance.workload, config);
+  RunMetrics metrics;
+  metrics.set_scalar("satisfied", static_cast<double>(result.requests_satisfied));
+  metrics.set_scalar("swaps", static_cast<double>(result.swaps));
+  metrics.set_scalar("stale_swap_fraction", result.stale_swap_fraction());
+  metrics.set_scalar("conflict_fraction", result.conflict_fraction());
+  metrics.set_scalar("view_age", result.decision_view_age.mean());
+  metrics.set_scalar("control_messages", static_cast<double>(result.control_messages));
+  metrics.set_scalar("control_bytes", static_cast<double>(result.control_bytes));
+  metrics.set_scalar("pairs_generated", static_cast<double>(result.pairs_generated));
+  if (result.request_latency.count() > 0) {
+    metrics.set_scalar("mean_request_latency", result.request_latency.mean());
   }
-  std::vector<KnobSpec> knobs() const override {
-    std::vector<KnobSpec> knobs = {
-        {"latency", KnobType::kDouble, 0.1, "classical latency per hop"},
-        {"duration", KnobType::kDouble, 400.0, "simulated duration"},
-        {"report-rate", KnobType::kDouble, 1.0, "belief report rate"},
-        {"generation-rate", KnobType::kDouble, 1.0,
-         "Poisson pair generation rate per edge"},
-        {"scan-rate", KnobType::kDouble, 1.0, "per-node swap scan rate"},
-        {"dt", KnobType::kDouble, 0.25,
-         "epoch length of the vertex-program loop (time units)"},
-    };
-    for (KnobSpec& knob : tick_knobs()) knobs.push_back(std::move(knob));
-    for (KnobSpec& knob : fault_knobs()) knobs.push_back(std::move(knob));
-    return knobs;
-  }
-  RunMetrics run(const ScenarioSpec& spec) const override {
-    core::DistributedConfig config;
-    config.latency_per_hop = spec.knob_double("latency", 0.1);
-    config.duration = spec.knob_double("duration", 400.0);
-    config.report_rate = spec.knob_double("report-rate", 1.0);
-    config.generation_rate = spec.knob_double("generation-rate", 1.0);
-    config.scan_rate = spec.knob_double("scan-rate", 1.0);
-    config.dt = spec.knob_double("dt", 0.25);
-    config.seed = spec.seed;
-    config.tick = tick_from_spec(spec);
-    config.faults = fault_config_from_spec(spec);
-    const ScenarioInstance instance = instantiate(spec);
-    const core::DistributedResult result =
-        core::run_distributed(instance.graph, instance.workload, config);
-    RunMetrics metrics;
-    metrics.set_scalar("satisfied", static_cast<double>(result.requests_satisfied));
-    metrics.set_scalar("swaps", static_cast<double>(result.swaps));
-    metrics.set_scalar("stale_swap_fraction", result.stale_swap_fraction());
-    metrics.set_scalar("conflict_fraction", result.conflict_fraction());
-    metrics.set_scalar("view_age", result.decision_view_age.mean());
-    metrics.set_scalar("control_messages",
-                       static_cast<double>(result.control_messages));
-    metrics.set_scalar("control_bytes", static_cast<double>(result.control_bytes));
-    metrics.set_scalar("pairs_generated",
-                       static_cast<double>(result.pairs_generated));
-    if (result.request_latency.count() > 0) {
-      metrics.set_scalar("mean_request_latency", result.request_latency.mean());
-    }
-    metrics.set_stats("request_latency", result.request_latency);
-    metrics.set_stats("decision_view_age", result.decision_view_age);
-    add_fault_metrics(metrics, config.faults, result.faults);
-    return metrics;
-  }
-};
+  metrics.set_stats("request_latency", result.request_latency);
+  metrics.set_stats("decision_view_age", result.decision_view_age);
+  add_fault_metrics(metrics, config.faults, result.faults);
+  return metrics;
+}
 
-class AsyncRoutingProtocol final : public Protocol {
- public:
-  std::string name() const override { return "async_routing"; }
-  std::string describe() const override {
-    return "asynchronous entanglement routing of a Poisson request stream "
-           "(after Yang et al.)";
+RunMetrics run_async_routing(const Knobs& knob, const ScenarioSpec& spec) {
+  core::AsyncRoutingConfig config;
+  config.arrival_rate = knob.real("arrival-rate");
+  config.generation_rate = knob.real("generation-rate");
+  config.latency_per_hop = knob.real("latency");
+  config.timeout = knob.real("timeout");
+  config.duration = knob.real("duration");
+  config.dt = knob.real("dt");
+  config.seed = spec.seed;
+  config.tick.threads = knob.u32("threads");
+  config.faults = fault_config(knob, spec);
+  const ScenarioInstance instance = instantiate(spec);
+  const core::AsyncRoutingResult result =
+      core::run_async_routing(instance.graph, instance.workload, config);
+  RunMetrics metrics;
+  metrics.set_scalar("arrived", static_cast<double>(result.requests_arrived));
+  metrics.set_scalar("satisfied", static_cast<double>(result.requests_satisfied));
+  metrics.set_scalar("dropped", static_cast<double>(result.requests_dropped));
+  metrics.set_scalar("satisfied_fraction", result.satisfied_fraction());
+  metrics.set_scalar("drop_fraction", result.drop_fraction());
+  metrics.set_scalar("swaps", static_cast<double>(result.swaps));
+  metrics.set_scalar("pairs_generated", static_cast<double>(result.pairs_generated));
+  metrics.set_scalar("pairs_consumed", static_cast<double>(result.pairs_consumed));
+  metrics.set_scalar("control_messages", static_cast<double>(result.control_messages));
+  if (result.request_latency.count() > 0) {
+    metrics.set_scalar("mean_request_latency", result.request_latency.mean());
   }
-  std::vector<KnobSpec> knobs() const override {
-    std::vector<KnobSpec> knobs = {
-        {"arrival-rate", KnobType::kDouble, 0.5,
-         "Poisson request arrival rate (per time unit)"},
-        {"generation-rate", KnobType::kDouble, 1.0,
-         "Poisson pair generation rate per edge"},
-        {"latency", KnobType::kDouble, 0.1,
-         "classical latency per hop for token handoffs"},
-        {"timeout", KnobType::kDouble, 50.0,
-         "drop a request waiting this long"},
-        {"duration", KnobType::kDouble, 400.0, "simulated duration"},
-        {"dt", KnobType::kDouble, 0.25,
-         "epoch length of the vertex-program loop (time units)"},
-    };
-    for (KnobSpec& knob : tick_knobs()) knobs.push_back(std::move(knob));
-    for (KnobSpec& knob : fault_knobs()) knobs.push_back(std::move(knob));
-    return knobs;
+  metrics.set_stats("request_latency", result.request_latency);
+  metrics.set_stats("request_hops", result.request_hops);
+  if (result.apply_load.chunks > 0) {
+    metrics.set_timing("shard_imbalance.apply", result.apply_load.imbalance());
   }
-  RunMetrics run(const ScenarioSpec& spec) const override {
-    core::AsyncRoutingConfig config;
-    config.arrival_rate = spec.knob_double("arrival-rate", 0.5);
-    config.generation_rate = spec.knob_double("generation-rate", 1.0);
-    config.latency_per_hop = spec.knob_double("latency", 0.1);
-    config.timeout = spec.knob_double("timeout", 50.0);
-    config.duration = spec.knob_double("duration", 400.0);
-    config.dt = spec.knob_double("dt", 0.25);
-    config.seed = spec.seed;
-    config.tick = tick_from_spec(spec);
-    config.faults = fault_config_from_spec(spec);
-    const ScenarioInstance instance = instantiate(spec);
-    const core::AsyncRoutingResult result =
-        core::run_async_routing(instance.graph, instance.workload, config);
-    RunMetrics metrics;
-    metrics.set_scalar("arrived", static_cast<double>(result.requests_arrived));
-    metrics.set_scalar("satisfied",
-                       static_cast<double>(result.requests_satisfied));
-    metrics.set_scalar("dropped", static_cast<double>(result.requests_dropped));
-    metrics.set_scalar("satisfied_fraction", result.satisfied_fraction());
-    metrics.set_scalar("drop_fraction", result.drop_fraction());
-    metrics.set_scalar("swaps", static_cast<double>(result.swaps));
-    metrics.set_scalar("pairs_generated",
-                       static_cast<double>(result.pairs_generated));
-    metrics.set_scalar("pairs_consumed",
-                       static_cast<double>(result.pairs_consumed));
-    metrics.set_scalar("control_messages",
-                       static_cast<double>(result.control_messages));
-    if (result.request_latency.count() > 0) {
-      metrics.set_scalar("mean_request_latency", result.request_latency.mean());
-    }
-    metrics.set_stats("request_latency", result.request_latency);
-    metrics.set_stats("request_hops", result.request_hops);
-    if (result.apply_load.chunks > 0) {
-      metrics.set_timing("shard_imbalance.apply", result.apply_load.imbalance());
-    }
-    add_fault_metrics(metrics, config.faults, result.faults);
-    return metrics;
-  }
-};
+  add_fault_metrics(metrics, config.faults, result.faults);
+  return metrics;
+}
 
-class FidelityProtocol final : public Protocol {
- public:
-  std::string name() const override { return "fidelity"; }
-  std::string describe() const override {
-    return "fidelity-aware event simulation (Section 3.2)";
+RunMetrics run_fidelity(const Knobs& knob, const ScenarioSpec& spec) {
+  core::FidelitySimConfig config;
+  config.raw_fidelity = knob.real("raw-fidelity");
+  config.app_fidelity = knob.real("app-fidelity");
+  config.usable_fidelity = knob.real("usable-fidelity");
+  config.memory_time_constant = knob.real("memory-T");
+  config.duration = knob.real("duration");
+  config.distillation_enabled = knob.flag("distill");
+  config.seed = spec.seed;
+  config.tick.threads = knob.u32("threads");
+  config.faults = fault_config(knob, spec);
+  const std::string pairing = knob.text("pairing");
+  if (pairing == "oldest") {
+    config.policy = core::PairingPolicy::kOldest;
+  } else if (pairing == "freshest") {
+    config.policy = core::PairingPolicy::kFreshest;
+  } else {
+    throw PreconditionError(util::str_cat(
+        "fidelity: knob 'pairing' must be freshest or oldest, got '", pairing,
+        "'"));
   }
-  std::vector<KnobSpec> knobs() const override {
-    std::vector<KnobSpec> knobs = {
-        {"raw-fidelity", KnobType::kDouble, 0.97, "generated-pair fidelity"},
-        {"app-fidelity", KnobType::kDouble, 0.80, "application target fidelity"},
-        {"usable-fidelity", KnobType::kDouble, 0.70, "discard threshold"},
-        {"memory-T", KnobType::kDouble, 100.0, "memory decay constant"},
-        {"duration", KnobType::kDouble, 500.0, "simulated duration"},
-        {"distill", KnobType::kBool, true, "enable BBPSSW distillation"},
-        {"pairing", KnobType::kString, std::string("freshest"),
-         "freshest|oldest pairing policy"},
-    };
-    for (KnobSpec& knob : tick_knobs()) knobs.push_back(std::move(knob));
-    for (KnobSpec& knob : fault_knobs()) knobs.push_back(std::move(knob));
-    return knobs;
+  const ScenarioInstance instance = instantiate(spec);
+  const core::FidelitySimResult result =
+      core::run_fidelity_sim(instance.graph, instance.workload, config);
+  RunMetrics metrics;
+  metrics.set_label("pairing", pairing);
+  metrics.set_scalar("satisfied", static_cast<double>(result.requests_satisfied));
+  metrics.set_scalar("swaps", static_cast<double>(result.swaps));
+  metrics.set_scalar("distills", static_cast<double>(result.distillations));
+  metrics.set_scalar("distill_failures",
+                     static_cast<double>(result.distillation_failures));
+  metrics.set_scalar("pairs_generated", static_cast<double>(result.pairs_generated));
+  metrics.set_scalar("pairs_decayed", static_cast<double>(result.pairs_decayed));
+  metrics.set_scalar("L_realized", result.realized_survival());
+  metrics.set_scalar("D_realized", result.realized_distillation_overhead());
+  if (result.consumed_fidelity.count() > 0) {
+    metrics.set_scalar("mean_consumed_F", result.consumed_fidelity.mean());
   }
-  RunMetrics run(const ScenarioSpec& spec) const override {
-    core::FidelitySimConfig config;
-    config.raw_fidelity = spec.knob_double("raw-fidelity", 0.97);
-    config.app_fidelity = spec.knob_double("app-fidelity", 0.80);
-    config.usable_fidelity = spec.knob_double("usable-fidelity", 0.70);
-    config.memory_time_constant = spec.knob_double("memory-T", 100.0);
-    config.duration = spec.knob_double("duration", 500.0);
-    config.distillation_enabled = spec.knob_bool("distill", true);
-    config.seed = spec.seed;
-    config.tick = tick_from_spec(spec);
-    config.faults = fault_config_from_spec(spec);
-    const std::string pairing = spec.knob_string("pairing", "freshest");
-    if (pairing == "oldest") {
-      config.policy = core::PairingPolicy::kOldest;
-    } else if (pairing == "freshest") {
-      config.policy = core::PairingPolicy::kFreshest;
-    } else {
-      throw PreconditionError(util::str_cat(
-          "fidelity: knob 'pairing' must be freshest or oldest, got '", pairing,
-          "'"));
-    }
-    const ScenarioInstance instance = instantiate(spec);
-    const core::FidelitySimResult result =
-        core::run_fidelity_sim(instance.graph, instance.workload, config);
-    RunMetrics metrics;
-    metrics.set_label("pairing", pairing);
-    metrics.set_scalar("satisfied", static_cast<double>(result.requests_satisfied));
-    metrics.set_scalar("swaps", static_cast<double>(result.swaps));
-    metrics.set_scalar("distills", static_cast<double>(result.distillations));
-    metrics.set_scalar("distill_failures",
-                       static_cast<double>(result.distillation_failures));
-    metrics.set_scalar("pairs_generated",
-                       static_cast<double>(result.pairs_generated));
-    metrics.set_scalar("pairs_decayed", static_cast<double>(result.pairs_decayed));
-    metrics.set_scalar("L_realized", result.realized_survival());
-    metrics.set_scalar("D_realized", result.realized_distillation_overhead());
-    if (result.consumed_fidelity.count() > 0) {
-      metrics.set_scalar("mean_consumed_F", result.consumed_fidelity.mean());
-    }
-    if (result.storage_age_at_use.count() > 0) {
-      metrics.set_scalar("mean_storage_age", result.storage_age_at_use.mean());
-    }
-    if (result.request_latency.count() > 0) {
-      metrics.set_scalar("mean_request_latency", result.request_latency.mean());
-    }
-    metrics.set_stats("consumed_fidelity", result.consumed_fidelity);
-    metrics.set_stats("request_latency", result.request_latency);
-    metrics.set_stats("storage_age_at_use", result.storage_age_at_use);
-    add_phase_timings(metrics, result.phase);
-    add_fault_metrics(metrics, config.faults, result.faults);
-    return metrics;
+  if (result.storage_age_at_use.count() > 0) {
+    metrics.set_scalar("mean_storage_age", result.storage_age_at_use.mean());
   }
-};
+  if (result.request_latency.count() > 0) {
+    metrics.set_scalar("mean_request_latency", result.request_latency.mean());
+  }
+  metrics.set_stats("consumed_fidelity", result.consumed_fidelity);
+  metrics.set_stats("request_latency", result.request_latency);
+  metrics.set_stats("storage_age_at_use", result.storage_age_at_use);
+  add_phase_timings(metrics, result.phase);
+  add_fault_metrics(metrics, config.faults, result.faults);
+  return metrics;
+}
 
-class LpProtocol final : public Protocol {
- public:
-  std::string name() const override { return "lp"; }
-  std::string describe() const override {
-    return "steady-state linear program (Section 3)";
+RunMetrics run_lp(const Knobs& knob, const ScenarioSpec& spec) {
+  if (!spec.faults.empty()) {
+    throw PreconditionError(
+        "lp: scripted fault events are not supported — the steady-state "
+        "LP has no rounds to apply them at; use the fault-*-mtbf/mttr "
+        "knobs, which scale capacities by expected availability");
   }
-  std::vector<KnobSpec> knobs() const override {
-    std::vector<KnobSpec> knobs = {
-        {"gamma", KnobType::kDouble, 1.0, "generation capacity per edge"},
-        {"kappa", KnobType::kDouble, 0.1, "demand per consumer pair"},
-        {"distillation", KnobType::kDouble, 1.0, "distillation overhead D"},
-        {"survival", KnobType::kDouble, 1.0, "survival factor L"},
-        {"qec", KnobType::kDouble, 1.0, "QEC overhead R"},
-        {"objective", KnobType::kString, std::string("min-generation"),
-         "min-generation|min-max-generation|max-consumption|"
-         "max-min-consumption|max-scale"},
-    };
-    // No tick knobs: the steady-state solve has no engine to select, and
-    // accepting-then-ignoring threads would misrepresent the run.
-    // The registry's knob validation rejects them with a clear error.
-    for (KnobSpec& knob : fault_knobs()) knobs.push_back(std::move(knob));
-    return knobs;
+  const sim::FaultConfig faults = fault_config(knob, spec);
+  // Steady-state treatment of churn: each entity is up with probability
+  // mtbf/(mtbf+mttr) (the alternating-renewal limit), so an edge's
+  // expected generation capacity is gamma scaled by the link's
+  // availability, both endpoints' availability, and the mean rate
+  // factor 1 - degradation/2 (U is uniform on [0,1)).
+  const double node_avail =
+      faults.node_mtbf > 0.0
+          ? faults.node_mtbf / (faults.node_mtbf + faults.node_mttr)
+          : 1.0;
+  const double link_avail =
+      faults.link_mtbf > 0.0
+          ? faults.link_mtbf / (faults.link_mtbf + faults.link_mttr)
+          : 1.0;
+  const double capacity_factor = link_avail * node_avail * node_avail *
+                                 (1.0 - faults.rate_degradation / 2.0);
+  const ScenarioInstance instance = instantiate(spec);
+  core::SteadyStateSpec lp_spec;
+  lp_spec.node_count = instance.graph.node_count();
+  const double gamma = knob.real("gamma") * capacity_factor;
+  for (const graph::Edge& edge : instance.graph.edges()) {
+    lp_spec.generation_capacity.push_back(
+        core::RatedPair{core::NodePair(edge.a(), edge.b()), gamma});
   }
-  RunMetrics run(const ScenarioSpec& spec) const override {
-    if (!spec.faults.empty()) {
-      throw PreconditionError(
-          "lp: scripted fault events are not supported — the steady-state "
-          "LP has no rounds to apply them at; use the fault-*-mtbf/mttr "
-          "knobs, which scale capacities by expected availability");
-    }
-    const sim::FaultConfig faults = fault_config_from_spec(spec);
-    // Steady-state treatment of churn: each entity is up with probability
-    // mtbf/(mtbf+mttr) (the alternating-renewal limit), so an edge's
-    // expected generation capacity is gamma scaled by the link's
-    // availability, both endpoints' availability, and the mean rate
-    // factor 1 - degradation/2 (U is uniform on [0,1)).
-    const double node_avail =
-        faults.node_mtbf > 0.0
-            ? faults.node_mtbf / (faults.node_mtbf + faults.node_mttr)
-            : 1.0;
-    const double link_avail =
-        faults.link_mtbf > 0.0
-            ? faults.link_mtbf / (faults.link_mtbf + faults.link_mttr)
-            : 1.0;
-    const double capacity_factor = link_avail * node_avail * node_avail *
-                                   (1.0 - faults.rate_degradation / 2.0);
-    const ScenarioInstance instance = instantiate(spec);
-    core::SteadyStateSpec lp_spec;
-    lp_spec.node_count = instance.graph.node_count();
-    const double gamma = spec.knob_double("gamma", 1.0) * capacity_factor;
-    for (const graph::Edge& edge : instance.graph.edges()) {
-      lp_spec.generation_capacity.push_back(
-          core::RatedPair{core::NodePair(edge.a(), edge.b()), gamma});
-    }
-    const double kappa = spec.knob_double("kappa", 0.1);
-    for (const core::NodePair& pair : instance.workload.pairs) {
-      lp_spec.demand.push_back(core::RatedPair{pair, kappa});
-    }
-    lp_spec.distillation = spec.knob_double("distillation", 1.0);
-    lp_spec.survival = spec.knob_double("survival", 1.0);
-    lp_spec.qec_overhead = spec.knob_double("qec", 1.0);
+  const double kappa = knob.real("kappa");
+  for (const core::NodePair& pair : instance.workload.pairs) {
+    lp_spec.demand.push_back(core::RatedPair{pair, kappa});
+  }
+  lp_spec.distillation = knob.real("distillation");
+  lp_spec.survival = knob.real("survival");
+  lp_spec.qec_overhead = knob.real("qec");
 
-    const std::string objective_name =
-        spec.knob_string("objective", "min-generation");
-    core::SteadyStateObjective objective;
-    if (objective_name == "min-generation") {
-      objective = core::SteadyStateObjective::kMinTotalGeneration;
-    } else if (objective_name == "min-max-generation") {
-      objective = core::SteadyStateObjective::kMinMaxGeneration;
-    } else if (objective_name == "max-consumption") {
-      objective = core::SteadyStateObjective::kMaxTotalConsumption;
-    } else if (objective_name == "max-min-consumption") {
-      objective = core::SteadyStateObjective::kMaxMinConsumption;
-    } else if (objective_name == "max-scale") {
-      objective = core::SteadyStateObjective::kMaxConcurrentScale;
-    } else {
-      throw PreconditionError(util::str_cat(
-          "lp: unknown knob value objective='", objective_name,
-          "' (valid: min-generation, min-max-generation, max-consumption, "
-          "max-min-consumption, max-scale)"));
-    }
-    const core::SteadyStateLp lp(std::move(lp_spec));
-    const core::SteadyStateSolution solution = lp.solve(objective);
-    RunMetrics metrics;
-    metrics.set_label("status", lp::status_name(solution.status));
-    metrics.set_label("objective_name", objective_name);
-    metrics.set_scalar("objective", solution.objective);
-    metrics.set_scalar("total_generation", solution.total_generation);
-    metrics.set_scalar("total_consumption", solution.total_consumption);
-    metrics.set_scalar("total_swap_rate", solution.total_swap_rate);
-    metrics.set_scalar("active_swap_rules",
-                       static_cast<double>(solution.swap_rates.size()));
-    metrics.set_scalar("max_violation", solution.max_violation);
-    // Emitted only under faults, like the simulators' resilience metrics,
-    // so fault-free LP baselines stay byte-identical.
-    if (faults.enabled()) {
-      metrics.set_scalar("expected_capacity_factor", capacity_factor);
-    }
-    return metrics;
+  const std::string objective_name = knob.text("objective");
+  core::SteadyStateObjective objective;
+  if (objective_name == "min-generation") {
+    objective = core::SteadyStateObjective::kMinTotalGeneration;
+  } else if (objective_name == "min-max-generation") {
+    objective = core::SteadyStateObjective::kMinMaxGeneration;
+  } else if (objective_name == "max-consumption") {
+    objective = core::SteadyStateObjective::kMaxTotalConsumption;
+  } else if (objective_name == "max-min-consumption") {
+    objective = core::SteadyStateObjective::kMaxMinConsumption;
+  } else if (objective_name == "max-scale") {
+    objective = core::SteadyStateObjective::kMaxConcurrentScale;
+  } else {
+    throw PreconditionError(util::str_cat(
+        "lp: unknown knob value objective='", objective_name,
+        "' (valid: min-generation, min-max-generation, max-consumption, "
+        "max-min-consumption, max-scale)"));
   }
-};
+  const core::SteadyStateLp lp(std::move(lp_spec));
+  const core::SteadyStateSolution solution = lp.solve(objective);
+  RunMetrics metrics;
+  metrics.set_label("status", lp::status_name(solution.status));
+  metrics.set_label("objective_name", objective_name);
+  metrics.set_scalar("objective", solution.objective);
+  metrics.set_scalar("total_generation", solution.total_generation);
+  metrics.set_scalar("total_consumption", solution.total_consumption);
+  metrics.set_scalar("total_swap_rate", solution.total_swap_rate);
+  metrics.set_scalar("active_swap_rules",
+                     static_cast<double>(solution.swap_rates.size()));
+  metrics.set_scalar("max_violation", solution.max_violation);
+  // Emitted only under faults, like the simulators' resilience metrics,
+  // so fault-free LP baselines stay byte-identical.
+  if (faults.enabled()) {
+    metrics.set_scalar("expected_capacity_factor", capacity_factor);
+  }
+  return metrics;
+}
 
 }  // namespace
 
 void register_builtin_protocols(Registry& target) {
-  target.add(std::make_unique<BalancingProtocol>());
-  target.add(std::make_unique<PlannedProtocol>());
-  target.add(std::make_unique<HybridProtocol>());
-  target.add(std::make_unique<GossipProtocol>());
-  target.add(std::make_unique<DistributedProtocol>());
-  target.add(std::make_unique<AsyncRoutingProtocol>());
-  target.add(std::make_unique<FidelityProtocol>());
-  target.add(std::make_unique<LpProtocol>());
+  target.add(std::make_unique<Adapter>(
+      "balancing", "round-based max-min balancing (paper Sections 4-5)",
+      balancing_schema(), run_balancing));
+  target.add(std::make_unique<Adapter>(
+      "planned", "planned-path baselines (connection-oriented / connectionless)",
+      with_shared_knobs({
+          {"distillation", KnobType::kDouble, 1.0, "distillation overhead D"},
+          {"mode", KnobType::kString, std::string("oriented"),
+           "oriented|connectionless"},
+          {"window", KnobType::kInt, std::int64_t{4},
+           "concurrent connections window", 1, kU32Max},
+          {"max-rounds", KnobType::kInt, std::int64_t{200000}, "round budget", 0,
+           kU32Max},
+      }),
+      run_planned));
+  target.add(std::make_unique<Adapter>(
+      "hybrid", "balancing + entanglement-path assist (Section 6)",
+      balancing_schema({
+          {"max-assist-hops", KnobType::kInt, std::int64_t{8},
+           "assist search radius in the entanglement graph", 0, kU32Max},
+      }),
+      run_hybrid));
+  target.add(std::make_unique<Adapter>(
+      "gossip", "partial-knowledge balancing via count gossip (Section 6)",
+      balancing_schema({
+          {"fanout", KnobType::kInt, std::int64_t{2},
+           "rotating peers contacted per round", 1, kU32Max},
+          {"optimistic-peer", KnobType::kBool, true,
+           "also contact one random peer per round"},
+          {"latency", KnobType::kDouble, 1.0, "classical latency per hop (rounds)"},
+      }),
+      run_gossip));
+  target.add(std::make_unique<Adapter>(
+      "distributed", "belief-based protocol with classical latency (Section 2)",
+      with_shared_knobs({
+          {"latency", KnobType::kDouble, 0.1, "classical latency per hop"},
+          {"duration", KnobType::kDouble, 400.0, "simulated duration"},
+          {"report-rate", KnobType::kDouble, 1.0, "belief report rate"},
+          {"generation-rate", KnobType::kDouble, 1.0,
+           "Poisson pair generation rate per edge"},
+          {"scan-rate", KnobType::kDouble, 1.0, "per-node swap scan rate"},
+          {"dt", KnobType::kDouble, 0.25,
+           "epoch length of the vertex-program loop (time units)"},
+      }),
+      run_distributed));
+  target.add(std::make_unique<Adapter>(
+      "async_routing",
+      "asynchronous entanglement routing of a Poisson request stream "
+      "(after Yang et al.)",
+      with_shared_knobs({
+          {"arrival-rate", KnobType::kDouble, 0.5,
+           "Poisson request arrival rate (per time unit)"},
+          {"generation-rate", KnobType::kDouble, 1.0,
+           "Poisson pair generation rate per edge"},
+          {"latency", KnobType::kDouble, 0.1,
+           "classical latency per hop for token handoffs"},
+          {"timeout", KnobType::kDouble, 50.0, "drop a request waiting this long"},
+          {"duration", KnobType::kDouble, 400.0, "simulated duration"},
+          {"dt", KnobType::kDouble, 0.25,
+           "epoch length of the vertex-program loop (time units)"},
+      }),
+      run_async_routing));
+  target.add(std::make_unique<Adapter>(
+      "fidelity", "fidelity-aware event simulation (Section 3.2)",
+      with_shared_knobs({
+          {"raw-fidelity", KnobType::kDouble, 0.97, "generated-pair fidelity"},
+          {"app-fidelity", KnobType::kDouble, 0.80, "application target fidelity"},
+          {"usable-fidelity", KnobType::kDouble, 0.70, "discard threshold"},
+          {"memory-T", KnobType::kDouble, 100.0, "memory decay constant"},
+          {"duration", KnobType::kDouble, 500.0, "simulated duration"},
+          {"distill", KnobType::kBool, true, "enable BBPSSW distillation"},
+          {"pairing", KnobType::kString, std::string("freshest"),
+           "freshest|oldest pairing policy"},
+      }),
+      run_fidelity));
+  // No threads knob: the steady-state solve has no engine, and
+  // accepting-then-ignoring threads would misrepresent the run. The
+  // registry's knob validation rejects it with a clear error.
+  target.add(std::make_unique<Adapter>(
+      "lp", "steady-state linear program (Section 3)",
+      with_shared_knobs(
+          {
+              {"gamma", KnobType::kDouble, 1.0, "generation capacity per edge"},
+              {"kappa", KnobType::kDouble, 0.1, "demand per consumer pair"},
+              {"distillation", KnobType::kDouble, 1.0, "distillation overhead D"},
+              {"survival", KnobType::kDouble, 1.0, "survival factor L"},
+              {"qec", KnobType::kDouble, 1.0, "QEC overhead R"},
+              {"objective", KnobType::kString, std::string("min-generation"),
+               "min-generation|min-max-generation|max-consumption|"
+               "max-min-consumption|max-scale"},
+          },
+          /*engine=*/false),
+      run_lp));
 }
 
 }  // namespace poq::scenario

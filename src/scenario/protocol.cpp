@@ -78,6 +78,14 @@ void Registry::validate_knobs(const Protocol& protocol,
           knob_type_name(declared->type), ", got ", knob_type_name(actual), " '",
           knob_value_text(value), "'"));
     }
+    if (actual == KnobType::kInt) {
+      const std::int64_t number = std::get<std::int64_t>(value);
+      if (number < declared->min || number > declared->max) {
+        throw PreconditionError(util::str_cat("knob '", name, "' must be in [",
+                                              declared->min, ", ", declared->max,
+                                              "], got ", number));
+      }
+    }
   }
 }
 
@@ -90,14 +98,6 @@ RunMetrics Registry::run(const std::string& name, const ScenarioSpec& spec) cons
 
 util::json::Value registry_to_json(const Registry& source) {
   using util::json::Value;
-  const auto knob_default = [](const KnobValue& value) -> Value {
-    switch (value.index()) {
-      case 0: return Value(std::get<bool>(value));
-      case 1: return Value(std::get<std::int64_t>(value));
-      case 2: return Value(std::get<double>(value));
-      default: return Value(std::get<std::string>(value));
-    }
-  };
   Value protocols = Value::array();
   for (const std::string& name : source.names()) {
     const Protocol& protocol = source.find(name);
@@ -109,7 +109,8 @@ util::json::Value registry_to_json(const Registry& source) {
       Value k = Value::object();
       k.set("name", knob.name);
       k.set("type", knob_type_name(knob.type));
-      k.set("default", knob_default(knob.default_value));
+      k.set("default", std::visit([](const auto& v) { return Value(v); },
+                                  knob.default_value));
       k.set("help", knob.help);
       knobs.push_back(std::move(k));
     }

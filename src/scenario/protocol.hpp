@@ -2,15 +2,16 @@
 // dispatch half).
 //
 // Each protocol family the repo implements (balancing, planned-path,
-// hybrid, gossip, distributed, fidelity, lp) registers one adapter that
-// declares its knobs and maps ScenarioSpec -> RunMetrics. Consumers never
-// see per-protocol Config/Result structs:
+// hybrid, gossip, distributed, async_routing, fidelity, lp) registers one
+// adapter that declares its knobs and maps ScenarioSpec -> RunMetrics.
+// Consumers never see per-protocol Config/Result structs:
 //
 //   scenario::RunMetrics m = scenario::registry().run("balancing", spec);
 //
-// The registry validates the spec frame and the knob overlay against the
-// protocol's declared schema before running, so misuse fails with an
-// actionable message instead of silently running defaults.
+// The registry validates the spec frame and the knob overlay (names,
+// types, int ranges) against the protocol's declared schema before
+// running, so misuse fails with an actionable message instead of silently
+// running defaults.
 #pragma once
 
 #include <memory>
@@ -56,9 +57,9 @@ class Registry {
                                const ScenarioSpec& spec) const;
 
   /// The knob-overlay half of validation, usable standalone (CLI --help
-  /// paths, tests): unknown keys and type mismatches throw
-  /// PreconditionError naming the knob and the expected type; ints are
-  /// accepted for double knobs.
+  /// paths, the serve submit, tests): unknown keys, type mismatches and
+  /// ints outside the declared range throw PreconditionError naming the
+  /// knob; ints are accepted for double knobs.
   void validate_knobs(const Protocol& protocol, const ScenarioSpec& spec) const;
 
  private:

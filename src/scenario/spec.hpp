@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <variant>
@@ -36,14 +37,18 @@ enum class KnobType { kBool, kInt, kDouble, kString };
 [[nodiscard]] KnobType knob_value_type(const KnobValue& value);
 [[nodiscard]] std::string knob_value_text(const KnobValue& value);
 
-/// One knob a protocol declares: name, type, default, one-line help.
-/// The declaration doubles as CLI surface (poqsim forwards matching
-/// options) and as the validation schema for ScenarioSpec::knobs.
+/// One knob a protocol declares: name, type, default, one-line help and,
+/// for an int knob, the inclusive range its value must lie in. The
+/// declaration doubles as CLI surface (poqsim forwards matching options)
+/// and as the validation schema for ScenarioSpec::knobs; it is the only
+/// place a knob's default and range are written.
 struct KnobSpec {
   std::string name;
   KnobType type = KnobType::kDouble;
   KnobValue default_value = 0.0;
   std::string help;
+  std::int64_t min = std::numeric_limits<std::int64_t>::min();
+  std::int64_t max = std::numeric_limits<std::int64_t>::max();
 };
 
 /// The experiment frame shared by all protocols.

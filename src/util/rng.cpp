@@ -179,7 +179,8 @@ double Rng::exponential(double rate) {
 }
 
 std::uint64_t Rng::poisson(double mean) {
-  require(mean >= 0.0, "Rng::poisson: mean must be non-negative");
+  require(std::isfinite(mean) && mean >= 0.0,
+          "Rng::poisson: mean must be finite and non-negative");
   if (mean == 0.0) return 0;
   if (mean < 30.0) {
     // Knuth's product method; exact and fast for small means.

@@ -7,6 +7,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/balancing_sim.hpp"
@@ -35,7 +36,8 @@ ScenarioSpec small_spec(const std::string& protocol) {
 TEST(Registry, AllSixSimulatorsPlusLpAreRegistered) {
   const std::vector<std::string> names = registry().names();
   for (const char* expected : {"balancing", "planned", "hybrid", "gossip",
-                               "distributed", "fidelity", "lp"}) {
+                               "distributed", "async_routing", "fidelity",
+                               "lp"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << "missing protocol " << expected;
   }
@@ -52,8 +54,8 @@ TEST(Registry, EveryProtocolRunsASmallScenario) {
   }
 }
 
-// Every knob default is declared in its KnobSpec and again as the
-// fallback the run body reads, so the two could drift apart. Running a
+// A knob's default is written only in its KnobSpec, and the run body
+// falls back to it when the spec leaves the knob unset. Running a
 // protocol with no knobs must equal running it with every declared knob
 // set to its declared default, metric for metric.
 TEST(Registry, DeclaredKnobDefaultsMatchTheRunDefaults) {
@@ -182,6 +184,76 @@ TEST(Registry, FaultKnobsAreCheckedEvenWhenFaultsAreOff) {
         EXPECT_TRUE(knob_rejected(protocol, knob, value))
             << protocol << " accepted " << knob << " = " << value;
       }
+    }
+  }
+}
+
+// Every int knob's declared range is checked where specs enter:
+// validate_knobs refuses one below the minimum and one above the maximum
+// (where those fit in an int64), naming the knob, and accepts both
+// bounds. Acceptance is checked by validating only, since a run at
+// max-rounds = 2^32 - 1 would never end.
+TEST(Registry, IntKnobRangesAreCheckedByValidation) {
+  constexpr std::int64_t kLowest = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kHighest = std::numeric_limits<std::int64_t>::max();
+  // The validation error for `knob` = `value`, or "" when accepted.
+  const auto error_for = [](const Protocol& protocol, const std::string& knob,
+                            std::int64_t value) -> std::string {
+    ScenarioSpec spec = small_spec(protocol.name());
+    spec.knobs[knob] = value;
+    try {
+      registry().validate_knobs(protocol, spec);
+    } catch (const PreconditionError& error) {
+      return error.what();
+    }
+    return "";
+  };
+  std::size_t checked = 0;
+  for (const std::string& name : registry().names()) {
+    const Protocol& protocol = registry().find(name);
+    for (const KnobSpec& knob : protocol.knobs()) {
+      if (knob.type != KnobType::kInt) continue;
+      ++checked;
+      SCOPED_TRACE(name + " " + knob.name);
+      // Every int knob lands in an unsigned field or sentinel, so each
+      // declares a lower bound, and its default lies in its range.
+      EXPECT_GT(knob.min, kLowest);
+      const std::int64_t fallback = std::get<std::int64_t>(knob.default_value);
+      EXPECT_LE(knob.min, fallback);
+      EXPECT_GE(knob.max, fallback);
+      EXPECT_EQ(error_for(protocol, knob.name, knob.min), "");
+      EXPECT_EQ(error_for(protocol, knob.name, knob.max), "");
+      const std::string quoted = "'" + knob.name + "'";
+      if (knob.min > kLowest) {
+        EXPECT_NE(error_for(protocol, knob.name, knob.min - 1).find(quoted),
+                  std::string::npos);
+      }
+      if (knob.max < kHighest) {
+        EXPECT_NE(error_for(protocol, knob.name, knob.max + 1).find(quoted),
+                  std::string::npos);
+      }
+    }
+  }
+  EXPECT_EQ(checked, 26u);
+}
+
+TEST(Registry, PoissonRateKnobsMustBeFiniteAndNonNegative) {
+  // A negative or NaN rate would fail deep in Rng::poisson with a message
+  // naming no knob; an infinite one would reach a float-to-int cast of
+  // NaN, which is undefined.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::pair<const char*, const char*> knobs[] = {
+      {"distributed", "report-rate"},
+      {"distributed", "scan-rate"},
+      {"distributed", "generation-rate"},
+      {"async_routing", "arrival-rate"},
+      {"async_routing", "generation-rate"},
+  };
+  for (const auto& [protocol, knob] : knobs) {
+    for (const double value : {-1.0, kNan, kInf}) {
+      EXPECT_TRUE(knob_rejected(protocol, knob, value))
+          << protocol << " accepted " << knob << " = " << value;
     }
   }
 }

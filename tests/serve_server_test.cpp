@@ -344,13 +344,19 @@ TEST(ServeServer, UnknownJobAndBadSpecErrors) {
   ASSERT_FALSE(cancel.at("ok").as_bool());
   EXPECT_EQ(cancel.at("code").as_string(), "unknown_job");
 
-  // Registry validation runs at the submit boundary: an unknown knob
-  // fails synchronously with bad_request, not inside a worker.
-  scenario::ScenarioSpec bad = quick_spec(9, 1);
-  bad.knobs["no-such-knob"] = 1.0;
-  const Value rejected = client.request(submit_run_request(bad, false));
-  ASSERT_FALSE(rejected.at("ok").as_bool());
-  EXPECT_EQ(rejected.at("code").as_string(), "bad_request");
+  // Registry validation runs at the submit boundary: an unknown knob or
+  // an int knob outside its declared range fails synchronously with
+  // bad_request, not inside a worker.
+  scenario::ScenarioSpec unknown = quick_spec(9, 1);
+  unknown.knobs["no-such-knob"] = 1.0;
+  scenario::ScenarioSpec out_of_range = quick_spec(9, 1);
+  out_of_range.protocol = "planned";
+  out_of_range.knobs["window"] = std::int64_t{0};
+  for (const scenario::ScenarioSpec& bad : {unknown, out_of_range}) {
+    const Value rejected = client.request(submit_run_request(bad, false));
+    ASSERT_FALSE(rejected.at("ok").as_bool()) << rejected.dump();
+    EXPECT_EQ(rejected.at("code").as_string(), "bad_request");
+  }
 }
 
 TEST(ServeServer, ConcurrentClientsGetIsolatedIdenticalResults) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -148,6 +149,16 @@ TEST(Rng, PoissonMatchesMeanLarge) {
 TEST(Rng, PoissonZeroMean) {
   Rng rng(1);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(rng.poisson(0.0), 0u);
+}
+
+TEST(Rng, PoissonRejectsNegativeAndNonFiniteMeans) {
+  // An infinite mean would reach a float-to-int cast of NaN, which is
+  // undefined.
+  Rng rng(1);
+  for (const double mean : {-1.0, std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW((void)rng.poisson(mean), PreconditionError) << mean;
+  }
 }
 
 TEST(Rng, NormalMatchesMoments) {
